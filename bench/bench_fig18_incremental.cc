@@ -4,21 +4,18 @@
 // Paper shape: larger t_interval lowers total_STD for every approach and
 // makes GREEDY's minimum reliability unstable.
 //
-// --streaming routes every platform tick through the event-driven delta
-// engine (PlatformConfig::streaming) instead of rebuilding the candidate
-// graph per tick. The simulated trajectory is bit-identical, so the
-// quality tables are unchanged; the scaled-up "platform wall time"
-// section is where the flag shows. The checked-in
-// BENCH_fig18_incremental.{before,after}.json pair is two --streaming
-// captures of this full-churn campus, before vs after DeltaGraph's
-// hybrid bulk refill (per-row scalar recomputes vs one vectorized bulk
-// retrieval per tick), trend-gated in CI; the rebuild-vs-delta mode
-// comparison lives in the BENCH_ablation_index_dynamic pair.
+// Every platform tick runs through the delta-maintained round engine
+// (sim::IncrementalAssigner); the scaled-up "platform wall time" section
+// reports its graph-maintenance share. The checked-in
+// BENCH_fig18_incremental.{before,after}.json pair is two captures of
+// this full-churn campus, before vs after DeltaGraph's hybrid bulk refill
+// (per-row scalar recomputes vs one vectorized bulk retrieval per tick),
+// trend-gated in CI; the rebuild-vs-delta comparison lives in the
+// BENCH_ablation_index_dynamic pair.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "bench/harness.h"
@@ -30,16 +27,11 @@ namespace {
 
 int Run(int argc, char** argv) {
   BenchOptions options = ParseOptions(argc, argv);
-  bool streaming = false;
-  for (int a = 1; a < argc; ++a) {
-    if (std::strcmp(argv[a], "--streaming") == 0) streaming = true;
-  }
   BenchReport report("fig18_incremental", options);
   std::printf(
       "== Figure 18: Effect of the Updating Time Interval t_interval ==\n");
-  std::printf("platform: 10 users, 5 sites, 15 min opening; seeds=%d, "
-              "maintenance=%s\n",
-              options.num_seeds, streaming ? "streaming" : "rebuild");
+  std::printf("platform: 10 users, 5 sites, 15 min opening; seeds=%d\n",
+              options.num_seeds);
 
   std::vector<std::string> solver_names;
   for (const Engine& engine : MakeEngines(0)) {
@@ -58,7 +50,6 @@ int Run(int argc, char** argv) {
         sim::PlatformConfig config;
         config.t_interval = minutes / 60.0;
         config.seed = seed;
-        config.streaming = streaming;
         config.solver_name = ApproachNames()[s];
         config.solver_options.seed = seed;
         sim::Platform platform(config);
@@ -80,14 +71,11 @@ int Run(int argc, char** argv) {
   report.AddTable("total_STD", "t_interval", rows, solver_names, std_cells);
   std::printf("\n");
 
-  // --- Streaming wall time at a scaled-up campus, where the per-tick
-  // candidate-graph work actually matters. Trajectories are identical
-  // with and without --streaming; only this table moves. "graph (s)" is
-  // the per-run total of the sim.round_build_seconds histogram -- the
-  // graph-maintenance phase the delta engine replaces (full
-  // CandidateGraph::Build per tick vs. repairing dirty rows); "run (s)"
-  // includes the (mode-independent) solver, so it moves only as much as
-  // the maintenance share of the tick.
+  // --- Wall time at a scaled-up campus, where the per-tick candidate-
+  // graph work actually matters. "graph (s)" is the per-run total of the
+  // sim.round_build_seconds histogram -- the graph-maintenance phase
+  // (repairing dirty rows and assembling the round's graph); "run (s)"
+  // includes the solver.
   const int wall_sites = std::max(40, options.base);
   const int wall_workers = 2 * wall_sites;
   std::vector<std::string> wall_rows;
@@ -103,7 +91,6 @@ int Run(int argc, char** argv) {
       config.num_workers = wall_workers;
       config.t_interval = minutes / 60.0;
       config.seed = options.seed0 + 13 * seed_index;
-      config.streaming = streaming;
       config.solver_name = "greedy";
       config.solver_options.seed = config.seed;
       config.metrics = &registry;

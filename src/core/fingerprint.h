@@ -21,9 +21,7 @@ void MixSolverOptions(util::Hasher& hasher, const SolverOptions& options);
 
 /// The stable 128-bit content identity of one instance snapshot. This is
 /// the base every cache key builds on: the engine layers solver name /
-/// options / graph strategy on top (engine/fingerprint.h), and
-/// sim::IncrementalAssigner uses it to recognize recurring round
-/// snapshots.
+/// options / graph strategy on top (engine/fingerprint.h).
 util::Hash128 InstanceFingerprint(const Instance& instance);
 
 }  // namespace rdbsc::core

@@ -2,21 +2,19 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <limits>
 #include <vector>
 
 #include "core/diversity.h"
-#include "core/fingerprint.h"
+#include "util/deadline.h"
 #include "util/math.h"
 
 namespace rdbsc::sim {
 
 IncrementalAssigner::IncrementalAssigner(core::Solver* solver, double eta,
                                          core::ArrivalPolicy policy)
-    : solver_(solver),
-      policy_(policy),
-      eta_(eta),
-      index_(eta, /*now=*/0.0, policy) {}
+    : solver_(solver), policy_(policy), index_(eta, /*now=*/0.0, policy) {}
 
 util::Status IncrementalAssigner::AddTask(core::TaskId id,
                                           const core::Task& task) {
@@ -27,9 +25,7 @@ util::Status IncrementalAssigner::AddTask(core::TaskId id,
   if (!status.ok()) return status;
   tasks_.emplace(id, task);
   ledger_.emplace(id, LedgerEntry{task, {}});
-  if (mode_ == MaintenanceMode::kDelta) {
-    delta_.OnTaskArrived(index_, id, task);
-  }
+  delta_.OnTaskArrived(index_, id, task);
   return util::Status::OK();
 }
 
@@ -38,8 +34,8 @@ util::Status IncrementalAssigner::RemoveTask(core::TaskId id) {
   if (it == tasks_.end()) {
     return util::Status::NotFound("task id not registered");
   }
-  index_.RemoveTask(id).ok();
-  if (mode_ == MaintenanceMode::kDelta) delta_.OnTaskRemoved(id);
+  if (util::Status s = index_.RemoveTask(id); !s.ok()) return s;
+  delta_.OnTaskRemoved(id);
   tasks_.erase(it);
   // Pending commitments to the vanished task are voided: the workers
   // become available again and their provisional contributions disappear.
@@ -54,8 +50,10 @@ util::Status IncrementalAssigner::RemoveTask(core::TaskId id) {
     WorkerRecord& record = workers_.at(wid);
     record.committed = core::kNoTask;
     record.busy = false;
-    index_.InsertWorker(wid, record.worker).ok();
-    if (mode_ == MaintenanceMode::kDelta) delta_.AddRow(wid).ok();
+    if (util::Status s = index_.InsertWorker(wid, record.worker); !s.ok()) {
+      return s;
+    }
+    if (util::Status s = delta_.AddRow(wid); !s.ok()) return s;
     auto& contributions = ledger_.at(id).contributions;
     std::erase_if(contributions, [wid](const auto& entry) {
       return entry.first == wid;
@@ -71,11 +69,10 @@ util::Status IncrementalAssigner::AddWorker(core::WorkerId id,
   }
   util::Status status = index_.InsertWorker(id, worker);
   if (!status.ok()) return status;
-  if (mode_ == MaintenanceMode::kDelta) delta_.AddRow(id).ok();
   WorkerRecord record;
   record.worker = worker;
   workers_.emplace(id, record);
-  return util::Status::OK();
+  return delta_.AddRow(id);
 }
 
 util::Status IncrementalAssigner::RemoveWorker(core::WorkerId id) {
@@ -84,8 +81,8 @@ util::Status IncrementalAssigner::RemoveWorker(core::WorkerId id) {
     return util::Status::NotFound("worker id not registered");
   }
   if (!it->second.busy) {
-    index_.RemoveWorker(id).ok();
-    if (mode_ == MaintenanceMode::kDelta) delta_.RemoveRow(id).ok();
+    if (util::Status s = index_.RemoveWorker(id); !s.ok()) return s;
+    if (util::Status s = delta_.RemoveRow(id); !s.ok()) return s;
   }
   if (it->second.committed != core::kNoTask && it->second.busy) {
     // The worker left mid-route: void the provisional contribution.
@@ -112,10 +109,8 @@ util::Status IncrementalAssigner::CompleteWorker(core::WorkerId id,
   it->second.committed = core::kNoTask;
   it->second.worker.location = position;
   util::Status status = index_.InsertWorker(id, it->second.worker);
-  if (status.ok() && mode_ == MaintenanceMode::kDelta) {
-    delta_.AddRow(id).ok();
-  }
-  return status;
+  if (!status.ok()) return status;
+  return delta_.AddRow(id);
 }
 
 util::Status IncrementalAssigner::MoveWorker(core::WorkerId id,
@@ -133,8 +128,7 @@ util::Status IncrementalAssigner::MoveWorker(core::WorkerId id,
   it->second.worker.location = to;
   // Only this worker's candidate row changed; everything else keeps its
   // stability horizon.
-  if (mode_ == MaintenanceMode::kDelta) delta_.MarkRowDirty(id).ok();
-  return util::Status::OK();
+  return delta_.MarkRowDirty(id);
 }
 
 util::Status IncrementalAssigner::ApplyEvents(const EventBatch& batch) {
@@ -158,34 +152,20 @@ util::Status IncrementalAssigner::ApplyEvents(const EventBatch& batch) {
   return util::Status::OK();
 }
 
-void IncrementalAssigner::set_maintenance_mode(MaintenanceMode mode) {
-  if (mode == mode_) return;
-  mode_ = mode;
-  if (mode_ == MaintenanceMode::kDelta) {
-    ResyncDelta();
-  } else {
-    delta_.Reset();
-  }
-}
-
-void IncrementalAssigner::set_metrics(obs::Registry* metrics) {
+void IncrementalAssigner::set_metrics(obs::Registry* metrics,
+                                      std::string solver_name) {
   metrics_ = metrics;
   // Start the per-round diffs from here: work done before the sink was
   // attached is not retroactively reported.
   reported_delta_ = delta_.stats();
-}
-
-void IncrementalAssigner::ResyncDelta() {
-  delta_.Reset();
-  std::vector<core::WorkerId> available;
-  // LINT-ALLOW(unordered-iter): key collection only; sorted below
-  for (const auto& [wid, record] : workers_) {
-    if (!record.busy) available.push_back(wid);
-  }
-  std::sort(available.begin(), available.end());
-  // Rows are born dirty: the next Update recomputes them all, after
-  // which delta maintenance is exact again.
-  for (core::WorkerId wid : available) delta_.AddRow(wid).ok();
+  round_build_ = nullptr;
+  round_solve_ = nullptr;
+  if (metrics == nullptr) return;
+  const obs::Labels labels = {{"solver", std::move(solver_name)}};
+  round_build_ =
+      &metrics->GetHistogram("sim.round_build_seconds", labels, 1e-9);
+  round_solve_ =
+      &metrics->GetHistogram("sim.round_solve_seconds", labels, 1e-9);
 }
 
 void IncrementalAssigner::ReportDeltaMetrics() {
@@ -215,88 +195,79 @@ IncrementalAssigner::Update(double now) {
     if (task.end < now) expired.push_back(tid);
   }
   std::sort(expired.begin(), expired.end());
-  for (core::TaskId tid : expired) RemoveTask(tid).ok();
+  for (core::TaskId tid : expired) {
+    if (util::Status s = RemoveTask(tid); !s.ok()) return s;
+  }
 
-  // Compact snapshot for the solver.
+  // Compact snapshot for the solver: local ids are ranks in the sorted
+  // global id lists.
   std::vector<core::TaskId> task_ids;
-  std::unordered_map<core::TaskId, core::TaskId> task_local;
-  std::vector<core::Task> snapshot_tasks;
+  task_ids.reserve(tasks_.size());
   // LINT-ALLOW(unordered-iter): key collection only; sorted below
   for (const auto& [tid, task] : tasks_) task_ids.push_back(tid);
   std::sort(task_ids.begin(), task_ids.end());
-  for (core::TaskId tid : task_ids) {
-    task_local[tid] = static_cast<core::TaskId>(snapshot_tasks.size());
-    snapshot_tasks.push_back(tasks_.at(tid));
-  }
   std::vector<core::WorkerId> worker_ids;
-  std::unordered_map<core::WorkerId, core::WorkerId> worker_local;
-  std::vector<core::Worker> snapshot_workers;
   // LINT-ALLOW(unordered-iter): key collection only; sorted below
   for (const auto& [wid, record] : workers_) {
     if (!record.busy) worker_ids.push_back(wid);
   }
   std::sort(worker_ids.begin(), worker_ids.end());
-  for (core::WorkerId wid : worker_ids) {
-    worker_local[wid] = static_cast<core::WorkerId>(snapshot_workers.size());
-    snapshot_workers.push_back(workers_.at(wid).worker);
-  }
 
   std::vector<std::pair<core::TaskId, core::WorkerId>> committed;
-  if (snapshot_tasks.empty() || snapshot_workers.empty()) {
+  if (task_ids.empty() || worker_ids.empty()) {
     ReportDeltaMetrics();
     return committed;
   }
-
-  const size_t num_snapshot_workers = snapshot_workers.size();
+  std::vector<core::Task> snapshot_tasks;
+  snapshot_tasks.reserve(task_ids.size());
+  for (core::TaskId tid : task_ids) snapshot_tasks.push_back(tasks_.at(tid));
+  std::vector<core::Worker> snapshot_workers;
+  snapshot_workers.reserve(worker_ids.size());
+  for (core::WorkerId wid : worker_ids) {
+    snapshot_workers.push_back(workers_.at(wid).worker);
+  }
   core::Instance snapshot(std::move(snapshot_tasks),
                           std::move(snapshot_workers), now, policy_);
 
-  // Round reuse: the snapshot's content fingerprint (tasks, workers, now,
-  // policy) fully determines the candidate edge set the index would
-  // retrieve, so a round identical to the previous one replays the memoed
-  // graph instead of paying RetrievePairs + FromEdges again.
-  const util::Hash128 fingerprint = core::InstanceFingerprint(snapshot);
-  ++round_stats_.rounds;
-  std::shared_ptr<const core::CandidateGraph> graph;
-  if (has_graph_memo_ && fingerprint == graph_memo_key_) {
-    ++round_stats_.graph_reuses;
-    graph = graph_memo_;
-  } else {
-    // Valid pairs among available workers and open tasks. kDelta repairs
-    // only dirty / horizon-expired rows and materializes the maintained
-    // edit structure; kRebuild pays the full index retrieval. Unlimited
-    // deadline and serial retrieval either way: never fails.
-    std::vector<std::pair<core::WorkerId, core::TaskId>> pairs;
-    if (mode_ == MaintenanceMode::kDelta) {
-      delta_.RepairRows(index_).ok();
-      pairs = delta_.Pairs();
+  // Valid pairs among available workers and open tasks: repair only the
+  // dirty / horizon-expired rows, then materialize the maintained edges.
+  const auto build_start = std::chrono::steady_clock::now();
+  if (util::Status s = delta_.RepairRows(index_); !s.ok()) return s;
+  const std::vector<std::pair<core::WorkerId, core::TaskId>> pairs =
+      delta_.Pairs();
 #ifndef NDEBUG
-      // The tentpole contract, checked on every Debug round: the
-      // delta-maintained edge set is bit-identical to a full rebuild.
-      assert(pairs == index_.RetrievePairs().value() &&
-             "delta-maintained pairs diverged from index rebuild");
+  // The delta contract, checked on every Debug round: the maintained edge
+  // set is bit-identical to a full retrieval from the index.
+  assert(pairs == index_.RetrievePairs().value() &&
+         "delta-maintained pairs diverged from index rebuild");
 #endif
-    } else {
-      pairs = index_.RetrievePairs().value();
+  // Rows exist exactly for the available workers and the index holds
+  // exactly the open tasks, so every pair has a local id. Pairs are
+  // id-sorted and ids map to ranks monotonically, so each local row stays
+  // sorted as FromEdges expects.
+  std::vector<std::vector<core::TaskId>> edges(worker_ids.size());
+  size_t row = 0;  // pairs are worker-major: the row cursor only advances
+  for (const auto& [wid, tid] : pairs) {
+    while (row < worker_ids.size() && worker_ids[row] < wid) ++row;
+    const auto t = std::lower_bound(task_ids.begin(), task_ids.end(), tid);
+    if (row == worker_ids.size() || worker_ids[row] != wid ||
+        t == task_ids.end() || *t != tid) {
+      return util::Status::Internal("delta pair outside the round snapshot");
     }
-    std::vector<std::vector<core::TaskId>> edges(num_snapshot_workers);
-    for (const auto& [wid, tid] : pairs) {
-      auto w_it = worker_local.find(wid);
-      auto t_it = task_local.find(tid);
-      if (w_it != worker_local.end() && t_it != task_local.end()) {
-        edges[w_it->second].push_back(t_it->second);
-      }
-    }
-    graph = std::make_shared<const core::CandidateGraph>(
-        core::CandidateGraph::FromEdges(snapshot, std::move(edges)));
-    graph_memo_key_ = fingerprint;
-    graph_memo_ = graph;
-    has_graph_memo_ = true;
+    edges[row].push_back(static_cast<core::TaskId>(t - task_ids.begin()));
+  }
+  const core::CandidateGraph graph =
+      core::CandidateGraph::FromEdges(snapshot, std::move(edges));
+  if (round_build_ != nullptr) {
+    round_build_->Observe(util::SecondsSince(build_start));
   }
 
-  util::StatusOr<core::SolveResult> solved =
-      solver_->Solve(snapshot, *graph);
+  const auto solve_start = std::chrono::steady_clock::now();
+  util::StatusOr<core::SolveResult> solved = solver_->Solve(snapshot, graph);
   if (!solved.ok()) return solved.status();
+  if (round_solve_ != nullptr) {
+    round_solve_->Observe(util::SecondsSince(solve_start));
+  }
   const core::SolveResult& solve = solved.value();
 
   for (size_t local = 0; local < worker_ids.size(); ++local) {
@@ -311,8 +282,9 @@ IncrementalAssigner::Update(double now) {
     record.observation = core::MakeObservation(
         tasks_.at(tid), record.worker, now, policy_);
     ledger_.at(tid).contributions.emplace_back(wid, record.observation);
-    index_.RemoveWorker(wid).ok();
-    if (mode_ == MaintenanceMode::kDelta) delta_.RemoveRow(wid).ok();
+    // A committed worker leaves the assignable pool.
+    if (util::Status s = index_.RemoveWorker(wid); !s.ok()) return s;
+    if (util::Status s = delta_.RemoveRow(wid); !s.ok()) return s;
     committed.emplace_back(tid, wid);
   }
   ReportDeltaMetrics();

@@ -1,9 +1,9 @@
 #ifndef RDBSC_SIM_INCREMENTAL_H_
 #define RDBSC_SIM_INCREMENTAL_H_
 
-#include <cstdint>
-#include <memory>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/assignment.h"
@@ -14,36 +14,24 @@
 #include "index/grid_index.h"
 #include "obs/registry.h"
 #include "sim/events.h"
-#include "util/hash.h"
 #include "util/status.h"
 
 namespace rdbsc::sim {
 
-/// Round-reuse counters of an IncrementalAssigner (see Update): how many
-/// rounds ran and how many of them replayed the previous round's candidate
-/// graph instead of retrieving pairs from the index again.
-struct RoundCacheStats {
-  int64_t rounds = 0;
-  int64_t graph_reuses = 0;
-};
-
-/// How an IncrementalAssigner keeps its candidate edge set current.
-enum class MaintenanceMode {
-  /// Event-driven deltas (index::DeltaGraph): mutations patch only the
-  /// affected rows and Update repairs just the horizon-expired ones.
-  /// Bit-identical to kRebuild by contract (Debug builds cross-check
-  /// every round; tests/delta_index_test.cc proves it property-style).
-  kDelta,
-  /// Full RetrievePairs scan every non-memoized round -- the paper's
-  /// baseline, kept as the reference oracle and benchmark counterpart.
-  kRebuild,
-};
-
-/// The incremental updating strategy of Figure 10, decoupled from the toy
-/// platform: tasks and workers arrive and leave dynamically, the
-/// RDB-SC-Grid index maintains them, and each Update(now) round assigns the
-/// currently available workers to the currently open tasks with the
-/// supplied solver, *keeping* earlier commitments (line 7, S = S u S_c).
+/// The incremental updating strategy of Figure 10 -- the library's one
+/// round engine (sim::Platform and sim::StreamingSession both drive it):
+/// tasks and workers arrive and leave dynamically, the RDB-SC-Grid index
+/// maintains them, and each Update(now) round assigns the currently
+/// available workers to the currently open tasks with the supplied solver,
+/// *keeping* earlier commitments (line 7, S = S u S_c).
+///
+/// The candidate edge set is maintained as deltas (index::DeltaGraph):
+/// mutations patch only the affected rows and Update repairs just the
+/// dirty and horizon-expired ones. By the DeltaGraph contract the edges
+/// are bit-identical to a per-round CandidateGraph::Build of the same
+/// snapshot (Debug builds cross-check every round against the index's
+/// full retrieval; tests/delta_index_test.cc checks it against
+/// CandidateGraph::Build in every build type).
 ///
 /// External ids are caller-chosen and stable; internally each round builds
 /// a compact snapshot instance for the solver.
@@ -62,6 +50,9 @@ class IncrementalAssigner {
   IncrementalAssigner(core::Solver* solver, double eta,
                       core::ArrivalPolicy policy =
                           core::ArrivalPolicy::kAllowWait);
+
+  /// The mutators below fail with the index's or the delta graph's status
+  /// when the two disagree with the registries (the graph is then stale).
 
   /// Registers a new open task; fails on duplicate id.
   util::Status AddTask(core::TaskId id, const core::Task& task);
@@ -92,19 +83,17 @@ class IncrementalAssigner {
   /// `ApplyEvents(batch)` then `Update(batch.now)`.
   util::Status ApplyEvents(const EventBatch& batch);
 
-  /// Switches maintenance strategy. Entering kDelta resynchronizes the
-  /// delta graph from the index (every row reborn dirty), so the switch
-  /// is allowed at any point of the lifecycle.
-  void set_maintenance_mode(MaintenanceMode mode);
-  MaintenanceMode maintenance_mode() const { return mode_; }
-
   /// Optional metrics sink (unowned; must outlive the assigner). Each
   /// Update reports that round's maintenance work as sim.delta.* counter
   /// increments (cells_touched, edges_repaired, rows_recomputed,
-  /// rows_reused, compactions, bulk_refills).
-  void set_metrics(obs::Registry* metrics);
+  /// rows_reused, compactions, bulk_refills), and every round that runs
+  /// the solver observes sim.round_build_seconds (delta repair, pair
+  /// materialization and graph assembly) and sim.round_solve_seconds (the
+  /// solve alone), both labelled {solver=`solver_name`} -- the registry
+  /// name the owner resolved the solver by.
+  void set_metrics(obs::Registry* metrics, std::string solver_name);
 
-  /// Cumulative delta-maintenance cost counters (all zero in kRebuild).
+  /// Cumulative delta-maintenance cost counters.
   const index::DeltaStats& delta_stats() const { return delta_.stats(); }
 
   /// The maintained grid index (inspection / tests).
@@ -112,22 +101,12 @@ class IncrementalAssigner {
 
   /// One round of Figure 10: assigns available workers to open tasks that
   /// are still live at `now` (expired tasks are dropped first). Returns
-  /// the pairs newly committed this round, or the solver's failure (no
-  /// commitments are made on a failed round).
-  ///
-  /// Rounds are content-fingerprinted (core::InstanceFingerprint over the
-  /// compact snapshot, which includes `now`): when a round's snapshot is
-  /// bit-identical to the previous one -- common in event-driven callers
-  /// that re-Update after no-op events, and whenever the last round
-  /// committed nothing -- the index retrieval and graph construction are
-  /// skipped and the cached candidate graph is replayed. The solver still
-  /// runs (it is a pure function of snapshot + graph), so commitments are
-  /// identical with and without the reuse.
+  /// the pairs newly committed this round as global (task, worker) ids, in
+  /// ascending worker order. Fails with the solver's status (no
+  /// commitments are made on a failed solve) or with the delta graph's or
+  /// index's status when maintenance fails (the graph is then stale).
   util::StatusOr<std::vector<std::pair<core::TaskId, core::WorkerId>>>
   Update(double now);
-
-  /// Graph-reuse counters accumulated across Update calls.
-  const RoundCacheStats& round_cache_stats() const { return round_stats_; }
 
   /// Current task of a worker, or kNoTask.
   core::TaskId CommittedTask(core::WorkerId id) const;
@@ -155,33 +134,22 @@ class IncrementalAssigner {
     std::vector<std::pair<core::WorkerId, core::Observation>> contributions;
   };
 
-  /// Rebuilds the delta graph's row set from the current index contents
-  /// (used when entering kDelta mid-lifecycle).
-  void ResyncDelta();
   /// Sends the per-round diff of delta_.stats() to the metrics sink.
   void ReportDeltaMetrics();
 
   core::Solver* solver_;
   core::ArrivalPolicy policy_;
-  double eta_;
   index::GridIndex index_;
-  MaintenanceMode mode_ = MaintenanceMode::kDelta;
   index::DeltaGraph delta_;
   /// stats() watermark of the last ReportDeltaMetrics call.
   index::DeltaStats reported_delta_;
   obs::Registry* metrics_ = nullptr;
+  /// The round timers, resolved by set_metrics; null without a registry.
+  obs::Histogram* round_build_ = nullptr;
+  obs::Histogram* round_solve_ = nullptr;
   std::unordered_map<core::TaskId, core::Task> tasks_;
   std::unordered_map<core::WorkerId, WorkerRecord> workers_;
   std::unordered_map<core::TaskId, LedgerEntry> ledger_;
-
-  /// One-round graph memo: the previous snapshot's fingerprint and the
-  /// candidate graph built for it. Content-addressed, so it never needs
-  /// explicit invalidation -- any membership / position / time change
-  /// produces a different fingerprint and falls through to a fresh build.
-  bool has_graph_memo_ = false;
-  util::Hash128 graph_memo_key_{};
-  std::shared_ptr<const core::CandidateGraph> graph_memo_;
-  RoundCacheStats round_stats_;
 };
 
 }  // namespace rdbsc::sim

@@ -1,8 +1,6 @@
 #include "sim/platform.h"
 
 #include <algorithm>
-#include <cassert>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -11,12 +9,9 @@
 
 #include "core/diversity.h"
 #include "core/registry.h"
-#include "engine/server.h"
-#include "index/delta_graph.h"
-#include "index/grid_index.h"
-#include "util/config.h"
-#include "util/deadline.h"
 #include "geo/angle.h"
+#include "sim/events.h"
+#include "sim/incremental.h"
 #include "util/math.h"
 #include "util/rng.h"
 
@@ -36,14 +31,13 @@ struct Site {
   core::Task task;
   double required_angle = 0.0;  ///< desired shooting direction
   std::vector<core::Observation> contributions;
-  int pending = 0;  ///< workers en route
 };
 
-/// Grid granularity of the streaming-mode index. The campus is a few
+/// Grid granularity of the round engine's index. The campus is a few
 /// thousandths of the unit square, so one ~0.05 cell typically holds the
-/// whole scene -- the streaming win here is row reuse across ticks, not
-/// spatial pruning (that is fig17's subject).
-constexpr double kStreamingEta = 0.05;
+/// whole scene -- the win here is row reuse across ticks, not spatial
+/// pruning (that is fig17's subject).
+constexpr double kCampusEta = 0.05;
 
 core::ObjectiveValue ComputeObjectives(const std::vector<Site>& sites) {
   core::ObjectiveValue value;
@@ -73,21 +67,11 @@ Platform::Platform(PlatformConfig config) : config_(std::move(config)) {
     solver_ = std::move(created).value();
   } else {
     init_status_ = created.status();
-    return;  // Run() only reports init_status_; don't spawn idle threads
-  }
-  // In server mode every tick solves through the engine::Server, which
-  // owns its own dispatch threads -- the platform pool would sit idle.
-  if (config_.num_threads > 1 && config_.server_workers <= 0) {
-    pool_ = std::make_unique<util::ThreadPool>(config_.num_threads);
   }
 }
 
 util::StatusOr<PlatformResult> Platform::Run() {
   if (!init_status_.ok()) return init_status_;
-  if (config_.streaming && config_.server_workers > 0) {
-    return util::Status::InvalidArgument(
-        "streaming platform mode is inline-only (server_workers must be 0)");
-  }
   util::Rng rng(config_.seed);
   PlatformResult result;
 
@@ -95,39 +79,12 @@ util::StatusOr<PlatformResult> Platform::Run() {
   obs::Counter* m_rounds = nullptr;
   obs::Counter* m_assignments = nullptr;
   obs::Counter* m_answers = nullptr;
-  obs::Histogram* m_round_solve = nullptr;
-  obs::Histogram* m_round_build = nullptr;
   if (config_.metrics != nullptr) {
     const obs::Labels labels = {{"solver", config_.solver_name}};
     m_rounds = &config_.metrics->GetCounter("sim.rounds", labels);
     m_assignments =
         &config_.metrics->GetCounter("sim.assignments", labels);
     m_answers = &config_.metrics->GetCounter("sim.answers", labels);
-    m_round_solve = &config_.metrics->GetHistogram(
-        "sim.round_solve_seconds", labels, 1e-9);
-    m_round_build = &config_.metrics->GetHistogram(
-        "sim.round_build_seconds", labels, 1e-9);
-  }
-
-  // Optional async admission path: ticks submit through an engine::Server
-  // instead of solving inline. Brute-force graph construction keeps the
-  // candidate graph identical to the inline CandidateGraph::Build below,
-  // and the per-ticket fresh solver reproduces the reused solver_ bit for
-  // bit (every solver reseeds from its options per solve).
-  std::unique_ptr<rdbsc::engine::Server> server;
-  if (config_.server_workers > 0) {
-    rdbsc::engine::ServerConfig server_config;
-    server_config.engine.solver_name = config_.solver_name;
-    server_config.engine.solver_options = config_.solver_options;
-    server_config.engine.graph_strategy = GraphStrategy::kBruteForce;
-    server_config.engine.validate_instances = false;
-    server_config.num_workers = config_.server_workers;
-    server_config.cache_mode = config_.cache_mode;
-    server_config.engine.metrics = config_.metrics;
-    util::StatusOr<std::unique_ptr<rdbsc::engine::Server>> created =
-        rdbsc::engine::Server::Create(std::move(server_config));
-    if (!created.ok()) return created.status();
-    server = std::move(created).value();
   }
 
   // --- Set up the campus: sites clustered around the center. ---
@@ -162,29 +119,26 @@ util::StatusOr<PlatformResult> Platform::Run() {
         config_.p_max);
   }
 
-  // --- Streaming mode: a run-lifetime index + delta graph, maintained
-  // event-by-event (arrivals, expirations, completions) instead of being
-  // rebuilt from the snapshot every tick. ---
-  std::unique_ptr<index::GridIndex> sindex;
-  std::unique_ptr<index::DeltaGraph> sdelta;
-  std::vector<char> task_indexed;
-  if (config_.streaming) {
-    sindex = std::make_unique<index::GridIndex>(
-        kStreamingEta, /*now=*/0.0, core::ArrivalPolicy::kStrict);
-    sdelta = std::make_unique<index::DeltaGraph>();
-    task_indexed.assign(static_cast<size_t>(config_.num_sites), 1);
-    for (core::TaskId i = 0; i < config_.num_sites; ++i) {
-      sindex->InsertTask(i, sites[i].task).ok();
-    }
-    for (core::WorkerId j = 0; j < config_.num_workers; ++j) {
-      sindex->InsertWorker(j, workers[j].profile).ok();
-      sdelta->AddRow(j).ok();
+  // --- The round engine: every site and user is registered once; from
+  // then on it hears of each tick's completions. ---
+  IncrementalAssigner assigner(solver_.get(), kCampusEta,
+                               core::ArrivalPolicy::kStrict);
+  assigner.set_metrics(config_.metrics, config_.solver_name);
+  for (core::TaskId i = 0; i < config_.num_sites; ++i) {
+    if (util::Status s = assigner.AddTask(i, sites[i].task); !s.ok()) return s;
+  }
+  for (core::WorkerId j = 0; j < config_.num_workers; ++j) {
+    if (util::Status s = assigner.AddWorker(j, workers[j].profile); !s.ok()) {
+      return s;
     }
   }
 
   double accuracy_error_sum = 0.0;
 
+  // Delivers every traveller due by `until`; returns their completion
+  // events (each worker is assignable again from its site).
   auto deliver_arrivals = [&](double until) {
+    std::vector<WorkerCompleted> completed;
     for (core::WorkerId j = 0; j < config_.num_workers; ++j) {
       MobileWorker& mw = workers[j];
       if (!mw.traveling || mw.arrival_time > until) continue;
@@ -192,7 +146,6 @@ util::StatusOr<PlatformResult> Platform::Run() {
       const geo::Point approach_from = mw.profile.location;
       mw.traveling = false;
       mw.profile.location = site.task.location;
-      --site.pending;
       // The worker succeeds with its confidence; otherwise the task request
       // was rejected / answered wrongly and yields nothing.
       if (rng.Bernoulli(mw.profile.confidence)) {
@@ -227,175 +180,40 @@ util::StatusOr<PlatformResult> Platform::Run() {
             (1.0 - site.task.beta) * dt / site.task.Duration();
       }
       mw.target = core::kNoTask;
-      // Completion event: the worker is assignable again from the site.
-      if (sindex != nullptr) {
-        sindex->InsertWorker(j, mw.profile).ok();
-        sdelta->AddRow(j).ok();
-      }
+      completed.push_back({j, mw.profile.location});
     }
+    return completed;
   };
 
   // --- Incremental updating loop (Figure 10). ---
   for (double t = 0.0; t < config_.horizon; t += config_.t_interval) {
-    deliver_arrivals(t);
-
-    // Streaming maintenance: expire closed tasks as delta events, then
-    // advance the shared clock (validity windows only ever shrink).
-    if (sindex != nullptr) {
-      for (core::TaskId i = 0; i < config_.num_sites; ++i) {
-        if (task_indexed[static_cast<size_t>(i)] != 0 &&
-            sites[i].task.end < t) {
-          sindex->RemoveTask(i).ok();
-          sdelta->OnTaskRemoved(i);
-          task_indexed[static_cast<size_t>(i)] = 0;
-        }
-      }
-      sindex->set_now(t);
+    // Completions go in before the round: a kStrict assignment arrives no
+    // later than its task's end, so no task expires with a worker still
+    // committed to it.
+    EventBatch batch;
+    batch.now = t;
+    batch.completed = deliver_arrivals(t);
+    if (util::Status s = assigner.ApplyEvents(batch); !s.ok()) return s;
+    util::StatusOr<std::vector<std::pair<core::TaskId, core::WorkerId>>>
+        round = assigner.Update(t);
+    if (!round.ok()) return round.status();
+    if (assigner.num_open_tasks() == 0 ||
+        std::ranges::all_of(workers, &MobileWorker::traveling)) {
+      continue;
     }
-
-    // Snapshot the open tasks and available workers.
-    std::vector<core::Task> open_tasks;
-    std::vector<core::TaskId> open_ids;
-    for (core::TaskId i = 0; i < config_.num_sites; ++i) {
-      if (sites[i].task.end >= t) {
-        open_tasks.push_back(sites[i].task);
-        open_ids.push_back(i);
-      }
-    }
-    std::vector<core::Worker> free_workers;
-    std::vector<core::WorkerId> free_ids;
-    for (core::WorkerId j = 0; j < config_.num_workers; ++j) {
-      if (!workers[j].traveling) {
-        free_workers.push_back(workers[j].profile);
-        free_ids.push_back(j);
-      }
-    }
-    if (open_tasks.empty() || free_workers.empty()) continue;
-
-    core::Instance snapshot(std::move(open_tasks), std::move(free_workers),
-                            /*now=*/t, core::ArrivalPolicy::kStrict);
-    core::SolveResult solve;
-    const auto solve_start = std::chrono::steady_clock::now();
-    if (server != nullptr) {
-      // Async admission path: the tick is one server request (priority 0,
-      // unlimited budget -- the simulator has no per-tick budget).
-      util::StatusOr<rdbsc::engine::Ticket> ticket =
-          server->Submit(snapshot);
-      if (!ticket.ok()) return ticket.status();
-      const util::StatusOr<EngineResult>& run = ticket.value().Wait();
-      if (!run.ok()) return run.status();
-      solve = run.value().solve;
-    } else {
-      // Inline path: graph build and solve run through the platform pool.
-      // Streaming mode repairs the delta-maintained rows and remaps them
-      // into the snapshot's local id space instead of paying the O(m*n)
-      // build; the edge set is identical by the DeltaGraph contract.
-      const auto build_start = std::chrono::steady_clock::now();
-      core::CandidateGraph graph = [&] {
-        if (sindex == nullptr) {
-          return core::CandidateGraph::Build(snapshot, pool_.get(),
-                                             util::Deadline())
-              .value();
-        }
-        sdelta->RepairRows(*sindex).ok();
-        std::vector<core::TaskId> task_local(
-            static_cast<size_t>(config_.num_sites), core::kNoTask);
-        for (size_t k = 0; k < open_ids.size(); ++k) {
-          task_local[static_cast<size_t>(open_ids[k])] =
-              static_cast<core::TaskId>(k);
-        }
-        std::vector<core::WorkerId> worker_local(
-            static_cast<size_t>(config_.num_workers), core::kNoWorker);
-        for (size_t k = 0; k < free_ids.size(); ++k) {
-          worker_local[static_cast<size_t>(free_ids[k])] =
-              static_cast<core::WorkerId>(k);
-        }
-        // Global ids map to locals monotonically (both id lists are
-        // ascending), so each remapped row stays sorted as FromEdges
-        // expects.
-        const auto flat = sdelta->Pairs();
-        std::vector<std::vector<core::TaskId>> edges(
-            static_cast<size_t>(snapshot.num_workers()));
-        // The flat list is worker-grouped: remap one run at a time so
-        // each local row is reserved once instead of grown per edge.
-        for (size_t a = 0; a < flat.size();) {
-          size_t b = a;
-          while (b < flat.size() && flat[b].first == flat[a].first) ++b;
-          const core::WorkerId lj =
-              worker_local[static_cast<size_t>(flat[a].first)];
-          if (lj != core::kNoWorker) {
-            std::vector<core::TaskId>& row = edges[static_cast<size_t>(lj)];
-            row.reserve(b - a);
-            for (size_t k = a; k < b; ++k) {
-              const core::TaskId li =
-                  task_local[static_cast<size_t>(flat[k].second)];
-              if (li != core::kNoTask) row.push_back(li);
-            }
-          }
-          a = b;
-        }
-        return core::CandidateGraph::FromEdges(snapshot, std::move(edges));
-      }();
-      if (m_round_build != nullptr) {
-        m_round_build->Observe(util::SecondsSince(build_start));
-      }
-#ifndef NDEBUG
-      if (sindex != nullptr) {
-        // Streaming contract: the delta-maintained graph is bit-identical
-        // to the per-tick rebuild, every tick.
-        const core::CandidateGraph oracle =
-            core::CandidateGraph::Build(snapshot, pool_.get(),
-                                        util::Deadline())
-                .value();
-        for (core::WorkerId lj = 0; lj < snapshot.num_workers(); ++lj) {
-          const auto mine = graph.TasksOf(lj);
-          const auto want = oracle.TasksOf(lj);
-          assert(std::equal(mine.begin(), mine.end(), want.begin(),
-                            want.end()) &&
-                 "streaming graph diverged from per-tick rebuild");
-        }
-      }
-#endif
-      core::SolveRequest request;
-      request.instance = &snapshot;
-      request.graph = &graph;
-      request.executor = pool_.get();
-      util::StatusOr<core::SolveResult> solved = solver_->Solve(request);
-      if (!solved.ok()) return solved.status();
-      solve = std::move(solved).value();
-    }
-
-    if (m_round_solve != nullptr) {
-      m_round_solve->Observe(util::SecondsSince(solve_start));
-      m_rounds->Increment();
-    }
+    if (m_rounds != nullptr) m_rounds->Increment();
 
     RoundRecord record;
     record.time = t;
-    for (core::WorkerId lj = 0; lj < snapshot.num_workers(); ++lj) {
-      core::TaskId li = solve.assignment.TaskOf(lj);
-      if (li == core::kNoTask) continue;
-      MobileWorker& mw = workers[free_ids[lj]];
-      Site& site = sites[open_ids[li]];
+    for (const auto& [task, worker] : round.value()) {
+      MobileWorker& mw = workers[worker];
       mw.traveling = true;
-      mw.target = open_ids[li];
-      // Departure event: the worker leaves the assignable pool.
-      if (sindex != nullptr) {
-        sindex->RemoveWorker(free_ids[lj]).ok();
-        sdelta->RemoveRow(free_ids[lj]).ok();
-      }
-      mw.arrival_time =
-          core::ArrivalTime(mw.profile, site.task, t,
-                            core::ArrivalPolicy::kStrict);
-      ++site.pending;
+      mw.target = task;
+      mw.arrival_time = core::ArrivalTime(mw.profile, sites[task].task, t,
+                                          core::ArrivalPolicy::kStrict);
       ++record.newly_assigned;
       ++result.assignments_made;
       if (m_assignments != nullptr) m_assignments->Increment();
-
-      // Pending assignments contribute with the worker's confidence
-      // (removed again if the answer never materializes -- modeled by
-      // keeping only realized answers in `contributions`; the round
-      // objectives add pending observations on the fly below).
     }
 
     // Round objectives: realized answers plus en-route workers.

@@ -8,10 +8,8 @@
 
 #include "core/assignment.h"
 #include "core/solver.h"
-#include "engine/engine.h"
 #include "obs/registry.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace rdbsc::sim {
 
@@ -45,41 +43,13 @@ struct PlatformConfig {
   /// (resolved through core::SolverRegistry; the platform owns the solver).
   std::string solver_name = "dc";
   core::SolverOptions solver_options;
-  /// Worker threads of a platform-owned util::ThreadPool that every tick's
-  /// candidate-graph build and solve run through; <= 1 stays serial. The
-  /// simulated trajectory is bit-identical at every thread count.
-  int num_threads = 0;
-  /// When > 0, each tick's snapshot is submitted through an
-  /// engine::Server with this many dispatch workers (the async admission
-  /// layer) instead of being solved inline -- exercising the same
-  /// code path a serving deployment would. The trajectory stays
-  /// bit-identical to the inline path at every worker count.
-  int server_workers = 0;
-  /// Cache policy of the server-mode ticks (ignored inline): repeated
-  /// round snapshots -- retried ticks, simulation replays -- are answered
-  /// from the server's content-addressed SolveCache. A hit is
-  /// bit-identical to a cold solve, so the trajectory is unchanged by the
-  /// mode; only tick latency varies. kDefault keeps the server's own
-  /// default (off).
-  engine::CacheMode cache_mode = engine::CacheMode::kDefault;
-  /// Event-driven maintenance mode: the platform owns a grid index plus
-  /// an index::DeltaGraph across the whole run and feeds each tick's
-  /// world changes to them as deltas (task expirations, workers leaving
-  /// on assignment and returning on arrival) instead of rebuilding the
-  /// candidate graph from the snapshot every round. Inline-only
-  /// (server_workers must be 0). The simulated trajectory -- every
-  /// assignment, answer, and objective -- is bit-identical to the
-  /// rebuild path; Debug builds assert graph equality every tick.
-  bool streaming = false;
   /// Optional metrics sink (unowned; must outlive Run()). Records the
-  /// counters sim.rounds / sim.assignments / sim.answers and the
-  /// per-round histograms sim.round_solve_seconds and (inline path)
-  /// sim.round_build_seconds -- the graph-maintenance phase, i.e. full
-  /// CandidateGraph::Build per tick vs. the streaming delta repair (all
-  /// labeled {solver}); in server mode the registry is also attached to the
-  /// server's engine, so the engine.stage_seconds breakdown lands next
-  /// to the sim metrics. Purely observational: the simulated trajectory
-  /// is bit-identical with or without it.
+  /// counters sim.rounds / sim.assignments / sim.answers plus the round
+  /// engine's sim.round_build_seconds / sim.round_solve_seconds
+  /// histograms, all labelled {solver}, and its unlabelled sim.delta.*
+  /// counters (see IncrementalAssigner::set_metrics). Purely
+  /// observational: the simulated trajectory is bit-identical with or
+  /// without it.
   obs::Registry* metrics = nullptr;
 };
 
@@ -111,10 +81,13 @@ struct PlatformResult {
   double mean_accuracy_error = 0.0;
 };
 
-/// Discrete-time platform simulator implementing the incremental updating
-/// strategy of Figure 10: every `t_interval` the available workers are
-/// re-assigned to the open tasks by the supplied solver, workers travel to
-/// their sites, and answers materialize with the workers' confidences.
+/// Discrete-time platform simulator around the incremental updating
+/// strategy of Figure 10. The platform simulates the world -- travel,
+/// answers, their accuracy, and each round's objective preview -- and
+/// leaves the assignment rounds to one IncrementalAssigner per Run():
+/// every `t_interval` it reports the workers that reached their sites as
+/// completions, and the assigner re-assigns the available workers to the
+/// open tasks with the configured solver.
 class Platform {
  public:
   /// Resolves `config.solver_name` through the global SolverRegistry and
@@ -132,7 +105,6 @@ class Platform {
   PlatformConfig config_;
   util::Status init_status_;
   std::unique_ptr<core::Solver> solver_;
-  std::unique_ptr<util::ThreadPool> pool_;
 };
 
 }  // namespace rdbsc::sim

@@ -16,28 +16,23 @@ constexpr double kDefaultStreamingEta = 0.05;
 }  // namespace
 
 util::StatusOr<std::unique_ptr<StreamingSession>> StreamingSession::Create(
-    const rdbsc::EngineConfig& config, MaintenanceMode mode,
-    core::ArrivalPolicy policy) {
+    const rdbsc::EngineConfig& config, core::ArrivalPolicy policy) {
   util::StatusOr<std::unique_ptr<core::Solver>> solver =
       core::SolverRegistry::Global().Create(config.solver_name,
                                             config.solver_options);
   if (!solver.ok()) return solver.status();
   const double eta = config.eta > 0.0 ? config.eta : kDefaultStreamingEta;
-  return std::unique_ptr<StreamingSession>(
-      new StreamingSession(std::move(solver).value(), eta, mode, policy,
-                           config.metrics));
+  std::unique_ptr<StreamingSession> session(
+      new StreamingSession(std::move(solver).value(), eta, policy));
+  session->assigner_->set_metrics(config.metrics, config.solver_name);
+  return session;
 }
 
 StreamingSession::StreamingSession(std::unique_ptr<core::Solver> solver,
-                                   double eta, MaintenanceMode mode,
-                                   core::ArrivalPolicy policy,
-                                   obs::Registry* metrics)
+                                   double eta, core::ArrivalPolicy policy)
     : solver_(std::move(solver)),
       assigner_(std::make_unique<IncrementalAssigner>(solver_.get(), eta,
-                                                      policy)) {
-  assigner_->set_maintenance_mode(mode);
-  if (metrics != nullptr) assigner_->set_metrics(metrics);
-}
+                                                      policy)) {}
 
 util::StatusOr<std::vector<std::pair<core::TaskId, core::WorkerId>>>
 StreamingSession::Round(const EventBatch& batch) {

@@ -22,18 +22,19 @@ namespace rdbsc::sim {
 /// Configured like a one-shot engine (solver name/options, eta, metrics
 /// all come from engine::EngineConfig) so callers can switch an existing
 /// engine::Engine::Run loop to streaming without a second config type.
-/// The round trajectory is bit-identical to MaintenanceMode::kRebuild --
-/// and to feeding the same world states through one-shot engine runs with
-/// the same solver -- by the DeltaGraph contract.
+/// By the DeltaGraph contract each round commits exactly what a per-round
+/// CandidateGraph::Build of the same world state, solved by the same
+/// solver, would commit.
 class StreamingSession {
  public:
   /// Resolves the solver through the global registry; fails with its
   /// kNotFound on unknown names. `config.eta` sizes the grid index
   /// (<= 0 falls back to a small-campus default); `config.metrics`, when
-  /// set, receives the per-round sim.delta.* maintenance counters.
+  /// set, receives the per-round sim.delta.* maintenance counters and the
+  /// sim.round_build_seconds / sim.round_solve_seconds histograms,
+  /// labelled {solver=config.solver_name}.
   static util::StatusOr<std::unique_ptr<StreamingSession>> Create(
       const rdbsc::EngineConfig& config,
-      MaintenanceMode mode = MaintenanceMode::kDelta,
       core::ArrivalPolicy policy = core::ArrivalPolicy::kAllowWait);
 
   /// One streaming round: applies `batch` (canonical type-major order,
@@ -49,8 +50,7 @@ class StreamingSession {
 
  private:
   StreamingSession(std::unique_ptr<core::Solver> solver, double eta,
-                   MaintenanceMode mode, core::ArrivalPolicy policy,
-                   obs::Registry* metrics);
+                   core::ArrivalPolicy policy);
 
   std::unique_ptr<core::Solver> solver_;
   std::unique_ptr<IncrementalAssigner> assigner_;

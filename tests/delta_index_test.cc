@@ -1,13 +1,12 @@
 // Property suite of the streaming delta engine: randomized event
 // sequences (cross-cell moves, same-cell jitter, task arrivals and
-// expirations, interleaved completions) driven through both maintenance
-// strategies, asserting the tentpole contract -- delta-maintained state
-// is bit-identical to a from-scratch rebuild: grid cell summaries, the
-// candidate edge set, and the per-round solve outcomes.
+// expirations, interleaved completions) asserting its contract -- the
+// delta-maintained state is bit-identical to a from-scratch rebuild: grid
+// cell summaries, the candidate edge set, and the per-round commitments.
 
 #include <algorithm>
 #include <map>
-#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,9 +14,9 @@
 #include "gtest/gtest.h"
 #include "index/delta_graph.h"
 #include "index/grid_index.h"
+#include "obs/registry.h"
 #include "sim/events.h"
 #include "sim/incremental.h"
-#include "sim/platform.h"
 #include "sim/streaming.h"
 #include "util/rng.h"
 
@@ -354,34 +353,89 @@ TEST(DeltaIndexPropertyTest, MutatedIndexMatchesFreshIndexBitIdentically) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: the same randomized event script through a kDelta and a
-// kRebuild assigner commits identical pairs every round and lands on
-// bit-identical objectives.
+// End-to-end: randomized event scripts through the delta-maintained
+// assigner commit, every round, exactly what a from-scratch round commits
+// -- an id-sorted snapshot of the script's own copy of the world, a full
+// CandidateGraph::Build, and a fresh registry solver.
 
-struct ScriptTrace {
-  std::vector<std::vector<std::pair<core::TaskId, core::WorkerId>>> commits;
-  core::ObjectiveValue objectives;
-};
+using Commits = std::vector<std::pair<core::TaskId, core::WorkerId>>;
 
-ScriptTrace RunEventScript(sim::MaintenanceMode mode, uint64_t seed) {
-  auto solver = core::SolverRegistry::Global().Create("greedy").value();
-  sim::IncrementalAssigner assigner(solver.get(), 0.08);
-  assigner.set_maintenance_mode(mode);
+/// A script's own copy of the world an assigner maintains, kept in step by
+/// applying the same events and commitments.
+struct WorldMirror {
+  std::map<core::TaskId, core::Task> tasks;        ///< open tasks
+  std::map<core::WorkerId, core::Worker> workers;  ///< all, at their positions
+  std::map<core::WorkerId, core::TaskId> busy;     ///< committed workers
 
-  util::Rng rng(seed);
-  ScriptTrace trace;
-  std::map<core::TaskId, core::Task> live_tasks;
-  std::set<core::WorkerId> free_workers;
-  std::map<core::WorkerId, core::TaskId> busy;
-  std::map<core::TaskId, std::vector<core::WorkerId>> serving;
-  core::TaskId next_task = 0;
-  core::WorkerId next_worker = 0;
-
-  for (int j = 0; j < 12; ++j) {
-    EXPECT_TRUE(assigner.AddWorker(next_worker, RandomWorker(rng)).ok());
-    free_workers.insert(next_worker++);
+  /// A task leaves; its pending commitments are voided.
+  void Expire(core::TaskId id) {
+    tasks.erase(id);
+    std::erase_if(busy, [id](const auto& entry) { return entry.second == id; });
   }
 
+  /// What Update(now) does first: drop the tasks whose window has closed.
+  void ExpireBefore(double now) {
+    std::vector<core::TaskId> closed;
+    for (const auto& [id, task] : tasks) {
+      if (task.end < now) closed.push_back(id);
+    }
+    for (core::TaskId id : closed) Expire(id);
+  }
+
+  void Commit(const Commits& committed) {
+    for (const auto& [task, worker] : committed) busy[worker] = task;
+  }
+
+  /// The round computed from scratch, in global ids and ascending worker
+  /// order (the assigner's commit order).
+  Commits ReferenceRound(double now, const std::string& solver_name) const {
+    std::vector<core::TaskId> task_ids;
+    std::vector<core::Task> open;
+    for (const auto& [id, task] : tasks) {
+      task_ids.push_back(id);
+      open.push_back(task);
+    }
+    std::vector<core::WorkerId> worker_ids;
+    std::vector<core::Worker> available;
+    for (const auto& [id, worker] : workers) {
+      if (busy.contains(id)) continue;
+      worker_ids.push_back(id);
+      available.push_back(worker);
+    }
+    if (open.empty() || available.empty()) return {};
+    const core::Instance snapshot(std::move(open), std::move(available), now,
+                                  core::ArrivalPolicy::kAllowWait);
+    const core::CandidateGraph graph = core::CandidateGraph::Build(snapshot);
+    auto solver = core::SolverRegistry::Global().Create(solver_name).value();
+    const core::SolveResult solve = solver->Solve(snapshot, graph).value();
+    Commits committed;
+    for (size_t local = 0; local < worker_ids.size(); ++local) {
+      const core::TaskId task =
+          solve.assignment.TaskOf(static_cast<core::WorkerId>(local));
+      if (task != core::kNoTask) {
+        committed.emplace_back(task_ids[static_cast<size_t>(task)],
+                               worker_ids[local]);
+      }
+    }
+    return committed;
+  }
+};
+
+/// Drives one seeded event script through the assigner, checking every
+/// round against the from-scratch reference.
+void RunEventScript(uint64_t seed) {
+  auto solver = core::SolverRegistry::Global().Create("greedy").value();
+  sim::IncrementalAssigner assigner(solver.get(), 0.08);
+
+  util::Rng rng(seed);
+  WorldMirror world;
+  for (core::WorkerId j = 0; j < 12; ++j) {
+    const core::Worker worker = RandomWorker(rng);
+    ASSERT_TRUE(assigner.AddWorker(j, worker).ok());
+    world.workers.emplace(j, worker);
+  }
+
+  core::TaskId next_task = 0;
   double now = 0.0;
   for (int round = 0; round < 30; ++round) {
     now += rng.Uniform(0.01, 0.08);
@@ -390,91 +444,52 @@ ScriptTrace RunEventScript(sim::MaintenanceMode mode, uint64_t seed) {
 
     // Expire a random still-live task now and then (interleaving with
     // the automatic end-of-window expiry inside Update).
-    if (!live_tasks.empty() && rng.Bernoulli(0.25)) {
-      auto it = live_tasks.begin();
+    if (!world.tasks.empty() && rng.Bernoulli(0.25)) {
+      auto it = world.tasks.begin();
       std::advance(it, rng.UniformInt(
-                           0, static_cast<int64_t>(live_tasks.size()) - 1));
+                           0, static_cast<int64_t>(world.tasks.size()) - 1));
       batch.expired.push_back({it->first});
-      for (core::WorkerId w : serving[it->first]) {
-        busy.erase(w);  // voided commitments free their workers
-        free_workers.insert(w);
-      }
-      serving.erase(it->first);
-      live_tasks.erase(it);
+      world.Expire(it->first);
     }
     // Complete some busy workers at fresh positions.
-    std::vector<core::WorkerId> busy_ids;
-    for (const auto& [w, t] : busy) busy_ids.push_back(w);
-    for (core::WorkerId w : busy_ids) {
+    const std::map<core::WorkerId, core::TaskId> busy = world.busy;
+    for (const auto& [w, task] : busy) {
       if (!rng.Bernoulli(0.4)) continue;
       geo::Point pos{rng.Uniform(0.1, 0.9), rng.Uniform(0.1, 0.9)};
       batch.completed.push_back({w, pos});
-      auto& crew = serving[busy[w]];
-      crew.erase(std::find(crew.begin(), crew.end(), w));
-      busy.erase(w);
-      free_workers.insert(w);
+      world.workers[w].location = pos;
+      world.busy.erase(w);
     }
     // New tasks.
     const int arrivals = static_cast<int>(rng.UniformInt(0, 2));
     for (int a = 0; a < arrivals; ++a) {
       core::Task t = RandomTask(rng, now);
       batch.arrived.push_back({next_task, t});
-      live_tasks.emplace(next_task, t);
+      world.tasks.emplace(next_task, t);
       ++next_task;
     }
     // Move some free workers: occasionally a big cross-cell jump,
     // otherwise a same-cell jitter.
-    for (core::WorkerId w : free_workers) {
-      if (!rng.Bernoulli(0.3)) continue;
+    for (auto& [w, worker] : world.workers) {
+      if (world.busy.contains(w) || !rng.Bernoulli(0.3)) continue;
       geo::Point to{rng.Uniform(0.1, 0.9), rng.Uniform(0.1, 0.9)};
       batch.moved.push_back({w, to});
+      worker.location = to;
     }
 
     util::Status applied = assigner.ApplyEvents(batch);
-    EXPECT_TRUE(applied.ok()) << applied.message();
+    ASSERT_TRUE(applied.ok()) << applied.message();
+    world.ExpireBefore(now);
+    const Commits want = world.ReferenceRound(now, "greedy");
     auto committed = assigner.Update(now);
-    EXPECT_TRUE(committed.ok());
-    trace.commits.push_back(committed.value());
-    for (const auto& [tid, wid] : committed.value()) {
-      busy[wid] = tid;
-      serving[tid].push_back(wid);
-      free_workers.erase(wid);
-    }
-    // Mirror Update's automatic expiry of timed-out tasks.
-    std::vector<core::TaskId> timed_out;
-    for (const auto& [tid, t] : live_tasks) {
-      if (t.end < now) timed_out.push_back(tid);
-    }
-    for (core::TaskId tid : timed_out) {
-      for (core::WorkerId w : serving[tid]) {
-        busy.erase(w);
-        free_workers.insert(w);
-      }
-      serving.erase(tid);
-      live_tasks.erase(tid);
-    }
+    ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+    EXPECT_EQ(committed.value(), want) << "seed " << seed << " round " << round;
+    world.Commit(committed.value());
   }
-  trace.objectives = assigner.Objectives();
-  return trace;
 }
 
 TEST(DeltaIndexPropertyTest, DeltaEqualsRebuildOverEventScripts) {
-  for (uint64_t seed : {11u, 23u, 42u}) {
-    const ScriptTrace delta =
-        RunEventScript(sim::MaintenanceMode::kDelta, seed);
-    const ScriptTrace rebuild =
-        RunEventScript(sim::MaintenanceMode::kRebuild, seed);
-    ASSERT_EQ(delta.commits.size(), rebuild.commits.size());
-    for (size_t r = 0; r < delta.commits.size(); ++r) {
-      EXPECT_EQ(delta.commits[r], rebuild.commits[r])
-          << "seed " << seed << " round " << r;
-    }
-    EXPECT_EQ(delta.objectives.min_reliability,
-              rebuild.objectives.min_reliability)
-        << "seed " << seed;
-    EXPECT_EQ(delta.objectives.total_std, rebuild.objectives.total_std)
-        << "seed " << seed;
-  }
+  for (uint64_t seed : {11u, 23u, 42u}) RunEventScript(seed);
 }
 
 // Two producers that collected the same logical events in different
@@ -512,35 +527,64 @@ TEST(DeltaIndexPropertyTest, EventBatchOrderIsCanonical) {
 }
 
 // ---------------------------------------------------------------------------
-// StreamingSession facade: rounds match the rebuild-mode session.
+// StreamingSession facade: rounds match the from-scratch reference.
 
 TEST(StreamingSessionTest, RoundsMatchRebuildMode) {
-  auto drive = [](sim::MaintenanceMode mode) {
-    EngineConfig config;
-    config.solver_name = "greedy";
-    config.eta = 0.1;
-    auto session = sim::StreamingSession::Create(config, mode).value();
-    util::Rng rng(7);
-    for (core::WorkerId j = 0; j < 6; ++j) {
-      EXPECT_TRUE(
-          session->assigner().AddWorker(j, RandomWorker(rng)).ok());
+  EngineConfig config;
+  config.solver_name = "greedy";
+  config.eta = 0.1;
+  auto session = sim::StreamingSession::Create(config).value();
+  util::Rng rng(7);
+  WorldMirror world;
+  for (core::WorkerId j = 0; j < 6; ++j) {
+    const core::Worker worker = RandomWorker(rng);
+    ASSERT_TRUE(session->assigner().AddWorker(j, worker).ok());
+    world.workers.emplace(j, worker);
+  }
+  int total = 0;
+  for (int round = 0; round < 6; ++round) {
+    sim::EventBatch batch;
+    batch.now = 0.05 * round;
+    for (int a = 0; a < 2; ++a) {
+      const core::TaskId id = static_cast<core::TaskId>(2 * round + a);
+      const core::Task task = RandomTask(rng, batch.now);
+      batch.arrived.push_back({id, task});
+      world.tasks.emplace(id, task);
     }
-    std::vector<std::pair<core::TaskId, core::WorkerId>> all;
-    for (int round = 0; round < 6; ++round) {
-      sim::EventBatch batch;
-      batch.now = 0.05 * round;
-      for (int a = 0; a < 2; ++a) {
-        batch.arrived.push_back(
-            {static_cast<core::TaskId>(2 * round + a),
-             RandomTask(rng, batch.now)});
-      }
-      auto committed = session->Round(batch).value();
-      all.insert(all.end(), committed.begin(), committed.end());
-    }
-    return all;
-  };
-  EXPECT_EQ(drive(sim::MaintenanceMode::kDelta),
-            drive(sim::MaintenanceMode::kRebuild));
+    world.ExpireBefore(batch.now);
+    const Commits want = world.ReferenceRound(batch.now, "greedy");
+    const Commits committed = session->Round(batch).value();
+    EXPECT_EQ(committed, want) << "round " << round;
+    world.Commit(committed);
+    total += static_cast<int>(committed.size());
+  }
+  EXPECT_GT(total, 0);
+}
+
+TEST(StreamingSessionTest, EngineMetricsRecordRoundTimers) {
+  obs::Registry registry;
+  EngineConfig config;
+  config.solver_name = "greedy";
+  config.metrics = &registry;
+  auto session = sim::StreamingSession::Create(config).value();
+  core::Worker worker;
+  worker.location = {0.45, 0.5};
+  worker.velocity = 0.5;
+  worker.confidence = 0.9;
+  ASSERT_TRUE(session->assigner().AddWorker(7, worker).ok());
+  sim::EventBatch batch;
+  core::Task task;
+  task.location = {0.5, 0.5};
+  task.end = 2.0;
+  batch.arrived.push_back({1, task});
+  ASSERT_EQ(session->Round(batch).value().size(), 1u);
+
+  const obs::Labels labels = {{"solver", "greedy"}};
+  for (const char* name :
+       {"sim.round_build_seconds", "sim.round_solve_seconds"}) {
+    EXPECT_EQ(registry.GetHistogram(name, labels, 1e-9).Snapshot().count(), 1)
+        << name;
+  }
 }
 
 TEST(StreamingSessionTest, UnknownSolverSurfacesNotFound) {
@@ -548,59 +592,6 @@ TEST(StreamingSessionTest, UnknownSolverSurfacesNotFound) {
   config.solver_name = "no-such-solver";
   EXPECT_EQ(sim::StreamingSession::Create(config).status().code(),
             util::StatusCode::kNotFound);
-}
-
-// ---------------------------------------------------------------------------
-// Platform streaming mode: the whole simulated trajectory -- rounds,
-// answers, objectives -- is bit-identical to the rebuild path, at every
-// thread count.
-
-TEST(StreamingPlatformTest, TrajectoryMatchesInlineRebuild) {
-  for (int threads : {1, 2, 8}) {
-    sim::PlatformConfig base;
-    base.num_sites = 6;
-    base.num_workers = 14;
-    base.horizon = 0.25;
-    base.num_threads = threads;
-    base.solver_name = "greedy";
-
-    sim::PlatformConfig streaming = base;
-    streaming.streaming = true;
-
-    const sim::PlatformResult a = sim::Platform(base).Run().value();
-    const sim::PlatformResult b = sim::Platform(streaming).Run().value();
-
-    ASSERT_EQ(a.rounds.size(), b.rounds.size()) << "threads " << threads;
-    for (size_t r = 0; r < a.rounds.size(); ++r) {
-      EXPECT_EQ(a.rounds[r].time, b.rounds[r].time);
-      EXPECT_EQ(a.rounds[r].newly_assigned, b.rounds[r].newly_assigned);
-      EXPECT_EQ(a.rounds[r].objectives.min_reliability,
-                b.rounds[r].objectives.min_reliability);
-      EXPECT_EQ(a.rounds[r].objectives.total_std,
-                b.rounds[r].objectives.total_std);
-    }
-    ASSERT_EQ(a.answers.size(), b.answers.size());
-    for (size_t k = 0; k < a.answers.size(); ++k) {
-      EXPECT_EQ(a.answers[k].task, b.answers[k].task);
-      EXPECT_EQ(a.answers[k].worker, b.answers[k].worker);
-      EXPECT_EQ(a.answers[k].angle, b.answers[k].angle);
-      EXPECT_EQ(a.answers[k].time, b.answers[k].time);
-    }
-    EXPECT_EQ(a.assignments_made, b.assignments_made);
-    EXPECT_EQ(a.answers_received, b.answers_received);
-    EXPECT_EQ(a.final_objectives.min_reliability,
-              b.final_objectives.min_reliability);
-    EXPECT_EQ(a.final_objectives.total_std, b.final_objectives.total_std);
-    EXPECT_EQ(a.mean_accuracy_error, b.mean_accuracy_error);
-  }
-}
-
-TEST(StreamingPlatformTest, StreamingIsInlineOnly) {
-  sim::PlatformConfig config;
-  config.streaming = true;
-  config.server_workers = 2;
-  EXPECT_EQ(sim::Platform(config).Run().status().code(),
-            util::StatusCode::kInvalidArgument);
 }
 
 }  // namespace

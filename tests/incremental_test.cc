@@ -141,41 +141,12 @@ TEST(IncrementalAssignerTest, ObjectivesAccumulateOverRounds) {
   EXPECT_GT(assigner.Objectives().min_reliability, 0.5);
 }
 
-TEST(IncrementalAssignerTest, UnchangedRoundReusesCandidateGraph) {
-  auto solver = core::SolverRegistry::Global().Create("greedy").value();
-  IncrementalAssigner assigner(solver.get(), 0.1);
-  // A round with content but nothing assignable: the worker cannot reach
-  // the task inside its window, so Update commits nothing and the system
-  // state -- hence the snapshot fingerprint -- stays bit-identical.
-  ASSERT_TRUE(assigner.AddTask(1, OpenTask({0.9, 0.9}, 0, 0.05)).ok());
-  ASSERT_TRUE(
-      assigner.AddWorker(7, FreeWorker({0.1, 0.1}, /*v=*/0.01)).ok());
-
-  EXPECT_TRUE(assigner.Update(0.0).value().empty());
-  EXPECT_EQ(assigner.round_cache_stats().rounds, 1);
-  EXPECT_EQ(assigner.round_cache_stats().graph_reuses, 0);
-
-  EXPECT_TRUE(assigner.Update(0.0).value().empty());
-  EXPECT_EQ(assigner.round_cache_stats().rounds, 2);
-  EXPECT_EQ(assigner.round_cache_stats().graph_reuses, 1);
-
-  // Any membership change produces a new fingerprint: no stale reuse.
-  ASSERT_TRUE(assigner.AddWorker(8, FreeWorker({0.12, 0.1}, 0.01)).ok());
-  EXPECT_TRUE(assigner.Update(0.0).value().empty());
-  EXPECT_EQ(assigner.round_cache_stats().rounds, 3);
-  EXPECT_EQ(assigner.round_cache_stats().graph_reuses, 1);
-
-  // And the changed round is itself memoized for the next repeat.
-  EXPECT_TRUE(assigner.Update(0.0).value().empty());
-  EXPECT_EQ(assigner.round_cache_stats().graph_reuses, 2);
-}
-
 TEST(IncrementalAssignerTest, MemoedAssignerCommitsIdenticallyToFresh) {
   // Two assigners end up with identical membership, but one went through
-  // extra no-op rounds first (populating and replaying its graph memo).
+  // extra no-op rounds first (its delta rows were repaired and reused).
   // The first assignable round must commit identical pairs either way --
-  // the memo may only ever change *when* a graph is built, never what is
-  // assigned.
+  // round history may only ever change how much of the graph is rebuilt,
+  // never what is assigned.
   auto solver_a = core::SolverRegistry::Global().Create("greedy").value();
   auto solver_b = core::SolverRegistry::Global().Create("greedy").value();
   IncrementalAssigner seasoned(solver_a.get(), 0.1);
@@ -186,11 +157,10 @@ TEST(IncrementalAssignerTest, MemoedAssignerCommitsIdenticallyToFresh) {
     ASSERT_TRUE(
         assigner->AddWorker(19, FreeWorker({0.1, 0.1}, /*v=*/0.01)).ok());
   }
-  // Seasoned only: burn no-op rounds so the memo is both filled and
-  // replayed before the assignable content arrives.
+  // Seasoned only: burn no-op rounds before the assignable content
+  // arrives.
   EXPECT_TRUE(seasoned.Update(0.0).value().empty());
   EXPECT_TRUE(seasoned.Update(0.0).value().empty());
-  ASSERT_EQ(seasoned.round_cache_stats().graph_reuses, 1);
 
   for (IncrementalAssigner* assigner : {&seasoned, &fresh}) {
     ASSERT_TRUE(assigner->AddTask(1, OpenTask({0.5, 0.5}, 0, 2)).ok());

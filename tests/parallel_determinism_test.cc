@@ -14,7 +14,6 @@
 #include "core/solver.h"
 #include "gtest/gtest.h"
 #include "index/grid_index.h"
-#include "sim/platform.h"
 #include "test_util.h"
 #include "util/thread_pool.h"
 
@@ -151,27 +150,6 @@ TEST(ParallelDeterminismTest, GroundTruthSolverMatchesSerial) {
   util::ThreadPool pool(4);
   SolveResult parallel = SolveWith(solver, instance, graph, &pool);
   ExpectSameAssignment(instance, parallel, serial, "gtruth");
-}
-
-TEST(ParallelDeterminismTest, PlatformTrajectoryMatchesSerial) {
-  sim::PlatformConfig config;
-  config.num_sites = 6;
-  config.num_workers = 12;
-  config.solver_name = "dc";
-  config.seed = 77;
-  sim::PlatformResult serial = sim::Platform(config).Run().value();
-  for (int threads : {2, 8}) {
-    config.num_threads = threads;
-    sim::PlatformResult parallel = sim::Platform(config).Run().value();
-    EXPECT_EQ(parallel.assignments_made, serial.assignments_made) << threads;
-    EXPECT_EQ(parallel.answers_received, serial.answers_received) << threads;
-    EXPECT_DOUBLE_EQ(parallel.final_objectives.total_std,
-                     serial.final_objectives.total_std)
-        << threads;
-    EXPECT_DOUBLE_EQ(parallel.final_objectives.min_reliability,
-                     serial.final_objectives.min_reliability)
-        << threads;
-  }
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
 #include "sim/platform.h"
 
 #include <cmath>
+#include <set>
+#include <string>
 
 #include "core/registry.h"
 #include "geo/angle.h"
 #include "gtest/gtest.h"
+#include "obs/registry.h"
 #include "sim/aggregation.h"
 #include "test_util.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace rdbsc::sim {
@@ -18,6 +22,42 @@ PlatformConfig SmallPlatform(uint64_t seed,
   config.seed = seed;
   config.solver_name = solver;
   return config;
+}
+
+/// Small enough for every registered solver, including the EXACT oracle
+/// (its population num_sites^num_workers stays under the cap).
+PlatformConfig TinyPlatform(uint64_t seed, const char* solver) {
+  PlatformConfig config = SmallPlatform(seed, solver);
+  config.num_sites = 3;
+  config.num_workers = 6;
+  return config;
+}
+
+/// One digest of everything a run reports: every round, every answer, the
+/// final objectives and the accuracy error.
+util::Hash128 TrajectoryDigest(const PlatformResult& result) {
+  util::Hasher hasher;
+  hasher.Mix(static_cast<int64_t>(result.rounds.size()));
+  for (const RoundRecord& round : result.rounds) {
+    hasher.Mix(round.time)
+        .Mix(round.newly_assigned)
+        .Mix(round.objectives.min_reliability)
+        .Mix(round.objectives.total_std);
+  }
+  hasher.Mix(static_cast<int64_t>(result.answers.size()));
+  for (const Answer& answer : result.answers) {
+    hasher.Mix(answer.task)
+        .Mix(answer.worker)
+        .Mix(answer.angle)
+        .Mix(answer.time)
+        .Mix(answer.quality);
+  }
+  hasher.Mix(result.final_objectives.min_reliability)
+      .Mix(result.final_objectives.total_std)
+      .Mix(result.assignments_made)
+      .Mix(result.answers_received)
+      .Mix(result.mean_accuracy_error);
+  return hasher.Digest();
 }
 
 TEST(PlatformTest, RunsAndProducesAnswers) {
@@ -88,14 +128,68 @@ TEST(PlatformTest, UnknownSolverNameSurfacesFromRun) {
 // configuration is kept tiny (population <= num_sites^num_workers).
 TEST(PlatformTest, RunsEndToEndWithEachRegisteredSolver) {
   for (const std::string& name : core::SolverRegistry::Global().Names()) {
-    PlatformConfig config = SmallPlatform(8, name.c_str());
-    config.num_sites = 3;
-    config.num_workers = 6;
-    Platform platform(config);
+    Platform platform(TinyPlatform(8, name.c_str()));
     util::StatusOr<PlatformResult> run = platform.Run();
     ASSERT_TRUE(run.ok()) << name << ": " << run.status().ToString();
     EXPECT_GT(run.value().assignments_made, 0) << name;
     EXPECT_GE(run.value().final_objectives.total_std, 0.0) << name;
+  }
+}
+
+// The round engine times exactly the rounds the platform records.
+TEST(PlatformTest, RoundTimersCountRecordedRounds) {
+  obs::Registry registry;
+  PlatformConfig config = SmallPlatform(10);
+  config.metrics = &registry;
+  PlatformResult result = Platform(config).Run().value();
+  const obs::Labels labels = {{"solver", "greedy"}};
+  const int64_t rounds = registry.GetCounter("sim.rounds", labels).value();
+  EXPECT_EQ(rounds, static_cast<int64_t>(result.rounds.size()));
+  EXPECT_GT(rounds, 0);
+  EXPECT_EQ(registry.GetHistogram("sim.round_build_seconds", labels, 1e-9)
+                .Snapshot()
+                .count(),
+            rounds);
+  EXPECT_EQ(registry.GetHistogram("sim.round_solve_seconds", labels, 1e-9)
+                .Snapshot()
+                .count(),
+            rounds);
+}
+
+// Pinned trajectories: every registered solver at two seeds. The digests
+// were captured from the per-tick CandidateGraph::Build platform, so they
+// also pin the delta-maintained round engine to the full rebuild.
+TEST(PlatformTest, TrajectoryGolden) {
+  struct Golden {
+    const char* solver;
+    uint64_t seed;
+    const char* digest;
+  };
+  constexpr Golden kGolden[] = {
+      {"dc", 8, "fc4f4ecd016232da588a4c4902b1aabe"},
+      {"dc", 9, "ff6a3aa5f867525afac2ce58499f3531"},
+      {"exact", 8, "75d156f3210e48a3debfbedadeb1757d"},
+      {"exact", 9, "b8baa16beda9b840f4bac627a40f1ac5"},
+      {"greedy", 8, "c3ccf63353ab3e19d8256e77e14bd4b0"},
+      {"greedy", 9, "5e26c14c5bc78bd304259bb07a12df18"},
+      {"gtruth", 8, "04ea3905f5502f7a8ea5c38925fe76c8"},
+      {"gtruth", 9, "f374a3db8e614b749d7c2d3bf63318f7"},
+      {"sampling", 8, "914aab1e96c45d11128e78a07b546043"},
+      {"sampling", 9, "10e1397053b868bf8f720417bcb3cb45"},
+      {"worker-greedy", 8, "1d73f372634db7e3366a711c6caf300b"},
+      {"worker-greedy", 9, "9d6f0a3680a87c0072e51c86fc7e0c14"},
+  };
+  std::set<std::string> pinned;
+  for (const Golden& golden : kGolden) {
+    util::StatusOr<PlatformResult> run =
+        Platform(TinyPlatform(golden.seed, golden.solver)).Run();
+    ASSERT_TRUE(run.ok()) << golden.solver << ": " << run.status().ToString();
+    EXPECT_EQ(TrajectoryDigest(run.value()).ToHex(), golden.digest)
+        << golden.solver << " seed " << golden.seed;
+    pinned.insert(golden.solver);
+  }
+  for (const std::string& name : core::SolverRegistry::Global().Names()) {
+    EXPECT_TRUE(pinned.contains(name)) << name << " has no golden trajectory";
   }
 }
 

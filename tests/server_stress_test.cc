@@ -11,7 +11,6 @@
 
 #include "engine/server.h"
 #include "gtest/gtest.h"
-#include "sim/platform.h"
 #include "stress_util.h"
 
 namespace rdbsc {
@@ -89,30 +88,6 @@ TEST(ServerStressTest, ScriptGenerationIsDeterministic) {
   }
   StressScript c = MakeStressScript(12, 3, 4);
   EXPECT_NE(a.arrivals[0][0].instance_seed, c.arrivals[0][0].instance_seed);
-}
-
-// The platform's server mode rides the same contract: driving every tick
-// through the admission server must reproduce the inline trajectory bit
-// for bit, at any worker count.
-TEST(ServerStressTest, PlatformServerModeMatchesInline) {
-  sim::PlatformConfig config;
-  config.num_sites = 6;
-  config.num_workers = 12;
-  config.solver_name = "dc";
-  config.seed = 77;
-  sim::PlatformResult inline_run = sim::Platform(config).Run().value();
-  for (int workers : {1, 4}) {
-    config.server_workers = workers;
-    sim::PlatformResult served = sim::Platform(config).Run().value();
-    EXPECT_EQ(served.assignments_made, inline_run.assignments_made);
-    EXPECT_EQ(served.answers_received, inline_run.answers_received);
-    EXPECT_DOUBLE_EQ(served.final_objectives.total_std,
-                     inline_run.final_objectives.total_std);
-    EXPECT_DOUBLE_EQ(served.final_objectives.min_reliability,
-                     inline_run.final_objectives.min_reliability);
-    EXPECT_DOUBLE_EQ(served.mean_accuracy_error,
-                     inline_run.mean_accuracy_error);
-  }
 }
 
 }  // namespace
