@@ -77,7 +77,6 @@ ModeResult RunMode(const std::vector<core::Instance>& pool,
   config.cache_mode = mode;
   if (mode == engine::CacheMode::kOff) {
     config.cache_result_entries = 0;  // fully disable, incl. single-flight
-    config.cache_graph_entries = 0;
   }
   std::unique_ptr<engine::Server> server =
       std::move(engine::Server::Create(std::move(config)).value());

@@ -486,13 +486,10 @@ int main(int argc, char** argv) {
   if (cache_mode != engine::CacheMode::kOff) {
     engine::CacheStats cache_stats = cache.Stats();
     std::printf(
-        "cache    : %lld result hits / %lld misses, %lld graph hits, "
-        "%lld entries\n",
+        "cache    : %lld result hits / %lld misses, %lld entries\n",
         static_cast<long long>(cache_stats.result_hits),
         static_cast<long long>(cache_stats.result_misses),
-        static_cast<long long>(cache_stats.graph_hits),
-        static_cast<long long>(cache_stats.result_entries +
-                               cache_stats.graph_entries));
+        static_cast<long long>(cache_stats.result_entries));
   }
 
   if (out_dir != nullptr) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <future>
 #include <utility>
 #include <vector>
 
@@ -198,35 +197,12 @@ util::Status Engine::StageBuildGraph(engine::ExecutionContext& ctx) const {
   // Timer starts after the implicit plan so stage histograms stay
   // disjoint: plan time lands in "plan" even when triggered from here.
   StageTimer timer(stage_metrics_.build_seconds);
-  const engine::CacheMode mode = ResolveCacheMode(ctx.cache, ctx.cache_mode);
-  util::Hash128 key{};
-  if (CacheModeReads(mode) || CacheModeWrites(mode)) {
-    key = engine::GraphCacheKey(*ctx.instance, ctx.plan.used_grid_index,
-                                ctx.resolved_eta);
-  }
-  if (CacheModeReads(mode)) {
-    auto t0 = std::chrono::steady_clock::now();
-    GraphPlan cached_plan;
-    if (std::shared_ptr<const core::CandidateGraph> hit =
-            ctx.cache->LookupGraph(key, &cached_plan)) {
-      ctx.graph = std::move(hit);
-      ctx.plan = cached_plan;
-      ctx.plan.build_seconds = SecondsSince(t0);
-      ctx.plan.from_cache = true;
-      return util::Status::OK();
-    }
-  }
-
   util::StatusOr<core::CandidateGraph> built = ExecutePlannedBuild(
       *ctx.instance, ctx.plan.used_grid_index, ctx.resolved_eta, &ctx.plan,
       ctx.deadline, ctx.executor);
   if (!built.ok()) return built.status();
-  auto shared = std::make_shared<const core::CandidateGraph>(
+  ctx.graph = std::make_shared<const core::CandidateGraph>(
       std::move(built).value());
-  if (CacheModeWrites(mode)) {
-    ctx.cache->InsertGraph(key, shared, ctx.plan);
-  }
-  ctx.graph = std::move(shared);
   return util::Status::OK();
 }
 
@@ -391,46 +367,6 @@ util::StatusOr<EngineResult> Engine::RunIsolated(
   ctx.cache_mode = mode;
   ctx.result_key = result_key;
   return RunPipeline(ctx, *solver.value());
-}
-
-std::vector<util::StatusOr<EngineResult>> Engine::RunBatch(
-    std::span<const core::Instance> instances,
-    const RunControls& controls) {
-  const int n = static_cast<int>(instances.size());
-  std::vector<util::StatusOr<EngineResult>> results(
-      n, util::StatusOr<EngineResult>(
-             util::Status::Internal("batch slot never ran")));
-  if (n == 0) return results;
-  if (solver_ == nullptr) {
-    util::Status inert = util::Status::FailedPrecondition(
-        "engine not initialized; construct it with Engine::Create");
-    for (auto& slot : results) slot = inert;
-    return results;
-  }
-
-  // One deadline for the whole batch: the budget is an admission control
-  // on the batch, not a per-instance allowance. Every task gets its own
-  // registry-created solver (identical options), so per-instance results
-  // match individual Run calls and no solver is shared across threads.
-  // Instances run serially inside their task: the fan-out is per
-  // instance, and one queued task per instance (instead of static
-  // sharding) keeps the pool busy on heterogeneous batches.
-  util::Deadline deadline = MakeDeadline(controls);
-  auto run_one = [&](int64_t i) {
-    results[i] = RunIsolated(instances[i], deadline, controls.cache,
-                             controls.cache_mode);
-  };
-  if (pool_ == nullptr) {
-    for (int64_t i = 0; i < n; ++i) run_one(i);
-  } else {
-    std::vector<std::future<void>> pending;
-    pending.reserve(n);
-    for (int64_t i = 0; i < n; ++i) {
-      pending.push_back(pool_->Submit([&run_one, i] { run_one(i); }));
-    }
-    for (std::future<void>& task : pending) task.get();
-  }
-  return results;
 }
 
 }  // namespace rdbsc

@@ -3,10 +3,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/instance.h"
 #include "core/registry.h"
@@ -87,11 +85,8 @@ struct EngineConfig {
   /// Correlation fractal dimension fed to the cost model (2 = uniform).
   double d2 = 2.0;
 
-  /// Default wall-clock budget in seconds; <= 0 unlimited. The scope
-  /// depends on the entry point: Run and SolveOn derive one deadline per
-  /// call from it, but RunBatch derives ONE deadline for the whole batch
-  /// (a shared pool, not a per-instance allowance -- instances late in
-  /// the batch only get what their predecessors left). RunIsolated (and
+  /// Default wall-clock budget in seconds; <= 0 unlimited. Run and
+  /// SolveOn derive one deadline per call from it. RunIsolated (and
   /// therefore engine::Server, whose budgets come from ServerConfig's
   /// default_budget_seconds / total_budget_seconds pool) ignores this
   /// field entirely: the caller owns the deadline there.
@@ -101,9 +96,9 @@ struct EngineConfig {
 
   /// Worker threads of the engine-owned util::ThreadPool; <= 1 keeps the
   /// zero-thread serial default. The pool shards graph construction and
-  /// the D&C/sampling solvers inside Run/SolveOn, and schedules whole
-  /// instances in RunBatch. Results are bit-identical to serial for a
-  /// fixed solver seed at every thread count.
+  /// the D&C/sampling solvers inside Run/SolveOn. Results are
+  /// bit-identical to serial for a fixed solver seed at every thread
+  /// count.
   int num_threads = 0;
 
   /// Optional metrics sink (unowned; must outlive the engine). When set,
@@ -126,11 +121,11 @@ struct RunControls {
   const util::CancelToken* cancel = nullptr;
   /// When non-null, receives the partial stats of a failed solve.
   core::SolveStats* partial_stats = nullptr;
-  /// Optional result/graph cache (unowned; must be thread-safe -- it is).
-  /// nullptr keeps every run cold. RunBatch shares one cache across all
-  /// slots. SolveOn ignores both cache fields: its graph is caller-
-  /// provided, so the content fingerprints (which describe the graph the
-  /// engine's own configuration would build) cannot vouch for the result.
+  /// Optional result cache (unowned; must be thread-safe -- it is).
+  /// nullptr keeps every run cold. SolveOn ignores both cache fields: its
+  /// graph is caller-provided, so the content fingerprint (which
+  /// describes the graph the engine's own configuration would build)
+  /// cannot vouch for the result.
   engine::SolveCache* cache = nullptr;
   /// What the run may do with `cache`; kDefault means kReadWrite when a
   /// cache is attached.
@@ -144,16 +139,12 @@ struct GraphPlan {
   double eta = 0.0;
   int64_t edges = 0;
   double build_seconds = 0.0;
-  /// The graph came from the cache's plan/graph tier instead of a fresh
-  /// build (build_seconds is then the fetch time). Provenance only --
-  /// never part of a result fingerprint.
-  bool from_cache = false;
 };
 
 struct EngineResult {
   core::SolveResult solve;
   GraphPlan plan;
-  /// The whole result came from the cache's full-result tier. Provenance
+  /// The whole result came from the result cache. Provenance
   /// only -- a hit is bit-identical to the cold solve it replays (the
   /// assignment, objective bit patterns, and plan.edges all match; only
   /// timing fields may differ).
@@ -178,11 +169,12 @@ struct ExecutionContext {
   util::Executor* executor = nullptr;
   /// When non-null, receives the partial stats of a failed solve.
   core::SolveStats* partial_stats = nullptr;
-  /// Optional cache consulted by BuildGraph (plan/graph tier) and by the
-  /// full pipeline (result tier), per `cache_mode`.
+  /// Optional result cache, read and written by RunPipeline (between
+  /// Validate and Plan, and after Solve) per `cache_mode`. The stages
+  /// themselves never touch it.
   SolveCache* cache = nullptr;
   CacheMode cache_mode = CacheMode::kOff;
-  /// Optional precomputed result-tier key (unowned; must equal what
+  /// Optional precomputed result-cache key (unowned; must equal what
   /// Engine::ResultCacheKey(*instance) would return). Callers that
   /// already fingerprinted the instance -- engine::Server hashes it at
   /// admission for single-flight -- pass it here so RunPipeline does not
@@ -195,17 +187,17 @@ struct ExecutionContext {
   /// StagePlan decided the build path below.
   bool planned = false;
   /// Cell side the grid path would use (resolved by StagePlan even when
-  /// the brute-force path wins, so cache keys are stable).
+  /// the brute-force path wins).
   double resolved_eta = 0.0;
-  /// used_grid_index/eta after StagePlan; edges/build_seconds/from_cache
-  /// after StageBuildGraph.
+  /// used_grid_index/eta after StagePlan; edges/build_seconds after
+  /// StageBuildGraph.
   GraphPlan plan;
-  /// StageBuildGraph product. Shared so the cache and any number of
-  /// concurrent readers can hold the same immutable graph.
+  /// StageBuildGraph product. Shared so SolveOn can alias a caller-owned
+  /// graph into the same slot.
   std::shared_ptr<const core::CandidateGraph> graph;
   /// StageSolve product.
   core::SolveResult solve;
-  /// Result-tier hit: `solve`/`plan` were replayed from the cache and the
+  /// Cache hit: `solve`/`plan` were replayed from the cache and the
   /// Plan/BuildGraph/Solve stages were skipped entirely.
   bool result_from_cache = false;
 };
@@ -218,10 +210,9 @@ struct ExecutionContext {
 ///
 /// Each stage is a public method over an engine::ExecutionContext, so a
 /// stage can be run, skipped (pre-fill its product), or replayed
-/// independently; Run/RunIsolated/RunBatch/SolveOn are compositions of
-/// the stages. An optional engine::SolveCache short-circuits the pipeline
-/// at two seams: the full-result tier skips everything after Validate,
-/// and the plan/graph tier skips the candidate-graph build.
+/// independently; Run/RunIsolated/SolveOn are compositions of the
+/// stages. An optional engine::SolveCache short-circuits the pipeline
+/// after Validate: a hit replays the whole result.
 ///
 ///   auto engine = rdbsc::Engine::Create({.solver_name = "greedy"});
 ///   auto result = engine.value().Run(instance);
@@ -247,20 +238,6 @@ class Engine {
   util::StatusOr<EngineResult> Run(const core::Instance& instance,
                                    const RunControls& controls = {});
 
-  /// Batch admission: schedules whole instances across the engine's
-  /// thread pool (serially when num_threads <= 1) under ONE shared
-  /// wall-clock budget and cancellation token. Each instance runs the
-  /// full Run pipeline on its own registry-created solver, so per-
-  /// instance results are identical to individual Run calls; instances
-  /// that miss the shared budget fail with kDeadlineExceeded/kCancelled
-  /// individually. `controls.partial_stats` is ignored (there is no
-  /// single solve to attribute it to); `controls.cache` is shared by
-  /// every slot, so duplicate instances in one batch hit after the first
-  /// solve completes.
-  std::vector<util::StatusOr<EngineResult>> RunBatch(
-      std::span<const core::Instance> instances,
-      const RunControls& controls = {});
-
   /// Graph half of the facade, for callers that reuse one graph across
   /// several solves (e.g. the bench sweeps running 4 approaches). Sharded
   /// over the engine pool; fails with kDeadlineExceeded / kCancelled once
@@ -270,7 +247,7 @@ class Engine {
       const util::Deadline& deadline = util::Deadline()) const;
 
   /// Solve half, on a prebuilt graph. `controls.cache`/`cache_mode` are
-  /// deliberately ignored here: the cache keys fingerprint the graph this
+  /// deliberately ignored here: the cache key fingerprints the graph this
   /// engine's configuration would build, and a caller-provided graph may
   /// be anything -- serving or storing such results would poison the
   /// cache with entries the key cannot vouch for.
@@ -278,10 +255,10 @@ class Engine {
       const core::Instance& instance, const core::CandidateGraph& graph,
       const RunControls& controls = {});
 
-  /// The RunBatch per-slot path, exposed for async admission layers
-  /// (engine::Server): runs the full pipeline on a fresh registry-created
-  /// solver under a caller-owned deadline (EngineConfig::budget_seconds
-  /// is ignored here). Thread-safe -- concurrent calls share no mutable
+  /// The path for async admission layers (engine::Server): runs the full
+  /// pipeline on a fresh registry-created solver under a caller-owned
+  /// deadline (EngineConfig::budget_seconds is ignored here).
+  /// Thread-safe -- concurrent calls share no mutable
   /// state -- and serial inside the call (no executor), so the result is
   /// bit-identical no matter which thread runs it. `cache`/`mode` follow
   /// the RunControls semantics (kDefault with a cache means kReadWrite);
@@ -309,8 +286,7 @@ class Engine {
   util::Status StagePlan(engine::ExecutionContext& ctx) const;
 
   /// BuildGraph: executes the planned construction (running StagePlan
-  /// first if the caller skipped it). Consults the cache's plan/graph
-  /// tier per ctx.cache_mode; fills ctx.graph and the plan's
+  /// first if the caller skipped it); fills ctx.graph and the plan's
   /// edges/build_seconds.
   util::Status StageBuildGraph(engine::ExecutionContext& ctx) const;
 
@@ -318,14 +294,14 @@ class Engine {
   util::Status StageSolve(engine::ExecutionContext& ctx,
                           core::Solver& solver) const;
 
-  /// Runs the remaining stages of `ctx` in order, consulting the cache's
-  /// full-result tier between Validate and Plan, and returns the
+  /// Runs the remaining stages of `ctx` in order, consulting the result
+  /// cache between Validate and Plan, and returns the
   /// composed EngineResult. Stages whose product is already present
   /// (validated / planned / graph) are skipped.
   util::StatusOr<EngineResult> RunPipeline(engine::ExecutionContext& ctx,
                                            core::Solver& solver) const;
 
-  /// The full-result cache key / single-flight identity of `instance`
+  /// The result cache key / single-flight identity of `instance`
   /// under this engine's configuration: a content hash over the instance,
   /// the solver name + options, and the graph strategy (engine/
   /// fingerprint.h documents the exact field order).

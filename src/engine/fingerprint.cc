@@ -19,14 +19,6 @@ std::string HexBits(double value) {
 
 }  // namespace
 
-util::Hash128 GraphCacheKey(const core::Instance& instance, bool use_grid,
-                            double eta) {
-  util::Hasher hasher;
-  core::MixInstance(hasher, instance);
-  hasher.Mix(use_grid).Mix(eta);
-  return hasher.Digest();
-}
-
 util::Hash128 ResultCacheKey(const core::Instance& instance,
                              const EngineConfig& config) {
   util::Hasher hasher;

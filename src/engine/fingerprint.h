@@ -10,15 +10,7 @@
 
 namespace rdbsc::engine {
 
-/// Key of the plan/graph cache tier: the instance content plus the
-/// *resolved* build decision (grid-or-brute and the cell side the grid
-/// path would use). Keying on the resolved decision rather than the raw
-/// GraphStrategy lets kAuto and an explicit matching strategy share one
-/// entry -- the graphs are identical by the equivalence contract.
-util::Hash128 GraphCacheKey(const core::Instance& instance, bool use_grid,
-                            double eta);
-
-/// Key of the full-result cache tier: the instance content plus the
+/// Key of the result cache (engine::SolveCache): the instance content plus the
 /// solver identity (registry name + every SolverOptions knob) and the
 /// graph configuration (strategy, eta, d2). Deliberately excludes
 /// budgets, thread counts, and validation flags -- none of them change a
@@ -33,9 +25,8 @@ util::Hash128 ResultCacheKey(const core::Instance& instance,
 /// graph plan. Timing fields and cache-provenance flags are deliberately
 /// excluded -- they are the only parts of a result allowed to vary
 /// between runs, so two fingerprints compare equal iff the results are
-/// bit-identical where it counts. This is the stress harness's replay
-/// fingerprint (tests/stress_util.h) and the cache tests' hit-vs-cold
-/// identity check.
+/// bit-identical where it counts. This is the `.wl` replay fingerprint
+/// (wl/runner.h) and the cache tests' hit-vs-cold identity check.
 std::string ResultFingerprint(const util::StatusOr<EngineResult>& result);
 
 }  // namespace rdbsc::engine

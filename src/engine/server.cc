@@ -101,15 +101,9 @@ util::StatusOr<std::unique_ptr<Server>> Server::Create(ServerConfig config) {
 
   server->budget_limited_ = server->config_.total_budget_seconds > 0.0;
   server->budget_remaining_ = server->config_.total_budget_seconds;
-  if (server->config_.cache_result_entries > 0 ||
-      server->config_.cache_graph_entries > 0) {
-    // Capacities pass through verbatim: a zero tier stays disabled inside
-    // the SolveCache (lookups miss, inserts dropped), so e.g.
-    // {cache_result_entries = 4096, cache_graph_entries = 0} caches
-    // results without ever pinning a heavy CandidateGraph.
+  if (server->config_.cache_result_entries > 0) {
     SolveCacheConfig cache_config;
     cache_config.result_capacity = server->config_.cache_result_entries;
-    cache_config.graph_capacity = server->config_.cache_graph_entries;
     cache_config.num_shards =
         std::max(server->config_.num_workers, 4);
     server->cache_ = std::make_unique<SolveCache>(cache_config);
@@ -532,8 +526,7 @@ ServerStats Server::Stats() const {
   }
   if (cache_ != nullptr) {
     CacheStats cache_stats = cache_->Stats();
-    stats.cache_evictions =
-        cache_stats.result_evictions + cache_stats.graph_evictions;
+    stats.cache_evictions = cache_stats.result_evictions;
   }
   stats.latency_p50_seconds = latency.p50();
   stats.latency_p95_seconds = latency.p95();

@@ -78,13 +78,10 @@ struct ServerConfig {
   /// Default cache policy applied when SubmitControls::cache is kDefault.
   /// kOff keeps every request cold unless a submission opts in.
   CacheMode cache_mode = CacheMode::kOff;
-  /// Tier capacities of the server-owned SolveCache (entries). Setting
-  /// one to 0 disables that tier only (e.g. graph_entries = 0 caches
-  /// results without pinning heavy CandidateGraphs); setting both to 0
-  /// disables the cache entirely: every request solves cold and
-  /// single-flight collapsing is off, whatever the cache modes say.
+  /// Capacity of the server-owned SolveCache (entries). 0 disables the
+  /// cache entirely: every request solves cold and single-flight
+  /// collapsing is off, whatever the cache modes say.
   size_t cache_result_entries = 4096;
-  size_t cache_graph_entries = 1024;
 };
 
 /// Per-submission overrides.
@@ -131,9 +128,9 @@ struct ServerStats {
   int64_t failed = 0;      ///< finished with any other error
 
   int64_t cache_hits = 0;    ///< dispatched requests answered from the
-                             ///< full-result cache tier
+                             ///< result cache
   int64_t cache_misses = 0;  ///< cache-read-enabled requests that solved cold
-  int64_t cache_evictions = 0;  ///< entries evicted from either cache tier
+  int64_t cache_evictions = 0;  ///< entries evicted from the result cache
   int64_t collapsed = 0;     ///< submissions collapsed onto an identical
                              ///< queued/in-flight request (single-flight)
 
@@ -179,7 +176,7 @@ struct TicketState {
 
   /// Resolved cache policy of this request.
   CacheMode cache_mode = CacheMode::kOff;
-  /// Result-tier fingerprint; the single-flight identity. Only meaningful
+  /// Result-cache key; the single-flight identity. Only meaningful
   /// when `single_flight` is set.
   util::Hash128 fingerprint{};
   /// Registered in the server's in-flight fingerprint map as a collapse
@@ -248,8 +245,8 @@ class Ticket {
 /// priority, then FIFO) and runs Engine::RunIsolated on it -- a fresh
 /// registry-created solver, serial inside the request -- so per-ticket
 /// results are bit-identical across worker counts and reruns (the PR-3
-/// determinism contract, extended to the async layer and enforced by
-/// tests/server_stress_test.cc).
+/// determinism contract, extended to the async layer and enforced by the
+/// workloads/*.wl replays in tests/workload_replay_test.cc).
 ///
 /// Repeated traffic is served through a content-addressed SolveCache:
 /// each request resolves a CacheMode (SubmitControls::cache, falling back
@@ -258,7 +255,8 @@ class Ticket {
 /// single-flight onto the queued/in-flight leader -- one solve, N tickets,
 /// all completed with the same (bit-identical) outcome. Cache hits are
 /// bit-identical to cold solves, so enabling the cache never changes an
-/// answer, only its latency (tests/cache_stress_test.cc).
+/// answer, only its latency (tests/cache_stress_test.cc and
+/// WorkloadReplayContract.CacheDoesNotChangeFingerprints).
 ///
 ///   auto server = engine::Server::Create({.engine = {.solver_name = "dc"}});
 ///   engine::Ticket t = server.value()->Submit(instance).value();
@@ -295,7 +293,7 @@ class Server {
 
   ServerStats Stats() const EXCLUDES(mu_);
 
-  /// Detailed per-tier counters of the server-owned cache (all zeros when
+  /// Detailed counters of the server-owned cache (all zeros when
   /// the cache is disabled).
   CacheStats GetCacheStats() const;
 

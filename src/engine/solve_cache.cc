@@ -6,76 +6,59 @@
 
 namespace rdbsc::engine {
 
-namespace {
-
-// Per-shard capacities round up so the configured totals are a floor,
-// and every enabled shard holds at least one entry. A configured total
-// of 0 stays 0: the tier is disabled (inserts dropped), never "rounded
-// up" into a surprise num_shards-entry cache.
-size_t PerShardCapacity(size_t total, int num_shards) {
-  if (total == 0) return 0;
-  return std::max<size_t>(
-      (total + static_cast<size_t>(num_shards) - 1) /
-          static_cast<size_t>(num_shards),
-      1);
-}
-
-}  // namespace
-
-SolveCache::SolveCache(SolveCacheConfig config) {
-  num_shards_ = std::max(config.num_shards, 1);
-  result_capacity_per_shard_ =
-      PerShardCapacity(config.result_capacity, num_shards_);
-  graph_capacity_per_shard_ =
-      PerShardCapacity(config.graph_capacity, num_shards_);
-  result_shards_ = std::vector<Shard<ResultEntry>>(num_shards_);
-  graph_shards_ = std::vector<Shard<GraphEntry>>(num_shards_);
+SolveCache::SolveCache(SolveCacheConfig config)
+    : shards_(static_cast<size_t>(std::max(config.num_shards, 1))) {
+  // The per-shard capacity rounds up so the configured total is a floor,
+  // and every shard holds at least one entry. A configured total of 0
+  // stays 0: the cache is disabled (inserts dropped), never "rounded up"
+  // into a surprise num_shards-entry cache.
+  const size_t num_shards = shards_.size();
+  capacity_per_shard_ =
+      config.result_capacity == 0
+          ? 0
+          : (config.result_capacity + num_shards - 1) / num_shards;
 }
 
 std::shared_ptr<const EngineResult> SolveCache::LookupResult(
     const util::Hash128& key) {
-  Shard<ResultEntry>& shard = result_shards_[ShardOf(key)];
+  Shard& shard = ShardOf(key);
   util::MutexLock lock(shard.mu);
-  ResultEntry* entry = LookupIn(shard, key);
-  return entry == nullptr ? nullptr : entry->result;
+  auto it = shard.index.find(key);
+  if (it == shard.index.end()) {
+    ++shard.misses;
+    return nullptr;
+  }
+  ++shard.hits;
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  return it->second->second;
 }
 
 void SolveCache::InsertResult(const util::Hash128& key, EngineResult result) {
-  if (result_capacity_per_shard_ == 0) return;  // tier disabled
+  if (capacity_per_shard_ == 0) return;  // cache disabled
   // Stored entries describe the original cold run; hits re-stamp
   // provenance on their own copies.
   result.from_cache = false;
-  result.plan.from_cache = false;
-  Shard<ResultEntry>& shard = result_shards_[ShardOf(key)];
-  ResultEntry entry{std::make_shared<const EngineResult>(std::move(result))};
+  auto value = std::make_shared<const EngineResult>(std::move(result));
+  Shard& shard = ShardOf(key);
   util::MutexLock lock(shard.mu);
-  InsertIn(shard, result_capacity_per_shard_, key, std::move(entry));
-}
-
-std::shared_ptr<const core::CandidateGraph> SolveCache::LookupGraph(
-    const util::Hash128& key, GraphPlan* plan) {
-  Shard<GraphEntry>& shard = graph_shards_[ShardOf(key)];
-  util::MutexLock lock(shard.mu);
-  GraphEntry* entry = LookupIn(shard, key);
-  if (entry == nullptr) return nullptr;
-  if (plan != nullptr) *plan = entry->plan;
-  return entry->graph;
-}
-
-void SolveCache::InsertGraph(const util::Hash128& key,
-                             std::shared_ptr<const core::CandidateGraph> graph,
-                             const GraphPlan& plan) {
-  if (graph_capacity_per_shard_ == 0) return;  // tier disabled
-  GraphEntry entry{std::move(graph), plan};
-  entry.plan.from_cache = false;
-  Shard<GraphEntry>& shard = graph_shards_[ShardOf(key)];
-  util::MutexLock lock(shard.mu);
-  InsertIn(shard, graph_capacity_per_shard_, key, std::move(entry));
+  ++shard.insertions;
+  if (auto it = shard.index.find(key); it != shard.index.end()) {
+    it->second->second = std::move(value);
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    return;
+  }
+  shard.lru.emplace_front(key, std::move(value));
+  shard.index.emplace(key, shard.lru.begin());
+  while (shard.lru.size() > capacity_per_shard_) {
+    shard.index.erase(shard.lru.back().first);
+    shard.lru.pop_back();
+    ++shard.evictions;
+  }
 }
 
 CacheStats SolveCache::Stats() const {
   CacheStats stats;
-  for (const Shard<ResultEntry>& shard : result_shards_) {
+  for (const Shard& shard : shards_) {
     util::MutexLock lock(shard.mu);
     stats.result_hits += shard.hits;
     stats.result_misses += shard.misses;
@@ -83,24 +66,11 @@ CacheStats SolveCache::Stats() const {
     stats.result_evictions += shard.evictions;
     stats.result_entries += static_cast<int64_t>(shard.lru.size());
   }
-  for (const Shard<GraphEntry>& shard : graph_shards_) {
-    util::MutexLock lock(shard.mu);
-    stats.graph_hits += shard.hits;
-    stats.graph_misses += shard.misses;
-    stats.graph_insertions += shard.insertions;
-    stats.graph_evictions += shard.evictions;
-    stats.graph_entries += static_cast<int64_t>(shard.lru.size());
-  }
   return stats;
 }
 
 void SolveCache::Clear() {
-  for (Shard<ResultEntry>& shard : result_shards_) {
-    util::MutexLock lock(shard.mu);
-    shard.lru.clear();
-    shard.index.clear();
-  }
-  for (Shard<GraphEntry>& shard : graph_shards_) {
+  for (Shard& shard : shards_) {
     util::MutexLock lock(shard.mu);
     shard.lru.clear();
     shard.index.clear();

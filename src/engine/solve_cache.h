@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/instance.h"
 #include "engine/engine.h"
 #include "util/hash.h"
 #include "util/mutex.h"
@@ -16,22 +15,14 @@
 
 namespace rdbsc::engine {
 
-/// Sizing of a SolveCache. Capacities are entry counts per tier (split
-/// evenly across shards, each non-disabled shard holding at least one
-/// entry). A capacity of 0 disables that tier entirely: lookups miss and
-/// inserts are dropped, so e.g. {result_capacity = 4096,
-/// graph_capacity = 0} caches results without ever pinning a heavy
-/// CandidateGraph.
+/// Sizing of a SolveCache. The capacity is an entry count split evenly
+/// across shards, each shard holding at least one entry. A capacity of 0
+/// disables the cache: lookups miss and inserts are dropped.
 struct SolveCacheConfig {
-  /// Full-result tier: one EngineResult per (instance, solver, graph
-  /// config) fingerprint. 0 disables the tier.
+  /// One EngineResult per (instance, solver, graph config) fingerprint.
   size_t result_capacity = 4096;
-  /// Plan/graph tier: one CandidateGraph + GraphPlan per (instance,
-  /// resolved build decision) fingerprint. Graphs are the heavy entries;
-  /// keep this tier smaller. 0 disables the tier.
-  size_t graph_capacity = 1024;
-  /// Mutex shards per tier. Lookups/inserts lock one shard only, so
-  /// concurrent server workers rarely contend.
+  /// Mutex shards. Lookups/inserts lock one shard only, so concurrent
+  /// server workers rarely contend.
   int num_shards = 8;
 };
 
@@ -41,28 +32,19 @@ struct CacheStats {
   int64_t result_misses = 0;
   int64_t result_insertions = 0;
   int64_t result_evictions = 0;
-  int64_t graph_hits = 0;
-  int64_t graph_misses = 0;
-  int64_t graph_insertions = 0;
-  int64_t graph_evictions = 0;
   int64_t result_entries = 0;
-  int64_t graph_entries = 0;
 };
 
-/// Content-addressed cache over the staged Engine pipeline, with two
-/// tiers keyed by 128-bit fingerprints (engine/fingerprint.h):
+/// Content-addressed cache of whole Engine results, keyed by the 128-bit
+/// ResultCacheKey fingerprint (engine/fingerprint.h: instance + solver
+/// identity + graph config). A hit short-circuits the pipeline after
+/// Validate.
 ///
-///   - the *full-result* tier short-circuits the whole pipeline after
-///     Validate (key: instance + solver identity + graph config);
-///   - the *plan/graph* tier short-circuits BuildGraph only (key:
-///     instance + resolved build decision), so different solvers over the
-///     same instance share one candidate graph.
-///
-/// Both tiers are bounded LRU maps sharded by key across `num_shards`
-/// mutexes. Values are immutable and shared (shared_ptr), so a hit hands
-/// back the exact bytes the original run produced -- combined with
-/// deterministic solvers this is what makes a hit bit-identical to a
-/// cold solve at any concurrency (enforced by tests/cache_stress_test.cc
+/// A bounded LRU map sharded by key across `num_shards` mutexes. Values
+/// are immutable and shared (shared_ptr), so a hit hands back the exact
+/// bytes the original run produced -- combined with deterministic solvers
+/// this is what makes a hit bit-identical to a cold solve at any
+/// concurrency (the cache_storm workload replays with and without a cache
 /// at 1/2/8 server workers). Eviction is per shard, strictly LRU.
 ///
 /// All methods are thread-safe.
@@ -70,24 +52,13 @@ class SolveCache {
  public:
   explicit SolveCache(SolveCacheConfig config = {});
 
-  /// Result-tier lookup; nullptr on miss. The returned result has
-  /// from_cache flags as stored (false) -- callers stamp provenance.
+  /// Lookup; nullptr on miss. The returned result has from_cache as
+  /// stored (false) -- callers stamp provenance.
   std::shared_ptr<const EngineResult> LookupResult(const util::Hash128& key);
 
-  /// Inserts (or refreshes) a result-tier entry. Provenance flags are
-  /// cleared on the stored copy so hits describe the original cold run.
+  /// Inserts (or refreshes) an entry. The provenance flag is cleared on
+  /// the stored copy so hits describe the original cold run.
   void InsertResult(const util::Hash128& key, EngineResult result);
-
-  /// Graph-tier lookup; nullptr on miss. On a hit `*plan` (when non-null)
-  /// receives the stored plan of the original build (edges, eta,
-  /// used_grid_index; build_seconds as built).
-  std::shared_ptr<const core::CandidateGraph> LookupGraph(
-      const util::Hash128& key, GraphPlan* plan);
-
-  /// Inserts (or refreshes) a graph-tier entry.
-  void InsertGraph(const util::Hash128& key,
-                   std::shared_ptr<const core::CandidateGraph> graph,
-                   const GraphPlan& plan);
 
   CacheStats Stats() const;
 
@@ -95,22 +66,14 @@ class SolveCache {
   void Clear();
 
  private:
-  struct ResultEntry {
-    std::shared_ptr<const EngineResult> result;
-  };
-  struct GraphEntry {
-    std::shared_ptr<const core::CandidateGraph> graph;
-    GraphPlan plan;
-  };
+  using Entry = std::pair<util::Hash128, std::shared_ptr<const EngineResult>>;
 
   /// One LRU shard: list front = most recently used; the map points into
   /// the list. All state is guarded by `mu`.
-  template <typename Value>
   struct Shard {
-    using Entry = std::pair<util::Hash128, Value>;
     mutable util::Mutex mu;
     std::list<Entry> lru GUARDED_BY(mu);
-    std::unordered_map<util::Hash128, typename std::list<Entry>::iterator,
+    std::unordered_map<util::Hash128, std::list<Entry>::iterator,
                        util::Hash128Hasher>
         index GUARDED_BY(mu);
     int64_t hits GUARDED_BY(mu) = 0;
@@ -119,47 +82,12 @@ class SolveCache {
     int64_t evictions GUARDED_BY(mu) = 0;
   };
 
-  template <typename Value>
-  static Value* LookupIn(Shard<Value>& shard, const util::Hash128& key)
-      REQUIRES(shard.mu) {
-    auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
-      ++shard.misses;
-      return nullptr;
-    }
-    ++shard.hits;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return &it->second->second;
+  Shard& ShardOf(const util::Hash128& key) {
+    return shards_[key.lo % static_cast<uint64_t>(shards_.size())];
   }
 
-  template <typename Value>
-  static void InsertIn(Shard<Value>& shard, size_t capacity,
-                       const util::Hash128& key, Value value)
-      REQUIRES(shard.mu) {
-    ++shard.insertions;
-    if (auto it = shard.index.find(key); it != shard.index.end()) {
-      it->second->second = std::move(value);
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      return;
-    }
-    shard.lru.emplace_front(key, std::move(value));
-    shard.index.emplace(key, shard.lru.begin());
-    while (shard.lru.size() > capacity) {
-      shard.index.erase(shard.lru.back().first);
-      shard.lru.pop_back();
-      ++shard.evictions;
-    }
-  }
-
-  int ShardOf(const util::Hash128& key) const {
-    return static_cast<int>(key.lo % static_cast<uint64_t>(num_shards_));
-  }
-
-  int num_shards_ = 1;
-  size_t result_capacity_per_shard_ = 1;
-  size_t graph_capacity_per_shard_ = 1;
-  std::vector<Shard<ResultEntry>> result_shards_;
-  std::vector<Shard<GraphEntry>> graph_shards_;
+  size_t capacity_per_shard_ = 1;
+  std::vector<Shard> shards_;
 };
 
 }  // namespace rdbsc::engine

@@ -20,7 +20,7 @@ namespace rdbsc::util {
 /// A fixed-size worker pool. Two entry points:
 ///
 ///   - Submit(f): enqueue an arbitrary callable, get a std::future for its
-///     result (used by Engine::RunBatch to schedule whole instances).
+///     result (used by engine::Server to dispatch queued requests).
 ///   - ShardedFor / ParallelFor (the Executor interface): fork-join over an
 ///     index range (used by graph construction and the solvers).
 ///

@@ -201,12 +201,11 @@ util::StatusOr<CompiledWorkload> CompileWorkload(const WorkloadSpec& spec) {
   if (spec.queue_depth < 1) {
     return CompileError("", "queue_depth must be >= 1");
   }
-  if (spec.queue_depth > 1'000'000 || spec.cache_result_entries > 1'000'000 ||
-      spec.cache_graph_entries > 1'000'000) {
+  if (spec.queue_depth > 1'000'000 || spec.cache_result_entries > 1'000'000) {
     return CompileError("",
                         "queue_depth/cache_entries capped at 1000000");
   }
-  if (spec.cache_result_entries < 0 || spec.cache_graph_entries < 0) {
+  if (spec.cache_result_entries < 0) {
     return CompileError("", "cache_entries must be >= 0");
   }
 
@@ -218,7 +217,6 @@ util::StatusOr<CompiledWorkload> CompileWorkload(const WorkloadSpec& spec) {
   compiled.queue_depth = spec.queue_depth;
   compiled.cache_mode = spec.cache_mode;
   compiled.cache_result_entries = spec.cache_result_entries;
-  compiled.cache_graph_entries = spec.cache_graph_entries;
 
   for (size_t phase_index = 0; phase_index < spec.phases.size();
        ++phase_index) {
@@ -265,8 +263,7 @@ std::string CompiledDebugString(const CompiledWorkload& compiled) {
          " policy=" + std::string(PolicyKeyword(compiled.policy)) +
          " queue_depth=" + std::to_string(compiled.queue_depth) +
          " cache=" + std::string(CacheModeKeyword(compiled.cache_mode)) +
-         " entries=" + std::to_string(compiled.cache_result_entries) + "/" +
-         std::to_string(compiled.cache_graph_entries) +
+         " entries=" + std::to_string(compiled.cache_result_entries) +
          " total_ops=" + std::to_string(compiled.total_ops) + "\n";
   char buffer[64];
   for (const CompiledPhase& phase : compiled.phases) {

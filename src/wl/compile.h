@@ -62,7 +62,6 @@ struct CompiledWorkload {
   int64_t queue_depth = 256;
   engine::CacheMode cache_mode = engine::CacheMode::kOff;
   int64_t cache_result_entries = 4096;
-  int64_t cache_graph_entries = 1024;
   std::vector<CompiledPhase> phases;
   int64_t total_ops = 0;
 };

@@ -51,8 +51,6 @@ engine::ServerConfig MakeServerConfig(const CompiledWorkload& compiled,
   config.cache_mode = compiled.cache_mode;
   config.cache_result_entries =
       static_cast<size_t>(compiled.cache_result_entries);
-  config.cache_graph_entries =
-      static_cast<size_t>(compiled.cache_graph_entries);
   return config;
 }
 

@@ -562,13 +562,10 @@ util::Status ParseInto(std::string_view text, const std::string& source,
       continue;
     }
     if (key == "cache_entries") {
-      status = ExpectArgs(source, tokens, 2);
+      status = ExpectArgs(source, tokens, 1);
       if (!status.ok()) break;
       status =
           ParseNonNegInt(source, tokens[1], state.spec.cache_result_entries);
-      if (!status.ok()) break;
-      status =
-          ParseNonNegInt(source, tokens[2], state.spec.cache_graph_entries);
       if (!status.ok()) break;
       continue;
     }
@@ -675,8 +672,7 @@ std::string DumpSpec(const WorkloadSpec& spec) {
   out += "policy " + std::string(PolicyKeyword(spec.policy)) + "\n";
   out += "queue_depth " + std::to_string(spec.queue_depth) + "\n";
   out += "cache " + std::string(CacheModeKeyword(spec.cache_mode)) + "\n";
-  out += "cache_entries " + std::to_string(spec.cache_result_entries) + " " +
-         std::to_string(spec.cache_graph_entries) + "\n";
+  out += "cache_entries " + std::to_string(spec.cache_result_entries) + "\n";
   for (const PhaseSpec& phase : spec.phases) {
     out += "\nphase " + phase.name + " {\n";
     out += "  mode " + std::string(PhaseModeName(phase.mode)) + "\n";

@@ -31,7 +31,7 @@ namespace rdbsc::wl {
 ///   policy block                # block | reject | shed
 ///   queue_depth 64
 ///   cache rw                    # off | ro | wo | rw (server default)
-///   cache_entries 4096 1024     # result entries, graph entries
+///   cache_entries 4096          # result cache entries (0 = no cache)
 ///
 ///   include "fragments/common.wl"   # relative to the including file
 ///
@@ -132,7 +132,6 @@ struct WorkloadSpec {
   int64_t queue_depth = 256;
   engine::CacheMode cache_mode = engine::CacheMode::kOff;
   int64_t cache_result_entries = 4096;
-  int64_t cache_graph_entries = 1024;
   std::vector<PhaseSpec> phases;
 };
 

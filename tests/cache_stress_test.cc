@@ -16,7 +16,6 @@
 #include "engine/fingerprint.h"
 #include "engine/server.h"
 #include "gtest/gtest.h"
-#include "stress_util.h"
 #include "test_util.h"
 
 namespace rdbsc {
@@ -175,32 +174,6 @@ TEST(CacheStressTest, SubmitShutdownCancelRaceKeepsCacheConsistent) {
               stats.admitted);
     EXPECT_EQ(stats.queue_depth, 0);
     EXPECT_EQ(stats.in_flight, 0);
-  }
-}
-
-// Replay determinism with caching under real submitter concurrency: the
-// scripted stress harness compares a cache-enabled replay at 1/2/8
-// workers against the cache-off baseline, with a duplicate-heavy script
-// (every submitter draws from the same 4 seeds).
-TEST(CacheStressTest, ScriptedReplayWithCacheMatchesColdBaseline) {
-  test::StressScript script = test::MakeStressScript(99, 3, 6);
-  for (auto& arrivals : script.arrivals) {
-    for (test::StressArrival& arrival : arrivals) {
-      arrival.instance_seed = 200 + arrival.instance_seed % 4;
-      arrival.num_tasks = 8;
-      arrival.num_workers = 16;
-    }
-  }
-  ServerConfig cold_config = StressCacheConfig(1);
-  cold_config.cache_mode = CacheMode::kOff;
-  cold_config.cache_result_entries = 0;
-  cold_config.cache_graph_entries = 0;
-  const std::vector<std::string> baseline =
-      test::ReplayScript(script, cold_config, 1);
-  for (int workers : {1, 2, 8}) {
-    SCOPED_TRACE(workers);
-    EXPECT_EQ(test::ReplayScript(script, StressCacheConfig(workers), workers),
-              baseline);
   }
 }
 

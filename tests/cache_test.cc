@@ -1,14 +1,13 @@
 // Correctness of the content-addressed caching layer: util::Hash128 /
-// Hasher primitives, core::InstanceFingerprint sensitivity, SolveCache LRU
-// mechanics, the staged-pipeline cache seams (result and plan/graph tiers,
-// every CacheMode), and the engine::Server wiring (hit/miss counters,
-// deterministic single-flight collapse, and the acceptance criterion that
-// a cache hit is bit-identical to a cold solve at 1, 2, and 8 dispatch
-// workers).
+// Hasher primitives, core::InstanceFingerprint sensitivity, SolveCache
+// LRU mechanics, the staged-pipeline cache seam (every CacheMode), and the
+// engine::Server wiring (hit/miss counters, deterministic single-flight
+// collapse, eviction accounting). That a cache never changes a replay's
+// answers at 1, 2 and 8 dispatch workers is checked on the cache_storm
+// workload (WorkloadReplayContract.CacheDoesNotChangeFingerprints).
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/fingerprint.h"
 #include "engine/engine.h"
@@ -16,7 +15,6 @@
 #include "engine/server.h"
 #include "engine/solve_cache.h"
 #include "gtest/gtest.h"
-#include "stress_util.h"
 #include "test_util.h"
 #include "util/hash.h"
 
@@ -131,6 +129,14 @@ TEST(SolveCacheTest, ResultTierIsStrictLru) {
   EXPECT_EQ(stats.result_insertions, 4);
   EXPECT_EQ(stats.result_evictions, 2);
   EXPECT_EQ(stats.result_entries, 2);
+
+  cache.Clear();
+  EXPECT_EQ(cache.LookupResult(k2), nullptr);
+  stats = cache.Stats();
+  EXPECT_EQ(stats.result_entries, 0);
+  EXPECT_EQ(stats.result_hits, 3);  // counters survive Clear
+  EXPECT_EQ(stats.result_misses, 3);
+  EXPECT_EQ(stats.result_insertions, 4);
 }
 
 TEST(SolveCacheTest, InsertClearsProvenanceAndRefreshKeepsOneEntry) {
@@ -138,65 +144,32 @@ TEST(SolveCacheTest, InsertClearsProvenanceAndRefreshKeepsOneEntry) {
   const util::Hash128 key{1, 1};
   EngineResult stale = ResultWithEdges(9);
   stale.from_cache = true;
-  stale.plan.from_cache = true;
   cache.InsertResult(key, stale);
   auto hit = cache.LookupResult(key);
   ASSERT_NE(hit, nullptr);
   EXPECT_FALSE(hit->from_cache);
-  EXPECT_FALSE(hit->plan.from_cache);
 
   cache.InsertResult(key, ResultWithEdges(11));  // refresh, not a new entry
   EXPECT_EQ(cache.Stats().result_entries, 1);
   EXPECT_EQ(cache.LookupResult(key)->plan.edges, 11);
 }
 
-TEST(SolveCacheTest, ZeroCapacityDisablesOneTierOnly) {
+TEST(SolveCacheTest, ZeroResultCapacityDropsInserts) {
   SolveCacheConfig config;
-  config.graph_capacity = 0;  // results only -- never pin a heavy graph
+  config.result_capacity = 0;
   config.num_shards = 4;
   SolveCache cache(config);
   const util::Hash128 key{3, 9};
 
-  core::Instance instance = SmallInstance(3, 4, 7);
-  auto graph = std::make_shared<const core::CandidateGraph>(
-      core::CandidateGraph::Build(instance));
-  cache.InsertGraph(key, graph, GraphPlan{});
-  EXPECT_EQ(cache.LookupGraph(key, nullptr), nullptr);
-  EXPECT_EQ(cache.Stats().graph_entries, 0);
-  EXPECT_EQ(cache.Stats().graph_insertions, 0);  // dropped, not evicted
-
-  cache.InsertResult(key, ResultWithEdges(5));  // the other tier still works
-  ASSERT_NE(cache.LookupResult(key), nullptr);
-  EXPECT_EQ(cache.Stats().result_entries, 1);
-}
-
-TEST(SolveCacheTest, GraphTierRoundTripsPlanAndClearKeepsCounters) {
-  SolveCache cache;
-  const util::Hash128 key{2, 7};
-  core::Instance instance = SmallInstance(3, 4, 7);
-  auto graph = std::make_shared<const core::CandidateGraph>(
-      core::CandidateGraph::Build(instance));
-  GraphPlan plan;
-  plan.used_grid_index = false;
-  plan.edges = graph->NumEdges();
-  cache.InsertGraph(key, graph, plan);
-
-  GraphPlan got;
-  auto hit = cache.LookupGraph(key, &got);
-  ASSERT_EQ(hit, graph);  // the exact shared object, not a copy
-  EXPECT_EQ(got.edges, graph->NumEdges());
-  EXPECT_FALSE(got.from_cache);
-
-  cache.Clear();
-  EXPECT_EQ(cache.LookupGraph(key, nullptr), nullptr);
+  cache.InsertResult(key, ResultWithEdges(5));
+  EXPECT_EQ(cache.LookupResult(key), nullptr);
   CacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.graph_entries, 0);
-  EXPECT_EQ(stats.graph_hits, 1);      // counters survive Clear
-  EXPECT_EQ(stats.graph_misses, 1);
-  EXPECT_EQ(stats.graph_insertions, 1);
+  EXPECT_EQ(stats.result_entries, 0);
+  EXPECT_EQ(stats.result_insertions, 0);  // dropped, not evicted
+  EXPECT_EQ(stats.result_evictions, 0);
 }
 
-// --- Pipeline cache seams ------------------------------------------------
+// --- Pipeline cache seam -------------------------------------------------
 
 EngineConfig SolverEngineConfig(const std::string& name) {
   EngineConfig config;
@@ -206,7 +179,7 @@ EngineConfig SolverEngineConfig(const std::string& name) {
 }
 
 // The acceptance criterion at the Engine layer, per registered solver: a
-// result-tier hit replays the cold solve bit for bit.
+// cache hit replays the cold solve bit for bit.
 TEST(CachePipelineTest, HitIsBitIdenticalToColdSolvePerSolver) {
   const core::Instance instance = SmallInstance(3, 4, 7);  // EXACT-sized
   for (const char* name : {"dc", "exact", "greedy", "gtruth", "sampling",
@@ -264,42 +237,6 @@ TEST(CachePipelineTest, CacheModesReadAndWriteIndependently) {
   EXPECT_TRUE(engine.Run(instance, controls).value().from_cache);
 }
 
-TEST(CachePipelineTest, GraphTierIsSharedAcrossSolvers) {
-  const core::Instance instance = SmallInstance(4);
-  EngineConfig greedy_config = SolverEngineConfig("greedy");
-  greedy_config.graph_strategy = GraphStrategy::kBruteForce;
-  EngineConfig sampling_config = SolverEngineConfig("sampling");
-  sampling_config.graph_strategy = GraphStrategy::kBruteForce;
-
-  Engine cold = Engine::Create(sampling_config).value();
-  const std::string cold_print =
-      engine::ResultFingerprint(cold.Run(instance));
-
-  SolveCache cache;
-  RunControls controls;
-  controls.cache = &cache;
-  Engine greedy = Engine::Create(greedy_config).value();
-  util::StatusOr<EngineResult> first = greedy.Run(instance, controls);
-  ASSERT_TRUE(first.ok());
-  EXPECT_FALSE(first.value().plan.from_cache);
-
-  // Different solver -> result-tier miss, but the graph (same instance,
-  // same resolved build decision) is reused -- and the solve on the
-  // reused graph is still bit-identical to a cold one.
-  Engine sampling = Engine::Create(sampling_config).value();
-  util::StatusOr<EngineResult> second = sampling.Run(instance, controls);
-  ASSERT_TRUE(second.ok());
-  EXPECT_FALSE(second.value().from_cache);
-  EXPECT_TRUE(second.value().plan.from_cache);
-  EXPECT_EQ(engine::ResultFingerprint(second), cold_print);
-
-  CacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.graph_misses, 1);
-  EXPECT_EQ(stats.graph_hits, 1);
-  EXPECT_EQ(stats.result_hits, 0);
-  EXPECT_EQ(stats.result_misses, 2);
-}
-
 TEST(CachePipelineTest, FailedSolvesAreNeverCached) {
   // A budget that trips mid-build must not poison the cache for the next,
   // unbudgeted run.
@@ -313,7 +250,6 @@ TEST(CachePipelineTest, FailedSolvesAreNeverCached) {
   ASSERT_FALSE(starved.ok());
   EXPECT_EQ(starved.status().code(), util::StatusCode::kDeadlineExceeded);
   EXPECT_EQ(cache.Stats().result_entries, 0);
-  EXPECT_EQ(cache.Stats().graph_entries, 0);
 
   controls.budget_seconds = -1.0;
   util::StatusOr<EngineResult> healthy = engine.Run(instance, controls);
@@ -491,51 +427,17 @@ TEST(ServerCacheTest, WriteOnlyDuplicateDoesNotClobberSingleFlightRegistry) {
 TEST(ServerCacheTest, EvictionCounterSurfacesCapacityPressure) {
   ServerConfig config = CachingServerConfig(1);
   config.cache_result_entries = 2;
-  config.cache_graph_entries = 1;
   auto server = std::move(engine::Server::Create(std::move(config)).value());
-  // 12 distinct instances through a cache of (at most) 4 shards x 1 entry
-  // per tier: the pigeonhole guarantees evictions on both tiers.
+  // 12 distinct instances through a cache of (at most) 4 shards x 1
+  // entry: the pigeonhole guarantees evictions.
   for (uint64_t seed = 0; seed < 12; ++seed) {
     engine::Ticket ticket = server->Submit(SmallInstance(seed)).value();
     ASSERT_TRUE(ticket.Wait().ok());
   }
   server->Shutdown(engine::ShutdownMode::kDrain);
   EXPECT_GT(server->Stats().cache_evictions, 0);
-  EXPECT_GT(server->GetCacheStats().result_evictions, 0);
-  EXPECT_GT(server->GetCacheStats().graph_evictions, 0);
-}
-
-// The acceptance criterion at the server layer: with a repetitive schedule
-// (3 distinct instances, 24 submissions from 3 real submitter threads),
-// per-ticket results under caching are bit-identical to the cache-off
-// baseline at 1, 2, and 8 dispatch workers.
-TEST(ServerCacheTest, CacheHitsBitIdenticalAcross1_2_8Workers) {
-  test::StressScript script;
-  script.arrivals.resize(3);
-  for (int s = 0; s < 3; ++s) {
-    for (int a = 0; a < 8; ++a) {
-      test::StressArrival arrival;
-      arrival.instance_seed = 100 + static_cast<uint64_t>(a % 3);
-      arrival.num_tasks = 10;
-      arrival.num_workers = 20;
-      arrival.priority = a % 2;
-      script.arrivals[s].push_back(arrival);
-    }
-  }
-
-  ServerConfig cold_config = CachingServerConfig(1);
-  cold_config.cache_mode = CacheMode::kOff;
-  cold_config.cache_result_entries = 0;  // fully disable, incl. collapse
-  cold_config.cache_graph_entries = 0;
-  const std::vector<std::string> baseline =
-      test::ReplayScript(script, cold_config, 1);
-
-  for (int workers : {1, 2, 8}) {
-    SCOPED_TRACE(workers);
-    EXPECT_EQ(test::ReplayScript(script, CachingServerConfig(workers),
-                                 workers),
-              baseline);
-  }
+  EXPECT_EQ(server->Stats().cache_evictions,
+            server->GetCacheStats().result_evictions);
 }
 
 }  // namespace

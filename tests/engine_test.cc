@@ -1,8 +1,5 @@
 #include "engine/engine.h"
 
-#include <string>
-#include <vector>
-
 #include "core/registry.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -184,65 +181,6 @@ TEST(EngineTest, BuildGraphReportsTrippedDeadline) {
     ASSERT_FALSE(graph.ok());
     EXPECT_EQ(graph.status().code(), util::StatusCode::kCancelled);
   }
-}
-
-TEST(EngineTest, RunBatchMatchesIndividualRuns) {
-  std::vector<core::Instance> instances;
-  for (uint64_t seed : {21, 22, 23, 24, 25}) {
-    instances.push_back(SmallInstance(seed, 15, 25));
-  }
-  for (int num_threads : {0, 4}) {
-    EngineConfig config;
-    config.solver_name = "dc";
-    config.num_threads = num_threads;
-    Engine engine = Engine::Create(config).value();
-    std::vector<util::StatusOr<EngineResult>> batch =
-        engine.RunBatch(instances);
-    ASSERT_EQ(batch.size(), instances.size());
-
-    Engine serial = Engine::Create("dc").value();
-    for (size_t i = 0; i < instances.size(); ++i) {
-      ASSERT_TRUE(batch[i].ok())
-          << "threads " << num_threads << ": " << batch[i].status().ToString();
-      EngineResult expected = serial.Run(instances[i]).value();
-      EXPECT_EQ(batch[i].value().plan.edges, expected.plan.edges);
-      EXPECT_DOUBLE_EQ(batch[i].value().solve.objectives.total_std,
-                       expected.solve.objectives.total_std);
-      EXPECT_DOUBLE_EQ(batch[i].value().solve.objectives.min_reliability,
-                       expected.solve.objectives.min_reliability);
-      for (core::WorkerId j = 0; j < instances[i].num_workers(); ++j) {
-        EXPECT_EQ(batch[i].value().solve.assignment.TaskOf(j),
-                  expected.solve.assignment.TaskOf(j));
-      }
-    }
-  }
-}
-
-TEST(EngineTest, RunBatchSharesOneCancelToken) {
-  std::vector<core::Instance> instances;
-  for (uint64_t seed : {31, 32, 33}) {
-    instances.push_back(SmallInstance(seed, 10, 20));
-  }
-  EngineConfig config;
-  config.solver_name = "sampling";
-  config.num_threads = 2;
-  Engine engine = Engine::Create(config).value();
-  util::CancelToken cancel;
-  cancel.Cancel();  // the whole batch is refused by the shared token
-  RunControls controls;
-  controls.cancel = &cancel;
-  std::vector<util::StatusOr<EngineResult>> batch =
-      engine.RunBatch(instances, controls);
-  ASSERT_EQ(batch.size(), instances.size());
-  for (const auto& result : batch) {
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), util::StatusCode::kCancelled);
-  }
-}
-
-TEST(EngineTest, RunBatchOnEmptySpanIsEmpty) {
-  Engine engine = Engine::Create("greedy").value();
-  EXPECT_TRUE(engine.RunBatch({}).empty());
 }
 
 }  // namespace

@@ -64,7 +64,6 @@ TEST(ServerStatsTest, SnapshotsStayConsistentUnderConcurrentSubmitters) {
   config.overload_policy = OverloadPolicy::kReject;
   config.cache_mode = CacheMode::kOff;
   config.cache_result_entries = 0;
-  config.cache_graph_entries = 0;
   auto server = Server::Create(config).value();
 
   constexpr int kSubmitters = 4;
@@ -138,7 +137,6 @@ TEST(ServerStatsTest, RejectionsPartitionUnderSaturation) {
   config.overload_policy = OverloadPolicy::kReject;
   config.cache_mode = CacheMode::kOff;
   config.cache_result_entries = 0;
-  config.cache_graph_entries = 0;
   auto server = Server::Create(config).value();
 
   std::vector<Ticket> owned;

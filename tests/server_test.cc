@@ -10,9 +10,9 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "engine/fingerprint.h"
 #include "engine/server.h"
 #include "gtest/gtest.h"
-#include "stress_util.h"
 #include "test_util.h"
 
 namespace rdbsc {

@@ -26,7 +26,7 @@ const char* const kSeedTexts[] = {
     "policy block\n"
     "queue_depth 16\n"
     "cache rw\n"
-    "cache_entries 64 16\n"
+    "cache_entries 64\n"
     "template base {\n"
     "  submitters 2\n"
     "  tasks 4 8\n"

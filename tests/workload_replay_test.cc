@@ -91,7 +91,7 @@ TEST(WorkloadReplayContract, AllScenariosPresent) {
   }
   for (const char* required :
        {"rush_hour", "hotspot_skew", "cache_storm", "overload_block",
-        "overload_reject", "drain_restart"}) {
+        "overload_reject", "drain_restart", "sampling_mix"}) {
     EXPECT_NE(std::find(stems.begin(), stems.end(), required), stems.end())
         << "missing workloads/" << required << ".wl";
   }
@@ -117,6 +117,39 @@ TEST(WorkloadReplayContract, PacingDoesNotChangeFingerprints) {
   ASSERT_TRUE(a.ok()) << a.status().message();
   ASSERT_TRUE(b.ok()) << b.status().message();
   EXPECT_EQ(a.value().fingerprints, b.value().fingerprints);
+}
+
+TEST(WorkloadReplayContract, CacheDoesNotChangeFingerprints) {
+  // Cache hits and single-flight collapses replay the cold solve bit for
+  // bit, so the duplicate-heavy cache_storm must answer the same with its
+  // cache as with none (capacity 0: no cache, no collapsing). Its block
+  // policy keeps the cache-less server from turning into rejections.
+  util::StatusOr<WorkloadSpec> spec = ParseWorkloadFile(
+      std::string(RDBSC_WORKLOADS_DIR) + "/cache_storm.wl");
+  ASSERT_TRUE(spec.ok()) << spec.status().message();
+  WorkloadSpec uncached = spec.value();
+  uncached.cache_result_entries = 0;
+  util::StatusOr<CompiledWorkload> with_cache = CompileWorkload(spec.value());
+  util::StatusOr<CompiledWorkload> without = CompileWorkload(uncached);
+  ASSERT_TRUE(with_cache.ok()) << with_cache.status().message();
+  ASSERT_TRUE(without.ok()) << without.status().message();
+
+  for (int workers : {1, 2, 8}) {
+    ReplayOptions options;
+    options.num_workers = workers;
+    options.time_dilation = 0.0;
+    util::StatusOr<ReplayReport> a = ReplayWorkload(with_cache.value(), options);
+    util::StatusOr<ReplayReport> b = ReplayWorkload(without.value(), options);
+    ASSERT_TRUE(a.ok()) << a.status().message();
+    ASSERT_TRUE(b.ok()) << b.status().message();
+    EXPECT_GT(a.value().server.cache_hits +
+                  a.value().server.collapsed,
+              0)
+        << "cache_storm no longer exercises the cache";
+    EXPECT_EQ(b.value().server.cache_hits, 0);
+    EXPECT_EQ(a.value().fingerprints, b.value().fingerprints)
+        << "workers=" << workers;
+  }
 }
 
 TEST(WorkloadReplayContract, RestartPhasesSpawnFreshServerGenerations) {

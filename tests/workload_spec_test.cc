@@ -33,7 +33,7 @@ solver greedy
 policy shed
 queue_depth 40
 cache rw
-cache_entries 128 32
+cache_entries 128
 
 template base {
   mode closed
@@ -75,7 +75,6 @@ TEST(WorkloadSpec, ParsesEveryConstruct) {
   EXPECT_EQ(s.queue_depth, 40);
   EXPECT_EQ(s.cache_mode, engine::CacheMode::kReadWrite);
   EXPECT_EQ(s.cache_result_entries, 128);
-  EXPECT_EQ(s.cache_graph_entries, 32);
   ASSERT_EQ(s.phases.size(), 2u);
 
   const PhaseSpec& first = s.phases[0];
@@ -239,6 +238,8 @@ TEST(WorkloadSpecErrors, PositionsAndMessagesAreExact) {
       {"missing argument", "seed\n", "bad.wl:1:1: 'seed' expects 1 argument"},
       {"trailing token", "seed 1 2\n",
        "bad.wl:1:8: unexpected token '2' after 'seed'"},
+      {"two cache_entries arguments", "cache_entries 128 32\n",
+       "bad.wl:1:19: unexpected token '32' after 'cache_entries'"},
       {"bad integer", "queue_depth many\n",
        "bad.wl:1:13: expected an integer, got 'many'"},
       {"zero queue depth", "queue_depth 0\n",
