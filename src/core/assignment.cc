@@ -72,6 +72,9 @@ void AssignmentState::Add(TaskId i, WorkerId j) {
   if (task_workers_[i].empty()) ++num_nonempty_;
   task_workers_[i].push_back(j);
   task_obs_[i].push_back(ObservationFor(i, j));
+  if (!layout_ready_.empty() && layout_ready_[i]) {
+    layouts_[i].Add(instance_->task(i), task_obs_[i].back());
+  }
   task_r_[i] += util::ReliabilityWeight(instance_->worker(j).confidence);
   RecomputeTask(i);
 }
@@ -86,6 +89,7 @@ void AssignmentState::Remove(WorkerId j) {
   size_t pos = static_cast<size_t>(it - workers.begin());
   workers.erase(it);
   task_obs_[i].erase(task_obs_[i].begin() + static_cast<ptrdiff_t>(pos));
+  if (!layout_ready_.empty()) layout_ready_[i] = 0;
   task_r_[i] -= util::ReliabilityWeight(instance_->worker(j).confidence);
   if (workers.empty()) {
     --num_nonempty_;
@@ -101,6 +105,7 @@ void AssignmentState::Reset(const Assignment& assignment) {
   for (auto& v : task_obs_) v.clear();
   std::fill(task_r_.begin(), task_r_.end(), 0.0);
   std::fill(task_std_.begin(), task_std_.end(), 0.0);
+  std::fill(layout_ready_.begin(), layout_ready_.end(), 0);
   total_std_ = 0.0;
   num_nonempty_ = 0;
   for (WorkerId j = 0; j < assignment.num_workers(); ++j) {
@@ -160,15 +165,26 @@ double AssignmentState::PreviewTaskStd(TaskId i, WorkerId j) const {
   return ExpectedStd(instance_->task(i), obs);
 }
 
+const BoundsLayout& AssignmentState::LayoutOf(TaskId i) const {
+  if (layout_ready_.empty()) {
+    layouts_.resize(static_cast<size_t>(instance_->num_tasks()));
+    layout_ready_.assign(static_cast<size_t>(instance_->num_tasks()), 0);
+  }
+  if (!layout_ready_[i]) {
+    layouts_[i].Assign(instance_->task(i), task_obs_[i]);
+    layout_ready_[i] = 1;
+  }
+  return layouts_[i];
+}
+
 DiversityBounds AssignmentState::PreviewTaskStdBounds(TaskId i,
                                                       WorkerId j) const {
-  std::vector<Observation> obs = task_obs_[i];
-  obs.push_back(ObservationRowOf(j)[static_cast<size_t>(i)]);
-  return ExpectedStdBounds(instance_->task(i), obs);
+  const Observation& extra = ObservationRowOf(j)[static_cast<size_t>(i)];
+  return LayoutOf(i).Bounds(instance_->task(i), &extra);
 }
 
 DiversityBounds AssignmentState::TaskStdBounds(TaskId i) const {
-  return ExpectedStdBounds(instance_->task(i), task_obs_[i]);
+  return LayoutOf(i).Bounds(instance_->task(i));
 }
 
 ObjectiveValue EvaluateAssignment(const Instance& instance,

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "core/bounds_layout.h"
 #include "core/diversity.h"
 #include "core/instance.h"
 #include "core/model.h"
@@ -105,15 +106,23 @@ class AssignmentState {
   /// state. Cost: O(r_i^2); used by the greedy exact-increment step.
   double PreviewTaskStd(TaskId i, WorkerId j) const;
 
-  /// Lower/upper bounds of E[STD(t_i)] if worker j were added (O(r log r));
-  /// feeds the Lemma 4.3 pruning.
+  /// Lower/upper bounds of E[STD(t_i)] if worker j were added; feeds the
+  /// Lemma 4.3 pruning. O(r_i) and allocation-free once task i's layout
+  /// is built, bit-identical to ExpectedStdBounds.
   DiversityBounds PreviewTaskStdBounds(TaskId i, WorkerId j) const;
 
-  /// Bounds of the current E[STD(t_i)].
+  /// Bounds of the current E[STD(t_i)], from the same layout.
   DiversityBounds TaskStdBounds(TaskId i) const;
 
  private:
   void RecomputeTask(TaskId i);
+
+  /// Task i's BoundsLayout, built on first use. Like the observation rows,
+  /// layouts are lazy: the constructor, Reset and EvaluateAssignment never
+  /// build one, so states that are only replayed and scored (sampling
+  /// builds one per sample) pay nothing. Add() extends a built layout in
+  /// O(r); Remove() and Reset() mark it stale for a rebuild on next use.
+  const BoundsLayout& LayoutOf(TaskId i) const;
 
   /// The observation of (task i, worker j): served from the lazily built
   /// per-worker row when one exists, otherwise computed scalar. Rows are
@@ -141,6 +150,11 @@ class AssignmentState {
   /// sampling evaluations); nothing shares one across threads.
   mutable std::vector<std::vector<Observation>> obs_rows_;
   mutable std::vector<uint8_t> obs_row_ready_;
+
+  /// Per-task bound layouts; both vectors stay empty until the first
+  /// bound call, so states that never preview bounds allocate none.
+  mutable std::vector<BoundsLayout> layouts_;
+  mutable std::vector<uint8_t> layout_ready_;
 };
 
 /// Evaluates an assignment's objectives from scratch (convenience wrapper

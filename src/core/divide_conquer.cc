@@ -415,18 +415,12 @@ util::StatusOr<SolveResult> DivideConquerSolver::SolveImpl(
 namespace internal {
 
 void RegisterDivideConquerSolvers(SolverRegistry& registry) {
-  registry
-      .Register("dc",
-                [](const SolverOptions& options) {
-                  return std::make_unique<DivideConquerSolver>(options);
-                })
-      .ok();
-  registry
-      .Register("gtruth",
-                [](const SolverOptions& options) {
-                  return std::make_unique<GroundTruthSolver>(options);
-                })
-      .ok();
+  RegisterBuiltin(registry, "dc", [](const SolverOptions& options) {
+    return std::make_unique<DivideConquerSolver>(options);
+  });
+  RegisterBuiltin(registry, "gtruth", [](const SolverOptions& options) {
+    return std::make_unique<GroundTruthSolver>(options);
+  });
 }
 
 }  // namespace internal

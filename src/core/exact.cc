@@ -175,12 +175,9 @@ util::StatusOr<std::vector<Assignment>> EnumerateParetoFront(
 namespace internal {
 
 void RegisterExactSolver(SolverRegistry& registry) {
-  registry
-      .Register("exact",
-                [](const SolverOptions& options) {
-                  return std::make_unique<ExactSolver>(options);
-                })
-      .ok();
+  RegisterBuiltin(registry, "exact", [](const SolverOptions& options) {
+    return std::make_unique<ExactSolver>(options);
+  });
 }
 
 }  // namespace internal

@@ -1,5 +1,7 @@
 #include "core/registry.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 namespace rdbsc::core {
@@ -51,6 +53,20 @@ util::StatusOr<std::unique_ptr<Solver>> SolverRegistry::Create(
   }
   return solver;
 }
+
+namespace internal {
+
+void RegisterBuiltin(SolverRegistry& registry, std::string name,
+                     SolverRegistry::Factory factory) {
+  util::Status status = registry.Register(std::move(name), std::move(factory));
+  if (!status.ok()) {
+    std::fprintf(stderr, "built-in solver registration failed: %s\n",
+                 status.ToString().c_str());
+    std::abort();
+  }
+}
+
+}  // namespace internal
 
 bool SolverRegistry::Contains(std::string_view name) const {
   return factories_.find(name) != factories_.end();

@@ -72,6 +72,12 @@ void RegisterSamplingSolver(SolverRegistry& registry);
 void RegisterDivideConquerSolvers(SolverRegistry& registry);
 void RegisterExactSolver(SolverRegistry& registry);
 
+/// Registers one built-in solver. A failure (duplicate or empty name, null
+/// factory) is a programming error that would leave the registry silently
+/// short, so it aborts with the status message instead.
+void RegisterBuiltin(SolverRegistry& registry, std::string name,
+                     SolverRegistry::Factory factory);
+
 }  // namespace internal
 
 }  // namespace rdbsc::core

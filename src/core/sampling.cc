@@ -106,12 +106,9 @@ util::StatusOr<SolveResult> SamplingSolver::SolveImpl(
 namespace internal {
 
 void RegisterSamplingSolver(SolverRegistry& registry) {
-  registry
-      .Register("sampling",
-                [](const SolverOptions& options) {
-                  return std::make_unique<SamplingSolver>(options);
-                })
-      .ok();
+  RegisterBuiltin(registry, "sampling", [](const SolverOptions& options) {
+    return std::make_unique<SamplingSolver>(options);
+  });
 }
 
 }  // namespace internal

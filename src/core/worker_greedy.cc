@@ -83,12 +83,9 @@ util::StatusOr<SolveResult> WorkerGreedySolver::SolveImpl(
 namespace internal {
 
 void RegisterWorkerGreedySolver(SolverRegistry& registry) {
-  registry
-      .Register("worker-greedy",
-                [](const SolverOptions& options) {
-                  return std::make_unique<WorkerGreedySolver>(options);
-                })
-      .ok();
+  RegisterBuiltin(registry, "worker-greedy", [](const SolverOptions& options) {
+    return std::make_unique<WorkerGreedySolver>(options);
+  });
 }
 
 }  // namespace internal

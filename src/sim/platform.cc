@@ -1,7 +1,10 @@
 #include "sim/platform.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <numbers>
 #include <utility>
@@ -39,23 +42,73 @@ struct Site {
 /// pruning (that is fig17's subject).
 constexpr double kCampusEta = 0.05;
 
-core::ObjectiveValue ComputeObjectives(const std::vector<Site>& sites) {
-  core::ObjectiveValue value;
-  double min_r = std::numeric_limits<double>::infinity();
-  bool any = false;
-  for (const Site& site : sites) {
-    if (site.contributions.empty()) continue;
-    any = true;
-    double r = 0.0;
-    for (const core::Observation& obs : site.contributions) {
-      r += util::ReliabilityWeight(obs.confidence);
+// The round objectives over all sites -- min reliability over non-empty
+// sites and the Eq. 7 total E[STD] -- memoized per site: a site's log1p
+// sum and O(r^2) E[STD] are recomputed only when its observation list
+// differs, bit for bit, from the one it was last evaluated on. The total
+// still sums the sites in site order, so every value equals a fresh
+// evaluation of every site.
+class SiteObjectives {
+ public:
+  explicit SiteObjectives(size_t num_sites) : memo_(num_sites) {}
+
+  /// Objectives with `extra[s]` appended to site s's contributions.
+  core::ObjectiveValue Evaluate(
+      const std::vector<Site>& sites,
+      const std::vector<std::vector<core::Observation>>& extra) {
+    core::ObjectiveValue value;
+    double min_r = std::numeric_limits<double>::infinity();
+    bool any = false;
+    for (size_t s = 0; s < sites.size(); ++s) {
+      Memo& memo = memo_[s];
+      if (!Matches(memo.obs, sites[s].contributions, extra[s])) {
+        memo.obs = sites[s].contributions;
+        memo.obs.insert(memo.obs.end(), extra[s].begin(), extra[s].end());
+        memo.r = 0.0;
+        for (const core::Observation& obs : memo.obs) {
+          memo.r += util::ReliabilityWeight(obs.confidence);
+        }
+        memo.expected_std = core::ExpectedStd(sites[s].task, memo.obs);
+      }
+      if (memo.obs.empty()) continue;
+      any = true;
+      min_r = std::min(min_r, memo.r);
+      value.total_std += memo.expected_std;
     }
-    min_r = std::min(min_r, r);
-    value.total_std += core::ExpectedStd(site.task, site.contributions);
+    value.min_reliability = any ? util::ReducedToProbability(min_r) : 0.0;
+    return value;
   }
-  value.min_reliability = any ? util::ReducedToProbability(min_r) : 0.0;
-  return value;
-}
+
+ private:
+  struct Memo {
+    std::vector<core::Observation> obs;
+    double r = 0.0;
+    double expected_std = 0.0;
+  };
+
+  static bool SameBits(const core::Observation& a,
+                       const core::Observation& b) {
+    return std::bit_cast<uint64_t>(a.angle) ==
+               std::bit_cast<uint64_t>(b.angle) &&
+           std::bit_cast<uint64_t>(a.arrival) ==
+               std::bit_cast<uint64_t>(b.arrival) &&
+           std::bit_cast<uint64_t>(a.confidence) ==
+               std::bit_cast<uint64_t>(b.confidence);
+  }
+
+  // True when `memo` is `head` followed by `tail`.
+  static bool Matches(const std::vector<core::Observation>& memo,
+                      const std::vector<core::Observation>& head,
+                      const std::vector<core::Observation>& tail) {
+    if (memo.size() != head.size() + tail.size()) return false;
+    return std::equal(head.begin(), head.end(), memo.begin(), SameBits) &&
+           std::equal(tail.begin(), tail.end(),
+                      memo.begin() + static_cast<ptrdiff_t>(head.size()),
+                      SameBits);
+  }
+
+  std::vector<Memo> memo_;
+};
 
 }  // namespace
 
@@ -134,6 +187,8 @@ util::StatusOr<PlatformResult> Platform::Run() {
   }
 
   double accuracy_error_sum = 0.0;
+  SiteObjectives objectives(sites.size());
+  std::vector<std::vector<core::Observation>> en_route(sites.size());
 
   // Delivers every traveller due by `until`; returns their completion
   // events (each worker is assignable again from its site).
@@ -217,24 +272,24 @@ util::StatusOr<PlatformResult> Platform::Run() {
     }
 
     // Round objectives: realized answers plus en-route workers.
-    std::vector<Site> preview = sites;
+    for (auto& observations : en_route) observations.clear();
     for (core::WorkerId j = 0; j < config_.num_workers; ++j) {
       const MobileWorker& mw = workers[j];
       if (!mw.traveling) continue;
-      Site& site = preview[mw.target];
-      site.contributions.push_back(core::Observation{
-          .angle = geo::Bearing(site.task.location, mw.profile.location),
-          .arrival = std::clamp(mw.arrival_time, site.task.start,
-                                site.task.end),
+      const core::Task& task = sites[mw.target].task;
+      en_route[mw.target].push_back(core::Observation{
+          .angle = geo::Bearing(task.location, mw.profile.location),
+          .arrival = std::clamp(mw.arrival_time, task.start, task.end),
           .confidence = mw.profile.confidence});
     }
-    record.objectives = ComputeObjectives(preview);
+    record.objectives = objectives.Evaluate(sites, en_route);
     result.rounds.push_back(record);
   }
 
   deliver_arrivals(config_.horizon + 10.0);  // flush everyone still en route
   if (m_answers != nullptr) m_answers->Increment(result.answers_received);
-  result.final_objectives = ComputeObjectives(sites);
+  for (auto& observations : en_route) observations.clear();
+  result.final_objectives = objectives.Evaluate(sites, en_route);
   result.mean_accuracy_error =
       result.answers_received > 0
           ? accuracy_error_sum / result.answers_received

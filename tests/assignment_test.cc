@@ -1,5 +1,8 @@
 #include "core/assignment.h"
 
+#include <bit>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -161,6 +164,110 @@ TEST_P(IncrementalVsScratchTest, PreviewAddMatchesCommit) {
     EXPECT_NEAR(preview.min_reliability,
                 state.Objectives().min_reliability, 1e-9);
     EXPECT_NEAR(preview_std, state.TaskExpectedStd(i), 1e-9);
+  }
+}
+
+// A SmallInstance reshaped for the bound layouts: tasks cycle through
+// beta = 0, 1 and 0.5, and every third worker is a twin of the previous
+// one (same spot, speed, check-in and confidence), so rosters carry
+// duplicate angles and arrivals.
+Instance TwinnedInstance(int seed) {
+  Instance base = test::SmallInstance(seed);
+  std::vector<Task> tasks = base.tasks();
+  std::vector<Worker> workers = base.workers();
+  const double betas[] = {0.0, 1.0, 0.5};
+  for (size_t i = 0; i < tasks.size(); ++i) tasks[i].beta = betas[i % 3];
+  for (size_t j = 2; j < workers.size(); j += 3) workers[j] = workers[j - 1];
+  return Instance(std::move(tasks), std::move(workers), base.now(),
+                  base.policy());
+}
+
+bool SameBits(const DiversityBounds& a, const DiversityBounds& b) {
+  return std::bit_cast<uint64_t>(a.lb) == std::bit_cast<uint64_t>(b.lb) &&
+         std::bit_cast<uint64_t>(a.ub) == std::bit_cast<uint64_t>(b.ub);
+}
+
+// TaskStdBounds(i) and PreviewTaskStdBounds(i, j) for every candidate j
+// equal ExpectedStdBounds over the roster (plus j) bit for bit.
+void ExpectBoundsMatchOracle(const AssignmentState& state,
+                             const CandidateGraph& graph, TaskId i) {
+  const Instance& instance = state.instance();
+  const Task& task = instance.task(i);
+  std::vector<Observation> roster;
+  for (WorkerId w : state.WorkersOf(i)) {
+    roster.push_back(MakeObservation(task, instance.worker(w),
+                                     instance.now(), instance.policy()));
+  }
+  DiversityBounds want = ExpectedStdBounds(task, roster);
+  DiversityBounds got = state.TaskStdBounds(i);
+  EXPECT_TRUE(SameBits(got, want))
+      << "task " << i << " r=" << roster.size() << ": [" << got.lb << ", "
+      << got.ub << "] vs [" << want.lb << ", " << want.ub << "]";
+  for (WorkerId j : graph.WorkersOf(i)) {
+    if (state.TaskOf(j) == i) continue;
+    std::vector<Observation> with = roster;
+    with.push_back(MakeObservation(task, instance.worker(j), instance.now(),
+                                   instance.policy()));
+    want = ExpectedStdBounds(task, with);
+    got = state.PreviewTaskStdBounds(i, j);
+    EXPECT_TRUE(SameBits(got, want))
+        << "task " << i << " + worker " << j << " r=" << with.size()
+        << ": [" << got.lb << ", " << got.ub << "] vs [" << want.lb << ", "
+        << want.ub << "]";
+  }
+}
+
+TEST_P(IncrementalVsScratchTest, BoundPreviewsMatchOracleBitForBit) {
+  Instance instance = TwinnedInstance(GetParam() + 300);
+  CandidateGraph graph = CandidateGraph::Build(instance);
+  util::Rng rng(GetParam() * 13);
+  AssignmentState state(instance);
+
+  // r = 0, 1, 2 on one task, twins included, before any churn.
+  TaskId first = kNoTask;
+  for (TaskId i = 0; i < instance.num_tasks() && first == kNoTask; ++i) {
+    if (graph.WorkersOf(i).size() >= 2) first = i;
+  }
+  ASSERT_NE(first, kNoTask);
+  ExpectBoundsMatchOracle(state, graph, first);
+  for (int k = 0; k < 2; ++k) {
+    state.Add(first, graph.WorkersOf(first)[static_cast<size_t>(k)]);
+    ExpectBoundsMatchOracle(state, graph, first);
+  }
+
+  // Churn: Adds extend built layouts, Removes and Resets make them stale;
+  // each step re-checks the touched task and one random task.
+  for (int step = 0; step < 300; ++step) {
+    TaskId touched = kNoTask;
+    if (rng.Bernoulli(0.03)) {
+      Assignment replay(instance.num_workers());
+      for (WorkerId j = 0; j < instance.num_workers(); ++j) {
+        const auto& tasks = graph.TasksOf(j);
+        if (tasks.empty() || rng.Bernoulli(0.5)) continue;
+        replay.Assign(j, tasks[static_cast<size_t>(rng.UniformInt(
+                             0, static_cast<int64_t>(tasks.size()) - 1))]);
+      }
+      state.Reset(replay);
+    } else {
+      WorkerId j = static_cast<WorkerId>(
+          rng.UniformInt(0, instance.num_workers() - 1));
+      if (state.TaskOf(j) != kNoTask) {
+        touched = state.TaskOf(j);
+        state.Remove(j);
+      } else if (!graph.TasksOf(j).empty()) {
+        const auto& tasks = graph.TasksOf(j);
+        touched = tasks[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(tasks.size()) - 1))];
+        state.Add(touched, j);
+      }
+    }
+    if (touched != kNoTask) ExpectBoundsMatchOracle(state, graph, touched);
+    ExpectBoundsMatchOracle(
+        state, graph,
+        static_cast<TaskId>(rng.UniformInt(0, instance.num_tasks() - 1)));
+  }
+  for (TaskId i = 0; i < instance.num_tasks(); ++i) {
+    ExpectBoundsMatchOracle(state, graph, i);
   }
 }
 

@@ -94,6 +94,13 @@ TEST(SolverRegistryTest, ApplicationsCanRegisterCustomSolvers) {
   EXPECT_TRUE(solver.value()->Solve(instance, graph).ok());
 }
 
+TEST(SolverRegistryDeathTest, FailedBuiltinRegistrationAborts) {
+  SolverRegistry registry;
+  internal::RegisterGreedySolver(registry);
+  EXPECT_DEATH(internal::RegisterGreedySolver(registry),
+               "solver 'greedy' is already registered");
+}
+
 TEST(SolverRegistryTest, RegistrationNeedsNameAndFactory) {
   SolverRegistry registry;
   EXPECT_EQ(registry.Register("", [](const SolverOptions&) {

@@ -1,12 +1,20 @@
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <numbers>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/divide_conquer.h"
 #include "core/greedy.h"
 #include "core/sampling.h"
 #include "core/worker_greedy.h"
+#include "gen/workload.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
+#include "util/hash.h"
 
 namespace rdbsc::core {
 namespace {
@@ -117,6 +125,128 @@ TEST(GreedyTest, NoValidPairs) {
   GreedySolver solver;
   SolveResult result = solver.Solve(instance, graph).value();
   EXPECT_EQ(result.assignment.NumAssigned(), 0);
+}
+
+// ---------- GREEDY golden decisions ----------
+
+// Six tasks and three crowds of eight workers. Crowd members share spot,
+// speed and confidence, so they observe a shared task identically and
+// greedy's (dmr, dstd) increase pairs tie exactly. Odd members only look
+// east, so which twin wins a tie changes what is left for later rounds.
+Instance CoLocatedInstance() {
+  std::vector<Task> tasks;
+  for (int k = 0; k < 6; ++k) {
+    Task t = test::MakeTask(k % 3 == 0 ? 1.0 : (k % 3 == 1 ? 0.0 : 0.5), 0.0,
+                            4.0 + k);
+    t.location = {0.30 + 0.08 * k, 0.50 + 0.06 * (k % 2)};
+    tasks.push_back(t);
+  }
+  const geo::Point spots[] = {{0.25, 0.30}, {0.55, 0.75}, {0.80, 0.40}};
+  const double confidences[] = {0.9, 0.93, 0.96};
+  std::vector<Worker> workers;
+  for (int crowd = 0; crowd < 3; ++crowd) {
+    for (int member = 0; member < 8; ++member) {
+      Worker w;
+      w.location = spots[crowd];
+      w.velocity = 0.5;
+      w.confidence = confidences[crowd];
+      if (member % 2 == 1) {
+        w.direction = geo::AngularInterval(-std::numbers::pi / 2,
+                                           std::numbers::pi / 2);
+      }
+      workers.push_back(w);
+    }
+  }
+  return Instance(std::move(tasks), std::move(workers));
+}
+
+// Assignment hash, objective bit patterns and the pruning count.
+std::string GreedyDigest(const SolveResult& result) {
+  uint64_t assignment = 0;
+  for (WorkerId j = 0; j < result.assignment.num_workers(); ++j) {
+    assignment = util::HashCombine(
+        assignment, static_cast<uint64_t>(result.assignment.TaskOf(j) + 1));
+  }
+  char buf[128];
+  std::snprintf(buf, sizeof(buf), "%016llx %016llx %016llx %lld",
+                static_cast<unsigned long long>(assignment),
+                static_cast<unsigned long long>(
+                    std::bit_cast<uint64_t>(result.objectives.min_reliability)),
+                static_cast<unsigned long long>(
+                    std::bit_cast<uint64_t>(result.objectives.total_std)),
+                static_cast<long long>(result.stats.pruned_pairs));
+  return buf;
+}
+
+struct GreedyGolden {
+  const char* instance;
+  const char* mode;
+  const char* digest;
+};
+
+// Captured from the Figure 3 reference loop, which re-sorted every alive
+// pair by dmr each round; a tie between identical increase pairs goes to
+// the first one in that std::sort order, not to the lowest pair index.
+constexpr GreedyGolden kGreedyGolden[] = {
+    {"table2-1", "bounds",
+     "c4a7fc022a129add 3fed811c697d452a 4020e41d70dbdf25 675"},
+    {"table2-1", "bounds-noprune",
+     "c4a7fc022a129add 3fed811c697d452a 4020e41d70dbdf25 0"},
+    {"table2-1", "exact",
+     "349500d7d6380525 3fed811c697d452a 4021c32e2b0408b8 631"},
+    {"table2-2", "bounds",
+     "8af7330942fddde8 3fed526d5202c73b 4025324f81d10aad 1029"},
+    {"table2-2", "bounds-noprune",
+     "8af7330942fddde8 3fed526d5202c73b 4025324f81d10aad 0"},
+    {"table2-2", "exact",
+     "a610fdb92da0e536 3fed526d5202c73b 40255c366446cc45 960"},
+    {"table2-3", "bounds",
+     "def6f7ed1f454543 3fed185f49573e33 4029a296b6ae712f 1369"},
+    {"table2-3", "bounds-noprune",
+     "def6f7ed1f454543 3fed185f49573e33 4029a296b6ae712f 0"},
+    {"table2-3", "exact",
+     "db2fb532ccb51a68 3fed185f49573e33 402a84f1781cd51a 1252"},
+    {"dense-7", "bounds",
+     "17ea54932529a087 3fed6d9daa94ddb8 401ee0e9d5108fe5 2101"},
+    {"dense-7", "bounds-noprune",
+     "17ea54932529a087 3fed6d9daa94ddb8 401ee0e9d5108fe5 0"},
+    {"dense-7", "exact",
+     "249d94cfaabc0d15 3fed7bf373c3f5f0 402720922ba8167e 1670"},
+    {"colocated", "bounds",
+     "0d2c069e39830e5f 3fedc28f5c28f5c3 3ffb2edd9666a198 790"},
+    {"colocated", "bounds-noprune",
+     "de595b1a7cf877bd 3fedc28f5c28f5c3 3ffb2edd9666a196 0"},
+    {"colocated", "exact",
+     "883ac95c3a6bb41a 3feffffbe3bba6b5 4004481d04760497 523"},
+};
+
+TEST(GreedyGoldenTest, DecisionsMatchReferenceLoop) {
+  for (const GreedyGolden& golden : kGreedyGolden) {
+    std::string name = golden.instance;
+    Instance instance;
+    if (name == "colocated") {
+      instance = CoLocatedInstance();
+    } else if (name == "dense-7") {
+      instance = SmallInstance(7, /*num_tasks=*/20, /*num_workers=*/60);
+    } else {
+      gen::WorkloadConfig config;  // Table 2 defaults, scaled down
+      config.num_tasks = 40;
+      config.num_workers = 160;
+      config.start_max = 4.0;
+      config.seed = static_cast<uint64_t>(name.back() - '0');
+      instance = gen::GenerateInstance(config);
+    }
+    CandidateGraph graph = CandidateGraph::Build(instance);
+    std::string mode = golden.mode;
+    SolverOptions options;
+    options.use_pruning = mode != "bounds-noprune";
+    options.greedy_increment = mode == "exact"
+                                   ? SolverOptions::GreedyIncrement::kExact
+                                   : SolverOptions::GreedyIncrement::kBounds;
+    SolveResult result = GreedySolver(options).Solve(instance, graph).value();
+    EXPECT_EQ(GreedyDigest(result), golden.digest)
+        << name << " " << mode << " (" << graph.NumEdges() << " edges)";
+  }
 }
 
 // ---------- Worker-order GREEDY (Section 8.1 variant) ----------

@@ -33,6 +33,11 @@ the compiler nor clang-tidy can express:
                           util/mutex.h so -Wthread-safety sees it), and
                           every util::Mutex member must have at least one
                           GUARDED_BY companion in the same file.
+  discarded-status        No statement made only of a call chain ending in
+                          `.ok();` (for example `registry.Register(...)
+                          .ok();`) anywhere in src. It reads as a check but
+                          drops the Status: handle the error, return it, or
+                          abort with its message.
 
 Suppress a finding with a justification on the same or previous line:
 
@@ -376,6 +381,70 @@ def check_unguarded_mutex(src: SourceFile) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# Rule: discarded-status
+# ---------------------------------------------------------------------------
+
+OK_CALL_END_RE = re.compile(r"\.\s*ok\s*\(\s*\)\s*;")
+STATEMENT_KEYWORDS = ("return", "co_return", "co_yield", "throw", "case")
+
+
+def match_balanced_back(text: str, close_pos: int) -> int:
+    """Returns the offset of the bracket opening the one at text[close_pos]."""
+    close_ch = text[close_pos]
+    open_ch = "(" if close_ch == ")" else "["
+    depth = 0
+    for i in range(close_pos, -1, -1):
+        if text[i] == close_ch:
+            depth += 1
+        elif text[i] == open_ch:
+            depth -= 1
+            if depth == 0:
+                return i
+    return 0
+
+
+def expression_start(code: str, end: int) -> int:
+    """Walks back from `end` over one postfix expression: names, member
+    access (. -> ::), whitespace and balanced (...) / [...] groups."""
+    i = end
+    while i > 0:
+        c = code[i - 1]
+        if c.isalnum() or c in "_.:" or c.isspace():
+            i -= 1
+        elif c == ">" and i >= 2 and code[i - 2] == "-":
+            i -= 2
+        elif c in ")]":
+            i = match_balanced_back(code, i - 1)
+        else:
+            break
+    return i
+
+
+def check_discarded_status(src: SourceFile) -> list[Finding]:
+    findings = []
+    for m in OK_CALL_END_RE.finditer(src.code):
+        start = expression_start(src.code, m.start())
+        if start > 0 and src.code[start - 1] not in ";{}":
+            continue  # assigned, negated, passed on, ...
+        words = IDENT_RE.findall(src.code[start : m.start()])
+        if not words or words[0] in STATEMENT_KEYWORDS:
+            continue
+        line = line_of(src.code, m.start())
+        if src.allowed(line, "discarded-status"):
+            continue
+        findings.append(
+            Finding(
+                src.display,
+                line,
+                "discarded-status",
+                "statement discards the Status it checks with '.ok();'; "
+                "handle or propagate the error, or abort with its message",
+            )
+        )
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # Scoping and driver
 # ---------------------------------------------------------------------------
 
@@ -398,6 +467,7 @@ RULE_SCOPES = {
     "ambient-rng": ("src/core", "src/engine", "src/index", "src/obs",
                     "src/sim", "src/wl"),
     "unguarded-mutex": ("src",),
+    "discarded-status": ("src",),
 }
 
 UNGUARDED_MUTEX_EXEMPT = ("src/util/mutex.h", "src/util/thread_annotations.h")
@@ -408,6 +478,7 @@ RULE_CHECKS = {
     "ambient-time": check_ambient,  # shared checker, filtered below
     "ambient-rng": check_ambient,
     "unguarded-mutex": check_unguarded_mutex,
+    "discarded-status": check_discarded_status,
 }
 
 
