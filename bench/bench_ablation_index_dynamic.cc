@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "index/delta_graph.h"
 #include "index/grid_index.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace rdbsc::bench {
 namespace {
@@ -36,6 +38,15 @@ namespace {
 double Seconds(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+// A failed maintenance call leaves the index or the delta graph out of
+// step with the moves, so every number after it would be meaningless.
+void OrDie(const util::Status& status, const char* what) {
+  if (status.ok()) return;
+  std::fprintf(stderr, "bench_ablation_index_dynamic: %s failed: %s\n", what,
+               status.ToString().c_str());
+  std::exit(1);
 }
 
 int Run(int argc, char** argv) {
@@ -140,9 +151,10 @@ int Run(int argc, char** argv) {
       index::DeltaGraph delta;
       if (delta_mode) {
         for (core::WorkerId j = 0; j < instance.num_workers(); ++j) {
-          delta.AddRow(j).ok();
+          OrDie(delta.AddRow(j), "DeltaGraph::AddRow");
         }
-        delta.RepairRows(index).ok();  // warm start, outside the timer
+        // Warm start, outside the timer.
+        OrDie(delta.RepairRows(index), "DeltaGraph::RepairRows");
       }
 
       const int moved = std::max(
@@ -164,12 +176,14 @@ int Run(int argc, char** argv) {
 
         auto t0 = std::chrono::steady_clock::now();
         for (const auto& [j, to] : moves) {
-          index.MoveWorker(j, to).ok();
+          OrDie(index.MoveWorker(j, to), "GridIndex::MoveWorker");
           position[j] = to;
-          if (delta_mode) delta.MarkRowDirty(j).ok();
+          if (delta_mode) {
+            OrDie(delta.MarkRowDirty(j), "DeltaGraph::MarkRowDirty");
+          }
         }
         if (delta_mode) {
-          delta.RepairRows(index).ok();
+          OrDie(delta.RepairRows(index), "DeltaGraph::RepairRows");
           edges += static_cast<int64_t>(delta.Pairs().size());
         } else {
           edges +=

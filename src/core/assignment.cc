@@ -66,22 +66,21 @@ Observation AssignmentState::ObservationFor(TaskId i, WorkerId j) const {
                          instance_->now(), instance_->policy());
 }
 
-void AssignmentState::Add(TaskId i, WorkerId j) {
+void AssignmentState::Attach(TaskId i, WorkerId j, const Observation& obs) {
   assert(assignment_.TaskOf(j) == kNoTask && "worker already assigned");
   assignment_.Assign(j, i);
   if (task_workers_[i].empty()) ++num_nonempty_;
   task_workers_[i].push_back(j);
-  task_obs_[i].push_back(ObservationFor(i, j));
+  task_obs_[i].push_back(obs);
   if (!layout_ready_.empty() && layout_ready_[i]) {
-    layouts_[i].Add(instance_->task(i), task_obs_[i].back());
+    layouts_[i].Add(instance_->task(i), obs);
   }
   task_r_[i] += util::ReliabilityWeight(instance_->worker(j).confidence);
-  RecomputeTask(i);
 }
 
-void AssignmentState::Remove(WorkerId j) {
+TaskId AssignmentState::Detach(WorkerId j) {
   TaskId i = assignment_.TaskOf(j);
-  if (i == kNoTask) return;
+  assert(i != kNoTask);
   assignment_.Unassign(j);
   auto& workers = task_workers_[i];
   auto it = std::find(workers.begin(), workers.end(), j);
@@ -95,7 +94,33 @@ void AssignmentState::Remove(WorkerId j) {
     --num_nonempty_;
     task_r_[i] = 0.0;  // cancel accumulated rounding noise
   }
-  RecomputeTask(i);
+  return i;
+}
+
+void AssignmentState::SetTaskStd(TaskId i, double fresh) {
+  total_std_ += fresh - task_std_[i];
+  task_std_[i] = fresh;
+}
+
+void AssignmentState::Add(TaskId i, WorkerId j) {
+  Attach(i, j, ObservationFor(i, j));
+  SetTaskStd(i, ExpectedStd(instance_->task(i), task_obs_[i]));
+}
+
+void AssignmentState::Remove(WorkerId j) {
+  if (assignment_.TaskOf(j) == kNoTask) return;
+  TaskId i = Detach(j);
+  SetTaskStd(i, ExpectedStd(instance_->task(i), task_obs_[i]));
+}
+
+void AssignmentState::AddKnown(TaskId i, WorkerId j, const Observation& obs,
+                               double task_std) {
+  Attach(i, j, obs);
+  SetTaskStd(i, task_std);
+}
+
+void AssignmentState::RemoveKnown(WorkerId j, double task_std) {
+  SetTaskStd(Detach(j), task_std);
 }
 
 void AssignmentState::Reset(const Assignment& assignment) {
@@ -112,12 +137,6 @@ void AssignmentState::Reset(const Assignment& assignment) {
     TaskId i = assignment.TaskOf(j);
     if (i != kNoTask) Add(i, j);
   }
-}
-
-void AssignmentState::RecomputeTask(TaskId i) {
-  double fresh = ExpectedStd(instance_->task(i), task_obs_[i]);
-  total_std_ += fresh - task_std_[i];
-  task_std_[i] = fresh;
 }
 
 double AssignmentState::MinReducedReliabilityAllTasks() const {
@@ -143,7 +162,7 @@ ObjectiveValue AssignmentState::Objectives() const {
 
 ObjectiveValue AssignmentState::PreviewAdd(TaskId i, WorkerId j) const {
   std::vector<Observation> obs = task_obs_[i];
-  obs.push_back(ObservationRowOf(j)[static_cast<size_t>(i)]);
+  obs.push_back(ObservationFor(i, j));
   double new_std = ExpectedStd(instance_->task(i), obs);
   double new_r =
       task_r_[i] + util::ReliabilityWeight(instance_->worker(j).confidence);

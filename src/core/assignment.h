@@ -69,6 +69,17 @@ class AssignmentState {
   /// Removes worker j from its task (no-op when unassigned).
   void Remove(WorkerId j);
 
+  /// Add(i, j) for a caller that already holds ObservationFor(i, j) and the
+  /// E[STD(t_i)] of the grown observation list: the same bookkeeping and
+  /// the same running-total update, without the O(r^2) ExpectedStd call.
+  /// `task_std` must be that ExpectedStd bit for bit.
+  void AddKnown(TaskId i, WorkerId j, const Observation& obs,
+                double task_std);
+
+  /// Remove(j) for an assigned worker, with the E[STD] of its task's
+  /// shrunk observation list supplied (same contract as AddKnown).
+  void RemoveKnown(WorkerId j, double task_std);
+
   /// Replays a whole assignment (workers with kNoTask stay unassigned).
   void Reset(const Assignment& assignment);
 
@@ -82,6 +93,22 @@ class AssignmentState {
   const std::vector<WorkerId>& WorkersOf(TaskId i) const {
     return task_workers_[i];
   }
+
+  /// Observations of task i's workers, in WorkersOf(i) order.
+  const std::vector<Observation>& TaskObservations(TaskId i) const {
+    return task_obs_[i];
+  }
+
+  /// The observation Add(i, j) records for worker j on task i: served
+  /// from the lazily built per-worker row when one exists, otherwise
+  /// computed scalar. Rows are built (whole, through the batched
+  /// core::ObservationRow kernel over the instance's SoA task block) by
+  /// PreviewTaskStd and the bound previews, which greedy calls many times
+  /// per worker and round; Add and PreviewAdd never force a row, so
+  /// replay-heavy users (Reset, sampling's EvaluateAssignment, D&C's
+  /// merge) keep their O(1)-observations-per-call cost. Bit-identical
+  /// either way: the row kernel is the scalar sequence.
+  Observation ObservationFor(TaskId i, WorkerId j) const;
 
   TaskId TaskOf(WorkerId j) const { return assignment_.TaskOf(j); }
 
@@ -115,7 +142,13 @@ class AssignmentState {
   DiversityBounds TaskStdBounds(TaskId i) const;
 
  private:
-  void RecomputeTask(TaskId i);
+  /// Add/Remove minus the E[STD] refresh: list, reliability and layout
+  /// bookkeeping only. Detach returns the task the worker left.
+  void Attach(TaskId i, WorkerId j, const Observation& obs);
+  TaskId Detach(WorkerId j);
+
+  /// Moves task i's E[STD] to `fresh`, updating the running total.
+  void SetTaskStd(TaskId i, double fresh);
 
   /// Task i's BoundsLayout, built on first use. Like the observation rows,
   /// layouts are lazy: the constructor, Reset and EvaluateAssignment never
@@ -124,15 +157,6 @@ class AssignmentState {
   /// O(r); Remove() and Reset() mark it stale for a rebuild on next use.
   const BoundsLayout& LayoutOf(TaskId i) const;
 
-  /// The observation of (task i, worker j): served from the lazily built
-  /// per-worker row when one exists, otherwise computed scalar. Rows are
-  /// built (whole, through the batched core::ObservationRow kernel over
-  /// the instance's SoA task block) by the Preview* entry points, which
-  /// solvers call many times per worker and round; the one-shot Add path
-  /// never forces a row, so replay-heavy users (Reset, sampling's
-  /// EvaluateAssignment) keep their O(1)-observations-per-Add cost.
-  /// Bit-identical either way: the row kernel is the scalar sequence.
-  Observation ObservationFor(TaskId i, WorkerId j) const;
   const std::vector<Observation>& ObservationRowOf(WorkerId j) const;
 
   const Instance* instance_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -14,6 +16,7 @@
 #include "core/registry.h"
 #include "core/sampling.h"
 #include "util/kmeans.h"
+#include "util/math.h"
 #include "util/rng.h"
 
 namespace rdbsc::core {
@@ -39,7 +42,8 @@ class DcRunner {
         options_(options),
         deadline_(deadline),
         executor_(executor),
-        rng_(options.seed) {}
+        rng_(options.seed),
+        slot_of_task_(static_cast<size_t>(instance.num_tasks()), -1) {}
 
   util::StatusOr<std::vector<Pair>> Run(const CandidateGraph& graph,
                                         SolveStats* stats) {
@@ -266,6 +270,13 @@ class DcRunner {
       return merged;
     }
 
+    // The two options of conflict c: its copy's task on each side.
+    std::vector<TaskId> side1(conflicts.size()), side2(conflicts.size());
+    for (size_t c = 0; c < conflicts.size(); ++c) {
+      side1[c] = task1.at(conflicts[c]);
+      side2[c] = task2.at(conflicts[c]);
+    }
+
     // Evaluation state over the full instance, loaded with every
     // non-conflicting pair (Lemma 6.1: those assignments are stable).
     AssignmentState state(instance_);
@@ -278,12 +289,21 @@ class DcRunner {
       if (!conflict_set.contains(p.second)) state.Add(p.first, p.second);
     }
 
+    // Only the halves' tasks can ever hold a worker in `state`.
+    std::vector<TaskId> merge_tasks;
+    merge_tasks.reserve(s1.size() + s2.size());
+    for (const Pair& p : s1) merge_tasks.push_back(p.first);
+    for (const Pair& p : s2) merge_tasks.push_back(p.first);
+    std::sort(merge_tasks.begin(), merge_tasks.end());
+    merge_tasks.erase(std::unique(merge_tasks.begin(), merge_tasks.end()),
+                      merge_tasks.end());
+
     // Dependency components: conflicting workers sharing a task option must
     // be resolved together (Lemma 6.2); singletons are ICWs.
     std::unordered_map<TaskId, std::vector<int>> by_task;
     for (size_t c = 0; c < conflicts.size(); ++c) {
-      by_task[task1[conflicts[c]]].push_back(static_cast<int>(c));
-      by_task[task2[conflicts[c]]].push_back(static_cast<int>(c));
+      by_task[side1[c]].push_back(static_cast<int>(c));
+      by_task[side2[c]].push_back(static_cast<int>(c));
     }
     std::vector<int> component(conflicts.size(), -1);
     int num_components = 0;
@@ -294,7 +314,7 @@ class DcRunner {
       while (!stack.empty()) {
         int c = stack.back();
         stack.pop_back();
-        for (TaskId t : {task1[conflicts[c]], task2[conflicts[c]]}) {
+        for (TaskId t : {side1[c], side2[c]}) {
           for (int other : by_task[t]) {
             if (component[other] == -1) {
               component[other] = num_components;
@@ -314,7 +334,7 @@ class DcRunner {
       if (util::Status budget = deadline_.Check(); !budget.ok()) {
         return budget;
       }
-      ResolveGroup(group, conflicts, task1, task2, &state);
+      ResolveGroup(group, conflicts, side1, side2, merge_tasks, &state);
     }
 
     std::vector<Pair> merged;
@@ -327,45 +347,131 @@ class DcRunner {
 
   // Keeps exactly one copy of each conflicting worker in `group`, choosing
   // the combination with the best merged objectives.
+  //
+  // The 2^k enumeration adds the group's workers in bit order, scores the
+  // state and removes them again in bit order. Groups share no task, so
+  // throughout, a task the group touches holds its base list (the workers
+  // it had when the group started) followed by the group workers on it in
+  // ascending bit order. Its E[STD] is therefore a function of which of
+  // those workers are on it, and each (task, on-mask) value is computed
+  // once and fed through AddKnown/RemoveKnown, which apply the same
+  // running-total update as Add/Remove: every combo's objectives, rounding
+  // drift included, match scoring it with Add, Objectives() and Remove.
   void ResolveGroup(const std::vector<int>& group,
                     const std::vector<WorkerId>& conflicts,
-                    std::unordered_map<WorkerId, TaskId>& task1,
-                    std::unordered_map<WorkerId, TaskId>& task2,
+                    const std::vector<TaskId>& side1,
+                    const std::vector<TaskId>& side2,
+                    const std::vector<TaskId>& merge_tasks,
                     AssignmentState* state) {
     const int k = static_cast<int>(group.size());
+    ++stats_->merge_groups;
     if (k > options_.max_dcw_group) {
       // Oversized DCW group: greedy per-worker fallback.
       for (int c : group) {
         WorkerId w = conflicts[c];
-        ObjectiveValue keep1 = state->PreviewAdd(task1[w], w);
-        ObjectiveValue keep2 = state->PreviewAdd(task2[w], w);
-        state->Add(Better(keep1, keep2) ? task1[w] : task2[w], w);
+        ObjectiveValue keep1 = state->PreviewAdd(side1[c], w);
+        ObjectiveValue keep2 = state->PreviewAdd(side2[c], w);
+        state->Add(Better(keep1, keep2) ? side1[c] : side2[c], w);
+        stats_->merge_std_evals += 3;  // two previews and the commit
       }
       return;
     }
 
-    // Exhaustive 2^k enumeration (Lemma 6.2): bit b of `combo` selects the
-    // side whose copy of worker group[b] survives.
-    std::vector<ObjectiveValue> values;
-    values.reserve(size_t{1} << k);
-    for (uint32_t combo = 0; combo < (uint32_t{1} << k); ++combo) {
-      for (int b = 0; b < k; ++b) {
-        WorkerId w = conflicts[group[b]];
-        state->Add((combo >> b) & 1 ? task2[w] : task1[w], w);
+    // Dense per-group tables. Slot s is the s-th distinct task the group
+    // touches; option (b, side) is worker group[b]'s copy on that side and
+    // owns bit `bit` of its slot's on-mask. Bits are handed out in (b,
+    // side) order, so ascending bits are ascending group order.
+    GroupTables& g = group_tables_;
+    g.slots.clear();
+    g.options.resize(static_cast<size_t>(2 * k));
+    for (int b = 0; b < k; ++b) {
+      const int c = group[b];
+      for (int side = 0; side < 2; ++side) {
+        const TaskId t = side == 0 ? side1[c] : side2[c];
+        int& slot = slot_of_task_[t];
+        if (slot < 0) {
+          slot = static_cast<int>(g.slots.size());
+          g.slots.push_back({t, state->TaskObservations(t).size(), 0, 0});
+        }
+        GroupTables::Slot& sl = g.slots[slot];
+        g.options[2 * b + side] = {slot, uint32_t{1} << sl.width,
+                                   state->ObservationFor(t, conflicts[c])};
+        ++sl.width;
       }
-      values.push_back(state->Objectives());
-      for (int b = 0; b < k; ++b) state->Remove(conflicts[group[b]]);
+    }
+    size_t memo_size = 0;
+    for (GroupTables::Slot& sl : g.slots) {
+      sl.memo_begin = memo_size;
+      memo_size += size_t{1} << sl.width;
+    }
+    g.memo.assign(memo_size, std::numeric_limits<double>::quiet_NaN());
+    g.on.assign(g.slots.size(), 0);
+
+    // The min reduced reliability of the tasks the group cannot change.
+    double outside_min_r = std::numeric_limits<double>::infinity();
+    for (TaskId t : merge_tasks) {
+      if (slot_of_task_[t] < 0 && !state->WorkersOf(t).empty()) {
+        outside_min_r =
+            std::min(outside_min_r, state->TaskReducedReliability(t));
+      }
     }
 
-    std::vector<BiPoint> combo_points(values.size());
-    for (size_t a = 0; a < values.size(); ++a) {
-      combo_points[a] = {values[a].min_reliability, values[a].total_std};
+    auto add = [&](int b, uint32_t side) {
+      const GroupTables::Option& o = g.options[2 * b + side];
+      g.on[o.slot] |= o.bit;
+      state->AddKnown(g.slots[o.slot].task, conflicts[group[b]], o.obs,
+                      SlotStd(o.slot, *state));
+    };
+
+    // Exhaustive 2^k enumeration (Lemma 6.2): bit b of `combo` selects the
+    // side whose copy of worker group[b] survives.
+    const uint32_t num_combos = uint32_t{1} << k;
+    std::vector<BiPoint>& combo_points = g.combo_points;
+    combo_points.resize(num_combos);
+    for (uint32_t combo = 0; combo < num_combos; ++combo) {
+      for (int b = 0; b < k; ++b) add(b, (combo >> b) & 1);
+      // Some touched task holds a group worker now, so min_r is finite.
+      double min_r = outside_min_r;
+      for (const GroupTables::Slot& sl : g.slots) {
+        if (!state->WorkersOf(sl.task).empty()) {
+          min_r = std::min(min_r, state->TaskReducedReliability(sl.task));
+        }
+      }
+      combo_points[combo] = {util::ReducedToProbability(min_r),
+                             state->TotalExpectedStd()};
+      for (int b = 0; b < k; ++b) {
+        const GroupTables::Option& o = g.options[2 * b + ((combo >> b) & 1)];
+        g.on[o.slot] &= ~o.bit;
+        state->RemoveKnown(conflicts[group[b]], SlotStd(o.slot, *state));
+      }
     }
+    stats_->merge_combos += num_combos;
+
     uint32_t best = static_cast<uint32_t>(TopDominating(combo_points));
-    for (int b = 0; b < k; ++b) {
-      WorkerId w = conflicts[group[b]];
-      state->Add((best >> b) & 1 ? task2[w] : task1[w], w);
+    for (int b = 0; b < k; ++b) add(b, (best >> b) & 1);
+    for (const GroupTables::Slot& sl : g.slots) slot_of_task_[sl.task] = -1;
+  }
+
+  // E[STD] of slot s's task with the group workers of its current on-mask:
+  // the base list plus those workers in ascending bit order, memoized.
+  double SlotStd(int s, const AssignmentState& state) {
+    GroupTables& g = group_tables_;
+    const GroupTables::Slot& sl = g.slots[s];
+    const uint32_t on = g.on[s];
+    double& value = g.memo[sl.memo_begin + on];
+    if (std::isnan(value)) {
+      const std::vector<Observation>& current =
+          state.TaskObservations(sl.task);
+      g.scratch.assign(current.begin(),
+                       current.begin() + static_cast<ptrdiff_t>(sl.base));
+      // Options are stored in ascending bit order within each slot.
+      for (const GroupTables::Option& o : g.options) {
+        if (o.slot == s && (on & o.bit)) g.scratch.push_back(o.obs);
+      }
+      value = ExpectedStd(instance_.task(sl.task), g.scratch);
+      ++stats_->merge_std_evals;
     }
+    return value;
   }
 
   // Deterministic total order on objectives used for tie-breaking.
@@ -382,6 +488,30 @@ class DcRunner {
   SolveStats* stats_ = nullptr;
   std::vector<Node> nodes_;
   std::vector<Leaf> leaves_;
+
+  // ResolveGroup's per-group tables, reused across groups and merges.
+  struct GroupTables {
+    struct Slot {
+      TaskId task;
+      size_t base;        ///< observations on the task before the group
+      int width;          ///< group options landing on the task (d_t)
+      size_t memo_begin;  ///< into memo, 2^width entries
+    };
+    struct Option {
+      int slot;
+      uint32_t bit;
+      Observation obs;
+    };
+    std::vector<Slot> slots;
+    std::vector<Option> options;  ///< [2 * b + side]
+    std::vector<double> memo;  ///< NaN = not yet evaluated
+    std::vector<uint32_t> on;  ///< per-slot on-mask of the current combo
+    std::vector<Observation> scratch;
+    std::vector<BiPoint> combo_points;
+  };
+  GroupTables group_tables_;
+  // Task -> its slot in the group being resolved, -1 elsewhere.
+  std::vector<int> slot_of_task_;
 };
 
 }  // namespace

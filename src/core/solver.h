@@ -63,6 +63,12 @@ struct SolveStats {
   int64_t exact_std_evals = 0;
   /// Candidate pairs eliminated by the Lemma 4.3 pruning (greedy only).
   int64_t pruned_pairs = 0;
+  /// SA_Merge work (D&C only): conflicting-worker groups resolved, keep-side
+  /// combinations scored by the 2^k enumeration, and E[STD] evaluations
+  /// made while resolving groups.
+  int64_t merge_groups = 0;
+  int64_t merge_combos = 0;
+  int64_t merge_std_evals = 0;
   /// Sample size used (sampling only).
   int sample_size = 0;
   /// True when the solve was cut short by its wall-clock budget or

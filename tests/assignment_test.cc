@@ -1,5 +1,6 @@
 #include "core/assignment.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <utility>
@@ -165,6 +166,52 @@ TEST_P(IncrementalVsScratchTest, PreviewAddMatchesCommit) {
                 state.Objectives().min_reliability, 1e-9);
     EXPECT_NEAR(preview_std, state.TaskExpectedStd(i), 1e-9);
   }
+}
+
+// AddKnown/RemoveKnown, fed the E[STD] of the list they leave behind, must
+// keep the same state as Add/Remove bit for bit, running-total drift and
+// reduced reliabilities included.
+TEST_P(IncrementalVsScratchTest, KnownStdPathMatchesAddRemoveBitForBit) {
+  Instance instance = test::SmallInstance(GetParam() + 150);
+  CandidateGraph graph = CandidateGraph::Build(instance);
+  util::Rng rng(GetParam() * 13);
+
+  AssignmentState plain(instance), known(instance);
+  for (int step = 0; step < 200; ++step) {
+    WorkerId j = static_cast<WorkerId>(
+        rng.UniformInt(0, instance.num_workers() - 1));
+    TaskId i = plain.TaskOf(j);
+    if (i != kNoTask) {
+      std::vector<Observation> shrunk = known.TaskObservations(i);
+      const std::vector<WorkerId>& workers = known.WorkersOf(i);
+      shrunk.erase(shrunk.begin() +
+                   (std::find(workers.begin(), workers.end(), j) -
+                    workers.begin()));
+      plain.Remove(j);
+      known.RemoveKnown(j, ExpectedStd(instance.task(i), shrunk));
+    } else if (!graph.TasksOf(j).empty()) {
+      const auto& tasks = graph.TasksOf(j);
+      i = tasks[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(tasks.size()) - 1))];
+      const Observation obs = known.ObservationFor(i, j);
+      std::vector<Observation> grown = known.TaskObservations(i);
+      grown.push_back(obs);
+      plain.Add(i, j);
+      known.AddKnown(i, j, obs, ExpectedStd(instance.task(i), grown));
+    } else {
+      continue;
+    }
+    ASSERT_EQ(std::bit_cast<uint64_t>(known.TotalExpectedStd()),
+              std::bit_cast<uint64_t>(plain.TotalExpectedStd()))
+        << "step " << step;
+    ASSERT_EQ(std::bit_cast<uint64_t>(known.TaskExpectedStd(i)),
+              std::bit_cast<uint64_t>(plain.TaskExpectedStd(i)));
+    ASSERT_EQ(std::bit_cast<uint64_t>(known.TaskReducedReliability(i)),
+              std::bit_cast<uint64_t>(plain.TaskReducedReliability(i)));
+    ASSERT_EQ(known.WorkersOf(i), plain.WorkersOf(i));
+  }
+  EXPECT_EQ(std::bit_cast<uint64_t>(known.Objectives().min_reliability),
+            std::bit_cast<uint64_t>(plain.Objectives().min_reliability));
 }
 
 // A SmallInstance reshaped for the bound layouts: tasks cycle through

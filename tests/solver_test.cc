@@ -160,22 +160,27 @@ Instance CoLocatedInstance() {
   return Instance(std::move(tasks), std::move(workers));
 }
 
-// Assignment hash, objective bit patterns and the pruning count.
-std::string GreedyDigest(const SolveResult& result) {
+// Assignment hash and objective bit patterns.
+std::string DecisionDigest(const SolveResult& result) {
   uint64_t assignment = 0;
   for (WorkerId j = 0; j < result.assignment.num_workers(); ++j) {
     assignment = util::HashCombine(
         assignment, static_cast<uint64_t>(result.assignment.TaskOf(j) + 1));
   }
   char buf[128];
-  std::snprintf(buf, sizeof(buf), "%016llx %016llx %016llx %lld",
+  std::snprintf(buf, sizeof(buf), "%016llx %016llx %016llx",
                 static_cast<unsigned long long>(assignment),
                 static_cast<unsigned long long>(
                     std::bit_cast<uint64_t>(result.objectives.min_reliability)),
                 static_cast<unsigned long long>(
-                    std::bit_cast<uint64_t>(result.objectives.total_std)),
-                static_cast<long long>(result.stats.pruned_pairs));
+                    std::bit_cast<uint64_t>(result.objectives.total_std)));
   return buf;
+}
+
+// The decision digest plus the pruning count.
+std::string GreedyDigest(const SolveResult& result) {
+  return DecisionDigest(result) + " " +
+         std::to_string(result.stats.pruned_pairs);
 }
 
 struct GreedyGolden {
@@ -341,6 +346,144 @@ TEST(SamplingTest, MultiplierScalesSampleSize) {
 }
 
 // ---------- D&C and G-TRUTH ----------
+
+// ---------- D&C golden decisions ----------
+
+struct DivideConquerGolden {
+  const char* instance;
+  const char* mode;
+  const char* digest;
+};
+
+// Captured from the SA_Merge that scored every 2^k keep-side combination
+// with full Add/Remove calls and an O(m) Objectives() scan. gamma = 3 cuts
+// these instances into leaves of at most three tasks, so the merges see
+// DCW groups of four and more workers; "fallback" caps max_dcw_group at
+// one, which sends every group of two or more to the per-worker
+// PreviewAdd path.
+constexpr DivideConquerGolden kDivideConquerGolden[] = {
+    {"table2-3", "sampling",
+     "bd91d41815ed1860 3fee4b636b339a37 4042c623fee1f2d9"},
+    {"table2-3", "greedy",
+     "26cf258289338ce4 3fee4b636b339a37 40423c9a9967678a"},
+    {"table2-3", "gtruth",
+     "43836c0698eb6dd3 3fee4b636b339a37 4042cf5043f8ba65"},
+    {"table2-3", "fallback",
+     "772e7ca88fc0c25a 3fee4b636b339a37 4042ba084277babf"},
+    {"table2-4", "sampling",
+     "06545c8c0c29a00a 3fedc79afba7e683 40445da60b85238f"},
+    {"table2-4", "greedy",
+     "2685aa5853e851a3 3fedc79afba7e683 4043efe98d665449"},
+    {"table2-4", "gtruth",
+     "06545c8c0c29a00a 3fedc79afba7e683 40445da60b85238f"},
+    {"table2-4", "fallback",
+     "1a39ca7048ad3422 3fedc79afba7e683 40444b52f2d2f7fe"},
+    {"table2-5", "sampling",
+     "603b796e29c8aba9 3fede0ae77e94858 4041f4f1b60c3441"},
+    {"table2-5", "greedy",
+     "1e25fc387f3d5523 3fede0ae77e94858 404165348d89ebd4"},
+    {"table2-5", "gtruth",
+     "603b796e29c8aba9 3fede0ae77e94858 4041f4f1b60c3441"},
+    {"table2-5", "fallback",
+     "7e92444cb0fc0d31 3fede0ae77e94858 4041f652ac169ddb"},
+    {"sparse-41", "sampling",
+     "f101e4227c114040 3feeba1dc9428537 401f78249f39e2d3"},
+    {"sparse-41", "greedy",
+     "475f4f95f892185e 3fed5d5a0696a20f 401fff0bc776c80b"},
+    {"sparse-41", "gtruth",
+     "6468e35351c7be21 3fee09eea46401ed 402131abe148dcdc"},
+    {"sparse-41", "fallback",
+     "63b963dbd28a2a30 3fed450ec3eb2fa5 4020286a0164ae0d"},
+    {"sparse-43", "sampling",
+     "52d27b5fafd1bb39 3fededac7698986a 40233a314a968df7"},
+    {"sparse-43", "greedy",
+     "cbc369a30294f55a 3fee3c0b4d44cf31 402311792317a37d"},
+    {"sparse-43", "gtruth",
+     "035bb5eed8dadff1 3fededac7698986a 40234d120ca65d4d"},
+    {"sparse-43", "fallback",
+     "d216d1ebfb59158f 3fededac7698986a 4023718696d6aab6"},
+    {"dense-42", "sampling",
+     "ae4095e3cc13a273 3fede3dc04260900 403014132c8bd10e"},
+    {"dense-42", "greedy",
+     "fce570d51a486770 3fee48fc055dcc5d 402c3d89ca5b8de2"},
+    {"dense-42", "gtruth",
+     "672dddb9282dd09c 3fefc6c83da0a454 402fa857580bb1de"},
+    {"dense-42", "fallback",
+     "14d265e2cff6b11e 3fed692cd26939b5 402f0e46552fbbec"},
+};
+
+TEST(DivideConquerGoldenTest, DecisionsMatchReferenceMerge) {
+  for (const DivideConquerGolden& golden : kDivideConquerGolden) {
+    std::string name = golden.instance;
+    Instance instance;
+    if (name.starts_with("sparse-")) {
+      instance = SmallInstance(std::stoull(name.substr(7)),
+                               /*num_tasks=*/24, /*num_workers=*/36);
+    } else if (name.starts_with("dense-")) {
+      instance = SmallInstance(std::stoull(name.substr(6)),
+                               /*num_tasks=*/24, /*num_workers=*/80);
+    } else {
+      gen::WorkloadConfig config;  // Table 2 defaults, scaled down
+      config.num_tasks = 40;
+      config.num_workers = 600;
+      config.start_max = 4.0;
+      config.seed = static_cast<uint64_t>(name.back() - '0');
+      instance = gen::GenerateInstance(config);
+    }
+    CandidateGraph graph = CandidateGraph::Build(instance);
+    std::string mode = golden.mode;
+    SolverOptions options;
+    options.gamma = 3;
+    options.seed = 5;
+    options.leaf_use_greedy = mode == "greedy";
+    if (mode == "fallback") options.max_dcw_group = 1;
+    SolveResult result =
+        mode == "gtruth"
+            ? GroundTruthSolver(options).Solve(instance, graph).value()
+            : DivideConquerSolver(options).Solve(instance, graph).value();
+    EXPECT_EQ(DecisionDigest(result), golden.digest)
+        << name << " " << mode << " (" << graph.NumEdges() << " edges)";
+  }
+}
+
+// A hand-built DCW chain: three tasks on the left, three on the right, and
+// five workers that can each serve one task per side, consecutive workers
+// sharing a task. gamma = 1 gives every task its own leaf, so no leaf has
+// a choice to make and the top merge sees all five workers in one group.
+TEST(DivideConquerTest, MergeScoresEachComboFromMemoizedTaskStds) {
+  std::vector<Task> tasks;
+  for (double x : {0.10, 0.15, 0.20, 0.80, 0.85, 0.90}) {
+    Task t = test::MakeTask(0.5, 0.0, 10.0);
+    t.location = {x, 0.5};
+    tasks.push_back(t);
+  }
+  std::vector<Worker> workers(5);
+  for (int b = 0; b < 5; ++b) {
+    workers[b].location = {0.45 + 0.02 * b, 0.3 + 0.1 * b};
+    workers[b].velocity = 1.0;
+    workers[b].confidence = 0.7 + 0.05 * b;
+  }
+  Instance instance(std::move(tasks), std::move(workers));
+  // Worker b: left task b / 2 rounded up, right task 3 + b / 2.
+  const std::vector<std::vector<TaskId>> edges = {
+      {0, 3}, {1, 3}, {1, 4}, {2, 4}, {2, 5}};
+  CandidateGraph graph = CandidateGraph::FromEdges(instance, edges);
+  SolverOptions options;
+  options.gamma = 1;
+  SolveResult result = DivideConquerSolver(options).Solve(instance, graph)
+                           .value();
+  ExpectFeasible(instance, graph, result.assignment);
+  EXPECT_EQ(result.assignment.NumAssigned(), 5);
+
+  // d_t, the number of group workers that can land on each task.
+  const int width[] = {1, 2, 2, 2, 2, 1};
+  int64_t memo_entries = 0;
+  for (int d : width) memo_entries += int64_t{1} << d;
+  EXPECT_EQ(result.stats.merge_groups, 1);
+  EXPECT_EQ(result.stats.merge_combos, int64_t{1} << 5);
+  EXPECT_GT(result.stats.merge_std_evals, 0);
+  EXPECT_LE(result.stats.merge_std_evals, memo_entries);
+}
 
 class DivideConquerFeasibilityTest : public ::testing::TestWithParam<int> {};
 

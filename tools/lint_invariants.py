@@ -35,9 +35,9 @@ the compiler nor clang-tidy can express:
                           GUARDED_BY companion in the same file.
   discarded-status        No statement made only of a call chain ending in
                           `.ok();` (for example `registry.Register(...)
-                          .ok();`) anywhere in src. It reads as a check but
-                          drops the Status: handle the error, return it, or
-                          abort with its message.
+                          .ok();`) anywhere in src, bench or examples. It
+                          reads as a check but drops the Status: handle the
+                          error, return it, or abort with its message.
 
 Suppress a finding with a justification on the same or previous line:
 
@@ -46,7 +46,8 @@ Suppress a finding with a justification on the same or previous line:
 The reason is mandatory; a bare LINT-ALLOW does not suppress.
 
 Usage:
-    lint_invariants.py [--root DIR]     lint DIR/src (default: repo root)
+    lint_invariants.py [--root DIR]     lint DIR/{src,bench,examples}
+                                        (default: repo root)
     lint_invariants.py --self-test      run against tools/lint_fixtures/
 
 Self-test mode applies every rule to each fixture file regardless of path
@@ -467,8 +468,10 @@ RULE_SCOPES = {
     "ambient-rng": ("src/core", "src/engine", "src/index", "src/obs",
                     "src/sim", "src/wl"),
     "unguarded-mutex": ("src",),
-    "discarded-status": ("src",),
+    "discarded-status": ("src", "bench", "examples"),
 }
+
+LINTED_DIRS = ("src", "bench", "examples")
 
 UNGUARDED_MUTEX_EXEMPT = ("src/util/mutex.h", "src/util/thread_annotations.h")
 
@@ -512,8 +515,9 @@ def run_rules(src: SourceFile, rules: list[str]) -> list[Finding]:
 
 def lint_tree(root: Path) -> int:
     findings: list[Finding] = []
-    for path in sorted((root / "src").rglob("*")):
-        if path.suffix not in (".h", ".cc"):
+    paths = sorted(p for top in LINTED_DIRS for p in (root / top).rglob("*"))
+    for path in paths:
+        if path.suffix not in (".h", ".cc", ".cpp"):
             continue
         rel = path.relative_to(root).as_posix()
         rules = rules_for(rel)
