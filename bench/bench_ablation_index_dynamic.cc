@@ -29,6 +29,7 @@
 #include "bench/params.h"
 #include "index/delta_graph.h"
 #include "index/grid_index.h"
+#include "obs/registry.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -160,6 +161,8 @@ int Run(int argc, char** argv) {
       const int moved = std::max(
           1, static_cast<int>(instance.num_workers() * moved_fraction));
       int64_t edges = 0;
+      const int64_t tcell_rebuilds = index.reachability_rebuilds();
+      const int64_t tcell_patches = index.reachability_patches();
       for (int round = 0; round < kRounds; ++round) {
         // Draw the round's move events mode-independently so both
         // strategies process the identical event stream.
@@ -193,6 +196,15 @@ int Run(int argc, char** argv) {
       }
       edges_per_round +=
           static_cast<double>(edges) / static_cast<double>(kRounds);
+      // The same tcell counters IncrementalAssigner reports per round.
+      const obs::Labels labels = {{"moved_frac",
+                                   std::to_string(moved_fraction)}};
+      report.metrics()
+          .GetCounter("sim.delta.tcell_rebuilds", labels)
+          .Increment(index.reachability_rebuilds() - tcell_rebuilds);
+      report.metrics()
+          .GetCounter("sim.delta.tcell_patches", labels)
+          .Increment(index.reachability_patches() - tcell_patches);
 
       if (delta_mode &&
           delta.Pairs() != index.RetrievePairs().value()) {

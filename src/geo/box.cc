@@ -1,7 +1,9 @@
 #include "geo/box.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <cstdlib>
 
 namespace rdbsc::geo {
 
@@ -54,6 +56,26 @@ AngularInterval BearingInterval(const Box& from, const Box& to) {
     }
   }
   return AngularInterval(best_lo, NormalizeAngle(best_lo + best_width));
+}
+
+const AngularInterval& CellBearingTable::Get(int dx, int dy) {
+  assert(std::abs(dx) < span_ && std::abs(dy) < span_);
+  const int side = 2 * span_ - 1;
+  if (entries_.empty()) {
+    const size_t size = static_cast<size_t>(side) * static_cast<size_t>(side);
+    entries_.assign(size, AngularInterval::FullCircle());
+    filled_.assign(size, 0);
+  }
+  const size_t slot = static_cast<size_t>(dy + span_ - 1) * side +
+                      static_cast<size_t>(dx + span_ - 1);
+  if (!filled_[slot]) {
+    entries_[slot] = BearingInterval(
+        Box{{0.0, 0.0}, {1.0, 1.0}},
+        Box{{static_cast<double>(dx), static_cast<double>(dy)},
+            {dx + 1.0, dy + 1.0}});
+    filled_[slot] = 1;
+  }
+  return entries_[slot];
 }
 
 }  // namespace rdbsc::geo

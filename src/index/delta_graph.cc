@@ -62,7 +62,7 @@ void DeltaGraph::OnTaskArrived(const GridIndex& index, core::TaskId id,
                                const core::Task& task) {
   const double now = index.now();
   for (auto& [wid, row] : rows_) {
-    if (row.dirty) continue;  // full recompute already pending
+    if (row.Due(now)) continue;  // full recompute already pending
     const core::Worker* worker = index.FindWorker(wid);
     if (worker == nullptr) {
       // Row exists but the worker left the index: force a recompute so
@@ -84,10 +84,11 @@ void DeltaGraph::OnTaskArrived(const GridIndex& index, core::TaskId id,
   }
 }
 
-void DeltaGraph::OnTaskRemoved(core::TaskId id) {
+void DeltaGraph::OnTaskRemoved(const GridIndex& index, core::TaskId id) {
+  const double now = index.now();
   for (auto& entry : rows_) {
     Row& row = entry.second;
-    if (row.dirty) continue;
+    if (row.Due(now)) continue;
     if (SortedErase(&row.adds, id)) {
       ++stats_.edges_repaired;
     } else if (SortedContains(row.base, id) && SortedInsert(&row.dels, id)) {
@@ -109,7 +110,7 @@ util::Status DeltaGraph::RepairRows(const GridIndex& index,
   if (static_cast<int64_t>(rows_.size()) >= bulk_min_rows_) {
     int64_t due = 0;
     for (const auto& [wid, row] : rows_) {
-      if (row.dirty || now > row.stable_until) ++due;
+      if (row.Due(now)) ++due;
     }
     if (due > 0 && 2 * due >= static_cast<int64_t>(rows_.size())) {
       return BulkRefill(index, deadline);
@@ -121,7 +122,7 @@ util::Status DeltaGraph::RepairRows(const GridIndex& index,
       since_poll = 0;
       if (util::Status s = deadline.Check(); !s.ok()) return s;
     }
-    if (!row.dirty && now <= row.stable_until) {
+    if (!row.Due(now)) {
       ++stats_.rows_reused;
       continue;
     }

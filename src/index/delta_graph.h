@@ -84,11 +84,14 @@ class DeltaGraph {
   /// Patches every live row for a task that just entered `index` (which
   /// already contains it): rows whose pair is valid at the index clock
   /// gain a patch edge; stability horizons shrink to cover the new pair's
-  /// windows. O(rows), not O(rows * tasks).
+  /// windows. O(rows), not O(rows * tasks). Rows already due -- dirty, or
+  /// past their horizon at the index clock -- are skipped: RepairRows
+  /// recomputes them whole, and the clock never goes back.
   void OnTaskArrived(const GridIndex& index, core::TaskId id,
                      const core::Task& task);
-  /// Patches every live row for a removed task (expiry or completion).
-  void OnTaskRemoved(core::TaskId id);
+  /// Patches every live row for a task removed from `index` (expiry or
+  /// completion); skips the due rows as OnTaskArrived does.
+  void OnTaskRemoved(const GridIndex& index, core::TaskId id);
 
   /// Brings every row current with `index`'s clock: dirty or
   /// horizon-expired rows are recomputed via RetrieveWorkerRow, the rest
@@ -112,6 +115,9 @@ class DeltaGraph {
     std::vector<core::TaskId> dels;  ///< patch: base edges lost, sorted
     double stable_until = 0.0;
     bool dirty = true;
+
+    /// True when RepairRows at clock `now` recomputes this row.
+    bool Due(double now) const { return dirty || now > stable_until; }
   };
 
   /// (base \ dels) merged with adds, sorted.

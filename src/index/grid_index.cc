@@ -21,6 +21,7 @@ GridIndex::GridIndex(double eta, double now, core::ArrivalPolicy policy)
   eta_ = 1.0 / cells_per_axis_;
   cells_.resize(static_cast<size_t>(cells_per_axis_) * cells_per_axis_);
   blocks_.resize(cells_.size());
+  tcells_ = std::make_unique<TCellCache>(cells_per_axis_);
   util::MutexLock lock(tcells_->mu);
   tcells_->lists.resize(cells_.size());
   tcells_->valid.assign(cells_.size(), 0);
@@ -245,9 +246,13 @@ bool GridIndex::CanPrune(const Cell& from, int from_id, const Cell& to,
   double t_min = now_ + geo::MinDistance(from_box, to_box) / from.v_max;
   if (t_min > to.e_max) return true;
   // Direction rule: the bearing interval between the two boxes must meet
-  // the covering interval of the workers' cones.
+  // the covering interval of the workers' cones. Bearings depend only on
+  // the cells' offset, so the interval comes from the per-offset table
+  // (geo::CellBearingTable) instead of four atan2 per cell pair.
   if (from_id != to_id && from.has_dir_cover) {
-    if (!geo::BearingInterval(from_box, to_box).Intersects(from.dir_cover)) {
+    const int dx = to_id % cells_per_axis_ - from_id % cells_per_axis_;
+    const int dy = to_id / cells_per_axis_ - from_id / cells_per_axis_;
+    if (!tcells_->bearings.Get(dx, dy).Intersects(from.dir_cover)) {
       return true;
     }
   }
@@ -514,6 +519,7 @@ std::vector<int> GridIndex::ReachableCells(geo::Point location) const {
   const Cell& from = cells_[from_id];
   std::vector<int> reachable;
   if (from.workers.empty()) return reachable;
+  util::MutexLock lock(tcells_->mu);
   for (int to_id = 0; to_id < num_cells(); ++to_id) {
     const Cell& to = cells_[to_id];
     if (to.tasks.empty()) continue;

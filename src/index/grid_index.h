@@ -243,21 +243,28 @@ class GridIndex {
       const util::Deadline& deadline) const EXCLUDES(tcells_->mu);
 
   /// True when no worker of `from` can reach any task of `to` before its
-  /// deadline or within its direction cover (the pruning rule).
+  /// deadline or within its direction cover (the pruning rule). The
+  /// direction rule reads the bearing interval from the cache's per-offset
+  /// table, hence the lock.
   bool CanPrune(const Cell& from, int from_id, const Cell& to,
-                int to_id) const;
+                int to_id) const REQUIRES(tcells_->mu);
 
   /// Per-source-cell cached tcell_lists (sorted), built on demand, plus
-  /// their validity bits and rebuild counter -- everything the const
-  /// retrieval paths may touch concurrently, guarded by one mutex.
-  /// Mutators take the (then-uncontended) mutex too, so the lock
-  /// discipline is uniform and provable. Heap-allocated so the index
-  /// stays movable (GridIndex::Build returns by value).
+  /// their validity bits, rebuild counter and the direction rule's
+  /// per-offset bearing table -- everything the const retrieval paths may
+  /// touch concurrently, guarded by one mutex. Mutators take the
+  /// (then-uncontended) mutex too, so the lock discipline is uniform and
+  /// provable. Heap-allocated so the index stays movable
+  /// (GridIndex::Build returns by value).
   struct TCellCache {
+    explicit TCellCache(int cells_per_axis) : bearings(cells_per_axis) {}
+
     mutable util::Mutex mu;
     std::vector<std::vector<int>> lists GUARDED_BY(mu);
     std::vector<uint8_t> valid GUARDED_BY(mu);
     int64_t rebuilds GUARDED_BY(mu) = 0;
+    /// Bearing interval by (target - source) cell offset; filled lazily.
+    geo::CellBearingTable bearings GUARDED_BY(mu);
   };
 
   double eta_;
@@ -274,7 +281,7 @@ class GridIndex {
   size_t max_block_ = 0;
   std::unordered_map<core::WorkerId, int> worker_cell_;
   std::unordered_map<core::TaskId, int> task_cell_;
-  std::unique_ptr<TCellCache> tcells_ = std::make_unique<TCellCache>();
+  std::unique_ptr<TCellCache> tcells_;
   int64_t reachability_patches_ = 0;
 };
 

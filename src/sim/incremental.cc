@@ -35,17 +35,27 @@ util::Status IncrementalAssigner::RemoveTask(core::TaskId id) {
     return util::Status::NotFound("task id not registered");
   }
   if (util::Status s = index_.RemoveTask(id); !s.ok()) return s;
-  delta_.OnTaskRemoved(id);
+  delta_.OnTaskRemoved(index_, id);
   tasks_.erase(it);
   // Pending commitments to the vanished task are voided: the workers
   // become available again and their provisional contributions disappear.
-  // Sorted so the grid index sees the re-inserts in a reproducible order.
+  // Every commit appends to the task's ledger, so its contributions list
+  // every worker still committed to it: O(contributions), not a scan of
+  // all workers. Sorted (and deduped: a worker that completed and
+  // re-committed appears twice) so the grid index sees the re-inserts in
+  // a reproducible order.
+  std::vector<std::pair<core::WorkerId, core::Observation>>& contributions =
+      ledger_.at(id).contributions;
   std::vector<core::WorkerId> voided;
-  // LINT-ALLOW(unordered-iter): key collection only; sorted below
-  for (const auto& [wid, record] : workers_) {
-    if (record.committed == id && record.busy) voided.push_back(wid);
+  for (const auto& [wid, observation] : contributions) {
+    auto record = workers_.find(wid);
+    if (record != workers_.end() && record->second.busy &&
+        record->second.committed == id) {
+      voided.push_back(wid);
+    }
   }
   std::sort(voided.begin(), voided.end());
+  voided.erase(std::unique(voided.begin(), voided.end()), voided.end());
   for (core::WorkerId wid : voided) {
     WorkerRecord& record = workers_.at(wid);
     record.committed = core::kNoTask;
@@ -54,7 +64,6 @@ util::Status IncrementalAssigner::RemoveTask(core::TaskId id) {
       return s;
     }
     if (util::Status s = delta_.AddRow(wid); !s.ok()) return s;
-    auto& contributions = ledger_.at(id).contributions;
     std::erase_if(contributions, [wid](const auto& entry) {
       return entry.first == wid;
     });
@@ -158,6 +167,8 @@ void IncrementalAssigner::set_metrics(obs::Registry* metrics,
   // Start the per-round diffs from here: work done before the sink was
   // attached is not retroactively reported.
   reported_delta_ = delta_.stats();
+  reported_tcell_rebuilds_ = index_.reachability_rebuilds();
+  reported_tcell_patches_ = index_.reachability_patches();
   round_build_ = nullptr;
   round_solve_ = nullptr;
   if (metrics == nullptr) return;
@@ -181,6 +192,14 @@ void IncrementalAssigner::ReportDeltaMetrics() {
   metrics_->GetCounter("sim.delta.rows_reused").Increment(diff.rows_reused);
   metrics_->GetCounter("sim.delta.compactions").Increment(diff.compactions);
   metrics_->GetCounter("sim.delta.bulk_refills").Increment(diff.bulk_refills);
+  const int64_t rebuilds = index_.reachability_rebuilds();
+  const int64_t patches = index_.reachability_patches();
+  metrics_->GetCounter("sim.delta.tcell_rebuilds")
+      .Increment(rebuilds - reported_tcell_rebuilds_);
+  metrics_->GetCounter("sim.delta.tcell_patches")
+      .Increment(patches - reported_tcell_patches_);
+  reported_tcell_rebuilds_ = rebuilds;
+  reported_tcell_patches_ = patches;
 }
 
 util::StatusOr<std::vector<std::pair<core::TaskId, core::WorkerId>>>

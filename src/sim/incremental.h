@@ -1,6 +1,7 @@
 #ifndef RDBSC_SIM_INCREMENTAL_H_
 #define RDBSC_SIM_INCREMENTAL_H_
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -86,7 +87,8 @@ class IncrementalAssigner {
   /// Optional metrics sink (unowned; must outlive the assigner). Each
   /// Update reports that round's maintenance work as sim.delta.* counter
   /// increments (cells_touched, edges_repaired, rows_recomputed,
-  /// rows_reused, compactions, bulk_refills), and every round that runs
+  /// rows_reused, compactions, bulk_refills, and the grid index's
+  /// tcell_rebuilds and tcell_patches), and every round that runs
   /// the solver observes sim.round_build_seconds (delta repair, pair
   /// materialization and graph assembly) and sim.round_solve_seconds (the
   /// solve alone), both labelled {solver=`solver_name`} -- the registry
@@ -141,8 +143,11 @@ class IncrementalAssigner {
   core::ArrivalPolicy policy_;
   index::GridIndex index_;
   index::DeltaGraph delta_;
-  /// stats() watermark of the last ReportDeltaMetrics call.
+  /// stats() and index tcell-counter watermarks of the last
+  /// ReportDeltaMetrics call.
   index::DeltaStats reported_delta_;
+  int64_t reported_tcell_rebuilds_ = 0;
+  int64_t reported_tcell_patches_ = 0;
   obs::Registry* metrics_ = nullptr;
   /// The round timers, resolved by set_metrics; null without a registry.
   obs::Histogram* round_build_ = nullptr;

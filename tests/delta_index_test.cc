@@ -98,7 +98,7 @@ TEST(DeltaGraphTest, MatchesFullRetrievalUnderRandomChurn) {
             std::advance(it, rng.UniformInt(
                                  0, static_cast<int64_t>(tasks.size()) - 1));
             ASSERT_TRUE(index.RemoveTask(it->first).ok());
-            delta.OnTaskRemoved(it->first);
+            delta.OnTaskRemoved(index, it->first);
             tasks.erase(it);
             break;
           }
@@ -229,8 +229,10 @@ TEST(DeltaGraphTest, FullChurnRoundsUseBulkRefill) {
   index::GridIndex index(0.1, /*now=*/0.0, core::ArrivalPolicy::kAllowWait);
   index::DeltaGraph delta(index::DeltaGraph::kDefaultCompactionThreshold,
                           /*bulk_min_rows=*/4);
+  std::vector<core::Task> tasks;
   for (core::TaskId i = 0; i < 10; ++i) {
-    ASSERT_TRUE(index.InsertTask(i, RandomTask(rng, 0.0)).ok());
+    tasks.push_back(RandomTask(rng, 0.0));
+    ASSERT_TRUE(index.InsertTask(i, tasks.back()).ok());
   }
   std::vector<geo::Point> homes;
   for (core::WorkerId j = 0; j < 12; ++j) {
@@ -263,7 +265,28 @@ TEST(DeltaGraphTest, FullChurnRoundsUseBulkRefill) {
   index.set_now(0.01);
   ASSERT_TRUE(delta.RepairRows(index).ok());
   EXPECT_EQ(delta.stats().bulk_refills, 2);
-  EXPECT_EQ(delta.Pairs(), index.RetrievePairs().value());
+  const Pairs refilled = delta.Pairs();
+  EXPECT_EQ(refilled, index.RetrievePairs().value());
+
+  // Once the clock moves every bulk row is due, so task patches skip them
+  // (RepairRows recomputes them whole): removing a task some row holds
+  // and adding a copy of it that is valid for that worker repair nothing.
+  ASSERT_FALSE(refilled.empty());
+  const auto [held_by, held] = refilled.front();
+  index.set_now(0.015);
+  const int64_t repaired = delta.stats().edges_repaired;
+  ASSERT_TRUE(index.RemoveTask(held).ok());
+  delta.OnTaskRemoved(index, held);
+  ASSERT_TRUE(index.InsertTask(10, tasks[static_cast<size_t>(held)]).ok());
+  delta.OnTaskArrived(index, 10, tasks[static_cast<size_t>(held)]);
+  EXPECT_EQ(delta.stats().edges_repaired, repaired);
+  ASSERT_TRUE(delta.RepairRows(index).ok());
+  EXPECT_EQ(delta.stats().bulk_refills, 3);
+  const Pairs repaired_pairs = delta.Pairs();
+  EXPECT_EQ(repaired_pairs, index.RetrievePairs().value());
+  const std::pair<core::WorkerId, core::TaskId> copy{held_by, 10};
+  EXPECT_TRUE(std::binary_search(repaired_pairs.begin(),
+                                 repaired_pairs.end(), copy));
 
   // A tracked worker missing from the index surfaces as NotFound from
   // the bulk path, exactly like the per-row path would report it.
@@ -585,6 +608,10 @@ TEST(StreamingSessionTest, EngineMetricsRecordRoundTimers) {
     EXPECT_EQ(registry.GetHistogram(name, labels, 1e-9).Snapshot().count(), 1)
         << name;
   }
+  // The worker's cell built its tcell_list once; the task arrived before
+  // any list existed, so nothing was patched.
+  EXPECT_EQ(registry.GetCounter("sim.delta.tcell_rebuilds").value(), 1);
+  EXPECT_EQ(registry.GetCounter("sim.delta.tcell_patches").value(), 0);
 }
 
 TEST(StreamingSessionTest, UnknownSolverSurfacesNotFound) {

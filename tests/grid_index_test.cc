@@ -1,11 +1,15 @@
 #include "index/grid_index.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "core/instance.h"
+#include "geo/angle.h"
+#include "geo/box.h"
+#include "gen/workload.h"
 #include "gtest/gtest.h"
 #include "index/cost_model.h"
 #include "util/deadline.h"
@@ -235,6 +239,221 @@ TEST(GridIndexTest, CachedReachabilityMatchesFreshAfterChurn) {
   }
   (void)rebuilds_after_warm;
 }
+
+// The direction rule reads each cell pair's bearing interval from a
+// per-offset table built in cell units (geo::CellBearingTable) instead of
+// from the eta-scaled cell boxes. For every cell pair of each grid size
+// the table must match the box-based interval to 1e-12 rad and give the
+// same Intersects verdict against a sweep of direction covers, including
+// covers that end just inside and just outside the interval's edges.
+class CellBearingTableTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(CellBearingTableTest, MatchesBoxBearingsForEveryCellPair) {
+  const int cpa = GetParam();
+  const GridIndex grid(1.0 / cpa);
+  ASSERT_EQ(grid.cells_per_axis(), cpa);
+  const double eta = grid.eta();
+  // BearingInterval sees the two cell boxes only through their difference
+  // box, whose x-range depends on the column pair alone and y-range on
+  // the row pair alone (boxes built as GridIndex builds them: cx * eta to
+  // (cx + 1) * eta). So per axis offset, one representative (from, to)
+  // pair for each distinct float difference range covers every cell pair.
+  auto distinct_ranges = [cpa, eta](int offset) {
+    std::set<std::pair<double, double>> seen;
+    std::vector<std::pair<int, int>> representatives;
+    for (int from = 0; from < cpa; ++from) {
+      const int to = from + offset;
+      if (to < 0 || to >= cpa) continue;
+      if (seen.emplace(to * eta - (from + 1) * eta, (to + 1) * eta - from * eta)
+              .second) {
+        representatives.emplace_back(from, to);
+      }
+    }
+    return representatives;
+  };
+  auto box_of = [eta](int cx, int cy) {
+    return geo::Box{{cx * eta, cy * eta}, {(cx + 1) * eta, (cy + 1) * eta}};
+  };
+  std::vector<geo::AngularInterval> covers;
+  for (int k = 0; k < 8; ++k) {
+    for (double width : {0.0, 0.4, 2.0, 4.0}) {
+      covers.push_back(
+          geo::AngularInterval::FromWidth(0.1 + k * geo::kTwoPi / 8, width));
+    }
+  }
+  geo::CellBearingTable table(cpa);
+  int64_t checked = 0;
+  int64_t interval_mismatches = 0;
+  int64_t verdict_mismatches = 0;
+  std::vector<int> first_mismatch;  // fx, fy, tx, ty
+  for (int dy = 1 - cpa; dy < cpa; ++dy) {
+    const auto row_pairs = distinct_ranges(dy);
+    for (int dx = 1 - cpa; dx < cpa; ++dx) {
+      const geo::AngularInterval& tabled = table.Get(dx, dy);
+      // Covers 1e-10 inside and 2e-9 outside the interval's edges (the
+      // Contains tolerance is 1e-9).
+      std::vector<geo::AngularInterval> sweep = covers;
+      sweep.push_back(geo::AngularInterval::FromWidth(tabled.hi() - 1e-10, 0.1));
+      sweep.push_back(geo::AngularInterval::FromWidth(tabled.hi() + 2e-9, 0.1));
+      sweep.push_back(
+          geo::AngularInterval::FromWidth(tabled.lo() - 0.1 + 1e-10, 0.1));
+      sweep.push_back(
+          geo::AngularInterval::FromWidth(tabled.lo() - 0.1 - 2e-9, 0.1));
+      for (const auto& [fx, tx] : distinct_ranges(dx)) {
+        for (const auto& [fy, ty] : row_pairs) {
+          ++checked;
+          const geo::AngularInterval boxed =
+              geo::BearingInterval(box_of(fx, fy), box_of(tx, ty));
+          const bool both_full =
+              boxed.width() >= geo::kTwoPi && tabled.width() >= geo::kTwoPi;
+          const double lo_gap =
+              std::min(geo::CcwDelta(boxed.lo(), tabled.lo()),
+                       geo::CcwDelta(tabled.lo(), boxed.lo()));
+          if (!both_full &&
+              (lo_gap > 1e-12 ||
+               std::abs(boxed.width() - tabled.width()) > 1e-12)) {
+            if (interval_mismatches++ == 0) first_mismatch = {fx, fy, tx, ty};
+          }
+          for (const geo::AngularInterval& cover : sweep) {
+            if (boxed.Intersects(cover) != tabled.Intersects(cover)) {
+              ++verdict_mismatches;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(checked, static_cast<int64_t>(2 * cpa - 1) * (2 * cpa - 1));
+  EXPECT_EQ(interval_mismatches, 0)
+      << "first at (" << first_mismatch[0] << "," << first_mismatch[1]
+      << ") -> (" << first_mismatch[2] << "," << first_mismatch[3] << ")";
+  EXPECT_EQ(verdict_mismatches, 0);
+}
+
+// The tcell_list of `cell` under the Section 7.1 pruning rule with every
+// bearing interval computed from the eta-scaled cell boxes: the rule as
+// it stood before the per-offset table. Counts the cell pairs only the
+// direction rule pruned into `direction_pruned`.
+std::vector<int> BoxRuleReachable(const GridIndex& index,
+                                  const std::vector<CellState>& states,
+                                  int cell, int64_t* direction_pruned) {
+  const int cpa = index.cells_per_axis();
+  const double eta = index.eta();
+  auto box_of = [cpa, eta](int c) {
+    const int cx = c % cpa;
+    const int cy = c / cpa;
+    return geo::Box{{cx * eta, cy * eta}, {(cx + 1) * eta, (cy + 1) * eta}};
+  };
+  const CellState& from = states[static_cast<size_t>(cell)];
+  std::vector<int> reachable;
+  if (from.workers.empty() || from.v_max <= 0.0) return reachable;
+  const geo::AngularInterval cover =
+      geo::AngularInterval::FromWidth(from.dir_lo, from.dir_width);
+  for (int to = 0; to < index.num_cells(); ++to) {
+    const CellState& target = states[static_cast<size_t>(to)];
+    if (target.tasks.empty()) continue;
+    const double t_min = index.now() + geo::MinDistance(box_of(cell),
+                                                        box_of(to)) /
+                                           from.v_max;
+    if (t_min > target.e_max) continue;
+    if (to != cell && from.has_dir_cover &&
+        !geo::BearingInterval(box_of(cell), box_of(to)).Intersects(cover)) {
+      ++*direction_pruned;
+      continue;
+    }
+    reachable.push_back(to);
+  }
+  return reachable;
+}
+
+// After worker and task churn (moves included) the cached tcell_lists
+// equal both a fresh index's lists and the box-based rule's, at each grid
+// size.
+TEST_P(CellBearingTableTest, CachedListsMatchFreshIndexAndBoxRuleAfterChurn) {
+  const int cpa = GetParam();
+  gen::WorkloadConfig config;
+  config.num_tasks = 80;
+  config.num_workers = 80;
+  config.angle_range = 0.6;  // narrow cones: the direction rule fires
+  config.rt_min = 0.2;
+  config.rt_max = 0.6;
+  config.v_min = 0.05;
+  config.v_max = 0.3;
+  config.seed = 100 + static_cast<uint64_t>(cpa);
+  const Instance instance = gen::GenerateInstance(config);
+  GridIndex index = GridIndex::Build(instance, 1.0 / cpa);
+  ASSERT_EQ(index.cells_per_axis(), cpa);
+  for (int cell = 0; cell < index.num_cells(); ++cell) {
+    index.CachedReachable(cell);
+  }
+
+  util::Rng rng(static_cast<uint64_t>(cpa));
+  std::vector<core::Worker> workers = instance.workers();
+  std::vector<bool> worker_in(workers.size(), true);
+  std::vector<bool> task_in(instance.num_tasks(), true);
+  for (int step = 0; step < 150; ++step) {
+    const WorkerId j = static_cast<WorkerId>(
+        rng.UniformInt(0, instance.num_workers() - 1));
+    const TaskId i =
+        static_cast<TaskId>(rng.UniformInt(0, instance.num_tasks() - 1));
+    switch (rng.UniformInt(0, 2)) {
+      case 0:
+        if (worker_in[j]) {
+          ASSERT_TRUE(index.RemoveWorker(j).ok());
+        } else {
+          ASSERT_TRUE(index.InsertWorker(j, workers[j]).ok());
+        }
+        worker_in[j] = !worker_in[j];
+        break;
+      case 1:
+        if (task_in[i]) {
+          ASSERT_TRUE(index.RemoveTask(i).ok());
+        } else {
+          ASSERT_TRUE(index.InsertTask(i, instance.task(i)).ok());
+        }
+        task_in[i] = !task_in[i];
+        break;
+      default:
+        if (!worker_in[j]) break;
+        workers[j].location = {rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)};
+        ASSERT_TRUE(index.MoveWorker(j, workers[j].location).ok());
+        break;
+    }
+  }
+
+  GridIndex fresh(1.0 / cpa, instance.now(), instance.policy());
+  for (TaskId i = 0; i < instance.num_tasks(); ++i) {
+    if (task_in[i]) {
+      ASSERT_TRUE(fresh.InsertTask(i, instance.task(i)).ok());
+    }
+  }
+  for (WorkerId j = 0; j < instance.num_workers(); ++j) {
+    if (worker_in[j]) {
+      ASSERT_TRUE(fresh.InsertWorker(j, workers[j]).ok());
+    }
+  }
+  std::vector<CellState> states;
+  for (int cell = 0; cell < fresh.num_cells(); ++cell) {
+    states.push_back(fresh.DebugCellState(cell));
+  }
+  int64_t pruned_by_direction = 0;
+  for (int cell = 0; cell < index.num_cells(); ++cell) {
+    const std::vector<int> want =
+        BoxRuleReachable(fresh, states, cell, &pruned_by_direction);
+    EXPECT_EQ(fresh.CachedReachable(cell), want) << "cpa " << cpa << " cell "
+                                                 << cell;
+    EXPECT_EQ(index.CachedReachable(cell), want) << "cpa " << cpa << " cell "
+                                                 << cell;
+  }
+  // Up to 2x2 cells every cell touches every other, so every bearing
+  // interval is the full circle and the direction rule cannot prune.
+  if (cpa > 2) {
+    EXPECT_GT(pruned_by_direction, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(CellsPerAxis, CellBearingTableTest,
+                         ::testing::Values(1, 2, 3, 7, 20, 64));
 
 TEST(GridIndexTest, WarmCacheAvoidsRebuilds) {
   Instance instance = test::SmallInstance(23, 40, 40);

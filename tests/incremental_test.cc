@@ -1,6 +1,10 @@
 #include "sim/incremental.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <iterator>
+#include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -229,6 +233,91 @@ TEST(IncrementalAssignerTest, WorkerLeavingMidRouteVoidsContribution) {
   ASSERT_TRUE(assigner.RemoveWorker(7).ok());
   EXPECT_DOUBLE_EQ(assigner.Objectives().total_std, 0.0);
   EXPECT_EQ(assigner.num_workers(), 0);
+}
+
+// RemoveTask voids exactly the pending commitments to the removed task --
+// including workers that completed it once and then re-committed to it --
+// makes those workers assignable again, and leaves every other worker's
+// commitment alone. Driven through a seeded mix of commits, completions,
+// re-commits, withdrawals and departures.
+TEST(IncrementalAssignerTest, RemoveTaskVoidsExactlyPendingCommitments) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    auto solver = core::SolverRegistry::Global().Create("greedy").value();
+    IncrementalAssigner assigner(solver.get(), 0.1);
+    util::Rng rng(seed);
+    std::vector<core::TaskId> open;
+    std::map<core::WorkerId, geo::Point> homes;
+    core::TaskId next_task = 0;
+    core::WorkerId next_worker = 0;
+    auto add_task = [&] {
+      const core::Task task = OpenTask(
+          {rng.Uniform(0.35, 0.65), rng.Uniform(0.35, 0.65)}, 0, 100);
+      ASSERT_TRUE(assigner.AddTask(next_task, task).ok());
+      open.push_back(next_task++);
+    };
+    auto add_worker = [&] {
+      const geo::Point home{rng.Uniform(0.3, 0.7), rng.Uniform(0.3, 0.7)};
+      ASSERT_TRUE(assigner.AddWorker(next_worker, FreeWorker(home)).ok());
+      homes.emplace(next_worker++, home);
+    };
+    for (int t = 0; t < 4; ++t) add_task();
+    for (int w = 0; w < 16; ++w) add_worker();
+
+    std::map<core::WorkerId, std::set<core::TaskId>> completed;
+    int recommits = 0;
+    int voided = 0;
+    for (int round = 0; round < 40; ++round) {
+      const auto committed = assigner.Update(0.1 * round).value();
+      for (const auto& [tid, wid] : committed) {
+        if (completed[wid].contains(tid)) ++recommits;
+      }
+      // Complete about half of the busy workers back at home, so the next
+      // round may commit them to the same task again.
+      for (const auto& [wid, home] : homes) {
+        const core::TaskId task = assigner.CommittedTask(wid);
+        if (task == core::kNoTask || !rng.Bernoulli(0.5)) continue;
+        ASSERT_TRUE(assigner.CompleteWorker(wid, home).ok());
+        completed[wid].insert(task);
+      }
+      // Now and then a worker leaves (busy or not) and another arrives.
+      if (rng.Bernoulli(0.2)) {
+        auto it = homes.begin();
+        std::advance(it, rng.UniformInt(
+                             0, static_cast<int64_t>(homes.size()) - 1));
+        ASSERT_TRUE(assigner.RemoveWorker(it->first).ok());
+        homes.erase(it);
+        add_worker();
+      }
+      // Withdraw a random open task every other round.
+      if (round % 2 == 1) {
+        const size_t pick = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(open.size()) - 1));
+        const core::TaskId id = open[pick];
+        std::map<core::WorkerId, core::TaskId> before;
+        for (const auto& [wid, home] : homes) {
+          before[wid] = assigner.CommittedTask(wid);
+        }
+        ASSERT_TRUE(assigner.RemoveTask(id).ok());
+        open.erase(open.begin() + static_cast<std::ptrdiff_t>(pick));
+        for (const auto& [wid, task] : before) {
+          if (task == id) {
+            EXPECT_EQ(assigner.CommittedTask(wid), core::kNoTask)
+                << "seed " << seed << " round " << round << " worker " << wid;
+            EXPECT_NE(assigner.index().FindWorker(wid), nullptr)
+                << "voided worker " << wid << " is not assignable again";
+            ++voided;
+          } else {
+            EXPECT_EQ(assigner.CommittedTask(wid), task)
+                << "seed " << seed << " round " << round << " worker " << wid;
+          }
+        }
+        add_task();
+      }
+    }
+    // The script really exercised the cases the ledger walk must handle.
+    EXPECT_GT(voided, 0) << "seed " << seed;
+    EXPECT_GT(recommits, 0) << "seed " << seed;
+  }
 }
 
 }  // namespace
