@@ -135,7 +135,7 @@ class DcRunner {
   int MakeLeaf(Sub sub) {
     // Matches the recursive formulation's draw: one fork per leaf, taken
     // when the recursion reaches it.
-    leaves_.push_back(Leaf{std::move(sub), rng_.Fork().engine()()});
+    leaves_.push_back(Leaf{std::move(sub), rng_.Fork().NextU64()});
     nodes_.push_back(
         Node{-1, -1, static_cast<int>(leaves_.size()) - 1});
     return static_cast<int>(nodes_.size()) - 1;

@@ -46,7 +46,7 @@ util::StatusOr<SolveResult> SamplingSolver::SolveImpl(
   // any executor width and still reproduce the serial run bit for bit.
   util::Rng rng(options_.seed);
   std::vector<uint64_t> sample_seeds(k);
-  for (int h = 0; h < k; ++h) sample_seeds[h] = rng.engine()();
+  for (int h = 0; h < k; ++h) sample_seeds[h] = rng.NextU64();
 
   std::vector<Assignment> samples(k);
   std::vector<ObjectiveValue> values(k);

@@ -262,6 +262,89 @@ TEST(KernelPropertyTest, BoundaryArrivalsMatchOracle) {
   }
 }
 
+// Block sizes 0-33 put every pair count below, at and past the vector
+// step of the classification loop (16 pairs under AVX2), so the scalar
+// remainder and the vector body both run, alone and together. Per size,
+// policy and cone kind: every certain verdict equals the oracle,
+// ValidPairsRow equals the scalar IsValidPair loop, and neither writes
+// past block.size() (a guard byte sits at cls[block.size()]).
+TEST(KernelPropertyTest, SmallBlocksAndTailsMatchOracle) {
+  constexpr uint8_t kGuard = 0xA5;
+  constexpr size_t kMaxBlock = 33;
+  constexpr size_t kVectorStep = 16;
+  gen::WorkloadConfig config = SweepConfig(21, false, std::numbers::pi / 3);
+  config.num_tasks = static_cast<int>(kMaxBlock);
+  config.num_workers = 80;
+  const Instance cones = gen::GenerateInstance(config);
+  for (bool full_circle : {false, true}) {
+    std::vector<Worker> workers = cones.workers();
+    if (full_circle) {
+      for (Worker& w : workers) {
+        w.direction = geo::AngularInterval::FullCircle();
+      }
+    }
+    const Instance base(cones.tasks(), workers, cones.now(), cones.policy());
+    for (ArrivalPolicy policy :
+         {ArrivalPolicy::kStrict, ArrivalPolicy::kAllowWait}) {
+      const Instance instance = WithPolicy(base, policy);
+      // Certain verdicts seen in the vector body ([0]: slots below the
+      // last multiple of kVectorStep) and in the remainder ([1]), so the
+      // sweep is known to judge pairs in both.
+      int64_t accepts[2] = {0, 0}, rejects[2] = {0, 0};
+      for (size_t n = 0; n <= kMaxBlock; ++n) {
+        core::TaskBlock block;
+        for (size_t k = 0; k < n; ++k) {
+          block.Add(static_cast<TaskId>(k),
+                    instance.task(static_cast<TaskId>(k)));
+        }
+        std::vector<uint8_t> cls(n + 1);
+        for (WorkerId j = 0; j < instance.num_workers(); ++j) {
+          const Worker& w = instance.worker(j);
+          const core::WorkerGeom geom =
+              core::PrecomputeWorker(w, instance.now());
+          ASSERT_FALSE(geom.scalar_only);
+          ASSERT_EQ(geom.full_circle, full_circle);
+
+          std::fill(cls.begin(), cls.end(), uint8_t{0x5A});
+          cls[n] = kGuard;
+          core::ClassifyRow(geom, policy, block, cls.data());
+          ASSERT_EQ(cls[n], kGuard) << "n=" << n << " worker " << j;
+          for (size_t k = 0; k < n; ++k) {
+            ASSERT_LE(cls[k], uint8_t{core::kPairUncertain});
+            if (cls[k] == core::kPairUncertain) continue;
+            const bool valid = core::IsValidPair(block.oracle[k], w,
+                                                 instance.now(), policy);
+            ASSERT_EQ(cls[k] == core::kPairAccept, valid)
+                << "n=" << n << " worker " << j << " slot " << k;
+            const int tail = k >= n / kVectorStep * kVectorStep ? 1 : 0;
+            ++(valid ? accepts : rejects)[tail];
+          }
+
+          std::vector<TaskId> want;
+          for (size_t k = 0; k < n; ++k) {
+            if (core::IsValidPair(block.oracle[k], w, instance.now(),
+                                  policy)) {
+              want.push_back(block.id[k]);
+            }
+          }
+          std::vector<TaskId> got = {-1};  // appended to, never cleared
+          cls[n] = kGuard;
+          EXPECT_EQ(core::ValidPairsRow(geom, w, instance.now(), policy,
+                                        block, cls.data(), &got),
+                    want.size());
+          ASSERT_EQ(cls[n], kGuard) << "n=" << n << " worker " << j;
+          want.insert(want.begin(), -1);
+          ASSERT_EQ(got, want) << "n=" << n << " worker " << j;
+        }
+      }
+      for (int part : {0, 1}) {
+        EXPECT_GT(accepts[part], 0) << "full " << full_circle << ", " << part;
+        EXPECT_GT(rejects[part], 0) << "full " << full_circle << ", " << part;
+      }
+    }
+  }
+}
+
 // ObservationRow batches MakeObservation over a task block; the contract
 // is the exact scalar sequence, observation by observation.
 TEST(KernelPropertyTest, ObservationRowMatchesScalarSequence) {

@@ -1,4 +1,9 @@
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <random>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "util/fractal.h"
@@ -94,6 +99,101 @@ TEST(RngTest, ForkProducesIndependentStream) {
     if (a.Uniform(0, 1) != child.Uniform(0, 1)) any_different = true;
   }
   EXPECT_TRUE(any_different);
+}
+
+// Rng's engine must be std::mt19937_64 number for number: the lazily
+// twisted first block may change only what a stream costs, never what it
+// yields.
+std::vector<uint64_t> EngineTestSeeds() {
+  std::vector<uint64_t> seeds = {0, 1, 5489, ~uint64_t{0}};
+  std::mt19937_64 pick(20261017);
+  for (int i = 0; i < 200; ++i) seeds.push_back(pick());
+  return seeds;
+}
+
+// Raw draw counts on both sides of each refill boundary: the lazy chunks
+// (8 words), the end of the seeded look-ahead (155/156), the end of the
+// first block (311/312) and of the second (623/624).
+constexpr int kBoundaryCounts[] = {0,   1,   7,   8,   9,   155, 156, 157,
+                                   311, 312, 313, 623, 624, 625, 2000};
+
+TEST(RngTest, EngineStreamMatchesStdMt19937_64) {
+  static_assert(Mt19937_64::min() == std::mt19937_64::min());
+  static_assert(Mt19937_64::max() == std::mt19937_64::max());
+  for (uint64_t seed : EngineTestSeeds()) {
+    Rng rng(seed);
+    std::mt19937_64 want(seed);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(rng.NextU64(), want()) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+// Every stopping point 0-2000 leaves the engine in a different lazy state.
+// A copy taken there, and the original, must both continue as std does
+// across the following block boundary.
+TEST(RngTest, CopyAtEveryDrawCountContinuesTheStream) {
+  std::mt19937_64 pick(7);
+  for (int count = 0; count <= 2000; ++count) {
+    const uint64_t seed = pick();
+    Rng rng(seed);
+    std::mt19937_64 want(seed);
+    for (int i = 0; i < count; ++i) ASSERT_EQ(rng.NextU64(), want());
+    Rng copy = rng;
+    for (int i = 0; i < 400; ++i) {
+      const uint64_t next = want();
+      ASSERT_EQ(copy.NextU64(), next) << "count " << count << " draw " << i;
+      ASSERT_EQ(rng.NextU64(), next) << "count " << count << " draw " << i;
+    }
+  }
+}
+
+TEST(RngTest, DistributionsMatchStdMt19937_64) {
+  std::vector<uint64_t> seeds = EngineTestSeeds();
+  seeds.resize(24);
+  for (uint64_t seed : seeds) {
+    for (int count : kBoundaryCounts) {
+      Rng rng(seed);
+      std::mt19937_64 want(seed);
+      for (int i = 0; i < count; ++i) ASSERT_EQ(rng.NextU64(), want());
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " after "
+                                        << count << " draws");
+      for (int i = 0; i < 20; ++i) {
+        ASSERT_EQ(rng.UniformInt(-3, 17),
+                  std::uniform_int_distribution<int64_t>(-3, 17)(want));
+        ASSERT_EQ(rng.UniformInt(INT64_MIN, INT64_MAX),
+                  std::uniform_int_distribution<int64_t>(INT64_MIN,
+                                                         INT64_MAX)(want));
+        // Real-valued results to 1e-12: with FMA codegen (the
+        // -march=x86-64-v3 build) one distribution inlined at two call
+        // sites may contract differently and round apart by a few dozen
+        // ulps. A different raw draw moves them by far more.
+        const double uniform = std::uniform_real_distribution<double>(
+            -2.5, 4.0)(want);
+        ASSERT_NEAR(rng.Uniform(-2.5, 4.0), uniform, 1e-12);
+        const double gaussian =
+            std::normal_distribution<double>(1.0, 3.0)(want);
+        ASSERT_NEAR(rng.Gaussian(1.0, 3.0), gaussian,
+                    1e-12 * (1.0 + std::fabs(gaussian)));
+        ASSERT_EQ(rng.Bernoulli(0.3), std::bernoulli_distribution(0.3)(want));
+        ASSERT_EQ(std::geometric_distribution<int64_t>(0.2)(rng.engine()),
+                  std::geometric_distribution<int64_t>(0.2)(want));
+      }
+      std::vector<int> got(100), expect(100);
+      std::iota(got.begin(), got.end(), 0);
+      std::iota(expect.begin(), expect.end(), 0);
+      std::shuffle(got.begin(), got.end(), rng.engine());
+      std::shuffle(expect.begin(), expect.end(), want);
+      ASSERT_EQ(got, expect);
+
+      // Fork seeds the child from one parent draw; the child is a fresh
+      // lazy stream and must match a fresh std engine on that seed.
+      Rng child = rng.Fork();
+      std::mt19937_64 want_child(want());
+      for (int i = 0; i < 700; ++i) ASSERT_EQ(child.NextU64(), want_child());
+      ASSERT_EQ(rng.NextU64(), want());
+    }
+  }
 }
 
 TEST(MathTest, EntropyTermLimits) {

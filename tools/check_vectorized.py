@@ -1,0 +1,227 @@
+#!/usr/bin/env python3
+"""Vectorisation gate for the pair-classification kernel.
+
+The O(m*n) pair test (src/core/kernels.cc) is fast only while GCC
+vectorises the classification loop in every AVX2 instance
+(ClassifyAvx2<kWait, kFullCircle>). Nothing else notices when an edit turns
+the loop scalar again: the edge sets stay identical, only slower. This
+script recompiles kernels.cc with the flags the build tree uses (read from
+its compile_commands.json) plus -fopt-info-vec-all, and fails unless GCC
+reports the ClassifyLoop `for` line vectorised inside each AVX2 instance.
+
+-fopt-info-vec-all is -fopt-info-vec-optimized plus GCC's notes; the
+per-function note "vectorized N loops in function." names the instance a
+loop report belongs to, since every instance inlines the same source line.
+
+Usage:
+    check_vectorized.py --build-dir BUILD [--root ROOT]
+    check_vectorized.py --self-test
+
+Exit status: 0 when every instance is vectorised (or self-test passes),
+1 when one is not, 2 on usage errors, 77 (reported as skipped by ctest)
+when the compiler is not GCC, the target has no AVX2 instances, or the
+tree builds below -O3 (GCC 12 leaves the loop scalar at -O2, whose
+"very-cheap" cost model rejects loops that would need a scalar remainder).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+KERNEL = Path("src/core/kernels.cc")
+SKIP = 77
+
+# "<file>:<line>:<col>: optimized: loop vectorized using 32 byte vectors"
+LOOP_RE = re.compile(r"^(?P<file>[^:]+):(?P<line>\d+):\d+: "
+                     r"optimized: loop vectorized")
+# "<file>:<line>:<col>: note: vectorized 1 loops in function."
+FUNC_RE = re.compile(r"^(?P<file>[^:]+):(?P<line>\d+):\d+: note: "
+                     r"vectorized (?P<count>\d+) loops in function\.")
+
+
+def kernel_lines(source: str) -> tuple[int, int, int]:
+    """(ClassifyLoop's `for` line, ClassifyAvx2's line, AVX2 instances)."""
+    lines = source.splitlines()
+    loop_def = next((i for i, l in enumerate(lines)
+                     if re.search(r"\bvoid ClassifyLoop\(", l)), None)
+    avx2_def = next((i for i, l in enumerate(lines)
+                     if re.search(r"\bvoid ClassifyAvx2\(", l)), None)
+    if loop_def is None or avx2_def is None:
+        raise SystemExit("error: ClassifyLoop or ClassifyAvx2 not found in "
+                         f"{KERNEL}")
+    loop_for = next((i for i in range(loop_def, len(lines))
+                     if re.match(r"\s*for \(", lines[i])), None)
+    if loop_for is None:
+        raise SystemExit(f"error: no loop in ClassifyLoop ({KERNEL})")
+    instances = len(set(re.findall(r"&ClassifyAvx2<[^>]*>", source)))
+    return loop_for + 1, avx2_def + 1, instances
+
+
+def check_report(report: str, loop_line: int, func_line: int,
+                 instances: int) -> list[str]:
+    """Problems found in GCC's -fopt-info-vec-all output; empty if none."""
+    pending = 0   # loop_line vectorisations since the last function note
+    found = []    # per AVX2 instance: its loop_line vectorisations
+    for line in report.splitlines():
+        m = LOOP_RE.match(line)
+        if m and m["file"].endswith(KERNEL.name) and \
+                int(m["line"]) == loop_line:
+            pending += 1
+            continue
+        m = FUNC_RE.match(line)
+        if m:
+            if m["file"].endswith(KERNEL.name) and \
+                    int(m["line"]) == func_line:
+                found.append(pending)
+            pending = 0
+    problems = []
+    if len(found) != instances:
+        problems.append(f"expected {instances} ClassifyAvx2 instances in "
+                        f"the report, found {len(found)}")
+    for i, count in enumerate(found):
+        if count == 0:
+            problems.append(f"ClassifyAvx2 instance {i + 1} of {len(found)}:"
+                            f" the loop at {KERNEL}:{loop_line} was not "
+                            "vectorised")
+    return problems
+
+
+def compile_entry(build_dir: Path) -> dict:
+    db = build_dir / "compile_commands.json"
+    try:
+        entries = json.loads(db.read_text())
+    except (OSError, json.JSONDecodeError) as err:
+        raise SystemExit(f"error: cannot read {db}: {err}")
+    for entry in entries:
+        if Path(entry["file"]).as_posix().endswith(KERNEL.as_posix()):
+            return entry
+    raise SystemExit(f"error: {KERNEL} is not in {db}")
+
+
+def strip_outputs(args: list[str]) -> list[str]:
+    """The compile command minus its object and dependency-file outputs."""
+    out, skip = [], False
+    for arg in args:
+        if skip:
+            skip = False
+        elif arg in ("-o", "-MF", "-MT", "-MQ"):
+            skip = True
+        elif arg in ("-MD", "-MMD"):
+            pass
+        else:
+            out.append(arg)
+    return out
+
+
+def gate(root: Path, build_dir: Path) -> int:
+    entry = compile_entry(build_dir)
+    args = entry.get("arguments") or shlex.split(entry["command"])
+    args = strip_outputs(args)
+    cwd = entry["directory"]
+    compiler = args[0]
+    flags = [a for a in args[1:] if a not in ("-c", entry["file"])]
+
+    macros = subprocess.run([compiler, *flags, "-dM", "-E", "-x", "c++",
+                             os.devnull], cwd=cwd, capture_output=True,
+                            text=True)
+    if macros.returncode != 0:
+        print(macros.stderr, file=sys.stderr)
+        return 2
+    defined = set(re.findall(r"^#define (\w+)", macros.stdout, re.M))
+    if "__GNUC__" not in defined or "__clang__" in defined:
+        print(f"skipped: {compiler} is not GCC; the gate reads GCC's "
+              "-fopt-info report")
+        return SKIP
+    if "__x86_64__" not in defined:
+        print("skipped: no AVX2 instances outside x86-64")
+        return SKIP
+    levels = [a for a in flags if re.fullmatch(r"-O\w*", a)]
+    if not levels or levels[-1] not in ("-O3", "-Ofast"):
+        print("skipped: the tree does not build at -O3, and GCC vectorises "
+              "this loop only there")
+        return SKIP
+
+    source = (root / KERNEL).read_text()
+    loop_line, func_line, instances = kernel_lines(source)
+    result = subprocess.run([*args, "-fopt-info-vec-all", "-o", os.devnull],
+                            cwd=cwd, capture_output=True, text=True)
+    if result.returncode != 0:
+        print(result.stderr, file=sys.stderr)
+        return 2
+    problems = check_report(result.stderr, loop_line, func_line, instances)
+    for problem in problems:
+        print(f"error: {problem}")
+    if problems:
+        return 1
+    print(f"ok: {KERNEL}:{loop_line} vectorised in all {instances} "
+          "ClassifyAvx2 instances")
+    return 0
+
+
+def self_test() -> int:
+    """The parser against hand-written reports."""
+    def note(line, n):
+        return f"src/core/kernels.cc:{line}:6: note: vectorized {n} loops " \
+               "in function."
+
+    def vec(line):
+        return f"src/core/kernels.cc:{line}:24: optimized: loop vectorized " \
+               "using 32 byte vectors"
+
+    missed = "src/core/kernels.cc:10:24: missed: couldn't vectorize loop"
+    good = "\n".join([missed, note(30, 0)] * 2 +
+                     [vec(10), vec(10), note(40, 1)] * 2)
+    cases = [
+        ("all instances vectorised", good, 0),
+        ("one instance scalar", "\n".join(
+            [vec(10), note(40, 1), missed, note(40, 0)]), 1),
+        ("another loop vectorised instead", "\n".join(
+            [vec(10), note(40, 1), vec(12), note(40, 1)]), 1),
+        ("an instance missing", "\n".join([vec(10), note(40, 1)]), 1),
+        ("vectorised outside the instances", "\n".join(
+            [vec(10), note(30, 1), vec(10), note(30, 1)]), 1),
+    ]
+    failures = 0
+    for name, report, want in cases:
+        got = len(check_report(report, loop_line=10, func_line=40,
+                               instances=2))
+        if got != want:
+            print(f"self-test: {name}: {got} problems, want {want}")
+            failures += 1
+    source = ("template <bool A>\ninline void ClassifyLoop(int n) {\n"
+              "  for (int k = 0; k < n; ++k) {}\n}\n"
+              "void ClassifyAvx2(int n) {}\n"
+              "f = &ClassifyAvx2<true>; g = &ClassifyAvx2<false>;\n")
+    if kernel_lines(source) != (3, 5, 2):
+        print(f"self-test: kernel_lines gave {kernel_lines(source)}")
+        failures += 1
+    print("self-test:", "FAIL" if failures else "ok")
+    return 1 if failures else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--build-dir", type=Path,
+                        help="CMake build tree with compile_commands.json")
+    parser.add_argument("--root", type=Path,
+                        default=Path(__file__).resolve().parent.parent,
+                        help="source tree (default: this script's repo)")
+    parser.add_argument("--self-test", action="store_true",
+                        help="check the report parser on embedded reports")
+    args = parser.parse_args()
+    if args.self_test:
+        return self_test()
+    if args.build_dir is None:
+        parser.error("--build-dir is required")
+    return gate(args.root, args.build_dir)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
