@@ -19,6 +19,33 @@ using util::EntropyTerm;
 // Entropy of a two-way split a : (1-a); the diversity of a two-ray world.
 double TwoWayEntropy(double a) { return EntropyTerm(a) + EntropyTerm(1.0 - a); }
 
+// True when the rest of an Eq. 9 / Eq. 10 row provably cannot change
+// `expected` by a single bit, so the row may stop; `between_absent` is the
+// row's running product of (1 - p) right after its latest update. Every
+// later term of the row is EntropyTerm(x) * p_a * p_k * between_absent',
+// evaluated left to right, and:
+//  - |EntropyTerm(x)| <= 1/e for x in [0, 1], and EntropyTerm(x) >=
+//    -1.1e-9 for the x <= 1 + 1e-9 its precondition admits (Observation
+//    angles lie in [0, 2*pi) and arrivals are clamped into the period, so
+//    x stays there);
+//  - p_a and p_k are clamped confidences in [0, 1 - 1e-12] or the temporal
+//    boundaries' 1.0, so multiplying by them never grows a magnitude, and
+//    neither does rounding, which is monotone;
+//  - between_absent' <= between_absent: fl(x * (1 - p)) <= x for 1 - p in
+//    [0, 1], so the running product never grows along a row.
+// So every later term has |term| <= 0.5 * between_absent, rounding
+// included. Let expected lie in [2^e, 2^(e+1)). The test below gives
+// between_absent < expected * 2^-55 <= 2^(e-54), so |term| <= 2^(e-55):
+// below half the smaller of the two spacings next to expected (2^(e-53)
+// just under a power of two, 2^(e-52) elsewhere). Round-to-nearest then
+// returns expected unchanged from each skipped `expected += term`, and by
+// induction from all of them, so stopping is bit-identical to the full
+// row. When expected is 0, negative, NaN or so small that expected * 2^-55
+// underflows to 0, the test is false and the full row runs.
+bool RowTailIsInvisible(double between_absent, double expected) {
+  return between_absent < expected * 0x1p-55;
+}
+
 // Observations sorted by approach angle, with circular gap g[i] from ray i
 // to ray i+1 (cyclic).
 struct AngularLayout {
@@ -164,6 +191,7 @@ double ExpectedSpatialDiversity(const std::vector<Observation>& obs) {
       expected += EntropyTerm(swept / kTwoPi) * layout.confidence[j] *
                   layout.confidence[k] * between_absent;
       between_absent *= 1.0 - layout.confidence[k];
+      if (RowTailIsInvisible(between_absent, expected)) break;
     }
   }
   return expected;
@@ -189,6 +217,7 @@ double ExpectedTemporalDiversity(const std::vector<Observation>& obs,
       expected += EntropyTerm(len / duration) * layout.confidence[a] *
                   layout.confidence[k] * between_absent;
       between_absent *= 1.0 - layout.confidence[k];
+      if (RowTailIsInvisible(between_absent, expected)) break;
     }
   }
   return expected;

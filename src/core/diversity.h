@@ -35,12 +35,18 @@ double Std(const Task& task, const std::vector<Observation>& obs);
 
 /// Expected spatial diversity E[SD] under possible-worlds semantics,
 /// computed with the spatial diversity matrix M_SD of Section 3.2
-/// (prefix-product formulation, O(r^2) time instead of the paper's O(r^3)).
+/// (prefix-product formulation instead of the paper's O(r^3)). Cost is at
+/// most O(r^2): each row of Eq. 9 ends once its remaining terms provably
+/// cannot change the running sum, so the result is bit-identical to the
+/// full rows (proof at the cut in diversity.cc; tests/diversity_test.cc
+/// checks it against a full-row copy).
 double ExpectedSpatialDiversity(const std::vector<Observation>& obs);
 
 /// Expected temporal diversity E[TD], computed with the temporal diversity
 /// matrix M_TD of Section 3.2. The valid period boundaries act as virtual
 /// always-present dividers (see DESIGN.md on the Eq. 10 index convention).
+/// Cost is at most O(r^2), with the same bit-identical row cut-off as
+/// ExpectedSpatialDiversity. Requires end > start (core::ValidateTask).
 double ExpectedTemporalDiversity(const std::vector<Observation>& obs,
                                  double start, double end);
 

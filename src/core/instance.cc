@@ -3,7 +3,9 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <utility>
 
 #include "core/kernels.h"
@@ -11,22 +13,80 @@
 
 namespace rdbsc::core {
 
-util::Status Instance::Validate() const {
-  for (const Task& t : tasks_) {
-    if (!(t.Duration() > 0.0)) {
-      return util::Status::InvalidArgument("task has non-positive duration");
-    }
-    if (t.beta < 0.0 || t.beta > 1.0) {
-      return util::Status::InvalidArgument("task beta outside [0,1]");
+namespace {
+
+// "<kind> <id>: <field> = <value> <problem>", the one error shape of the
+// per-record checks below.
+util::Status BadField(const char* kind, int32_t id, const char* field,
+                      double value, const char* problem) {
+  char text[160];
+  std::snprintf(text, sizeof(text), "%s %d: %s = %g %s", kind,
+                static_cast<int>(id), field, value, problem);
+  return util::Status::InvalidArgument(text);
+}
+
+// The first of `fields` that is NaN or infinite, as a BadField error.
+util::Status CheckFinite(
+    const char* kind, int32_t id,
+    std::initializer_list<std::pair<const char*, double>> fields) {
+  for (const auto& [field, value] : fields) {
+    if (!std::isfinite(value)) {
+      return BadField(kind, id, field, value, "not finite");
     }
   }
-  for (const Worker& w : workers_) {
-    if (!(w.velocity > 0.0)) {
-      return util::Status::InvalidArgument("worker velocity not positive");
-    }
-    if (w.confidence < 0.0 || w.confidence > 1.0) {
-      return util::Status::InvalidArgument("worker confidence outside [0,1]");
-    }
+  return util::Status::OK();
+}
+
+}  // namespace
+
+util::Status ValidateTask(TaskId id, const Task& task) {
+  if (util::Status s = CheckFinite("task", id,
+                                   {{"location.x", task.location.x},
+                                    {"location.y", task.location.y},
+                                    {"start", task.start},
+                                    {"end", task.end}});
+      !s.ok()) {
+    return s;
+  }
+  if (!(task.Duration() > 0.0) || !std::isfinite(task.Duration())) {
+    return BadField("task", id, "end - start", task.Duration(),
+                    "not a finite positive length");
+  }
+  if (!(task.beta >= 0.0 && task.beta <= 1.0)) {
+    return BadField("task", id, "beta", task.beta, "outside [0,1]");
+  }
+  return util::Status::OK();
+}
+
+util::Status ValidateWorker(WorkerId id, const Worker& worker) {
+  if (util::Status s =
+          CheckFinite("worker", id,
+                      {{"location.x", worker.location.x},
+                       {"location.y", worker.location.y},
+                       {"velocity", worker.velocity},
+                       {"direction.lo", worker.direction.lo()},
+                       {"direction.width", worker.direction.width()},
+                       {"available_from", worker.available_from}});
+      !s.ok()) {
+    return s;
+  }
+  if (!(worker.velocity > 0.0)) {
+    return BadField("worker", id, "velocity", worker.velocity,
+                    "not positive");
+  }
+  if (!(worker.confidence >= 0.0 && worker.confidence <= 1.0)) {
+    return BadField("worker", id, "confidence", worker.confidence,
+                    "outside [0,1]");
+  }
+  return util::Status::OK();
+}
+
+util::Status Instance::Validate() const {
+  for (TaskId i = 0; i < num_tasks(); ++i) {
+    if (util::Status s = ValidateTask(i, tasks_[i]); !s.ok()) return s;
+  }
+  for (WorkerId j = 0; j < num_workers(); ++j) {
+    if (util::Status s = ValidateWorker(j, workers_[j]); !s.ok()) return s;
   }
   return util::Status::OK();
 }

@@ -51,8 +51,8 @@ class Instance {
   /// immutable after construction).
   const InstanceSoA& soa() const;
 
-  /// Validates basic well-formedness (positive durations, confidences in
-  /// [0,1], positive velocities). Solvers assume a valid instance.
+  /// Validates every task and worker (ValidateTask / ValidateWorker, with
+  /// the index as the id). Solvers assume a valid instance.
   util::Status Validate() const;
 
  private:
@@ -70,6 +70,18 @@ class Instance {
   ArrivalPolicy policy_ = ArrivalPolicy::kStrict;
   std::shared_ptr<SoaCache> soa_cache_ = std::make_shared<SoaCache>();
 };
+
+/// The per-record input checks, shared by Instance::Validate and the
+/// incremental round engine (sim::IncrementalAssigner) so that bad input
+/// gets the same clear error in every build type instead of reaching
+/// Debug-only asserts. A task needs a finite location, a finite valid
+/// period of positive length and beta in [0,1]; a worker needs a finite
+/// location, a finite positive velocity, a finite direction cone, a
+/// confidence in [0,1] and a finite check-in time. NaN fails every check.
+/// Errors are kInvalidArgument and name the record, its id, the field and
+/// its value, e.g. "task 3: beta = nan outside [0,1]".
+util::Status ValidateTask(TaskId id, const Task& task);
+util::Status ValidateWorker(WorkerId id, const Worker& worker);
 
 /// The bipartite validity graph of Figure 4: for every worker the list of
 /// tasks it can validly serve and the transpose. Built once per solve; the

@@ -7,10 +7,22 @@
 #include <vector>
 
 #include "core/diversity.h"
+#include "core/instance.h"
 #include "util/deadline.h"
 #include "util/math.h"
 
 namespace rdbsc::sim {
+namespace {
+
+// `worker` relocated to `position` must still pass the per-worker input
+// check: a moved or completing worker brings a new location.
+util::Status ValidatePosition(core::WorkerId id, core::Worker worker,
+                              geo::Point position) {
+  worker.location = position;
+  return core::ValidateWorker(id, worker);
+}
+
+}  // namespace
 
 IncrementalAssigner::IncrementalAssigner(core::Solver* solver, double eta,
                                          core::ArrivalPolicy policy)
@@ -18,6 +30,7 @@ IncrementalAssigner::IncrementalAssigner(core::Solver* solver, double eta,
 
 util::Status IncrementalAssigner::AddTask(core::TaskId id,
                                           const core::Task& task) {
+  if (util::Status s = core::ValidateTask(id, task); !s.ok()) return s;
   if (tasks_.contains(id)) {
     return util::Status::AlreadyExists("task id already registered");
   }
@@ -73,6 +86,7 @@ util::Status IncrementalAssigner::RemoveTask(core::TaskId id) {
 
 util::Status IncrementalAssigner::AddWorker(core::WorkerId id,
                                             const core::Worker& worker) {
+  if (util::Status s = core::ValidateWorker(id, worker); !s.ok()) return s;
   if (workers_.contains(id)) {
     return util::Status::AlreadyExists("worker id already registered");
   }
@@ -114,6 +128,10 @@ util::Status IncrementalAssigner::CompleteWorker(core::WorkerId id,
   if (!it->second.busy) {
     return util::Status::FailedPrecondition("worker has no pending task");
   }
+  if (util::Status s = ValidatePosition(id, it->second.worker, position);
+      !s.ok()) {
+    return s;
+  }
   it->second.busy = false;
   it->second.committed = core::kNoTask;
   it->second.worker.location = position;
@@ -131,6 +149,9 @@ util::Status IncrementalAssigner::MoveWorker(core::WorkerId id,
   if (it->second.busy) {
     return util::Status::FailedPrecondition(
         "committed worker cannot be moved");
+  }
+  if (util::Status s = ValidatePosition(id, it->second.worker, to); !s.ok()) {
+    return s;
   }
   util::Status status = index_.MoveWorker(id, to);
   if (!status.ok()) return status;

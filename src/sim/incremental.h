@@ -54,6 +54,10 @@ class IncrementalAssigner {
 
   /// The mutators below fail with the index's or the delta graph's status
   /// when the two disagree with the registries (the graph is then stale).
+  /// They reject bad input first, in every build type, with the
+  /// kInvalidArgument of core::ValidateTask / core::ValidateWorker (a moved
+  /// or completing worker is checked at its new position) and leave the
+  /// assigner untouched.
 
   /// Registers a new open task; fails on duplicate id.
   util::Status AddTask(core::TaskId id, const core::Task& task);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include "geo/angle.h"
 #include "sim/events.h"
 #include "sim/incremental.h"
+#include "util/deadline.h"
 #include "util/math.h"
 #include "util/rng.h"
 
@@ -132,12 +134,15 @@ util::StatusOr<PlatformResult> Platform::Run() {
   obs::Counter* m_rounds = nullptr;
   obs::Counter* m_assignments = nullptr;
   obs::Counter* m_answers = nullptr;
+  obs::Histogram* m_objectives = nullptr;
   if (config_.metrics != nullptr) {
     const obs::Labels labels = {{"solver", config_.solver_name}};
     m_rounds = &config_.metrics->GetCounter("sim.rounds", labels);
     m_assignments =
         &config_.metrics->GetCounter("sim.assignments", labels);
     m_answers = &config_.metrics->GetCounter("sim.answers", labels);
+    m_objectives = &config_.metrics->GetHistogram(
+        "sim.round_objectives_seconds", labels, 1e-9);
   }
 
   // --- Set up the campus: sites clustered around the center. ---
@@ -282,7 +287,11 @@ util::StatusOr<PlatformResult> Platform::Run() {
           .arrival = std::clamp(mw.arrival_time, task.start, task.end),
           .confidence = mw.profile.confidence});
     }
+    const auto objectives_start = std::chrono::steady_clock::now();
     record.objectives = objectives.Evaluate(sites, en_route);
+    if (m_objectives != nullptr) {
+      m_objectives->Observe(util::SecondsSince(objectives_start));
+    }
     result.rounds.push_back(record);
   }
 

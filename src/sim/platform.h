@@ -44,12 +44,14 @@ struct PlatformConfig {
   std::string solver_name = "dc";
   core::SolverOptions solver_options;
   /// Optional metrics sink (unowned; must outlive Run()). Records the
-  /// counters sim.rounds / sim.assignments / sim.answers plus the round
-  /// engine's sim.round_build_seconds / sim.round_solve_seconds
-  /// histograms, all labelled {solver}, and its unlabelled sim.delta.*
-  /// counters (see IncrementalAssigner::set_metrics). Purely
-  /// observational: the simulated trajectory is bit-identical with or
-  /// without it.
+  /// counters sim.rounds / sim.assignments / sim.answers, the
+  /// sim.round_objectives_seconds histogram (each round's objective
+  /// preview: min reliability and the Eq. 7 E[STD] total over all sites),
+  /// plus the round engine's sim.round_build_seconds /
+  /// sim.round_solve_seconds histograms, all labelled {solver}, and its
+  /// unlabelled sim.delta.* counters (see IncrementalAssigner::set_metrics).
+  /// Purely observational: the simulated trajectory is bit-identical with
+  /// or without it.
   obs::Registry* metrics = nullptr;
 };
 

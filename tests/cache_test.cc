@@ -14,6 +14,7 @@
 #include "engine/fingerprint.h"
 #include "engine/server.h"
 #include "engine/solve_cache.h"
+#include "gate_solver.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "util/hash.h"
@@ -261,7 +262,7 @@ TEST(CachePipelineTest, FailedSolvesAreNeverCached) {
 
 ServerConfig CachingServerConfig(int num_workers) {
   ServerConfig config;
-  config.engine.solver_name = "dc";
+  config.engine.solver_name = test::GatedSolverName();
   config.engine.solver_options.seed = 7;
   config.engine.validate_instances = false;
   config.num_workers = num_workers;
@@ -304,20 +305,22 @@ TEST(ServerCacheTest, RepeatedSubmissionHitsAndCountersTrack) {
 }
 
 TEST(ServerCacheTest, SingleFlightCollapsesQueuedDuplicates) {
-  // One dispatch worker, gated by a deliberately heavy request: the two
+  // One dispatch worker, held by a gate (tests/gate_solver.h): the two
   // identical requests behind it are both queued when the second arrives,
   // so the collapse is deterministic, not a race.
   auto server =
       std::move(engine::Server::Create(CachingServerConfig(1)).value());
+  test::Gates gates;
   engine::SubmitControls gate_controls;
   gate_controls.priority = 10;
   engine::Ticket gate =
-      server->Submit(SmallInstance(1, 220, 220), gate_controls).value();
+      server->Submit(test::GateInstance(), gate_controls).value();
 
   const core::Instance dup = SmallInstance(33);
   engine::Ticket leader = server->Submit(dup).value();
   engine::Ticket follower = server->Submit(dup).value();
 
+  gates.Open(0);
   ASSERT_TRUE(gate.Wait().ok());
   const util::StatusOr<EngineResult>& led = leader.Wait();
   const util::StatusOr<EngineResult>& followed = follower.Wait();
@@ -339,17 +342,18 @@ TEST(ServerCacheTest, SingleFlightCollapsesQueuedDuplicates) {
 TEST(ServerCacheTest, UrgentFollowerPromotesQueuedLeader) {
   // No priority inversion through single-flight: a follower more urgent
   // than its queued leader promotes the leader. Sequence (one worker):
-  //   gate(p10) runs | queued: leader L(p0, instance X), M(p5, heavy)
+  //   gate 0 (p10) runs | queued: leader L(p0, instance X), gate 1 M(p5)
   //   follower D(p9, X) collapses onto L and promotes it to p9
-  // so after the gate the worker must pop L (now p9) before M -- without
-  // the promotion M(p5) would dispatch first and L/D would wait behind
-  // the heavy request they outrank.
+  // so once gate 0 opens the worker must pop L (now p9) before M --
+  // without the promotion M(p5) would dispatch first and hold the worker
+  // until gate 1 opens, with L/D stuck behind the request they outrank.
   auto server =
       std::move(engine::Server::Create(CachingServerConfig(1)).value());
+  test::Gates gates;
   engine::SubmitControls gate_controls;
   gate_controls.priority = 10;
   engine::Ticket gate =
-      server->Submit(SmallInstance(1, 220, 220), gate_controls).value();
+      server->Submit(test::GateInstance(0), gate_controls).value();
 
   const core::Instance dup = SmallInstance(55);
   engine::SubmitControls low;
@@ -358,18 +362,20 @@ TEST(ServerCacheTest, UrgentFollowerPromotesQueuedLeader) {
 
   engine::SubmitControls mid;
   mid.priority = 5;
-  engine::Ticket heavy = server->Submit(SmallInstance(2, 220, 220), mid)
-                             .value();
+  engine::Ticket heavy = server->Submit(test::GateInstance(1), mid).value();
 
   engine::SubmitControls urgent;
   urgent.priority = 9;
   engine::Ticket follower = server->Submit(dup, urgent).value();
 
+  gates.Open(0);
+  ASSERT_TRUE(leader.WaitFor(30.0)) << "leader stuck behind gate 1";
   ASSERT_TRUE(leader.Wait().ok());
   ASSERT_TRUE(follower.Wait().ok());
   // The promoted leader (and its follower) finished while the mid-
-  // priority heavy request is still on the worker.
+  // priority request is still pending.
   EXPECT_EQ(heavy.TryGet(), nullptr);
+  gates.Open(1);
   EXPECT_EQ(engine::ResultFingerprint(leader.Wait()),
             engine::ResultFingerprint(follower.Wait()));
 
@@ -389,10 +395,11 @@ TEST(ServerCacheTest, WriteOnlyDuplicateDoesNotClobberSingleFlightRegistry) {
   // and collapse onto it.
   auto server =
       std::move(engine::Server::Create(CachingServerConfig(1)).value());
-  // Two *distinct* heavy instances: were they identical, gate2 would
+  test::Gates gates;
+  // Two *distinct* gate instances: were they identical, gate2 would
   // collapse onto gate1 instead of occupying the worker.
-  const core::Instance heavy1 = SmallInstance(1, 220, 220);
-  const core::Instance heavy2 = SmallInstance(2, 220, 220);
+  const core::Instance heavy1 = test::GateInstance(0);
+  const core::Instance heavy2 = test::GateInstance(1);
   const core::Instance dup = SmallInstance(44);
 
   engine::SubmitControls gate1_controls;
@@ -411,8 +418,10 @@ TEST(ServerCacheTest, WriteOnlyDuplicateDoesNotClobberSingleFlightRegistry) {
   gate2_controls.priority = 1;
   engine::Ticket gate2 = server->Submit(heavy2, gate2_controls).value();
 
+  gates.Open(0);
   ASSERT_TRUE(w2.Wait().ok());  // W1 still queued behind gate2
   engine::Ticket rider = server->Submit(dup).value();  // kReadWrite default
+  gates.Open(1);
   ASSERT_TRUE(rider.Wait().ok());
   ASSERT_TRUE(w1.Wait().ok());
   ASSERT_TRUE(gate1.Wait().ok());

@@ -1,12 +1,19 @@
 #include "core/diversity.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <numbers>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "geo/angle.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
+#include "util/math.h"
 #include "util/rng.h"
 
 namespace rdbsc::core {
@@ -253,6 +260,356 @@ TEST_P(BoundsTest, BoundsSandwichExactValue) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BoundsTest, ::testing::Values(31, 32, 33, 34));
+
+// ---------- Row cut-off: bit-identical to full Eq. 9 / Eq. 10 rows ----------
+
+// The confidence regimes the cut-off is swept over.
+enum class Regime { kUniform, kCampus, kCertain, kTiny, kZero, kMixed };
+
+std::string RegimeName(Regime regime) {
+  switch (regime) {
+    case Regime::kUniform: return "Uniform";
+    case Regime::kCampus: return "Campus";
+    case Regime::kCertain: return "Certain";
+    case Regime::kTiny: return "Tiny";
+    case Regime::kZero: return "Zero";
+    case Regime::kMixed: return "Mixed";
+  }
+  return "?";
+}
+
+double DrawConfidence(Regime regime, util::Rng& rng) {
+  switch (regime) {
+    case Regime::kUniform: return rng.Uniform(0.0, 1.0);
+    case Regime::kCampus: return rng.Uniform(0.8, 1.0);
+    case Regime::kCertain: return 1.0;  // clamped to 1 - 1e-12
+    case Regime::kTiny: return rng.Uniform(0.0, 1e-6);
+    case Regime::kZero: return 0.0;
+    case Regime::kMixed:
+      return DrawConfidence(
+          static_cast<Regime>(rng.UniformInt(0, 4)), rng);
+  }
+  return 0.0;
+}
+
+// `r` observations on the unit period [0, 1]. Spread geometry draws every
+// angle and arrival afresh; degenerate geometry repeats a few angles and
+// puts arrivals on the period's ends and on repeated interior times.
+std::vector<Observation> DrawObservations(size_t r, Regime regime,
+                                          bool degenerate, util::Rng& rng) {
+  const double angles[] = {0.0, 1.25, 1.25 + 1e-15, 4.5};
+  const double times[] = {0.0, 1.0, 0.5, 0.25};
+  std::vector<Observation> obs;
+  for (size_t i = 0; i < r; ++i) {
+    const bool repeat = degenerate && rng.Bernoulli(0.7);
+    obs.push_back(Obs(repeat ? angles[rng.UniformInt(0, 3)]
+                             : rng.Uniform(0.0, geo::kTwoPi),
+                      repeat ? times[rng.UniformInt(0, 3)]
+                             : rng.Uniform(0.0, 1.0),
+                      DrawConfidence(regime, rng)));
+  }
+  return obs;
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+// The oracle: Eq. 9 and Eq. 10 as full O(r^2) rows, the layout and the
+// loops copied from the implementation as they were before rows could
+// stop. `cut_rows` counts the rows where the implementation's cut-off
+// (between_absent < expected * 2^-55 after the update) fires with at least
+// one term of the row left, so a sweep can show that it exercised the cut.
+struct FullRows {
+  double value = 0.0;
+  int64_t cut_rows = 0;
+};
+
+bool CutFires(double between_absent, double expected) {
+  return between_absent < expected * 0x1p-55;
+}
+
+FullRows FullRowSpatial(const std::vector<Observation>& obs) {
+  FullRows out;
+  const size_t r = obs.size();
+  if (r < 2) return out;
+  std::vector<size_t> order(r);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&obs](size_t a, size_t b) {
+    return obs[a].angle < obs[b].angle;
+  });
+  std::vector<double> angle, confidence, gap(r);
+  for (size_t i : order) {
+    angle.push_back(geo::NormalizeAngle(obs[i].angle));
+    confidence.push_back(util::ClampConfidence(obs[i].confidence));
+  }
+  for (size_t i = 0; i < r; ++i) {
+    gap[i] = geo::CcwDelta(angle[i], angle[(i + 1) % r]);
+  }
+  double sum = 0.0;
+  for (size_t i = 0; i + 1 < r; ++i) sum += gap[i];
+  gap[r - 1] = geo::kTwoPi - sum;
+
+  for (size_t j = 0; j < r; ++j) {
+    double between_absent = 1.0;
+    double swept = 0.0;
+    bool fired = false;
+    for (size_t step = 1; step < r; ++step) {
+      size_t k = (j + step) % r;
+      swept += gap[(j + step - 1) % r];
+      out.value += util::EntropyTerm(swept / geo::kTwoPi) * confidence[j] *
+                   confidence[k] * between_absent;
+      between_absent *= 1.0 - confidence[k];
+      if (!fired && step + 1 < r && CutFires(between_absent, out.value)) {
+        fired = true;
+        ++out.cut_rows;
+      }
+    }
+  }
+  return out;
+}
+
+FullRows FullRowTemporal(const std::vector<Observation>& obs, double start,
+                         double end) {
+  FullRows out;
+  if (obs.empty()) return out;
+  std::vector<size_t> order(obs.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&obs](size_t a, size_t b) {
+    return obs[a].arrival < obs[b].arrival;
+  });
+  std::vector<double> time = {start};
+  std::vector<double> confidence = {1.0};
+  for (size_t i : order) {
+    time.push_back(std::clamp(obs[i].arrival, start, end));
+    confidence.push_back(util::ClampConfidence(obs[i].confidence));
+  }
+  time.push_back(end);
+  confidence.push_back(1.0);
+  const double duration = end - start;
+  const size_t b = time.size();
+
+  for (size_t a = 0; a + 1 < b; ++a) {
+    double between_absent = 1.0;
+    bool fired = false;
+    for (size_t k = a + 1; k < b; ++k) {
+      double len = time[k] - time[a];
+      out.value += util::EntropyTerm(len / duration) * confidence[a] *
+                   confidence[k] * between_absent;
+      between_absent *= 1.0 - confidence[k];
+      if (!fired && k + 1 < b && CutFires(between_absent, out.value)) {
+        fired = true;
+        ++out.cut_rows;
+      }
+    }
+  }
+  return out;
+}
+
+class RowCutoffTest : public ::testing::TestWithParam<Regime> {};
+
+TEST_P(RowCutoffTest, BitIdenticalToFullRows) {
+  const Regime regime = GetParam();
+  util::Rng rng(1800 + static_cast<uint64_t>(regime));
+  int64_t cut_rows = 0;
+  for (size_t r : {0, 1, 2, 3, 16, 17, 64, 257, 1000}) {
+    for (bool degenerate : {false, true}) {
+      const std::vector<Observation> obs =
+          DrawObservations(r, regime, degenerate, rng);
+      const FullRows sd = FullRowSpatial(obs);
+      const FullRows td = FullRowTemporal(obs, 0.0, 1.0);
+      cut_rows += sd.cut_rows + td.cut_rows;
+      const std::string where = RegimeName(regime) + " r=" +
+                                std::to_string(r) +
+                                (degenerate ? " degenerate" : " spread");
+      EXPECT_TRUE(SameBits(ExpectedSpatialDiversity(obs), sd.value))
+          << where << ": E[SD] " << ExpectedSpatialDiversity(obs)
+          << " vs full rows " << sd.value;
+      EXPECT_TRUE(
+          SameBits(ExpectedTemporalDiversity(obs, 0.0, 1.0), td.value))
+          << where << ": E[TD] " << ExpectedTemporalDiversity(obs, 0.0, 1.0)
+          << " vs full rows " << td.value;
+      for (double beta : {0.0, 0.5, 1.0}) {
+        const double spatial = beta > 0.0 ? sd.value : 0.0;
+        const double temporal = beta < 1.0 ? td.value : 0.0;
+        EXPECT_TRUE(SameBits(ExpectedStd(MakeTask(beta), obs),
+                             beta * spatial + (1.0 - beta) * temporal))
+            << where << ": E[STD] at beta=" << beta;
+      }
+    }
+  }
+  // Not vacuous: wherever rows can fall below 2^-55 of the running sum,
+  // the sweep must have taken the cut. Near-zero and zero confidences keep
+  // between_absent near 1 (and a zero sum), so there the cut never fires.
+  if (regime == Regime::kTiny || regime == Regime::kZero) {
+    EXPECT_EQ(cut_rows, 0);
+  } else {
+    EXPECT_GT(cut_rows, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Regimes, RowCutoffTest,
+    ::testing::Values(Regime::kUniform, Regime::kCampus, Regime::kCertain,
+                      Regime::kTiny, Regime::kZero, Regime::kMixed),
+    [](const ::testing::TestParamInfo<Regime>& info) {
+      return RegimeName(info.param);
+    });
+
+// ---------- Numerics: a long-double reference well past brute force ----------
+
+// Eq. 9 and 10 in long double with compensated summation, on exact
+// differences of the inputs (no accumulated gaps) and the same clamped
+// confidences: a reference for r far beyond the 2^25-world brute force.
+class KahanSum {
+ public:
+  void Add(long double x) {
+    const long double y = x - carry_;
+    const long double t = sum_ + y;
+    carry_ = (t - sum_) - y;
+    sum_ = t;
+  }
+  long double value() const { return sum_; }
+
+ private:
+  long double sum_ = 0.0L;
+  long double carry_ = 0.0L;
+};
+
+long double EntropyTermL(long double x) {
+  return x > 0.0L ? -x * std::log(x) : 0.0L;
+}
+
+long double ReferenceSpatial(const std::vector<Observation>& obs) {
+  const size_t r = obs.size();
+  if (r < 2) return 0.0L;
+  std::vector<std::pair<double, double>> rays;  // (angle, confidence)
+  for (const Observation& o : obs) {
+    rays.emplace_back(geo::NormalizeAngle(o.angle),
+                      util::ClampConfidence(o.confidence));
+  }
+  std::sort(rays.begin(), rays.end());
+  const long double circle = geo::kTwoPi;
+  KahanSum sum;
+  for (size_t j = 0; j < r; ++j) {
+    long double between_absent = 1.0L;
+    for (size_t step = 1; step < r; ++step) {
+      const size_t k = (j + step) % r;
+      long double swept =
+          static_cast<long double>(rays[k].first) - rays[j].first;
+      if (k < j) swept += circle;
+      sum.Add(EntropyTermL(swept / circle) * rays[j].second *
+              rays[k].second * between_absent);
+      between_absent *= 1.0L - rays[k].second;
+    }
+  }
+  return sum.value();
+}
+
+long double ReferenceTemporal(const std::vector<Observation>& obs,
+                              double start, double end) {
+  if (obs.empty()) return 0.0L;
+  std::vector<std::pair<double, double>> dividers;  // (time, confidence)
+  for (const Observation& o : obs) {
+    dividers.emplace_back(std::clamp(o.arrival, start, end),
+                          util::ClampConfidence(o.confidence));
+  }
+  std::sort(dividers.begin(), dividers.end());
+  dividers.insert(dividers.begin(), {start, 1.0});
+  dividers.emplace_back(end, 1.0);
+  const long double duration = static_cast<long double>(end) - start;
+  KahanSum sum;
+  for (size_t a = 0; a + 1 < dividers.size(); ++a) {
+    long double between_absent = 1.0L;
+    for (size_t k = a + 1; k < dividers.size(); ++k) {
+      const long double len =
+          static_cast<long double>(dividers[k].first) - dividers[a].first;
+      sum.Add(EntropyTermL(len / duration) * dividers[a].second *
+              dividers[k].second * between_absent);
+      between_absent *= 1.0L - dividers[k].second;
+    }
+  }
+  return sum.value();
+}
+
+long double ReferenceStd(const Task& task,
+                         const std::vector<Observation>& obs) {
+  return task.beta * ReferenceSpatial(obs) +
+         (1.0L - task.beta) * ReferenceTemporal(obs, task.start, task.end);
+}
+
+// The largest |double - reference| / reference over the sweep below was
+// 5.4e-14 (near-0 confidences, beta = 0, r = 1000; x86-64, GCC -O3); the
+// bound leaves about 18x room. The test records its worst case as the
+// worst_relative_error property (--gtest_output=xml).
+constexpr double kNumericsRelTol = 1e-12;
+
+double RelativeError(double value, long double reference) {
+  if (reference == 0.0L) return value == 0.0 ? 0.0 : HUGE_VAL;
+  return static_cast<double>(std::fabs((value - reference) / reference));
+}
+
+// The reference itself is checked where brute force can reach.
+TEST(DiversityNumericsTest, ReferenceMatchesBruteForce) {
+  util::Rng rng(4242);
+  for (int trial = 0; trial < 60; ++trial) {
+    const Task task = MakeTask(rng.Uniform(0.0, 1.0));
+    const Regime regime = static_cast<Regime>(rng.UniformInt(0, 5));
+    const std::vector<Observation> obs = DrawObservations(
+        static_cast<size_t>(rng.UniformInt(0, 12)), regime,
+        rng.Bernoulli(0.5), rng);
+    EXPECT_NEAR(static_cast<double>(ReferenceStd(task, obs)),
+                ExpectedStdBruteForce(task, obs), 1e-12)
+        << RegimeName(regime) << " r=" << obs.size();
+  }
+}
+
+// Confidences near 0 and near 1, observations appended one batch at a
+// time up to r = 1000: every value is finite, within kNumericsRelTol of
+// the reference, and never decreases beyond that tolerance (Lemma 4.2).
+TEST(DiversityNumericsTest, LargeRosterMatchesReferenceAndIsMonotone) {
+  struct Band {
+    const char* name;
+    double lo, hi;
+  };
+  const Band bands[] = {{"near-0", 0.0, 1e-6},
+                        {"near-1", 1.0 - 1e-9, 1.0},
+                        {"uniform", 0.0, 1.0}};
+  const size_t prefixes[] = {1,  2,  3,  4,   5,   8,   12,  16,  17,
+                             25, 32, 64, 128, 257, 512, 700, 1000};
+  util::Rng rng(2026);
+  double worst = 0.0;
+  for (const Band& band : bands) {
+    for (double beta : {0.0, 0.5, 1.0}) {
+      const Task task = MakeTask(beta, 2.0, 5.0);
+      std::vector<Observation> obs;
+      double previous = 0.0;
+      for (size_t r : prefixes) {
+        while (obs.size() < r) {
+          obs.push_back(Obs(rng.Uniform(0.0, geo::kTwoPi),
+                            rng.Uniform(2.0, 5.0),
+                            rng.Uniform(band.lo, band.hi)));
+        }
+        const double value = ExpectedStd(task, obs);
+        const long double reference = ReferenceStd(task, obs);
+        const double error = RelativeError(value, reference);
+        worst = std::max(worst, error);
+        ASSERT_TRUE(std::isfinite(value))
+            << band.name << " beta=" << beta << " r=" << r;
+        EXPECT_LE(error, kNumericsRelTol)
+            << band.name << " beta=" << beta << " r=" << r << ": " << value
+            << " vs reference " << static_cast<double>(reference);
+        EXPECT_GE(value, previous * (1.0 - kNumericsRelTol))
+            << band.name << " beta=" << beta << " r=" << r
+            << ": appending observations decreased E[STD]";
+        previous = value;
+      }
+    }
+  }
+  char text[32];
+  std::snprintf(text, sizeof(text), "%.3g", worst);
+  RecordProperty("worst_relative_error", text);
+}
 
 }  // namespace
 }  // namespace rdbsc::core

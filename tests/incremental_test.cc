@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <functional>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "core/instance.h"
 #include "core/registry.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -318,6 +322,114 @@ TEST(IncrementalAssignerTest, RemoveTaskVoidsExactlyPendingCommitments) {
     EXPECT_GT(voided, 0) << "seed " << seed;
     EXPECT_GT(recommits, 0) << "seed " << seed;
   }
+}
+
+// Seeded mutations of one field of a valid task or worker into NaN, an
+// infinity or an out-of-range value. Instance::Validate and the assigner's
+// AddTask / AddWorker / MoveWorker / CompleteWorker must each reject every
+// mutant with kInvalidArgument naming the record, its id and the field --
+// in Release too, where the Debug-only asserts behind them (the grid
+// index's cell lookup, the diversity sums' end > start) do not run -- and
+// leave the assigner as it was.
+TEST(InputGuardTest, SeededFieldMutationsAreRejectedInEveryBuild) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Mutation {
+    const char* field;
+    bool on_task;
+    std::vector<double> values;
+    std::function<void(core::Task&, core::Worker&, double)> apply;
+  };
+  const std::vector<Mutation> mutations = {
+      {"location.x", true, {kNaN, kInf, -kInf},
+       [](core::Task& t, core::Worker&, double v) { t.location.x = v; }},
+      {"location.y", true, {kNaN, kInf},
+       [](core::Task& t, core::Worker&, double v) { t.location.y = v; }},
+      {"start", true, {kNaN, -kInf},
+       [](core::Task& t, core::Worker&, double v) { t.start = v; }},
+      {"end", true, {kNaN, kInf},
+       [](core::Task& t, core::Worker&, double v) { t.end = v; }},
+      {"end - start", true, {0.0, -1.0, -1e-12},
+       [](core::Task& t, core::Worker&, double v) { t.end = t.start + v; }},
+      {"beta", true, {kNaN, kInf, -0.5, 1.5},
+       [](core::Task& t, core::Worker&, double v) { t.beta = v; }},
+      {"location.x", false, {kNaN, kInf},
+       [](core::Task&, core::Worker& w, double v) { w.location.x = v; }},
+      {"location.y", false, {kNaN, -kInf},
+       [](core::Task&, core::Worker& w, double v) { w.location.y = v; }},
+      {"velocity", false, {kNaN, kInf, 0.0, -1.0},
+       [](core::Task&, core::Worker& w, double v) { w.velocity = v; }},
+      {"direction.lo", false, {kNaN, kInf},
+       [](core::Task&, core::Worker& w, double v) {
+         w.direction = geo::AngularInterval(v, 1.0);
+       }},
+      {"direction.width", false, {kNaN, kInf},
+       [](core::Task&, core::Worker& w, double v) {
+         w.direction = geo::AngularInterval(0.5, v);
+       }},
+      {"confidence", false, {kNaN, kInf, -0.1, 1.5},
+       [](core::Task&, core::Worker& w, double v) { w.confidence = v; }},
+      {"available_from", false, {kNaN, kInf},
+       [](core::Task&, core::Worker& w, double v) { w.available_from = v; }},
+  };
+  auto solver = core::SolverRegistry::Global().Create("greedy").value();
+  util::Rng rng(909);
+  int rejected_moves = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const Mutation& m = mutations[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(mutations.size()) - 1))];
+    const double bad = m.values[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(m.values.size()) - 1))];
+    core::Task task = OpenTask({rng.Uniform(0.3, 0.7), rng.Uniform(0.3, 0.7)},
+                               rng.Uniform(0.0, 1.0), rng.Uniform(2.0, 3.0),
+                               rng.Uniform(0.0, 1.0));
+    core::Worker worker =
+        FreeWorker({rng.Uniform(0.3, 0.7), rng.Uniform(0.3, 0.7)},
+                   rng.Uniform(0.2, 1.0), rng.Uniform(0.0, 1.0));
+    ASSERT_TRUE(core::Instance({task}, {worker}).Validate().ok());
+    const core::Task valid_task = task;
+    const core::Worker valid_worker = worker;
+    m.apply(task, worker, bad);
+    const std::string kind = m.on_task ? "task " : "worker ";
+    const std::string where = kind + m.field + " = " + std::to_string(bad);
+    auto names = [&](const util::Status& status, int id) {
+      return status.code() == util::StatusCode::kInvalidArgument &&
+             status.message().starts_with(kind + std::to_string(id) + ": " +
+                                          m.field + " = ");
+    };
+
+    const util::Status validate = core::Instance({task}, {worker}).Validate();
+    EXPECT_TRUE(names(validate, 0)) << where << ": " << validate.message();
+
+    IncrementalAssigner assigner(solver.get(), 0.1);
+    const int id = 40 + trial;
+    if (m.on_task) {
+      const util::Status added = assigner.AddTask(id, task);
+      EXPECT_TRUE(names(added, id)) << where << ": " << added.message();
+      EXPECT_EQ(assigner.num_open_tasks(), 0) << where;
+      continue;
+    }
+    const util::Status added = assigner.AddWorker(id, worker);
+    EXPECT_TRUE(names(added, id)) << where << ": " << added.message();
+    EXPECT_EQ(assigner.num_workers(), 0) << where;
+    // Of a worker's fields, only its location changes after registration.
+    if (!std::string(m.field).starts_with("location")) continue;
+
+    // A registered worker moved, or completing its task, to a bad position.
+    ASSERT_TRUE(assigner.AddWorker(id, valid_worker).ok());
+    const util::Status moved = assigner.MoveWorker(id, worker.location);
+    EXPECT_TRUE(names(moved, id)) << where << ": " << moved.message();
+    ASSERT_NE(assigner.index().FindWorker(id), nullptr);
+    ASSERT_TRUE(assigner.AddTask(1, valid_task).ok());
+    assigner.Update(0.0).value();
+    if (assigner.CommittedTask(id) != 1) continue;
+    const util::Status completed =
+        assigner.CompleteWorker(id, worker.location);
+    EXPECT_TRUE(names(completed, id)) << where << ": " << completed.message();
+    EXPECT_EQ(assigner.CommittedTask(id), 1) << where;
+    ++rejected_moves;
+  }
+  EXPECT_GT(rejected_moves, 0) << "no mutant reached CompleteWorker";
 }
 
 }  // namespace

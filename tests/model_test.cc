@@ -130,6 +130,22 @@ TEST(InstanceTest, ValidateRejectsBadWorker) {
   EXPECT_FALSE(instance2.Validate().ok());
 }
 
+TEST(InstanceTest, ValidateRejectsNaNAndNamesTheField) {
+  Task t = test::MakeTask(std::nan(""));
+  Instance bad_beta({test::MakeTask(), t}, {});
+  EXPECT_EQ(bad_beta.Validate().message(), "task 1: beta = nan outside [0,1]");
+  Worker w = MakeWorker({0, 0}, 1.0, geo::AngularInterval::FullCircle());
+  w.confidence = std::nan("");
+  Instance bad_confidence({}, {w});
+  EXPECT_EQ(bad_confidence.Validate().message(),
+            "worker 0: confidence = nan outside [0,1]");
+  w.confidence = 0.5;
+  w.location.y = std::numeric_limits<double>::infinity();
+  Instance bad_location({}, {w});
+  EXPECT_EQ(bad_location.Validate().message(),
+            "worker 0: location.y = inf not finite");
+}
+
 TEST(CandidateGraphTest, BuildMatchesPairwisePredicate) {
   Instance instance = test::SmallInstance(2);
   CandidateGraph graph = CandidateGraph::Build(instance);

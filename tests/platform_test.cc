@@ -136,7 +136,8 @@ TEST(PlatformTest, RunsEndToEndWithEachRegisteredSolver) {
   }
 }
 
-// The round engine times exactly the rounds the platform records.
+// The round engine and the objective preview time exactly the rounds the
+// platform records.
 TEST(PlatformTest, RoundTimersCountRecordedRounds) {
   obs::Registry registry;
   PlatformConfig config = SmallPlatform(10);
@@ -154,6 +155,11 @@ TEST(PlatformTest, RoundTimersCountRecordedRounds) {
                 .Snapshot()
                 .count(),
             rounds);
+  EXPECT_EQ(
+      registry.GetHistogram("sim.round_objectives_seconds", labels, 1e-9)
+          .Snapshot()
+          .count(),
+      rounds);
 }
 
 // Pinned trajectories: every registered solver at two seeds. The digests

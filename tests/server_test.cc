@@ -12,6 +12,7 @@
 #include "engine/engine.h"
 #include "engine/fingerprint.h"
 #include "engine/server.h"
+#include "gate_solver.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -25,10 +26,12 @@ using engine::ServerStats;
 using engine::ShutdownMode;
 using engine::SubmitControls;
 using engine::Ticket;
+using test::Gates;
+using test::GateInstance;
 
 ServerConfig BaseConfig(int num_workers = 1) {
   ServerConfig config;
-  config.engine.solver_name = "dc";
+  config.engine.solver_name = test::GatedSolverName();
   config.engine.solver_options.seed = 7;
   config.engine.validate_instances = false;
   config.num_workers = num_workers;
@@ -38,10 +41,6 @@ ServerConfig BaseConfig(int num_workers = 1) {
 std::unique_ptr<Server> MakeServer(ServerConfig config) {
   return std::move(Server::Create(std::move(config)).value());
 }
-
-// A solve heavy enough (hundreds of ms) to keep the single dispatch
-// worker busy while a test manipulates the queue behind it.
-core::Instance GateInstance() { return test::SmallInstance(1, 220, 220); }
 
 // A solve in the low milliseconds.
 core::Instance QuickInstance(uint64_t seed = 3) {
@@ -115,6 +114,7 @@ TEST(ServerTest, RejectPolicyFailsWhenQueueFull) {
   config.max_queue_depth = 1;
   config.overload_policy = OverloadPolicy::kReject;
   auto server = MakeServer(std::move(config));
+  Gates gates;
 
   Ticket gate = server->Submit(GateInstance()).value();
   WaitUntil([&] { return server->Stats().in_flight == 1; });
@@ -124,6 +124,7 @@ TEST(ServerTest, RejectPolicyFailsWhenQueueFull) {
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), util::StatusCode::kResourceExhausted);
 
+  gates.Open(0);
   EXPECT_TRUE(gate.Wait().ok());
   EXPECT_TRUE(queued.Wait().ok());
   server->Shutdown(ShutdownMode::kDrain);
@@ -137,6 +138,7 @@ TEST(ServerTest, ShedOldestDropsTheOldestQueuedTicket) {
   config.max_queue_depth = 2;
   config.overload_policy = OverloadPolicy::kShedOldest;
   auto server = MakeServer(std::move(config));
+  Gates gates;
 
   Ticket gate = server->Submit(GateInstance()).value();
   WaitUntil([&] { return server->Stats().in_flight == 1; });
@@ -148,6 +150,7 @@ TEST(ServerTest, ShedOldestDropsTheOldestQueuedTicket) {
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), util::StatusCode::kResourceExhausted);
 
+  gates.Open(0);
   EXPECT_TRUE(gate.Wait().ok());
   EXPECT_TRUE(second.Wait().ok());
   EXPECT_TRUE(third.Wait().ok());
@@ -163,6 +166,7 @@ TEST(ServerTest, BlockPolicyWaitsForSpace) {
   config.max_queue_depth = 1;
   config.overload_policy = OverloadPolicy::kBlock;
   auto server = MakeServer(std::move(config));
+  Gates gates;
 
   Ticket gate = server->Submit(GateInstance()).value();
   WaitUntil([&] { return server->Stats().in_flight == 1; });
@@ -174,10 +178,12 @@ TEST(ServerTest, BlockPolicyWaitsForSpace) {
     admitted.store(true);
     EXPECT_TRUE(late.Wait().ok());
   });
-  // The submitter stays blocked while the queue is full...
+  // The submitter stays blocked while the closed gate keeps the queue
+  // full (the nap gives a wrongly admitted submitter time to show)...
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_FALSE(admitted.load());
   // ...and is admitted once the gate finishes and frees the slot.
+  gates.Open(0);
   EXPECT_TRUE(gate.Wait().ok());
   blocked.join();
   EXPECT_TRUE(admitted.load());
@@ -188,26 +194,30 @@ TEST(ServerTest, BlockPolicyWaitsForSpace) {
 }
 
 TEST(ServerTest, HighPriorityDispatchesBeforeEarlierLowPriority) {
-  // One worker, busy gate; a *slow* low-priority ticket is queued before a
-  // *quick* high-priority one. With priority dispatch the quick ticket
-  // finishes while the slow one is still pending/running; with FIFO the
-  // slow one would already be done when the quick one completes.
+  // One worker, busy gate; a low-priority ticket that holds the worker
+  // until gate 1 opens is queued before a quick high-priority one. With
+  // priority dispatch the quick ticket finishes while the low one is still
+  // pending; with FIFO the low one would take the worker first and the
+  // quick one could not finish before gate 1 opens.
   auto server = MakeServer(BaseConfig(1));
-  Ticket gate = server->Submit(GateInstance()).value();
+  Gates gates;
+  Ticket gate = server->Submit(GateInstance(0)).value();
   WaitUntil([&] { return server->Stats().in_flight == 1; });
 
   SubmitControls low;
   low.priority = 0;
-  Ticket slow_low = server->Submit(test::SmallInstance(2, 220, 220), low)
-                        .value();
+  Ticket gated_low = server->Submit(GateInstance(1), low).value();
   SubmitControls high;
   high.priority = 5;
   Ticket quick_high = server->Submit(QuickInstance(), high).value();
 
+  gates.Open(0);
+  ASSERT_TRUE(quick_high.WaitFor(30.0))
+      << "high-priority ticket stuck behind the low one: FIFO dispatch?";
   EXPECT_TRUE(quick_high.Wait().ok());
-  EXPECT_EQ(slow_low.TryGet(), nullptr)
-      << "low-priority ticket finished first: FIFO dispatch?";
-  EXPECT_TRUE(slow_low.Wait().ok());
+  EXPECT_EQ(gated_low.TryGet(), nullptr);
+  gates.Open(1);
+  EXPECT_TRUE(gated_low.Wait().ok());
   server->Shutdown(ShutdownMode::kDrain);
 }
 
@@ -246,6 +256,7 @@ TEST(ServerTest, ExhaustedPoolRejectsWithoutShedding) {
   config.default_budget_seconds = 10.0;
   config.total_budget_seconds = 30.0;
   auto server = MakeServer(std::move(config));
+  Gates gates;
 
   Ticket gate = server->Submit(GateInstance()).value();
   WaitUntil([&] { return server->Stats().in_flight == 1; });
@@ -256,6 +267,7 @@ TEST(ServerTest, ExhaustedPoolRejectsWithoutShedding) {
   ASSERT_FALSE(q3.ok());
   EXPECT_EQ(q3.status().code(), util::StatusCode::kResourceExhausted);
 
+  gates.Open(0);
   EXPECT_TRUE(gate.Wait().ok());
   EXPECT_TRUE(q1.Wait().ok());
   EXPECT_TRUE(q2.Wait().ok());
@@ -276,6 +288,7 @@ TEST(ServerTest, BlockedSubmitterIsRejectedNotHungWhenPoolDrains) {
   config.default_budget_seconds = 10.0;
   config.total_budget_seconds = 30.0;  // funds gate + queued + ONE more
   auto server = MakeServer(std::move(config));
+  Gates gates;
 
   Ticket gate = server->Submit(GateInstance()).value();
   WaitUntil([&] { return server->Stats().in_flight == 1; });
@@ -291,6 +304,10 @@ TEST(ServerTest, BlockedSubmitterIsRejectedNotHungWhenPoolDrains) {
       if (ticket.ok()) ticket.value().Wait();
     });
   }
+  // Give both submitters time to block, then free the slot. (Had one not
+  // blocked yet, it would meet the drained pool and be rejected anyway.)
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  gates.Open(0);
   // Without the baton-pass this join hangs (the second waiter is never
   // woken once the first consumes the pop notification and is rejected).
   blocked[0].join();
@@ -315,6 +332,7 @@ TEST(ServerTest, ShedRefundsVictimBudgetToPool) {
   config.default_budget_seconds = 10.0;
   config.total_budget_seconds = 30.0;
   auto server = MakeServer(std::move(config));
+  Gates gates;
 
   Ticket gate = server->Submit(GateInstance()).value();  // pool: 20
   WaitUntil([&] { return server->Stats().in_flight == 1; });
@@ -325,6 +343,7 @@ TEST(ServerTest, ShedRefundsVictimBudgetToPool) {
   ASSERT_FALSE(victim.Wait().ok());
   EXPECT_EQ(victim.Wait().status().code(),
             util::StatusCode::kResourceExhausted);
+  gates.Open(0);
   EXPECT_TRUE(gate.Wait().ok());
   EXPECT_TRUE(replacement.Wait().ok());
   server->Shutdown(ShutdownMode::kDrain);
@@ -353,6 +372,7 @@ TEST(ServerTest, ShutdownDrainRunsEverythingThenRefuses) {
 
 TEST(ServerTest, ShutdownCancelFailsQueuedTickets) {
   auto server = MakeServer(BaseConfig(1));
+  Gates gates;
   Ticket gate = server->Submit(GateInstance()).value();
   WaitUntil([&] { return server->Stats().in_flight == 1; });
   std::vector<Ticket> queued;
@@ -360,10 +380,8 @@ TEST(ServerTest, ShutdownCancelFailsQueuedTickets) {
     queued.push_back(server->Submit(QuickInstance(s)).value());
   }
   server->Shutdown(ShutdownMode::kCancel);
-  // The in-flight gate either finished in time or saw the token.
-  const util::StatusOr<EngineResult>& gate_result = gate.Wait();
-  EXPECT_TRUE(gate_result.ok() ||
-              gate_result.status().code() == util::StatusCode::kCancelled);
+  // The in-flight gate, never opened, can only end by seeing the token.
+  EXPECT_EQ(gate.Wait().status().code(), util::StatusCode::kCancelled);
   for (Ticket& ticket : queued) {
     ASSERT_FALSE(ticket.Wait().ok());
     EXPECT_EQ(ticket.Wait().status().code(), util::StatusCode::kCancelled);
@@ -432,23 +450,23 @@ TEST(ServerTest, CancelAtDispatchScriptReplaysIdenticallyAcrossWorkers) {
 
 TEST(ServerTest, TicketCancelAbortsQueuedRequest) {
   auto server = MakeServer(BaseConfig(1));
+  Gates gates;
   Ticket gate = server->Submit(GateInstance()).value();
   WaitUntil([&] { return server->Stats().in_flight == 1; });
   Ticket queued = server->Submit(QuickInstance()).value();
-  // The gate still has hundreds of ms to run; `queued` cannot have been
+  // The closed gate holds the only worker; `queued` cannot have been
   // dispatched, so its cancel lands pre-dispatch deterministically.
   queued.Cancel();
-  EXPECT_EQ(queued.Wait().status().code(), util::StatusCode::kCancelled);
-  // In-flight cancellation is best-effort: the gate aborts at its next
-  // deadline poll unless it finished first.
+  // In-flight cancellation aborts at the solver's next deadline poll;
+  // the never-opened gate polls while it waits. Then the worker reaches
+  // `queued` and finds it cancelled.
   gate.Cancel();
-  const util::StatusOr<EngineResult>& gate_result = gate.Wait();
-  EXPECT_TRUE(gate_result.ok() ||
-              gate_result.status().code() == util::StatusCode::kCancelled)
-      << gate_result.status().ToString();
+  EXPECT_EQ(gate.Wait().status().code(), util::StatusCode::kCancelled)
+      << gate.Wait().status().ToString();
+  EXPECT_EQ(queued.Wait().status().code(), util::StatusCode::kCancelled);
   server->Shutdown(ShutdownMode::kDrain);
   ServerStats stats = server->Stats();
-  EXPECT_GE(stats.cancelled, 1);
+  EXPECT_GE(stats.cancelled, 2);
   EXPECT_EQ(stats.queue_depth, 0);
 }
 

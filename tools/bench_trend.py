@@ -13,7 +13,11 @@ validated by tools/check_bench_json.py) and prints per-table deltas:
     cell regressed by more than PCT percent. A column is lower-is-better
     when its table metric or column label mentions seconds/time ("(s)",
     "time", "seconds"); other columns (speedups, fractions, reliabilities)
-    are informational only.
+    are informational only;
+  - the "metrics" sections are matched by metric name and labels, and every
+    shared metric prints before, after and the relative delta of its value
+    (counters, gauges) or of its count, avg and p90 (histograms). These
+    deltas are informational only and never change the exit status.
 
 This is the consumer of the tentpole's before/after speedup claim: the
 checked-in bench/results/BENCH_*.before.json / *.after.json pairs are
@@ -67,6 +71,26 @@ def table_key(table) -> tuple[str, str]:
     return (table.get("metric", ""), table.get("x_label", ""))
 
 
+def metric_key(metric) -> tuple[str, tuple]:
+    labels = metric.get("labels") or {}
+    return (metric.get("name", ""), tuple(sorted(labels.items())))
+
+
+def metric_label(key: tuple[str, tuple]) -> str:
+    name, labels = key
+    if not labels:
+        return name
+    return name + "{" + ",".join(f"{k}={v}" for k, v in labels) + "}"
+
+
+# The fields of each metric kind that bench_trend diffs.
+METRIC_FIELDS = {
+    "counter": ("value",),
+    "gauge": ("value",),
+    "histogram": ("count", "avg", "p90"),
+}
+
+
 def format_delta(before: float, after: float) -> str:
     if before is None or after is None:
         return "n/a"
@@ -107,6 +131,36 @@ class TrendReport:
                 continue
             if key not in before_tables:
                 self.note(f"table only in AFTER (skipped): {key[0]!r}")
+        self.diff_metrics(before.get("metrics") or [],
+                          after.get("metrics") or [])
+
+    def diff_metrics(self, before, after) -> None:
+        """Informational per-metric deltas; never a regression."""
+        before_metrics = {metric_key(m): m for m in before}
+        after_metrics = {metric_key(m): m for m in after}
+        shared = [k for k in before_metrics if k in after_metrics]
+        if not shared:
+            return
+        self.note("\n-- metrics (informational) --")
+        only_before = len(before_metrics) - len(shared)
+        only_after = len(after_metrics) - len(shared)
+        if only_before or only_after:
+            self.note(f"  unmatched: {only_before} only in BEFORE, "
+                      f"{only_after} only in AFTER")
+        for key in shared:
+            b, a = before_metrics[key], after_metrics[key]
+            kind = b.get("kind")
+            if kind != a.get("kind"):
+                self.note(f"  {metric_label(key)}: kind {kind!r} vs "
+                          f"{a.get('kind')!r}")
+                continue
+            for field in METRIC_FIELDS.get(kind, ()):
+                bv = b.get(field) if _is_number(b.get(field)) else None
+                av = a.get(field) if _is_number(a.get(field)) else None
+                fmt = (lambda v: "null" if v is None else f"{v:12.6g}")
+                self.note(f"  {metric_label(key)} {field}: "
+                          f"before={fmt(bv):>12} after={fmt(av):>12} "
+                          f"delta={format_delta(bv, av)}")
 
     def diff_table(self, before, after) -> None:
         self.compared_tables += 1
@@ -224,6 +278,39 @@ def self_test() -> int:
     after_other["tables"][0]["metric"] = "something else"
     if run(before, after_other, None) != 2:
         failures.append("disjoint tables should be an error")
+
+    # Metric deltas are matched by name and labels, printed, and never
+    # change the exit status, however far they move.
+    def histogram(labels, count, avg):
+        return {"name": "sim.round_build_seconds", "labels": labels,
+                "kind": "histogram", "count": count, "avg": avg,
+                "p90": avg}
+    before_m = _doc([[1.0, 1.0], [2.0, 1.0]])
+    after_m = _doc([[1.0, 1.0], [2.0, 1.0]])
+    before_m["metrics"] = [
+        histogram({"t_interval": "1 min"}, 10, 0.5),
+        histogram({"t_interval": "2 min"}, 10, 0.5),
+        {"name": "sim.rounds", "labels": {}, "kind": "counter", "value": 4},
+    ]
+    after_m["metrics"] = [
+        histogram({"t_interval": "1 min"}, 10, 5.0),
+        histogram({"t_interval": "3 min"}, 10, 0.5),
+        {"name": "sim.rounds", "labels": {}, "kind": "counter", "value": 4},
+    ]
+    report = TrendReport(10.0, None)
+    report.diff_documents(before_m, after_m)
+    printed = "\n".join(report.lines)
+    report.lines = []
+    if report.finish() != 0:
+        failures.append("a metric delta changed the exit status")
+    if "sim.round_build_seconds{t_interval=1 min} avg:" not in printed or \
+            "+900.0%" not in printed:
+        failures.append("matched histogram delta not printed")
+    if "t_interval=2 min" in printed or "t_interval=3 min" in printed:
+        failures.append("metrics with different labels were matched")
+    if "sim.rounds value:" not in printed or \
+            "1 only in BEFORE, 1 only in AFTER" not in printed:
+        failures.append("counter delta or unmatched count not printed")
 
     # Delta formatting sanity.
     if format_delta(1.0, 1.5).strip() != "+50.0%":
