@@ -68,6 +68,15 @@ int Run(int argc, char** argv) {
   std::vector<std::string> rows;
   std::vector<std::vector<double>> cells;
   for (double churn_fraction : {0.1, 0.3, 0.5}) {
+    // Per-row metrics: each timed phase as a histogram, one sample per
+    // seed.
+    const obs::Labels churn = {{"churn", std::to_string(churn_fraction)}};
+    obs::Histogram& remove_hist = report.metrics().GetHistogram(
+        "index.churn.remove_seconds", churn, 1e-9);
+    obs::Histogram& insert_hist = report.metrics().GetHistogram(
+        "index.churn.insert_seconds", churn, 1e-9);
+    obs::Histogram& retrieve_hist = report.metrics().GetHistogram(
+        "index.churn.retrieve_seconds", churn, 1e-9);
     double insert_rate = 0.0, remove_rate = 0.0, retrieve_s = 0.0;
     int64_t edges_index = 0, edges_brute = 0;
     for (int seed_index = 0; seed_index < options.num_seeds; ++seed_index) {
@@ -92,25 +101,30 @@ int Run(int argc, char** argv) {
         if (index.RemoveTask(i).ok()) removed_tasks.push_back(i);
       }
       double remove_elapsed = Seconds(t0);
+      remove_hist.Observe(remove_elapsed);
       remove_rate += (removed_workers.size() + removed_tasks.size()) /
                      std::max(remove_elapsed, 1e-9);
 
       // ... and re-insert them (arrival of "new" workers/tasks).
       t0 = std::chrono::steady_clock::now();
       for (core::WorkerId j : removed_workers) {
-        index.InsertWorker(j, instance.worker(j));
+        OrDie(index.InsertWorker(j, instance.worker(j)),
+              "GridIndex::InsertWorker");
       }
       for (core::TaskId i : removed_tasks) {
-        index.InsertTask(i, instance.task(i));
+        OrDie(index.InsertTask(i, instance.task(i)), "GridIndex::InsertTask");
       }
       double insert_elapsed = Seconds(t0);
+      insert_hist.Observe(insert_elapsed);
       insert_rate += (removed_workers.size() + removed_tasks.size()) /
                      std::max(insert_elapsed, 1e-9);
 
       // Retrieval after churn must match brute force exactly.
       t0 = std::chrono::steady_clock::now();
       auto edges = index.RetrieveEdges(instance.num_workers()).value();
-      retrieve_s += Seconds(t0);
+      const double retrieve_elapsed = Seconds(t0);
+      retrieve_s += retrieve_elapsed;
+      retrieve_hist.Observe(retrieve_elapsed);
       for (const auto& list : edges) {
         edges_index += static_cast<int64_t>(list.size());
       }
@@ -136,6 +150,9 @@ int Run(int argc, char** argv) {
   std::vector<std::string> delta_rows;
   std::vector<std::vector<double>> delta_cells;
   for (double moved_fraction : {0.01, 0.05}) {
+    obs::Histogram& round_hist = report.metrics().GetHistogram(
+        "index.delta.round_seconds",
+        {{"moved_frac", std::to_string(moved_fraction)}}, 1e-9);
     double round_s = 0.0;
     double edges_per_round = 0.0;
     for (int seed_index = 0; seed_index < options.num_seeds; ++seed_index) {
@@ -192,7 +209,9 @@ int Run(int argc, char** argv) {
           edges +=
               static_cast<int64_t>(index.RetrievePairs().value().size());
         }
-        round_s += Seconds(t0);
+        const double round_elapsed = Seconds(t0);
+        round_s += round_elapsed;
+        round_hist.Observe(round_elapsed);
       }
       edges_per_round +=
           static_cast<double>(edges) / static_cast<double>(kRounds);

@@ -6,12 +6,15 @@
 
 #include <chrono>
 #include <cstdio>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/harness.h"
 #include "bench/params.h"
 #include "index/cost_model.h"
 #include "index/grid_index.h"
+#include "obs/registry.h"
 #include "util/fractal.h"
 
 namespace rdbsc::bench {
@@ -32,6 +35,16 @@ int Run(int argc, char** argv) {
   std::vector<std::string> rows;
   std::vector<std::vector<double>> cells;
   for (int paper_n : {5'000, 8'000, 10'000, 20'000, 30'000}) {
+    // Per-row metrics: the three timed phases as histograms (one sample
+    // per seed) and the indexed retrieval's work counters.
+    const std::string n_label = std::to_string(Scaled(options, paper_n));
+    obs::Registry& metrics = report.metrics();
+    obs::Histogram& build_hist = metrics.GetHistogram(
+        "index.build_seconds", {{"n", n_label}}, 1e-9);
+    obs::Histogram& grid_hist = metrics.GetHistogram(
+        "index.retrieve_seconds", {{"n", n_label}, {"path", "grid"}}, 1e-9);
+    obs::Histogram& scan_hist = metrics.GetHistogram(
+        "index.retrieve_seconds", {{"n", n_label}, {"path", "scan"}}, 1e-9);
     double build_s = 0.0, with_s = 0.0, without_s = 0.0;
     double pruned_frac = 0.0;
     int64_t edges_with = 0, edges_without = 0;
@@ -56,13 +69,26 @@ int Run(int argc, char** argv) {
 
       auto t0 = std::chrono::steady_clock::now();
       index::GridIndex index = index::GridIndex::Build(instance, eta);
-      build_s += Seconds(t0);
+      const double build_seed_s = Seconds(t0);
+      build_s += build_seed_s;
+      build_hist.Observe(build_seed_s);
 
       index::RetrievalStats stats;
       t0 = std::chrono::steady_clock::now();
       auto edges = index.RetrieveEdges(instance.num_workers(), &stats).value();
-      with_s += Seconds(t0);
+      const double with_seed_s = Seconds(t0);
+      with_s += with_seed_s;
+      grid_hist.Observe(with_seed_s);
       edges_with += stats.edges;
+      for (const auto& [name, value] :
+           {std::pair{"index.retrieval.cell_pairs_examined",
+                      stats.cell_pairs_examined},
+            std::pair{"index.retrieval.cell_pairs_pruned",
+                      stats.cell_pairs_pruned},
+            std::pair{"index.retrieval.pair_tests", stats.pair_tests},
+            std::pair{"index.retrieval.edges", stats.edges}}) {
+        metrics.GetCounter(name, {{"n", n_label}}).Increment(value);
+      }
       pruned_frac += stats.cell_pairs_examined > 0
                          ? static_cast<double>(stats.cell_pairs_pruned) /
                                stats.cell_pairs_examined
@@ -70,7 +96,9 @@ int Run(int argc, char** argv) {
 
       t0 = std::chrono::steady_clock::now();
       core::CandidateGraph brute = core::CandidateGraph::Build(instance);
-      without_s += Seconds(t0);
+      const double without_seed_s = Seconds(t0);
+      without_s += without_seed_s;
+      scan_hist.Observe(without_seed_s);
       edges_without += brute.NumEdges();
     }
     if (edges_with != edges_without) {

@@ -26,6 +26,10 @@ int Assignment::NumAssigned() const {
   return count;
 }
 
+void Assignment::Clear() {
+  std::fill(worker_task_.begin(), worker_task_.end(), kNoTask);
+}
+
 std::vector<std::vector<WorkerId>> Assignment::TaskGroups(
     int num_tasks) const {
   std::vector<std::vector<WorkerId>> groups(num_tasks);
@@ -47,7 +51,12 @@ AssignmentState::AssignmentState(const Instance& instance)
       task_r_(instance.num_tasks(), 0.0),
       task_std_(instance.num_tasks(), 0.0),
       obs_rows_(instance.num_workers()),
-      obs_row_ready_(instance.num_workers(), 0) {}
+      obs_row_ready_(instance.num_workers(), 0) {
+  weight_.reserve(static_cast<size_t>(instance.num_workers()));
+  for (const Worker& w : instance.workers()) {
+    weight_.push_back(util::ReliabilityWeight(w.confidence));
+  }
+}
 
 const std::vector<Observation>& AssignmentState::ObservationRowOf(
     WorkerId j) const {
@@ -75,7 +84,7 @@ void AssignmentState::Attach(TaskId i, WorkerId j, const Observation& obs) {
   if (!layout_ready_.empty() && layout_ready_[i]) {
     layouts_[i].Add(instance_->task(i), obs);
   }
-  task_r_[i] += util::ReliabilityWeight(instance_->worker(j).confidence);
+  task_r_[i] += weight_[j];
 }
 
 TaskId AssignmentState::Detach(WorkerId j) {
@@ -89,7 +98,7 @@ TaskId AssignmentState::Detach(WorkerId j) {
   workers.erase(it);
   task_obs_[i].erase(task_obs_[i].begin() + static_cast<ptrdiff_t>(pos));
   if (!layout_ready_.empty()) layout_ready_[i] = 0;
-  task_r_[i] -= util::ReliabilityWeight(instance_->worker(j).confidence);
+  task_r_[i] -= weight_[j];
   if (workers.empty()) {
     --num_nonempty_;
     task_r_[i] = 0.0;  // cancel accumulated rounding noise
@@ -123,16 +132,33 @@ void AssignmentState::RemoveKnown(WorkerId j, double task_std) {
   SetTaskStd(Detach(j), task_std);
 }
 
+void AssignmentState::ClearTask(TaskId i) {
+  std::vector<WorkerId>& workers = task_workers_[i];
+  if (!workers.empty()) {
+    for (WorkerId j : workers) assignment_.Unassign(j);
+    workers.clear();
+    task_obs_[i].clear();
+    --num_nonempty_;
+    if (!layout_ready_.empty()) layout_ready_[i] = 0;
+  }
+  task_r_[i] = 0.0;
+  task_std_[i] = 0.0;
+}
+
+void AssignmentState::Clear(std::span<const TaskId> tasks) {
+  for (TaskId i : tasks) ClearTask(i);
+  if (num_nonempty_ != 0) {
+    for (TaskId i = 0; i < instance_->num_tasks(); ++i) ClearTask(i);
+  }
+  // Like a fresh state's, the running total restarts at exactly 0, not at
+  // the rounding residue the removals would leave.
+  total_std_ = 0.0;
+}
+
 void AssignmentState::Reset(const Assignment& assignment) {
   assert(assignment.num_workers() == instance_->num_workers());
-  assignment_ = Assignment(instance_->num_workers());
-  for (auto& v : task_workers_) v.clear();
-  for (auto& v : task_obs_) v.clear();
-  std::fill(task_r_.begin(), task_r_.end(), 0.0);
-  std::fill(task_std_.begin(), task_std_.end(), 0.0);
-  std::fill(layout_ready_.begin(), layout_ready_.end(), 0);
+  for (TaskId i = 0; i < instance_->num_tasks(); ++i) ClearTask(i);
   total_std_ = 0.0;
-  num_nonempty_ = 0;
   for (WorkerId j = 0; j < assignment.num_workers(); ++j) {
     TaskId i = assignment.TaskOf(j);
     if (i != kNoTask) Add(i, j);
@@ -160,12 +186,15 @@ ObjectiveValue AssignmentState::Objectives() const {
   return value;
 }
 
+double AssignmentState::PreviewStd(TaskId i, const Observation& extra) const {
+  preview_.assign(task_obs_[i].begin(), task_obs_[i].end());
+  preview_.push_back(extra);
+  return ExpectedStd(instance_->task(i), preview_);
+}
+
 ObjectiveValue AssignmentState::PreviewAdd(TaskId i, WorkerId j) const {
-  std::vector<Observation> obs = task_obs_[i];
-  obs.push_back(ObservationFor(i, j));
-  double new_std = ExpectedStd(instance_->task(i), obs);
-  double new_r =
-      task_r_[i] + util::ReliabilityWeight(instance_->worker(j).confidence);
+  double new_std = PreviewStd(i, ObservationFor(i, j));
+  double new_r = task_r_[i] + weight_[j];
 
   ObjectiveValue value;
   value.total_std = total_std_ + new_std - task_std_[i];
@@ -179,9 +208,7 @@ ObjectiveValue AssignmentState::PreviewAdd(TaskId i, WorkerId j) const {
 }
 
 double AssignmentState::PreviewTaskStd(TaskId i, WorkerId j) const {
-  std::vector<Observation> obs = task_obs_[i];
-  obs.push_back(ObservationRowOf(j)[static_cast<size_t>(i)]);
-  return ExpectedStd(instance_->task(i), obs);
+  return PreviewStd(i, ObservationRowOf(j)[static_cast<size_t>(i)]);
 }
 
 const BoundsLayout& AssignmentState::LayoutOf(TaskId i) const {

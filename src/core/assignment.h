@@ -1,6 +1,7 @@
 #ifndef RDBSC_CORE_ASSIGNMENT_H_
 #define RDBSC_CORE_ASSIGNMENT_H_
 
+#include <span>
 #include <vector>
 
 #include "core/bounds_layout.h"
@@ -41,6 +42,9 @@ class Assignment {
   /// Clears worker j's assignment.
   void Unassign(WorkerId j) { worker_task_[j] = kNoTask; }
 
+  /// Clears every worker's assignment, keeping the worker count.
+  void Clear();
+
   int num_workers() const { return static_cast<int>(worker_task_.size()); }
 
   /// Number of workers with an assigned task.
@@ -57,6 +61,14 @@ class Assignment {
 /// construction. Used by every solver: Add() assigns one worker and updates
 /// the per-task reduced reliability R (Lemma 4.1) and expected diversity
 /// E[STD], plus the global aggregates, in O(r^2) for the touched task only.
+///
+/// Reuse contract: a state emptied by Clear() or re-filled by Reset()
+/// behaves bit for bit like a freshly constructed one, so solvers keep one
+/// state per shard (sampling) or per solve (D&C's merge) instead of
+/// building one per evaluation. The per-worker reliability weights are
+/// computed once, at construction; after warm-up, Add, Remove, Reset,
+/// PreviewAdd and PreviewTaskStd allocate nothing once every task has held
+/// its largest roster.
 class AssignmentState {
  public:
   /// Starts from the empty assignment over `instance` (kept by reference;
@@ -80,8 +92,14 @@ class AssignmentState {
   /// shrunk observation list supplied (same contract as AddKnown).
   void RemoveKnown(WorkerId j, double task_std);
 
-  /// Replays a whole assignment (workers with kNoTask stay unassigned).
+  /// Replays a whole assignment (workers with kNoTask stay unassigned)
+  /// onto an emptied state: the result equals a fresh state's replay.
   void Reset(const Assignment& assignment);
+
+  /// Empties the state in O(|tasks| + their rosters), given every task
+  /// that holds a worker (a superset, duplicates included, is fine). A
+  /// list that misses a non-empty task costs a full O(m) sweep instead.
+  void Clear(std::span<const TaskId> tasks);
 
   /// Reduced reliability R(t_i, W_i) = sum of -ln(1-p) (Eq. 8).
   double TaskReducedReliability(TaskId i) const { return task_r_[i]; }
@@ -147,6 +165,12 @@ class AssignmentState {
   void Attach(TaskId i, WorkerId j, const Observation& obs);
   TaskId Detach(WorkerId j);
 
+  /// Unassigns task i's workers and zeroes its aggregates.
+  void ClearTask(TaskId i);
+
+  /// E[STD(t_i)] of task i's roster plus `extra`, built in preview_.
+  double PreviewStd(TaskId i, const Observation& extra) const;
+
   /// Moves task i's E[STD] to `fresh`, updating the running total.
   void SetTaskStd(TaskId i, double fresh);
 
@@ -167,6 +191,12 @@ class AssignmentState {
   std::vector<double> task_std_;
   double total_std_ = 0.0;
   int num_nonempty_ = 0;
+
+  /// util::ReliabilityWeight of each worker's confidence.
+  std::vector<double> weight_;
+
+  /// The roster-plus-one list the previews score.
+  mutable std::vector<Observation> preview_;
 
   /// Lazy per-worker observation rows (indexed by worker, then task).
   /// mutable + unsynchronized: AssignmentState is single-threaded by

@@ -54,17 +54,52 @@ struct AngularLayout {
   std::vector<double> gap;
 };
 
-AngularLayout SortByAngle(const std::vector<Observation>& obs) {
-  AngularLayout layout;
+// Observations sorted by arrival, with the virtual boundary dividers at
+// `start` and `end` prepended/appended (probability 1 each).
+struct TemporalLayout {
+  std::vector<double> time;  // size r + 2, time[0] = start, back() = end
+  std::vector<double> confidence;
+};
+
+// Per-thread buffers behind every E[STD] and bound evaluation, so that
+// once a thread has seen its largest roster these functions allocate
+// nothing. Each buffer has one user at a time: the two layouts are filled
+// and consumed by one call each, `values` by Std's two sequential passes
+// and `absent` by ExpectedStdBounds, which calls Std and SortByAngle only
+// before or after its own use of `absent`.
+struct Scratch {
+  std::vector<size_t> order;
+  AngularLayout angular;
+  TemporalLayout temporal;
+  std::vector<double> values;
+  std::vector<double> absent;
+};
+
+Scratch& ThreadScratch() {
+  thread_local Scratch scratch;
+  return scratch;
+}
+
+// Fills `order` with 0..r-1 sorted by `less`. std::sort on the same index
+// array with the same comparator always yields the same permutation, so
+// reusing the buffer keeps the tie order of a fresh vector.
+template <typename Less>
+void SortOrder(size_t r, Less less, std::vector<size_t>* order) {
+  order->resize(r);
+  for (size_t i = 0; i < r; ++i) (*order)[i] = i;
+  std::sort(order->begin(), order->end(), less);
+}
+
+const AngularLayout& SortByAngle(const std::vector<Observation>& obs) {
+  Scratch& scratch = ThreadScratch();
+  AngularLayout& layout = scratch.angular;
   const size_t r = obs.size();
-  std::vector<size_t> order(r);
-  for (size_t i = 0; i < r; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&obs](size_t a, size_t b) {
-    return obs[a].angle < obs[b].angle;
-  });
-  layout.angle.reserve(r);
-  layout.confidence.reserve(r);
-  for (size_t i : order) {
+  SortOrder(
+      r, [&obs](size_t a, size_t b) { return obs[a].angle < obs[b].angle; },
+      &scratch.order);
+  layout.angle.clear();
+  layout.confidence.clear();
+  for (size_t i : scratch.order) {
     layout.angle.push_back(geo::NormalizeAngle(obs[i].angle));
     layout.confidence.push_back(ClampConfidence(obs[i].confidence));
   }
@@ -84,32 +119,61 @@ AngularLayout SortByAngle(const std::vector<Observation>& obs) {
   return layout;
 }
 
-// Observations sorted by arrival, with the virtual boundary dividers at
-// `start` and `end` prepended/appended (probability 1 each).
-struct TemporalLayout {
-  std::vector<double> time;  // size r + 2, time[0] = start, back() = end
-  std::vector<double> confidence;
-};
-
-TemporalLayout SortByArrival(const std::vector<Observation>& obs,
-                             double start, double end) {
-  TemporalLayout layout;
-  layout.time.reserve(obs.size() + 2);
-  layout.confidence.reserve(obs.size() + 2);
+const TemporalLayout& SortByArrival(const std::vector<Observation>& obs,
+                                    double start, double end) {
+  Scratch& scratch = ThreadScratch();
+  TemporalLayout& layout = scratch.temporal;
+  layout.time.clear();
+  layout.confidence.clear();
   layout.time.push_back(start);
   layout.confidence.push_back(1.0);
-  std::vector<size_t> order(obs.size());
-  for (size_t i = 0; i < obs.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&obs](size_t a, size_t b) {
-    return obs[a].arrival < obs[b].arrival;
-  });
-  for (size_t i : order) {
+  SortOrder(
+      obs.size(),
+      [&obs](size_t a, size_t b) { return obs[a].arrival < obs[b].arrival; },
+      &scratch.order);
+  for (size_t i : scratch.order) {
     layout.time.push_back(std::clamp(obs[i].arrival, start, end));
     layout.confidence.push_back(ClampConfidence(obs[i].confidence));
   }
   layout.time.push_back(end);
   layout.confidence.push_back(1.0);
   return layout;
+}
+
+// SpatialDiversity / TemporalDiversity on a buffer they may reorder.
+double SpatialDiversityInPlace(std::vector<double>* angles) {
+  const size_t r = angles->size();
+  if (r < 2) return 0.0;
+  std::vector<double>& sorted = *angles;
+  for (double& a : sorted) a = geo::NormalizeAngle(a);
+  std::sort(sorted.begin(), sorted.end());
+  double entropy = 0.0;
+  double sum = 0.0;
+  for (size_t i = 0; i + 1 < r; ++i) {
+    double gap = sorted[i + 1] - sorted[i];
+    sum += gap;
+    entropy += EntropyTerm(gap / kTwoPi);
+  }
+  entropy += EntropyTerm((kTwoPi - sum) / kTwoPi);
+  return entropy;
+}
+
+double TemporalDiversityInPlace(std::vector<double>* arrivals, double start,
+                                double end) {
+  assert(end > start);
+  if (arrivals->empty()) return 0.0;
+  std::vector<double>& sorted = *arrivals;
+  std::sort(sorted.begin(), sorted.end());
+  const double duration = end - start;
+  double entropy = 0.0;
+  double prev = start;
+  for (double t : sorted) {
+    double clamped = std::clamp(t, prev, end);
+    entropy += EntropyTerm((clamped - prev) / duration);
+    prev = clamped;
+  }
+  entropy += EntropyTerm((end - prev) / duration);
+  return entropy;
 }
 
 }  // namespace
@@ -124,20 +188,9 @@ Observation MakeObservation(const Task& t, const Worker& w, double now,
 }
 
 double SpatialDiversity(const std::vector<double>& angles) {
-  const size_t r = angles.size();
-  if (r < 2) return 0.0;
+  if (angles.size() < 2) return 0.0;
   std::vector<double> sorted(angles);
-  for (double& a : sorted) a = geo::NormalizeAngle(a);
-  std::sort(sorted.begin(), sorted.end());
-  double entropy = 0.0;
-  double sum = 0.0;
-  for (size_t i = 0; i + 1 < r; ++i) {
-    double gap = sorted[i + 1] - sorted[i];
-    sum += gap;
-    entropy += EntropyTerm(gap / kTwoPi);
-  }
-  entropy += EntropyTerm((kTwoPi - sum) / kTwoPi);
-  return entropy;
+  return SpatialDiversityInPlace(&sorted);
 }
 
 double TemporalDiversity(const std::vector<double>& arrivals, double start,
@@ -145,36 +198,28 @@ double TemporalDiversity(const std::vector<double>& arrivals, double start,
   assert(end > start);
   if (arrivals.empty()) return 0.0;
   std::vector<double> sorted(arrivals);
-  std::sort(sorted.begin(), sorted.end());
-  const double duration = end - start;
-  double entropy = 0.0;
-  double prev = start;
-  for (double t : sorted) {
-    double clamped = std::clamp(t, prev, end);
-    entropy += EntropyTerm((clamped - prev) / duration);
-    prev = clamped;
-  }
-  entropy += EntropyTerm((end - prev) / duration);
-  return entropy;
+  return TemporalDiversityInPlace(&sorted, start, end);
 }
 
 double Std(const Task& task, const std::vector<Observation>& obs) {
-  std::vector<double> angles;
-  std::vector<double> arrivals;
-  angles.reserve(obs.size());
-  arrivals.reserve(obs.size());
-  for (const Observation& o : obs) {
-    angles.push_back(o.angle);
-    arrivals.push_back(o.arrival);
-  }
-  return task.beta * SpatialDiversity(angles) +
-         (1.0 - task.beta) * TemporalDiversity(arrivals, task.start, task.end);
+  std::vector<double>& values = ThreadScratch().values;
+  values.clear();
+  for (const Observation& o : obs) values.push_back(o.angle);
+  const double spatial = SpatialDiversityInPlace(&values);
+  values.clear();
+  for (const Observation& o : obs) values.push_back(o.arrival);
+  const double temporal =
+      TemporalDiversityInPlace(&values, task.start, task.end);
+  return task.beta * spatial + (1.0 - task.beta) * temporal;
 }
 
 double ExpectedSpatialDiversity(const std::vector<Observation>& obs) {
   const size_t r = obs.size();
   if (r < 2) return 0.0;
-  AngularLayout layout = SortByAngle(obs);
+  const AngularLayout& layout = SortByAngle(obs);
+  // Raw views, so the rows keep them in registers across the log calls.
+  const double* gap = layout.gap.data();
+  const double* confidence = layout.confidence.data();
 
   // M_SD[j][k] summed on the fly (Eq. 9): for each ordered pair (j, k) of
   // rays, the entropy of the angle swept CCW from j to k, weighted by the
@@ -185,12 +230,13 @@ double ExpectedSpatialDiversity(const std::vector<Observation>& obs) {
   for (size_t j = 0; j < r; ++j) {
     double between_absent = 1.0;  // prod of (1 - p_x) for x strictly between
     double swept = 0.0;           // angle from ray j to ray k
+    size_t k = j;                 // the ray `step` places CCW of j, cyclic
     for (size_t step = 1; step < r; ++step) {
-      size_t k = (j + step) % r;
-      swept += layout.gap[(j + step - 1) % r];
-      expected += EntropyTerm(swept / kTwoPi) * layout.confidence[j] *
-                  layout.confidence[k] * between_absent;
-      between_absent *= 1.0 - layout.confidence[k];
+      swept += gap[k];
+      k = k + 1 == r ? 0 : k + 1;
+      expected += EntropyTerm(swept / kTwoPi) * confidence[j] *
+                  confidence[k] * between_absent;
+      between_absent *= 1.0 - confidence[k];
       if (RowTailIsInvisible(between_absent, expected)) break;
     }
   }
@@ -201,7 +247,9 @@ double ExpectedTemporalDiversity(const std::vector<Observation>& obs,
                                  double start, double end) {
   assert(end > start);
   if (obs.empty()) return 0.0;
-  TemporalLayout layout = SortByArrival(obs, start, end);
+  const TemporalLayout& layout = SortByArrival(obs, start, end);
+  const double* time = layout.time.data();
+  const double* confidence = layout.confidence.data();
   const double duration = end - start;
   const size_t b = layout.time.size();  // r + 2 boundary candidates
 
@@ -213,10 +261,10 @@ double ExpectedTemporalDiversity(const std::vector<Observation>& obs,
   for (size_t a = 0; a + 1 < b; ++a) {
     double between_absent = 1.0;
     for (size_t k = a + 1; k < b; ++k) {
-      double len = layout.time[k] - layout.time[a];
-      expected += EntropyTerm(len / duration) * layout.confidence[a] *
-                  layout.confidence[k] * between_absent;
-      between_absent *= 1.0 - layout.confidence[k];
+      double len = time[k] - time[a];
+      expected += EntropyTerm(len / duration) * confidence[a] *
+                  confidence[k] * between_absent;
+      between_absent *= 1.0 - confidence[k];
       if (RowTailIsInvisible(between_absent, expected)) break;
     }
   }
@@ -269,7 +317,8 @@ DiversityBounds ExpectedStdBounds(const Task& task,
   double exactly_one = 0.0;
   {
     // prefix[i] = prod of (1-p) over obs[0..i); suffix analogous.
-    std::vector<double> prefix(r + 1, 1.0);
+    std::vector<double>& prefix = ThreadScratch().absent;
+    prefix.assign(r + 1, 1.0);
     for (size_t i = 0; i < r; ++i) {
       prefix[i + 1] = prefix[i] * (1.0 - ClampConfidence(obs[i].confidence));
     }
@@ -286,7 +335,7 @@ DiversityBounds ExpectedStdBounds(const Task& task,
   // (Section 4.3; minimizer of the concave two-way entropy).
   double min_sd = 0.0;
   if (r >= 2) {
-    AngularLayout layout = SortByAngle(obs);
+    const AngularLayout& layout = SortByAngle(obs);
     double min_gap = kTwoPi;
     for (double g : layout.gap) min_gap = std::min(min_gap, g);
     min_sd = TwoWayEntropy(min_gap / kTwoPi);

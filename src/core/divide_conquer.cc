@@ -4,10 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -43,6 +43,11 @@ class DcRunner {
         deadline_(deadline),
         executor_(executor),
         rng_(options.seed),
+        merge_state_(instance),
+        in_left_(static_cast<size_t>(instance.num_tasks()), 0),
+        task1_(static_cast<size_t>(instance.num_workers()), kNoTask),
+        task2_(static_cast<size_t>(instance.num_workers()), kNoTask),
+        first_conflict_(static_cast<size_t>(instance.num_tasks()), -1),
         slot_of_task_(static_cast<size_t>(instance.num_tasks()), -1) {}
 
   util::StatusOr<std::vector<Pair>> Run(const CandidateGraph& graph,
@@ -98,6 +103,13 @@ class DcRunner {
     // Phase 3 (serial): SA_Merge bottom-up in tree order -- merge takes no
     // random draws, so this reproduces the recursive result exactly.
     return Combine(root_node.value(), &leaf_pairs);
+  }
+
+  // EvaluateAssignment on the merge state: a replay after Reset equals a
+  // fresh state's. Leaves the state loaded; call after the last Merge.
+  ObjectiveValue Evaluate(const Assignment& assignment) {
+    merge_state_.Reset(assignment);
+    return merge_state_.Objectives();
   }
 
  private:
@@ -218,22 +230,21 @@ class DcRunner {
     }
     util::TwoMeansResult clusters = util::TwoMeans(points, rng_);
 
-    std::unordered_set<TaskId> in_left;
     for (size_t a = 0; a < sub.tasks.size(); ++a) {
       if (clusters.label[a] == 0) {
         left->tasks.push_back(sub.tasks[a]);
-        in_left.insert(sub.tasks[a]);
+        in_left_[sub.tasks[a]] = 1;
       } else {
         right->tasks.push_back(sub.tasks[a]);
       }
     }
-    if (left->tasks.empty() || right->tasks.empty()) return false;
+    const bool split = !left->tasks.empty() && !right->tasks.empty();
 
-    for (size_t k = 0; k < sub.workers.size(); ++k) {
+    for (size_t k = 0; split && k < sub.workers.size(); ++k) {
       std::vector<TaskId> left_edges;
       std::vector<TaskId> right_edges;
       for (TaskId g : sub.edges[k]) {
-        (in_left.contains(g) ? left_edges : right_edges).push_back(g);
+        (in_left_[g] ? left_edges : right_edges).push_back(g);
       }
       // Workers reaching only one side are isolated there; straddling
       // workers are duplicated into both subproblems (Fig. 8).
@@ -246,25 +257,25 @@ class DcRunner {
         right->edges.push_back(std::move(right_edges));
       }
     }
-    return true;
+    for (TaskId i : left->tasks) in_left_[i] = 0;
+    return split;
   }
 
   // SA_Merge (Fig. 9).
   util::StatusOr<std::vector<Pair>> Merge(const std::vector<Pair>& s1,
                                           const std::vector<Pair>& s2) {
     // Conflicting workers: assigned in both halves (their copies disagree).
-    std::unordered_map<WorkerId, TaskId> task1, task2;
-    for (const Pair& p : s1) task1[p.second] = p.first;
-    for (const Pair& p : s2) task2[p.second] = p.first;
-
+    for (const Pair& p : s1) task1_[p.second] = p.first;
+    for (const Pair& p : s2) task2_[p.second] = p.first;
     std::vector<WorkerId> conflicts;
-    // LINT-ALLOW(unordered-iter): membership scan; conflicts sorted below
-    for (const auto& [w, t] : task1) {
-      if (task2.contains(w)) conflicts.push_back(w);
+    for (const Pair& p : s1) {
+      if (task2_[p.second] != kNoTask) conflicts.push_back(p.second);
     }
     std::sort(conflicts.begin(), conflicts.end());
 
     if (conflicts.empty()) {
+      for (const Pair& p : s1) task1_[p.second] = kNoTask;
+      for (const Pair& p : s2) task2_[p.second] = kNoTask;
       std::vector<Pair> merged = s1;
       merged.insert(merged.end(), s2.begin(), s2.end());
       return merged;
@@ -273,23 +284,11 @@ class DcRunner {
     // The two options of conflict c: its copy's task on each side.
     std::vector<TaskId> side1(conflicts.size()), side2(conflicts.size());
     for (size_t c = 0; c < conflicts.size(); ++c) {
-      side1[c] = task1.at(conflicts[c]);
-      side2[c] = task2.at(conflicts[c]);
+      side1[c] = task1_[conflicts[c]];
+      side2[c] = task2_[conflicts[c]];
     }
 
-    // Evaluation state over the full instance, loaded with every
-    // non-conflicting pair (Lemma 6.1: those assignments are stable).
-    AssignmentState state(instance_);
-    std::unordered_set<WorkerId> conflict_set(conflicts.begin(),
-                                              conflicts.end());
-    for (const Pair& p : s1) {
-      if (!conflict_set.contains(p.second)) state.Add(p.first, p.second);
-    }
-    for (const Pair& p : s2) {
-      if (!conflict_set.contains(p.second)) state.Add(p.first, p.second);
-    }
-
-    // Only the halves' tasks can ever hold a worker in `state`.
+    // Only the halves' tasks can ever hold a worker in the merge state.
     std::vector<TaskId> merge_tasks;
     merge_tasks.reserve(s1.size() + s2.size());
     for (const Pair& p : s1) merge_tasks.push_back(p.first);
@@ -298,36 +297,63 @@ class DcRunner {
     merge_tasks.erase(std::unique(merge_tasks.begin(), merge_tasks.end()),
                       merge_tasks.end());
 
-    // Dependency components: conflicting workers sharing a task option must
-    // be resolved together (Lemma 6.2); singletons are ICWs.
-    std::unordered_map<TaskId, std::vector<int>> by_task;
-    for (size_t c = 0; c < conflicts.size(); ++c) {
-      by_task[side1[c]].push_back(static_cast<int>(c));
-      by_task[side2[c]].push_back(static_cast<int>(c));
+    // The evaluation state over the full instance is shared by every merge
+    // of the solve and emptied on every way out of this one, the budget
+    // error included, so each merge starts from a fresh state's bits.
+    struct ClearOnExit {
+      AssignmentState& state;
+      const std::vector<TaskId>& tasks;
+      ~ClearOnExit() { state.Clear(tasks); }
+    } clear_on_exit{merge_state_, merge_tasks};
+    AssignmentState& state = merge_state_;
+
+    // Load every non-conflicting pair (Lemma 6.1: those assignments are
+    // stable).
+    for (const Pair& p : s1) {
+      if (task2_[p.second] == kNoTask) state.Add(p.first, p.second);
     }
-    std::vector<int> component(conflicts.size(), -1);
-    int num_components = 0;
-    for (size_t seed = 0; seed < conflicts.size(); ++seed) {
-      if (component[seed] != -1) continue;
-      std::vector<int> stack{static_cast<int>(seed)};
-      component[seed] = num_components;
-      while (!stack.empty()) {
-        int c = stack.back();
-        stack.pop_back();
-        for (TaskId t : {side1[c], side2[c]}) {
-          for (int other : by_task[t]) {
-            if (component[other] == -1) {
-              component[other] = num_components;
-              stack.push_back(other);
-            }
-          }
+    for (const Pair& p : s2) {
+      if (task1_[p.second] == kNoTask) state.Add(p.first, p.second);
+    }
+    for (const Pair& p : s1) task1_[p.second] = kNoTask;
+    for (const Pair& p : s2) task2_[p.second] = kNoTask;
+
+    // Dependency components: conflicting workers sharing a task option must
+    // be resolved together (Lemma 6.2); singletons are ICWs. A union-find
+    // over the conflicts joins each one to the first conflict seen on
+    // either of its tasks; components are numbered in order of their
+    // smallest conflict index, and list their conflicts ascending.
+    std::vector<int> parent(conflicts.size());
+    for (size_t c = 0; c < conflicts.size(); ++c) {
+      parent[c] = static_cast<int>(c);
+    }
+    auto find = [&parent](int c) {
+      while (parent[c] != c) c = parent[c] = parent[parent[c]];
+      return c;
+    };
+    for (size_t c = 0; c < conflicts.size(); ++c) {
+      for (TaskId t : {side1[c], side2[c]}) {
+        int& first = first_conflict_[t];
+        if (first < 0) {
+          first = static_cast<int>(c);
+        } else {
+          parent[find(static_cast<int>(c))] = find(first);
         }
       }
-      ++num_components;
     }
-    std::vector<std::vector<int>> groups(num_components);
     for (size_t c = 0; c < conflicts.size(); ++c) {
-      groups[component[c]].push_back(static_cast<int>(c));
+      first_conflict_[side1[c]] = -1;
+      first_conflict_[side2[c]] = -1;
+    }
+    std::vector<int> group_of_root(conflicts.size(), -1);
+    std::vector<std::vector<int>> groups;
+    for (size_t c = 0; c < conflicts.size(); ++c) {
+      int& group = group_of_root[find(static_cast<int>(c))];
+      if (group < 0) {
+        group = static_cast<int>(groups.size());
+        groups.emplace_back();
+      }
+      groups[group].push_back(static_cast<int>(c));
     }
 
     for (const std::vector<int>& group : groups) {
@@ -489,6 +515,16 @@ class DcRunner {
   std::vector<Node> nodes_;
   std::vector<Leaf> leaves_;
 
+  // SA_Merge's evaluation state, one per solve (see Merge).
+  AssignmentState merge_state_;
+  // Per-task / per-worker scratch, all-clear between uses: Partition's
+  // left-side marks, Merge's task of each worker in either half (kNoTask
+  // elsewhere) and the first conflict seen on each task (-1 elsewhere).
+  std::vector<uint8_t> in_left_;
+  std::vector<TaskId> task1_;
+  std::vector<TaskId> task2_;
+  std::vector<int> first_conflict_;
+
   // ResolveGroup's per-group tables, reused across groups and merges.
   struct GroupTables {
     struct Slot {
@@ -535,7 +571,7 @@ util::StatusOr<SolveResult> DivideConquerSolver::SolveImpl(
   for (const Pair& p : pairs.value()) {
     result.assignment.Assign(p.second, p.first);
   }
-  result.objectives = EvaluateAssignment(instance, result.assignment);
+  result.objectives = runner.Evaluate(result.assignment);
   result.stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

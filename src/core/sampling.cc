@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "core/dominance.h"
@@ -48,30 +47,38 @@ util::StatusOr<SolveResult> SamplingSolver::SolveImpl(
   std::vector<uint64_t> sample_seeds(k);
   for (int h = 0; h < k; ++h) sample_seeds[h] = rng.NextU64();
 
-  std::vector<Assignment> samples(k);
+  // Lines 4-7 of Fig. 5: pick, for every worker, one incident edge
+  // uniformly at random. A sample is a pure function of its seed, so only
+  // its objectives are kept and the winner is drawn again at the end.
+  auto draw = [&](int h, Assignment* sample) {
+    sample->Clear();
+    util::Rng sample_rng(sample_seeds[h]);
+    for (WorkerId j = 0; j < instance.num_workers(); ++j) {
+      const auto& tasks = graph.TasksOf(j);
+      if (tasks.empty()) continue;
+      size_t pick = static_cast<size_t>(sample_rng.UniformInt(
+          0, static_cast<int64_t>(tasks.size()) - 1));
+      sample->Assign(j, tasks[pick]);
+    }
+  };
+
   std::vector<ObjectiveValue> values(k);
   std::atomic<int> completed{0};
   std::atomic<bool> interrupted{false};
   executor.ShardedFor(k, [&](int /*shard*/, int64_t begin, int64_t end) {
+    // One sample buffer and one evaluation state per shard; Reset makes
+    // each replay equal a fresh state's.
+    Assignment sample(instance.num_workers());
+    AssignmentState state(instance);
     for (int64_t h = begin; h < end; ++h) {
       if (interrupted.load(std::memory_order_relaxed) ||
           deadline.Exhausted()) {
         interrupted.store(true, std::memory_order_relaxed);
         return;
       }
-      // Lines 4-7 of Fig. 5: pick, for every worker, one incident edge
-      // uniformly at random.
-      Assignment sample(instance.num_workers());
-      util::Rng sample_rng(sample_seeds[h]);
-      for (WorkerId j = 0; j < instance.num_workers(); ++j) {
-        const auto& tasks = graph.TasksOf(j);
-        if (tasks.empty()) continue;
-        size_t pick = static_cast<size_t>(sample_rng.UniformInt(
-            0, static_cast<int64_t>(tasks.size()) - 1));
-        sample.Assign(j, tasks[pick]);
-      }
-      values[h] = EvaluateAssignment(instance, sample);
-      samples[h] = std::move(sample);
+      draw(static_cast<int>(h), &sample);
+      state.Reset(sample);
+      values[h] = state.Objectives();
       completed.fetch_add(1, std::memory_order_relaxed);
     }
   });
@@ -94,7 +101,8 @@ util::StatusOr<SolveResult> SamplingSolver::SolveImpl(
   }
   size_t best = TopDominating(sample_points);
 
-  result.assignment = std::move(samples[best]);
+  result.assignment = Assignment(instance.num_workers());
+  draw(static_cast<int>(best), &result.assignment);
   result.objectives = values[best];
   result.stats.sample_size = k;
   result.stats.wall_seconds =

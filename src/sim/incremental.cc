@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
 #include <limits>
 #include <vector>
 
@@ -20,6 +22,15 @@ util::Status ValidatePosition(core::WorkerId id, core::Worker worker,
                               geo::Point position) {
   worker.location = position;
   return core::ValidateWorker(id, worker);
+}
+
+// A round clock must be finite before it reaches the index:
+// std::max(NaN, clock) would store NaN there.
+util::Status ValidateClock(const char* field, double now) {
+  if (std::isfinite(now)) return util::Status::OK();
+  char text[64];
+  std::snprintf(text, sizeof(text), "%s = %g not finite", field, now);
+  return util::Status::InvalidArgument(text);
 }
 
 }  // namespace
@@ -162,6 +173,9 @@ util::Status IncrementalAssigner::MoveWorker(core::WorkerId id,
 }
 
 util::Status IncrementalAssigner::ApplyEvents(const EventBatch& batch) {
+  if (util::Status s = ValidateClock("batch.now", batch.now); !s.ok()) {
+    return s;
+  }
   index_.set_now(std::max(batch.now, index_.now()));
   EventBatch events = batch;
   events.Canonicalize();
@@ -225,6 +239,7 @@ void IncrementalAssigner::ReportDeltaMetrics() {
 
 util::StatusOr<std::vector<std::pair<core::TaskId, core::WorkerId>>>
 IncrementalAssigner::Update(double now) {
+  if (util::Status s = ValidateClock("now", now); !s.ok()) return s;
   index_.set_now(std::max(now, index_.now()));
 
   // Drop expired tasks (Figure 10 keeps only the opening ones). Removal

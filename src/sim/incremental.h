@@ -84,7 +84,8 @@ class IncrementalAssigner {
   /// (expired, completed, arrived, moved; ascending id within each group
   /// -- the batch is canonicalized internally) after advancing the clock
   /// to `batch.now`. Stops at the first failing event; already-applied
-  /// events stay applied. The usual streaming round is
+  /// events stay applied. A NaN or infinite `batch.now` fails with
+  /// kInvalidArgument before any state changes. The usual streaming round is
   /// `ApplyEvents(batch)` then `Update(batch.now)`.
   util::Status ApplyEvents(const EventBatch& batch);
 
@@ -110,7 +111,9 @@ class IncrementalAssigner {
   /// the pairs newly committed this round as global (task, worker) ids, in
   /// ascending worker order. Fails with the solver's status (no
   /// commitments are made on a failed solve) or with the delta graph's or
-  /// index's status when maintenance fails (the graph is then stale).
+  /// index's status when maintenance fails (the graph is then stale). A
+  /// NaN or infinite `now` fails with kInvalidArgument before any state
+  /// changes.
   util::StatusOr<std::vector<std::pair<core::TaskId, core::WorkerId>>>
   Update(double now);
 

@@ -27,7 +27,7 @@ enum class StatusCode {
 /// Usage:
 ///   Status s = DoThing();
 ///   if (!s.ok()) return s;
-class Status {
+class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.
   Status() : code_(StatusCode::kOk) {}
@@ -90,7 +90,7 @@ class Status {
 /// A value-or-error union: holds T on success, a non-OK Status on failure.
 /// Accessing value() on a failed StatusOr is a programming error (asserts).
 template <typename T>
-class StatusOr {
+class [[nodiscard]] StatusOr {
  public:
   /// Implicit from a value: success.
   StatusOr(T value) : status_(Status::OK()), value_(std::move(value)) {}

@@ -339,5 +339,109 @@ TEST(AssignmentStateTest, ResetReplaysAssignment) {
               1e-9);
 }
 
+// A random assignment over `graph`: each worker takes one of its valid
+// tasks with probability 3/4.
+Assignment RandomAssignment(const Instance& instance,
+                            const CandidateGraph& graph, util::Rng& rng) {
+  Assignment assignment(instance.num_workers());
+  for (WorkerId j = 0; j < instance.num_workers(); ++j) {
+    const auto& tasks = graph.TasksOf(j);
+    if (tasks.empty() || rng.Bernoulli(0.25)) continue;
+    assignment.Assign(j, tasks[static_cast<size_t>(rng.UniformInt(
+                             0, static_cast<int64_t>(tasks.size()) - 1))]);
+  }
+  return assignment;
+}
+
+// Everything a replay leaves behind, compared bit for bit.
+void ExpectSameStateBits(const AssignmentState& reused,
+                         const AssignmentState& fresh, const char* label) {
+  const ObjectiveValue a = reused.Objectives();
+  const ObjectiveValue b = fresh.Objectives();
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.total_std),
+            std::bit_cast<uint64_t>(b.total_std))
+      << label;
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.min_reliability),
+            std::bit_cast<uint64_t>(b.min_reliability))
+      << label;
+  EXPECT_EQ(std::bit_cast<uint64_t>(reused.TotalExpectedStd()),
+            std::bit_cast<uint64_t>(fresh.TotalExpectedStd()))
+      << label;
+  for (TaskId i = 0; i < fresh.instance().num_tasks(); ++i) {
+    ASSERT_EQ(reused.WorkersOf(i), fresh.WorkersOf(i)) << label << " " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(reused.TaskExpectedStd(i)),
+              std::bit_cast<uint64_t>(fresh.TaskExpectedStd(i)))
+        << label << ", task " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(reused.TaskReducedReliability(i)),
+              std::bit_cast<uint64_t>(fresh.TaskReducedReliability(i)))
+        << label << ", task " << i;
+    EXPECT_TRUE(SameBits(reused.TaskStdBounds(i), fresh.TaskStdBounds(i)))
+        << label << ", task " << i;
+  }
+  for (WorkerId j = 0; j < fresh.instance().num_workers(); ++j) {
+    ASSERT_EQ(reused.TaskOf(j), fresh.TaskOf(j)) << label << " " << j;
+  }
+}
+
+// The reuse contract sampling and D&C's merge rely on: after Clear (sparse
+// or, for a list that misses a task, the full sweep) or Reset, a state
+// that has been churned, previewed and bounded replays an assignment to
+// the same bits as a freshly constructed state.
+TEST_P(IncrementalVsScratchTest, ReusedStateReplaysBitIdenticalToFresh) {
+  Instance instance = test::SmallInstance(GetParam() + 200, 16, 48);
+  CandidateGraph graph = CandidateGraph::Build(instance);
+  util::Rng rng(GetParam() * 17);
+
+  AssignmentState reused(instance);
+  for (int round = 0; round < 6; ++round) {
+    // Dirty the state: a replay, churn with the known-STD path, previews
+    // (which build observation rows) and bounds (which build layouts).
+    reused.Reset(RandomAssignment(instance, graph, rng));
+    for (int step = 0; step < 40; ++step) {
+      WorkerId j = static_cast<WorkerId>(
+          rng.UniformInt(0, instance.num_workers() - 1));
+      if (reused.TaskOf(j) != kNoTask) {
+        reused.Remove(j);
+      } else if (!graph.TasksOf(j).empty()) {
+        TaskId i = graph.TasksOf(j).front();
+        reused.PreviewAdd(i, j);
+        reused.PreviewTaskStd(i, j);
+        reused.PreviewTaskStdBounds(i, j);
+        reused.Add(i, j);
+        reused.TaskStdBounds(i);
+      }
+    }
+
+    const Assignment next = RandomAssignment(instance, graph, rng);
+    AssignmentState fresh(instance);
+    for (WorkerId j = 0; j < instance.num_workers(); ++j) {
+      if (next.TaskOf(j) != kNoTask) fresh.Add(next.TaskOf(j), j);
+    }
+
+    if (round % 3 == 0) {
+      reused.Reset(next);
+      ExpectSameStateBits(reused, fresh, "Reset");
+      continue;
+    }
+    // Sparse clear over the non-empty tasks (listed twice), or over a list
+    // missing one of them, which must fall back to the full sweep.
+    std::vector<TaskId> touched;
+    for (TaskId i = 0; i < instance.num_tasks(); ++i) {
+      if (!reused.WorkersOf(i).empty()) touched.push_back(i);
+    }
+    if (round % 3 == 1) {
+      touched.insert(touched.end(), touched.begin(), touched.end());
+    } else if (!touched.empty()) {
+      touched.pop_back();
+    }
+    reused.Clear(touched);
+    EXPECT_EQ(reused.assignment().NumAssigned(), 0);
+    for (WorkerId j = 0; j < instance.num_workers(); ++j) {
+      if (next.TaskOf(j) != kNoTask) reused.Add(next.TaskOf(j), j);
+    }
+    ExpectSameStateBits(reused, fresh, "Clear");
+  }
+}
+
 }  // namespace
 }  // namespace rdbsc::core

@@ -8,6 +8,7 @@
 #include <numbers>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "geo/angle.h"
@@ -609,6 +610,90 @@ TEST(DiversityNumericsTest, LargeRosterMatchesReferenceAndIsMonotone) {
   char text[32];
   std::snprintf(text, sizeof(text), "%.3g", worst);
   RecordProperty("worst_relative_error", text);
+}
+
+// ---------- Per-thread scratch: reuse leaves no trace ----------
+
+// The bits of every scratch-backed evaluation of one roster.
+struct ScratchResults {
+  uint64_t std = 0, spatial = 0, temporal = 0, lb = 0, ub = 0, det = 0;
+  bool operator==(const ScratchResults&) const = default;
+};
+
+ScratchResults EvaluateWithScratch(const Task& task,
+                                   const std::vector<Observation>& obs) {
+  const DiversityBounds bounds = ExpectedStdBounds(task, obs);
+  return {std::bit_cast<uint64_t>(ExpectedStd(task, obs)),
+          std::bit_cast<uint64_t>(ExpectedSpatialDiversity(obs)),
+          std::bit_cast<uint64_t>(
+              ExpectedTemporalDiversity(obs, task.start, task.end)),
+          std::bit_cast<uint64_t>(bounds.lb),
+          std::bit_cast<uint64_t>(bounds.ub),
+          std::bit_cast<uint64_t>(Std(task, obs))};
+}
+
+// The same evaluation on a thread of its own, whose scratch starts empty.
+ScratchResults EvaluateOnFreshThread(const Task& task,
+                                     const std::vector<Observation>& obs) {
+  ScratchResults results;
+  std::thread([&] { results = EvaluateWithScratch(task, obs); }).join();
+  return results;
+}
+
+// Rosters of r = 1000, 2, 0 and 37: the buffers grow to 1000 first, so the
+// later, shorter rosters run on longer buffers left over from it.
+std::vector<std::vector<Observation>> ShrinkingRosters() {
+  util::Rng rng(4242);
+  std::vector<std::vector<Observation>> rosters;
+  rosters.push_back(DrawObservations(1000, Regime::kUniform, false, rng));
+  rosters.push_back(DrawObservations(2, Regime::kCampus, false, rng));
+  rosters.push_back({});
+  rosters.push_back(DrawObservations(37, Regime::kMixed, true, rng));
+  return rosters;
+}
+
+TEST(ScratchReuseTest, InterleavedRosterSizesMatchFreshThreads) {
+  const Task task = MakeTask(0.4, 0.0, 1.0);
+  const auto rosters = ShrinkingRosters();
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::vector<Observation>& obs : rosters) {
+      EXPECT_EQ(EvaluateWithScratch(task, obs),
+                EvaluateOnFreshThread(task, obs))
+          << "pass " << pass << ", r=" << obs.size();
+    }
+  }
+}
+
+// Four threads evaluating the rosters at once, each in its own order, see
+// exactly the serial results: no scratch buffer is shared.
+TEST(ScratchReuseTest, ConcurrentThreadsMatchSerial) {
+  const Task task = MakeTask(0.6, 0.0, 1.0);
+  const auto rosters = ShrinkingRosters();
+  std::vector<ScratchResults> serial;
+  for (const std::vector<Observation>& obs : rosters) {
+    serial.push_back(EvaluateWithScratch(task, obs));
+  }
+  constexpr int kThreads = 4;
+  std::vector<std::vector<ScratchResults>> seen(
+      kThreads, std::vector<ScratchResults>(rosters.size()));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int pass = 0; pass < 2; ++pass) {
+        for (size_t k = 0; k < rosters.size(); ++k) {
+          const size_t at = (k + static_cast<size_t>(t)) % rosters.size();
+          seen[t][at] = EvaluateWithScratch(task, rosters[at]);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (size_t k = 0; k < rosters.size(); ++k) {
+      EXPECT_EQ(seen[t][k], serial[k])
+          << "thread " << t << ", r=" << rosters[k].size();
+    }
+  }
 }
 
 }  // namespace

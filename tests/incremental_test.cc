@@ -121,14 +121,18 @@ TEST(IncrementalAssignerTest, ObjectivesAccumulateOverRounds) {
   IncrementalAssigner assigner(solver.get(), 0.1);
   util::Rng rng(3);
   for (int t = 0; t < 6; ++t) {
-    assigner.AddTask(t, OpenTask({rng.Uniform(0.3, 0.7),
-                                  rng.Uniform(0.3, 0.7)},
-                                 0, 5));
+    ASSERT_TRUE(assigner
+                    .AddTask(t, OpenTask({rng.Uniform(0.3, 0.7),
+                                          rng.Uniform(0.3, 0.7)},
+                                         0, 5))
+                    .ok());
   }
   for (int w = 0; w < 12; ++w) {
-    assigner.AddWorker(w, FreeWorker({rng.Uniform(0.2, 0.8),
-                                      rng.Uniform(0.2, 0.8)},
-                                     0.4, rng.Uniform(0.7, 0.95)));
+    ASSERT_TRUE(assigner
+                    .AddWorker(w, FreeWorker({rng.Uniform(0.2, 0.8),
+                                              rng.Uniform(0.2, 0.8)},
+                                             0.4, rng.Uniform(0.7, 0.95)))
+                    .ok());
   }
   double previous = 0.0;
   for (int round = 0; round < 4; ++round) {
@@ -137,8 +141,10 @@ TEST(IncrementalAssignerTest, ObjectivesAccumulateOverRounds) {
     // Complete everyone so the next round can reassign.
     for (const auto& [tid, wid] : committed) {
       (void)tid;
-      assigner.CompleteWorker(wid, {rng.Uniform(0.3, 0.7),
-                                    rng.Uniform(0.3, 0.7)});
+      ASSERT_TRUE(assigner
+                      .CompleteWorker(wid, {rng.Uniform(0.3, 0.7),
+                                            rng.Uniform(0.3, 0.7)})
+                      .ok());
     }
     double current = assigner.Objectives().total_std;
     EXPECT_GE(current, previous - 1e-9)
@@ -430,6 +436,44 @@ TEST(InputGuardTest, SeededFieldMutationsAreRejectedInEveryBuild) {
     ++rejected_moves;
   }
   EXPECT_GT(rejected_moves, 0) << "no mutant reached CompleteWorker";
+}
+
+// A NaN or infinite round clock is rejected with kInvalidArgument naming
+// the field before ApplyEvents or Update touches any state -- in Release
+// too, where std::max(NaN, clock) would otherwise store NaN in the index.
+TEST(InputGuardTest, NonFiniteClockIsRejectedBeforeAnyState) {
+  auto solver = core::SolverRegistry::Global().Create("greedy").value();
+  IncrementalAssigner assigner(solver.get(), 0.1);
+  ASSERT_TRUE(assigner.AddTask(1, OpenTask({0.5, 0.5}, 0, 5)).ok());
+  ASSERT_TRUE(assigner.AddTask(2, OpenTask({0.6, 0.5}, 0, 5)).ok());
+  ASSERT_TRUE(assigner.AddWorker(7, FreeWorker({0.45, 0.5})).ok());
+  ASSERT_TRUE(assigner.Update(1.0).ok());
+  const core::TaskId committed = assigner.CommittedTask(7);
+  ASSERT_NE(committed, core::kNoTask);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    EventBatch batch;
+    batch.now = bad;
+    batch.expired.push_back({1});
+    batch.completed.push_back({7, {0.5, 0.5}});
+    const util::Status applied = assigner.ApplyEvents(batch);
+    EXPECT_EQ(applied.code(), util::StatusCode::kInvalidArgument) << bad;
+    EXPECT_TRUE(applied.message().starts_with("batch.now = "))
+        << applied.message();
+    const auto round = assigner.Update(bad);
+    ASSERT_FALSE(round.ok()) << bad;
+    EXPECT_EQ(round.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_TRUE(round.status().message().starts_with("now = "))
+        << round.status().message();
+
+    EXPECT_EQ(assigner.index().now(), 1.0) << bad;
+    EXPECT_EQ(assigner.num_open_tasks(), 2) << bad;
+    EXPECT_EQ(assigner.CommittedTask(7), committed) << bad;
+  }
+  // The rejected rounds left the assigner usable.
+  ASSERT_TRUE(assigner.Update(2.0).ok());
+  EXPECT_EQ(assigner.index().now(), 2.0);
 }
 
 }  // namespace

@@ -5,9 +5,11 @@
 // objectives. Threads only change wall-clock time, never answers.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
+#include "core/assignment.h"
 #include "core/divide_conquer.h"
 #include "core/instance.h"
 #include "core/sampling.h"
@@ -116,6 +118,36 @@ TEST(ParallelDeterminismTest, SamplingSolverMatchesSerial) {
       ExpectSameAssignment(instance, parallel, serial, "sampling");
       EXPECT_EQ(parallel.stats.sample_size, serial.stats.sample_size);
       EXPECT_EQ(parallel.stats.exact_std_evals, serial.stats.exact_std_evals);
+    }
+  }
+}
+
+// Each shard replays its samples onto one reused AssignmentState, and
+// shards hold uneven sample counts (37 samples over 2, 3 and 4 shards):
+// the winner and its objectives must match the serial run and a fresh
+// EvaluateAssignment bit for bit.
+TEST(ParallelDeterminismTest, SamplingReusedShardStatesMatchSerialBits) {
+  for (uint64_t seed : {12, 14}) {
+    Instance instance = test::SmallInstance(seed, 24, 60);
+    CandidateGraph graph = CandidateGraph::Build(instance);
+    core::SolverOptions options;
+    options.seed = seed;
+    options.fixed_sample_size = 37;
+    core::SamplingSolver solver(options);
+    SolveResult serial = SolveWith(solver, instance, graph, nullptr);
+    const core::ObjectiveValue fresh =
+        core::EvaluateAssignment(instance, serial.assignment);
+    EXPECT_EQ(std::bit_cast<uint64_t>(serial.objectives.total_std),
+              std::bit_cast<uint64_t>(fresh.total_std));
+    EXPECT_EQ(std::bit_cast<uint64_t>(serial.objectives.min_reliability),
+              std::bit_cast<uint64_t>(fresh.min_reliability));
+    for (int threads : {2, 3, 4}) {
+      util::ThreadPool pool(threads);
+      SolveResult parallel = SolveWith(solver, instance, graph, &pool);
+      ExpectSameAssignment(instance, parallel, serial, "sampling");
+      EXPECT_EQ(std::bit_cast<uint64_t>(parallel.objectives.total_std),
+                std::bit_cast<uint64_t>(serial.objectives.total_std))
+          << threads;
     }
   }
 }

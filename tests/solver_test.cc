@@ -15,6 +15,7 @@
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "util/hash.h"
+#include "util/thread_pool.h"
 
 namespace rdbsc::core {
 namespace {
@@ -412,37 +413,59 @@ constexpr DivideConquerGolden kDivideConquerGolden[] = {
      "14d265e2cff6b11e 3fed692cd26939b5 402f0e46552fbbec"},
 };
 
+// One golden row's instance, options and solve; `executor` null = serial.
+SolveResult SolveGolden(const DivideConquerGolden& golden,
+                        util::Executor* executor) {
+  std::string name = golden.instance;
+  Instance instance;
+  if (name.starts_with("sparse-")) {
+    instance = SmallInstance(std::stoull(name.substr(7)),
+                             /*num_tasks=*/24, /*num_workers=*/36);
+  } else if (name.starts_with("dense-")) {
+    instance = SmallInstance(std::stoull(name.substr(6)),
+                             /*num_tasks=*/24, /*num_workers=*/80);
+  } else {
+    gen::WorkloadConfig config;  // Table 2 defaults, scaled down
+    config.num_tasks = 40;
+    config.num_workers = 600;
+    config.start_max = 4.0;
+    config.seed = static_cast<uint64_t>(name.back() - '0');
+    instance = gen::GenerateInstance(config);
+  }
+  CandidateGraph graph = CandidateGraph::Build(instance);
+  std::string mode = golden.mode;
+  SolverOptions options;
+  options.gamma = 3;
+  options.seed = 5;
+  options.leaf_use_greedy = mode == "greedy";
+  if (mode == "fallback") options.max_dcw_group = 1;
+  SolveRequest request;
+  request.instance = &instance;
+  request.graph = &graph;
+  request.executor = executor;
+  return mode == "gtruth"
+             ? GroundTruthSolver(options).Solve(request).value()
+             : DivideConquerSolver(options).Solve(request).value();
+}
+
 TEST(DivideConquerGoldenTest, DecisionsMatchReferenceMerge) {
   for (const DivideConquerGolden& golden : kDivideConquerGolden) {
-    std::string name = golden.instance;
-    Instance instance;
-    if (name.starts_with("sparse-")) {
-      instance = SmallInstance(std::stoull(name.substr(7)),
-                               /*num_tasks=*/24, /*num_workers=*/36);
-    } else if (name.starts_with("dense-")) {
-      instance = SmallInstance(std::stoull(name.substr(6)),
-                               /*num_tasks=*/24, /*num_workers=*/80);
-    } else {
-      gen::WorkloadConfig config;  // Table 2 defaults, scaled down
-      config.num_tasks = 40;
-      config.num_workers = 600;
-      config.start_max = 4.0;
-      config.seed = static_cast<uint64_t>(name.back() - '0');
-      instance = gen::GenerateInstance(config);
+    EXPECT_EQ(DecisionDigest(SolveGolden(golden, nullptr)), golden.digest)
+        << golden.instance << " " << golden.mode;
+  }
+}
+
+// The leaves fan out over the executor, each sampling leaf reusing one
+// evaluation state per shard, while one merge state serves the whole
+// solve: every executor width must reproduce the serial digests.
+TEST(DivideConquerGoldenTest, ExecutorWidthsReproduceDigests) {
+  for (int threads : {2, 3}) {
+    util::ThreadPool pool(threads);
+    for (const DivideConquerGolden& golden : kDivideConquerGolden) {
+      EXPECT_EQ(DecisionDigest(SolveGolden(golden, &pool)), golden.digest)
+          << golden.instance << " " << golden.mode << ", " << threads
+          << " threads";
     }
-    CandidateGraph graph = CandidateGraph::Build(instance);
-    std::string mode = golden.mode;
-    SolverOptions options;
-    options.gamma = 3;
-    options.seed = 5;
-    options.leaf_use_greedy = mode == "greedy";
-    if (mode == "fallback") options.max_dcw_group = 1;
-    SolveResult result =
-        mode == "gtruth"
-            ? GroundTruthSolver(options).Solve(instance, graph).value()
-            : DivideConquerSolver(options).Solve(instance, graph).value();
-    EXPECT_EQ(DecisionDigest(result), golden.digest)
-        << name << " " << mode << " (" << graph.NumEdges() << " edges)";
   }
 }
 
