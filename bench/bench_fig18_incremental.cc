@@ -8,12 +8,11 @@
 // (sim::IncrementalAssigner); the scaled-up "platform wall time" section
 // splits each run into its graph-maintenance and objective-preview
 // shares. The checked-in BENCH_fig18_incremental.{before,after}.json pair
-// is two captures of this campus with the same instrumentation, before vs
-// after the Eq. 9/10 row cut-off in core/diversity.cc (full O(r^2) E[STD]
-// rows vs rows that stop once their tail cannot change the sum). The
-// quality tables are bit-identical between the two; CI trend-gates the
-// time columns. The rebuild-vs-delta comparison lives in the
-// BENCH_ablation_index_dynamic pair.
+// is two captures of this campus on one machine with the same
+// instrumentation, before vs after the candidate-row cache above the grid
+// index was removed (per-row horizon repair with a bulk-refill fallback
+// vs one GridIndex::RetrievePairs per tick). The quality tables are
+// bit-identical between the two; CI trend-gates the time columns.
 
 #include <algorithm>
 #include <chrono>

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <numbers>
 
 #include "core/instance.h"
@@ -292,58 +291,6 @@ InstanceSoA InstanceSoA::Build(const Instance& instance) {
     soa.geoms_.push_back(PrecomputeWorker(w, soa.now_));
   }
   return soa;
-}
-
-namespace {
-
-// Guard band of the stability windows: ~1e4 ulps at every magnitude, so a
-// departure at least this far below a window boundary cannot cross it
-// through rounding in either the window computation or the oracle's
-// fl(depart + travel).
-constexpr double kWindowEps = 1e-12;
-
-double WindowGuard(double bound, double travel) {
-  return kWindowEps * (std::fabs(bound) + travel + 1.0);
-}
-
-}  // namespace
-
-PairWindow ClassifyPairWindow(const Task& t, const Worker& w, double now,
-                              ArrivalPolicy policy) {
-  constexpr double kForever = std::numeric_limits<double>::infinity();
-  PairWindow out;
-  out.valid = IsValidPair(t, w, now, policy);
-  // Direction is time-independent: a rejected cone stays rejected.
-  if (!(w.location == t.location) &&
-      !w.direction.Contains(geo::Bearing(w.location, t.location))) {
-    out.stable_until = kForever;
-    return out;
-  }
-  const double travel = TravelTime(w, t.location);
-  if (!std::isfinite(travel)) {
-    // velocity <= 0 or non-finite geometry: arrival is +inf at every clock.
-    out.stable_until = kForever;
-    return out;
-  }
-  const double arrival = ArrivalTime(w, t, now, policy);
-  double window;
-  if (out.valid) {
-    // Valid while depart <= (end - travel) - guard; until the clock passes
-    // available_from the departure (hence the verdict) is frozen anyway.
-    window = (t.end - travel) - WindowGuard(t.end, travel);
-  } else if (arrival > t.end) {
-    // Too late: arrival is monotone in now, so invalid forever.
-    out.stable_until = kForever;
-    return out;
-  } else {
-    // kStrict too-early: invalid while depart <= (start - travel) - guard,
-    // possibly valid after (the activation edge a delta row must re-check).
-    window = (t.start - travel) - WindowGuard(t.start, travel);
-  }
-  out.stable_until = std::max(w.available_from, window);
-  // Inside the guard band: no forward guarantee beyond the current clock.
-  if (out.stable_until < now) out.stable_until = now;
-  return out;
 }
 
 void ObservationRow(const Worker& w, double now, ArrivalPolicy policy,

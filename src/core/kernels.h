@@ -139,36 +139,6 @@ bool ValidPairsRows(const InstanceSoA& soa, int64_t begin, int64_t end,
 /// Rows between deadline polls in ValidPairsRows; each row is O(m).
 inline constexpr int kKernelRowsPerPoll = 32;
 
-/// Verdict of one (task, worker) pair at clock `now` plus a conservative
-/// stability horizon: the verdict is guaranteed unchanged for every later
-/// clock now' with max(now', w.available_from) <= stable_until. Clocks are
-/// non-decreasing everywhere in the library (GridIndex::set_now asserts
-/// it), which makes the horizon sound:
-///   - the oracle's arrival fl(max(now, af) + travel) is monotone
-///     non-decreasing in now (fl is monotone), so a too-late pair stays
-///     invalid forever (stable_until = +inf), as does a direction-rejected
-///     or unreachable (velocity <= 0 / non-finite travel) pair;
-///   - a currently-valid pair stays valid while the departure time is at
-///     least a guard band below end - travel;
-///   - a kStrict too-early pair stays invalid while the departure is a
-///     guard band below start - travel (it may become valid after).
-/// The guard band kWindowEps * (|bound| + travel + 1) dominates the
-/// rounding of both the window computation and the oracle's own sum, so a
-/// pair inside the guard band simply reports stable_until = now (recompute
-/// next round) -- conservative, never wrong. The delta-maintained rows of
-/// index::DeltaGraph recompute with the scalar IsValidPair oracle whenever
-/// the horizon expires, so the maintained edge set is bit-identical to a
-/// rebuild regardless of how tight the windows are.
-struct PairWindow {
-  bool valid = false;
-  double stable_until = 0.0;
-};
-
-/// Classifies the pair and derives its stability horizon (see PairWindow).
-/// `valid` agrees exactly with IsValidPair(t, w, now, policy).
-PairWindow ClassifyPairWindow(const Task& t, const Worker& w, double now,
-                              ArrivalPolicy policy);
-
 /// Batched observation row: appends MakeObservation(block.oracle[k], w,
 /// now, policy) for every task of `block`, in block order -- bit-identical
 /// elementwise to the scalar calls (the loop IS the scalar sequence; no

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 namespace rdbsc::index {
 namespace {
@@ -461,41 +460,6 @@ GridIndex::RetrievePairs(RetrievalStats* stats, util::Executor* executor,
 void GridIndex::set_now(double now) {
   assert(now >= now_ && "the index clock must be non-decreasing");
   now_ = now;
-}
-
-util::StatusOr<WorkerRowResult> GridIndex::RetrieveWorkerRow(
-    core::WorkerId id) const {
-  auto it = worker_cell_.find(id);
-  if (it == worker_cell_.end()) {
-    return util::Status::NotFound("worker id not indexed");
-  }
-  const core::Worker* worker = FindWorker(id);
-  assert(worker != nullptr);
-  WorkerRowResult result;
-  result.stable_until = std::numeric_limits<double>::infinity();
-  // The cached tcell_list is a conservative superset of the fresh one
-  // (pruning is monotone in the non-decreasing clock), and a cell pruned
-  // at any earlier clock can never host a valid -- or future-valid -- pair
-  // for this cell's workers, so scanning it yields exactly the
-  // IsValidPair edge row and a sound horizon over every pair that could
-  // ever activate. The reference stays valid until the next mutation, and
-  // mutators require exclusive access.
-  const std::vector<int>& targets = CachedReachable(it->second);
-  for (int to_id : targets) {
-    const Cell& to = cells_[to_id];
-    ++result.cells_scanned;
-    result.pair_tests += static_cast<int64_t>(to.tasks.size());
-    for (const auto& [tid, task] : to.tasks) {
-      const core::PairWindow pw =
-          core::ClassifyPairWindow(task, *worker, now_, policy_);
-      if (pw.valid) result.tasks.push_back(tid);
-      result.stable_until = std::min(result.stable_until, pw.stable_until);
-    }
-  }
-  // Ids ascend within a cell but cells are scanned in tcell order; one
-  // global sort canonicalizes (same convention as RetrievePairs).
-  std::sort(result.tasks.begin(), result.tasks.end());
-  return result;
 }
 
 CellState GridIndex::DebugCellState(int cell) const {

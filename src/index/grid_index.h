@@ -36,17 +36,25 @@ struct RetrievalStats {
   }
 };
 
-/// The valid-task row of one worker plus its stability horizon, as
-/// computed by GridIndex::RetrieveWorkerRow: `tasks` holds exactly the
-/// (sorted) task ids IsValidPair accepts for the worker at the index
-/// clock, and the verdict set is guaranteed unchanged for every later
-/// clock <= `stable_until` (see core::PairWindow). DeltaGraph caches
-/// these rows and recomputes each one only when its horizon expires.
-struct WorkerRowResult {
-  std::vector<core::TaskId> tasks;
-  double stable_until = 0.0;
-  int cells_scanned = 0;
-  int64_t pair_tests = 0;
+/// Per-round cost counters of the streaming engine
+/// (sim::IncrementalAssigner): what the candidate-edge retrieval of its
+/// rounds cost. Every round that builds a graph takes one full
+/// RetrievePairs pass over the canonical index, so `rows_reused` stays 0
+/// (kept because trace readers derive a reuse ratio from it). Cumulative;
+/// callers diff consecutive snapshots for per-round metrics (sim.delta.*
+/// in src/obs).
+struct DeltaStats {
+  int64_t cells_touched = 0;    ///< cell pairs scanned (examined - pruned)
+  int64_t edges_repaired = 0;   ///< candidate edges retrieved
+  int64_t rows_recomputed = 0;  ///< available-worker rows retrieved
+  int64_t rows_reused = 0;      ///< rows served without retrieval (0)
+  int64_t bulk_refills = 0;     ///< rounds served by one RetrievePairs
+
+  DeltaStats operator-(const DeltaStats& o) const {
+    return {cells_touched - o.cells_touched, edges_repaired - o.edges_repaired,
+            rows_recomputed - o.rows_recomputed, rows_reused - o.rows_reused,
+            bulk_refills - o.bulk_refills};
+  }
 };
 
 /// A copy of one cell's membership and summary state, for the delta ==
@@ -145,15 +153,6 @@ class GridIndex {
   RetrievePairs(RetrievalStats* stats = nullptr,
                 util::Executor* executor = nullptr,
                 const util::Deadline& deadline = util::Deadline()) const;
-
-  /// The valid-task row of one indexed worker at the current clock, with
-  /// its stability horizon (see WorkerRowResult): the scalar
-  /// ClassifyPairWindow oracle over every task block of the worker's
-  /// cached tcell_list. Emits exactly the ids RetrievePairs would emit for
-  /// this worker (cached lists are conservative supersets, and pruned
-  /// cells can never host a valid -- or future-valid -- pair for this
-  /// cell's workers). Fails with kNotFound for an unindexed worker.
-  util::StatusOr<WorkerRowResult> RetrieveWorkerRow(core::WorkerId id) const;
 
   /// Advances the clock used by validity tests and temporal pruning.
   /// Must be non-decreasing: cached reachability lists stay conservative

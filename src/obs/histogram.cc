@@ -50,7 +50,9 @@ int64_t Histogram::BucketLow(int index) {
 int64_t Histogram::BucketHigh(int index) {
   if (index < kSubBuckets) return index;
   const int exponent = index / (kSubBuckets / 2) - 1;
-  return BucketLow(index) + (int64_t{1} << exponent) - 1;
+  // Parenthesized so the top bucket's high edge never overflows on the
+  // way to its value (BucketLow + 2^exponent alone exceeds int64_t).
+  return BucketLow(index) + ((int64_t{1} << exponent) - 1);
 }
 
 int64_t Histogram::BucketMid(int index) {

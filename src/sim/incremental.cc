@@ -1,7 +1,6 @@
 #include "sim/incremental.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -49,7 +48,6 @@ util::Status IncrementalAssigner::AddTask(core::TaskId id,
   if (!status.ok()) return status;
   tasks_.emplace(id, task);
   ledger_.emplace(id, LedgerEntry{task, {}});
-  delta_.OnTaskArrived(index_, id, task);
   return util::Status::OK();
 }
 
@@ -59,7 +57,6 @@ util::Status IncrementalAssigner::RemoveTask(core::TaskId id) {
     return util::Status::NotFound("task id not registered");
   }
   if (util::Status s = index_.RemoveTask(id); !s.ok()) return s;
-  delta_.OnTaskRemoved(index_, id);
   tasks_.erase(it);
   // Pending commitments to the vanished task are voided: the workers
   // become available again and their provisional contributions disappear.
@@ -87,7 +84,6 @@ util::Status IncrementalAssigner::RemoveTask(core::TaskId id) {
     if (util::Status s = index_.InsertWorker(wid, record.worker); !s.ok()) {
       return s;
     }
-    if (util::Status s = delta_.AddRow(wid); !s.ok()) return s;
     std::erase_if(contributions, [wid](const auto& entry) {
       return entry.first == wid;
     });
@@ -106,7 +102,7 @@ util::Status IncrementalAssigner::AddWorker(core::WorkerId id,
   WorkerRecord record;
   record.worker = worker;
   workers_.emplace(id, record);
-  return delta_.AddRow(id);
+  return util::Status::OK();
 }
 
 util::Status IncrementalAssigner::RemoveWorker(core::WorkerId id) {
@@ -116,7 +112,6 @@ util::Status IncrementalAssigner::RemoveWorker(core::WorkerId id) {
   }
   if (!it->second.busy) {
     if (util::Status s = index_.RemoveWorker(id); !s.ok()) return s;
-    if (util::Status s = delta_.RemoveRow(id); !s.ok()) return s;
   }
   if (it->second.committed != core::kNoTask && it->second.busy) {
     // The worker left mid-route: void the provisional contribution.
@@ -146,9 +141,7 @@ util::Status IncrementalAssigner::CompleteWorker(core::WorkerId id,
   it->second.busy = false;
   it->second.committed = core::kNoTask;
   it->second.worker.location = position;
-  util::Status status = index_.InsertWorker(id, it->second.worker);
-  if (!status.ok()) return status;
-  return delta_.AddRow(id);
+  return index_.InsertWorker(id, it->second.worker);
 }
 
 util::Status IncrementalAssigner::MoveWorker(core::WorkerId id,
@@ -167,9 +160,7 @@ util::Status IncrementalAssigner::MoveWorker(core::WorkerId id,
   util::Status status = index_.MoveWorker(id, to);
   if (!status.ok()) return status;
   it->second.worker.location = to;
-  // Only this worker's candidate row changed; everything else keeps its
-  // stability horizon.
-  return delta_.MarkRowDirty(id);
+  return util::Status::OK();
 }
 
 util::Status IncrementalAssigner::ApplyEvents(const EventBatch& batch) {
@@ -201,7 +192,7 @@ void IncrementalAssigner::set_metrics(obs::Registry* metrics,
   metrics_ = metrics;
   // Start the per-round diffs from here: work done before the sink was
   // attached is not retroactively reported.
-  reported_delta_ = delta_.stats();
+  reported_delta_ = delta_stats_;
   reported_tcell_rebuilds_ = index_.reachability_rebuilds();
   reported_tcell_patches_ = index_.reachability_patches();
   round_build_ = nullptr;
@@ -216,16 +207,14 @@ void IncrementalAssigner::set_metrics(obs::Registry* metrics,
 
 void IncrementalAssigner::ReportDeltaMetrics() {
   if (metrics_ == nullptr) return;
-  const index::DeltaStats diff = delta_.stats() - reported_delta_;
-  reported_delta_ = delta_.stats();
+  const index::DeltaStats diff = delta_stats_ - reported_delta_;
+  reported_delta_ = delta_stats_;
   metrics_->GetCounter("sim.delta.cells_touched")
       .Increment(diff.cells_touched);
   metrics_->GetCounter("sim.delta.edges_repaired")
       .Increment(diff.edges_repaired);
   metrics_->GetCounter("sim.delta.rows_recomputed")
       .Increment(diff.rows_recomputed);
-  metrics_->GetCounter("sim.delta.rows_reused").Increment(diff.rows_reused);
-  metrics_->GetCounter("sim.delta.compactions").Increment(diff.compactions);
   metrics_->GetCounter("sim.delta.bulk_refills").Increment(diff.bulk_refills);
   const int64_t rebuilds = index_.reachability_rebuilds();
   const int64_t patches = index_.reachability_patches();
@@ -284,22 +273,26 @@ IncrementalAssigner::Update(double now) {
   core::Instance snapshot(std::move(snapshot_tasks),
                           std::move(snapshot_workers), now, policy_);
 
-  // Valid pairs among available workers and open tasks: repair only the
-  // dirty / horizon-expired rows, then materialize the maintained edges.
+  // Valid pairs among available workers and open tasks: one retrieval
+  // over the index, which holds exactly those workers and tasks.
   const auto build_start = std::chrono::steady_clock::now();
-  if (util::Status s = delta_.RepairRows(index_); !s.ok()) return s;
-  const std::vector<std::pair<core::WorkerId, core::TaskId>> pairs =
-      delta_.Pairs();
-#ifndef NDEBUG
-  // The delta contract, checked on every Debug round: the maintained edge
-  // set is bit-identical to a full retrieval from the index.
-  assert(pairs == index_.RetrievePairs().value() &&
-         "delta-maintained pairs diverged from index rebuild");
-#endif
-  // Rows exist exactly for the available workers and the index holds
-  // exactly the open tasks, so every pair has a local id. Pairs are
-  // id-sorted and ids map to ranks monotonically, so each local row stays
-  // sorted as FromEdges expects.
+  if (index_.num_workers() != static_cast<int>(worker_ids.size()) ||
+      index_.num_tasks() != static_cast<int>(task_ids.size())) {
+    return util::Status::Internal("index out of step with the round snapshot");
+  }
+  index::RetrievalStats rstats;
+  util::StatusOr<std::vector<std::pair<core::WorkerId, core::TaskId>>>
+      retrieved = index_.RetrievePairs(&rstats);
+  if (!retrieved.ok()) return retrieved.status();
+  const std::vector<std::pair<core::WorkerId, core::TaskId>>& pairs =
+      retrieved.value();
+  delta_stats_.cells_touched +=
+      rstats.cell_pairs_examined - rstats.cell_pairs_pruned;
+  delta_stats_.edges_repaired += static_cast<int64_t>(pairs.size());
+  delta_stats_.rows_recomputed += static_cast<int64_t>(worker_ids.size());
+  ++delta_stats_.bulk_refills;
+  // Every pair has a local id. Pairs are id-sorted and ids map to ranks
+  // monotonically, so each local row stays sorted as FromEdges expects.
   std::vector<std::vector<core::TaskId>> edges(worker_ids.size());
   size_t row = 0;  // pairs are worker-major: the row cursor only advances
   for (const auto& [wid, tid] : pairs) {
@@ -307,7 +300,7 @@ IncrementalAssigner::Update(double now) {
     const auto t = std::lower_bound(task_ids.begin(), task_ids.end(), tid);
     if (row == worker_ids.size() || worker_ids[row] != wid ||
         t == task_ids.end() || *t != tid) {
-      return util::Status::Internal("delta pair outside the round snapshot");
+      return util::Status::Internal("index pair outside the round snapshot");
     }
     edges[row].push_back(static_cast<core::TaskId>(t - task_ids.begin()));
   }
@@ -339,7 +332,6 @@ IncrementalAssigner::Update(double now) {
     ledger_.at(tid).contributions.emplace_back(wid, record.observation);
     // A committed worker leaves the assignable pool.
     if (util::Status s = index_.RemoveWorker(wid); !s.ok()) return s;
-    if (util::Status s = delta_.RemoveRow(wid); !s.ok()) return s;
     committed.emplace_back(tid, wid);
   }
   ReportDeltaMetrics();

@@ -11,7 +11,6 @@
 #include "core/diversity.h"
 #include "core/model.h"
 #include "core/solver.h"
-#include "index/delta_graph.h"
 #include "index/grid_index.h"
 #include "obs/registry.h"
 #include "sim/events.h"
@@ -26,13 +25,13 @@ namespace rdbsc::sim {
 /// available workers to the currently open tasks with the supplied solver,
 /// *keeping* earlier commitments (line 7, S = S u S_c).
 ///
-/// The candidate edge set is maintained as deltas (index::DeltaGraph):
-/// mutations patch only the affected rows and Update repairs just the
-/// dirty and horizon-expired ones. By the DeltaGraph contract the edges
-/// are bit-identical to a per-round CandidateGraph::Build of the same
-/// snapshot (Debug builds cross-check every round against the index's
-/// full retrieval; tests/delta_index_test.cc checks it against
-/// CandidateGraph::Build in every build type).
+/// Events are maintained as deltas in the grid index (summaries, task
+/// blocks and tcell lists are repaired per affected cell), and each round
+/// takes its candidate edges from one GridIndex::RetrievePairs pass over
+/// that canonical index. Because an index's cell state is a pure function
+/// of its members, the edges are bit-identical to a per-round
+/// CandidateGraph::Build of the same snapshot (tests/delta_index_test.cc
+/// checks it in every build type).
 ///
 /// External ids are caller-chosen and stable; internally each round builds
 /// a compact snapshot instance for the solver.
@@ -52,8 +51,8 @@ class IncrementalAssigner {
                       core::ArrivalPolicy policy =
                           core::ArrivalPolicy::kAllowWait);
 
-  /// The mutators below fail with the index's or the delta graph's status
-  /// when the two disagree with the registries (the graph is then stale).
+  /// The mutators below fail with the index's status when it disagrees
+  /// with the registries (the index is then stale).
   /// They reject bad input first, in every build type, with the
   /// kInvalidArgument of core::ValidateTask / core::ValidateWorker (a moved
   /// or completing worker is checked at its new position) and leave the
@@ -75,7 +74,6 @@ class IncrementalAssigner {
 
   /// Moves an *available* worker to `to`. A same-cell move touches no
   /// index summaries at all; a cross-cell move repairs exactly two cells.
-  /// Either way only the worker's own candidate row is invalidated.
   /// Fails with kNotFound for unknown ids, kFailedPrecondition for busy
   /// (committed, un-indexed) workers.
   util::Status MoveWorker(core::WorkerId id, geo::Point to);
@@ -92,16 +90,16 @@ class IncrementalAssigner {
   /// Optional metrics sink (unowned; must outlive the assigner). Each
   /// Update reports that round's maintenance work as sim.delta.* counter
   /// increments (cells_touched, edges_repaired, rows_recomputed,
-  /// rows_reused, compactions, bulk_refills, and the grid index's
-  /// tcell_rebuilds and tcell_patches), and every round that runs
-  /// the solver observes sim.round_build_seconds (delta repair, pair
-  /// materialization and graph assembly) and sim.round_solve_seconds (the
+  /// bulk_refills, and the grid index's tcell_rebuilds and
+  /// tcell_patches), and every round that runs the solver observes
+  /// sim.round_build_seconds (pair retrieval and graph assembly) and
+  /// sim.round_solve_seconds (the
   /// solve alone), both labelled {solver=`solver_name`} -- the registry
   /// name the owner resolved the solver by.
   void set_metrics(obs::Registry* metrics, std::string solver_name);
 
-  /// Cumulative delta-maintenance cost counters.
-  const index::DeltaStats& delta_stats() const { return delta_.stats(); }
+  /// Cumulative per-round retrieval cost counters.
+  const index::DeltaStats& delta_stats() const { return delta_stats_; }
 
   /// The maintained grid index (inspection / tests).
   const index::GridIndex& index() const { return index_; }
@@ -110,8 +108,8 @@ class IncrementalAssigner {
   /// are still live at `now` (expired tasks are dropped first). Returns
   /// the pairs newly committed this round as global (task, worker) ids, in
   /// ascending worker order. Fails with the solver's status (no
-  /// commitments are made on a failed solve) or with the delta graph's or
-  /// index's status when maintenance fails (the graph is then stale). A
+  /// commitments are made on a failed solve) or with the index's status
+  /// when maintenance fails (the index is then stale). A
   /// NaN or infinite `now` fails with kInvalidArgument before any state
   /// changes.
   util::StatusOr<std::vector<std::pair<core::TaskId, core::WorkerId>>>
@@ -143,14 +141,14 @@ class IncrementalAssigner {
     std::vector<std::pair<core::WorkerId, core::Observation>> contributions;
   };
 
-  /// Sends the per-round diff of delta_.stats() to the metrics sink.
+  /// Sends the per-round diff of delta_stats_ to the metrics sink.
   void ReportDeltaMetrics();
 
   core::Solver* solver_;
   core::ArrivalPolicy policy_;
   index::GridIndex index_;
-  index::DeltaGraph delta_;
-  /// stats() and index tcell-counter watermarks of the last
+  index::DeltaStats delta_stats_;
+  /// delta_stats_ and index tcell-counter watermarks of the last
   /// ReportDeltaMetrics call.
   index::DeltaStats reported_delta_;
   int64_t reported_tcell_rebuilds_ = 0;

@@ -40,8 +40,9 @@ struct Site {
 
 /// Grid granularity of the round engine's index. The campus is a few
 /// thousandths of the unit square, so one ~0.05 cell typically holds the
-/// whole scene -- the win here is row reuse across ticks, not spatial
-/// pruning (that is fig17's subject).
+/// whole scene -- the index here only keeps the registrations current
+/// across ticks (one retrieval per tick), not spatial pruning (that is
+/// fig17's subject).
 constexpr double kCampusEta = 0.05;
 
 // The round objectives over all sites -- min reliability over non-empty

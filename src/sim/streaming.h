@@ -16,15 +16,16 @@ namespace rdbsc::sim {
 
 /// The engine-layer streaming entry point: a long-lived session that
 /// consumes typed event batches and runs one assignment round per batch
-/// (`ApplyEvents -> Solve`), with the index and candidate graph maintained
-/// as deltas between rounds instead of being rebuilt.
+/// (`ApplyEvents -> Solve`), with the grid index maintained as deltas
+/// between rounds instead of being rebuilt, and each round's candidate
+/// edges retrieved from it in one pass.
 ///
 /// Configured like a one-shot engine (solver name/options, eta, metrics
 /// all come from engine::EngineConfig) so callers can switch an existing
 /// engine::Engine::Run loop to streaming without a second config type.
-/// By the DeltaGraph contract each round commits exactly what a per-round
-/// CandidateGraph::Build of the same world state, solved by the same
-/// solver, would commit.
+/// The index's canonical cell state makes each round commit exactly what
+/// a per-round CandidateGraph::Build of the same world state, solved by
+/// the same solver, would commit.
 class StreamingSession {
  public:
   /// Resolves the solver through the global registry; fails with its

@@ -12,7 +12,6 @@
 
 #include "core/registry.h"
 #include "gtest/gtest.h"
-#include "index/delta_graph.h"
 #include "index/grid_index.h"
 #include "obs/registry.h"
 #include "sim/events.h"
@@ -42,257 +41,6 @@ core::Worker RandomWorker(util::Rng& rng) {
         rng.Uniform(0.0, geo::kTwoPi), rng.Uniform(2.0, geo::kTwoPi));
   }
   return w;
-}
-
-using Pairs = std::vector<std::pair<core::WorkerId, core::TaskId>>;
-
-// ---------------------------------------------------------------------------
-// DeltaGraph against the index oracle.
-
-TEST(DeltaGraphTest, RowLifecycleStatuses) {
-  index::DeltaGraph delta;
-  EXPECT_TRUE(delta.AddRow(3).ok());
-  EXPECT_EQ(delta.AddRow(3).code(), util::StatusCode::kAlreadyExists);
-  EXPECT_EQ(delta.RemoveRow(4).code(), util::StatusCode::kNotFound);
-  EXPECT_EQ(delta.MarkRowDirty(4).code(), util::StatusCode::kNotFound);
-  EXPECT_TRUE(delta.MarkRowDirty(3).ok());
-  EXPECT_TRUE(delta.RemoveRow(3).ok());
-  EXPECT_EQ(delta.num_rows(), 0);
-}
-
-// Random churn -- task arrivals/removals, worker arrivals/departures,
-// cross-cell moves and same-cell jitter, clock advances -- with the
-// delta-maintained pair list checked against a full retrieval after
-// every repair.
-TEST(DeltaGraphTest, MatchesFullRetrievalUnderRandomChurn) {
-  for (uint64_t seed : {11u, 23u, 42u, 77u, 1234u}) {
-    util::Rng rng(seed);
-    index::GridIndex index(0.08, /*now=*/0.0,
-                           core::ArrivalPolicy::kAllowWait);
-    index::DeltaGraph delta;
-    std::map<core::TaskId, core::Task> tasks;
-    std::map<core::WorkerId, core::Worker> workers;
-    core::TaskId next_task = 0;
-    core::WorkerId next_worker = 0;
-    double now = 0.0;
-
-    for (int round = 0; round < 40; ++round) {
-      now += rng.Uniform(0.0, 0.05);
-      index.set_now(now);
-
-      // A few random events per round.
-      const int events = static_cast<int>(rng.UniformInt(1, 5));
-      for (int e = 0; e < events; ++e) {
-        switch (rng.UniformInt(0, 5)) {
-          case 0: {  // task arrives
-            core::Task t = RandomTask(rng, now);
-            ASSERT_TRUE(index.InsertTask(next_task, t).ok());
-            delta.OnTaskArrived(index, next_task, t);
-            tasks.emplace(next_task, t);
-            ++next_task;
-            break;
-          }
-          case 1: {  // task expires / completes
-            if (tasks.empty()) break;
-            auto it = tasks.begin();
-            std::advance(it, rng.UniformInt(
-                                 0, static_cast<int64_t>(tasks.size()) - 1));
-            ASSERT_TRUE(index.RemoveTask(it->first).ok());
-            delta.OnTaskRemoved(index, it->first);
-            tasks.erase(it);
-            break;
-          }
-          case 2: {  // worker arrives
-            core::Worker w = RandomWorker(rng);
-            ASSERT_TRUE(index.InsertWorker(next_worker, w).ok());
-            ASSERT_TRUE(delta.AddRow(next_worker).ok());
-            workers.emplace(next_worker, w);
-            ++next_worker;
-            break;
-          }
-          case 3: {  // worker leaves
-            if (workers.empty()) break;
-            auto it = workers.begin();
-            std::advance(it,
-                         rng.UniformInt(
-                             0, static_cast<int64_t>(workers.size()) - 1));
-            ASSERT_TRUE(index.RemoveWorker(it->first).ok());
-            ASSERT_TRUE(delta.RemoveRow(it->first).ok());
-            workers.erase(it);
-            break;
-          }
-          case 4: {  // cross-cell move (anywhere on the map)
-            if (workers.empty()) break;
-            auto it = workers.begin();
-            std::advance(it,
-                         rng.UniformInt(
-                             0, static_cast<int64_t>(workers.size()) - 1));
-            geo::Point to{rng.Uniform(0.1, 0.9), rng.Uniform(0.1, 0.9)};
-            ASSERT_TRUE(index.MoveWorker(it->first, to).ok());
-            ASSERT_TRUE(delta.MarkRowDirty(it->first).ok());
-            it->second.location = to;
-            break;
-          }
-          default: {  // same-cell jitter (tiny nudge, summaries untouched)
-            if (workers.empty()) break;
-            auto it = workers.begin();
-            std::advance(it,
-                         rng.UniformInt(
-                             0, static_cast<int64_t>(workers.size()) - 1));
-            geo::Point to = it->second.location;
-            to.x += rng.Uniform(-1e-4, 1e-4);
-            to.y += rng.Uniform(-1e-4, 1e-4);
-            ASSERT_TRUE(index.MoveWorker(it->first, to).ok());
-            ASSERT_TRUE(delta.MarkRowDirty(it->first).ok());
-            it->second.location = to;
-            break;
-          }
-        }
-      }
-
-      ASSERT_TRUE(delta.RepairRows(index).ok());
-      const Pairs maintained = delta.Pairs();
-      const Pairs rebuilt = index.RetrievePairs().value();
-      ASSERT_EQ(maintained, rebuilt)
-          << "seed " << seed << " round " << round;
-    }
-    // The whole point: quiet rows are served from their horizon.
-    EXPECT_GT(delta.stats().rows_reused, 0) << "seed " << seed;
-  }
-}
-
-// Exactly at the compaction threshold the patch lists are kept; one past
-// it they fold into the base row -- with identical materialized pairs on
-// both sides of the boundary.
-TEST(DeltaGraphTest, CompactionThresholdBoundary) {
-  constexpr int kThreshold = 4;
-  index::GridIndex index(0.2, /*now=*/0.0, core::ArrivalPolicy::kAllowWait);
-  index::DeltaGraph delta(kThreshold);
-  core::Worker w;
-  w.location = {0.5, 0.5};
-  w.velocity = 2.0;
-  ASSERT_TRUE(index.InsertWorker(9, w).ok());
-  ASSERT_TRUE(delta.AddRow(9).ok());
-  ASSERT_TRUE(delta.RepairRows(index).ok());  // row now clean and empty
-
-  core::Task t;
-  t.location = {0.52, 0.5};
-  t.start = 0.0;
-  t.end = 100.0;
-  for (core::TaskId i = 0; i < kThreshold; ++i) {
-    ASSERT_TRUE(index.InsertTask(i, t).ok());
-    delta.OnTaskArrived(index, i, t);
-  }
-  EXPECT_EQ(delta.stats().compactions, 0) << "at threshold: no compaction";
-  EXPECT_EQ(delta.Pairs(), index.RetrievePairs().value());
-
-  ASSERT_TRUE(index.InsertTask(kThreshold, t).ok());
-  delta.OnTaskArrived(index, kThreshold, t);
-  EXPECT_EQ(delta.stats().compactions, 1) << "one past threshold: compacted";
-  EXPECT_EQ(delta.Pairs(), index.RetrievePairs().value());
-  EXPECT_EQ(delta.Pairs().size(), static_cast<size_t>(kThreshold) + 1);
-}
-
-// Rounds with no events and an un-expired stability horizon recompute
-// nothing at all.
-TEST(DeltaGraphTest, QuietRoundsReuseEveryRow) {
-  index::GridIndex index(0.2, /*now=*/0.0, core::ArrivalPolicy::kAllowWait);
-  index::DeltaGraph delta;
-  core::Task t;
-  t.location = {0.5, 0.5};
-  t.start = 0.0;
-  t.end = 1000.0;
-  ASSERT_TRUE(index.InsertTask(0, t).ok());
-  for (core::WorkerId j = 0; j < 8; ++j) {
-    core::Worker w;
-    w.location = {0.4 + 0.01 * j, 0.5};
-    w.velocity = 5.0;
-    ASSERT_TRUE(index.InsertWorker(j, w).ok());
-    ASSERT_TRUE(delta.AddRow(j).ok());
-  }
-  ASSERT_TRUE(delta.RepairRows(index).ok());
-  const int64_t computed = delta.stats().rows_recomputed;
-  EXPECT_EQ(computed, 8);
-
-  index.set_now(0.001);  // far inside every pair's stability window
-  ASSERT_TRUE(delta.RepairRows(index).ok());
-  EXPECT_EQ(delta.stats().rows_recomputed, computed);
-  EXPECT_EQ(delta.stats().rows_reused, 8);
-  EXPECT_EQ(delta.Pairs(), index.RetrievePairs().value());
-}
-
-// Full-churn rounds on instances at/above bulk_min_rows are served by one
-// vectorized bulk retrieval; small-delta rounds at the same clock still
-// take the per-row path. Both produce the exact RetrievePairs edge set.
-TEST(DeltaGraphTest, FullChurnRoundsUseBulkRefill) {
-  util::Rng rng(7);
-  index::GridIndex index(0.1, /*now=*/0.0, core::ArrivalPolicy::kAllowWait);
-  index::DeltaGraph delta(index::DeltaGraph::kDefaultCompactionThreshold,
-                          /*bulk_min_rows=*/4);
-  std::vector<core::Task> tasks;
-  for (core::TaskId i = 0; i < 10; ++i) {
-    tasks.push_back(RandomTask(rng, 0.0));
-    ASSERT_TRUE(index.InsertTask(i, tasks.back()).ok());
-  }
-  std::vector<geo::Point> homes;
-  for (core::WorkerId j = 0; j < 12; ++j) {
-    core::Worker w = RandomWorker(rng);
-    homes.push_back(w.location);
-    ASSERT_TRUE(index.InsertWorker(j, w).ok());
-    ASSERT_TRUE(delta.AddRow(j).ok());
-  }
-
-  // Every row is born dirty, so the very first repair is a bulk round.
-  ASSERT_TRUE(delta.RepairRows(index).ok());
-  EXPECT_EQ(delta.stats().bulk_refills, 1);
-  EXPECT_EQ(delta.stats().rows_recomputed, 12);
-  EXPECT_EQ(delta.Pairs(), index.RetrievePairs().value());
-
-  // One dirty row out of twelve at an unchanged clock: below the
-  // half-due crossover, so the per-row path repairs it.
-  geo::Point moved = homes[5];
-  moved.x += 0.2;
-  ASSERT_TRUE(index.MoveWorker(5, moved).ok());
-  ASSERT_TRUE(delta.MarkRowDirty(5).ok());
-  ASSERT_TRUE(delta.RepairRows(index).ok());
-  EXPECT_EQ(delta.stats().bulk_refills, 1);
-  EXPECT_EQ(delta.stats().rows_recomputed, 13);
-  EXPECT_EQ(delta.stats().rows_reused, 11);
-  EXPECT_EQ(delta.Pairs(), index.RetrievePairs().value());
-
-  // Bulk rows carry no stability lookahead, so a clock advance makes
-  // every bulk-refilled row due again: another bulk round.
-  index.set_now(0.01);
-  ASSERT_TRUE(delta.RepairRows(index).ok());
-  EXPECT_EQ(delta.stats().bulk_refills, 2);
-  const Pairs refilled = delta.Pairs();
-  EXPECT_EQ(refilled, index.RetrievePairs().value());
-
-  // Once the clock moves every bulk row is due, so task patches skip them
-  // (RepairRows recomputes them whole): removing a task some row holds
-  // and adding a copy of it that is valid for that worker repair nothing.
-  ASSERT_FALSE(refilled.empty());
-  const auto [held_by, held] = refilled.front();
-  index.set_now(0.015);
-  const int64_t repaired = delta.stats().edges_repaired;
-  ASSERT_TRUE(index.RemoveTask(held).ok());
-  delta.OnTaskRemoved(index, held);
-  ASSERT_TRUE(index.InsertTask(10, tasks[static_cast<size_t>(held)]).ok());
-  delta.OnTaskArrived(index, 10, tasks[static_cast<size_t>(held)]);
-  EXPECT_EQ(delta.stats().edges_repaired, repaired);
-  ASSERT_TRUE(delta.RepairRows(index).ok());
-  EXPECT_EQ(delta.stats().bulk_refills, 3);
-  const Pairs repaired_pairs = delta.Pairs();
-  EXPECT_EQ(repaired_pairs, index.RetrievePairs().value());
-  const std::pair<core::WorkerId, core::TaskId> copy{held_by, 10};
-  EXPECT_TRUE(std::binary_search(repaired_pairs.begin(),
-                                 repaired_pairs.end(), copy));
-
-  // A tracked worker missing from the index surfaces as NotFound from
-  // the bulk path, exactly like the per-row path would report it.
-  ASSERT_TRUE(index.RemoveWorker(7).ok());
-  index.set_now(0.02);
-  EXPECT_EQ(delta.RepairRows(index).code(), util::StatusCode::kNotFound);
 }
 
 // ---------------------------------------------------------------------------
@@ -513,6 +261,46 @@ void RunEventScript(uint64_t seed) {
 
 TEST(DeltaIndexPropertyTest, DeltaEqualsRebuildOverEventScripts) {
   for (uint64_t seed : {11u, 23u, 42u}) RunEventScript(seed);
+}
+
+// Every round that builds a graph takes its edges from one full index
+// retrieval, on small streams too, and its counters say exactly that.
+TEST(DeltaIndexPropertyTest, EachRoundIsOneFullRetrieval) {
+  obs::Registry registry;
+  auto solver = core::SolverRegistry::Global().Create("greedy").value();
+  sim::IncrementalAssigner assigner(solver.get(), 0.08);
+  assigner.set_metrics(&registry, "greedy");
+  util::Rng rng(5);
+  constexpr int kWorkers = 12;
+  for (core::WorkerId j = 0; j < kWorkers; ++j) {
+    ASSERT_TRUE(assigner.AddWorker(j, RandomWorker(rng)).ok());
+  }
+  sim::EventBatch batch;
+  batch.now = 0.1;
+  for (core::TaskId i = 0; i < 6; ++i) {
+    batch.arrived.push_back({i, RandomTask(rng, batch.now)});
+  }
+  batch.moved.push_back({3, {0.5, 0.5}});
+  ASSERT_TRUE(assigner.ApplyEvents(batch).ok());
+
+  index::RetrievalStats rstats;
+  const size_t pairs = assigner.index().RetrievePairs(&rstats).value().size();
+  ASSERT_GT(pairs, 0u);
+  const index::DeltaStats before = assigner.delta_stats();
+  ASSERT_TRUE(assigner.Update(batch.now).ok());
+  const index::DeltaStats round = assigner.delta_stats() - before;
+  EXPECT_EQ(round.bulk_refills, 1);
+  EXPECT_EQ(round.rows_recomputed, kWorkers);
+  EXPECT_EQ(round.edges_repaired, static_cast<int64_t>(pairs));
+  EXPECT_EQ(round.cells_touched,
+            rstats.cell_pairs_examined - rstats.cell_pairs_pruned);
+  EXPECT_EQ(round.rows_reused, 0);
+
+  EXPECT_EQ(registry.GetCounter("sim.delta.bulk_refills").value(), 1);
+  for (const obs::MetricSnapshot& metric : registry.Snapshot().metrics) {
+    EXPECT_NE(metric.name, "sim.delta.rows_reused");
+    EXPECT_NE(metric.name, "sim.delta.compactions");
+  }
 }
 
 // Two producers that collected the same logical events in different

@@ -371,36 +371,6 @@ TEST(KernelPropertyTest, ObservationRowMatchesScalarSequence) {
   }
 }
 
-// ClassifyPairWindow: validity must equal the scalar oracle at the query
-// time, and the stability horizon must be sound -- re-evaluating at any
-// probe time inside the window yields the same validity verdict.
-TEST(KernelPropertyTest, PairWindowValidityAndHorizonAreSound) {
-  Instance base = gen::GenerateInstance(SweepConfig(3, true,
-                                                    std::numbers::pi / 6));
-  for (ArrivalPolicy policy :
-       {ArrivalPolicy::kStrict, ArrivalPolicy::kAllowWait}) {
-    Instance instance = WithPolicy(base, policy);
-    const double now = instance.now();
-    for (WorkerId j = 0; j < instance.num_workers(); ++j) {
-      for (TaskId i = 0; i < instance.num_tasks(); ++i) {
-        const Task& t = instance.task(i);
-        const Worker& w = instance.worker(j);
-        const core::PairWindow pw =
-            core::ClassifyPairWindow(t, w, now, policy);
-        ASSERT_EQ(pw.valid, core::IsValidPair(t, w, now, policy));
-        ASSERT_GE(pw.stable_until, now);
-        const double horizon =
-            std::isinf(pw.stable_until) ? now + 1e6 : pw.stable_until;
-        for (double frac : {0.25, 0.75, 1.0}) {
-          const double probe = now + frac * (horizon - now);
-          EXPECT_EQ(core::IsValidPair(t, w, probe, policy), pw.valid)
-              << "worker " << j << " task " << i << " probe " << probe;
-        }
-      }
-    }
-  }
-}
-
 TEST(KernelPropertyTest, SoaViewIsCachedAndSharedAcrossCopies) {
   Instance instance = gen::GenerateInstance(SweepConfig(5, false, 1.0));
   const core::InstanceSoA* first = &instance.soa();
