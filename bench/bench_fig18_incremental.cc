@@ -4,15 +4,17 @@
 // Paper shape: larger t_interval lowers total_STD for every approach and
 // makes GREEDY's minimum reliability unstable.
 //
-// Every platform tick runs through the delta-maintained round engine
+// Every platform tick runs through the round engine
 // (sim::IncrementalAssigner); the scaled-up "platform wall time" section
-// splits each run into its graph-maintenance and objective-preview
-// shares. The checked-in BENCH_fig18_incremental.{before,after}.json pair
-// is two captures of this campus on one machine with the same
-// instrumentation, before vs after the candidate-row cache above the grid
-// index was removed (per-row horizon repair with a bulk-refill fallback
-// vs one GridIndex::RetrievePairs per tick). The quality tables are
-// bit-identical between the two; CI trend-gates the time columns.
+// splits each run into its graph and objective-preview shares. The
+// checked-in BENCH_fig18_incremental.{before,after}.json pair is two
+// captures of this campus on one machine with the same instrumentation
+// (--base=300 --seeds=2), before vs after each tick's graph moved from a
+// grid index maintained across ticks (one full retrieval per tick) to a
+// planned build from the tick's snapshot (the engine's
+// Appendix I arbitration, then brute force or a fresh grid). The quality
+// tables are bit-identical between the two; CI trend-gates the time
+// columns.
 
 #include <algorithm>
 #include <chrono>
@@ -74,8 +76,8 @@ int Run(int argc, char** argv) {
 
   // --- Wall time at a scaled-up campus, where the per-tick work actually
   // matters. Per run: "run (s)" is the whole Platform::Run, "graph (s)" the
-  // sim.round_build_seconds total (repairing dirty rows and assembling the
-  // round's graph) and "preview (s)" the sim.round_objectives_seconds
+  // sim.round_build_seconds total (planning and building each round's
+  // graph) and "preview (s)" the sim.round_objectives_seconds
   // total (each round's min-reliability / E[STD] preview over all sites);
   // the solver and the world step make up the rest. Each row's registry,
   // shared by its seeds, lands in the report's metrics section labelled

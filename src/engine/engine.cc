@@ -70,6 +70,62 @@ class StageTimer {
 
 }  // namespace
 
+namespace engine {
+
+BuildChoice PlanGraphBuild(const core::Instance& instance,
+                           GraphStrategy strategy, double eta, double d2) {
+  BuildChoice choice{strategy == GraphStrategy::kGridIndex, eta};
+  if (strategy != GraphStrategy::kBruteForce && instance.num_tasks() > 0 &&
+      instance.num_workers() > 0) {
+    index::CostModelParams params = ParamsFor(instance, d2);
+    if (choice.eta <= 0.0) choice.eta = index::OptimalEta(params);
+    if (strategy == GraphStrategy::kAuto) {
+      double grid_cost =
+          instance.num_tasks() + instance.num_workers() +
+          instance.num_workers() *
+              index::EstimateUpdateCost(choice.eta, params);
+      double brute_cost = static_cast<double>(instance.num_tasks()) *
+                          static_cast<double>(instance.num_workers());
+      choice.use_grid = grid_cost < brute_cost;
+    }
+  }
+  return choice;
+}
+
+util::StatusOr<core::CandidateGraph> BuildPlannedGraph(
+    const core::Instance& instance, const BuildChoice& choice, GraphPlan* plan,
+    const util::Deadline& deadline, util::Executor* executor,
+    index::RetrievalStats* stats) {
+  auto t0 = std::chrono::steady_clock::now();
+  GraphPlan local;
+  local.used_grid_index = choice.use_grid;
+
+  core::CandidateGraph graph;
+  if (choice.use_grid) {
+    util::StatusOr<index::GridIndex> grid =
+        index::GridIndex::Build(instance, choice.eta, deadline);
+    if (!grid.ok()) return grid.status();
+    util::StatusOr<std::vector<std::vector<core::TaskId>>> edges =
+        grid.value().RetrieveEdges(instance.num_workers(), stats, executor,
+                                   deadline);
+    if (!edges.ok()) return edges.status();
+    graph =
+        core::CandidateGraph::FromEdges(instance, std::move(edges).value());
+    local.eta = grid.value().eta();
+  } else {
+    util::StatusOr<core::CandidateGraph> built =
+        core::CandidateGraph::Build(instance, executor, deadline);
+    if (!built.ok()) return built.status();
+    graph = std::move(built).value();
+  }
+  local.edges = graph.NumEdges();
+  local.build_seconds = SecondsSince(t0);
+  if (plan != nullptr) *plan = local;
+  return graph;
+}
+
+}  // namespace engine
+
 util::StatusOr<Engine> Engine::Create(std::string solver_name) {
   EngineConfig config;
   config.solver_name = std::move(solver_name);
@@ -133,61 +189,12 @@ util::Status Engine::StageValidate(engine::ExecutionContext& ctx) const {
 
 util::Status Engine::StagePlan(engine::ExecutionContext& ctx) const {
   StageTimer timer(stage_metrics_.plan_seconds);
-  const core::Instance& instance = *ctx.instance;
-  bool use_grid = config_.graph_strategy == GraphStrategy::kGridIndex;
-  double eta = config_.eta;
-  if (config_.graph_strategy != GraphStrategy::kBruteForce &&
-      instance.num_tasks() > 0 && instance.num_workers() > 0) {
-    index::CostModelParams params = ParamsFor(instance, config_.d2);
-    if (eta <= 0.0) eta = index::OptimalEta(params);
-    if (config_.graph_strategy == GraphStrategy::kAuto) {
-      // Appendix I arbitration: the grid pays one insert per object plus
-      // the modeled per-worker retrieval cost; brute force tests every
-      // (task, worker) pair. Pick whichever the model prices cheaper.
-      double grid_cost =
-          instance.num_tasks() + instance.num_workers() +
-          instance.num_workers() * index::EstimateUpdateCost(eta, params);
-      double brute_cost = static_cast<double>(instance.num_tasks()) *
-                          static_cast<double>(instance.num_workers());
-      use_grid = grid_cost < brute_cost;
-    }
-  }
-  ctx.plan.used_grid_index = use_grid;
-  ctx.resolved_eta = eta;
+  const engine::BuildChoice choice = engine::PlanGraphBuild(
+      *ctx.instance, config_.graph_strategy, config_.eta, config_.d2);
+  ctx.plan.used_grid_index = choice.use_grid;
+  ctx.resolved_eta = choice.eta;
   ctx.planned = true;
   return util::Status::OK();
-}
-
-util::StatusOr<core::CandidateGraph> Engine::ExecutePlannedBuild(
-    const core::Instance& instance, bool use_grid, double eta,
-    GraphPlan* plan, const util::Deadline& deadline,
-    util::Executor* executor) const {
-  auto t0 = std::chrono::steady_clock::now();
-  GraphPlan local;
-  local.used_grid_index = use_grid;
-
-  core::CandidateGraph graph;
-  if (use_grid) {
-    util::StatusOr<index::GridIndex> grid =
-        index::GridIndex::Build(instance, eta, deadline);
-    if (!grid.ok()) return grid.status();
-    util::StatusOr<std::vector<std::vector<core::TaskId>>> edges =
-        grid.value().RetrieveEdges(instance.num_workers(), nullptr, executor,
-                                   deadline);
-    if (!edges.ok()) return edges.status();
-    graph =
-        core::CandidateGraph::FromEdges(instance, std::move(edges).value());
-    local.eta = grid.value().eta();
-  } else {
-    util::StatusOr<core::CandidateGraph> built =
-        core::CandidateGraph::Build(instance, executor, deadline);
-    if (!built.ok()) return built.status();
-    graph = std::move(built).value();
-  }
-  local.edges = graph.NumEdges();
-  local.build_seconds = SecondsSince(t0);
-  if (plan != nullptr) *plan = local;
-  return graph;
 }
 
 util::Status Engine::StageBuildGraph(engine::ExecutionContext& ctx) const {
@@ -197,8 +204,8 @@ util::Status Engine::StageBuildGraph(engine::ExecutionContext& ctx) const {
   // Timer starts after the implicit plan so stage histograms stay
   // disjoint: plan time lands in "plan" even when triggered from here.
   StageTimer timer(stage_metrics_.build_seconds);
-  util::StatusOr<core::CandidateGraph> built = ExecutePlannedBuild(
-      *ctx.instance, ctx.plan.used_grid_index, ctx.resolved_eta, &ctx.plan,
+  util::StatusOr<core::CandidateGraph> built = engine::BuildPlannedGraph(
+      *ctx.instance, {ctx.plan.used_grid_index, ctx.resolved_eta}, &ctx.plan,
       ctx.deadline, ctx.executor);
   if (!built.ok()) return built.status();
   ctx.graph = std::make_shared<const core::CandidateGraph>(
@@ -310,8 +317,8 @@ util::StatusOr<core::CandidateGraph> Engine::BuildGraph(
   // callers (the benches share one graph across approaches) still get a
   // full per-stage breakdown.
   StageTimer timer(stage_metrics_.build_seconds);
-  util::StatusOr<core::CandidateGraph> built = ExecutePlannedBuild(
-      instance, ctx.plan.used_grid_index, ctx.resolved_eta, &ctx.plan,
+  util::StatusOr<core::CandidateGraph> built = engine::BuildPlannedGraph(
+      instance, {ctx.plan.used_grid_index, ctx.resolved_eta}, &ctx.plan,
       deadline, pool_.get());
   if (built.ok() && plan != nullptr) *plan = ctx.plan;
   return built;

@@ -17,6 +17,10 @@
 
 namespace rdbsc {
 
+namespace index {
+struct RetrievalStats;
+}  // namespace index
+
 namespace engine {
 class SolveCache;
 
@@ -153,6 +157,38 @@ struct EngineResult {
 
 namespace engine {
 
+/// The Plan stage's decision for one instance: the construction path and
+/// the grid cell side that path would use.
+struct BuildChoice {
+  bool use_grid = false;
+  /// Resolved even when the brute-force path wins.
+  double eta = 0.0;
+};
+
+/// The Appendix I arbitration, shared by Engine::StagePlan and the
+/// streaming rounds of sim::IncrementalAssigner. kAuto prices the grid (one
+/// insert per object plus Eq. 22's modeled per-worker retrieval cost)
+/// against brute force (every (task, worker) pair) and picks the cheaper;
+/// the other strategies force their path. `eta` <= 0 derives the Appendix
+/// I optimum from the instance's worker reach with correlation dimension
+/// `d2`. An instance without tasks or workers gets brute force (unless
+/// forced) and eta as given. Pure decision -- no graph is built.
+BuildChoice PlanGraphBuild(const core::Instance& instance,
+                           GraphStrategy strategy, double eta, double d2);
+
+/// Builds `instance`'s candidate graph along `choice`: a fresh
+/// GridIndex::Build plus RetrieveEdges, or CandidateGraph::Build. The edge
+/// set is the same either way. Fills `plan` (path, the grid's clamped cell
+/// side, edges, seconds) and, on the grid path, `stats` with the
+/// retrieval's counters; both may be null. `deadline` is polled
+/// throughout; `executor` shards the scan (nullptr = serial; bit-identical
+/// either way).
+util::StatusOr<core::CandidateGraph> BuildPlannedGraph(
+    const core::Instance& instance, const BuildChoice& choice, GraphPlan* plan,
+    const util::Deadline& deadline = util::Deadline(),
+    util::Executor* executor = nullptr,
+    index::RetrievalStats* stats = nullptr);
+
 /// The typed state one request threads through the staged pipeline
 /// Validate -> Plan -> BuildGraph -> Solve. Each stage consumes the
 /// products of the previous ones and records its own, so callers can run
@@ -212,7 +248,10 @@ struct ExecutionContext {
 /// stage can be run, skipped (pre-fill its product), or replayed
 /// independently; Run/RunIsolated/SolveOn are compositions of the
 /// stages. An optional engine::SolveCache short-circuits the pipeline
-/// after Validate: a hit replays the whole result.
+/// after Validate: a hit replays the whole result. Plan and BuildGraph are
+/// engine::PlanGraphBuild and engine::BuildPlannedGraph under this
+/// engine's configuration -- the same two functions that build every
+/// streaming round's graph (sim::IncrementalAssigner).
 ///
 ///   auto engine = rdbsc::Engine::Create({.solver_name = "greedy"});
 ///   auto result = engine.value().Run(instance);
@@ -280,12 +319,11 @@ class Engine {
   /// configured with validate_instances = false.
   util::Status StageValidate(engine::ExecutionContext& ctx) const;
 
-  /// Plan: consults the Appendix I cost model to pick brute-force or
-  /// grid-index construction and resolves the grid cell side. Pure
-  /// decision -- no graph is built.
+  /// Plan: engine::PlanGraphBuild under this engine's strategy, eta and
+  /// d2. Pure decision -- no graph is built.
   util::Status StagePlan(engine::ExecutionContext& ctx) const;
 
-  /// BuildGraph: executes the planned construction (running StagePlan
+  /// BuildGraph: engine::BuildPlannedGraph of the plan (running StagePlan
   /// first if the caller skipped it); fills ctx.graph and the plan's
   /// edges/build_seconds.
   util::Status StageBuildGraph(engine::ExecutionContext& ctx) const;
@@ -319,12 +357,6 @@ class Engine {
  private:
   util::Status CheckInitialized() const;
   util::Deadline MakeDeadline(const RunControls& controls) const;
-  /// The planned construction itself (grid or brute), shared by
-  /// StageBuildGraph and the legacy BuildGraph entry point.
-  util::StatusOr<core::CandidateGraph> ExecutePlannedBuild(
-      const core::Instance& instance, bool use_grid, double eta,
-      GraphPlan* plan, const util::Deadline& deadline,
-      util::Executor* executor) const;
 
   EngineConfig config_;
   std::unique_ptr<core::Solver> solver_;

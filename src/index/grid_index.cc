@@ -34,8 +34,6 @@ GridIndex GridIndex::Build(const core::Instance& instance, double eta) {
 util::StatusOr<GridIndex> GridIndex::Build(const core::Instance& instance,
                                            double eta,
                                            const util::Deadline& deadline) {
-  // Poll between insert blocks: bulk-load cost is dominated by the
-  // per-insert reachability maintenance, which scales with num_cells().
   constexpr int kInsertsPerDeadlineCheck = 64;
 
   GridIndex index(eta, instance.now(), instance.policy());
@@ -43,18 +41,15 @@ util::StatusOr<GridIndex> GridIndex::Build(const core::Instance& instance,
     if (i % kInsertsPerDeadlineCheck == 0 && deadline.Exhausted()) {
       return util::InterruptedStatus(deadline, "grid build interrupted");
     }
-    util::Status status = index.InsertTask(i, instance.task(i));
-    assert(status.ok());
-    (void)status;
+    index.InsertTask(i, instance.task(i));
   }
   for (core::WorkerId j = 0; j < instance.num_workers(); ++j) {
     if (j % kInsertsPerDeadlineCheck == 0 && deadline.Exhausted()) {
       return util::InterruptedStatus(deadline, "grid build interrupted");
     }
-    util::Status status = index.InsertWorker(j, instance.worker(j));
-    assert(status.ok());
-    (void)status;
+    index.InsertWorker(j, instance.worker(j));
   }
+  index.Seal();
   return index;
 }
 
@@ -72,165 +67,36 @@ geo::Box GridIndex::BoxOf(int cell) const {
   return geo::Box{{cx * eta_, cy * eta_}, {(cx + 1) * eta_, (cy + 1) * eta_}};
 }
 
-void GridIndex::AbsorbWorker(Cell* cell, const core::Worker& worker) {
-  cell->v_max = std::max(cell->v_max, worker.velocity);
-  if (cell->has_dir_cover) {
-    cell->dir_cover = geo::CoverUnion(cell->dir_cover, worker.direction);
-  } else {
-    cell->dir_cover = worker.direction;
-    cell->has_dir_cover = true;
-  }
+void GridIndex::InsertWorker(core::WorkerId id, const core::Worker& worker) {
+  cells_[CellOf(worker.location)].workers.emplace_back(id, worker);
 }
 
-void GridIndex::RebuildSummaries(int cell_id) {
-  Cell& cell = cells_[cell_id];
-  cell.v_max = 0.0;
-  cell.has_dir_cover = false;
-  cell.dir_cover = geo::AngularInterval::FullCircle();
-  for (const auto& [id, worker] : cell.workers) {
-    AbsorbWorker(&cell, worker);
-  }
-  // An empty task list folds back to the constructed state (not +-inf), so
-  // an emptied cell is bit-identical to a never-touched one.
-  cell.s_min = 0.0;
-  cell.e_max = 0.0;
-  for (size_t k = 0; k < cell.tasks.size(); ++k) {
-    const core::Task& task = cell.tasks[k].second;
-    cell.s_min = k == 0 ? task.start : std::min(cell.s_min, task.start);
-    cell.e_max = k == 0 ? task.end : std::max(cell.e_max, task.end);
-  }
+void GridIndex::InsertTask(core::TaskId id, const core::Task& task) {
+  cells_[CellOf(task.location)].tasks.emplace_back(id, task);
 }
 
-void GridIndex::RebuildBlock(int cell_id) {
-  const Cell& cell = cells_[cell_id];
-  core::TaskBlock block;
-  block.Reserve(cell.tasks.size());
-  for (const auto& [tid, task] : cell.tasks) block.Add(tid, task);
-  max_block_ = std::max(max_block_, block.size());
-  blocks_[static_cast<size_t>(cell_id)] = std::move(block);
-}
-
-util::Status GridIndex::InsertWorker(core::WorkerId id,
-                                     const core::Worker& worker) {
-  if (worker_cell_.contains(id)) {
-    return util::Status::AlreadyExists("worker id already indexed");
+void GridIndex::Seal() {
+  for (size_t c = 0; c < cells_.size(); ++c) {
+    Cell& cell = cells_[c];
+    for (size_t k = 0; k < cell.workers.size(); ++k) {
+      const core::Worker& worker = cell.workers[k].second;
+      cell.v_max = std::max(cell.v_max, worker.velocity);
+      cell.dir_cover = k == 0 ? worker.direction
+                              : geo::CoverUnion(cell.dir_cover,
+                                                worker.direction);
+    }
+    cell.has_dir_cover = !cell.workers.empty();
+    // An empty cell keeps the constructed bounds (not +-inf).
+    for (size_t k = 0; k < cell.tasks.size(); ++k) {
+      const core::Task& task = cell.tasks[k].second;
+      cell.s_min = k == 0 ? task.start : std::min(cell.s_min, task.start);
+      cell.e_max = k == 0 ? task.end : std::max(cell.e_max, task.end);
+    }
+    core::TaskBlock& block = blocks_[c];
+    block.Reserve(cell.tasks.size());
+    for (const auto& [tid, task] : cell.tasks) block.Add(tid, task);
+    max_block_ = std::max(max_block_, block.size());
   }
-  int cell_id = CellOf(worker.location);
-  worker_cell_[id] = cell_id;
-  Cell& cell = cells_[cell_id];
-  auto pos = std::lower_bound(
-      cell.workers.begin(), cell.workers.end(), id,
-      [](const auto& entry, core::WorkerId v) { return entry.first < v; });
-  cell.workers.emplace(pos, id, worker);
-  // Refold rather than absorb: CoverUnion is order-dependent, so folding
-  // the sorted member list keeps the summary canonical under any insert
-  // order (ascending-id bulk loads are unchanged -- there absorb and
-  // refold coincide).
-  RebuildSummaries(cell_id);
-  InvalidateReachability(cell_id);
-  return util::Status::OK();
-}
-
-util::Status GridIndex::RemoveWorker(core::WorkerId id) {
-  auto it = worker_cell_.find(id);
-  if (it == worker_cell_.end()) {
-    return util::Status::NotFound("worker id not indexed");
-  }
-  int cell_id = it->second;
-  Cell& cell = cells_[cell_id];
-  auto pos = std::lower_bound(
-      cell.workers.begin(), cell.workers.end(), id,
-      [](const auto& entry, core::WorkerId v) { return entry.first < v; });
-  assert(pos != cell.workers.end() && pos->first == id);
-  cell.workers.erase(pos);
-  // Summaries may have shrunk; rebuild eagerly so the const retrieval
-  // paths never have to repair cells (they may run concurrently).
-  RebuildSummaries(cell_id);
-  worker_cell_.erase(it);
-  InvalidateReachability(cell_id);
-  return util::Status::OK();
-}
-
-util::Status GridIndex::MoveWorker(core::WorkerId id, geo::Point to) {
-  auto it = worker_cell_.find(id);
-  if (it == worker_cell_.end()) {
-    return util::Status::NotFound("worker id not indexed");
-  }
-  int from_cell = it->second;
-  Cell& from = cells_[from_cell];
-  auto pos = std::lower_bound(
-      from.workers.begin(), from.workers.end(), id,
-      [](const auto& entry, core::WorkerId v) { return entry.first < v; });
-  assert(pos != from.workers.end() && pos->first == id);
-  int to_cell = CellOf(to);
-  if (to_cell == from_cell) {
-    // Same-cell jitter: location feeds no summary (v_max / dir_cover /
-    // task bounds are location-free), so this is a pure payload update --
-    // no refold, no reachability churn.
-    pos->second.location = to;
-    return util::Status::OK();
-  }
-  core::Worker moved = pos->second;
-  moved.location = to;
-  from.workers.erase(pos);
-  RebuildSummaries(from_cell);
-  InvalidateReachability(from_cell);
-  Cell& dest = cells_[to_cell];
-  auto dpos = std::lower_bound(
-      dest.workers.begin(), dest.workers.end(), id,
-      [](const auto& entry, core::WorkerId v) { return entry.first < v; });
-  dest.workers.emplace(dpos, id, moved);
-  RebuildSummaries(to_cell);
-  InvalidateReachability(to_cell);
-  it->second = to_cell;
-  return util::Status::OK();
-}
-
-const core::Worker* GridIndex::FindWorker(core::WorkerId id) const {
-  auto it = worker_cell_.find(id);
-  if (it == worker_cell_.end()) return nullptr;
-  const Cell& cell = cells_[it->second];
-  auto pos = std::lower_bound(
-      cell.workers.begin(), cell.workers.end(), id,
-      [](const auto& entry, core::WorkerId v) { return entry.first < v; });
-  assert(pos != cell.workers.end() && pos->first == id);
-  return &pos->second;
-}
-
-util::Status GridIndex::InsertTask(core::TaskId id, const core::Task& task) {
-  if (task_cell_.contains(id)) {
-    return util::Status::AlreadyExists("task id already indexed");
-  }
-  int cell_id = CellOf(task.location);
-  task_cell_[id] = cell_id;
-  Cell& cell = cells_[cell_id];
-  auto pos = std::lower_bound(
-      cell.tasks.begin(), cell.tasks.end(), id,
-      [](const auto& entry, core::TaskId v) { return entry.first < v; });
-  cell.tasks.emplace(pos, id, task);
-  RebuildSummaries(cell_id);
-  RebuildBlock(cell_id);
-  PatchReachability(cell_id);
-  return util::Status::OK();
-}
-
-util::Status GridIndex::RemoveTask(core::TaskId id) {
-  auto it = task_cell_.find(id);
-  if (it == task_cell_.end()) {
-    return util::Status::NotFound("task id not indexed");
-  }
-  int cell_id = it->second;
-  Cell& cell = cells_[cell_id];
-  auto pos = std::lower_bound(
-      cell.tasks.begin(), cell.tasks.end(), id,
-      [](const auto& entry, core::TaskId v) { return entry.first < v; });
-  assert(pos != cell.tasks.end() && pos->first == id);
-  cell.tasks.erase(pos);
-  RebuildSummaries(cell_id);
-  RebuildBlock(cell_id);
-  task_cell_.erase(it);
-  PatchReachability(cell_id);
-  return util::Status::OK();
 }
 
 bool GridIndex::CanPrune(const Cell& from, int from_id, const Cell& to,
@@ -258,38 +124,10 @@ bool GridIndex::CanPrune(const Cell& from, int from_id, const Cell& to,
   return false;
 }
 
-void GridIndex::InvalidateReachability(int cell) {
-  util::MutexLock lock(tcells_->mu);
-  tcells_->valid[cell] = 0;
-}
-
-void GridIndex::PatchReachability(int target) {
-  // Task churn in `target`: re-evaluate that single target cell in every
-  // valid cached list (Section 7.2's task insertion/removal maintenance).
-  const Cell& to = cells_[target];
-  util::MutexLock lock(tcells_->mu);
-  for (int from_id = 0; from_id < num_cells(); ++from_id) {
-    if (!tcells_->valid[from_id]) continue;
-    const Cell& from = cells_[from_id];
-    bool reachable = !to.tasks.empty() && !from.workers.empty() &&
-                     !CanPrune(from, from_id, to, target);
-    auto& list = tcells_->lists[from_id];
-    auto pos = std::lower_bound(list.begin(), list.end(), target);
-    bool present = pos != list.end() && *pos == target;
-    if (reachable && !present) {
-      list.insert(pos, target);
-    } else if (!reachable && present) {
-      list.erase(pos);
-    }
-    ++reachability_patches_;
-  }
-}
-
 const std::vector<int>& GridIndex::CachedReachableLocked(int cell) const {
   if (!tcells_->valid[cell]) {
     const Cell& from = cells_[cell];
     std::vector<int>& list = tcells_->lists[cell];
-    list.clear();
     if (!from.workers.empty()) {
       for (int to_id = 0; to_id < num_cells(); ++to_id) {
         const Cell& to = cells_[to_id];
@@ -309,8 +147,7 @@ const std::vector<int>& GridIndex::CachedReachable(int cell) const {
 }
 
 const std::vector<std::vector<int>>* GridIndex::WarmReachability(
-    bool count_prune_scan, RetrievalStats* stats,
-    const util::Deadline& deadline) const {
+    RetrievalStats* stats, const util::Deadline& deadline) const {
   util::MutexLock lock(tcells_->mu);
   for (int from_id = 0; from_id < num_cells(); ++from_id) {
     if (cells_[from_id].workers.empty()) continue;
@@ -318,7 +155,7 @@ const std::vector<std::vector<int>>* GridIndex::WarmReachability(
     bool was_cached = tcells_->valid[from_id] != 0;
     const std::vector<int>& targets = CachedReachableLocked(from_id);
     if (stats != nullptr) {
-      if (was_cached || !count_prune_scan) {
+      if (was_cached) {
         stats->cell_pairs_examined += static_cast<int64_t>(targets.size());
       } else {
         stats->cell_pairs_examined += num_cells();
@@ -328,8 +165,8 @@ const std::vector<std::vector<int>>* GridIndex::WarmReachability(
     }
   }
   // Escape under a documented contract: every list a subsequent const
-  // retrieval scan dereferences was built above, and nothing mutates the
-  // cache again until a (exclusive-access) mutator runs.
+  // retrieval scan dereferences was built above, and a built list is never
+  // rebuilt.
   return &tcells_->lists;
 }
 
@@ -342,13 +179,11 @@ GridIndex::RetrieveEdges(int num_workers, RetrievalStats* stats,
   // immutable for the duration of the scan, so shards need no locking.
   RetrievalStats totals;
   const std::vector<std::vector<int>>* tcell_lists =
-      WarmReachability(/*count_prune_scan=*/true, &totals, deadline);
+      WarmReachability(&totals, deadline);
   if (tcell_lists == nullptr) {
     return util::InterruptedStatus(deadline, "retrieval interrupted");
   }
-  // The scans below read the delta-maintained per-cell blocks directly
-  // (repaired on task churn), so a retrieval pass no longer rebuilds the
-  // columnar mirror of every cell.
+  // The scans below read the per-cell blocks Build sealed.
   const std::vector<core::TaskBlock>& blocks = blocks_;
   const size_t max_block = max_block_;
 
@@ -394,88 +229,6 @@ GridIndex::RetrieveEdges(int num_workers, RetrievalStats* stats,
   for (const RetrievalStats& shard : shard_stats) totals.Merge(shard);
   if (stats != nullptr) *stats = totals;
   return edges;
-}
-
-util::StatusOr<std::vector<std::pair<core::WorkerId, core::TaskId>>>
-GridIndex::RetrievePairs(RetrievalStats* stats, util::Executor* executor,
-                         const util::Deadline& deadline) const {
-  RetrievalStats totals;
-  const std::vector<std::vector<int>>* tcell_lists =
-      WarmReachability(/*count_prune_scan=*/false, &totals, deadline);
-  if (tcell_lists == nullptr) {
-    return util::InterruptedStatus(deadline, "retrieval interrupted");
-  }
-
-  const std::vector<core::TaskBlock>& blocks = blocks_;
-  const size_t max_block = max_block_;
-  util::Executor& exec = util::OrSerial(executor);
-  std::vector<RetrievalStats> shard_stats(exec.width());
-  std::vector<std::vector<std::pair<core::WorkerId, core::TaskId>>>
-      shard_pairs(exec.width());
-  std::atomic<bool> interrupted{false};
-  exec.ShardedFor(num_cells(), [&](int shard, int64_t begin, int64_t end) {
-    RetrievalStats local;
-    auto& pairs = shard_pairs[shard];
-    std::vector<uint8_t> cls(max_block);
-    std::vector<core::TaskId> row;
-    for (int64_t from_id = begin; from_id < end; ++from_id) {
-      const Cell& from = cells_[from_id];
-      if (from.workers.empty()) continue;
-      if (interrupted.load(std::memory_order_relaxed) ||
-          deadline.Exhausted()) {
-        interrupted.store(true, std::memory_order_relaxed);
-        break;
-      }
-      for (const auto& [wid, worker] : from.workers) {
-        const core::WorkerGeom geom = core::PrecomputeWorker(worker, now_);
-        for (int to_id : (*tcell_lists)[from_id]) {
-          const core::TaskBlock& block = blocks[to_id];
-          local.pair_tests += static_cast<int64_t>(block.size());
-          row.clear();
-          core::ValidPairsRow(geom, worker, now_, policy_, block, cls.data(),
-                              &row);
-          for (core::TaskId tid : row) pairs.emplace_back(wid, tid);
-          local.edges += static_cast<int64_t>(row.size());
-        }
-      }
-    }
-    shard_stats[shard] = local;
-  });
-  if (interrupted.load(std::memory_order_relaxed)) {
-    return util::InterruptedStatus(deadline, "retrieval interrupted");
-  }
-
-  // Shard-order concatenation followed by the (shard-independent) global
-  // sort reproduces the serial result exactly.
-  std::vector<std::pair<core::WorkerId, core::TaskId>> pairs;
-  for (auto& shard : shard_pairs) {
-    pairs.insert(pairs.end(), shard.begin(), shard.end());
-  }
-  std::sort(pairs.begin(), pairs.end());
-  for (const RetrievalStats& shard : shard_stats) totals.Merge(shard);
-  if (stats != nullptr) *stats = totals;
-  return pairs;
-}
-
-void GridIndex::set_now(double now) {
-  assert(now >= now_ && "the index clock must be non-decreasing");
-  now_ = now;
-}
-
-CellState GridIndex::DebugCellState(int cell) const {
-  const Cell& c = cells_[cell];
-  CellState state;
-  state.workers.reserve(c.workers.size());
-  for (const auto& [wid, w] : c.workers) state.workers.push_back(wid);
-  state.tasks.reserve(c.tasks.size());
-  for (const auto& [tid, t] : c.tasks) state.tasks.push_back(tid);
-  state.v_max = c.v_max;
-  state.has_dir_cover = c.has_dir_cover;
-  state.dir_lo = c.dir_cover.lo();
-  state.dir_width = c.dir_cover.width();
-  state.s_min = c.s_min;
-  state.e_max = c.e_max;
-  return state;
 }
 
 std::vector<int> GridIndex::ReachableCells(geo::Point location) const {

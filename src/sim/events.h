@@ -9,11 +9,10 @@
 
 namespace rdbsc::sim {
 
-/// The typed event vocabulary of the streaming delta engine: everything
+/// The typed event vocabulary of the streaming round engine: everything
 /// that can change the RDB-SC world between two assignment rounds. Events
-/// are applied as batched deltas (IncrementalAssigner::ApplyEvents) that
-/// repair only the affected grid cells and candidate rows, instead of
-/// rebuilding index and graph from scratch.
+/// are applied in batches (IncrementalAssigner::ApplyEvents) to the
+/// assigner's registries; the next round builds its graph from them.
 
 /// An available worker changed position (e.g. drifted while idle).
 struct WorkerMoved {
@@ -44,11 +43,12 @@ struct WorkerCompleted {
 /// is canonical and type-major -- expirations, then completions, then
 /// arrivals, then moves, each group in ascending id order -- so any two
 /// producers that collect the same logical events yield bit-identical
-/// index and graph states regardless of the order they appended them in.
+/// registries and rounds regardless of the order they appended them in.
 /// (Expire-before-arrive also lets a batch retire and re-register the
 /// same task id in one round.)
 struct EventBatch {
-  /// The clock the batch is applied at (must be >= the previous round's).
+  /// The clock the batch is applied at (must be >= the assigner's clock;
+  /// an earlier one is rejected).
   double now = 0.0;
 
   std::vector<TaskExpired> expired;

@@ -9,6 +9,7 @@
 
 #include "core/diversity.h"
 #include "core/instance.h"
+#include "engine/engine.h"
 #include "util/deadline.h"
 #include "util/math.h"
 
@@ -23,20 +24,31 @@ util::Status ValidatePosition(core::WorkerId id, core::Worker worker,
   return core::ValidateWorker(id, worker);
 }
 
-// A round clock must be finite before it reaches the index:
-// std::max(NaN, clock) would store NaN there.
-util::Status ValidateClock(const char* field, double now) {
-  if (std::isfinite(now)) return util::Status::OK();
-  char text[64];
-  std::snprintf(text, sizeof(text), "%s = %g not finite", field, now);
-  return util::Status::InvalidArgument(text);
-}
+// Correlation dimension of the round planner's cost model: uniform, as
+// EngineConfig::d2 defaults to.
+constexpr double kRoundD2 = 2.0;
 
 }  // namespace
 
 IncrementalAssigner::IncrementalAssigner(core::Solver* solver, double eta,
                                          core::ArrivalPolicy policy)
-    : solver_(solver), policy_(policy), index_(eta, /*now=*/0.0, policy) {}
+    : solver_(solver), eta_(eta), policy_(policy) {}
+
+util::Status IncrementalAssigner::CheckClock(const char* field,
+                                             double now) const {
+  char text[96];
+  if (!std::isfinite(now)) {
+    std::snprintf(text, sizeof(text), "%s = %g not finite", field, now);
+    return util::Status::InvalidArgument(text);
+  }
+  if (now < now_) {
+    std::snprintf(text, sizeof(text),
+                  "%s = %g is earlier than the round clock %g", field, now,
+                  now_);
+    return util::Status::InvalidArgument(text);
+  }
+  return util::Status::OK();
+}
 
 util::Status IncrementalAssigner::AddTask(core::TaskId id,
                                           const core::Task& task) {
@@ -44,8 +56,6 @@ util::Status IncrementalAssigner::AddTask(core::TaskId id,
   if (tasks_.contains(id)) {
     return util::Status::AlreadyExists("task id already registered");
   }
-  util::Status status = index_.InsertTask(id, task);
-  if (!status.ok()) return status;
   tasks_.emplace(id, task);
   ledger_.emplace(id, LedgerEntry{task, {}});
   return util::Status::OK();
@@ -56,15 +66,13 @@ util::Status IncrementalAssigner::RemoveTask(core::TaskId id) {
   if (it == tasks_.end()) {
     return util::Status::NotFound("task id not registered");
   }
-  if (util::Status s = index_.RemoveTask(id); !s.ok()) return s;
   tasks_.erase(it);
   // Pending commitments to the vanished task are voided: the workers
   // become available again and their provisional contributions disappear.
   // Every commit appends to the task's ledger, so its contributions list
   // every worker still committed to it: O(contributions), not a scan of
-  // all workers. Sorted (and deduped: a worker that completed and
-  // re-committed appears twice) so the grid index sees the re-inserts in
-  // a reproducible order.
+  // all workers. Sorted and deduped: a worker that completed and
+  // re-committed appears twice.
   std::vector<std::pair<core::WorkerId, core::Observation>>& contributions =
       ledger_.at(id).contributions;
   std::vector<core::WorkerId> voided;
@@ -81,9 +89,6 @@ util::Status IncrementalAssigner::RemoveTask(core::TaskId id) {
     WorkerRecord& record = workers_.at(wid);
     record.committed = core::kNoTask;
     record.busy = false;
-    if (util::Status s = index_.InsertWorker(wid, record.worker); !s.ok()) {
-      return s;
-    }
     std::erase_if(contributions, [wid](const auto& entry) {
       return entry.first == wid;
     });
@@ -97,8 +102,6 @@ util::Status IncrementalAssigner::AddWorker(core::WorkerId id,
   if (workers_.contains(id)) {
     return util::Status::AlreadyExists("worker id already registered");
   }
-  util::Status status = index_.InsertWorker(id, worker);
-  if (!status.ok()) return status;
   WorkerRecord record;
   record.worker = worker;
   workers_.emplace(id, record);
@@ -109,9 +112,6 @@ util::Status IncrementalAssigner::RemoveWorker(core::WorkerId id) {
   auto it = workers_.find(id);
   if (it == workers_.end()) {
     return util::Status::NotFound("worker id not registered");
-  }
-  if (!it->second.busy) {
-    if (util::Status s = index_.RemoveWorker(id); !s.ok()) return s;
   }
   if (it->second.committed != core::kNoTask && it->second.busy) {
     // The worker left mid-route: void the provisional contribution.
@@ -141,7 +141,7 @@ util::Status IncrementalAssigner::CompleteWorker(core::WorkerId id,
   it->second.busy = false;
   it->second.committed = core::kNoTask;
   it->second.worker.location = position;
-  return index_.InsertWorker(id, it->second.worker);
+  return util::Status::OK();
 }
 
 util::Status IncrementalAssigner::MoveWorker(core::WorkerId id,
@@ -157,17 +157,15 @@ util::Status IncrementalAssigner::MoveWorker(core::WorkerId id,
   if (util::Status s = ValidatePosition(id, it->second.worker, to); !s.ok()) {
     return s;
   }
-  util::Status status = index_.MoveWorker(id, to);
-  if (!status.ok()) return status;
   it->second.worker.location = to;
   return util::Status::OK();
 }
 
 util::Status IncrementalAssigner::ApplyEvents(const EventBatch& batch) {
-  if (util::Status s = ValidateClock("batch.now", batch.now); !s.ok()) {
+  if (util::Status s = CheckClock("batch.now", batch.now); !s.ok()) {
     return s;
   }
-  index_.set_now(std::max(batch.now, index_.now()));
+  now_ = batch.now;
   EventBatch events = batch;
   events.Canonicalize();
   for (const TaskExpired& event : events.expired) {
@@ -193,11 +191,15 @@ void IncrementalAssigner::set_metrics(obs::Registry* metrics,
   // Start the per-round diffs from here: work done before the sink was
   // attached is not retroactively reported.
   reported_delta_ = delta_stats_;
-  reported_tcell_rebuilds_ = index_.reachability_rebuilds();
-  reported_tcell_patches_ = index_.reachability_patches();
+  round_graph_grid_ = nullptr;
+  round_graph_brute_ = nullptr;
   round_build_ = nullptr;
   round_solve_ = nullptr;
   if (metrics == nullptr) return;
+  round_graph_grid_ = &metrics->GetCounter(
+      "sim.round_graph", {{"solver", solver_name}, {"path", "grid"}});
+  round_graph_brute_ = &metrics->GetCounter(
+      "sim.round_graph", {{"solver", solver_name}, {"path", "brute"}});
   const obs::Labels labels = {{"solver", std::move(solver_name)}};
   round_build_ =
       &metrics->GetHistogram("sim.round_build_seconds", labels, 1e-9);
@@ -216,23 +218,15 @@ void IncrementalAssigner::ReportDeltaMetrics() {
   metrics_->GetCounter("sim.delta.rows_recomputed")
       .Increment(diff.rows_recomputed);
   metrics_->GetCounter("sim.delta.bulk_refills").Increment(diff.bulk_refills);
-  const int64_t rebuilds = index_.reachability_rebuilds();
-  const int64_t patches = index_.reachability_patches();
-  metrics_->GetCounter("sim.delta.tcell_rebuilds")
-      .Increment(rebuilds - reported_tcell_rebuilds_);
-  metrics_->GetCounter("sim.delta.tcell_patches")
-      .Increment(patches - reported_tcell_patches_);
-  reported_tcell_rebuilds_ = rebuilds;
-  reported_tcell_patches_ = patches;
 }
 
 util::StatusOr<std::vector<std::pair<core::TaskId, core::WorkerId>>>
 IncrementalAssigner::Update(double now) {
-  if (util::Status s = ValidateClock("now", now); !s.ok()) return s;
-  index_.set_now(std::max(now, index_.now()));
+  if (util::Status s = CheckClock("now", now); !s.ok()) return s;
+  now_ = now;
 
-  // Drop expired tasks (Figure 10 keeps only the opening ones). Removal
-  // order is observable through the index's patch counters, so sort.
+  // Drop expired tasks (Figure 10 keeps only the opening ones), in id
+  // order.
   std::vector<core::TaskId> expired;
   // LINT-ALLOW(unordered-iter): key collection only; sorted below
   for (const auto& [tid, task] : tasks_) {
@@ -273,39 +267,26 @@ IncrementalAssigner::Update(double now) {
   core::Instance snapshot(std::move(snapshot_tasks),
                           std::move(snapshot_workers), now, policy_);
 
-  // Valid pairs among available workers and open tasks: one retrieval
-  // over the index, which holds exactly those workers and tasks.
+  // The round's candidate graph, planned and built as Engine::Run would.
   const auto build_start = std::chrono::steady_clock::now();
-  if (index_.num_workers() != static_cast<int>(worker_ids.size()) ||
-      index_.num_tasks() != static_cast<int>(task_ids.size())) {
-    return util::Status::Internal("index out of step with the round snapshot");
-  }
+  const engine::BuildChoice choice = engine::PlanGraphBuild(
+      snapshot, GraphStrategy::kAuto, eta_, kRoundD2);
+  GraphPlan plan;
   index::RetrievalStats rstats;
-  util::StatusOr<std::vector<std::pair<core::WorkerId, core::TaskId>>>
-      retrieved = index_.RetrievePairs(&rstats);
-  if (!retrieved.ok()) return retrieved.status();
-  const std::vector<std::pair<core::WorkerId, core::TaskId>>& pairs =
-      retrieved.value();
+  util::StatusOr<core::CandidateGraph> built = engine::BuildPlannedGraph(
+      snapshot, choice, &plan, util::Deadline(), nullptr, &rstats);
+  if (!built.ok()) return built.status();
+  const core::CandidateGraph& graph = built.value();
   delta_stats_.cells_touched +=
       rstats.cell_pairs_examined - rstats.cell_pairs_pruned;
-  delta_stats_.edges_repaired += static_cast<int64_t>(pairs.size());
+  delta_stats_.edges_repaired += plan.edges;
   delta_stats_.rows_recomputed += static_cast<int64_t>(worker_ids.size());
   ++delta_stats_.bulk_refills;
-  // Every pair has a local id. Pairs are id-sorted and ids map to ranks
-  // monotonically, so each local row stays sorted as FromEdges expects.
-  std::vector<std::vector<core::TaskId>> edges(worker_ids.size());
-  size_t row = 0;  // pairs are worker-major: the row cursor only advances
-  for (const auto& [wid, tid] : pairs) {
-    while (row < worker_ids.size() && worker_ids[row] < wid) ++row;
-    const auto t = std::lower_bound(task_ids.begin(), task_ids.end(), tid);
-    if (row == worker_ids.size() || worker_ids[row] != wid ||
-        t == task_ids.end() || *t != tid) {
-      return util::Status::Internal("index pair outside the round snapshot");
-    }
-    edges[row].push_back(static_cast<core::TaskId>(t - task_ids.begin()));
+  if (obs::Counter* path = choice.use_grid ? round_graph_grid_
+                                           : round_graph_brute_;
+      path != nullptr) {
+    path->Increment();
   }
-  const core::CandidateGraph graph =
-      core::CandidateGraph::FromEdges(snapshot, std::move(edges));
   if (round_build_ != nullptr) {
     round_build_->Observe(util::SecondsSince(build_start));
   }
@@ -330,8 +311,6 @@ IncrementalAssigner::Update(double now) {
     record.observation = core::MakeObservation(
         tasks_.at(tid), record.worker, now, policy_);
     ledger_.at(tid).contributions.emplace_back(wid, record.observation);
-    // A committed worker leaves the assignable pool.
-    if (util::Status s = index_.RemoveWorker(wid); !s.ok()) return s;
     committed.emplace_back(tid, wid);
   }
   ReportDeltaMetrics();

@@ -20,43 +20,44 @@ namespace rdbsc::sim {
 
 /// The incremental updating strategy of Figure 10 -- the library's one
 /// round engine (sim::Platform and sim::StreamingSession both drive it):
-/// tasks and workers arrive and leave dynamically, the RDB-SC-Grid index
-/// maintains them, and each Update(now) round assigns the currently
-/// available workers to the currently open tasks with the supplied solver,
-/// *keeping* earlier commitments (line 7, S = S u S_c).
+/// tasks and workers arrive and leave dynamically, and each Update(now)
+/// round assigns the currently available workers to the currently open
+/// tasks with the supplied solver, *keeping* earlier commitments (line 7,
+/// S = S u S_c).
 ///
-/// Events are maintained as deltas in the grid index (summaries, task
-/// blocks and tcell lists are repaired per affected cell), and each round
-/// takes its candidate edges from one GridIndex::RetrievePairs pass over
-/// that canonical index. Because an index's cell state is a pure function
-/// of its members, the edges are bit-identical to a per-round
-/// CandidateGraph::Build of the same snapshot (tests/delta_index_test.cc
-/// checks it in every build type).
+/// Events only update the registries. Each round builds a compact
+/// snapshot instance of the open tasks and available workers and plans
+/// and builds its candidate graph exactly as Engine::Run does
+/// (engine::PlanGraphBuild's Appendix I arbitration, then
+/// engine::BuildPlannedGraph's brute or fresh-grid path). Both paths give
+/// the same edges, so a round commits exactly what a from-scratch
+/// CandidateGraph::Build of the same snapshot, solved by the same solver,
+/// would commit (tests/delta_index_test.cc checks it in every build type).
 ///
-/// External ids are caller-chosen and stable; internally each round builds
-/// a compact snapshot instance for the solver.
+/// External ids are caller-chosen and stable; the snapshot's local ids are
+/// ranks in the sorted global id lists.
 ///
 /// Thread safety: single-threaded by design -- one owner drives the
 /// AddTask/AddWorker/Update/Complete lifecycle (parallelism lives inside
-/// the solver/index, behind this facade). The unordered registries below
-/// are therefore unguarded; what *is* enforced (tools/lint_invariants.py)
-/// is that no result-feeding path iterates them in hash order --
+/// the solver, behind this facade). The unordered registries below are
+/// therefore unguarded; what *is* enforced (tools/lint_invariants.py) is
+/// that no result-feeding path iterates them in hash order --
 /// Update/Objectives walk sorted id vectors so every outcome is
 /// bit-identical however the registries were populated.
 class IncrementalAssigner {
  public:
-  /// `solver` must outlive the assigner. `eta` sizes the grid index (use
-  /// index::OptimalEta); `policy` is applied to every validity test.
+  /// `solver` must outlive the assigner. `eta` is the grid cell side of
+  /// rounds planned onto the grid, as in EngineConfig::eta: <= 0 derives
+  /// the Appendix I optimum from each round's snapshot. `policy` is
+  /// applied to every validity test.
   IncrementalAssigner(core::Solver* solver, double eta,
                       core::ArrivalPolicy policy =
                           core::ArrivalPolicy::kAllowWait);
 
-  /// The mutators below fail with the index's status when it disagrees
-  /// with the registries (the index is then stale).
-  /// They reject bad input first, in every build type, with the
-  /// kInvalidArgument of core::ValidateTask / core::ValidateWorker (a moved
-  /// or completing worker is checked at its new position) and leave the
-  /// assigner untouched.
+  /// The mutators below reject bad input first, in every build type, with
+  /// the kInvalidArgument of core::ValidateTask / core::ValidateWorker (a
+  /// moved or completing worker is checked at its new position) and leave
+  /// the assigner untouched.
 
   /// Registers a new open task; fails on duplicate id.
   util::Status AddTask(core::TaskId id, const core::Task& task);
@@ -72,45 +73,44 @@ class IncrementalAssigner {
   /// worker becomes assignable again from `position`.
   util::Status CompleteWorker(core::WorkerId id, geo::Point position);
 
-  /// Moves an *available* worker to `to`. A same-cell move touches no
-  /// index summaries at all; a cross-cell move repairs exactly two cells.
-  /// Fails with kNotFound for unknown ids, kFailedPrecondition for busy
-  /// (committed, un-indexed) workers.
+  /// Moves an *available* worker to `to`. Fails with kNotFound for
+  /// unknown ids, kFailedPrecondition for busy (committed) workers.
   util::Status MoveWorker(core::WorkerId id, geo::Point to);
 
   /// Applies one round's event batch in the canonical type-major order
   /// (expired, completed, arrived, moved; ascending id within each group
   /// -- the batch is canonicalized internally) after advancing the clock
   /// to `batch.now`. Stops at the first failing event; already-applied
-  /// events stay applied. A NaN or infinite `batch.now` fails with
-  /// kInvalidArgument before any state changes. The usual streaming round is
-  /// `ApplyEvents(batch)` then `Update(batch.now)`.
+  /// events stay applied. A NaN or infinite `batch.now`, or one earlier
+  /// than now(), fails with kInvalidArgument before any state changes.
+  /// The usual streaming round is `ApplyEvents(batch)` then
+  /// `Update(batch.now)`.
   util::Status ApplyEvents(const EventBatch& batch);
 
   /// Optional metrics sink (unowned; must outlive the assigner). Each
-  /// Update reports that round's maintenance work as sim.delta.* counter
+  /// Update reports that round's build counters as sim.delta.* counter
   /// increments (cells_touched, edges_repaired, rows_recomputed,
-  /// bulk_refills, and the grid index's tcell_rebuilds and
-  /// tcell_patches), and every round that runs the solver observes
-  /// sim.round_build_seconds (pair retrieval and graph assembly) and
-  /// sim.round_solve_seconds (the
-  /// solve alone), both labelled {solver=`solver_name`} -- the registry
-  /// name the owner resolved the solver by.
+  /// bulk_refills; see index::DeltaStats), and every round that builds a
+  /// graph increments sim.round_graph{solver, path=grid|brute} and
+  /// observes sim.round_build_seconds (plan and build) and
+  /// sim.round_solve_seconds (the solve alone), labelled
+  /// {solver=`solver_name`} -- the registry name the owner resolved the
+  /// solver by.
   void set_metrics(obs::Registry* metrics, std::string solver_name);
 
-  /// Cumulative per-round retrieval cost counters.
+  /// Cumulative per-round graph-build counters.
   const index::DeltaStats& delta_stats() const { return delta_stats_; }
 
-  /// The maintained grid index (inspection / tests).
-  const index::GridIndex& index() const { return index_; }
+  /// The round clock: the latest `now` accepted by ApplyEvents or Update
+  /// (0 before the first).
+  double now() const { return now_; }
 
   /// One round of Figure 10: assigns available workers to open tasks that
   /// are still live at `now` (expired tasks are dropped first). Returns
   /// the pairs newly committed this round as global (task, worker) ids, in
-  /// ascending worker order. Fails with the solver's status (no
-  /// commitments are made on a failed solve) or with the index's status
-  /// when maintenance fails (the index is then stale). A
-  /// NaN or infinite `now` fails with kInvalidArgument before any state
+  /// ascending worker order. Fails with the graph build's or the solver's
+  /// status (no commitments are made then). A NaN or infinite `now`, or
+  /// one earlier than now(), fails with kInvalidArgument before any state
   /// changes.
   util::StatusOr<std::vector<std::pair<core::TaskId, core::WorkerId>>>
   Update(double now);
@@ -144,17 +144,21 @@ class IncrementalAssigner {
   /// Sends the per-round diff of delta_stats_ to the metrics sink.
   void ReportDeltaMetrics();
 
+  /// Rejects a non-finite clock or one earlier than now_.
+  util::Status CheckClock(const char* field, double now) const;
+
   core::Solver* solver_;
+  double eta_;
   core::ArrivalPolicy policy_;
-  index::GridIndex index_;
+  double now_ = 0.0;
   index::DeltaStats delta_stats_;
-  /// delta_stats_ and index tcell-counter watermarks of the last
-  /// ReportDeltaMetrics call.
+  /// delta_stats_ at the last ReportDeltaMetrics call.
   index::DeltaStats reported_delta_;
-  int64_t reported_tcell_rebuilds_ = 0;
-  int64_t reported_tcell_patches_ = 0;
   obs::Registry* metrics_ = nullptr;
-  /// The round timers, resolved by set_metrics; null without a registry.
+  /// The round counters and timers, resolved by set_metrics; null without
+  /// a registry.
+  obs::Counter* round_graph_grid_ = nullptr;
+  obs::Counter* round_graph_brute_ = nullptr;
   obs::Histogram* round_build_ = nullptr;
   obs::Histogram* round_solve_ = nullptr;
   std::unordered_map<core::TaskId, core::Task> tasks_;

@@ -38,13 +38,6 @@ struct Site {
   std::vector<core::Observation> contributions;
 };
 
-/// Grid granularity of the round engine's index. The campus is a few
-/// thousandths of the unit square, so one ~0.05 cell typically holds the
-/// whole scene -- the index here only keeps the registrations current
-/// across ticks (one retrieval per tick), not spatial pruning (that is
-/// fig17's subject).
-constexpr double kCampusEta = 0.05;
-
 // The round objectives over all sites -- min reliability over non-empty
 // sites and the Eq. 7 total E[STD] -- memoized per site: a site's log1p
 // sum and O(r^2) E[STD] are recomputed only when its observation list
@@ -180,7 +173,7 @@ util::StatusOr<PlatformResult> Platform::Run() {
 
   // --- The round engine: every site and user is registered once; from
   // then on it hears of each tick's completions. ---
-  IncrementalAssigner assigner(solver_.get(), kCampusEta,
+  IncrementalAssigner assigner(solver_.get(), /*eta=*/0.0,
                                core::ArrivalPolicy::kStrict);
   assigner.set_metrics(config_.metrics, config_.solver_name);
   for (core::TaskId i = 0; i < config_.num_sites; ++i) {

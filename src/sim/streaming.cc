@@ -6,14 +6,6 @@
 #include "core/registry.h"
 
 namespace rdbsc::sim {
-namespace {
-
-/// Fallback grid granularity when the config leaves eta unset: sized for
-/// the small-extent scenes streaming sessions start from (cf. the
-/// platform's campus). Callers with known geometry pass config.eta.
-constexpr double kDefaultStreamingEta = 0.05;
-
-}  // namespace
 
 util::StatusOr<std::unique_ptr<StreamingSession>> StreamingSession::Create(
     const rdbsc::EngineConfig& config, core::ArrivalPolicy policy) {
@@ -21,9 +13,8 @@ util::StatusOr<std::unique_ptr<StreamingSession>> StreamingSession::Create(
       core::SolverRegistry::Global().Create(config.solver_name,
                                             config.solver_options);
   if (!solver.ok()) return solver.status();
-  const double eta = config.eta > 0.0 ? config.eta : kDefaultStreamingEta;
   std::unique_ptr<StreamingSession> session(
-      new StreamingSession(std::move(solver).value(), eta, policy));
+      new StreamingSession(std::move(solver).value(), config.eta, policy));
   session->assigner_->set_metrics(config.metrics, config.solver_name);
   return session;
 }

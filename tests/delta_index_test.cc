@@ -1,16 +1,19 @@
-// Property suite of the streaming delta engine: randomized event
-// sequences (cross-cell moves, same-cell jitter, task arrivals and
-// expirations, interleaved completions) asserting its contract -- the
-// delta-maintained state is bit-identical to a from-scratch rebuild: grid
-// cell summaries, the candidate edge set, and the per-round commitments.
+// Property suite of the streaming round engine: randomized event
+// sequences (moves, task arrivals and expirations, interleaved
+// completions) asserting its contract -- each round's candidate graph and
+// build plan equal Engine::BuildGraph of the same snapshot, and its
+// commitments equal a from-scratch round's.
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/registry.h"
+#include "engine/engine.h"
 #include "gtest/gtest.h"
 #include "index/grid_index.h"
 #include "obs/registry.h"
@@ -31,10 +34,10 @@ core::Task RandomTask(util::Rng& rng, double now) {
   return t;
 }
 
-core::Worker RandomWorker(util::Rng& rng) {
+core::Worker RandomWorker(util::Rng& rng, double speed_scale = 1.0) {
   core::Worker w;
   w.location = {rng.Uniform(0.1, 0.9), rng.Uniform(0.1, 0.9)};
-  w.velocity = rng.Uniform(0.4, 1.5);
+  w.velocity = rng.Uniform(0.4, 1.5) * speed_scale;
   w.confidence = rng.Uniform(0.8, 0.99);
   if (rng.Bernoulli(0.3)) {
     w.direction = geo::AngularInterval::FromWidth(
@@ -44,89 +47,10 @@ core::Worker RandomWorker(util::Rng& rng) {
 }
 
 // ---------------------------------------------------------------------------
-// GridIndex canonical-cell-state contract: an index mutated by an
-// arbitrary event history is bit-identical -- per-cell membership,
-// summaries, and retrieved pairs -- to a fresh index built from the
-// final member sets alone.
-
-TEST(DeltaIndexPropertyTest, MutatedIndexMatchesFreshIndexBitIdentically) {
-  for (uint64_t seed : {5u, 17u, 99u}) {
-    util::Rng rng(seed);
-    const double eta = 0.1;
-    index::GridIndex evolved(eta, 0.0, core::ArrivalPolicy::kStrict);
-    std::map<core::TaskId, core::Task> tasks;
-    std::map<core::WorkerId, core::Worker> workers;
-    double now = 0.0;
-
-    for (int step = 0; step < 120; ++step) {
-      now += rng.Uniform(0.0, 0.01);
-      evolved.set_now(now);
-      switch (rng.UniformInt(0, 4)) {
-        case 0: {
-          core::Task t = RandomTask(rng, now);
-          core::TaskId id = static_cast<core::TaskId>(step);
-          ASSERT_TRUE(evolved.InsertTask(id, t).ok());
-          tasks.emplace(id, t);
-          break;
-        }
-        case 1: {
-          if (tasks.empty()) break;
-          auto it = tasks.begin();
-          std::advance(it, rng.UniformInt(
-                               0, static_cast<int64_t>(tasks.size()) - 1));
-          ASSERT_TRUE(evolved.RemoveTask(it->first).ok());
-          tasks.erase(it);
-          break;
-        }
-        case 2: {
-          core::Worker w = RandomWorker(rng);
-          core::WorkerId id = static_cast<core::WorkerId>(step);
-          ASSERT_TRUE(evolved.InsertWorker(id, w).ok());
-          workers.emplace(id, w);
-          break;
-        }
-        case 3: {
-          if (workers.empty()) break;
-          auto it = workers.begin();
-          std::advance(it, rng.UniformInt(
-                               0, static_cast<int64_t>(workers.size()) - 1));
-          ASSERT_TRUE(evolved.RemoveWorker(it->first).ok());
-          workers.erase(it);
-          break;
-        }
-        default: {
-          if (workers.empty()) break;
-          auto it = workers.begin();
-          std::advance(it, rng.UniformInt(
-                               0, static_cast<int64_t>(workers.size()) - 1));
-          geo::Point to{rng.Uniform(0.1, 0.9), rng.Uniform(0.1, 0.9)};
-          ASSERT_TRUE(evolved.MoveWorker(it->first, to).ok());
-          it->second.location = to;
-          break;
-        }
-      }
-    }
-
-    index::GridIndex fresh(eta, now, core::ArrivalPolicy::kStrict);
-    for (const auto& [id, t] : tasks) ASSERT_TRUE(fresh.InsertTask(id, t).ok());
-    for (const auto& [id, w] : workers) {
-      ASSERT_TRUE(fresh.InsertWorker(id, w).ok());
-    }
-
-    ASSERT_EQ(evolved.num_cells(), fresh.num_cells());
-    for (int cell = 0; cell < evolved.num_cells(); ++cell) {
-      ASSERT_EQ(evolved.DebugCellState(cell), fresh.DebugCellState(cell))
-          << "seed " << seed << " cell " << cell;
-    }
-    EXPECT_EQ(evolved.RetrievePairs().value(), fresh.RetrievePairs().value())
-        << "seed " << seed;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end: randomized event scripts through the delta-maintained
-// assigner commit, every round, exactly what a from-scratch round commits
-// -- an id-sorted snapshot of the script's own copy of the world, a full
+// End-to-end: randomized event scripts through the assigner build, every
+// round, the graph Engine::BuildGraph builds from the same snapshot, and
+// commit exactly what a from-scratch round commits -- an id-sorted
+// snapshot of the script's own copy of the world, a full
 // CandidateGraph::Build, and a fresh registry solver.
 
 using Commits = std::vector<std::pair<core::TaskId, core::WorkerId>>;
@@ -157,28 +81,38 @@ struct WorldMirror {
     for (const auto& [task, worker] : committed) busy[worker] = task;
   }
 
+  /// The round's snapshot: open tasks and available workers in id order,
+  /// or nothing when either side is empty.
+  std::optional<core::Instance> Snapshot(
+      double now, std::vector<core::TaskId>* task_ids = nullptr,
+      std::vector<core::WorkerId>* worker_ids = nullptr) const {
+    std::vector<core::Task> open;
+    for (const auto& [id, task] : tasks) {
+      if (task_ids != nullptr) task_ids->push_back(id);
+      open.push_back(task);
+    }
+    std::vector<core::Worker> available;
+    for (const auto& [id, worker] : workers) {
+      if (busy.contains(id)) continue;
+      if (worker_ids != nullptr) worker_ids->push_back(id);
+      available.push_back(worker);
+    }
+    if (open.empty() || available.empty()) return std::nullopt;
+    return core::Instance(std::move(open), std::move(available), now,
+                          core::ArrivalPolicy::kAllowWait);
+  }
+
   /// The round computed from scratch, in global ids and ascending worker
   /// order (the assigner's commit order).
   Commits ReferenceRound(double now, const std::string& solver_name) const {
     std::vector<core::TaskId> task_ids;
-    std::vector<core::Task> open;
-    for (const auto& [id, task] : tasks) {
-      task_ids.push_back(id);
-      open.push_back(task);
-    }
     std::vector<core::WorkerId> worker_ids;
-    std::vector<core::Worker> available;
-    for (const auto& [id, worker] : workers) {
-      if (busy.contains(id)) continue;
-      worker_ids.push_back(id);
-      available.push_back(worker);
-    }
-    if (open.empty() || available.empty()) return {};
-    const core::Instance snapshot(std::move(open), std::move(available), now,
-                                  core::ArrivalPolicy::kAllowWait);
-    const core::CandidateGraph graph = core::CandidateGraph::Build(snapshot);
+    const std::optional<core::Instance> snapshot =
+        Snapshot(now, &task_ids, &worker_ids);
+    if (!snapshot.has_value()) return {};
+    const core::CandidateGraph graph = core::CandidateGraph::Build(*snapshot);
     auto solver = core::SolverRegistry::Global().Create(solver_name).value();
-    const core::SolveResult solve = solver->Solve(snapshot, graph).value();
+    const core::SolveResult solve = solver->Solve(*snapshot, graph).value();
     Commits committed;
     for (size_t local = 0; local < worker_ids.size(); ++local) {
       const core::TaskId task =
@@ -192,16 +126,76 @@ struct WorldMirror {
   }
 };
 
+/// Rows of a candidate graph, one sorted task list per worker.
+using Rows = std::vector<std::vector<core::TaskId>>;
+
+Rows RowsOf(const core::CandidateGraph& graph, int num_workers) {
+  Rows rows(static_cast<size_t>(num_workers));
+  for (core::WorkerId j = 0; j < num_workers; ++j) {
+    const auto tasks = graph.TasksOf(j);
+    rows[static_cast<size_t>(j)].assign(tasks.begin(), tasks.end());
+  }
+  return rows;
+}
+
+/// GREEDY that keeps the rows of the last graph it was asked to solve on.
+class RecordingSolver : public core::Solver {
+ public:
+  RecordingSolver()
+      : greedy_(core::SolverRegistry::Global().Create("greedy").value()) {}
+  std::string_view name() const override { return "RECORDING-GREEDY"; }
+
+  /// Rows of the last solve's graph, cleared by each read.
+  std::optional<Rows> TakeRows() { return std::exchange(rows_, std::nullopt); }
+
+ protected:
+  util::StatusOr<core::SolveResult> SolveImpl(
+      const core::Instance& instance, const core::CandidateGraph& graph,
+      const util::Deadline& deadline, util::Executor& executor,
+      core::SolveStats* partial_stats) override {
+    rows_ = RowsOf(graph, instance.num_workers());
+    core::SolveRequest request;
+    request.instance = &instance;
+    request.graph = &graph;
+    request.deadline = &deadline;
+    request.executor = &executor;
+    request.partial_stats = partial_stats;
+    return greedy_->Solve(request);
+  }
+
+ private:
+  std::unique_ptr<core::Solver> greedy_;
+  std::optional<Rows> rows_;
+};
+
+/// Which graph paths the rounds of the scripts took.
+struct PathCounts {
+  int grid = 0;
+  int brute = 0;
+};
+
 /// Drives one seeded event script through the assigner, checking every
-/// round against the from-scratch reference.
-void RunEventScript(uint64_t seed) {
-  auto solver = core::SolverRegistry::Global().Create("greedy").value();
-  sim::IncrementalAssigner assigner(solver.get(), 0.08);
+/// round's graph against Engine::BuildGraph of the same snapshot (an
+/// engine planning with the assigner's eta) and its commitments against
+/// the from-scratch reference. `speed_scale` scales worker speeds: slow
+/// workers reach few cells, so the planner picks the grid for some rounds.
+void RunEventScript(uint64_t seed, double eta, double speed_scale,
+                    PathCounts* paths) {
+  RecordingSolver solver;
+  sim::IncrementalAssigner assigner(&solver, eta);
+  obs::Registry registry;
+  assigner.set_metrics(&registry, "greedy");
+  EngineConfig config;
+  config.solver_name = "greedy";
+  config.eta = eta;
+  const Engine engine = Engine::Create(config).value();
+  const obs::Labels grid = {{"solver", "greedy"}, {"path", "grid"}};
+  const obs::Labels brute = {{"solver", "greedy"}, {"path", "brute"}};
 
   util::Rng rng(seed);
   WorldMirror world;
   for (core::WorkerId j = 0; j < 12; ++j) {
-    const core::Worker worker = RandomWorker(rng);
+    const core::Worker worker = RandomWorker(rng, speed_scale);
     ASSERT_TRUE(assigner.AddWorker(j, worker).ok());
     world.workers.emplace(j, worker);
   }
@@ -252,54 +246,122 @@ void RunEventScript(uint64_t seed) {
     ASSERT_TRUE(applied.ok()) << applied.message();
     world.ExpireBefore(now);
     const Commits want = world.ReferenceRound(now, "greedy");
+    const std::optional<core::Instance> snapshot = world.Snapshot(now);
+    const index::DeltaStats before = assigner.delta_stats();
+    const int64_t grid_before = registry.GetCounter("sim.round_graph", grid)
+                                    .value();
     auto committed = assigner.Update(now);
     ASSERT_TRUE(committed.ok()) << committed.status().ToString();
     EXPECT_EQ(committed.value(), want) << "seed " << seed << " round " << round;
     world.Commit(committed.value());
+
+    const std::optional<Rows> rows = solver.TakeRows();
+    ASSERT_EQ(rows.has_value(), snapshot.has_value()) << "round " << round;
+    if (!snapshot.has_value()) continue;
+    GraphPlan plan;
+    const core::CandidateGraph reference =
+        engine.BuildGraph(*snapshot, &plan).value();
+    EXPECT_EQ(*rows, RowsOf(reference, snapshot->num_workers()))
+        << "seed " << seed << " round " << round;
+    const bool round_used_grid =
+        registry.GetCounter("sim.round_graph", grid).value() > grid_before;
+    EXPECT_EQ(round_used_grid, plan.used_grid_index)
+        << "seed " << seed << " round " << round;
+    EXPECT_EQ((assigner.delta_stats() - before).edges_repaired, plan.edges)
+        << "seed " << seed << " round " << round;
   }
+  paths->grid += static_cast<int>(
+      registry.GetCounter("sim.round_graph", grid).value());
+  paths->brute += static_cast<int>(
+      registry.GetCounter("sim.round_graph", brute).value());
 }
 
 TEST(DeltaIndexPropertyTest, DeltaEqualsRebuildOverEventScripts) {
-  for (uint64_t seed : {11u, 23u, 42u}) RunEventScript(seed);
+  PathCounts paths;
+  for (uint64_t seed : {11u, 23u, 42u}) {
+    for (double eta : {0.08, 0.0}) {
+      RunEventScript(seed, eta, /*speed_scale=*/1.0, &paths);
+      RunEventScript(seed, eta, /*speed_scale=*/0.03, &paths);
+    }
+  }
+  // The scripts exercised both build paths.
+  EXPECT_GT(paths.grid, 0);
+  EXPECT_GT(paths.brute, 0);
 }
 
-// Every round that builds a graph takes its edges from one full index
-// retrieval, on small streams too, and its counters say exactly that.
+// Every round that builds a graph plans and builds it once, as the engine
+// would from the round snapshot, and its counters say exactly that: one
+// sim.round_graph increment on the planned path, and the DeltaStats of
+// that build. Slow workers on a small grid make the planner pick the
+// grid; fast ones make it pick brute force.
 TEST(DeltaIndexPropertyTest, EachRoundIsOneFullRetrieval) {
-  obs::Registry registry;
-  auto solver = core::SolverRegistry::Global().Create("greedy").value();
-  sim::IncrementalAssigner assigner(solver.get(), 0.08);
-  assigner.set_metrics(&registry, "greedy");
-  util::Rng rng(5);
-  constexpr int kWorkers = 12;
-  for (core::WorkerId j = 0; j < kWorkers; ++j) {
-    ASSERT_TRUE(assigner.AddWorker(j, RandomWorker(rng)).ok());
-  }
-  sim::EventBatch batch;
-  batch.now = 0.1;
-  for (core::TaskId i = 0; i < 6; ++i) {
-    batch.arrived.push_back({i, RandomTask(rng, batch.now)});
-  }
-  batch.moved.push_back({3, {0.5, 0.5}});
-  ASSERT_TRUE(assigner.ApplyEvents(batch).ok());
+  for (const double speed_scale : {1.0, 0.01}) {
+    obs::Registry registry;
+    auto solver = core::SolverRegistry::Global().Create("greedy").value();
+    constexpr double kEta = 0.1;
+    sim::IncrementalAssigner assigner(solver.get(), kEta);
+    assigner.set_metrics(&registry, "greedy");
+    util::Rng rng(5);
+    constexpr int kWorkers = 12;
+    std::vector<core::Worker> workers;
+    for (core::WorkerId j = 0; j < kWorkers; ++j) {
+      workers.push_back(RandomWorker(rng, speed_scale));
+      // Worker 3 moves next to task 0 below, so the round has an edge.
+      if (j == 3) workers.back().direction = geo::AngularInterval::FullCircle();
+      ASSERT_TRUE(assigner.AddWorker(j, workers.back()).ok());
+    }
+    // A round with nothing to assign builds no graph.
+    ASSERT_TRUE(assigner.Update(0.0).ok());
+    EXPECT_EQ(assigner.delta_stats().bulk_refills, 0);
 
-  index::RetrievalStats rstats;
-  const size_t pairs = assigner.index().RetrievePairs(&rstats).value().size();
-  ASSERT_GT(pairs, 0u);
-  const index::DeltaStats before = assigner.delta_stats();
-  ASSERT_TRUE(assigner.Update(batch.now).ok());
-  const index::DeltaStats round = assigner.delta_stats() - before;
-  EXPECT_EQ(round.bulk_refills, 1);
-  EXPECT_EQ(round.rows_recomputed, kWorkers);
-  EXPECT_EQ(round.edges_repaired, static_cast<int64_t>(pairs));
-  EXPECT_EQ(round.cells_touched,
-            rstats.cell_pairs_examined - rstats.cell_pairs_pruned);
-  EXPECT_EQ(round.rows_reused, 0);
+    sim::EventBatch batch;
+    batch.now = 0.1;
+    std::vector<core::Task> tasks;
+    for (core::TaskId i = 0; i < 40; ++i) {
+      tasks.push_back(RandomTask(rng, batch.now));
+      if (i == 0) tasks.back().location = {0.502, 0.5};
+      batch.arrived.push_back({i, tasks.back()});
+    }
+    batch.moved.push_back({3, {0.5, 0.5}});
+    workers[3].location = {0.5, 0.5};
+    ASSERT_TRUE(assigner.ApplyEvents(batch).ok());
 
-  EXPECT_EQ(registry.GetCounter("sim.delta.bulk_refills").value(), 1);
-  for (const obs::MetricSnapshot& metric : registry.Snapshot().metrics) {
-    EXPECT_NE(metric.name, "sim.delta.rows_reused");
-    EXPECT_NE(metric.name, "sim.delta.compactions");
+    const core::Instance snapshot(tasks, workers, batch.now,
+                                  core::ArrivalPolicy::kAllowWait);
+    const engine::BuildChoice choice =
+        engine::PlanGraphBuild(snapshot, GraphStrategy::kAuto, kEta, 2.0);
+    EXPECT_EQ(choice.use_grid, speed_scale < 1.0);
+    GraphPlan plan;
+    index::RetrievalStats rstats;
+    ASSERT_TRUE(engine::BuildPlannedGraph(snapshot, choice, &plan,
+                                          util::Deadline(), nullptr, &rstats)
+                    .ok());
+    ASSERT_GT(plan.edges, 0);
+
+    const index::DeltaStats before = assigner.delta_stats();
+    ASSERT_TRUE(assigner.Update(batch.now).ok());
+    const index::DeltaStats round = assigner.delta_stats() - before;
+    EXPECT_EQ(round.bulk_refills, 1);
+    EXPECT_EQ(round.rows_recomputed, kWorkers);
+    EXPECT_EQ(round.edges_repaired, plan.edges);
+    EXPECT_EQ(round.cells_touched,
+              choice.use_grid
+                  ? rstats.cell_pairs_examined - rstats.cell_pairs_pruned
+                  : 0);
+    EXPECT_EQ(round.rows_reused, 0);
+
+    const obs::Labels grid = {{"solver", "greedy"}, {"path", "grid"}};
+    const obs::Labels brute = {{"solver", "greedy"}, {"path", "brute"}};
+    EXPECT_EQ(registry.GetCounter("sim.round_graph", grid).value(),
+              choice.use_grid ? 1 : 0);
+    EXPECT_EQ(registry.GetCounter("sim.round_graph", brute).value(),
+              choice.use_grid ? 0 : 1);
+    EXPECT_EQ(registry.GetCounter("sim.delta.bulk_refills").value(), 1);
+    for (const obs::MetricSnapshot& metric : registry.Snapshot().metrics) {
+      EXPECT_NE(metric.name, "sim.delta.rows_reused");
+      EXPECT_NE(metric.name, "sim.delta.tcell_rebuilds");
+      EXPECT_NE(metric.name, "sim.delta.tcell_patches");
+    }
   }
 }
 
@@ -396,10 +458,21 @@ TEST(StreamingSessionTest, EngineMetricsRecordRoundTimers) {
     EXPECT_EQ(registry.GetHistogram(name, labels, 1e-9).Snapshot().count(), 1)
         << name;
   }
-  // The worker's cell built its tcell_list once; the task arrived before
-  // any list existed, so nothing was patched.
-  EXPECT_EQ(registry.GetCounter("sim.delta.tcell_rebuilds").value(), 1);
-  EXPECT_EQ(registry.GetCounter("sim.delta.tcell_patches").value(), 0);
+  // One task and one worker: the planner prices brute force cheaper.
+  EXPECT_EQ(registry
+                .GetCounter("sim.round_graph",
+                            {{"solver", "greedy"}, {"path", "brute"}})
+                .value(),
+            1);
+  EXPECT_EQ(registry
+                .GetCounter("sim.round_graph",
+                            {{"solver", "greedy"}, {"path", "grid"}})
+                .value(),
+            0);
+  for (const obs::MetricSnapshot& metric : registry.Snapshot().metrics) {
+    EXPECT_NE(metric.name, "sim.delta.tcell_rebuilds");
+    EXPECT_NE(metric.name, "sim.delta.tcell_patches");
+  }
 }
 
 TEST(StreamingSessionTest, UnknownSolverSurfacesNotFound) {

@@ -73,90 +73,6 @@ TEST(GridIndexTest, PruningActuallyFires) {
   ExpectSameEdges(instance, index);  // and pruning is safe
 }
 
-TEST(GridIndexTest, DuplicateInsertRejected) {
-  GridIndex index(0.1);
-  core::Worker w;
-  w.location = {0.2, 0.2};
-  EXPECT_TRUE(index.InsertWorker(1, w).ok());
-  util::Status dup = index.InsertWorker(1, w);
-  EXPECT_EQ(dup.code(), util::StatusCode::kAlreadyExists);
-  core::Task t = test::MakeTask();
-  EXPECT_TRUE(index.InsertTask(1, t).ok());
-  EXPECT_EQ(index.InsertTask(1, t).code(),
-            util::StatusCode::kAlreadyExists);
-}
-
-TEST(GridIndexTest, RemoveMissingRejected) {
-  GridIndex index(0.1);
-  EXPECT_EQ(index.RemoveWorker(5).code(), util::StatusCode::kNotFound);
-  EXPECT_EQ(index.RemoveTask(5).code(), util::StatusCode::kNotFound);
-}
-
-TEST(GridIndexTest, DynamicChurnStaysConsistent) {
-  Instance instance = test::SmallInstance(11, 30, 40);
-  GridIndex index = GridIndex::Build(instance, 0.1);
-  // Remove half the workers and a third of the tasks...
-  std::vector<core::Task> tasks;
-  std::vector<core::Worker> workers;
-  for (WorkerId j = 0; j < instance.num_workers(); ++j) {
-    if (j % 2 == 0) {
-      ASSERT_TRUE(index.RemoveWorker(j).ok());
-    }
-  }
-  for (TaskId i = 0; i < instance.num_tasks(); ++i) {
-    if (i % 3 == 0) {
-      ASSERT_TRUE(index.RemoveTask(i).ok());
-    }
-  }
-  // ... and rebuild the same reduced instance for brute-force comparison,
-  // re-inserting under fresh contiguous ids.
-  GridIndex fresh(0.1);
-  std::vector<core::Task> kept_tasks;
-  std::vector<core::Worker> kept_workers;
-  for (TaskId i = 0; i < instance.num_tasks(); ++i) {
-    if (i % 3 != 0) kept_tasks.push_back(instance.task(i));
-  }
-  for (WorkerId j = 0; j < instance.num_workers(); ++j) {
-    if (j % 2 != 0) kept_workers.push_back(instance.worker(j));
-  }
-  Instance reduced(kept_tasks, kept_workers, instance.now(),
-                   instance.policy());
-  for (TaskId i = 0; i < reduced.num_tasks(); ++i) {
-    ASSERT_TRUE(fresh.InsertTask(i, reduced.task(i)).ok());
-  }
-  for (WorkerId j = 0; j < reduced.num_workers(); ++j) {
-    ASSERT_TRUE(fresh.InsertWorker(j, reduced.worker(j)).ok());
-  }
-  ExpectSameEdges(reduced, fresh);
-
-  // The churned index must agree with brute force on the surviving ids.
-  CandidateGraph brute = CandidateGraph::Build(instance);
-  std::vector<std::vector<TaskId>> edges =
-      index.RetrieveEdges(instance.num_workers()).value();
-  for (WorkerId j = 0; j < instance.num_workers(); ++j) {
-    if (j % 2 == 0) {
-      EXPECT_TRUE(edges[j].empty());
-      continue;
-    }
-    std::vector<TaskId> expected;
-    for (TaskId i : brute.TasksOf(j)) {
-      if (i % 3 != 0) expected.push_back(i);
-    }
-    std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(edges[j], expected) << "worker " << j;
-  }
-}
-
-TEST(GridIndexTest, ReinsertAfterRemoveWorks) {
-  GridIndex index(0.2);
-  core::Worker w;
-  w.location = {0.5, 0.5};
-  ASSERT_TRUE(index.InsertWorker(0, w).ok());
-  ASSERT_TRUE(index.RemoveWorker(0).ok());
-  EXPECT_TRUE(index.InsertWorker(0, w).ok());
-  EXPECT_EQ(index.num_workers(), 1);
-}
-
 TEST(GridIndexTest, ReachableCellsSubsetOfAllTaskCells) {
   Instance instance = test::SmallInstance(17, 40, 40);
   GridIndex index = GridIndex::Build(instance, 0.1);
@@ -167,77 +83,6 @@ TEST(GridIndexTest, ReachableCellsSubsetOfAllTaskCells) {
     EXPECT_GE(cell, 0);
     EXPECT_LT(cell, index.num_cells());
   }
-}
-
-TEST(GridIndexTest, CachedReachabilityMatchesFreshAfterChurn) {
-  Instance instance = test::SmallInstance(19, 50, 50);
-  GridIndex index = GridIndex::Build(instance, 0.1);
-  util::Rng rng(19);
-
-  // Warm the cache everywhere.
-  for (int cell = 0; cell < index.num_cells(); ++cell) {
-    index.CachedReachable(cell);
-  }
-  int64_t rebuilds_after_warm = index.reachability_rebuilds();
-
-  // Random insert/remove churn with cache patching along the way.
-  std::vector<bool> worker_in(instance.num_workers(), true);
-  std::vector<bool> task_in(instance.num_tasks(), true);
-  for (int step = 0; step < 120; ++step) {
-    if (rng.Bernoulli(0.5)) {
-      WorkerId j = static_cast<WorkerId>(
-          rng.UniformInt(0, instance.num_workers() - 1));
-      if (worker_in[j]) {
-        ASSERT_TRUE(index.RemoveWorker(j).ok());
-      } else {
-        ASSERT_TRUE(index.InsertWorker(j, instance.worker(j)).ok());
-      }
-      worker_in[j] = !worker_in[j];
-    } else {
-      TaskId i = static_cast<TaskId>(
-          rng.UniformInt(0, instance.num_tasks() - 1));
-      if (task_in[i]) {
-        ASSERT_TRUE(index.RemoveTask(i).ok());
-      } else {
-        ASSERT_TRUE(index.InsertTask(i, instance.task(i)).ok());
-      }
-      task_in[i] = !task_in[i];
-    }
-  }
-  EXPECT_GT(index.reachability_patches(), 0);
-
-  // The cached lists must equal a from-scratch index over the survivors.
-  GridIndex fresh(0.1, instance.now(), instance.policy());
-  for (TaskId i = 0; i < instance.num_tasks(); ++i) {
-    if (task_in[i]) {
-      ASSERT_TRUE(fresh.InsertTask(i, instance.task(i)).ok());
-    }
-  }
-  for (WorkerId j = 0; j < instance.num_workers(); ++j) {
-    if (worker_in[j]) {
-      ASSERT_TRUE(fresh.InsertWorker(j, instance.worker(j)).ok());
-    }
-  }
-  for (int cell = 0; cell < index.num_cells(); ++cell) {
-    EXPECT_EQ(index.CachedReachable(cell), fresh.CachedReachable(cell))
-        << "cell " << cell;
-  }
-  // And retrieval stays exact.
-  std::vector<core::Task> kept_tasks;
-  std::vector<core::Worker> kept_workers_padded = instance.workers();
-  auto edges = index.RetrieveEdges(instance.num_workers()).value();
-  CandidateGraph brute = CandidateGraph::Build(instance);
-  for (WorkerId j = 0; j < instance.num_workers(); ++j) {
-    std::vector<TaskId> expected;
-    if (worker_in[j]) {
-      for (TaskId i : brute.TasksOf(j)) {
-        if (task_in[i]) expected.push_back(i);
-      }
-    }
-    std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(edges[j], expected) << "worker " << j;
-  }
-  (void)rebuilds_after_warm;
 }
 
 // The direction rule reads each cell pair's bearing interval from a
@@ -330,12 +175,50 @@ TEST_P(CellBearingTableTest, MatchesBoxBearingsForEveryCellPair) {
   EXPECT_EQ(verdict_mismatches, 0);
 }
 
+// One grid cell's summaries, folded from an instance the way
+// GridIndex::Build folds them (members in ascending id order).
+struct CellSummary {
+  bool has_workers = false;
+  bool has_tasks = false;
+  double v_max = 0.0;
+  geo::AngularInterval cover = geo::AngularInterval::FullCircle();
+  double e_max = 0.0;
+};
+
+std::vector<CellSummary> SummarizeCells(const Instance& instance,
+                                        const GridIndex& index) {
+  const int cpa = index.cells_per_axis();
+  const double eta = index.eta();
+  auto cell_of = [cpa, eta](geo::Point p) {
+    const int cx = std::min(
+        static_cast<int>(std::clamp(p.x, 0.0, 1.0) / eta), cpa - 1);
+    const int cy = std::min(
+        static_cast<int>(std::clamp(p.y, 0.0, 1.0) / eta), cpa - 1);
+    return cy * cpa + cx;
+  };
+  std::vector<CellSummary> cells(static_cast<size_t>(index.num_cells()));
+  for (const core::Worker& worker : instance.workers()) {
+    CellSummary& cell = cells[static_cast<size_t>(cell_of(worker.location))];
+    cell.v_max = std::max(cell.v_max, worker.velocity);
+    cell.cover = cell.has_workers
+                     ? geo::CoverUnion(cell.cover, worker.direction)
+                     : worker.direction;
+    cell.has_workers = true;
+  }
+  for (const core::Task& task : instance.tasks()) {
+    CellSummary& cell = cells[static_cast<size_t>(cell_of(task.location))];
+    cell.e_max = cell.has_tasks ? std::max(cell.e_max, task.end) : task.end;
+    cell.has_tasks = true;
+  }
+  return cells;
+}
+
 // The tcell_list of `cell` under the Section 7.1 pruning rule with every
 // bearing interval computed from the eta-scaled cell boxes: the rule as
 // it stood before the per-offset table. Counts the cell pairs only the
 // direction rule pruned into `direction_pruned`.
 std::vector<int> BoxRuleReachable(const GridIndex& index,
-                                  const std::vector<CellState>& states,
+                                  const std::vector<CellSummary>& cells,
                                   int cell, int64_t* direction_pruned) {
   const int cpa = index.cells_per_axis();
   const double eta = index.eta();
@@ -344,20 +227,19 @@ std::vector<int> BoxRuleReachable(const GridIndex& index,
     const int cy = c / cpa;
     return geo::Box{{cx * eta, cy * eta}, {(cx + 1) * eta, (cy + 1) * eta}};
   };
-  const CellState& from = states[static_cast<size_t>(cell)];
+  const CellSummary& from = cells[static_cast<size_t>(cell)];
   std::vector<int> reachable;
-  if (from.workers.empty() || from.v_max <= 0.0) return reachable;
-  const geo::AngularInterval cover =
-      geo::AngularInterval::FromWidth(from.dir_lo, from.dir_width);
+  if (!from.has_workers || from.v_max <= 0.0) return reachable;
   for (int to = 0; to < index.num_cells(); ++to) {
-    const CellState& target = states[static_cast<size_t>(to)];
-    if (target.tasks.empty()) continue;
+    const CellSummary& target = cells[static_cast<size_t>(to)];
+    if (!target.has_tasks) continue;
     const double t_min = index.now() + geo::MinDistance(box_of(cell),
                                                         box_of(to)) /
                                            from.v_max;
     if (t_min > target.e_max) continue;
-    if (to != cell && from.has_dir_cover &&
-        !geo::BearingInterval(box_of(cell), box_of(to)).Intersects(cover)) {
+    if (to != cell &&
+        !geo::BearingInterval(box_of(cell), box_of(to)).Intersects(
+            from.cover)) {
       ++*direction_pruned;
       continue;
     }
@@ -366,9 +248,10 @@ std::vector<int> BoxRuleReachable(const GridIndex& index,
   return reachable;
 }
 
-// After worker and task churn (moves included) the cached tcell_lists
-// equal both a fresh index's lists and the box-based rule's, at each grid
-// size.
+// After worker and task churn in the world (departures, returns and
+// moves), the tcell_lists of an index built fresh from the surviving
+// members equal the box-based rule's, at each grid size -- whether they
+// were warmed by a retrieval pass or built one cell at a time.
 TEST_P(CellBearingTableTest, CachedListsMatchFreshIndexAndBoxRuleAfterChurn) {
   const int cpa = GetParam();
   gen::WorkloadConfig config;
@@ -381,11 +264,6 @@ TEST_P(CellBearingTableTest, CachedListsMatchFreshIndexAndBoxRuleAfterChurn) {
   config.v_max = 0.3;
   config.seed = 100 + static_cast<uint64_t>(cpa);
   const Instance instance = gen::GenerateInstance(config);
-  GridIndex index = GridIndex::Build(instance, 1.0 / cpa);
-  ASSERT_EQ(index.cells_per_axis(), cpa);
-  for (int cell = 0; cell < index.num_cells(); ++cell) {
-    index.CachedReachable(cell);
-  }
 
   util::Rng rng(static_cast<uint64_t>(cpa));
   std::vector<core::Worker> workers = instance.workers();
@@ -398,52 +276,41 @@ TEST_P(CellBearingTableTest, CachedListsMatchFreshIndexAndBoxRuleAfterChurn) {
         static_cast<TaskId>(rng.UniformInt(0, instance.num_tasks() - 1));
     switch (rng.UniformInt(0, 2)) {
       case 0:
-        if (worker_in[j]) {
-          ASSERT_TRUE(index.RemoveWorker(j).ok());
-        } else {
-          ASSERT_TRUE(index.InsertWorker(j, workers[j]).ok());
-        }
         worker_in[j] = !worker_in[j];
         break;
       case 1:
-        if (task_in[i]) {
-          ASSERT_TRUE(index.RemoveTask(i).ok());
-        } else {
-          ASSERT_TRUE(index.InsertTask(i, instance.task(i)).ok());
-        }
         task_in[i] = !task_in[i];
         break;
       default:
         if (!worker_in[j]) break;
         workers[j].location = {rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)};
-        ASSERT_TRUE(index.MoveWorker(j, workers[j].location).ok());
         break;
     }
   }
-
-  GridIndex fresh(1.0 / cpa, instance.now(), instance.policy());
+  std::vector<core::Task> kept_tasks;
   for (TaskId i = 0; i < instance.num_tasks(); ++i) {
-    if (task_in[i]) {
-      ASSERT_TRUE(fresh.InsertTask(i, instance.task(i)).ok());
-    }
+    if (task_in[i]) kept_tasks.push_back(instance.task(i));
   }
+  std::vector<core::Worker> kept_workers;
   for (WorkerId j = 0; j < instance.num_workers(); ++j) {
-    if (worker_in[j]) {
-      ASSERT_TRUE(fresh.InsertWorker(j, workers[j]).ok());
-    }
+    if (worker_in[j]) kept_workers.push_back(workers[j]);
   }
-  std::vector<CellState> states;
-  for (int cell = 0; cell < fresh.num_cells(); ++cell) {
-    states.push_back(fresh.DebugCellState(cell));
-  }
+  const Instance survivors(std::move(kept_tasks), std::move(kept_workers),
+                           instance.now(), instance.policy());
+
+  const GridIndex warmed = GridIndex::Build(survivors, 1.0 / cpa);
+  ASSERT_EQ(warmed.cells_per_axis(), cpa);
+  ASSERT_TRUE(warmed.RetrieveEdges(survivors.num_workers()).ok());
+  const GridIndex fresh = GridIndex::Build(survivors, 1.0 / cpa);
+  const std::vector<CellSummary> cells = SummarizeCells(survivors, fresh);
   int64_t pruned_by_direction = 0;
-  for (int cell = 0; cell < index.num_cells(); ++cell) {
+  for (int cell = 0; cell < fresh.num_cells(); ++cell) {
     const std::vector<int> want =
-        BoxRuleReachable(fresh, states, cell, &pruned_by_direction);
+        BoxRuleReachable(fresh, cells, cell, &pruned_by_direction);
     EXPECT_EQ(fresh.CachedReachable(cell), want) << "cpa " << cpa << " cell "
                                                  << cell;
-    EXPECT_EQ(index.CachedReachable(cell), want) << "cpa " << cpa << " cell "
-                                                 << cell;
+    EXPECT_EQ(warmed.CachedReachable(cell), want) << "cpa " << cpa << " cell "
+                                                  << cell;
   }
   // Up to 2x2 cells every cell touches every other, so every bearing
   // interval is the full circle and the direction rule cannot prune.
@@ -467,19 +334,13 @@ TEST(GridIndexTest, WarmCacheAvoidsRebuilds) {
 
 TEST(GridIndexTest, ConcurrentRetrievalIsSafeAndConsistent) {
   // Regression: lazy summary repair used to mutate cells from the const
-  // retrieval path, so two concurrent read-only retrievals raced. Repair
-  // is now eager (on mutation) and the reachability cache is guarded, so
-  // concurrent retrievals on a shared index must all agree with a single
-  // serial retrieval -- including right after churn left caches cold.
+  // retrieval path, so two concurrent read-only retrievals raced. The
+  // summaries are now sealed by Build and the reachability cache is
+  // guarded, so concurrent retrievals on a shared index -- whose
+  // tcell_lists are all still cold -- must agree with a single serial
+  // retrieval.
   Instance instance = test::SmallInstance(29, 60, 60);
-  GridIndex index = GridIndex::Build(instance, 0.1);
-  // Churn so summaries shrank and several tcell_lists are invalid.
-  for (WorkerId j = 0; j < instance.num_workers(); j += 4) {
-    ASSERT_TRUE(index.RemoveWorker(j).ok());
-  }
-  for (TaskId i = 0; i < instance.num_tasks(); i += 5) {
-    ASSERT_TRUE(index.RemoveTask(i).ok());
-  }
+  const GridIndex index = GridIndex::Build(instance, 0.1);
 
   constexpr int kReaders = 4;
   std::vector<std::vector<std::vector<TaskId>>> edges(kReaders);
@@ -515,9 +376,6 @@ TEST(GridIndexTest, RetrievalReportsTrippedDeadline) {
       index.RetrieveEdges(instance.num_workers(), nullptr, nullptr, tripped);
   EXPECT_FALSE(edges.ok());
   EXPECT_EQ(edges.status().code(), util::StatusCode::kCancelled);
-  auto pairs = index.RetrievePairs(nullptr, nullptr, tripped);
-  EXPECT_FALSE(pairs.ok());
-  EXPECT_EQ(pairs.status().code(), util::StatusCode::kCancelled);
 }
 
 TEST(GridIndexTest, EtaClamping) {

@@ -11,7 +11,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/diversity.h"
 #include "core/instance.h"
+#include "core/model.h"
 #include "core/registry.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -276,11 +278,19 @@ TEST(IncrementalAssignerTest, RemoveTaskVoidsExactlyPendingCommitments) {
     std::map<core::WorkerId, std::set<core::TaskId>> completed;
     int recommits = 0;
     int voided = 0;
+    // Workers voided by the last withdrawal: every task is within reach
+    // of every home, so the next round commits each of them again.
+    std::vector<core::WorkerId> freed;
     for (int round = 0; round < 40; ++round) {
       const auto committed = assigner.Update(0.1 * round).value();
       for (const auto& [tid, wid] : committed) {
         if (completed[wid].contains(tid)) ++recommits;
       }
+      for (core::WorkerId wid : freed) {
+        EXPECT_NE(assigner.CommittedTask(wid), core::kNoTask)
+            << "voided worker " << wid << " is not assignable again";
+      }
+      freed.clear();
       // Complete about half of the busy workers back at home, so the next
       // round may commit them to the same task again.
       for (const auto& [wid, home] : homes) {
@@ -313,8 +323,7 @@ TEST(IncrementalAssignerTest, RemoveTaskVoidsExactlyPendingCommitments) {
           if (task == id) {
             EXPECT_EQ(assigner.CommittedTask(wid), core::kNoTask)
                 << "seed " << seed << " round " << round << " worker " << wid;
-            EXPECT_NE(assigner.index().FindWorker(wid), nullptr)
-                << "voided worker " << wid << " is not assignable again";
+            freed.push_back(wid);
             ++voided;
           } else {
             EXPECT_EQ(assigner.CommittedTask(wid), task)
@@ -425,10 +434,21 @@ TEST(InputGuardTest, SeededFieldMutationsAreRejectedInEveryBuild) {
     ASSERT_TRUE(assigner.AddWorker(id, valid_worker).ok());
     const util::Status moved = assigner.MoveWorker(id, worker.location);
     EXPECT_TRUE(names(moved, id)) << where << ": " << moved.message();
-    ASSERT_NE(assigner.index().FindWorker(id), nullptr);
     ASSERT_TRUE(assigner.AddTask(1, valid_task).ok());
     assigner.Update(0.0).value();
-    if (assigner.CommittedTask(id) != 1) continue;
+    // The rejected move left the worker at its registered position: the
+    // round commits it exactly when that position reaches the task, and
+    // observes its contribution from there.
+    const bool reachable = core::IsValidPair(valid_task, valid_worker, 0.0,
+                                             core::ArrivalPolicy::kAllowWait);
+    ASSERT_EQ(assigner.CommittedTask(id) == 1, reachable) << where;
+    if (!reachable) continue;
+    EXPECT_EQ(assigner.Objectives().total_std,
+              core::ExpectedStd(valid_task,
+                                {core::MakeObservation(
+                                    valid_task, valid_worker, 0.0,
+                                    core::ArrivalPolicy::kAllowWait)}))
+        << where;
     const util::Status completed =
         assigner.CompleteWorker(id, worker.location);
     EXPECT_TRUE(names(completed, id)) << where << ": " << completed.message();
@@ -440,7 +460,7 @@ TEST(InputGuardTest, SeededFieldMutationsAreRejectedInEveryBuild) {
 
 // A NaN or infinite round clock is rejected with kInvalidArgument naming
 // the field before ApplyEvents or Update touches any state -- in Release
-// too, where std::max(NaN, clock) would otherwise store NaN in the index.
+// too, where no assert guards the clock.
 TEST(InputGuardTest, NonFiniteClockIsRejectedBeforeAnyState) {
   auto solver = core::SolverRegistry::Global().Create("greedy").value();
   IncrementalAssigner assigner(solver.get(), 0.1);
@@ -467,13 +487,52 @@ TEST(InputGuardTest, NonFiniteClockIsRejectedBeforeAnyState) {
     EXPECT_TRUE(round.status().message().starts_with("now = "))
         << round.status().message();
 
-    EXPECT_EQ(assigner.index().now(), 1.0) << bad;
+    EXPECT_EQ(assigner.now(), 1.0) << bad;
     EXPECT_EQ(assigner.num_open_tasks(), 2) << bad;
     EXPECT_EQ(assigner.CommittedTask(7), committed) << bad;
   }
   // The rejected rounds left the assigner usable.
   ASSERT_TRUE(assigner.Update(2.0).ok());
-  EXPECT_EQ(assigner.index().now(), 2.0);
+  EXPECT_EQ(assigner.now(), 2.0);
+}
+
+// A clock earlier than the assigner's is rejected with kInvalidArgument
+// naming both values before ApplyEvents or Update touches any state, so a
+// round's graph and its solve never disagree on the time. An equal clock
+// is fine.
+TEST(InputGuardTest, BackwardsClockIsRejectedBeforeAnyState) {
+  auto solver = core::SolverRegistry::Global().Create("greedy").value();
+  IncrementalAssigner assigner(solver.get(), 0.1);
+  ASSERT_TRUE(assigner.AddTask(1, OpenTask({0.5, 0.5}, 0, 9)).ok());
+  ASSERT_TRUE(assigner.AddTask(2, OpenTask({0.6, 0.5}, 0, 9)).ok());
+  ASSERT_TRUE(assigner.AddWorker(7, FreeWorker({0.45, 0.5})).ok());
+  ASSERT_TRUE(assigner.Update(5.0).ok());
+  const core::TaskId committed = assigner.CommittedTask(7);
+  ASSERT_NE(committed, core::kNoTask);
+
+  EventBatch batch;
+  batch.now = 3.0;
+  batch.expired.push_back({committed == 1 ? 2 : 1});
+  batch.completed.push_back({7, {0.5, 0.5}});
+  const util::Status applied = assigner.ApplyEvents(batch);
+  EXPECT_EQ(applied.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(applied.message(),
+            "batch.now = 3 is earlier than the round clock 5");
+  const auto round = assigner.Update(3.0);
+  ASSERT_FALSE(round.ok());
+  EXPECT_EQ(round.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(round.status().message(),
+            "now = 3 is earlier than the round clock 5");
+  EXPECT_EQ(assigner.now(), 5.0);
+  EXPECT_EQ(assigner.num_open_tasks(), 2);
+  EXPECT_EQ(assigner.CommittedTask(7), committed);
+
+  batch.now = 5.0;
+  ASSERT_TRUE(assigner.ApplyEvents(batch).ok());
+  EXPECT_EQ(assigner.num_open_tasks(), 1);
+  EXPECT_EQ(assigner.CommittedTask(7), core::kNoTask);
+  ASSERT_TRUE(assigner.Update(5.0).ok());
+  EXPECT_EQ(assigner.CommittedTask(7), committed);
 }
 
 }  // namespace

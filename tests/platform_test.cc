@@ -164,7 +164,7 @@ TEST(PlatformTest, RoundTimersCountRecordedRounds) {
 
 // Pinned trajectories: every registered solver at two seeds. The digests
 // were captured from the per-tick CandidateGraph::Build platform, so they
-// also pin the delta-maintained round engine to the full rebuild.
+// also pin the round engine's planned builds to the full rebuild.
 TEST(PlatformTest, TrajectoryGolden) {
   struct Golden {
     const char* solver;

@@ -13,12 +13,11 @@ the compiler nor clang-tidy can express:
                           with a LINT-ALLOW.
   missing-deadline-poll   Every solver SolveImpl body in src/core (plus the
                           batched kernel row driver ValidPairsRows in
-                          src/core/kernels.* and the delta-apply repair
-                          driver RepairRows in src/index) must poll its
-                          util::Deadline (Exhausted()/Check()) or forward
-                          it into a helper that does. A solver, kernel, or
-                          delta-repair loop that ignores the deadline
-                          cannot be cancelled or budget-limited.
+                          src/core/kernels.*) must poll its util::Deadline
+                          (Exhausted()/Check()) or forward it into a
+                          helper that does. A solver or kernel loop that
+                          ignores the deadline cannot be cancelled or
+                          budget-limited.
   ambient-time            No wall-clock reads (time(), system_clock) in
                           src/core, src/index, src/engine, src/obs,
                           src/sim, or src/wl. Wall time is
@@ -260,10 +259,7 @@ def check_unordered_iter(src: SourceFile) -> list[Finding]:
 # SolveImpl: the solver entry points. ValidPairsRows: the batched kernel
 # row driver (core/kernels.cc) that owns the innermost O(m*n) loop -- it
 # must poll between row blocks or graph builds become uncancellable.
-# RepairRows: the delta-apply repair driver (index/delta_graph.cc) that
-# recomputes dirty / horizon-expired candidate rows -- same contract, or
-# streaming rounds become uncancellable.
-SOLVEIMPL_RE = re.compile(r"\b(?:SolveImpl|ValidPairsRows|RepairRows)\s*\(")
+SOLVEIMPL_RE = re.compile(r"\b(?:SolveImpl|ValidPairsRows)\s*\(")
 DEADLINE_USE_RE = re.compile(r"\bdeadline\b")
 
 
