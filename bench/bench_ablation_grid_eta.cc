@@ -49,7 +49,7 @@ int Run(int argc, char** argv) {
                      std::chrono::steady_clock::now() - t0)
                      .count();
       t0 = std::chrono::steady_clock::now();
-      index.RetrieveEdges(instance.num_workers(), &stats).value();
+      index.RetrieveEdges(&stats).value();
       retrieve_s += std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - t0)
                         .count();

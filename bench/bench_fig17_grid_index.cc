@@ -75,7 +75,7 @@ int Run(int argc, char** argv) {
 
       index::RetrievalStats stats;
       t0 = std::chrono::steady_clock::now();
-      auto edges = index.RetrieveEdges(instance.num_workers(), &stats).value();
+      auto edges = index.RetrieveEdges(&stats).value();
       const double with_seed_s = Seconds(t0);
       with_s += with_seed_s;
       grid_hist.Observe(with_seed_s);

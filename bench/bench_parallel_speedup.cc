@@ -54,7 +54,7 @@ Timings Measure(const core::Instance& instance, util::Executor* executor,
 
     index::GridIndex index = index::GridIndex::Build(instance, 0.05);
     t0 = std::chrono::steady_clock::now();
-    index.RetrieveEdges(instance.num_workers(), nullptr, executor).value();
+    index.RetrieveEdges(nullptr, executor).value();
     timing.grid_retrieve += Seconds(t0);
 
     core::SolverOptions solver_options;

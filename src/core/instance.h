@@ -56,9 +56,8 @@ class Instance {
   util::Status Validate() const;
 
  private:
-  /// Lazily built SoA view, double-checked under its own mutex (same
-  /// discipline as GridIndex::TCellCache). Heap-allocated and shared so
-  /// the instance stays cheaply copyable.
+  /// Lazily built SoA view, built once under its own mutex.
+  /// Heap-allocated and shared so the instance stays cheaply copyable.
   struct SoaCache {
     mutable util::Mutex mu;
     std::shared_ptr<const InstanceSoA> value GUARDED_BY(mu);

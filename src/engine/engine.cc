@@ -106,8 +106,7 @@ util::StatusOr<core::CandidateGraph> BuildPlannedGraph(
         index::GridIndex::Build(instance, choice.eta, deadline);
     if (!grid.ok()) return grid.status();
     util::StatusOr<std::vector<std::vector<core::TaskId>>> edges =
-        grid.value().RetrieveEdges(instance.num_workers(), stats, executor,
-                                   deadline);
+        grid.value().RetrieveEdges(stats, executor, deadline);
     if (!edges.ok()) return edges.status();
     graph =
         core::CandidateGraph::FromEdges(instance, std::move(edges).value());

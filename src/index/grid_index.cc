@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cmath>
 
 namespace rdbsc::index {
@@ -20,10 +19,6 @@ GridIndex::GridIndex(double eta, double now, core::ArrivalPolicy policy)
   eta_ = 1.0 / cells_per_axis_;
   cells_.resize(static_cast<size_t>(cells_per_axis_) * cells_per_axis_);
   blocks_.resize(cells_.size());
-  tcells_ = std::make_unique<TCellCache>(cells_per_axis_);
-  util::MutexLock lock(tcells_->mu);
-  tcells_->lists.resize(cells_.size());
-  tcells_->valid.assign(cells_.size(), 0);
 }
 
 GridIndex GridIndex::Build(const core::Instance& instance, double eta) {
@@ -37,19 +32,41 @@ util::StatusOr<GridIndex> GridIndex::Build(const core::Instance& instance,
   constexpr int kInsertsPerDeadlineCheck = 64;
 
   GridIndex index(eta, instance.now(), instance.policy());
+  index.num_workers_ = instance.num_workers();
+  std::vector<size_t> tasks_per_cell(index.cells_.size());
+  for (const core::Task& task : instance.tasks()) {
+    ++tasks_per_cell[index.CellOf(task.location)];
+  }
+  for (size_t c = 0; c < tasks_per_cell.size(); ++c) {
+    index.blocks_[c].Reserve(tasks_per_cell[c]);
+    index.max_block_ = std::max(index.max_block_, tasks_per_cell[c]);
+  }
+  // Members arrive in ascending-id order, so each cell's summaries are
+  // folded in that order (CoverUnion is order-dependent) and its member
+  // lists come out sorted. An empty cell keeps the constructed bounds.
   for (core::TaskId i = 0; i < instance.num_tasks(); ++i) {
     if (i % kInsertsPerDeadlineCheck == 0 && deadline.Exhausted()) {
       return util::InterruptedStatus(deadline, "grid build interrupted");
     }
-    index.InsertTask(i, instance.task(i));
+    const core::Task& task = instance.task(i);
+    const int c = index.CellOf(task.location);
+    core::TaskBlock& block = index.blocks_[c];
+    Cell& cell = index.cells_[c];
+    cell.e_max = block.size() == 0 ? task.end : std::max(cell.e_max, task.end);
+    block.Add(i, task);
   }
   for (core::WorkerId j = 0; j < instance.num_workers(); ++j) {
     if (j % kInsertsPerDeadlineCheck == 0 && deadline.Exhausted()) {
       return util::InterruptedStatus(deadline, "grid build interrupted");
     }
-    index.InsertWorker(j, instance.worker(j));
+    const core::Worker& worker = instance.worker(j);
+    Cell& cell = index.cells_[index.CellOf(worker.location)];
+    cell.v_max = std::max(cell.v_max, worker.velocity);
+    cell.dir_cover = cell.workers.empty()
+                         ? worker.direction
+                         : geo::CoverUnion(cell.dir_cover, worker.direction);
+    cell.workers.emplace_back(j, worker);
   }
-  index.Seal();
   return index;
 }
 
@@ -67,125 +84,59 @@ geo::Box GridIndex::BoxOf(int cell) const {
   return geo::Box{{cx * eta_, cy * eta_}, {(cx + 1) * eta_, (cy + 1) * eta_}};
 }
 
-void GridIndex::InsertWorker(core::WorkerId id, const core::Worker& worker) {
-  cells_[CellOf(worker.location)].workers.emplace_back(id, worker);
-}
-
-void GridIndex::InsertTask(core::TaskId id, const core::Task& task) {
-  cells_[CellOf(task.location)].tasks.emplace_back(id, task);
-}
-
-void GridIndex::Seal() {
-  for (size_t c = 0; c < cells_.size(); ++c) {
-    Cell& cell = cells_[c];
-    for (size_t k = 0; k < cell.workers.size(); ++k) {
-      const core::Worker& worker = cell.workers[k].second;
-      cell.v_max = std::max(cell.v_max, worker.velocity);
-      cell.dir_cover = k == 0 ? worker.direction
-                              : geo::CoverUnion(cell.dir_cover,
-                                                worker.direction);
+void GridIndex::AppendReachable(int cell, geo::CellBearingTable& bearings,
+                                std::vector<int>* out) const {
+  const Cell& from = cells_[cell];
+  // A cell without workers, or whose workers cannot move, reaches nothing.
+  if (from.v_max <= 0.0) return;
+  const geo::Box from_box = BoxOf(cell);
+  for (int to_id = 0; to_id < num_cells(); ++to_id) {
+    if (blocks_[to_id].size() == 0) continue;
+    // Temporal rule (Section 7.1): even the fastest worker of `from`
+    // cannot reach the nearest point of `to` before the latest deadline
+    // there. (The paper prints e_max(cell_i); tasks live in the target
+    // cell, so we use e_max(cell_j) -- see DESIGN.md.)
+    const double t_min =
+        now_ + geo::MinDistance(from_box, BoxOf(to_id)) / from.v_max;
+    if (t_min > cells_[to_id].e_max) continue;
+    // Direction rule: the bearing interval between the two boxes must meet
+    // the covering interval of the workers' cones. Bearings depend only on
+    // the cells' offset, so the interval comes from the per-offset table
+    // instead of four atan2 per cell pair.
+    if (to_id != cell) {
+      const int dx = to_id % cells_per_axis_ - cell % cells_per_axis_;
+      const int dy = to_id / cells_per_axis_ - cell / cells_per_axis_;
+      if (!bearings.Get(dx, dy).Intersects(from.dir_cover)) continue;
     }
-    cell.has_dir_cover = !cell.workers.empty();
-    // An empty cell keeps the constructed bounds (not +-inf).
-    for (size_t k = 0; k < cell.tasks.size(); ++k) {
-      const core::Task& task = cell.tasks[k].second;
-      cell.s_min = k == 0 ? task.start : std::min(cell.s_min, task.start);
-      cell.e_max = k == 0 ? task.end : std::max(cell.e_max, task.end);
-    }
-    core::TaskBlock& block = blocks_[c];
-    block.Reserve(cell.tasks.size());
-    for (const auto& [tid, task] : cell.tasks) block.Add(tid, task);
-    max_block_ = std::max(max_block_, block.size());
+    out->push_back(to_id);
   }
 }
 
-bool GridIndex::CanPrune(const Cell& from, int from_id, const Cell& to,
-                         int to_id) const {
-  geo::Box from_box = BoxOf(from_id);
-  geo::Box to_box = BoxOf(to_id);
-  // Temporal rule (Section 7.1): even the fastest worker of `from` cannot
-  // reach the nearest point of `to` before the latest deadline there.
-  // (The paper prints e_max(cell_i); tasks live in the target cell, so we
-  // use e_max(cell_j) -- see DESIGN.md.)
-  if (from.v_max <= 0.0) return true;
-  double t_min = now_ + geo::MinDistance(from_box, to_box) / from.v_max;
-  if (t_min > to.e_max) return true;
-  // Direction rule: the bearing interval between the two boxes must meet
-  // the covering interval of the workers' cones. Bearings depend only on
-  // the cells' offset, so the interval comes from the per-offset table
-  // (geo::CellBearingTable) instead of four atan2 per cell pair.
-  if (from_id != to_id && from.has_dir_cover) {
-    const int dx = to_id % cells_per_axis_ - from_id % cells_per_axis_;
-    const int dy = to_id / cells_per_axis_ - from_id / cells_per_axis_;
-    if (!tcells_->bearings.Get(dx, dy).Intersects(from.dir_cover)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-const std::vector<int>& GridIndex::CachedReachableLocked(int cell) const {
-  if (!tcells_->valid[cell]) {
-    const Cell& from = cells_[cell];
-    std::vector<int>& list = tcells_->lists[cell];
-    if (!from.workers.empty()) {
-      for (int to_id = 0; to_id < num_cells(); ++to_id) {
-        const Cell& to = cells_[to_id];
-        if (to.tasks.empty()) continue;
-        if (!CanPrune(from, cell, to, to_id)) list.push_back(to_id);
-      }
-    }
-    tcells_->valid[cell] = 1;
-    ++tcells_->rebuilds;
-  }
-  return tcells_->lists[cell];
-}
-
-const std::vector<int>& GridIndex::CachedReachable(int cell) const {
-  util::MutexLock lock(tcells_->mu);
-  return CachedReachableLocked(cell);
-}
-
-const std::vector<std::vector<int>>* GridIndex::WarmReachability(
-    RetrievalStats* stats, const util::Deadline& deadline) const {
-  util::MutexLock lock(tcells_->mu);
-  for (int from_id = 0; from_id < num_cells(); ++from_id) {
-    if (cells_[from_id].workers.empty()) continue;
-    if (deadline.Exhausted()) return nullptr;
-    bool was_cached = tcells_->valid[from_id] != 0;
-    const std::vector<int>& targets = CachedReachableLocked(from_id);
-    if (stats != nullptr) {
-      if (was_cached) {
-        stats->cell_pairs_examined += static_cast<int64_t>(targets.size());
-      } else {
-        stats->cell_pairs_examined += num_cells();
-        stats->cell_pairs_pruned +=
-            num_cells() - static_cast<int64_t>(targets.size());
-      }
-    }
-  }
-  // Escape under a documented contract: every list a subsequent const
-  // retrieval scan dereferences was built above, and a built list is never
-  // rebuilt.
-  return &tcells_->lists;
+std::vector<int> GridIndex::ReachableCells(int cell) const {
+  geo::CellBearingTable bearings(cells_per_axis_);
+  std::vector<int> reachable;
+  AppendReachable(cell, bearings, &reachable);
+  return reachable;
 }
 
 util::StatusOr<std::vector<std::vector<core::TaskId>>>
-GridIndex::RetrieveEdges(int num_workers, RetrievalStats* stats,
-                         util::Executor* executor,
+GridIndex::RetrieveEdges(RetrievalStats* stats, util::Executor* executor,
                          const util::Deadline& deadline) const {
-  // Phase 1 (serialized): build every missing tcell_list and account the
-  // cell-pair counters. After this, the cache entries read below are
-  // immutable for the duration of the scan, so shards need no locking.
+  // Phase 1 (serial): the tcell_list of every source cell, and the
+  // cell-pair counters (each source cell examines every cell).
   RetrievalStats totals;
-  const std::vector<std::vector<int>>* tcell_lists =
-      WarmReachability(&totals, deadline);
-  if (tcell_lists == nullptr) {
-    return util::InterruptedStatus(deadline, "retrieval interrupted");
+  std::vector<std::vector<int>> tcell_lists(cells_.size());
+  geo::CellBearingTable bearings(cells_per_axis_);
+  for (int from_id = 0; from_id < num_cells(); ++from_id) {
+    if (cells_[from_id].workers.empty()) continue;
+    if (deadline.Exhausted()) {
+      return util::InterruptedStatus(deadline, "retrieval interrupted");
+    }
+    AppendReachable(from_id, bearings, &tcell_lists[from_id]);
+    totals.cell_pairs_examined += num_cells();
+    totals.cell_pairs_pruned +=
+        num_cells() - static_cast<int64_t>(tcell_lists[from_id].size());
   }
-  // The scans below read the per-cell blocks Build sealed.
-  const std::vector<core::TaskBlock>& blocks = blocks_;
-  const size_t max_block = max_block_;
 
   // Phase 2 (sharded over source cells): the per-cell pair tests, which
   // dominate retrieval cost, batched through the SoA kernel (exact same
@@ -194,13 +145,13 @@ GridIndex::RetrieveEdges(int num_workers, RetrievalStats* stats,
   // and the merged edge set is independent of shard boundaries; each
   // per-worker row is sorted, so the worker-outer loop order is
   // output-identical to the historical target-cell-outer order.
-  std::vector<std::vector<core::TaskId>> edges(num_workers);
+  std::vector<std::vector<core::TaskId>> edges(num_workers_);
   util::Executor& exec = util::OrSerial(executor);
   std::vector<RetrievalStats> shard_stats(exec.width());
   std::atomic<bool> interrupted{false};
   exec.ShardedFor(num_cells(), [&](int shard, int64_t begin, int64_t end) {
     RetrievalStats local;
-    std::vector<uint8_t> cls(max_block);
+    std::vector<uint8_t> cls(max_block_);
     for (int64_t from_id = begin; from_id < end; ++from_id) {
       const Cell& from = cells_[from_id];
       if (from.workers.empty()) continue;
@@ -210,10 +161,9 @@ GridIndex::RetrieveEdges(int num_workers, RetrievalStats* stats,
         break;
       }
       for (const auto& [wid, worker] : from.workers) {
-        assert(wid < num_workers);
         const core::WorkerGeom geom = core::PrecomputeWorker(worker, now_);
-        for (int to_id : (*tcell_lists)[from_id]) {
-          const core::TaskBlock& block = blocks[to_id];
+        for (int to_id : tcell_lists[from_id]) {
+          const core::TaskBlock& block = blocks_[to_id];
           local.pair_tests += static_cast<int64_t>(block.size());
           local.edges += static_cast<int64_t>(core::ValidPairsRow(
               geom, worker, now_, policy_, block, cls.data(), &edges[wid]));
@@ -229,20 +179,6 @@ GridIndex::RetrieveEdges(int num_workers, RetrievalStats* stats,
   for (const RetrievalStats& shard : shard_stats) totals.Merge(shard);
   if (stats != nullptr) *stats = totals;
   return edges;
-}
-
-std::vector<int> GridIndex::ReachableCells(geo::Point location) const {
-  int from_id = CellOf(location);
-  const Cell& from = cells_[from_id];
-  std::vector<int> reachable;
-  if (from.workers.empty()) return reachable;
-  util::MutexLock lock(tcells_->mu);
-  for (int to_id = 0; to_id < num_cells(); ++to_id) {
-    const Cell& to = cells_[to_id];
-    if (to.tasks.empty()) continue;
-    if (!CanPrune(from, from_id, to, to_id)) reachable.push_back(to_id);
-  }
-  return reachable;
 }
 
 }  // namespace rdbsc::index

@@ -39,8 +39,10 @@ TEST(CostModelTest, OptimalEtaMinimizesModelCost) {
   ASSERT_GT(eta, kEtaMin);
   ASSERT_LT(eta, kEtaMax);
   double best = EstimateUpdateCost(eta, params);
-  EXPECT_LE(best, EstimateUpdateCost(0.5 * eta, params));
-  EXPECT_LE(best, EstimateUpdateCost(2.0 * eta, params));
+  for (double factor : {0.25, 0.5, 2.0, 4.0}) {
+    EXPECT_LE(best, EstimateUpdateCost(factor * eta, params))
+        << "factor " << factor;
+  }
 }
 
 TEST(CostModelTest, MorePointsMeanFinerGrid) {
@@ -55,6 +57,19 @@ TEST(CostModelTest, LongerReachMeansCoarserGrid) {
   CostModelParams fast = slow;
   fast.l_max = 0.9;
   EXPECT_LT(OptimalEta(slow), OptimalEta(fast));
+}
+
+TEST(CostModelTest, SkewedDataChangesEta) {
+  // A skewed fractal dimension moves the optimum of Eq. (23) away from the
+  // uniform one.
+  CostModelParams uniform{.l_max = 0.3, .d2 = 2.0, .num_points = 10'000};
+  CostModelParams skewed = uniform;
+  skewed.d2 = 1.4;
+  double eu = OptimalEta(uniform);
+  double es = OptimalEta(skewed);
+  EXPECT_GT(eu, 0.0);
+  EXPECT_GT(es, 0.0);
+  EXPECT_NE(eu, es);
 }
 
 TEST(CostModelTest, DegenerateSinglePointReturnsCoarsestGrid) {
@@ -77,6 +92,36 @@ TEST(CostModelTest, UpdateCostIsPositiveAndGrowsWithPoints) {
     EXPECT_LT(EstimateUpdateCost(eta, params),
               EstimateUpdateCost(eta, bigger));
   }
+}
+
+TEST(CostModelTest, UniformClosedForm) {
+  // With d2 = 2, Eq. (23) has the closed form eta* = cbrt(l_max / (n - 1)).
+  CostModelParams params{.l_max = 0.3, .d2 = 2.0, .num_points = 10'000};
+  EXPECT_NEAR(OptimalEta(params), std::cbrt(0.3 / 9'999.0), 1e-6);
+}
+
+TEST(CostModelTest, LargerReachMeansCoarserGrid) {
+  CostModelParams near{.l_max = 0.05, .d2 = 2.0, .num_points = 10'000};
+  CostModelParams far = near;
+  far.l_max = 0.5;
+  EXPECT_LT(OptimalEta(near), OptimalEta(far));
+}
+
+TEST(CostModelTest, OptimalEtaMinimizesEstimatedCost) {
+  CostModelParams params{.l_max = 0.25, .d2 = 2.0, .num_points = 5'000};
+  double eta_star = OptimalEta(params);
+  double best = EstimateUpdateCost(eta_star, params);
+  for (double factor : {0.25, 0.5, 2.0, 4.0}) {
+    EXPECT_LE(best, EstimateUpdateCost(eta_star * factor, params) + 1e-6)
+        << "factor " << factor;
+  }
+}
+
+TEST(CostModelTest, DegenerateInputs) {
+  // Default reach and dimension with a single point.
+  CostModelParams params;
+  params.num_points = 1;
+  EXPECT_DOUBLE_EQ(OptimalEta(params), kEtaMax);
 }
 
 }  // namespace

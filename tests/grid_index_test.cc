@@ -11,7 +11,6 @@
 #include "geo/box.h"
 #include "gen/workload.h"
 #include "gtest/gtest.h"
-#include "index/cost_model.h"
 #include "util/deadline.h"
 #include "util/rng.h"
 #include "test_util.h"
@@ -28,14 +27,20 @@ using core::WorkerId;
 // brute-force predicate produces.
 void ExpectSameEdges(const Instance& instance, const GridIndex& index) {
   CandidateGraph brute = CandidateGraph::Build(instance);
-  std::vector<std::vector<TaskId>> indexed =
-      index.RetrieveEdges(instance.num_workers()).value();
+  std::vector<std::vector<TaskId>> indexed = index.RetrieveEdges().value();
   for (WorkerId j = 0; j < instance.num_workers(); ++j) {
     const auto row = brute.TasksOf(j);
     std::vector<TaskId> expected(row.begin(), row.end());
     std::sort(expected.begin(), expected.end());
     EXPECT_EQ(indexed[j], expected) << "worker " << j;
   }
+}
+
+void ExpectSameStats(const RetrievalStats& got, const RetrievalStats& want) {
+  EXPECT_EQ(got.cell_pairs_examined, want.cell_pairs_examined);
+  EXPECT_EQ(got.cell_pairs_pruned, want.cell_pairs_pruned);
+  EXPECT_EQ(got.pair_tests, want.pair_tests);
+  EXPECT_EQ(got.edges, want.edges);
 }
 
 TEST(GridIndexTest, MatchesBruteForceOnRandomInstances) {
@@ -68,21 +73,9 @@ TEST(GridIndexTest, PruningActuallyFires) {
   Instance instance = gen::GenerateInstance(config);
   GridIndex index = GridIndex::Build(instance, 0.08);
   RetrievalStats stats;
-  index.RetrieveEdges(instance.num_workers(), &stats).value();
+  index.RetrieveEdges(&stats).value();
   EXPECT_GT(stats.cell_pairs_pruned, 0);
   ExpectSameEdges(instance, index);  // and pruning is safe
-}
-
-TEST(GridIndexTest, ReachableCellsSubsetOfAllTaskCells) {
-  Instance instance = test::SmallInstance(17, 40, 40);
-  GridIndex index = GridIndex::Build(instance, 0.1);
-  std::vector<int> reachable =
-      index.ReachableCells(instance.worker(0).location);
-  EXPECT_LE(static_cast<int>(reachable.size()), index.num_cells());
-  for (int cell : reachable) {
-    EXPECT_GE(cell, 0);
-    EXPECT_LT(cell, index.num_cells());
-  }
 }
 
 // The direction rule reads each cell pair's bearing interval from a
@@ -248,10 +241,34 @@ std::vector<int> BoxRuleReachable(const GridIndex& index,
   return reachable;
 }
 
+// Every cell's tcell_list is sorted and holds only cells with tasks; a
+// cell without workers reaches nothing.
+TEST(GridIndexTest, ReachableCellsSubsetOfAllTaskCells) {
+  Instance instance = test::SmallInstance(17, 40, 40);
+  GridIndex index = GridIndex::Build(instance, 0.1);
+  const std::vector<CellSummary> cells = SummarizeCells(instance, index);
+  int64_t reachable_total = 0;
+  for (int cell = 0; cell < index.num_cells(); ++cell) {
+    const std::vector<int> reachable = index.ReachableCells(cell);
+    reachable_total += static_cast<int64_t>(reachable.size());
+    EXPECT_TRUE(std::is_sorted(reachable.begin(), reachable.end()));
+    if (!cells[static_cast<size_t>(cell)].has_workers) {
+      EXPECT_TRUE(reachable.empty()) << "cell " << cell;
+    }
+    for (int to : reachable) {
+      ASSERT_GE(to, 0);
+      ASSERT_LT(to, index.num_cells());
+      EXPECT_TRUE(cells[static_cast<size_t>(to)].has_tasks)
+          << "cell " << cell << " -> " << to;
+    }
+  }
+  EXPECT_GT(reachable_total, 0);
+}
+
 // After worker and task churn in the world (departures, returns and
-// moves), the tcell_lists of an index built fresh from the surviving
-// members equal the box-based rule's, at each grid size -- whether they
-// were warmed by a retrieval pass or built one cell at a time.
+// moves), the tcell_lists of an index built from the surviving members
+// equal the box-based rule's, at each grid size -- on an index that has
+// served a retrieval and on one that has not.
 TEST_P(CellBearingTableTest, CachedListsMatchFreshIndexAndBoxRuleAfterChurn) {
   const int cpa = GetParam();
   gen::WorkloadConfig config;
@@ -300,17 +317,17 @@ TEST_P(CellBearingTableTest, CachedListsMatchFreshIndexAndBoxRuleAfterChurn) {
 
   const GridIndex warmed = GridIndex::Build(survivors, 1.0 / cpa);
   ASSERT_EQ(warmed.cells_per_axis(), cpa);
-  ASSERT_TRUE(warmed.RetrieveEdges(survivors.num_workers()).ok());
+  ASSERT_TRUE(warmed.RetrieveEdges().ok());
   const GridIndex fresh = GridIndex::Build(survivors, 1.0 / cpa);
   const std::vector<CellSummary> cells = SummarizeCells(survivors, fresh);
   int64_t pruned_by_direction = 0;
   for (int cell = 0; cell < fresh.num_cells(); ++cell) {
     const std::vector<int> want =
         BoxRuleReachable(fresh, cells, cell, &pruned_by_direction);
-    EXPECT_EQ(fresh.CachedReachable(cell), want) << "cpa " << cpa << " cell "
+    EXPECT_EQ(fresh.ReachableCells(cell), want) << "cpa " << cpa << " cell "
+                                                << cell;
+    EXPECT_EQ(warmed.ReachableCells(cell), want) << "cpa " << cpa << " cell "
                                                  << cell;
-    EXPECT_EQ(warmed.CachedReachable(cell), want) << "cpa " << cpa << " cell "
-                                                  << cell;
   }
   // Up to 2x2 cells every cell touches every other, so every bearing
   // interval is the full circle and the direction rule cannot prune.
@@ -322,23 +339,23 @@ TEST_P(CellBearingTableTest, CachedListsMatchFreshIndexAndBoxRuleAfterChurn) {
 INSTANTIATE_TEST_SUITE_P(CellsPerAxis, CellBearingTableTest,
                          ::testing::Values(1, 2, 3, 7, 20, 64));
 
-TEST(GridIndexTest, WarmCacheAvoidsRebuilds) {
+TEST(GridIndexTest, RepeatedRetrievalReportsIdenticalStats) {
+  // The index keeps nothing between retrievals: a second pass does and
+  // counts the same work as the first.
   Instance instance = test::SmallInstance(23, 40, 40);
-  GridIndex index = GridIndex::Build(instance, 0.1);
-  index.RetrieveEdges(instance.num_workers()).value();
-  int64_t rebuilds = index.reachability_rebuilds();
-  // A second retrieval with no churn rebuilds nothing.
-  index.RetrieveEdges(instance.num_workers()).value();
-  EXPECT_EQ(index.reachability_rebuilds(), rebuilds);
+  const GridIndex index = GridIndex::Build(instance, 0.1);
+  RetrievalStats first, second;
+  std::vector<std::vector<TaskId>> first_edges =
+      index.RetrieveEdges(&first).value();
+  EXPECT_EQ(index.RetrieveEdges(&second).value(), first_edges);
+  EXPECT_GT(first.cell_pairs_pruned, 0);
+  ExpectSameStats(second, first);
 }
 
 TEST(GridIndexTest, ConcurrentRetrievalIsSafeAndConsistent) {
-  // Regression: lazy summary repair used to mutate cells from the const
-  // retrieval path, so two concurrent read-only retrievals raced. The
-  // summaries are now sealed by Build and the reachability cache is
-  // guarded, so concurrent retrievals on a shared index -- whose
-  // tcell_lists are all still cold -- must agree with a single serial
-  // retrieval.
+  // The index is immutable after Build, so concurrent retrievals on one
+  // shared index must each return the edges and the counters of a single
+  // serial retrieval.
   Instance instance = test::SmallInstance(29, 60, 60);
   const GridIndex index = GridIndex::Build(instance, 0.1);
 
@@ -349,8 +366,7 @@ TEST(GridIndexTest, ConcurrentRetrievalIsSafeAndConsistent) {
     std::vector<std::thread> readers;
     for (int r = 0; r < kReaders; ++r) {
       readers.emplace_back([&, r] {
-        edges[r] =
-            index.RetrieveEdges(instance.num_workers(), &stats[r]).value();
+        edges[r] = index.RetrieveEdges(&stats[r]).value();
       });
     }
     for (std::thread& reader : readers) reader.join();
@@ -358,11 +374,10 @@ TEST(GridIndexTest, ConcurrentRetrievalIsSafeAndConsistent) {
 
   RetrievalStats serial_stats;
   std::vector<std::vector<TaskId>> serial =
-      index.RetrieveEdges(instance.num_workers(), &serial_stats).value();
+      index.RetrieveEdges(&serial_stats).value();
   for (int r = 0; r < kReaders; ++r) {
     EXPECT_EQ(edges[r], serial) << "reader " << r;
-    EXPECT_EQ(stats[r].pair_tests, serial_stats.pair_tests);
-    EXPECT_EQ(stats[r].edges, serial_stats.edges);
+    ExpectSameStats(stats[r], serial_stats);
   }
 }
 
@@ -372,8 +387,7 @@ TEST(GridIndexTest, RetrievalReportsTrippedDeadline) {
   util::CancelToken cancel;
   cancel.Cancel();
   util::Deadline tripped(/*budget_seconds=*/0.0, &cancel);
-  auto edges =
-      index.RetrieveEdges(instance.num_workers(), nullptr, nullptr, tripped);
+  auto edges = index.RetrieveEdges(nullptr, nullptr, tripped);
   EXPECT_FALSE(edges.ok());
   EXPECT_EQ(edges.status().code(), util::StatusCode::kCancelled);
 }
@@ -383,65 +397,6 @@ TEST(GridIndexTest, EtaClamping) {
   EXPECT_LE(tiny.cells_per_axis(), 1024);
   GridIndex huge(5.0);
   EXPECT_EQ(huge.cells_per_axis(), 1);
-}
-
-TEST(CostModelTest, UniformClosedForm) {
-  CostModelParams params;
-  params.l_max = 0.3;
-  params.d2 = 2.0;
-  params.num_points = 10'000;
-  EXPECT_NEAR(OptimalEta(params), std::cbrt(0.3 / 9'999.0), 1e-6);
-}
-
-TEST(CostModelTest, MorePointsMeanFinerGrid) {
-  CostModelParams a, b;
-  a.l_max = b.l_max = 0.3;
-  a.d2 = b.d2 = 2.0;
-  a.num_points = 1'000;
-  b.num_points = 100'000;
-  EXPECT_GT(OptimalEta(a), OptimalEta(b));
-}
-
-TEST(CostModelTest, LargerReachMeansCoarserGrid) {
-  CostModelParams a, b;
-  a.num_points = b.num_points = 10'000;
-  a.d2 = b.d2 = 2.0;
-  a.l_max = 0.05;
-  b.l_max = 0.5;
-  EXPECT_LT(OptimalEta(a), OptimalEta(b));
-}
-
-TEST(CostModelTest, SkewedDataChangesEta) {
-  CostModelParams uniform, skewed;
-  uniform.num_points = skewed.num_points = 10'000;
-  uniform.l_max = skewed.l_max = 0.3;
-  uniform.d2 = 2.0;
-  skewed.d2 = 1.4;
-  // The optimum exists and differs; both solve Eq. (23).
-  double eu = OptimalEta(uniform);
-  double es = OptimalEta(skewed);
-  EXPECT_GT(eu, 0.0);
-  EXPECT_GT(es, 0.0);
-  EXPECT_NE(eu, es);
-}
-
-TEST(CostModelTest, OptimalEtaMinimizesEstimatedCost) {
-  CostModelParams params;
-  params.l_max = 0.25;
-  params.d2 = 2.0;
-  params.num_points = 5'000;
-  double eta_star = OptimalEta(params);
-  double best = EstimateUpdateCost(eta_star, params);
-  for (double factor : {0.25, 0.5, 2.0, 4.0}) {
-    EXPECT_LE(best, EstimateUpdateCost(eta_star * factor, params) + 1e-6)
-        << "factor " << factor;
-  }
-}
-
-TEST(CostModelTest, DegenerateInputs) {
-  CostModelParams params;
-  params.num_points = 1;
-  EXPECT_DOUBLE_EQ(OptimalEta(params), 1.0);
 }
 
 }  // namespace

@@ -47,8 +47,8 @@ TEST(IntegrationTest, IndexFedSolveEqualsBruteForceFedSolve) {
   double eta = index::OptimalEta(cm);
 
   index::GridIndex grid = index::GridIndex::Build(instance, eta);
-  core::CandidateGraph indexed = core::CandidateGraph::FromEdges(
-      instance, grid.RetrieveEdges(instance.num_workers()).value());
+  core::CandidateGraph indexed =
+      core::CandidateGraph::FromEdges(instance, grid.RetrieveEdges().value());
   core::CandidateGraph brute = core::CandidateGraph::Build(instance);
   ASSERT_EQ(indexed.NumEdges(), brute.NumEdges());
 

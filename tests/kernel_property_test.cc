@@ -78,8 +78,7 @@ void ExpectKernelMatchesOracle(const Instance& instance) {
     }
   }
   index::GridIndex index = index::GridIndex::Build(instance, 0.2);
-  std::vector<std::vector<TaskId>> retrieved =
-      index.RetrieveEdges(instance.num_workers()).value();
+  std::vector<std::vector<TaskId>> retrieved = index.RetrieveEdges().value();
   for (WorkerId j = 0; j < instance.num_workers(); ++j) {
     ASSERT_EQ(retrieved[j], oracle[j]) << "grid, worker " << j;
   }

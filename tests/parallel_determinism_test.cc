@@ -80,8 +80,7 @@ TEST(ParallelDeterminismTest, GridRetrievalMatchesSerialIncludingStats) {
     index::GridIndex serial_index = index::GridIndex::Build(instance, eta);
     index::RetrievalStats serial_stats;
     std::vector<std::vector<TaskId>> serial_edges =
-        serial_index.RetrieveEdges(instance.num_workers(), &serial_stats)
-            .value();
+        serial_index.RetrieveEdges(&serial_stats).value();
 
     for (int threads : kThreadCounts) {
       util::ThreadPool pool(threads);
@@ -90,7 +89,7 @@ TEST(ParallelDeterminismTest, GridRetrievalMatchesSerialIncludingStats) {
       index::GridIndex index = index::GridIndex::Build(instance, eta);
       index::RetrievalStats stats;
       std::vector<std::vector<TaskId>> edges =
-          index.RetrieveEdges(instance.num_workers(), &stats, &pool).value();
+          index.RetrieveEdges(&stats, &pool).value();
       EXPECT_EQ(edges, serial_edges) << threads << " threads, eta " << eta;
       EXPECT_EQ(stats.cell_pairs_examined, serial_stats.cell_pairs_examined);
       EXPECT_EQ(stats.cell_pairs_pruned, serial_stats.cell_pairs_pruned);

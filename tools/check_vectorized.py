@@ -9,6 +9,10 @@ script recompiles kernels.cc with the flags the build tree uses (read from
 its compile_commands.json) plus -fopt-info-vec-all, and fails unless GCC
 reports the ClassifyLoop `for` line vectorised inside each AVX2 instance.
 
+It also fails when that compile command does not end up with
+-ffp-contract=off: the project's bit-identity contracts (kernel == scalar
+oracle, the golden digests) hold across ISAs only without FMA contraction.
+
 -fopt-info-vec-all is -fopt-info-vec-optimized plus GCC's notes; the
 per-function note "vectorized N loops in function." names the instance a
 loop report belongs to, since every instance inlines the same source line.
@@ -18,10 +22,11 @@ Usage:
     check_vectorized.py --self-test
 
 Exit status: 0 when every instance is vectorised (or self-test passes),
-1 when one is not, 2 on usage errors, 77 (reported as skipped by ctest)
-when the compiler is not GCC, the target has no AVX2 instances, or the
-tree builds below -O3 (GCC 12 leaves the loop scalar at -O2, whose
-"very-cheap" cost model rejects loops that would need a scalar remainder).
+1 when one is not or the contraction flag is missing, 2 on usage errors,
+77 (reported as skipped by ctest) when the compiler is not GCC, the target
+has no AVX2 instances, or the tree builds below -O3 (GCC 12 leaves the loop
+scalar at -O2, whose "very-cheap" cost model rejects loops that would need
+a scalar remainder).
 """
 
 from __future__ import annotations
@@ -93,6 +98,15 @@ def check_report(report: str, loop_line: int, func_line: int,
     return problems
 
 
+def contract_problems(flags: list[str]) -> list[str]:
+    """Problems with the compile command's FP contraction; empty if none."""
+    contract = [a for a in flags if a.startswith("-ffp-contract=")]
+    if not contract or contract[-1] != "-ffp-contract=off":
+        return [f"{KERNEL} does not build with -ffp-contract=off "
+                f"(found {contract or 'no -ffp-contract flag'})"]
+    return []
+
+
 def compile_entry(build_dir: Path) -> dict:
     db = build_dir / "compile_commands.json"
     try:
@@ -127,6 +141,11 @@ def gate(root: Path, build_dir: Path) -> int:
     cwd = entry["directory"]
     compiler = args[0]
     flags = [a for a in args[1:] if a not in ("-c", entry["file"])]
+    problems = contract_problems(flags)
+    for problem in problems:
+        print(f"error: {problem}")
+    if problems:
+        return 1
 
     macros = subprocess.run([compiler, *flags, "-dM", "-E", "-x", "c++",
                              os.devnull], cwd=cwd, capture_output=True,
@@ -194,6 +213,14 @@ def self_test() -> int:
                                instances=2))
         if got != want:
             print(f"self-test: {name}: {got} problems, want {want}")
+            failures += 1
+    for flags, want in ((["-O3", "-ffp-contract=off"], 0),
+                        (["-O3"], 1),
+                        (["-ffp-contract=off", "-ffp-contract=fast"], 1)):
+        got = len(contract_problems(flags))
+        if got != want:
+            print(f"self-test: contraction flags {flags}: {got} problems, "
+                  f"want {want}")
             failures += 1
     source = ("template <bool A>\ninline void ClassifyLoop(int n) {\n"
               "  for (int k = 0; k < n; ++k) {}\n}\n"
