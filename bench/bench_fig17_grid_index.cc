@@ -3,6 +3,13 @@
 // (b) valid W-T pair retrieval time with vs without the index.
 // Paper shape: construction < 1s; indexed retrieval far cheaper than the
 // no-index scan (up to ~67% reduction reported).
+//
+// Reproduction note: the retrieval claim does not reproduce against the
+// vectorised pair kernel. On a shared 4-core x86-64 VM, two runs each,
+// "with idx (s)" read 2.4-3.4x "no idx (s)" at every n for --base=300
+// --seeds=3, and 2.0-3.1x for --base=3000 --seeds=1 (0.061-0.470 s against
+// 0.031-0.200 s). No solving path builds the grid for that reason (see
+// README); this bench keeps measuring it.
 
 #include <chrono>
 #include <cstdio>

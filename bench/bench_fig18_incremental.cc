@@ -5,16 +5,17 @@
 // makes GREEDY's minimum reliability unstable.
 //
 // Every platform tick runs through the round engine
-// (sim::IncrementalAssigner); the scaled-up "platform wall time" section
-// splits each run into its graph and objective-preview shares. The
-// checked-in BENCH_fig18_incremental.{before,after}.json pair is two
-// captures of this campus on one machine with the same instrumentation
-// (--base=300 --seeds=2), before vs after each tick's graph moved from a
-// grid index maintained across ticks (one full retrieval per tick) to a
-// planned build from the tick's snapshot (the engine's
-// Appendix I arbitration, then brute force or a fresh grid). The quality
-// tables are bit-identical between the two; CI trend-gates the time
-// columns.
+// (sim::IncrementalAssigner), which builds each tick's graph from the
+// tick's snapshot with CandidateGraph::Build; the scaled-up "platform wall
+// time" section splits each run into its graph and objective-preview
+// shares. The checked-in BENCH_fig18_incremental.{before,after}.json pair
+// is two earlier captures of this campus on one machine with the same
+// instrumentation (--base=300 --seeds=2), before vs after each tick's
+// graph moved from a grid index maintained across ticks to a per-tick
+// build that chose between brute force and a fresh grid (their metrics
+// still hold the per-path round counter that choice kept, which no longer
+// exists). The quality tables are bit-identical between the two and with
+// today's single builder; CI trend-gates the time columns.
 
 #include <algorithm>
 #include <chrono>
@@ -76,9 +77,9 @@ int Run(int argc, char** argv) {
 
   // --- Wall time at a scaled-up campus, where the per-tick work actually
   // matters. Per run: "run (s)" is the whole Platform::Run, "graph (s)" the
-  // sim.round_build_seconds total (planning and building each round's
-  // graph) and "preview (s)" the sim.round_objectives_seconds
-  // total (each round's min-reliability / E[STD] preview over all sites);
+  // sim.round_build_seconds total (building each round's graph) and
+  // "preview (s)" the sim.round_objectives_seconds total (each round's
+  // min-reliability / E[STD] preview over all sites);
   // the solver and the world step make up the rest. Each row's registry,
   // shared by its seeds, lands in the report's metrics section labelled
   // {t_interval}.

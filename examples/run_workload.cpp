@@ -12,10 +12,9 @@
 //
 // Flags: --m, --n, --dist=uniform|skewed|real, --solver=<registry name>
 // (see --list-solvers), --seed, --budget=<seconds> (wall-clock admission
-// budget), --graph=auto|brute|grid (candidate-graph construction; auto
-// consults the Appendix I cost model), --threads=N (engine thread pool;
-// 0 = serial, results identical at every setting), --tasks/--workers
-// (CSV input), --out-dir (writes tasks/workers/assignment CSVs).
+// budget), --threads=N (engine thread pool; 0 = serial, results
+// identical at every setting), --tasks/--workers (CSV input), --out-dir
+// (writes tasks/workers/assignment CSVs).
 //
 // Caching: --cache=off|ro|wo|rw attaches a SolveCache to the run
 // (CacheMode kOff/kReadOnly/kWriteOnly/kReadWrite; default off) and
@@ -200,8 +199,6 @@ int main(int argc, char** argv) {
       (flag = FlagValue(argc, argv, "--solver")) ? flag : "dc";
   double budget =
       (flag = FlagValue(argc, argv, "--budget")) ? std::atof(flag) : 0.0;
-  std::string graph_mode =
-      (flag = FlagValue(argc, argv, "--graph")) ? flag : "auto";
   int num_threads =
       (flag = FlagValue(argc, argv, "--threads")) ? std::atoi(flag) : 0;
   const char* tasks_path = FlagValue(argc, argv, "--tasks");
@@ -251,15 +248,6 @@ int main(int argc, char** argv) {
   config.solver_options.seed = seed;
   config.budget_seconds = budget;
   config.num_threads = num_threads;
-  if (graph_mode == "brute") {
-    config.graph_strategy = GraphStrategy::kBruteForce;
-  } else if (graph_mode == "grid") {
-    config.graph_strategy = GraphStrategy::kGridIndex;
-  } else if (graph_mode != "auto") {
-    std::fprintf(stderr, "unknown --graph=%s (auto|brute|grid)\n",
-                 graph_mode.c_str());
-    return 1;
-  }
 
   // --- Server mode: concurrent submitters through the admission layer. ---
   if (HasFlag(argc, argv, "--server")) {
@@ -366,11 +354,10 @@ int main(int argc, char** argv) {
               : "seed " + std::to_string(seed + static_cast<uint64_t>(s));
       std::printf(
           "ticket %2d: %s, min reliability = %.4f, total_STD = %.4f "
-          "(%s graph, %lld edges)%s\n",
+          "(%lld edges)%s\n",
           slot, source.c_str(),
           run.value().solve.objectives.min_reliability,
           run.value().solve.objectives.total_std,
-          run.value().plan.used_grid_index ? "grid" : "brute",
           static_cast<long long>(run.value().plan.edges),
           run.value().from_cache ? " [cache hit]" : "");
     }
@@ -444,10 +431,7 @@ int main(int argc, char** argv) {
   std::printf("instance : %d tasks, %d workers, %lld valid pairs\n",
               instance.num_tasks(), instance.num_workers(),
               static_cast<long long>(plan.edges));
-  std::printf("graph    : %s (%.4f s)%s\n",
-              plan.used_grid_index ? "grid index" : "brute force",
-              plan.build_seconds,
-              graph_mode == "auto" ? " [cost-model pick]" : "");
+  std::printf("graph    : %.4f s\n", plan.build_seconds);
   std::printf("solver   : %s (seed %llu, threads %d)\n",
               std::string(engine.value().solver_display_name()).c_str(),
               static_cast<unsigned long long>(seed), num_threads);

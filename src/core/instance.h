@@ -83,9 +83,10 @@ util::Status ValidateTask(TaskId id, const Task& task);
 util::Status ValidateWorker(WorkerId id, const Worker& worker);
 
 /// The bipartite validity graph of Figure 4: for every worker the list of
-/// tasks it can validly serve and the transpose. Built once per solve; the
-/// grid index (src/index) offers a faster construction path for large
-/// instances, producing the same edges.
+/// tasks it can validly serve and the transpose. Built once per solve by
+/// Build, the one builder every engine and streaming path uses; the grid
+/// index's retrieval (src/index) yields the same edges but was measured
+/// slower on every shape the repo produces.
 ///
 /// Storage is CSR (one flat id array plus offsets per side): rows come out
 /// of the build kernels as exact-size arena spans, so assembly is two flat

@@ -1,37 +1,13 @@
 #include "engine/engine.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
-#include <vector>
 
 #include "engine/fingerprint.h"
 #include "engine/solve_cache.h"
-#include "index/cost_model.h"
-#include "index/grid_index.h"
 
 namespace rdbsc {
 namespace {
-
-// Cost-model inputs observed from the instance: L_max is the farthest any
-// worker can still travel inside the longest remaining task window.
-index::CostModelParams ParamsFor(const core::Instance& instance,
-                                 double d2) {
-  double v_max = 0.0;
-  for (const core::Worker& w : instance.workers()) {
-    v_max = std::max(v_max, w.velocity);
-  }
-  double latest_end = instance.now();
-  for (const core::Task& t : instance.tasks()) {
-    latest_end = std::max(latest_end, t.end);
-  }
-  index::CostModelParams params;
-  params.l_max =
-      std::clamp(v_max * (latest_end - instance.now()), 0.01, 1.0);
-  params.d2 = d2;
-  params.num_points = std::max(instance.num_tasks(), 1);
-  return params;
-}
 
 // Resolves the RunControls/RunIsolated cache convention: no cache means
 // kOff, and kDefault with a cache attached means kReadWrite.
@@ -69,61 +45,6 @@ class StageTimer {
 };
 
 }  // namespace
-
-namespace engine {
-
-BuildChoice PlanGraphBuild(const core::Instance& instance,
-                           GraphStrategy strategy, double eta, double d2) {
-  BuildChoice choice{strategy == GraphStrategy::kGridIndex, eta};
-  if (strategy != GraphStrategy::kBruteForce && instance.num_tasks() > 0 &&
-      instance.num_workers() > 0) {
-    index::CostModelParams params = ParamsFor(instance, d2);
-    if (choice.eta <= 0.0) choice.eta = index::OptimalEta(params);
-    if (strategy == GraphStrategy::kAuto) {
-      double grid_cost =
-          instance.num_tasks() + instance.num_workers() +
-          instance.num_workers() *
-              index::EstimateUpdateCost(choice.eta, params);
-      double brute_cost = static_cast<double>(instance.num_tasks()) *
-                          static_cast<double>(instance.num_workers());
-      choice.use_grid = grid_cost < brute_cost;
-    }
-  }
-  return choice;
-}
-
-util::StatusOr<core::CandidateGraph> BuildPlannedGraph(
-    const core::Instance& instance, const BuildChoice& choice, GraphPlan* plan,
-    const util::Deadline& deadline, util::Executor* executor,
-    index::RetrievalStats* stats) {
-  auto t0 = std::chrono::steady_clock::now();
-  GraphPlan local;
-  local.used_grid_index = choice.use_grid;
-
-  core::CandidateGraph graph;
-  if (choice.use_grid) {
-    util::StatusOr<index::GridIndex> grid =
-        index::GridIndex::Build(instance, choice.eta, deadline);
-    if (!grid.ok()) return grid.status();
-    util::StatusOr<std::vector<std::vector<core::TaskId>>> edges =
-        grid.value().RetrieveEdges(stats, executor, deadline);
-    if (!edges.ok()) return edges.status();
-    graph =
-        core::CandidateGraph::FromEdges(instance, std::move(edges).value());
-    local.eta = grid.value().eta();
-  } else {
-    util::StatusOr<core::CandidateGraph> built =
-        core::CandidateGraph::Build(instance, executor, deadline);
-    if (!built.ok()) return built.status();
-    graph = std::move(built).value();
-  }
-  local.edges = graph.NumEdges();
-  local.build_seconds = SecondsSince(t0);
-  if (plan != nullptr) *plan = local;
-  return graph;
-}
-
-}  // namespace engine
 
 util::StatusOr<Engine> Engine::Create(std::string solver_name) {
   EngineConfig config;
@@ -186,26 +107,28 @@ util::Status Engine::StageValidate(engine::ExecutionContext& ctx) const {
   return util::Status::OK();
 }
 
-util::Status Engine::StagePlan(engine::ExecutionContext& ctx) const {
+util::Status Engine::StagePlan(engine::ExecutionContext&) const {
   StageTimer timer(stage_metrics_.plan_seconds);
-  const engine::BuildChoice choice = engine::PlanGraphBuild(
-      *ctx.instance, config_.graph_strategy, config_.eta, config_.d2);
-  ctx.plan.used_grid_index = choice.use_grid;
-  ctx.resolved_eta = choice.eta;
-  ctx.planned = true;
   return util::Status::OK();
 }
 
-util::Status Engine::StageBuildGraph(engine::ExecutionContext& ctx) const {
-  if (!ctx.planned) {
-    if (util::Status status = StagePlan(ctx); !status.ok()) return status;
-  }
-  // Timer starts after the implicit plan so stage histograms stay
-  // disjoint: plan time lands in "plan" even when triggered from here.
+util::StatusOr<core::CandidateGraph> Engine::TimedBuild(
+    const core::Instance& instance, GraphPlan* plan,
+    const util::Deadline& deadline, util::Executor* executor) const {
   StageTimer timer(stage_metrics_.build_seconds);
-  util::StatusOr<core::CandidateGraph> built = engine::BuildPlannedGraph(
-      *ctx.instance, {ctx.plan.used_grid_index, ctx.resolved_eta}, &ctx.plan,
-      ctx.deadline, ctx.executor);
+  const auto t0 = std::chrono::steady_clock::now();
+  util::StatusOr<core::CandidateGraph> built =
+      core::CandidateGraph::Build(instance, executor, deadline);
+  if (built.ok() && plan != nullptr) {
+    plan->edges = built.value().NumEdges();
+    plan->build_seconds = SecondsSince(t0);
+  }
+  return built;
+}
+
+util::Status Engine::StageBuildGraph(engine::ExecutionContext& ctx) const {
+  util::StatusOr<core::CandidateGraph> built =
+      TimedBuild(*ctx.instance, &ctx.plan, ctx.deadline, ctx.executor);
   if (!built.ok()) return built.status();
   ctx.graph = std::make_shared<const core::CandidateGraph>(
       std::move(built).value());
@@ -309,18 +232,10 @@ util::Deadline Engine::MakeDeadline(const RunControls& controls) const {
 util::StatusOr<core::CandidateGraph> Engine::BuildGraph(
     const core::Instance& instance, GraphPlan* plan,
     const util::Deadline& deadline) const {
-  engine::ExecutionContext ctx;
-  ctx.instance = &instance;
-  if (util::Status status = StagePlan(ctx); !status.ok()) return status;
-  // Record into the build-stage histogram here too, so SolveOn-style
-  // callers (the benches share one graph across approaches) still get a
-  // full per-stage breakdown.
-  StageTimer timer(stage_metrics_.build_seconds);
-  util::StatusOr<core::CandidateGraph> built = engine::BuildPlannedGraph(
-      instance, {ctx.plan.used_grid_index, ctx.resolved_eta}, &ctx.plan,
-      deadline, pool_.get());
-  if (built.ok() && plan != nullptr) *plan = ctx.plan;
-  return built;
+  // Records into the build-stage histogram too, so SolveOn-style callers
+  // (the benches share one graph across approaches) still get a full
+  // per-stage breakdown.
+  return TimedBuild(instance, plan, deadline, pool_.get());
 }
 
 util::StatusOr<core::SolveResult> Engine::SolveOn(
@@ -337,7 +252,6 @@ util::StatusOr<core::SolveResult> Engine::SolveOn(
   // context's shared slot without taking ownership.
   ctx.graph = std::shared_ptr<const core::CandidateGraph>(
       std::shared_ptr<const core::CandidateGraph>(), &graph);
-  ctx.planned = true;
   if (util::Status status = StageSolve(ctx, *solver_); !status.ok()) {
     return status;
   }

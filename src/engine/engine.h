@@ -17,10 +17,6 @@
 
 namespace rdbsc {
 
-namespace index {
-struct RetrievalStats;
-}  // namespace index
-
 namespace engine {
 class SolveCache;
 
@@ -65,29 +61,12 @@ inline bool CacheModeWrites(CacheMode mode) {
 }
 }  // namespace engine
 
-/// How Engine builds the candidate graph of an instance.
-enum class GraphStrategy {
-  /// Cost-model arbitration (Appendix I) between the two paths below.
-  kAuto,
-  /// CandidateGraph::Build: O(m*n) pair validity tests.
-  kBruteForce,
-  /// RDB-SC-Grid retrieval with cell-level pruning (src/index).
-  kGridIndex,
-};
-
 /// Configuration of an Engine: which solver to run (by registry name),
-/// its options, how to build candidate graphs, and the default admission
-/// budget applied to every solve.
+/// its options, and the default admission budget applied to every solve.
+/// Candidate graphs are always built by core::CandidateGraph::Build.
 struct EngineConfig {
   std::string solver_name = "dc";
   core::SolverOptions solver_options;
-
-  GraphStrategy graph_strategy = GraphStrategy::kAuto;
-  /// Grid cell side eta; <= 0 derives the Appendix I optimum from the
-  /// instance (index::OptimalEta with the observed worker reach).
-  double eta = 0.0;
-  /// Correlation fractal dimension fed to the cost model (2 = uniform).
-  double d2 = 2.0;
 
   /// Default wall-clock budget in seconds; <= 0 unlimited. Run and
   /// SolveOn derive one deadline per call from it. RunIsolated (and
@@ -107,7 +86,8 @@ struct EngineConfig {
 
   /// Optional metrics sink (unowned; must outlive the engine). When set,
   /// every run records per-stage wall time into the histograms
-  /// engine.stage_seconds{solver, stage=validate|plan|build|solve} and
+  /// engine.stage_seconds{solver, stage=validate|plan|build|solve} (plan
+  /// counts only explicit StagePlan calls, which do nothing) and
   /// cache-read outcomes into the counters
   /// engine.cache{solver, outcome=hit|miss}. The histogram/counter
   /// handles are resolved once in Engine::Create, so the per-stage cost
@@ -138,9 +118,8 @@ struct RunControls {
 
 /// How one run built its candidate graph (reported back to the caller).
 struct GraphPlan {
+  /// Always false; kept because the frozen benchmark runner reads it.
   bool used_grid_index = false;
-  /// Grid cell side (grid path only).
-  double eta = 0.0;
   int64_t edges = 0;
   double build_seconds = 0.0;
 };
@@ -157,40 +136,8 @@ struct EngineResult {
 
 namespace engine {
 
-/// The Plan stage's decision for one instance: the construction path and
-/// the grid cell side that path would use.
-struct BuildChoice {
-  bool use_grid = false;
-  /// Resolved even when the brute-force path wins.
-  double eta = 0.0;
-};
-
-/// The Appendix I arbitration, shared by Engine::StagePlan and the
-/// streaming rounds of sim::IncrementalAssigner. kAuto prices the grid (one
-/// insert per object plus Eq. 22's modeled per-worker retrieval cost)
-/// against brute force (every (task, worker) pair) and picks the cheaper;
-/// the other strategies force their path. `eta` <= 0 derives the Appendix
-/// I optimum from the instance's worker reach with correlation dimension
-/// `d2`. An instance without tasks or workers gets brute force (unless
-/// forced) and eta as given. Pure decision -- no graph is built.
-BuildChoice PlanGraphBuild(const core::Instance& instance,
-                           GraphStrategy strategy, double eta, double d2);
-
-/// Builds `instance`'s candidate graph along `choice`: a fresh
-/// GridIndex::Build plus RetrieveEdges, or CandidateGraph::Build. The edge
-/// set is the same either way. Fills `plan` (path, the grid's clamped cell
-/// side, edges, seconds) and, on the grid path, `stats` with the
-/// retrieval's counters; both may be null. `deadline` is polled
-/// throughout; `executor` shards the scan (nullptr = serial; bit-identical
-/// either way).
-util::StatusOr<core::CandidateGraph> BuildPlannedGraph(
-    const core::Instance& instance, const BuildChoice& choice, GraphPlan* plan,
-    const util::Deadline& deadline = util::Deadline(),
-    util::Executor* executor = nullptr,
-    index::RetrievalStats* stats = nullptr);
-
 /// The typed state one request threads through the staged pipeline
-/// Validate -> Plan -> BuildGraph -> Solve. Each stage consumes the
+/// Validate -> BuildGraph -> Solve. Each stage consumes the
 /// products of the previous ones and records its own, so callers can run
 /// stages independently, skip a stage by pre-filling its product (e.g.
 /// SolveOn sets `graph` and skips the build), or replay a stage on a
@@ -206,7 +153,7 @@ struct ExecutionContext {
   /// When non-null, receives the partial stats of a failed solve.
   core::SolveStats* partial_stats = nullptr;
   /// Optional result cache, read and written by RunPipeline (between
-  /// Validate and Plan, and after Solve) per `cache_mode`. The stages
+  /// Validate and BuildGraph, and after Solve) per `cache_mode`. The stages
   /// themselves never touch it.
   SolveCache* cache = nullptr;
   CacheMode cache_mode = CacheMode::kOff;
@@ -220,13 +167,7 @@ struct ExecutionContext {
   // --- stage products ---
   /// StageValidate passed (or validation is disabled).
   bool validated = false;
-  /// StagePlan decided the build path below.
-  bool planned = false;
-  /// Cell side the grid path would use (resolved by StagePlan even when
-  /// the brute-force path wins).
-  double resolved_eta = 0.0;
-  /// used_grid_index/eta after StagePlan; edges/build_seconds after
-  /// StageBuildGraph.
+  /// edges/build_seconds after StageBuildGraph.
   GraphPlan plan;
   /// StageBuildGraph product. Shared so SolveOn can alias a caller-owned
   /// graph into the same slot.
@@ -234,24 +175,23 @@ struct ExecutionContext {
   /// StageSolve product.
   core::SolveResult solve;
   /// Cache hit: `solve`/`plan` were replayed from the cache and the
-  /// Plan/BuildGraph/Solve stages were skipped entirely.
+  /// BuildGraph/Solve stages were skipped entirely.
   bool result_from_cache = false;
 };
 
 }  // namespace engine
 
-/// The facade over the whole solving pipeline, now an explicit staged one:
+/// The facade over the whole solving pipeline, an explicit staged one:
 ///
-///   Validate -> Plan -> BuildGraph -> Solve
+///   Validate -> BuildGraph -> Solve
 ///
 /// Each stage is a public method over an engine::ExecutionContext, so a
 /// stage can be run, skipped (pre-fill its product), or replayed
 /// independently; Run/RunIsolated/SolveOn are compositions of the
 /// stages. An optional engine::SolveCache short-circuits the pipeline
-/// after Validate: a hit replays the whole result. Plan and BuildGraph are
-/// engine::PlanGraphBuild and engine::BuildPlannedGraph under this
-/// engine's configuration -- the same two functions that build every
-/// streaming round's graph (sim::IncrementalAssigner).
+/// after Validate: a hit replays the whole result. BuildGraph is
+/// core::CandidateGraph::Build, the same builder every streaming round of
+/// sim::IncrementalAssigner runs.
 ///
 ///   auto engine = rdbsc::Engine::Create({.solver_name = "greedy"});
 ///   auto result = engine.value().Run(instance);
@@ -268,10 +208,10 @@ class Engine {
   /// Convenience: default config with just the solver name set.
   static util::StatusOr<Engine> Create(std::string solver_name);
 
-  /// Full pipeline: validate -> plan -> build graph -> solve. The
+  /// Full pipeline: validate -> build graph -> solve. The
   /// admission budget spans the whole run including graph construction:
   /// every phase polls the deadline/token cooperatively -- the candidate-
-  /// graph build checks it between worker-row / cell blocks, so a budget
+  /// graph build checks it between worker-row blocks, so a budget
   /// can cut an in-flight build short with kDeadlineExceeded instead of
   /// running the O(m*n) scan to completion.
   util::StatusOr<EngineResult> Run(const core::Instance& instance,
@@ -319,13 +259,12 @@ class Engine {
   /// configured with validate_instances = false.
   util::Status StageValidate(engine::ExecutionContext& ctx) const;
 
-  /// Plan: engine::PlanGraphBuild under this engine's strategy, eta and
-  /// d2. Pure decision -- no graph is built.
+  /// Plan: a no-op that only runs the plan-stage timer; kept because the
+  /// frozen benchmark runner calls it.
   util::Status StagePlan(engine::ExecutionContext& ctx) const;
 
-  /// BuildGraph: engine::BuildPlannedGraph of the plan (running StagePlan
-  /// first if the caller skipped it); fills ctx.graph and the plan's
-  /// edges/build_seconds.
+  /// BuildGraph: core::CandidateGraph::Build of ctx.instance; fills
+  /// ctx.graph and the plan's edges/build_seconds.
   util::Status StageBuildGraph(engine::ExecutionContext& ctx) const;
 
   /// Solve: runs `solver` on ctx.graph under ctx.deadline.
@@ -333,16 +272,15 @@ class Engine {
                           core::Solver& solver) const;
 
   /// Runs the remaining stages of `ctx` in order, consulting the result
-  /// cache between Validate and Plan, and returns the
-  /// composed EngineResult. Stages whose product is already present
-  /// (validated / planned / graph) are skipped.
+  /// cache after Validate, and returns the composed EngineResult. Stages
+  /// whose product is already present (validated / graph) are skipped.
   util::StatusOr<EngineResult> RunPipeline(engine::ExecutionContext& ctx,
                                            core::Solver& solver) const;
 
   /// The result cache key / single-flight identity of `instance`
-  /// under this engine's configuration: a content hash over the instance,
-  /// the solver name + options, and the graph strategy (engine/
-  /// fingerprint.h documents the exact field order).
+  /// under this engine's configuration: a content hash over the instance
+  /// and the solver name + options (engine/fingerprint.h documents the
+  /// exact field order).
   util::Hash128 ResultCacheKey(const core::Instance& instance) const;
 
   const EngineConfig& config() const { return config_; }
@@ -357,6 +295,11 @@ class Engine {
  private:
   util::Status CheckInitialized() const;
   util::Deadline MakeDeadline(const RunControls& controls) const;
+  /// CandidateGraph::Build of `instance` under the build-stage timer; on
+  /// success fills `plan`'s (nullable) edges and build_seconds.
+  util::StatusOr<core::CandidateGraph> TimedBuild(
+      const core::Instance& instance, GraphPlan* plan,
+      const util::Deadline& deadline, util::Executor* executor) const;
 
   EngineConfig config_;
   std::unique_ptr<core::Solver> solver_;

@@ -11,12 +11,11 @@
 namespace rdbsc::engine {
 
 /// Key of the result cache (engine::SolveCache): the instance content plus the
-/// solver identity (registry name + every SolverOptions knob) and the
-/// graph configuration (strategy, eta, d2). Deliberately excludes
-/// budgets, thread counts, and validation flags -- none of them change a
-/// successful result (the determinism contract), so keying on them would
-/// only fragment the cache. Field order: instance (core::MixInstance),
-/// solver name, options (core::MixSolverOptions), strategy, eta, d2.
+/// solver identity (registry name + every SolverOptions knob). Deliberately
+/// excludes budgets, thread counts, and validation flags -- none of them
+/// change a successful result (the determinism contract), so keying on them
+/// would only fragment the cache. Field order: instance
+/// (core::MixInstance), solver name, options (core::MixSolverOptions).
 util::Hash128 ResultCacheKey(const core::Instance& instance,
                              const EngineConfig& config);
 

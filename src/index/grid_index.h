@@ -33,12 +33,12 @@ struct RetrievalStats {
 };
 
 /// Per-round graph-build counters of the streaming engine
-/// (sim::IncrementalAssigner). Each round that builds a graph plans and
-/// builds it from the round snapshot, as Engine::Run does. Cumulative;
-/// callers diff consecutive snapshots for per-round metrics (sim.delta.*
-/// in src/obs).
+/// (sim::IncrementalAssigner). Each round that builds a graph builds it
+/// from the round snapshot with CandidateGraph::Build, as Engine::Run does.
+/// Cumulative; callers diff consecutive snapshots for per-round metrics
+/// (sim.delta.*). The always-zero fields stay for the benchmark runner.
 struct DeltaStats {
-  int64_t cells_touched = 0;    ///< grid rounds: examined - pruned; brute: 0
+  int64_t cells_touched = 0;    ///< always 0 (no round retrieves from a grid)
   int64_t edges_repaired = 0;   ///< candidate-graph edges built
   int64_t rows_recomputed = 0;  ///< available workers of the built rounds
   int64_t rows_reused = 0;      ///< always 0 (trace readers derive a ratio)
@@ -61,8 +61,9 @@ struct DeltaStats {
 /// cell's summaries and SoA task block as its members arrive in
 /// ascending-id order, and every retrieval derives the tcell_lists it
 /// needs into locals. Section 7.2's dynamic maintenance is not
-/// implemented: a per-round planned build (engine::BuildPlannedGraph) was
-/// measured faster than maintaining an index across rounds.
+/// implemented, and no solving path builds a grid: CandidateGraph::Build
+/// was measured faster on every shape the repo produces (README). It stays
+/// as the Section 7 structure that fig17 and two other benches measure.
 ///
 /// Thread safety: nothing is mutated after Build, so any number of threads
 /// may call the const methods concurrently.

@@ -1,8 +1,11 @@
 #include "io/csv.h"
 
 #include <cerrno>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "geo/angle.h"
@@ -42,8 +45,11 @@ util::Status ParseDouble(const std::string& text, int line_number,
   return util::Status::OK();
 }
 
+// Reads the data rows of a numeric CSV; `line_numbers`, when non-null,
+// receives each row's 1-based line in the file.
 util::StatusOr<std::vector<std::vector<double>>> ReadNumericCsv(
-    const std::string& path, size_t columns) {
+    const std::string& path, size_t columns,
+    std::vector<int>* line_numbers = nullptr) {
   std::ifstream in(path);
   if (!in) {
     return util::Status::NotFound("cannot open '" + path + "'");
@@ -68,8 +74,24 @@ util::StatusOr<std::vector<std::vector<double>>> ReadNumericCsv(
       if (!status.ok()) return status;
     }
     rows.push_back(std::move(row));
+    if (line_numbers != nullptr) line_numbers->push_back(line_number);
   }
   return rows;
+}
+
+// Converts a parsed id field to an int, rejecting NaN, infinities,
+// fractions and values outside [lo, hi] before any cast.
+util::Status ParseId(double value, const char* field, int lo, int hi,
+                     int line_number, int* out) {
+  if (!(value >= lo && value <= hi) || value != std::trunc(value)) {
+    char text[128];
+    std::snprintf(text, sizeof(text),
+                  "line %d: %s = %g is not an integer in [%d, %d]",
+                  line_number, field, value, lo, hi);
+    return util::Status::InvalidArgument(text);
+  }
+  *out = static_cast<int>(value);
+  return util::Status::OK();
 }
 
 util::Status OpenForWrite(const std::string& path, std::ofstream* out) {
@@ -168,15 +190,30 @@ util::Status WriteAssignmentCsv(const std::string& path,
 }
 
 util::StatusOr<core::Assignment> ReadAssignmentCsv(const std::string& path) {
-  auto rows = ReadNumericCsv(path, 2);
+  std::vector<int> lines;
+  auto rows = ReadNumericCsv(path, 2, &lines);
   if (!rows.ok()) return rows.status();
-  core::Assignment assignment(static_cast<int>(rows.value().size()));
-  for (const auto& row : rows.value()) {
-    int worker = static_cast<int>(row[0]);
-    int task = static_cast<int>(row[1]);
-    if (worker < 0 || worker >= assignment.num_workers()) {
-      return util::Status::InvalidArgument("worker id out of range");
+  const int num_workers = static_cast<int>(rows.value().size());
+  core::Assignment assignment(num_workers);
+  // Line of each worker's row (0 = not read yet): a second row for the
+  // same worker is an error, not a silent overwrite.
+  std::vector<int> line_of(rows.value().size(), 0);
+  for (size_t r = 0; r < rows.value().size(); ++r) {
+    int worker = 0;
+    int task = 0;
+    util::Status s = ParseId(rows.value()[r][0], "worker", 0,
+                             num_workers - 1, lines[r], &worker);
+    if (s.ok()) {
+      s = ParseId(rows.value()[r][1], "task", core::kNoTask,
+                  std::numeric_limits<int>::max(), lines[r], &task);
     }
+    if (!s.ok()) return s;
+    if (const int first = line_of[static_cast<size_t>(worker)]; first != 0) {
+      return util::Status::InvalidArgument(
+          "line " + std::to_string(lines[r]) + ": worker " +
+          std::to_string(worker) + " repeats line " + std::to_string(first));
+    }
+    line_of[static_cast<size_t>(worker)] = lines[r];
     if (task != core::kNoTask) assignment.Assign(worker, task);
   }
   return assignment;

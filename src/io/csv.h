@@ -21,7 +21,9 @@ namespace rdbsc::io {
 ///                 (0, 2*pi) round-trips a full circle)
 ///   pairs.csv    worker,task          (task -1 = unassigned)
 /// All parsing is strict: wrong column counts or unparsable numbers fail
-/// with InvalidArgument naming the line.
+/// with InvalidArgument naming the line. In pairs.csv each worker id must
+/// be an integer in [0, rows) that appears once, and each task id an
+/// integer >= -1.
 
 util::Status WriteTasksCsv(const std::string& path,
                            const std::vector<core::Task>& tasks);

@@ -9,7 +9,6 @@
 
 #include "core/diversity.h"
 #include "core/instance.h"
-#include "engine/engine.h"
 #include "util/deadline.h"
 #include "util/math.h"
 
@@ -24,15 +23,11 @@ util::Status ValidatePosition(core::WorkerId id, core::Worker worker,
   return core::ValidateWorker(id, worker);
 }
 
-// Correlation dimension of the round planner's cost model: uniform, as
-// EngineConfig::d2 defaults to.
-constexpr double kRoundD2 = 2.0;
-
 }  // namespace
 
-IncrementalAssigner::IncrementalAssigner(core::Solver* solver, double eta,
+IncrementalAssigner::IncrementalAssigner(core::Solver* solver,
                                          core::ArrivalPolicy policy)
-    : solver_(solver), eta_(eta), policy_(policy) {}
+    : solver_(solver), policy_(policy) {}
 
 util::Status IncrementalAssigner::CheckClock(const char* field,
                                              double now) const {
@@ -191,15 +186,9 @@ void IncrementalAssigner::set_metrics(obs::Registry* metrics,
   // Start the per-round diffs from here: work done before the sink was
   // attached is not retroactively reported.
   reported_delta_ = delta_stats_;
-  round_graph_grid_ = nullptr;
-  round_graph_brute_ = nullptr;
   round_build_ = nullptr;
   round_solve_ = nullptr;
   if (metrics == nullptr) return;
-  round_graph_grid_ = &metrics->GetCounter(
-      "sim.round_graph", {{"solver", solver_name}, {"path", "grid"}});
-  round_graph_brute_ = &metrics->GetCounter(
-      "sim.round_graph", {{"solver", solver_name}, {"path", "brute"}});
   const obs::Labels labels = {{"solver", std::move(solver_name)}};
   round_build_ =
       &metrics->GetHistogram("sim.round_build_seconds", labels, 1e-9);
@@ -211,8 +200,6 @@ void IncrementalAssigner::ReportDeltaMetrics() {
   if (metrics_ == nullptr) return;
   const index::DeltaStats diff = delta_stats_ - reported_delta_;
   reported_delta_ = delta_stats_;
-  metrics_->GetCounter("sim.delta.cells_touched")
-      .Increment(diff.cells_touched);
   metrics_->GetCounter("sim.delta.edges_repaired")
       .Increment(diff.edges_repaired);
   metrics_->GetCounter("sim.delta.rows_recomputed")
@@ -267,26 +254,12 @@ IncrementalAssigner::Update(double now) {
   core::Instance snapshot(std::move(snapshot_tasks),
                           std::move(snapshot_workers), now, policy_);
 
-  // The round's candidate graph, planned and built as Engine::Run would.
+  // The round's candidate graph, built as Engine::Run would.
   const auto build_start = std::chrono::steady_clock::now();
-  const engine::BuildChoice choice = engine::PlanGraphBuild(
-      snapshot, GraphStrategy::kAuto, eta_, kRoundD2);
-  GraphPlan plan;
-  index::RetrievalStats rstats;
-  util::StatusOr<core::CandidateGraph> built = engine::BuildPlannedGraph(
-      snapshot, choice, &plan, util::Deadline(), nullptr, &rstats);
-  if (!built.ok()) return built.status();
-  const core::CandidateGraph& graph = built.value();
-  delta_stats_.cells_touched +=
-      rstats.cell_pairs_examined - rstats.cell_pairs_pruned;
-  delta_stats_.edges_repaired += plan.edges;
+  const core::CandidateGraph graph = core::CandidateGraph::Build(snapshot);
+  delta_stats_.edges_repaired += graph.NumEdges();
   delta_stats_.rows_recomputed += static_cast<int64_t>(worker_ids.size());
   ++delta_stats_.bulk_refills;
-  if (obs::Counter* path = choice.use_grid ? round_graph_grid_
-                                           : round_graph_brute_;
-      path != nullptr) {
-    path->Increment();
-  }
   if (round_build_ != nullptr) {
     round_build_->Observe(util::SecondsSince(build_start));
   }

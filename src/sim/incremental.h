@@ -26,13 +26,11 @@ namespace rdbsc::sim {
 /// S = S u S_c).
 ///
 /// Events only update the registries. Each round builds a compact
-/// snapshot instance of the open tasks and available workers and plans
-/// and builds its candidate graph exactly as Engine::Run does
-/// (engine::PlanGraphBuild's Appendix I arbitration, then
-/// engine::BuildPlannedGraph's brute or fresh-grid path). Both paths give
-/// the same edges, so a round commits exactly what a from-scratch
-/// CandidateGraph::Build of the same snapshot, solved by the same solver,
-/// would commit (tests/delta_index_test.cc checks it in every build type).
+/// snapshot instance of the open tasks and available workers and its
+/// candidate graph with CandidateGraph::Build, exactly as Engine::Run
+/// does, so a round commits exactly what a from-scratch build of the same
+/// snapshot, solved by the same solver, would commit
+/// (tests/delta_index_test.cc checks it in every build type).
 ///
 /// External ids are caller-chosen and stable; the snapshot's local ids are
 /// ranks in the sorted global id lists.
@@ -46,13 +44,11 @@ namespace rdbsc::sim {
 /// bit-identical however the registries were populated.
 class IncrementalAssigner {
  public:
-  /// `solver` must outlive the assigner. `eta` is the grid cell side of
-  /// rounds planned onto the grid, as in EngineConfig::eta: <= 0 derives
-  /// the Appendix I optimum from each round's snapshot. `policy` is
-  /// applied to every validity test.
-  IncrementalAssigner(core::Solver* solver, double eta,
-                      core::ArrivalPolicy policy =
-                          core::ArrivalPolicy::kAllowWait);
+  /// `solver` must outlive the assigner. `policy` is applied to every
+  /// validity test.
+  explicit IncrementalAssigner(core::Solver* solver,
+                               core::ArrivalPolicy policy =
+                                   core::ArrivalPolicy::kAllowWait);
 
   /// The mutators below reject bad input first, in every build type, with
   /// the kInvalidArgument of core::ValidateTask / core::ValidateWorker (a
@@ -89,13 +85,11 @@ class IncrementalAssigner {
 
   /// Optional metrics sink (unowned; must outlive the assigner). Each
   /// Update reports that round's build counters as sim.delta.* counter
-  /// increments (cells_touched, edges_repaired, rows_recomputed,
-  /// bulk_refills; see index::DeltaStats), and every round that builds a
-  /// graph increments sim.round_graph{solver, path=grid|brute} and
-  /// observes sim.round_build_seconds (plan and build) and
-  /// sim.round_solve_seconds (the solve alone), labelled
-  /// {solver=`solver_name`} -- the registry name the owner resolved the
-  /// solver by.
+  /// increments (edges_repaired, rows_recomputed, bulk_refills; see
+  /// index::DeltaStats), and every round that builds a graph observes
+  /// sim.round_build_seconds (the build) and sim.round_solve_seconds (the
+  /// solve alone), labelled {solver=`solver_name`} -- the registry name
+  /// the owner resolved the solver by.
   void set_metrics(obs::Registry* metrics, std::string solver_name);
 
   /// Cumulative per-round graph-build counters.
@@ -108,10 +102,9 @@ class IncrementalAssigner {
   /// One round of Figure 10: assigns available workers to open tasks that
   /// are still live at `now` (expired tasks are dropped first). Returns
   /// the pairs newly committed this round as global (task, worker) ids, in
-  /// ascending worker order. Fails with the graph build's or the solver's
-  /// status (no commitments are made then). A NaN or infinite `now`, or
-  /// one earlier than now(), fails with kInvalidArgument before any state
-  /// changes.
+  /// ascending worker order. Fails with the solver's status (no
+  /// commitments are made then). A NaN or infinite `now`, or one earlier
+  /// than now(), fails with kInvalidArgument before any state changes.
   util::StatusOr<std::vector<std::pair<core::TaskId, core::WorkerId>>>
   Update(double now);
 
@@ -148,17 +141,13 @@ class IncrementalAssigner {
   util::Status CheckClock(const char* field, double now) const;
 
   core::Solver* solver_;
-  double eta_;
   core::ArrivalPolicy policy_;
   double now_ = 0.0;
   index::DeltaStats delta_stats_;
   /// delta_stats_ at the last ReportDeltaMetrics call.
   index::DeltaStats reported_delta_;
   obs::Registry* metrics_ = nullptr;
-  /// The round counters and timers, resolved by set_metrics; null without
-  /// a registry.
-  obs::Counter* round_graph_grid_ = nullptr;
-  obs::Counter* round_graph_brute_ = nullptr;
+  /// The round timers, resolved by set_metrics; null without a registry.
   obs::Histogram* round_build_ = nullptr;
   obs::Histogram* round_solve_ = nullptr;
   std::unordered_map<core::TaskId, core::Task> tasks_;

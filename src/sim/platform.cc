@@ -173,8 +173,7 @@ util::StatusOr<PlatformResult> Platform::Run() {
 
   // --- The round engine: every site and user is registered once; from
   // then on it hears of each tick's completions. ---
-  IncrementalAssigner assigner(solver_.get(), /*eta=*/0.0,
-                               core::ArrivalPolicy::kStrict);
+  IncrementalAssigner assigner(solver_.get(), core::ArrivalPolicy::kStrict);
   assigner.set_metrics(config_.metrics, config_.solver_name);
   for (core::TaskId i = 0; i < config_.num_sites; ++i) {
     if (util::Status s = assigner.AddTask(i, sites[i].task); !s.ok()) return s;

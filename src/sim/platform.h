@@ -48,9 +48,8 @@ struct PlatformConfig {
   /// sim.round_objectives_seconds histogram (each round's objective
   /// preview: min reliability and the Eq. 7 E[STD] total over all sites),
   /// plus the round engine's sim.round_build_seconds /
-  /// sim.round_solve_seconds histograms and sim.round_graph{path} counter,
-  /// all labelled {solver}, and its unlabelled sim.delta.* counters (see
-  /// IncrementalAssigner::set_metrics).
+  /// sim.round_solve_seconds histograms, both labelled {solver}, and its
+  /// unlabelled sim.delta.* counters (see IncrementalAssigner::set_metrics).
   /// Purely observational: the simulated trajectory is bit-identical with
   /// or without it.
   obs::Registry* metrics = nullptr;

@@ -14,16 +14,15 @@ util::StatusOr<std::unique_ptr<StreamingSession>> StreamingSession::Create(
                                             config.solver_options);
   if (!solver.ok()) return solver.status();
   std::unique_ptr<StreamingSession> session(
-      new StreamingSession(std::move(solver).value(), config.eta, policy));
+      new StreamingSession(std::move(solver).value(), policy));
   session->assigner_->set_metrics(config.metrics, config.solver_name);
   return session;
 }
 
 StreamingSession::StreamingSession(std::unique_ptr<core::Solver> solver,
-                                   double eta, core::ArrivalPolicy policy)
+                                   core::ArrivalPolicy policy)
     : solver_(std::move(solver)),
-      assigner_(std::make_unique<IncrementalAssigner>(solver_.get(), eta,
-                                                      policy)) {}
+      assigner_(std::make_unique<IncrementalAssigner>(solver_.get(), policy)) {}
 
 util::StatusOr<std::vector<std::pair<core::TaskId, core::WorkerId>>>
 StreamingSession::Round(const EventBatch& batch) {

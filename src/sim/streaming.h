@@ -16,24 +16,21 @@ namespace rdbsc::sim {
 
 /// The engine-layer streaming entry point: a long-lived session that
 /// consumes typed event batches and runs one assignment round per batch
-/// (`ApplyEvents -> Update`). Each round plans and builds its candidate
-/// graph from the round snapshot the way Engine::Run does (the Appendix I
-/// arbitration between brute force and a fresh grid index).
+/// (`ApplyEvents -> Update`). Each round builds its candidate graph from
+/// the round snapshot the way Engine::Run does (CandidateGraph::Build).
 ///
-/// Configured like a one-shot engine (solver name/options, eta, metrics
-/// all come from engine::EngineConfig) so callers can switch an existing
+/// Configured like a one-shot engine (solver name/options and metrics
+/// come from engine::EngineConfig) so callers can switch an existing
 /// engine::Engine::Run loop to streaming without a second config type.
 /// Each round commits exactly what a per-round CandidateGraph::Build of
 /// the same world state, solved by the same solver, would commit.
 class StreamingSession {
  public:
   /// Resolves the solver through the global registry; fails with its
-  /// kNotFound on unknown names. `config.eta` is the grid cell side of
-  /// rounds planned onto the grid (<= 0 derives the Appendix I optimum per
-  /// round); `config.metrics`, when set, receives the per-round sim.delta.*
-  /// build counters, the sim.round_graph{path} counter and the
-  /// sim.round_build_seconds / sim.round_solve_seconds histograms,
-  /// labelled {solver=config.solver_name}.
+  /// kNotFound on unknown names. `config.metrics`, when set, receives the
+  /// per-round sim.delta.* build counters and the sim.round_build_seconds /
+  /// sim.round_solve_seconds histograms, labelled
+  /// {solver=config.solver_name}.
   static util::StatusOr<std::unique_ptr<StreamingSession>> Create(
       const rdbsc::EngineConfig& config,
       core::ArrivalPolicy policy = core::ArrivalPolicy::kAllowWait);
@@ -50,7 +47,7 @@ class StreamingSession {
   const IncrementalAssigner& assigner() const { return *assigner_; }
 
  private:
-  StreamingSession(std::unique_ptr<core::Solver> solver, double eta,
+  StreamingSession(std::unique_ptr<core::Solver> solver,
                    core::ArrivalPolicy policy);
 
   std::unique_ptr<core::Solver> solver_;

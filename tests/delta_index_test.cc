@@ -1,7 +1,7 @@
 // Property suite of the streaming round engine: randomized event
 // sequences (moves, task arrivals and expirations, interleaved
 // completions) asserting its contract -- each round's candidate graph and
-// build plan equal Engine::BuildGraph of the same snapshot, and its
+// edge count equal Engine::BuildGraph of the same snapshot, and its
 // commitments equal a from-scratch round's.
 
 #include <algorithm>
@@ -168,29 +168,15 @@ class RecordingSolver : public core::Solver {
   std::optional<Rows> rows_;
 };
 
-/// Which graph paths the rounds of the scripts took.
-struct PathCounts {
-  int grid = 0;
-  int brute = 0;
-};
-
 /// Drives one seeded event script through the assigner, checking every
-/// round's graph against Engine::BuildGraph of the same snapshot (an
-/// engine planning with the assigner's eta) and its commitments against
-/// the from-scratch reference. `speed_scale` scales worker speeds: slow
-/// workers reach few cells, so the planner picks the grid for some rounds.
-void RunEventScript(uint64_t seed, double eta, double speed_scale,
-                    PathCounts* paths) {
+/// round's graph against Engine::BuildGraph of the same snapshot and its
+/// commitments against the from-scratch reference. `speed_scale` scales
+/// worker speeds: slow workers reach few tasks, so rounds keep more
+/// workers available and see sparser graphs.
+void RunEventScript(uint64_t seed, double speed_scale) {
   RecordingSolver solver;
-  sim::IncrementalAssigner assigner(&solver, eta);
-  obs::Registry registry;
-  assigner.set_metrics(&registry, "greedy");
-  EngineConfig config;
-  config.solver_name = "greedy";
-  config.eta = eta;
-  const Engine engine = Engine::Create(config).value();
-  const obs::Labels grid = {{"solver", "greedy"}, {"path", "grid"}};
-  const obs::Labels brute = {{"solver", "greedy"}, {"path", "brute"}};
+  sim::IncrementalAssigner assigner(&solver);
+  const Engine engine = Engine::Create("greedy").value();
 
   util::Rng rng(seed);
   WorldMirror world;
@@ -248,8 +234,6 @@ void RunEventScript(uint64_t seed, double eta, double speed_scale,
     const Commits want = world.ReferenceRound(now, "greedy");
     const std::optional<core::Instance> snapshot = world.Snapshot(now);
     const index::DeltaStats before = assigner.delta_stats();
-    const int64_t grid_before = registry.GetCounter("sim.round_graph", grid)
-                                    .value();
     auto committed = assigner.Update(now);
     ASSERT_TRUE(committed.ok()) << committed.status().ToString();
     EXPECT_EQ(committed.value(), want) << "seed " << seed << " round " << round;
@@ -263,105 +247,75 @@ void RunEventScript(uint64_t seed, double eta, double speed_scale,
         engine.BuildGraph(*snapshot, &plan).value();
     EXPECT_EQ(*rows, RowsOf(reference, snapshot->num_workers()))
         << "seed " << seed << " round " << round;
-    const bool round_used_grid =
-        registry.GetCounter("sim.round_graph", grid).value() > grid_before;
-    EXPECT_EQ(round_used_grid, plan.used_grid_index)
-        << "seed " << seed << " round " << round;
     EXPECT_EQ((assigner.delta_stats() - before).edges_repaired, plan.edges)
         << "seed " << seed << " round " << round;
   }
-  paths->grid += static_cast<int>(
-      registry.GetCounter("sim.round_graph", grid).value());
-  paths->brute += static_cast<int>(
-      registry.GetCounter("sim.round_graph", brute).value());
 }
 
 TEST(DeltaIndexPropertyTest, DeltaEqualsRebuildOverEventScripts) {
-  PathCounts paths;
   for (uint64_t seed : {11u, 23u, 42u}) {
-    for (double eta : {0.08, 0.0}) {
-      RunEventScript(seed, eta, /*speed_scale=*/1.0, &paths);
-      RunEventScript(seed, eta, /*speed_scale=*/0.03, &paths);
-    }
+    RunEventScript(seed, /*speed_scale=*/1.0);
+    RunEventScript(seed, /*speed_scale=*/0.03);
   }
-  // The scripts exercised both build paths.
-  EXPECT_GT(paths.grid, 0);
-  EXPECT_GT(paths.brute, 0);
 }
 
-// Every round that builds a graph plans and builds it once, as the engine
-// would from the round snapshot, and its counters say exactly that: one
-// sim.round_graph increment on the planned path, and the DeltaStats of
-// that build. Slow workers on a small grid make the planner pick the
-// grid; fast ones make it pick brute force.
+// Every round that builds a graph builds it once, as the engine would from
+// the round snapshot, and its counters say exactly that: the DeltaStats
+// and sim.delta.* counters of that one build.
 TEST(DeltaIndexPropertyTest, EachRoundIsOneFullRetrieval) {
-  for (const double speed_scale : {1.0, 0.01}) {
-    obs::Registry registry;
-    auto solver = core::SolverRegistry::Global().Create("greedy").value();
-    constexpr double kEta = 0.1;
-    sim::IncrementalAssigner assigner(solver.get(), kEta);
-    assigner.set_metrics(&registry, "greedy");
-    util::Rng rng(5);
-    constexpr int kWorkers = 12;
-    std::vector<core::Worker> workers;
-    for (core::WorkerId j = 0; j < kWorkers; ++j) {
-      workers.push_back(RandomWorker(rng, speed_scale));
-      // Worker 3 moves next to task 0 below, so the round has an edge.
-      if (j == 3) workers.back().direction = geo::AngularInterval::FullCircle();
-      ASSERT_TRUE(assigner.AddWorker(j, workers.back()).ok());
-    }
-    // A round with nothing to assign builds no graph.
-    ASSERT_TRUE(assigner.Update(0.0).ok());
-    EXPECT_EQ(assigner.delta_stats().bulk_refills, 0);
+  obs::Registry registry;
+  auto solver = core::SolverRegistry::Global().Create("greedy").value();
+  sim::IncrementalAssigner assigner(solver.get());
+  assigner.set_metrics(&registry, "greedy");
+  util::Rng rng(5);
+  constexpr int kWorkers = 12;
+  std::vector<core::Worker> workers;
+  for (core::WorkerId j = 0; j < kWorkers; ++j) {
+    workers.push_back(RandomWorker(rng));
+    // Worker 3 moves next to task 0 below, so the round has an edge.
+    if (j == 3) workers.back().direction = geo::AngularInterval::FullCircle();
+    ASSERT_TRUE(assigner.AddWorker(j, workers.back()).ok());
+  }
+  // A round with nothing to assign builds no graph.
+  ASSERT_TRUE(assigner.Update(0.0).ok());
+  EXPECT_EQ(assigner.delta_stats().bulk_refills, 0);
 
-    sim::EventBatch batch;
-    batch.now = 0.1;
-    std::vector<core::Task> tasks;
-    for (core::TaskId i = 0; i < 40; ++i) {
-      tasks.push_back(RandomTask(rng, batch.now));
-      if (i == 0) tasks.back().location = {0.502, 0.5};
-      batch.arrived.push_back({i, tasks.back()});
-    }
-    batch.moved.push_back({3, {0.5, 0.5}});
-    workers[3].location = {0.5, 0.5};
-    ASSERT_TRUE(assigner.ApplyEvents(batch).ok());
+  sim::EventBatch batch;
+  batch.now = 0.1;
+  std::vector<core::Task> tasks;
+  for (core::TaskId i = 0; i < 40; ++i) {
+    tasks.push_back(RandomTask(rng, batch.now));
+    if (i == 0) tasks.back().location = {0.502, 0.5};
+    batch.arrived.push_back({i, tasks.back()});
+  }
+  batch.moved.push_back({3, {0.5, 0.5}});
+  workers[3].location = {0.5, 0.5};
+  ASSERT_TRUE(assigner.ApplyEvents(batch).ok());
 
-    const core::Instance snapshot(tasks, workers, batch.now,
-                                  core::ArrivalPolicy::kAllowWait);
-    const engine::BuildChoice choice =
-        engine::PlanGraphBuild(snapshot, GraphStrategy::kAuto, kEta, 2.0);
-    EXPECT_EQ(choice.use_grid, speed_scale < 1.0);
-    GraphPlan plan;
-    index::RetrievalStats rstats;
-    ASSERT_TRUE(engine::BuildPlannedGraph(snapshot, choice, &plan,
-                                          util::Deadline(), nullptr, &rstats)
-                    .ok());
-    ASSERT_GT(plan.edges, 0);
+  const core::Instance snapshot(tasks, workers, batch.now,
+                                core::ArrivalPolicy::kAllowWait);
+  const int64_t edges = core::CandidateGraph::Build(snapshot).NumEdges();
+  ASSERT_GT(edges, 0);
 
-    const index::DeltaStats before = assigner.delta_stats();
-    ASSERT_TRUE(assigner.Update(batch.now).ok());
-    const index::DeltaStats round = assigner.delta_stats() - before;
-    EXPECT_EQ(round.bulk_refills, 1);
-    EXPECT_EQ(round.rows_recomputed, kWorkers);
-    EXPECT_EQ(round.edges_repaired, plan.edges);
-    EXPECT_EQ(round.cells_touched,
-              choice.use_grid
-                  ? rstats.cell_pairs_examined - rstats.cell_pairs_pruned
-                  : 0);
-    EXPECT_EQ(round.rows_reused, 0);
+  const index::DeltaStats before = assigner.delta_stats();
+  ASSERT_TRUE(assigner.Update(batch.now).ok());
+  const index::DeltaStats round = assigner.delta_stats() - before;
+  EXPECT_EQ(round.bulk_refills, 1);
+  EXPECT_EQ(round.rows_recomputed, kWorkers);
+  EXPECT_EQ(round.edges_repaired, edges);
+  EXPECT_EQ(round.cells_touched, 0);
+  EXPECT_EQ(round.rows_reused, 0);
 
-    const obs::Labels grid = {{"solver", "greedy"}, {"path", "grid"}};
-    const obs::Labels brute = {{"solver", "greedy"}, {"path", "brute"}};
-    EXPECT_EQ(registry.GetCounter("sim.round_graph", grid).value(),
-              choice.use_grid ? 1 : 0);
-    EXPECT_EQ(registry.GetCounter("sim.round_graph", brute).value(),
-              choice.use_grid ? 0 : 1);
-    EXPECT_EQ(registry.GetCounter("sim.delta.bulk_refills").value(), 1);
-    for (const obs::MetricSnapshot& metric : registry.Snapshot().metrics) {
-      EXPECT_NE(metric.name, "sim.delta.rows_reused");
-      EXPECT_NE(metric.name, "sim.delta.tcell_rebuilds");
-      EXPECT_NE(metric.name, "sim.delta.tcell_patches");
-    }
+  EXPECT_EQ(registry.GetCounter("sim.delta.bulk_refills").value(), 1);
+  EXPECT_EQ(registry.GetCounter("sim.delta.edges_repaired").value(), edges);
+  EXPECT_EQ(registry.GetCounter("sim.delta.rows_recomputed").value(),
+            kWorkers);
+  for (const obs::MetricSnapshot& metric : registry.Snapshot().metrics) {
+    EXPECT_NE(metric.name, "sim.delta.rows_reused");
+    EXPECT_NE(metric.name, "sim.delta.cells_touched");
+    EXPECT_NE(metric.name, "sim.delta.tcell_rebuilds");
+    EXPECT_NE(metric.name, "sim.delta.tcell_patches");
+    EXPECT_NE(metric.name, "sim.round_graph");
   }
 }
 
@@ -370,7 +324,7 @@ TEST(DeltaIndexPropertyTest, EachRoundIsOneFullRetrieval) {
 TEST(DeltaIndexPropertyTest, EventBatchOrderIsCanonical) {
   auto run = [](bool reversed) {
     auto solver = core::SolverRegistry::Global().Create("greedy").value();
-    sim::IncrementalAssigner assigner(solver.get(), 0.1);
+    sim::IncrementalAssigner assigner(solver.get());
     for (core::WorkerId j = 0; j < 4; ++j) {
       core::Worker w;
       w.location = {0.4 + 0.02 * j, 0.5};
@@ -405,7 +359,6 @@ TEST(DeltaIndexPropertyTest, EventBatchOrderIsCanonical) {
 TEST(StreamingSessionTest, RoundsMatchRebuildMode) {
   EngineConfig config;
   config.solver_name = "greedy";
-  config.eta = 0.1;
   auto session = sim::StreamingSession::Create(config).value();
   util::Rng rng(7);
   WorldMirror world;
@@ -458,18 +411,11 @@ TEST(StreamingSessionTest, EngineMetricsRecordRoundTimers) {
     EXPECT_EQ(registry.GetHistogram(name, labels, 1e-9).Snapshot().count(), 1)
         << name;
   }
-  // One task and one worker: the planner prices brute force cheaper.
-  EXPECT_EQ(registry
-                .GetCounter("sim.round_graph",
-                            {{"solver", "greedy"}, {"path", "brute"}})
-                .value(),
-            1);
-  EXPECT_EQ(registry
-                .GetCounter("sim.round_graph",
-                            {{"solver", "greedy"}, {"path", "grid"}})
-                .value(),
-            0);
+  // Every round takes the one build path: nothing counts paths or grid
+  // cells.
   for (const obs::MetricSnapshot& metric : registry.Snapshot().metrics) {
+    EXPECT_NE(metric.name, "sim.round_graph");
+    EXPECT_NE(metric.name, "sim.delta.cells_touched");
     EXPECT_NE(metric.name, "sim.delta.tcell_rebuilds");
     EXPECT_NE(metric.name, "sim.delta.tcell_patches");
   }

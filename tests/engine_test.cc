@@ -39,41 +39,6 @@ TEST(EngineTest, ValidatesInstancesBeforeSolving) {
   EXPECT_EQ(run.status().code(), util::StatusCode::kInvalidArgument);
 }
 
-// The two graph-construction paths must agree edge-for-edge, so forcing
-// either one through the facade yields the same assignment for one seed.
-TEST(EngineTest, GridAndBruteForceGraphsProduceTheSameSolve) {
-  core::Instance instance = SmallInstance(9, 30, 60);
-
-  EngineConfig brute;
-  brute.solver_name = "greedy";
-  brute.graph_strategy = GraphStrategy::kBruteForce;
-  EngineConfig grid = brute;
-  grid.graph_strategy = GraphStrategy::kGridIndex;
-
-  EngineResult via_brute =
-      Engine::Create(brute).value().Run(instance).value();
-  EngineResult via_grid =
-      Engine::Create(grid).value().Run(instance).value();
-
-  EXPECT_FALSE(via_brute.plan.used_grid_index);
-  EXPECT_TRUE(via_grid.plan.used_grid_index);
-  EXPECT_GT(via_grid.plan.eta, 0.0);
-  EXPECT_EQ(via_brute.plan.edges, via_grid.plan.edges);
-  for (core::WorkerId j = 0; j < instance.num_workers(); ++j) {
-    EXPECT_EQ(via_brute.solve.assignment.TaskOf(j),
-              via_grid.solve.assignment.TaskOf(j))
-        << "worker " << j;
-  }
-}
-
-TEST(EngineTest, AutoStrategyPicksAPathAndSolves) {
-  core::Instance instance = SmallInstance(10, 20, 40);
-  Engine engine = Engine::Create("dc").value();
-  EngineResult result = engine.Run(instance).value();
-  EXPECT_GE(result.plan.edges, 0);
-  EXPECT_GE(result.solve.objectives.total_std, 0.0);
-}
-
 // Acceptance criterion: a budget-exhausted solve returns a non-OK status
 // (kDeadlineExceeded) with partial stats instead of hanging.
 TEST(EngineTest, TinyBudgetReturnsDeadlineExceededWithPartialStats) {
@@ -152,7 +117,6 @@ TEST(EngineTest, MidBuildDeadlineReturnsDeadlineExceeded) {
   core::Instance instance = SmallInstance(16, 1'500, 1'500);
   EngineConfig config;
   config.solver_name = "greedy";
-  config.graph_strategy = GraphStrategy::kBruteForce;
   Engine engine = Engine::Create(config).value();
   core::SolveStats partial;
   RunControls controls;
@@ -170,17 +134,10 @@ TEST(EngineTest, BuildGraphReportsTrippedDeadline) {
   util::CancelToken cancel;
   cancel.Cancel();
   util::Deadline tripped(0.0, &cancel);
-  for (GraphStrategy strategy :
-       {GraphStrategy::kBruteForce, GraphStrategy::kGridIndex}) {
-    EngineConfig config;
-    config.solver_name = "greedy";
-    config.graph_strategy = strategy;
-    Engine strategic = Engine::Create(config).value();
-    util::StatusOr<core::CandidateGraph> graph =
-        strategic.BuildGraph(instance, nullptr, tripped);
-    ASSERT_FALSE(graph.ok());
-    EXPECT_EQ(graph.status().code(), util::StatusCode::kCancelled);
-  }
+  util::StatusOr<core::CandidateGraph> graph =
+      engine.BuildGraph(instance, nullptr, tripped);
+  ASSERT_FALSE(graph.ok());
+  EXPECT_EQ(graph.status().code(), util::StatusCode::kCancelled);
 }
 
 }  // namespace

@@ -1,28 +1,23 @@
-// Property test closing a coverage gap: the grid-index retrieval and the
-// brute-force O(m*n) scan must produce edge-set-identical candidate
-// graphs on randomized instances (previously only spot-checked), and the
-// cost-model arbitrated GraphStrategy::kAuto must always match one of the
-// two concrete paths.
+// Property test closing a coverage gap: the grid-index retrieval
+// (GridIndex::Build plus RetrieveEdges) and the brute-force O(m*n) scan
+// (CandidateGraph::Build) must produce edge-set-identical candidate graphs
+// on randomized instances, at a fine and a coarse cell side.
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/instance.h"
-#include "engine/engine.h"
 #include "gtest/gtest.h"
+#include "index/grid_index.h"
 #include "test_util.h"
 
 namespace rdbsc {
 namespace {
 
-Engine MakeEngine(GraphStrategy strategy) {
-  EngineConfig config;
-  config.solver_name = "greedy";  // irrelevant: only BuildGraph is used
-  config.graph_strategy = strategy;
-  config.validate_instances = false;
-  return std::move(Engine::Create(std::move(config)).value());
-}
+// Cell sides of the grid retrievals compared against the brute scan.
+constexpr double kCellSides[] = {0.05, 0.15};
 
 // Per-worker adjacency as sorted rows: the two construction paths may
 // emit a worker's tasks in different orders, but the edge *set* must
@@ -38,12 +33,14 @@ std::vector<std::vector<core::TaskId>> SortedRows(
   return rows;
 }
 
-TEST(GraphEquivalenceTest, GridAndBruteForceAgreeOnRandomInstances) {
-  Engine brute = MakeEngine(GraphStrategy::kBruteForce);
-  Engine grid = MakeEngine(GraphStrategy::kGridIndex);
-  Engine automatic = MakeEngine(GraphStrategy::kAuto);
+// The graph a fresh grid with cell side `eta` retrieves for `instance`.
+core::CandidateGraph GridGraph(const core::Instance& instance, double eta) {
+  const index::GridIndex grid = index::GridIndex::Build(instance, eta);
+  return core::CandidateGraph::FromEdges(instance,
+                                         grid.RetrieveEdges().value());
+}
 
-  int auto_grid_picks = 0;
+TEST(GraphEquivalenceTest, GridAndBruteForceAgreeOnRandomInstances) {
   for (uint64_t seed = 1; seed <= 50; ++seed) {
     // Vary the shape: 8..57 tasks x 12..110 workers across the sweep.
     const int num_tasks = 8 + static_cast<int>(seed);
@@ -51,23 +48,18 @@ TEST(GraphEquivalenceTest, GridAndBruteForceAgreeOnRandomInstances) {
     core::Instance instance =
         test::SmallInstance(seed, num_tasks, num_workers);
 
-    GraphPlan brute_plan, grid_plan, auto_plan;
-    core::CandidateGraph brute_graph =
-        brute.BuildGraph(instance, &brute_plan).value();
-    core::CandidateGraph grid_graph =
-        grid.BuildGraph(instance, &grid_plan).value();
-    core::CandidateGraph auto_graph =
-        automatic.BuildGraph(instance, &auto_plan).value();
-
-    ASSERT_FALSE(brute_plan.used_grid_index);
-    ASSERT_TRUE(grid_plan.used_grid_index);
-
-    // Edge-set identity between the two concrete paths.
-    ASSERT_EQ(grid_graph.NumEdges(), brute_graph.NumEdges())
-        << "seed " << seed;
-    std::vector<std::vector<core::TaskId>> brute_rows =
+    const core::CandidateGraph brute_graph =
+        core::CandidateGraph::Build(instance);
+    const std::vector<std::vector<core::TaskId>> brute_rows =
         SortedRows(brute_graph);
-    ASSERT_EQ(SortedRows(grid_graph), brute_rows) << "seed " << seed;
+
+    for (const double eta : kCellSides) {
+      const core::CandidateGraph grid_graph = GridGraph(instance, eta);
+      ASSERT_EQ(grid_graph.NumEdges(), brute_graph.NumEdges())
+          << "seed " << seed << " eta " << eta;
+      ASSERT_EQ(SortedRows(grid_graph), brute_rows)
+          << "seed " << seed << " eta " << eta;
+    }
 
     // The task-side adjacency must be consistent with the worker side.
     int64_t task_side_edges = 0;
@@ -76,35 +68,19 @@ TEST(GraphEquivalenceTest, GridAndBruteForceAgreeOnRandomInstances) {
           static_cast<int64_t>(brute_graph.WorkersOf(i).size());
     }
     ASSERT_EQ(task_side_edges, brute_graph.NumEdges()) << "seed " << seed;
-
-    // kAuto picks one of the two paths and reproduces its edge set.
-    ASSERT_EQ(SortedRows(auto_graph), brute_rows) << "seed " << seed;
-    ASSERT_EQ(auto_graph.NumEdges(), brute_graph.NumEdges())
-        << "seed " << seed;
-    if (auto_plan.used_grid_index) {
-      ASSERT_GT(auto_plan.eta, 0.0) << "seed " << seed;
-      ++auto_grid_picks;
-    } else {
-      ASSERT_EQ(auto_plan.eta, 0.0) << "seed " << seed;
-    }
   }
-  // The arbitration is allowed to pick either path per instance; just
-  // surface the split so a cost-model regression that pins it to one
-  // side forever is visible in the test log.
-  RecordProperty("auto_grid_picks", auto_grid_picks);
 }
 
 TEST(GraphEquivalenceTest, EmptyAndDegenerateInstancesAgree) {
-  Engine brute = MakeEngine(GraphStrategy::kBruteForce);
-  Engine grid = MakeEngine(GraphStrategy::kGridIndex);
   for (auto [num_tasks, num_workers] :
        {std::pair<int, int>{1, 1}, {1, 8}, {6, 1}}) {
     core::Instance instance =
         test::SmallInstance(5, num_tasks, num_workers);
-    core::CandidateGraph a = brute.BuildGraph(instance).value();
-    core::CandidateGraph b = grid.BuildGraph(instance).value();
-    EXPECT_EQ(SortedRows(a), SortedRows(b))
-        << num_tasks << "x" << num_workers;
+    const core::CandidateGraph brute = core::CandidateGraph::Build(instance);
+    for (const double eta : kCellSides) {
+      EXPECT_EQ(SortedRows(GridGraph(instance, eta)), SortedRows(brute))
+          << num_tasks << "x" << num_workers << " eta " << eta;
+    }
   }
 }
 

@@ -42,7 +42,7 @@ core::Worker FreeWorker(geo::Point loc, double v = 0.5, double p = 0.9) {
 
 TEST(IncrementalAssignerTest, RegistrationStatuses) {
   auto solver = core::SolverRegistry::Global().Create("greedy").value();
-  IncrementalAssigner assigner(solver.get(), 0.1);
+  IncrementalAssigner assigner(solver.get());
   EXPECT_TRUE(assigner.AddTask(1, OpenTask({0.5, 0.5}, 0, 2)).ok());
   EXPECT_EQ(assigner.AddTask(1, OpenTask({0.5, 0.5}, 0, 2)).code(),
             util::StatusCode::kAlreadyExists);
@@ -57,7 +57,7 @@ TEST(IncrementalAssignerTest, RegistrationStatuses) {
 
 TEST(IncrementalAssignerTest, AssignsAvailableWorkerToOpenTask) {
   auto solver = core::SolverRegistry::Global().Create("greedy").value();
-  IncrementalAssigner assigner(solver.get(), 0.1);
+  IncrementalAssigner assigner(solver.get());
   ASSERT_TRUE(assigner.AddTask(1, OpenTask({0.5, 0.5}, 0, 2)).ok());
   ASSERT_TRUE(assigner.AddWorker(7, FreeWorker({0.45, 0.5})).ok());
   auto committed = assigner.Update(0.0).value();
@@ -71,7 +71,7 @@ TEST(IncrementalAssignerTest, AssignsAvailableWorkerToOpenTask) {
 
 TEST(IncrementalAssignerTest, CompletedWorkerIsReassignable) {
   auto solver = core::SolverRegistry::Global().Create("greedy").value();
-  IncrementalAssigner assigner(solver.get(), 0.1);
+  IncrementalAssigner assigner(solver.get());
   ASSERT_TRUE(assigner.AddTask(1, OpenTask({0.3, 0.5}, 0, 3)).ok());
   ASSERT_TRUE(assigner.AddTask(2, OpenTask({0.7, 0.5}, 0, 3)).ok());
   ASSERT_TRUE(assigner.AddWorker(7, FreeWorker({0.3, 0.45})).ok());
@@ -96,7 +96,7 @@ TEST(IncrementalAssignerTest, CompletedWorkerIsReassignable) {
 
 TEST(IncrementalAssignerTest, ExpiredTasksAreDropped) {
   auto solver = core::SolverRegistry::Global().Create("greedy").value();
-  IncrementalAssigner assigner(solver.get(), 0.1);
+  IncrementalAssigner assigner(solver.get());
   ASSERT_TRUE(assigner.AddTask(1, OpenTask({0.5, 0.5}, 0, 0.5)).ok());
   ASSERT_TRUE(assigner.AddWorker(7, FreeWorker({0.45, 0.5})).ok());
   EXPECT_TRUE(assigner.Update(1.0).value().empty());  // task expired before round
@@ -105,7 +105,7 @@ TEST(IncrementalAssignerTest, ExpiredTasksAreDropped) {
 
 TEST(IncrementalAssignerTest, RemovingPendingTaskFreesWorker) {
   auto solver = core::SolverRegistry::Global().Create("greedy").value();
-  IncrementalAssigner assigner(solver.get(), 0.1);
+  IncrementalAssigner assigner(solver.get());
   ASSERT_TRUE(assigner.AddTask(1, OpenTask({0.5, 0.5}, 0, 2)).ok());
   ASSERT_TRUE(assigner.AddWorker(7, FreeWorker({0.45, 0.5})).ok());
   ASSERT_EQ(assigner.Update(0.0).value().size(), 1u);
@@ -120,7 +120,7 @@ TEST(IncrementalAssignerTest, RemovingPendingTaskFreesWorker) {
 
 TEST(IncrementalAssignerTest, ObjectivesAccumulateOverRounds) {
   auto solver = core::SolverRegistry::Global().Create("sampling").value();
-  IncrementalAssigner assigner(solver.get(), 0.1);
+  IncrementalAssigner assigner(solver.get());
   util::Rng rng(3);
   for (int t = 0; t < 6; ++t) {
     ASSERT_TRUE(assigner
@@ -165,8 +165,8 @@ TEST(IncrementalAssignerTest, MemoedAssignerCommitsIdenticallyToFresh) {
   // never what is assigned.
   auto solver_a = core::SolverRegistry::Global().Create("greedy").value();
   auto solver_b = core::SolverRegistry::Global().Create("greedy").value();
-  IncrementalAssigner seasoned(solver_a.get(), 0.1);
-  IncrementalAssigner fresh(solver_b.get(), 0.1);
+  IncrementalAssigner seasoned(solver_a.get());
+  IncrementalAssigner fresh(solver_b.get());
   for (IncrementalAssigner* assigner : {&seasoned, &fresh}) {
     // An unreachable pairing that keeps early rounds assignment-free.
     ASSERT_TRUE(assigner->AddTask(9, OpenTask({0.9, 0.9}, 0, 0.05)).ok());
@@ -210,7 +210,7 @@ TEST(IncrementalAssignerTest, ObjectivesIndependentOfInsertionOrder) {
 
   auto run = [&](bool reversed) {
     auto solver = core::SolverRegistry::Global().Create("greedy").value();
-    IncrementalAssigner assigner(solver.get(), 0.1);
+    IncrementalAssigner assigner(solver.get());
     auto ordered_tasks = tasks;
     auto ordered_workers = workers;
     if (reversed) {
@@ -237,7 +237,7 @@ TEST(IncrementalAssignerTest, ObjectivesIndependentOfInsertionOrder) {
 
 TEST(IncrementalAssignerTest, WorkerLeavingMidRouteVoidsContribution) {
   auto solver = core::SolverRegistry::Global().Create("greedy").value();
-  IncrementalAssigner assigner(solver.get(), 0.1);
+  IncrementalAssigner assigner(solver.get());
   ASSERT_TRUE(assigner.AddTask(1, OpenTask({0.5, 0.5}, 0, 2)).ok());
   ASSERT_TRUE(assigner.AddWorker(7, FreeWorker({0.45, 0.5})).ok());
   ASSERT_EQ(assigner.Update(0.0).value().size(), 1u);
@@ -255,7 +255,7 @@ TEST(IncrementalAssignerTest, WorkerLeavingMidRouteVoidsContribution) {
 TEST(IncrementalAssignerTest, RemoveTaskVoidsExactlyPendingCommitments) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     auto solver = core::SolverRegistry::Global().Create("greedy").value();
-    IncrementalAssigner assigner(solver.get(), 0.1);
+    IncrementalAssigner assigner(solver.get());
     util::Rng rng(seed);
     std::vector<core::TaskId> open;
     std::map<core::WorkerId, geo::Point> homes;
@@ -416,7 +416,7 @@ TEST(InputGuardTest, SeededFieldMutationsAreRejectedInEveryBuild) {
     const util::Status validate = core::Instance({task}, {worker}).Validate();
     EXPECT_TRUE(names(validate, 0)) << where << ": " << validate.message();
 
-    IncrementalAssigner assigner(solver.get(), 0.1);
+    IncrementalAssigner assigner(solver.get());
     const int id = 40 + trial;
     if (m.on_task) {
       const util::Status added = assigner.AddTask(id, task);
@@ -463,7 +463,7 @@ TEST(InputGuardTest, SeededFieldMutationsAreRejectedInEveryBuild) {
 // too, where no assert guards the clock.
 TEST(InputGuardTest, NonFiniteClockIsRejectedBeforeAnyState) {
   auto solver = core::SolverRegistry::Global().Create("greedy").value();
-  IncrementalAssigner assigner(solver.get(), 0.1);
+  IncrementalAssigner assigner(solver.get());
   ASSERT_TRUE(assigner.AddTask(1, OpenTask({0.5, 0.5}, 0, 5)).ok());
   ASSERT_TRUE(assigner.AddTask(2, OpenTask({0.6, 0.5}, 0, 5)).ok());
   ASSERT_TRUE(assigner.AddWorker(7, FreeWorker({0.45, 0.5})).ok());
@@ -502,7 +502,7 @@ TEST(InputGuardTest, NonFiniteClockIsRejectedBeforeAnyState) {
 // is fine.
 TEST(InputGuardTest, BackwardsClockIsRejectedBeforeAnyState) {
   auto solver = core::SolverRegistry::Global().Create("greedy").value();
-  IncrementalAssigner assigner(solver.get(), 0.1);
+  IncrementalAssigner assigner(solver.get());
   ASSERT_TRUE(assigner.AddTask(1, OpenTask({0.5, 0.5}, 0, 9)).ok());
   ASSERT_TRUE(assigner.AddTask(2, OpenTask({0.6, 0.5}, 0, 9)).ok());
   ASSERT_TRUE(assigner.AddWorker(7, FreeWorker({0.45, 0.5})).ok());

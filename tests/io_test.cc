@@ -137,5 +137,35 @@ TEST(CsvTest, AssignmentOutOfRangeWorkerRejected) {
   EXPECT_EQ(read.status().code(), util::StatusCode::kInvalidArgument);
 }
 
+// Every id is checked before it is cast: NaN, infinities, out-of-range
+// values, fractions, task ids below -1 and a repeated worker row are each
+// rejected with the line of the bad row.
+TEST(CsvTest, AssignmentBadIdsRejectedWithLine) {
+  const struct {
+    const char* bad_row;
+    const char* want;
+  } cases[] = {
+      {"nan,1", "line 4: worker = nan"},
+      {"inf,1", "line 4: worker = inf"},
+      {"1e10,1", "line 4: worker = 1e+10"},
+      {"1.5,1", "line 4: worker = 1.5"},
+      {"2,-7", "line 4: task = -7"},
+      {"2,nan", "line 4: task = nan"},
+      {"2,1e10", "line 4: task = 1e+10"},
+      {"2,0.5", "line 4: task = 0.5"},
+      {"0,2", "line 4: worker 0 repeats line 2"},
+  };
+  for (const auto& c : cases) {
+    const std::string path = TempPath("bad_ids.csv");
+    WriteFile(path, std::string("worker,task\n0,1\n1,-1\n") + c.bad_row +
+                        "\n");
+    auto read = ReadAssignmentCsv(path);
+    ASSERT_EQ(read.status().code(), util::StatusCode::kInvalidArgument)
+        << c.bad_row;
+    EXPECT_EQ(read.status().message().rfind(c.want, 0), 0u)
+        << c.bad_row << ": " << read.status().message();
+  }
+}
+
 }  // namespace
 }  // namespace rdbsc::io
