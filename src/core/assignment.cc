@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <limits>
 
-#include "core/kernels.h"
 #include "util/math.h"
 
 namespace rdbsc::core {
@@ -49,28 +48,14 @@ AssignmentState::AssignmentState(const Instance& instance)
       task_workers_(instance.num_tasks()),
       task_obs_(instance.num_tasks()),
       task_r_(instance.num_tasks(), 0.0),
-      task_std_(instance.num_tasks(), 0.0),
-      obs_rows_(instance.num_workers()),
-      obs_row_ready_(instance.num_workers(), 0) {
+      task_std_(instance.num_tasks(), 0.0) {
   weight_.reserve(static_cast<size_t>(instance.num_workers()));
   for (const Worker& w : instance.workers()) {
     weight_.push_back(util::ReliabilityWeight(w.confidence));
   }
 }
 
-const std::vector<Observation>& AssignmentState::ObservationRowOf(
-    WorkerId j) const {
-  if (!obs_row_ready_[j]) {
-    ObservationRow(instance_->worker(j), instance_->now(),
-                   instance_->policy(), instance_->soa().task_block(),
-                   &obs_rows_[j]);
-    obs_row_ready_[j] = 1;
-  }
-  return obs_rows_[j];
-}
-
 Observation AssignmentState::ObservationFor(TaskId i, WorkerId j) const {
-  if (obs_row_ready_[j]) return obs_rows_[j][static_cast<size_t>(i)];
   return MakeObservation(instance_->task(i), instance_->worker(j),
                          instance_->now(), instance_->policy());
 }
@@ -208,7 +193,7 @@ ObjectiveValue AssignmentState::PreviewAdd(TaskId i, WorkerId j) const {
 }
 
 double AssignmentState::PreviewTaskStd(TaskId i, WorkerId j) const {
-  return PreviewStd(i, ObservationRowOf(j)[static_cast<size_t>(i)]);
+  return PreviewStd(i, ObservationFor(i, j));
 }
 
 const BoundsLayout& AssignmentState::LayoutOf(TaskId i) const {
@@ -225,7 +210,11 @@ const BoundsLayout& AssignmentState::LayoutOf(TaskId i) const {
 
 DiversityBounds AssignmentState::PreviewTaskStdBounds(TaskId i,
                                                       WorkerId j) const {
-  const Observation& extra = ObservationRowOf(j)[static_cast<size_t>(i)];
+  return PreviewTaskStdBounds(i, ObservationFor(i, j));
+}
+
+DiversityBounds AssignmentState::PreviewTaskStdBounds(
+    TaskId i, const Observation& extra) const {
   return LayoutOf(i).Bounds(instance_->task(i), &extra);
 }
 

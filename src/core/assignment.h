@@ -117,15 +117,10 @@ class AssignmentState {
     return task_obs_[i];
   }
 
-  /// The observation Add(i, j) records for worker j on task i: served
-  /// from the lazily built per-worker row when one exists, otherwise
-  /// computed scalar. Rows are built (whole, through the batched
-  /// core::ObservationRow kernel over the instance's SoA task block) by
-  /// PreviewTaskStd and the bound previews, which greedy calls many times
-  /// per worker and round; Add and PreviewAdd never force a row, so
-  /// replay-heavy users (Reset, sampling's EvaluateAssignment, D&C's
-  /// merge) keep their O(1)-observations-per-call cost. Bit-identical
-  /// either way: the row kernel is the scalar sequence.
+  /// The observation Add(i, j) records for worker j on task i
+  /// (MakeObservation at the instance's clock and policy). Computed per
+  /// call, for the one pair asked: a caller that previews a pair many
+  /// times, as greedy does, keeps it.
   Observation ObservationFor(TaskId i, WorkerId j) const;
 
   TaskId TaskOf(WorkerId j) const { return assignment_.TaskOf(j); }
@@ -156,6 +151,10 @@ class AssignmentState {
   /// is built, bit-identical to ExpectedStdBounds.
   DiversityBounds PreviewTaskStdBounds(TaskId i, WorkerId j) const;
 
+  /// The same for a worker whose ObservationFor(i, j) is `extra`.
+  DiversityBounds PreviewTaskStdBounds(TaskId i,
+                                       const Observation& extra) const;
+
   /// Bounds of the current E[STD(t_i)], from the same layout.
   DiversityBounds TaskStdBounds(TaskId i) const;
 
@@ -174,14 +173,12 @@ class AssignmentState {
   /// Moves task i's E[STD] to `fresh`, updating the running total.
   void SetTaskStd(TaskId i, double fresh);
 
-  /// Task i's BoundsLayout, built on first use. Like the observation rows,
-  /// layouts are lazy: the constructor, Reset and EvaluateAssignment never
-  /// build one, so states that are only replayed and scored (sampling
-  /// builds one per sample) pay nothing. Add() extends a built layout in
+  /// Task i's BoundsLayout, built on first use. Layouts are lazy: the
+  /// constructor, Reset and EvaluateAssignment never build one, so states
+  /// that are only replayed and scored (sampling builds one per sample)
+  /// pay nothing. Add() extends a built layout in
   /// O(r); Remove() and Reset() mark it stale for a rebuild on next use.
   const BoundsLayout& LayoutOf(TaskId i) const;
-
-  const std::vector<Observation>& ObservationRowOf(WorkerId j) const;
 
   const Instance* instance_;
   Assignment assignment_;
@@ -198,15 +195,11 @@ class AssignmentState {
   /// The roster-plus-one list the previews score.
   mutable std::vector<Observation> preview_;
 
-  /// Lazy per-worker observation rows (indexed by worker, then task).
+  /// Per-task bound layouts; both vectors stay empty until the first
+  /// bound call, so states that never preview bounds allocate none.
   /// mutable + unsynchronized: AssignmentState is single-threaded by
   /// design -- every solver owns its states per shard (D&C leaves,
   /// sampling evaluations); nothing shares one across threads.
-  mutable std::vector<std::vector<Observation>> obs_rows_;
-  mutable std::vector<uint8_t> obs_row_ready_;
-
-  /// Per-task bound layouts; both vectors stay empty until the first
-  /// bound call, so states that never preview bounds allocate none.
   mutable std::vector<BoundsLayout> layouts_;
   mutable std::vector<uint8_t> layout_ready_;
 };

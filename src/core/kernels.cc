@@ -293,15 +293,6 @@ InstanceSoA InstanceSoA::Build(const Instance& instance) {
   return soa;
 }
 
-void ObservationRow(const Worker& w, double now, ArrivalPolicy policy,
-                    const TaskBlock& block, std::vector<Observation>* out) {
-  out->clear();
-  out->reserve(block.oracle.size());
-  for (const Task& t : block.oracle) {
-    out->push_back(MakeObservation(t, w, now, policy));
-  }
-}
-
 bool ValidPairsRows(const InstanceSoA& soa, int64_t begin, int64_t end,
                     const util::Deadline& deadline, util::Arena* arena,
                     EdgeRow* rows) {

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/diversity.h"
 #include "core/model.h"
 #include "util/arena.h"
 #include "util/deadline.h"
@@ -138,15 +137,6 @@ bool ValidPairsRows(const InstanceSoA& soa, int64_t begin, int64_t end,
 
 /// Rows between deadline polls in ValidPairsRows; each row is O(m).
 inline constexpr int kKernelRowsPerPoll = 32;
-
-/// Batched observation row: appends MakeObservation(block.oracle[k], w,
-/// now, policy) for every task of `block`, in block order -- bit-identical
-/// elementwise to the scalar calls (the loop IS the scalar sequence; no
-/// reassociation, so FP contraction cannot diverge). AssignmentState
-/// caches these rows so solvers stop recomputing arrival times and
-/// approach angles per Preview/Add call.
-void ObservationRow(const Worker& w, double now, ArrivalPolicy policy,
-                    const TaskBlock& block, std::vector<Observation>* out);
 
 }  // namespace rdbsc::core
 

@@ -694,8 +694,10 @@ std::string DumpSpec(const WorkloadSpec& spec) {
     out += std::string("  restart ") + (phase.restart ? "on" : "off") + "\n";
     out += "  mix";
     for (const MixEntry& entry : phase.mix) {
-      out += " " + std::string(OpKindName(entry.op)) + " " +
-             std::to_string(entry.weight);
+      out += ' ';
+      out += OpKindName(entry.op);
+      out += ' ';
+      out += std::to_string(entry.weight);
     }
     out += "\n}\n";
   }

@@ -1,6 +1,7 @@
 // Allocation guard for the E[STD] hot path: once warmed up, evaluating a
-// roster of up to 64 observations, previewing an add on an AssignmentState
-// and replaying an assignment onto a reused state must not touch the heap.
+// roster of up to 64 observations, previewing an add or a bound on an
+// AssignmentState or a BoundsLayout and replaying an assignment onto a
+// reused state must not touch the heap.
 // The binary replaces the global operator new with a counting one, so a
 // change that reintroduces a per-call vector fails here instead of showing
 // up only as a slower benchmark.
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "core/assignment.h"
+#include "core/bounds_layout.h"
 #include "core/diversity.h"
 #include "core/instance.h"
 #include "gtest/gtest.h"
@@ -83,6 +85,27 @@ TEST(AllocFreeTest, ExpectedStdAndBoundsAllocateNothingAfterWarmUp) {
   EXPECT_GT(sink, 0.0);
 }
 
+// A BoundsLayout preview reads only cached terms and the extra: it never
+// allocates, at any roster size, once the layout is built.
+TEST(AllocFreeTest, BoundsLayoutPreviewsAllocateNothing) {
+  util::Rng rng(13);
+  const Task task = test::MakeTask(0.5, 0.0, 1.0);
+  const std::vector<Observation> extras = Roster(8, rng);
+  BoundsLayout layout;
+  double sink = 0.0;
+  for (size_t r = 0; r <= kMaxRoster; ++r) {
+    layout.Assign(task, Roster(r, rng));
+    EXPECT_EQ(AllocationsOf([&] { sink += layout.Bounds(task).ub; }), 0)
+        << "Bounds(), r=" << r;
+    for (const Observation& extra : extras) {
+      EXPECT_EQ(AllocationsOf([&] { sink += layout.Bounds(task, &extra).ub; }),
+                0)
+          << "Bounds(&extra), r=" << r;
+    }
+  }
+  EXPECT_GT(sink, 0.0);
+}
+
 // Four tasks and kMaxRoster + 8 workers. AssignmentState scores any
 // (task, worker) pair it is given, so validity does not matter here.
 Instance CrowdedInstance() {
@@ -121,7 +144,7 @@ TEST(AllocFreeTest, StatePreviewsAndResetReplayAllocateNothingAfterWarmUp) {
   const WorkerId last = static_cast<WorkerId>(kMaxRoster) - 1;
 
   AssignmentState state(instance);
-  // Warm-up: every roster at its largest, every observation row built.
+  // Warm-up: every roster at its largest.
   state.Reset(full);
   state.Reset(spread);
   state.Reset(partial);
@@ -134,6 +157,11 @@ TEST(AllocFreeTest, StatePreviewsAndResetReplayAllocateNothingAfterWarmUp) {
       << "PreviewAdd at r=" << kMaxRoster;
   EXPECT_EQ(AllocationsOf([&] { sink += state.PreviewTaskStd(0, last); }), 0)
       << "PreviewTaskStd at r=" << kMaxRoster;
+  state.PreviewTaskStdBounds(0, last);  // builds task 0's layout
+  EXPECT_EQ(AllocationsOf(
+                [&] { sink += state.PreviewTaskStdBounds(0, last).ub; }),
+            0)
+      << "PreviewTaskStdBounds at r=" << kMaxRoster;
   for (const Assignment* replay : {&full, &spread, &partial, &full}) {
     EXPECT_EQ(AllocationsOf([&] {
                 state.Reset(*replay);

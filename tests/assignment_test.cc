@@ -395,7 +395,7 @@ TEST_P(IncrementalVsScratchTest, ReusedStateReplaysBitIdenticalToFresh) {
   AssignmentState reused(instance);
   for (int round = 0; round < 6; ++round) {
     // Dirty the state: a replay, churn with the known-STD path, previews
-    // (which build observation rows) and bounds (which build layouts).
+    // and bounds (which build layouts).
     reused.Reset(RandomAssignment(instance, graph, rng));
     for (int step = 0; step < 40; ++step) {
       WorkerId j = static_cast<WorkerId>(

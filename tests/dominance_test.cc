@@ -1,6 +1,7 @@
 #include "core/dominance.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 
 #include "gtest/gtest.h"
@@ -121,6 +122,78 @@ TEST_P(TopDominatingPropertyTest, WinnerIsParetoOptimal) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TopDominatingPropertyTest,
                          ::testing::Values(11, 12, 13, 14));
+
+// The sort-based TopDominating the solvers' goldens were captured with:
+// the whole skyline, every member scored, ties by larger y, then larger x,
+// then the smaller index.
+size_t ReferenceTopDominating(const std::vector<BiPoint>& points) {
+  if (points.empty()) return std::numeric_limits<size_t>::max();
+  std::vector<size_t> skyline = SkylineIndices(points);
+  std::vector<int64_t> scores = DominanceScores(points, skyline);
+  size_t best = 0;
+  for (size_t c = 1; c < skyline.size(); ++c) {
+    const BiPoint& a = points[skyline[c]];
+    const BiPoint& b = points[skyline[best]];
+    bool better = scores[c] > scores[best];
+    if (scores[c] == scores[best]) {
+      better = a.y > b.y || (a.y == b.y && a.x > b.x);
+    }
+    if (better) best = c;
+  }
+  return skyline[best];
+}
+
+// Point sets shaped like GREEDY's rounds (most points at the minimum x,
+// few distinct y values, exact duplicates) and like the merge's and the
+// sampler's (spread out), all with values from small grids so ties on
+// either axis are common.
+class TopDominatingOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(TopDominatingOracleTest, SameIndexAsSortBasedReference) {
+  util::Rng rng(static_cast<uint64_t>(GetParam()) * 6151);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int n = static_cast<int>(rng.UniformInt(0, 70));
+    const double share_at_min = rng.Uniform(0.0, 1.0);
+    const int x_levels = static_cast<int>(rng.UniformInt(1, 6));
+    const int y_levels = static_cast<int>(rng.UniformInt(1, 8));
+    const double min_x = rng.Bernoulli(0.5) ? 0.0 : rng.Uniform(-1.0, 1.0);
+    std::vector<BiPoint> points;
+    for (int i = 0; i < n; ++i) {
+      BiPoint p;
+      p.x = rng.Bernoulli(share_at_min)
+                ? min_x
+                : min_x + static_cast<double>(rng.UniformInt(1, x_levels));
+      p.y = rng.Bernoulli(0.2)
+                ? rng.Uniform(-1.0, 1.0)
+                : static_cast<double>(rng.UniformInt(0, y_levels)) * 0.25;
+      points.push_back(p);
+      if (rng.Bernoulli(0.1)) points.push_back(p);  // exact duplicate
+    }
+    ASSERT_EQ(TopDominating(points), ReferenceTopDominating(points))
+        << "trial " << trial << ", n=" << points.size();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TopDominatingOracleTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+TEST(TopDominatingTest, SmallCasesMatchReference) {
+  const std::vector<std::vector<BiPoint>> cases = {
+      {},
+      {{0, 0}},
+      {{0, 0}, {0, 0}},
+      {{0, 1}, {0, 2}, {0, 2}, {0, 1}},
+      {{0, 2}, {1, 2}},            // larger x at the same y dominates
+      {{0, 3}, {1, 2}, {1, 2}},    // min-x point above every larger x
+      {{1, 1}, {0, 1}, {1, 1}},
+      {{-0.0, 1}, {0.0, 1}},       // signed zeros tie on x
+      {{2, 0}, {1, 1}, {0, 2}, {0, 2}, {1, 1}},
+  };
+  for (size_t k = 0; k < cases.size(); ++k) {
+    EXPECT_EQ(TopDominating(cases[k]), ReferenceTopDominating(cases[k]))
+        << "case " << k;
+  }
+}
 
 }  // namespace
 }  // namespace rdbsc::core

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "geo/angle.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace rdbsc::io {
 namespace {
@@ -166,6 +168,127 @@ TEST(CsvTest, AssignmentBadIdsRejectedWithLine) {
         << c.bad_row << ": " << read.status().message();
   }
 }
+
+// --- Seeded-mutation fuzz of the readers -----------------------------------
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// Lines std::getline yields for `text`.
+int LineCount(const std::string& text) {
+  int lines = static_cast<int>(std::count(text.begin(), text.end(), '\n'));
+  return !text.empty() && text.back() != '\n' ? lines + 1 : lines;
+}
+
+// One to four random edits of `text`: deletions, truncation, line
+// duplication, raw bytes (NUL included) and tokens that trip number
+// parsers (overflow, underflow, nan, hex, stray separators).
+std::string Mutate(std::string text, util::Rng& rng) {
+  static const char* const kTokens[] = {
+      ",",      "\n",   "\r\n", "\r",  " ",     "\t",         "nan",
+      "-nan",   "inf",   "-inf",   "1e999", "-1e999", "1e-400", "0x1p3",
+      "-",      "+",     ".",      "e",     "--1",    "-1",     "1.5",
+      "2147483648",      "-2147483649",     "4294967295",         "",
+  };
+  const int edits = static_cast<int>(rng.UniformInt(1, 4));
+  for (int e = 0; e < edits; ++e) {
+    const auto pos = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(text.size())));
+    switch (rng.UniformInt(0, 5)) {
+      case 0:
+        text.erase(pos, static_cast<size_t>(rng.UniformInt(1, 3)));
+        break;
+      case 1:
+        text.insert(pos, kTokens[rng.UniformInt(0, std::ssize(kTokens) - 1)]);
+        break;
+      case 2:
+        if (pos < text.size()) {
+          text[pos] = static_cast<char>(rng.UniformInt(0, 255));
+        }
+        break;
+      case 3: {
+        size_t begin = text.rfind('\n', pos == 0 ? 0 : pos - 1);
+        begin = begin == std::string::npos ? 0 : begin + 1;
+        size_t end = text.find('\n', pos);
+        end = end == std::string::npos ? text.size() : end + 1;
+        text.insert(end, text.substr(begin, end - begin));
+        break;
+      }
+      case 4:
+        text.resize(pos);
+        break;
+      default:
+        text.insert(pos, 1, ',');
+        break;
+    }
+  }
+  return text;
+}
+
+// A reader's verdict on a mutated file: a parse, or InvalidArgument naming
+// one of the file's lines ("line N: ...").
+template <typename T>
+void ExpectParsedOrLineError(const util::StatusOr<T>& result,
+                             const std::string& text, const char* reader) {
+  if (result.ok()) return;
+  const std::string& message = result.status().message();
+  ASSERT_EQ(result.status().code(), util::StatusCode::kInvalidArgument)
+      << reader << ": " << message;
+  int line = 0;
+  int consumed = 0;
+  ASSERT_EQ(std::sscanf(message.c_str(), "line %d: %n", &line, &consumed), 1)
+      << reader << ": '" << message << "'";
+  EXPECT_GT(consumed, 0) << reader << ": '" << message << "'";
+  EXPECT_GE(line, 2) << reader << ": " << message;  // line 1 is the header
+  EXPECT_LE(line, LineCount(text)) << reader << ": " << message;
+}
+
+class CsvFuzzTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(CsvFuzzTest, MutatedFilesParseOrFailWithLine) {
+  const core::Instance instance = test::SmallInstance(GetParam(), 6, 9);
+  core::Assignment assignment(instance.num_workers());
+  for (core::WorkerId j = 0; j < instance.num_workers(); j += 2) {
+    assignment.Assign(j, j % instance.num_tasks());
+  }
+  const std::string tag = std::to_string(GetParam());
+  const std::string tasks_path = TempPath("fuzz_tasks_" + tag + ".csv");
+  const std::string workers_path = TempPath("fuzz_workers_" + tag + ".csv");
+  const std::string pairs_path = TempPath("fuzz_pairs_" + tag + ".csv");
+  ASSERT_TRUE(WriteTasksCsv(tasks_path, instance.tasks()).ok());
+  ASSERT_TRUE(WriteWorkersCsv(workers_path, instance.workers()).ok());
+  ASSERT_TRUE(WriteAssignmentCsv(pairs_path, assignment).ok());
+  const std::string tasks = ReadFile(tasks_path);
+  const std::string workers = ReadFile(workers_path);
+  const std::string pairs = ReadFile(pairs_path);
+
+  util::Rng rng(static_cast<uint64_t>(GetParam()) * 2654435761u);
+  for (int trial = 0; trial < 250; ++trial) {
+    const std::string bad_tasks = Mutate(tasks, rng);
+    const std::string bad_workers = Mutate(workers, rng);
+    const std::string bad_pairs = Mutate(pairs, rng);
+    WriteFile(tasks_path, bad_tasks);
+    WriteFile(workers_path, bad_workers);
+    WriteFile(pairs_path, bad_pairs);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    auto read_tasks = ReadTasksCsv(tasks_path);
+    ExpectParsedOrLineError(read_tasks, bad_tasks, "tasks");
+    auto read_workers = ReadWorkersCsv(workers_path);
+    ExpectParsedOrLineError(read_workers, bad_workers, "workers");
+    ExpectParsedOrLineError(ReadAssignmentCsv(pairs_path), bad_pairs,
+                            "pairs");
+    // A parsed pair of files either loads or fails Instance::Validate.
+    auto loaded = ReadInstanceCsv(tasks_path, workers_path);
+    if (read_tasks.ok() && read_workers.ok() && !loaded.ok()) {
+      EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument)
+          << loaded.status().message();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CsvFuzzTest, ::testing::Values(1, 2, 3));
 
 }  // namespace
 }  // namespace rdbsc::io

@@ -344,32 +344,6 @@ TEST(KernelPropertyTest, SmallBlocksAndTailsMatchOracle) {
   }
 }
 
-// ObservationRow batches MakeObservation over a task block; the contract
-// is the exact scalar sequence, observation by observation.
-TEST(KernelPropertyTest, ObservationRowMatchesScalarSequence) {
-  for (uint64_t seed : {1, 7}) {
-    Instance base = gen::GenerateInstance(SweepConfig(seed, seed == 7,
-                                                      std::numbers::pi / 6));
-    for (ArrivalPolicy policy :
-         {ArrivalPolicy::kStrict, ArrivalPolicy::kAllowWait}) {
-      Instance instance = WithPolicy(base, policy);
-      std::vector<core::Observation> row;
-      for (WorkerId j = 0; j < instance.num_workers(); ++j) {
-        core::ObservationRow(instance.worker(j), instance.now(), policy,
-                             instance.soa().task_block(), &row);
-        ASSERT_EQ(row.size(), static_cast<size_t>(instance.num_tasks()));
-        for (TaskId i = 0; i < instance.num_tasks(); ++i) {
-          const core::Observation want = core::MakeObservation(
-              instance.task(i), instance.worker(j), instance.now(), policy);
-          EXPECT_EQ(row[static_cast<size_t>(i)].angle, want.angle);
-          EXPECT_EQ(row[static_cast<size_t>(i)].arrival, want.arrival);
-          EXPECT_EQ(row[static_cast<size_t>(i)].confidence, want.confidence);
-        }
-      }
-    }
-  }
-}
-
 TEST(KernelPropertyTest, SoaViewIsCachedAndSharedAcrossCopies) {
   Instance instance = gen::GenerateInstance(SweepConfig(5, false, 1.0));
   const core::InstanceSoA* first = &instance.soa();
