@@ -5,11 +5,14 @@
 // no-index scan (up to ~67% reduction reported).
 //
 // Reproduction note: the retrieval claim does not reproduce against the
-// vectorised pair kernel. On a shared 4-core x86-64 VM, two runs each,
-// "with idx (s)" read 2.4-3.4x "no idx (s)" at every n for --base=300
-// --seeds=3, and 2.0-3.1x for --base=3000 --seeds=1 (0.061-0.470 s against
-// 0.031-0.200 s). No solving path builds the grid for that reason (see
-// README); this bench keeps measuring it.
+// vectorised pair kernel. "no idx (s)" is CandidateGraph::Build, which
+// skips whole 32-task blocks of a Hilbert-ordered task array by a box
+// test (the grid's cell pruning inside the vector scan). On a shared
+// 4-core x86-64 VM, "with idx (s)" read 3.9-4.5x "no idx (s)" at every n
+// for --base=300 --seeds=3 (medians of 5 alternating runs; 2.3-2.5x
+// before the block skip), and 6.8-8.0x for --base=3000 --seeds=1, two
+// runs (0.034-0.238 s against 0.005-0.032 s). No solving path builds the
+// grid for that reason (see README); this bench keeps measuring it.
 
 #include <chrono>
 #include <cstdio>

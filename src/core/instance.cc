@@ -112,7 +112,6 @@ CandidateGraph CandidateGraph::Build(const Instance& instance) {
 util::StatusOr<CandidateGraph> CandidateGraph::Build(
     const Instance& instance, util::Executor* executor,
     const util::Deadline& deadline) {
-  const InstanceSoA& soa = instance.soa();
   const int num_workers = instance.num_workers();
 
   // Shards run the batched kernel row driver over disjoint worker ranges,
@@ -122,16 +121,24 @@ util::StatusOr<CandidateGraph> CandidateGraph::Build(
   std::vector<EdgeRow> rows(static_cast<size_t>(num_workers));
   util::Executor& exec = util::OrSerial(executor);
   std::vector<util::Arena> arenas(static_cast<size_t>(exec.width()));
+  std::vector<BlockTestCounts> counts(arenas.size());
   std::atomic<bool> interrupted{false};
   exec.ShardedFor(num_workers, [&](int shard, int64_t begin, int64_t end) {
-    const bool completed =
-        ValidPairsRows(soa, begin, end, deadline, &arenas[shard], rows.data());
+    const bool completed = ValidPairsRows(instance, begin, end, deadline,
+                                          &arenas[shard], rows.data(),
+                                          &counts[shard]);
     if (!completed) interrupted.store(true, std::memory_order_relaxed);
   });
   if (interrupted.load(std::memory_order_relaxed)) {
     return util::InterruptedStatus(deadline, "graph build interrupted");
   }
-  return FromRows(instance.num_tasks(), num_workers, rows.data());
+  CandidateGraph graph =
+      FromRows(instance.num_tasks(), num_workers, rows.data());
+  for (const BlockTestCounts& shard : counts) {
+    graph.blocks_tested_ += shard.tested;
+    graph.blocks_skipped_ += shard.skipped;
+  }
+  return graph;
 }
 
 CandidateGraph CandidateGraph::FromEdges(

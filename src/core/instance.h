@@ -84,9 +84,14 @@ util::Status ValidateWorker(WorkerId id, const Worker& worker);
 
 /// The bipartite validity graph of Figure 4: for every worker the list of
 /// tasks it can validly serve and the transpose. Built once per solve by
-/// Build, the one builder every engine and streaming path uses; the grid
+/// Build, the one builder every engine and streaming path uses. Build runs
+/// the batched pair kernel (core/kernels.h) over the instance's SoA view,
+/// which brings the grid index's cell pruning into the vector scan: each
+/// worker row first tests one summary per block of 32 spatially ordered
+/// tasks and classifies only the blocks that may hold a pair; rows still
+/// come out in ascending task id. The grid
 /// index's retrieval (src/index) yields the same edges but was measured
-/// slower on every shape the repo produces.
+/// slower on every shape the repo produces; only benches and tests use it.
 ///
 /// Storage is CSR (one flat id array plus offsets per side): rows come out
 /// of the build kernels as exact-size arena spans, so assembly is two flat
@@ -136,6 +141,14 @@ class CandidateGraph {
   /// Total number of valid task-worker pairs.
   int64_t NumEdges() const { return num_edges_; }
 
+  /// (worker row, task block) tests Build ran, and how many of them
+  /// rejected the block unclassified; summed over shards, so they equal
+  /// the serial build's at any executor width. Both are 0 for an instance
+  /// of at most kMaxUnorderedTasks tasks (core/kernels.h) and for graphs
+  /// made by FromEdges.
+  int64_t BlocksTested() const { return blocks_tested_; }
+  int64_t BlocksSkipped() const { return blocks_skipped_; }
+
   /// ln of the population size N = prod_j max(deg(w_j), 1) (Section 5.2).
   /// Workers with no valid task contribute factor 1.
   double LogPopulation() const;
@@ -162,6 +175,8 @@ class CandidateGraph {
   std::vector<int64_t> task_offsets_;    // m + 1 entries (empty when m == 0)
   std::vector<WorkerId> task_edges_;
   int64_t num_edges_ = 0;
+  int64_t blocks_tested_ = 0;
+  int64_t blocks_skipped_ = 0;
 };
 
 }  // namespace rdbsc::core

@@ -43,11 +43,16 @@ struct DeltaStats {
   int64_t rows_recomputed = 0;  ///< available workers of the built rounds
   int64_t rows_reused = 0;      ///< always 0 (trace readers derive a ratio)
   int64_t bulk_refills = 0;     ///< rounds that built a graph
+  /// (worker row, task block) tests the builds ran, and those that
+  /// skipped the block (CandidateGraph::BlocksTested/BlocksSkipped).
+  int64_t blocks_tested = 0;
+  int64_t blocks_skipped = 0;
 
   DeltaStats operator-(const DeltaStats& o) const {
     return {cells_touched - o.cells_touched, edges_repaired - o.edges_repaired,
             rows_recomputed - o.rows_recomputed, rows_reused - o.rows_reused,
-            bulk_refills - o.bulk_refills};
+            bulk_refills - o.bulk_refills, blocks_tested - o.blocks_tested,
+            blocks_skipped - o.blocks_skipped};
   }
 };
 

@@ -205,6 +205,10 @@ void IncrementalAssigner::ReportDeltaMetrics() {
   metrics_->GetCounter("sim.delta.rows_recomputed")
       .Increment(diff.rows_recomputed);
   metrics_->GetCounter("sim.delta.bulk_refills").Increment(diff.bulk_refills);
+  metrics_->GetCounter("sim.build.blocks_tested")
+      .Increment(diff.blocks_tested);
+  metrics_->GetCounter("sim.build.blocks_skipped")
+      .Increment(diff.blocks_skipped);
 }
 
 util::StatusOr<std::vector<std::pair<core::TaskId, core::WorkerId>>>
@@ -260,6 +264,8 @@ IncrementalAssigner::Update(double now) {
   delta_stats_.edges_repaired += graph.NumEdges();
   delta_stats_.rows_recomputed += static_cast<int64_t>(worker_ids.size());
   ++delta_stats_.bulk_refills;
+  delta_stats_.blocks_tested += graph.BlocksTested();
+  delta_stats_.blocks_skipped += graph.BlocksSkipped();
   if (round_build_ != nullptr) {
     round_build_->Observe(util::SecondsSince(build_start));
   }

@@ -86,7 +86,10 @@ class IncrementalAssigner {
   /// Optional metrics sink (unowned; must outlive the assigner). Each
   /// Update reports that round's build counters as sim.delta.* counter
   /// increments (edges_repaired, rows_recomputed, bulk_refills; see
-  /// index::DeltaStats), and every round that builds a graph observes
+  /// index::DeltaStats) and what the kernel's block test did as
+  /// sim.build.blocks_tested / sim.build.blocks_skipped (the round
+  /// graph's CandidateGraph::BlocksTested / BlocksSkipped), and every
+  /// round that builds a graph observes
   /// sim.round_build_seconds (the build) and sim.round_solve_seconds (the
   /// solve alone), labelled {solver=`solver_name`} -- the registry name
   /// the owner resolved the solver by.

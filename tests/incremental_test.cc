@@ -16,8 +16,10 @@
 #include "core/model.h"
 #include "core/registry.h"
 #include "gtest/gtest.h"
+#include "obs/registry.h"
 #include "test_util.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace rdbsc::sim {
 namespace {
@@ -233,6 +235,66 @@ TEST(IncrementalAssignerTest, ObjectivesIndependentOfInsertionOrder) {
   // Bit-identical, not just approximately equal.
   EXPECT_EQ(forward.total_std, backward.total_std);
   EXPECT_EQ(forward.min_reliability, backward.min_reliability);
+}
+
+// The sim.build.blocks_* counters report what the round's block test did:
+// per round, exactly the counts of CandidateGraph::Build on the round
+// snapshot, which are the same serially and at 4 threads.
+TEST(IncrementalAssignerTest, BlockTestCountersEqualTheSerialBuild) {
+  obs::Registry registry;
+  auto solver = core::SolverRegistry::Global().Create("greedy").value();
+  IncrementalAssigner assigner(solver.get());
+  assigner.set_metrics(&registry, "greedy");
+  util::Rng rng(17);
+  std::map<core::TaskId, core::Task> tasks;
+  std::map<core::WorkerId, core::Worker> workers;
+  auto add_round = [&](core::TaskId first_task, core::WorkerId first_worker) {
+    for (core::TaskId i = first_task; i < first_task + 300; ++i) {
+      tasks[i] = OpenTask({rng.Uniform(0, 1), rng.Uniform(0, 1)}, 0, 5);
+      ASSERT_TRUE(assigner.AddTask(i, tasks[i]).ok());
+    }
+    for (core::WorkerId j = first_worker; j < first_worker + 40; ++j) {
+      workers[j] = FreeWorker({rng.Uniform(0, 1), rng.Uniform(0, 1)}, 0.1);
+      const double lo = rng.Uniform(0, geo::kTwoPi);
+      workers[j].direction = geo::AngularInterval(lo, lo + 0.5);
+      ASSERT_TRUE(assigner.AddWorker(j, workers[j]).ok());
+    }
+  };
+  util::ThreadPool pool(3);  // with the caller: 4-way sharding
+  int64_t tested = 0, skipped = 0;
+  for (int round = 0; round < 2; ++round) {
+    add_round(1000 * round, 1000 * round);
+    // The round snapshot: open tasks and idle workers in id order.
+    std::vector<core::Task> open;
+    for (const auto& [id, task] : tasks) open.push_back(task);
+    std::vector<core::Worker> idle;
+    for (const auto& [id, worker] : workers) {
+      if (assigner.CommittedTask(id) == core::kNoTask) idle.push_back(worker);
+    }
+    const core::Instance snapshot(open, idle, 0.0,
+                                  core::ArrivalPolicy::kAllowWait);
+    const core::CandidateGraph serial = core::CandidateGraph::Build(snapshot);
+    const core::CandidateGraph sharded =
+        core::CandidateGraph::Build(snapshot, &pool, util::Deadline()).value();
+    EXPECT_EQ(sharded.BlocksTested(), serial.BlocksTested());
+    EXPECT_EQ(sharded.BlocksSkipped(), serial.BlocksSkipped());
+    EXPECT_EQ(serial.BlocksTested(),
+              static_cast<int64_t>(idle.size()) *
+                  static_cast<int64_t>(snapshot.soa().num_blocks()));
+    EXPECT_GT(serial.BlocksSkipped(), 0);
+
+    const index::DeltaStats before = assigner.delta_stats();
+    ASSERT_FALSE(assigner.Update(0.0).value().empty());
+    const index::DeltaStats diff = assigner.delta_stats() - before;
+    EXPECT_EQ(diff.blocks_tested, serial.BlocksTested()) << "round " << round;
+    EXPECT_EQ(diff.blocks_skipped, serial.BlocksSkipped())
+        << "round " << round;
+    tested += serial.BlocksTested();
+    skipped += serial.BlocksSkipped();
+    EXPECT_EQ(registry.GetCounter("sim.build.blocks_tested").value(), tested);
+    EXPECT_EQ(registry.GetCounter("sim.build.blocks_skipped").value(),
+              skipped);
+  }
 }
 
 TEST(IncrementalAssignerTest, WorkerLeavingMidRouteVoidsContribution) {

@@ -7,12 +7,20 @@
 // zero-width cones, arrivals landing exactly on t.start / t.end) and
 // assert the kernel-built CandidateGraph rows and the grid retrieval are
 // bit-identical to a brute-force oracle scan, at 1/2/8-way sharding.
+//
+// The block test that lets a row skip whole task blocks gets its own
+// Release-run checks: no rejected (worker, block) may hold a pair the
+// oracle accepts, on many-block instances and on inputs built to sit on
+// the test's margins (pairs at the cone's tolerance edge and arrivals
+// exactly at end_max, at small and large clock values), so removing the
+// cone widening or the distance test's guards fails them.
 
 #include "core/kernels.h"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numbers>
 #include <vector>
 
@@ -51,19 +59,21 @@ Instance WithPolicy(const Instance& instance, ArrivalPolicy policy) {
                   policy);
 }
 
-// Kernel Build at 1/2/8-way sharding plus grid retrieval, all against the
-// scalar oracle. Kernel rows and sorted grid rows are both ascending, so
-// the comparison is element-exact.
-void ExpectKernelMatchesOracle(const Instance& instance) {
+// Kernel Build at 1/2/8-way sharding against the scalar oracle, element
+// for element, with the same block-test counts at every width.
+void ExpectGraphMatchesOracle(const Instance& instance) {
   const std::vector<std::vector<TaskId>> oracle = OracleRows(instance);
   int64_t oracle_edges = 0;
   for (const auto& row : oracle) {
     oracle_edges += static_cast<int64_t>(row.size());
   }
+  int64_t serial_tested = 0, serial_skipped = 0;
   for (int threads : {1, 2, 8}) {
     core::CandidateGraph graph;
     if (threads == 1) {
       graph = core::CandidateGraph::Build(instance);
+      serial_tested = graph.BlocksTested();
+      serial_skipped = graph.BlocksSkipped();
     } else {
       // A pool of N-1 workers plus the calling thread = N-way sharding.
       util::ThreadPool pool(threads - 1);
@@ -73,10 +83,28 @@ void ExpectKernelMatchesOracle(const Instance& instance) {
     }
     ASSERT_EQ(graph.NumEdges(), oracle_edges) << threads << " threads";
     for (WorkerId j = 0; j < instance.num_workers(); ++j) {
+      // Element for element: a row left in block order fails here.
       ASSERT_TRUE(std::ranges::equal(graph.TasksOf(j), oracle[j]))
           << threads << " threads, worker " << j;
     }
+    EXPECT_EQ(graph.BlocksTested(), serial_tested) << threads << " threads";
+    EXPECT_EQ(graph.BlocksSkipped(), serial_skipped) << threads << " threads";
   }
+  const core::InstanceSoA& soa = instance.soa();
+  int64_t summarised_rows = 0;
+  for (const core::WorkerGeom& geom : soa.worker_geoms()) {
+    if (soa.num_blocks() > 0 && !geom.scalar_only) ++summarised_rows;
+  }
+  EXPECT_EQ(serial_tested,
+            summarised_rows * static_cast<int64_t>(soa.num_blocks()));
+  EXPECT_LE(serial_skipped, serial_tested);
+}
+
+// ExpectGraphMatchesOracle plus grid retrieval. Kernel rows and sorted
+// grid rows are both ascending, so the comparison is element-exact.
+void ExpectKernelMatchesOracle(const Instance& instance) {
+  ExpectGraphMatchesOracle(instance);
+  const std::vector<std::vector<TaskId>> oracle = OracleRows(instance);
   index::GridIndex index = index::GridIndex::Build(instance, 0.2);
   std::vector<std::vector<TaskId>> retrieved = index.RetrieveEdges().value();
   for (WorkerId j = 0; j < instance.num_workers(); ++j) {
@@ -342,6 +370,336 @@ TEST(KernelPropertyTest, SmallBlocksAndTailsMatchOracle) {
       }
     }
   }
+}
+
+// The block test against the oracle on every (worker, block) of
+// `instance`: the dispatched loop (InstanceSoA::TestBlocks) agrees with
+// BlockMayHoldPair, and no rejected block holds a valid pair. Returns the
+// number of rejected (worker, block) tests.
+int64_t ExpectBlockRejectSound(const Instance& instance) {
+  const core::InstanceSoA& soa = instance.soa();
+  const core::TaskBlock& block = soa.task_block();
+  const size_t nb = soa.num_blocks();
+  std::vector<uint8_t> survive(nb + 1);
+  int64_t rejected = 0;
+  for (WorkerId j = 0; j < instance.num_workers(); ++j) {
+    const core::WorkerGeom& geom = soa.worker_geoms()[j];
+    survive[nb] = 0xA5;
+    soa.TestBlocks(geom, survive.data());
+    EXPECT_EQ(survive[nb], 0xA5) << "worker " << j;
+    for (size_t b = 0; b < nb; ++b) {
+      const bool may = core::BlockMayHoldPair(geom, soa.block_summary(b));
+      EXPECT_EQ(survive[b] != 0, may) << "worker " << j << ", block " << b;
+      if (may) continue;
+      ++rejected;
+      const size_t hi = std::min(block.size(), (b + 1) * core::kBlockTasks);
+      for (size_t k = b * core::kBlockTasks; k < hi; ++k) {
+        EXPECT_FALSE(core::IsValidPair(block.oracle[k], instance.worker(j),
+                                       instance.now(), instance.policy()))
+            << "worker " << j << " block " << b << " task " << block.id[k];
+      }
+    }
+  }
+  return rejected;
+}
+
+// A worker of `base` with cone width `width` from a seeded start angle,
+// or the full circle for width >= 2 pi.
+std::vector<Worker> WithConeWidth(const Instance& base, double width) {
+  std::vector<Worker> workers = base.workers();
+  for (size_t j = 0; j < workers.size(); ++j) {
+    if (width >= geo::kTwoPi) {
+      workers[j].direction = geo::AngularInterval::FullCircle();
+    } else {
+      const double lo = 0.37 * static_cast<double>(j);
+      workers[j].direction = geo::AngularInterval(lo, lo + width);
+    }
+  }
+  return workers;
+}
+
+// Many-block instances (m = 2000, 63 blocks), uniform and skewed, both
+// policies, at cone widths around the block test's regime changes: narrow,
+// a quarter turn, either side of a half-turn (half-angle pi/2, where the
+// cone stops being convex), three quarters, just under a full turn (the
+// widened half-angle reaches pi and the direction test switches off) and
+// the full circle.
+TEST(KernelPropertyTest, BlockRejectIsSoundOnManyBlockInstances) {
+  constexpr double kEps = 1e-9;
+  const double kWidths[] = {std::numbers::pi / 24.0,
+                            std::numbers::pi / 2.0 - kEps,
+                            std::numbers::pi - kEps,
+                            std::numbers::pi + kEps,
+                            1.5 * std::numbers::pi,
+                            geo::kTwoPi - kEps,
+                            geo::kTwoPi};
+  for (bool skewed : {false, true}) {
+    gen::WorkloadConfig config = SweepConfig(31, skewed, 1.0);
+    config.num_tasks = 2000;
+    config.num_workers = 80;
+    const Instance generated = gen::GenerateInstance(config);
+    for (double width : kWidths) {
+      const Instance base(generated.tasks(), WithConeWidth(generated, width),
+                          generated.now(), generated.policy());
+      for (ArrivalPolicy policy :
+           {ArrivalPolicy::kStrict, ArrivalPolicy::kAllowWait}) {
+        const Instance instance = WithPolicy(base, policy);
+        ASSERT_EQ(instance.soa().num_blocks(), 63u);
+        const int64_t rejected = ExpectBlockRejectSound(instance);
+        // The test must reject something to be worth running: the cone
+        // rejects most blocks of a narrow cone, the reach some of the
+        // full circle's.
+        EXPECT_GT(rejected, 0) << "width " << width << " skewed " << skewed;
+        if (width < std::numbers::pi) {
+          EXPECT_GT(rejected, 80 * 63 / 4) << "width " << width;
+        }
+      }
+    }
+  }
+}
+
+// Inputs on the block test's margins, one zero-extent block of
+// kBlockTasks tasks per site so a site's verdict is its block's:
+//   - cone edge: sites just inside Contains' 1e-9 rad tolerance past
+//     either edge of the cone, which the oracle accepts; without the
+//     kAngleEps widening the block test rejects them;
+//   - reach: each site's tasks end exactly at the oracle's arrival time
+//     (end_max = depart + d/v), at clock 0 and at clock 1e6, where
+//     end - depart cancels to a few ulps of 1e6; without the time guard
+//     and the relative bands the reach test rejects some of them.
+// Every such pair must be accepted by the oracle, so each case is live.
+TEST(KernelPropertyTest, BlockRejectHoldsOnItsMargins) {
+  const geo::Point origin{0.5, 0.5};
+  constexpr int kSites = 24;
+  auto site_tasks = [](std::vector<Task>* tasks, geo::Point at, double start,
+                       double end) {
+    for (size_t k = 0; k < core::kBlockTasks; ++k) {
+      Task t;
+      t.location = at;
+      t.start = start;
+      t.end = end;
+      tasks->push_back(t);
+    }
+  };
+  auto expect_all_valid = [](const Instance& instance) {
+    for (TaskId i = 0; i < instance.num_tasks(); ++i) {
+      ASSERT_TRUE(core::IsValidPair(instance.task(i), instance.worker(0),
+                                    instance.now(), instance.policy()))
+          << "task " << i << " is not a live boundary case";
+    }
+  };
+
+  // Cone edge, for a few cone orientations and widths.
+  for (double lo : {0.3, 2.0, 4.4}) {
+    for (double width : {0.05, 1.2, 3.0}) {
+      Worker w;
+      w.location = origin;
+      w.velocity = 1.0;
+      w.direction = geo::AngularInterval(lo, lo + width);
+      std::vector<Task> tasks;
+      for (int k = 0; k < kSites; ++k) {
+        const double d = 0.05 + 0.015 * k;
+        for (double angle : {lo + width + 0.5e-9, lo - 0.5e-9}) {
+          site_tasks(&tasks,
+                     {origin.x + d * std::cos(angle),
+                      origin.y + d * std::sin(angle)},
+                     0.0, 10.0);
+        }
+      }
+      for (ArrivalPolicy policy :
+           {ArrivalPolicy::kStrict, ArrivalPolicy::kAllowWait}) {
+        const Instance instance(tasks, {w}, 0.0, policy);
+        expect_all_valid(instance);
+        EXPECT_EQ(ExpectBlockRejectSound(instance), 0)
+            << "lo " << lo << " width " << width;
+        ExpectKernelMatchesOracle(instance);
+      }
+    }
+  }
+
+  // Reach: arrivals exactly at end_max.
+  for (double now : {0.0, 1e6}) {
+    Worker w;
+    w.location = origin;
+    w.velocity = now == 0.0 ? 0.5 : 1.0;
+    std::vector<Task> tasks;
+    for (int k = 0; k < 2 * kSites; ++k) {
+      const double d = (now == 0.0 ? 0.05 : 0.002) * (1.0 + 0.31 * k);
+      const double angle = 0.7 * k;
+      Task probe;
+      probe.location = {origin.x + d * std::cos(angle),
+                        origin.y + d * std::sin(angle)};
+      const double arrival =
+          core::ArrivalTime(w, probe, now, ArrivalPolicy::kStrict);
+      site_tasks(&tasks, probe.location, now, arrival);
+    }
+    for (ArrivalPolicy policy :
+         {ArrivalPolicy::kStrict, ArrivalPolicy::kAllowWait}) {
+      const Instance instance(tasks, {w}, now, policy);
+      expect_all_valid(instance);
+      EXPECT_EQ(ExpectBlockRejectSound(instance), 0) << "now " << now;
+      ExpectKernelMatchesOracle(instance);
+    }
+  }
+}
+
+// Degenerate blocks and workers: tasks tied at one site (zero-extent
+// blocks), workers inside a block's box or on its edge, huge and
+// non-finite coordinates and times. Blocks holding a non-finite or huge
+// task carry infinite half extents and survive every worker; a worker
+// with huge coordinates rejects nothing; a worker in or on a live block's
+// box keeps it.
+TEST(KernelPropertyTest, BlockRejectNeverRejectsDegenerateBlocks) {
+  gen::WorkloadConfig config = SweepConfig(41, false, std::numbers::pi / 4);
+  config.num_tasks = 300;
+  config.num_workers = 40;
+  const Instance generated = gen::GenerateInstance(config);
+  std::vector<Task> base = generated.tasks();
+  // 70 tasks tied at one site: at least one whole zero-extent block.
+  for (int k = 0; k < 70; ++k) {
+    Task t = base[static_cast<size_t>(k)];
+    t.location = {0.625, 0.375};
+    base.push_back(t);
+  }
+  // A denormal coordinate is not degenerate.
+  Task tiny = base[2];
+  tiny.location = {1e-300, 0.2};
+  base.push_back(tiny);
+
+  // Each odd task joins `base` alone, so its block is its own.
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  std::vector<Task> odd_tasks;
+  for (geo::Point at : {geo::Point{1e120, 0.5}, geo::Point{0.5, -1e200},
+                        geo::Point{kNan, 0.5}, geo::Point{0.5, kInf}}) {
+    Task t = base[0];
+    t.location = at;
+    odd_tasks.push_back(t);
+  }
+  for (double end : {kInf, kNan}) {
+    Task t = base[1];
+    t.end = end;
+    odd_tasks.push_back(t);
+  }
+
+  std::vector<Worker> workers = generated.workers();
+  Worker tied = workers[0];  // on the tied site
+  tied.location = {0.625, 0.375};
+  workers.push_back(tied);
+  Worker huge = workers[1];
+  huge.location = {1e200, -1e200};
+  workers.push_back(huge);
+  Worker stopped = workers[2];  // scalar_only: oracle business
+  stopped.velocity = 0.0;
+  workers.push_back(stopped);
+  const WorkerId huge_id = static_cast<WorkerId>(workers.size() - 2);
+
+  for (size_t odd = 0; odd <= odd_tasks.size(); ++odd) {
+    std::vector<Task> tasks = base;
+    if (odd < odd_tasks.size()) tasks.push_back(odd_tasks[odd]);
+    const TaskId odd_id = static_cast<TaskId>(base.size());
+    for (ArrivalPolicy policy :
+         {ArrivalPolicy::kStrict, ArrivalPolicy::kAllowWait}) {
+      const Instance instance(tasks, workers, generated.now(), policy);
+      const core::InstanceSoA& soa = instance.soa();
+      const core::TaskBlock& block = soa.task_block();
+      ExpectBlockRejectSound(instance);
+      // The grid index files tasks by cell and takes finite coordinates.
+      ExpectGraphMatchesOracle(instance);
+
+      // The odd task's block never rejects; nor does the huge worker.
+      bool found = false;
+      for (size_t b = 0; b < soa.num_blocks(); ++b) {
+        const core::BlockSummary summary = soa.block_summary(b);
+        EXPECT_TRUE(
+            core::BlockMayHoldPair(soa.worker_geoms()[huge_id], summary))
+            << "block " << b;
+        const size_t hi = std::min(block.size(), (b + 1) * core::kBlockTasks);
+        if (std::find(block.id.begin() + b * core::kBlockTasks,
+                      block.id.begin() + hi, odd_id) == block.id.begin() + hi) {
+          continue;
+        }
+        found = true;
+        EXPECT_EQ(summary.half_w, kInf) << "odd task " << odd;
+        EXPECT_EQ(summary.half_h, kInf) << "odd task " << odd;
+        for (const core::WorkerGeom& geom : soa.worker_geoms()) {
+          EXPECT_TRUE(core::BlockMayHoldPair(geom, summary))
+              << "odd task " << odd;
+        }
+      }
+      EXPECT_EQ(found, odd < odd_tasks.size());
+    }
+  }
+
+  // A worker at a live block's center, on a corner or on an edge of its
+  // box keeps the block whatever its cone: it may have a valid pair in it.
+  const Instance instance(base, workers, generated.now());
+  const core::InstanceSoA& soa = instance.soa();
+  for (size_t b = 0; b < soa.num_blocks(); ++b) {
+    const core::BlockSummary s = soa.block_summary(b);
+    ASSERT_TRUE(std::isfinite(s.half_w) && std::isfinite(s.half_h));
+    ASSERT_GT(s.end_max, 0.0);  // live at clock 0
+    for (geo::Point at : {geo::Point{s.cx, s.cy},
+                          geo::Point{s.cx + s.half_w, s.cy + s.half_h},
+                          geo::Point{s.cx - s.half_w, s.cy - s.half_h},
+                          geo::Point{s.cx - s.half_w, s.cy},
+                          geo::Point{s.cx, s.cy + s.half_h}}) {
+      for (double lo : {0.0, 1.6, 3.2, 4.8}) {
+        Worker w = workers[3];
+        w.location = at;
+        w.velocity = 1.0;
+        w.direction = geo::AngularInterval(lo, lo + 1e-3);
+        w.available_from = 0.0;
+        EXPECT_TRUE(core::BlockMayHoldPair(core::PrecomputeWorker(w, 0.0), s))
+            << "block " << b << " lo " << lo;
+      }
+    }
+  }
+}
+
+// Order-exact equality on many-block instances: rows come out of the
+// Hilbert-ordered block yet must equal the ascending scalar scan element
+// for element at 1/2/8-way sharding, with the same block-test counts.
+TEST(KernelPropertyTest, ManyBlockRowsMatchAscendingOracle) {
+  for (bool skewed : {false, true}) {
+    for (double angle : {std::numbers::pi / 6.0, geo::kTwoPi}) {
+      gen::WorkloadConfig config = SweepConfig(51, skewed, angle);
+      config.num_tasks = 1200;
+      config.num_workers = 120;
+      const Instance base = gen::GenerateInstance(config);
+      for (ArrivalPolicy policy :
+           {ArrivalPolicy::kStrict, ArrivalPolicy::kAllowWait}) {
+        const Instance instance = WithPolicy(base, policy);
+        ASSERT_GT(instance.soa().num_blocks(), 1u);
+        ExpectKernelMatchesOracle(instance);
+        const core::CandidateGraph graph =
+            core::CandidateGraph::Build(instance);
+        EXPECT_GT(graph.NumEdges(), 0);
+        EXPECT_GT(graph.BlocksSkipped(), 0);
+      }
+    }
+  }
+}
+
+// At most two blocks: no spatial order, no summaries, no block tests.
+TEST(KernelPropertyTest, SmallInstancesStayInIdOrder) {
+  for (size_t m : {size_t{1}, core::kBlockTasks, core::kMaxUnorderedTasks}) {
+    gen::WorkloadConfig config = SweepConfig(61, false, 1.0);
+    config.num_tasks = static_cast<int>(m);
+    config.num_workers = 20;
+    const Instance instance = gen::GenerateInstance(config);
+    const core::InstanceSoA& soa = instance.soa();
+    EXPECT_EQ(soa.num_blocks(), 0u);
+    for (size_t k = 0; k < soa.task_block().size(); ++k) {
+      EXPECT_EQ(soa.task_block().id[k], static_cast<TaskId>(k));
+    }
+    const core::CandidateGraph graph = core::CandidateGraph::Build(instance);
+    EXPECT_EQ(graph.BlocksTested(), 0);
+    EXPECT_EQ(graph.BlocksSkipped(), 0);
+  }
+  gen::WorkloadConfig config = SweepConfig(61, false, 1.0);
+  config.num_tasks = static_cast<int>(core::kMaxUnorderedTasks + 1);
+  EXPECT_EQ(gen::GenerateInstance(config).soa().num_blocks(), 3u);
 }
 
 TEST(KernelPropertyTest, SoaViewIsCachedAndSharedAcrossCopies) {

@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Vectorisation gate for the pair-classification kernel.
+"""Vectorisation gate for the pair kernel's loops.
 
 The O(m*n) pair test (src/core/kernels.cc) is fast only while GCC
-vectorises the classification loop in every AVX2 instance
-(ClassifyAvx2<kWait, kFullCircle>). Nothing else notices when an edit turns
-the loop scalar again: the edge sets stay identical, only slower. This
+vectorises its two hot loops in every AVX2 instance: the per-pair
+classification (ClassifyLoop, in ClassifyAvx2<kWait, kFullCircle>) and
+the per-block test that decides which task blocks a row classifies at all
+(BlockTestLoop, in BlockTestAvx2). Nothing else notices when an edit turns
+either loop scalar again: the edge sets stay identical, only slower. This
 script recompiles kernels.cc with the flags the build tree uses (read from
 its compile_commands.json) plus -fopt-info-vec-all, and fails unless GCC
-reports the ClassifyLoop `for` line vectorised inside each AVX2 instance.
+reports each loop's `for` line vectorised inside each of its AVX2
+instances.
 
 It also fails when that compile command does not end up with
 -ffp-contract=off: the project's bit-identity contracts (kernel == scalar
@@ -24,9 +27,9 @@ Usage:
 Exit status: 0 when every instance is vectorised (or self-test passes),
 1 when one is not or the contraction flag is missing, 2 on usage errors,
 77 (reported as skipped by ctest) when the compiler is not GCC, the target
-has no AVX2 instances, or the tree builds below -O3 (GCC 12 leaves the loop
-scalar at -O2, whose "very-cheap" cost model rejects loops that would need
-a scalar remainder).
+has no AVX2 instances, or the tree builds below -O3 (GCC 12 leaves the
+loops scalar at -O2, whose "very-cheap" cost model rejects loops that
+would need a scalar remainder).
 """
 
 from __future__ import annotations
@@ -51,26 +54,32 @@ FUNC_RE = re.compile(r"^(?P<file>[^:]+):(?P<line>\d+):\d+: note: "
                      r"vectorized (?P<count>\d+) loops in function\.")
 
 
-def kernel_lines(source: str) -> tuple[int, int, int]:
-    """(ClassifyLoop's `for` line, ClassifyAvx2's line, AVX2 instances)."""
+# (always-inline loop body, AVX2 wrapper) pairs; every wrapper instance
+# must vectorise its body's loop.
+KERNEL_LOOPS = (("ClassifyLoop", "ClassifyAvx2"),
+                ("BlockTestLoop", "BlockTestAvx2"))
+
+
+def kernel_lines(source: str, loop: str = "ClassifyLoop",
+                 avx2: str = "ClassifyAvx2") -> tuple[int, int, int]:
+    """(`loop`'s `for` line, `avx2`'s line, `avx2` instances)."""
     lines = source.splitlines()
     loop_def = next((i for i, l in enumerate(lines)
-                     if re.search(r"\bvoid ClassifyLoop\(", l)), None)
+                     if re.search(rf"\bvoid {loop}\(", l)), None)
     avx2_def = next((i for i, l in enumerate(lines)
-                     if re.search(r"\bvoid ClassifyAvx2\(", l)), None)
+                     if re.search(rf"\bvoid {avx2}\(", l)), None)
     if loop_def is None or avx2_def is None:
-        raise SystemExit("error: ClassifyLoop or ClassifyAvx2 not found in "
-                         f"{KERNEL}")
+        raise SystemExit(f"error: {loop} or {avx2} not found in {KERNEL}")
     loop_for = next((i for i in range(loop_def, len(lines))
                      if re.match(r"\s*for \(", lines[i])), None)
     if loop_for is None:
-        raise SystemExit(f"error: no loop in ClassifyLoop ({KERNEL})")
-    instances = len(set(re.findall(r"&ClassifyAvx2<[^>]*>", source)))
+        raise SystemExit(f"error: no loop in {loop} ({KERNEL})")
+    instances = len(set(re.findall(rf"&{avx2}\b(?:<[^>]*>)?", source)))
     return loop_for + 1, avx2_def + 1, instances
 
 
 def check_report(report: str, loop_line: int, func_line: int,
-                 instances: int) -> list[str]:
+                 instances: int, avx2: str = "ClassifyAvx2") -> list[str]:
     """Problems found in GCC's -fopt-info-vec-all output; empty if none."""
     pending = 0   # loop_line vectorisations since the last function note
     found = []    # per AVX2 instance: its loop_line vectorisations
@@ -88,14 +97,26 @@ def check_report(report: str, loop_line: int, func_line: int,
             pending = 0
     problems = []
     if len(found) != instances:
-        problems.append(f"expected {instances} ClassifyAvx2 instances in "
+        problems.append(f"expected {instances} {avx2} instances in "
                         f"the report, found {len(found)}")
     for i, count in enumerate(found):
         if count == 0:
-            problems.append(f"ClassifyAvx2 instance {i + 1} of {len(found)}:"
+            problems.append(f"{avx2} instance {i + 1} of {len(found)}:"
                             f" the loop at {KERNEL}:{loop_line} was not "
                             "vectorised")
     return problems
+
+
+def check_kernels(report: str, source: str) -> tuple[list[str], list[str]]:
+    """(problems, one summary line per loop) for every KERNEL_LOOPS pair."""
+    problems, summary = [], []
+    for loop, avx2 in KERNEL_LOOPS:
+        loop_line, func_line, instances = kernel_lines(source, loop, avx2)
+        problems += check_report(report, loop_line, func_line, instances,
+                                 avx2)
+        summary.append(f"{KERNEL}:{loop_line} ({loop}) vectorised in all "
+                       f"{instances} {avx2} instances")
+    return problems, summary
 
 
 def contract_problems(flags: list[str]) -> list[str]:
@@ -168,19 +189,18 @@ def gate(root: Path, build_dir: Path) -> int:
         return SKIP
 
     source = (root / KERNEL).read_text()
-    loop_line, func_line, instances = kernel_lines(source)
     result = subprocess.run([*args, "-fopt-info-vec-all", "-o", os.devnull],
                             cwd=cwd, capture_output=True, text=True)
     if result.returncode != 0:
         print(result.stderr, file=sys.stderr)
         return 2
-    problems = check_report(result.stderr, loop_line, func_line, instances)
+    problems, summary = check_kernels(result.stderr, source)
     for problem in problems:
         print(f"error: {problem}")
     if problems:
         return 1
-    print(f"ok: {KERNEL}:{loop_line} vectorised in all {instances} "
-          "ClassifyAvx2 instances")
+    for line in summary:
+        print(f"ok: {line}")
     return 0
 
 
@@ -225,10 +245,34 @@ def self_test() -> int:
     source = ("template <bool A>\ninline void ClassifyLoop(int n) {\n"
               "  for (int k = 0; k < n; ++k) {}\n}\n"
               "void ClassifyAvx2(int n) {}\n"
-              "f = &ClassifyAvx2<true>; g = &ClassifyAvx2<false>;\n")
+              "f = &ClassifyAvx2<true>; g = &ClassifyAvx2<false>;\n"
+              "inline void BlockTestLoop(int n) {\n"
+              "  for (int b = 0; b < n; ++b) {}\n}\n"
+              "void BlockTestAvx2(int n) {}\n"
+              "h = &BlockTestAvx2;\n")
     if kernel_lines(source) != (3, 5, 2):
         print(f"self-test: kernel_lines gave {kernel_lines(source)}")
         failures += 1
+    block = kernel_lines(source, "BlockTestLoop", "BlockTestAvx2")
+    if block != (8, 10, 1):
+        print(f"self-test: kernel_lines(BlockTestLoop) gave {block}")
+        failures += 1
+    # The whole gate over both kernels: the classify instances (function
+    # line 5, loop line 3) and the block test (function line 10, loop line
+    # 8) each vectorised, or the block test turned scalar.
+    classify = [vec(3), note(5, 1)] * 2
+    kernels = [
+        ("both kernels vectorised", classify + [vec(8), note(10, 1)], 0),
+        ("block test scalar", classify + [
+            "src/core/kernels.cc:8:24: missed: couldn't vectorize loop",
+            note(10, 0)], 1),
+        ("block test instance missing", classify, 1),
+    ]
+    for name, report, want in kernels:
+        got = len(check_kernels("\n".join(report), source)[0])
+        if got != want:
+            print(f"self-test: {name}: {got} problems, want {want}")
+            failures += 1
     print("self-test:", "FAIL" if failures else "ok")
     return 1 if failures else 0
 
