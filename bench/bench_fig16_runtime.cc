@@ -3,6 +3,7 @@
 // SAMPLING stays nearly flat thanks to the small (epsilon, delta)-bounded
 // sample size.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
@@ -21,9 +22,15 @@ void RunAxis(const char* axis, const std::vector<SweepPoint>& points,
   std::vector<std::string> row_labels;
   std::vector<std::vector<double>> cells;
   std::vector<std::vector<double>> build_cells;
+  // D&C's own phases (SolveStats): BG_Partition, leaf solves, SA_Merge.
+  const size_t dc = static_cast<size_t>(
+      std::find(solver_names.begin(), solver_names.end(), "D&C") -
+      solver_names.begin());
+  std::vector<std::vector<double>> phase_cells;
   for (const SweepPoint& point : points) {
     row_labels.push_back(point.label);
     std::vector<double> row(solver_names.size(), 0.0);
+    std::vector<double> phases(3, 0.0);
     double build_seconds = 0.0;
     for (int seed_index = 0; seed_index < options.num_seeds; ++seed_index) {
       uint64_t seed = options.seed0 + 17 * seed_index;
@@ -40,19 +47,34 @@ void RunAxis(const char* axis, const std::vector<SweepPoint>& points,
                            .count();
       for (size_t s = 0; s < engines.size(); ++s) {
         t0 = std::chrono::steady_clock::now();
-        engines[s].SolveOn(instance, graph).value();
+        const core::SolveStats stats =
+            engines[s].SolveOn(instance, graph).value().stats;
         row[s] += std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
+        if (s == dc) {
+          phases[0] += stats.partition_seconds;
+          phases[1] += stats.leaf_seconds;
+          phases[2] += stats.merge_seconds;
+        }
       }
     }
     for (double& v : row) v /= options.num_seeds;
+    for (double& v : phases) v /= options.num_seeds;
     cells.push_back(row);
+    phase_cells.push_back(phases);
     build_cells.push_back({build_seconds / options.num_seeds});
   }
   const std::string title = std::string("CPU time (s) vs ") + axis;
   PrintTable(title, axis, row_labels, solver_names, cells, 4);
   report.AddTable(title, axis, row_labels, solver_names, cells);
+  if (dc < solver_names.size()) {
+    const std::string phase_title = std::string("D&C phases (s) vs ") + axis;
+    const std::vector<std::string> phase_names = {"partition", "leaves",
+                                                  "merge"};
+    PrintTable(phase_title, axis, row_labels, phase_names, phase_cells, 4);
+    report.AddTable(phase_title, axis, row_labels, phase_names, phase_cells);
+  }
   // The shared candidate-graph construction, timed separately: this is the
   // O(m*n) pair-validation hot path the SoA kernels accelerate.
   const std::string build_title = std::string("graph build (s) vs ") + axis;

@@ -94,7 +94,26 @@ class AssignmentState {
 
   /// Replays a whole assignment (workers with kNoTask stay unassigned)
   /// onto an emptied state: the result equals a fresh state's replay.
+  /// `observations[j]` must be ObservationFor(TaskOf(j), j) bit for bit for
+  /// every assigned worker j (other entries are not read): a caller that
+  /// replays many assignments over one candidate graph, as sampling does,
+  /// computes each edge's observation once.
+  void Reset(const Assignment& assignment,
+             std::span<const Observation> observations);
+
+  /// Reset with every observation computed here (ObservationFor).
   void Reset(const Assignment& assignment);
+
+  /// Overwrites the running sums of a caller that replayed AddKnown and
+  /// RemoveKnown steps on scalars instead of on this state (D&C's
+  /// SA_Merge): task tasks[s]'s reduced reliability and E[STD] become
+  /// task_r[s] and task_std[s], and the total E[STD] becomes total_std.
+  /// Moves no worker, so the steps must have left every roster as it was.
+  /// The caller owns the contract that each value is what those steps
+  /// would have left here, rounding drift included.
+  void WriteBackSums(std::span<const TaskId> tasks,
+                     std::span<const double> task_r,
+                     std::span<const double> task_std, double total_std);
 
   /// Empties the state in O(|tasks| + their rosters), given every task
   /// that holds a worker (a superset, duplicates included, is fine). A
@@ -103,6 +122,10 @@ class AssignmentState {
 
   /// Reduced reliability R(t_i, W_i) = sum of -ln(1-p) (Eq. 8).
   double TaskReducedReliability(TaskId i) const { return task_r_[i]; }
+
+  /// What Add(i, j) adds to task i's reduced reliability:
+  /// util::ReliabilityWeight of worker j's confidence.
+  double WorkerWeight(WorkerId j) const { return weight_[j]; }
 
   /// E[STD(t_i)] for the current worker set of task i.
   double TaskExpectedStd(TaskId i) const { return task_std_[i]; }
@@ -194,6 +217,9 @@ class AssignmentState {
 
   /// The roster-plus-one list the previews score.
   mutable std::vector<Observation> preview_;
+
+  /// Reset(assignment)'s per-worker observations, sized on first use.
+  std::vector<Observation> replay_obs_;
 
   /// Per-task bound layouts; both vectors stay empty until the first
   /// bound call, so states that never preview bounds allocate none.

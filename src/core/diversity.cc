@@ -82,12 +82,18 @@ Scratch& ThreadScratch() {
 
 // Fills `order` with 0..r-1 sorted by `less`. std::sort on the same index
 // array with the same comparator always yields the same permutation, so
-// reusing the buffer keeps the tie order of a fresh vector.
+// reusing the buffer keeps the tie order of a fresh vector. Small rosters,
+// the common case, run std::sort's own small-range insertion sort inline.
 template <typename Less>
 void SortOrder(size_t r, Less less, std::vector<size_t>* order) {
   order->resize(r);
-  for (size_t i = 0; i < r; ++i) (*order)[i] = i;
-  std::sort(order->begin(), order->end(), less);
+  size_t* o = order->data();
+  for (size_t i = 0; i < r; ++i) o[i] = i;
+  if (r <= internal::kInsertionSortMax) {
+    internal::InsertionSortOrder(o, r, less);
+  } else {
+    std::sort(o, o + r, less);
+  }
 }
 
 const AngularLayout& SortByAngle(const std::vector<Observation>& obs) {
@@ -97,25 +103,25 @@ const AngularLayout& SortByAngle(const std::vector<Observation>& obs) {
   SortOrder(
       r, [&obs](size_t a, size_t b) { return obs[a].angle < obs[b].angle; },
       &scratch.order);
-  layout.angle.clear();
-  layout.confidence.clear();
-  for (size_t i : scratch.order) {
-    layout.angle.push_back(geo::NormalizeAngle(obs[i].angle));
-    layout.confidence.push_back(ClampConfidence(obs[i].confidence));
-  }
+  layout.angle.resize(r);
+  layout.confidence.resize(r);
   layout.gap.resize(r);
-  for (size_t i = 0; i < r; ++i) {
-    size_t next = (i + 1) % r;
-    double delta = geo::CcwDelta(layout.angle[i], layout.angle[next]);
-    // All-equal angles make every delta 0 except the wrap, which CcwDelta
-    // reports as 0 too; patch the final wrap gap so gaps sum to 2*pi.
-    layout.gap[i] = delta;
+  double* angle = layout.angle.data();
+  double* confidence = layout.confidence.data();
+  double* gap = layout.gap.data();
+  for (size_t k = 0; k < r; ++k) {
+    const size_t i = scratch.order[k];
+    angle[k] = geo::NormalizeAngle(obs[i].angle);
+    confidence[k] = ClampConfidence(obs[i].confidence);
   }
-  if (r > 0) {
-    double sum = 0.0;
-    for (size_t i = 0; i + 1 < r; ++i) sum += layout.gap[i];
-    layout.gap[r - 1] = kTwoPi - sum;
+  // The final gap wraps around; it is set so that the gaps sum to 2*pi,
+  // which also covers all-equal angles, whose wrap CcwDelta reports as 0.
+  double sum = 0.0;
+  for (size_t i = 0; i + 1 < r; ++i) {
+    gap[i] = geo::CcwDelta(angle[i], angle[i + 1]);
+    sum += gap[i];
   }
+  if (r > 0) gap[r - 1] = kTwoPi - sum;
   return layout;
 }
 
@@ -123,20 +129,23 @@ const TemporalLayout& SortByArrival(const std::vector<Observation>& obs,
                                     double start, double end) {
   Scratch& scratch = ThreadScratch();
   TemporalLayout& layout = scratch.temporal;
-  layout.time.clear();
-  layout.confidence.clear();
-  layout.time.push_back(start);
-  layout.confidence.push_back(1.0);
+  const size_t r = obs.size();
   SortOrder(
-      obs.size(),
-      [&obs](size_t a, size_t b) { return obs[a].arrival < obs[b].arrival; },
+      r, [&obs](size_t a, size_t b) { return obs[a].arrival < obs[b].arrival; },
       &scratch.order);
-  for (size_t i : scratch.order) {
-    layout.time.push_back(std::clamp(obs[i].arrival, start, end));
-    layout.confidence.push_back(ClampConfidence(obs[i].confidence));
+  layout.time.resize(r + 2);
+  layout.confidence.resize(r + 2);
+  double* time = layout.time.data();
+  double* confidence = layout.confidence.data();
+  time[0] = start;
+  confidence[0] = 1.0;
+  for (size_t k = 0; k < r; ++k) {
+    const size_t i = scratch.order[k];
+    time[k + 1] = std::clamp(obs[i].arrival, start, end);
+    confidence[k + 1] = ClampConfidence(obs[i].confidence);
   }
-  layout.time.push_back(end);
-  layout.confidence.push_back(1.0);
+  time[r + 1] = end;
+  confidence[r + 1] = 1.0;
   return layout;
 }
 

@@ -1,6 +1,7 @@
 #ifndef RDBSC_CORE_DIVERSITY_H_
 #define RDBSC_CORE_DIVERSITY_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "core/model.h"
@@ -69,6 +70,39 @@ struct DiversityBounds {
 };
 DiversityBounds ExpectedStdBounds(const Task& task,
                                   const std::vector<Observation>& obs);
+
+namespace internal {
+
+/// Rosters up to this size are put in angle or arrival order by
+/// InsertionSortOrder; larger ones by std::sort.
+inline constexpr size_t kInsertionSortMax = 16;
+
+/// Sorts `order[0, r)` by `less` with the insertion sort libstdc++'s
+/// std::sort runs on at most 16 elements: an element less than the first
+/// moves to the front, any other one is inserted by an unguarded linear
+/// scan down from its position. For r <= kInsertionSortMax the permutation
+/// therefore equals std::sort's for every input, ties and NaN keys
+/// included, without std::sort's call and dispatch. Exposed for the test
+/// that checks this against std::sort.
+template <typename Less>
+void InsertionSortOrder(size_t* order, size_t r, Less less) {
+  for (size_t i = 1; i < r; ++i) {
+    const size_t value = order[i];
+    if (less(value, order[0])) {
+      for (size_t k = i; k > 0; --k) order[k] = order[k - 1];
+      order[0] = value;
+      continue;
+    }
+    size_t k = i;
+    while (less(value, order[k - 1])) {
+      order[k] = order[k - 1];
+      --k;
+    }
+    order[k] = value;
+  }
+}
+
+}  // namespace internal
 
 }  // namespace rdbsc::core
 

@@ -2,16 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <unordered_map>
+#include <span>
 #include <utility>
 #include <vector>
 
-#include "core/dominance.h"
 #include "core/greedy.h"
 #include "core/registry.h"
 #include "core/sampling.h"
@@ -22,13 +22,22 @@
 namespace rdbsc::core {
 namespace {
 
-// A subproblem in global id space: a task subset, a worker subset, and the
-// validity edges restricted to them.
+using Clock = std::chrono::steady_clock;
+
+float SecondsSince(Clock::time_point t0) {
+  return static_cast<float>(
+      std::chrono::duration<double>(Clock::now() - t0).count());
+}
+
+// A subproblem in global id space, as CSR: a task subset (ascending), a
+// worker subset, and the validity edges restricted to them.
 struct Sub {
   std::vector<TaskId> tasks;
   std::vector<WorkerId> workers;
-  // edges[k] = valid tasks (global ids, within `tasks`) of workers[k].
-  std::vector<std::vector<TaskId>> edges;
+  // workers[k]'s valid tasks (global ids, within `tasks`, ascending) are
+  // edges[offsets[k], offsets[k + 1]).
+  std::vector<TaskId> edges;
+  std::vector<int64_t> offsets;
 };
 
 // One worker-task assignment pair in global id space.
@@ -48,30 +57,42 @@ class DcRunner {
         task1_(static_cast<size_t>(instance.num_workers()), kNoTask),
         task2_(static_cast<size_t>(instance.num_workers()), kNoTask),
         first_conflict_(static_cast<size_t>(instance.num_tasks()), -1),
-        slot_of_task_(static_cast<size_t>(instance.num_tasks()), -1) {}
+        scorer_(instance.num_tasks()) {}
 
   util::StatusOr<std::vector<Pair>> Run(const CandidateGraph& graph,
                                         SolveStats* stats) {
+    stats_ = stats;
+    Clock::time_point t0 = Clock::now();
     Sub root;
     root.tasks.resize(instance_.num_tasks());
     for (TaskId i = 0; i < instance_.num_tasks(); ++i) root.tasks[i] = i;
+    size_t active = 0;
+    for (WorkerId j = 0; j < instance_.num_workers(); ++j) {
+      active += graph.Degree(j) > 0 ? 1 : 0;
+    }
+    root.workers.reserve(active);
+    root.offsets.reserve(active + 1);
+    root.edges.reserve(static_cast<size_t>(graph.NumEdges()));
+    root.offsets.push_back(0);
     for (WorkerId j = 0; j < instance_.num_workers(); ++j) {
       if (graph.Degree(j) == 0) continue;
       root.workers.push_back(j);
       const auto row = graph.TasksOf(j);
-      root.edges.emplace_back(row.begin(), row.end());
+      root.edges.insert(root.edges.end(), row.begin(), row.end());
+      root.offsets.push_back(static_cast<int64_t>(root.edges.size()));
     }
-    stats_ = stats;
 
     // Phase 1 (serial): BG_Partition recursion. All rng_ draws happen
     // here, in the exact order of the recursive formulation, so phases 2-3
     // can run leaves in any order without perturbing the random stream.
     util::StatusOr<int> root_node = Descend(std::move(root));
+    stats_->partition_seconds = SecondsSince(t0);
     if (!root_node.ok()) return root_node.status();
 
     // Phase 2 (sharded): the leaves are fully independent subproblems --
     // each carries its own pre-drawn seed and shares only the read-only
     // instance and the runner deadline.
+    t0 = Clock::now();
     const int num_leaves = static_cast<int>(leaves_.size());
     std::vector<std::vector<Pair>> leaf_pairs(num_leaves);
     std::vector<util::Status> leaf_status(num_leaves);
@@ -91,18 +112,21 @@ class DcRunner {
             }
           }
         });
+    stats_->leaf_seconds = SecondsSince(t0);
     for (int leaf = 0; leaf < num_leaves; ++leaf) {
       if (!leaf_status[leaf].ok()) return leaf_status[leaf];
-      if (stats_ != nullptr) {
-        stats_->exact_std_evals += leaf_stats[leaf].exact_std_evals;
-        stats_->sample_size =
-            std::max(stats_->sample_size, leaf_stats[leaf].sample_size);
-      }
+      stats_->exact_std_evals += leaf_stats[leaf].exact_std_evals;
+      stats_->sample_size =
+          std::max(stats_->sample_size, leaf_stats[leaf].sample_size);
     }
 
     // Phase 3 (serial): SA_Merge bottom-up in tree order -- merge takes no
     // random draws, so this reproduces the recursive result exactly.
-    return Combine(root_node.value(), &leaf_pairs);
+    t0 = Clock::now();
+    util::StatusOr<std::vector<Pair>> merged =
+        Combine(root_node.value(), &leaf_pairs);
+    stats_->merge_seconds = SecondsSince(t0);
+    return merged;
   }
 
   // EvaluateAssignment on the merge state: a replay after Reset equals a
@@ -173,24 +197,22 @@ class DcRunner {
                                               SolveStats* leaf_stats) const {
     std::vector<Task> tasks;
     tasks.reserve(sub.tasks.size());
-    std::unordered_map<TaskId, TaskId> global_to_local;
-    for (size_t a = 0; a < sub.tasks.size(); ++a) {
-      global_to_local[sub.tasks[a]] = static_cast<TaskId>(a);
-      tasks.push_back(instance_.task(sub.tasks[a]));
-    }
+    for (TaskId i : sub.tasks) tasks.push_back(instance_.task(i));
     std::vector<Worker> workers;
     workers.reserve(sub.workers.size());
-    std::vector<std::vector<TaskId>> local_edges(sub.workers.size());
-    for (size_t k = 0; k < sub.workers.size(); ++k) {
-      workers.push_back(instance_.worker(sub.workers[k]));
-      for (TaskId g : sub.edges[k]) {
-        local_edges[k].push_back(global_to_local.at(g));
-      }
+    for (WorkerId j : sub.workers) workers.push_back(instance_.worker(j));
+    // A task's local id is its position in the ascending sub.tasks; the
+    // local rows keep the CSR layout, so sub.offsets describe them too.
+    std::vector<TaskId> local_edges(sub.edges.size());
+    for (size_t e = 0; e < sub.edges.size(); ++e) {
+      local_edges[e] = static_cast<TaskId>(
+          std::lower_bound(sub.tasks.begin(), sub.tasks.end(), sub.edges[e]) -
+          sub.tasks.begin());
     }
     Instance local(std::move(tasks), std::move(workers), instance_.now(),
                    instance_.policy());
     CandidateGraph local_graph =
-        CandidateGraph::FromEdges(local, std::move(local_edges));
+        CandidateGraph::FromEdges(local, local_edges, sub.offsets);
 
     SolverOptions leaf_options = options_;
     leaf_options.seed = seed;
@@ -222,14 +244,18 @@ class DcRunner {
 
   // BG_Partition (Fig. 7). Returns false when the split degenerates.
   bool Partition(const Sub& sub, Sub* left, Sub* right) {
-    std::vector<util::KmPoint> points;
-    points.reserve(sub.tasks.size());
+    points_.clear();
     for (TaskId i : sub.tasks) {
-      points.push_back({instance_.task(i).location.x,
-                        instance_.task(i).location.y});
+      points_.push_back({instance_.task(i).location.x,
+                         instance_.task(i).location.y});
     }
-    util::TwoMeansResult clusters = util::TwoMeans(points, rng_);
+    const util::TwoMeansResult clusters = util::TwoMeans(points_, rng_);
+    const auto num_left = static_cast<size_t>(
+        std::count(clusters.label.begin(), clusters.label.end(), 0));
+    if (num_left == 0 || num_left == sub.tasks.size()) return false;
 
+    left->tasks.reserve(num_left);
+    right->tasks.reserve(sub.tasks.size() - num_left);
     for (size_t a = 0; a < sub.tasks.size(); ++a) {
       if (clusters.label[a] == 0) {
         left->tasks.push_back(sub.tasks[a]);
@@ -238,27 +264,44 @@ class DcRunner {
         right->tasks.push_back(sub.tasks[a]);
       }
     }
-    const bool split = !left->tasks.empty() && !right->tasks.empty();
 
-    for (size_t k = 0; split && k < sub.workers.size(); ++k) {
-      std::vector<TaskId> left_edges;
-      std::vector<TaskId> right_edges;
-      for (TaskId g : sub.edges[k]) {
-        (in_left_[g] ? left_edges : right_edges).push_back(g);
+    // Size each child's arrays once: count its workers and edges first.
+    size_t left_workers = 0, right_workers = 0, left_edges = 0;
+    for (size_t k = 0; k < sub.workers.size(); ++k) {
+      int64_t on_left = 0;
+      for (int64_t e = sub.offsets[k]; e < sub.offsets[k + 1]; ++e) {
+        on_left += in_left_[sub.edges[e]];
       }
-      // Workers reaching only one side are isolated there; straddling
-      // workers are duplicated into both subproblems (Fig. 8).
-      if (!left_edges.empty()) {
-        left->workers.push_back(sub.workers[k]);
-        left->edges.push_back(std::move(left_edges));
+      left_workers += on_left > 0 ? 1 : 0;
+      right_workers += on_left < sub.offsets[k + 1] - sub.offsets[k] ? 1 : 0;
+      left_edges += static_cast<size_t>(on_left);
+    }
+    left->workers.reserve(left_workers);
+    left->offsets.reserve(left_workers + 1);
+    left->edges.reserve(left_edges);
+    right->workers.reserve(right_workers);
+    right->offsets.reserve(right_workers + 1);
+    right->edges.reserve(sub.edges.size() - left_edges);
+    left->offsets.push_back(0);
+    right->offsets.push_back(0);
+
+    // Workers reaching only one side are isolated there; straddling
+    // workers are duplicated into both subproblems (Fig. 8).
+    for (size_t k = 0; k < sub.workers.size(); ++k) {
+      for (int64_t e = sub.offsets[k]; e < sub.offsets[k + 1]; ++e) {
+        const TaskId g = sub.edges[e];
+        (in_left_[g] ? left->edges : right->edges).push_back(g);
       }
-      if (!right_edges.empty()) {
-        right->workers.push_back(sub.workers[k]);
-        right->edges.push_back(std::move(right_edges));
+      for (Sub* side : {left, right}) {
+        const auto size = static_cast<int64_t>(side->edges.size());
+        if (size > side->offsets.back()) {
+          side->workers.push_back(sub.workers[k]);
+          side->offsets.push_back(size);
+        }
       }
     }
     for (TaskId i : left->tasks) in_left_[i] = 0;
-    return split;
+    return true;
   }
 
   // SA_Merge (Fig. 9).
@@ -323,15 +366,16 @@ class DcRunner {
     // over the conflicts joins each one to the first conflict seen on
     // either of its tasks; components are numbered in order of their
     // smallest conflict index, and list their conflicts ascending.
-    std::vector<int> parent(conflicts.size());
-    for (size_t c = 0; c < conflicts.size(); ++c) {
+    const size_t num_conflicts = conflicts.size();
+    std::vector<int> parent(num_conflicts);
+    for (size_t c = 0; c < num_conflicts; ++c) {
       parent[c] = static_cast<int>(c);
     }
     auto find = [&parent](int c) {
       while (parent[c] != c) c = parent[c] = parent[parent[c]];
       return c;
     };
-    for (size_t c = 0; c < conflicts.size(); ++c) {
+    for (size_t c = 0; c < num_conflicts; ++c) {
       for (TaskId t : {side1[c], side2[c]}) {
         int& first = first_conflict_[t];
         if (first < 0) {
@@ -341,26 +385,40 @@ class DcRunner {
         }
       }
     }
-    for (size_t c = 0; c < conflicts.size(); ++c) {
+    for (size_t c = 0; c < num_conflicts; ++c) {
       first_conflict_[side1[c]] = -1;
       first_conflict_[side2[c]] = -1;
     }
-    std::vector<int> group_of_root(conflicts.size(), -1);
-    std::vector<std::vector<int>> groups;
-    for (size_t c = 0; c < conflicts.size(); ++c) {
-      int& group = group_of_root[find(static_cast<int>(c))];
-      if (group < 0) {
-        group = static_cast<int>(groups.size());
-        groups.emplace_back();
+    // Groups as CSR: group g's conflicts are members[begin[g], begin[g+1]),
+    // by a stable counting sort of the conflicts on their group number.
+    std::vector<int> group_of_root(num_conflicts, -1);
+    std::vector<int> begin(1, 0);
+    for (size_t c = 0; c < num_conflicts; ++c) {
+      int& root_group = group_of_root[find(static_cast<int>(c))];
+      if (root_group < 0) {
+        root_group = static_cast<int>(begin.size()) - 1;
+        begin.push_back(0);
       }
-      groups[group].push_back(static_cast<int>(c));
+      ++begin[root_group + 1];
+    }
+    for (size_t g = 1; g < begin.size(); ++g) begin[g] += begin[g - 1];
+    std::vector<int> members(num_conflicts);
+    {
+      std::vector<int> cursor(begin.begin(), begin.end() - 1);
+      for (size_t c = 0; c < num_conflicts; ++c) {
+        members[cursor[group_of_root[find(static_cast<int>(c))]]++] =
+            static_cast<int>(c);
+      }
     }
 
-    for (const std::vector<int>& group : groups) {
+    for (size_t g = 0; g + 1 < begin.size(); ++g) {
       if (util::Status budget = deadline_.Check(); !budget.ok()) {
         return budget;
       }
-      ResolveGroup(group, conflicts, side1, side2, merge_tasks, &state);
+      ResolveGroup(std::span<const int>(members).subspan(
+                       static_cast<size_t>(begin[g]),
+                       static_cast<size_t>(begin[g + 1] - begin[g])),
+                   conflicts, side1, side2, merge_tasks, &state);
     }
 
     std::vector<Pair> merged;
@@ -372,26 +430,17 @@ class DcRunner {
   }
 
   // Keeps exactly one copy of each conflicting worker in `group`, choosing
-  // the combination with the best merged objectives.
-  //
-  // The 2^k enumeration adds the group's workers in bit order, scores the
-  // state and removes them again in bit order. Groups share no task, so
-  // throughout, a task the group touches holds its base list (the workers
-  // it had when the group started) followed by the group workers on it in
-  // ascending bit order. Its E[STD] is therefore a function of which of
-  // those workers are on it, and each (task, on-mask) value is computed
-  // once and fed through AddKnown/RemoveKnown, which apply the same
-  // running-total update as Add/Remove: every combo's objectives, rounding
-  // drift included, match scoring it with Add, Objectives() and Remove.
-  void ResolveGroup(const std::vector<int>& group,
+  // the combination with the best merged objectives: by the exhaustive
+  // scoring of internal::KeepComboScorer, or per worker for a group above
+  // max_dcw_group.
+  void ResolveGroup(std::span<const int> group,
                     const std::vector<WorkerId>& conflicts,
                     const std::vector<TaskId>& side1,
                     const std::vector<TaskId>& side2,
                     const std::vector<TaskId>& merge_tasks,
                     AssignmentState* state) {
-    const int k = static_cast<int>(group.size());
     ++stats_->merge_groups;
-    if (k > options_.max_dcw_group) {
+    if (static_cast<int>(group.size()) > options_.max_dcw_group) {
       // Oversized DCW group: greedy per-worker fallback.
       for (int c : group) {
         WorkerId w = conflicts[c];
@@ -402,102 +451,20 @@ class DcRunner {
       }
       return;
     }
-
-    // Dense per-group tables. Slot s is the s-th distinct task the group
-    // touches; option (b, side) is worker group[b]'s copy on that side and
-    // owns bit `bit` of its slot's on-mask. Bits are handed out in (b,
-    // side) order, so ascending bits are ascending group order.
-    GroupTables& g = group_tables_;
-    g.slots.clear();
-    g.options.resize(static_cast<size_t>(2 * k));
-    for (int b = 0; b < k; ++b) {
-      const int c = group[b];
-      for (int side = 0; side < 2; ++side) {
-        const TaskId t = side == 0 ? side1[c] : side2[c];
-        int& slot = slot_of_task_[t];
-        if (slot < 0) {
-          slot = static_cast<int>(g.slots.size());
-          g.slots.push_back({t, state->TaskObservations(t).size(), 0, 0});
-        }
-        GroupTables::Slot& sl = g.slots[slot];
-        g.options[2 * b + side] = {slot, uint32_t{1} << sl.width,
-                                   state->ObservationFor(t, conflicts[c])};
-        ++sl.width;
-      }
+    group_workers_.clear();
+    group_side1_.clear();
+    group_side2_.clear();
+    for (int c : group) {
+      group_workers_.push_back(conflicts[c]);
+      group_side1_.push_back(side1[c]);
+      group_side2_.push_back(side2[c]);
     }
-    size_t memo_size = 0;
-    for (GroupTables::Slot& sl : g.slots) {
-      sl.memo_begin = memo_size;
-      memo_size += size_t{1} << sl.width;
-    }
-    g.memo.assign(memo_size, std::numeric_limits<double>::quiet_NaN());
-    g.on.assign(g.slots.size(), 0);
-
-    // The min reduced reliability of the tasks the group cannot change.
-    double outside_min_r = std::numeric_limits<double>::infinity();
-    for (TaskId t : merge_tasks) {
-      if (slot_of_task_[t] < 0 && !state->WorkersOf(t).empty()) {
-        outside_min_r =
-            std::min(outside_min_r, state->TaskReducedReliability(t));
-      }
-    }
-
-    auto add = [&](int b, uint32_t side) {
-      const GroupTables::Option& o = g.options[2 * b + side];
-      g.on[o.slot] |= o.bit;
-      state->AddKnown(g.slots[o.slot].task, conflicts[group[b]], o.obs,
-                      SlotStd(o.slot, *state));
-    };
-
-    // Exhaustive 2^k enumeration (Lemma 6.2): bit b of `combo` selects the
-    // side whose copy of worker group[b] survives.
-    const uint32_t num_combos = uint32_t{1} << k;
-    std::vector<BiPoint>& combo_points = g.combo_points;
-    combo_points.resize(num_combos);
-    for (uint32_t combo = 0; combo < num_combos; ++combo) {
-      for (int b = 0; b < k; ++b) add(b, (combo >> b) & 1);
-      // Some touched task holds a group worker now, so min_r is finite.
-      double min_r = outside_min_r;
-      for (const GroupTables::Slot& sl : g.slots) {
-        if (!state->WorkersOf(sl.task).empty()) {
-          min_r = std::min(min_r, state->TaskReducedReliability(sl.task));
-        }
-      }
-      combo_points[combo] = {util::ReducedToProbability(min_r),
-                             state->TotalExpectedStd()};
-      for (int b = 0; b < k; ++b) {
-        const GroupTables::Option& o = g.options[2 * b + ((combo >> b) & 1)];
-        g.on[o.slot] &= ~o.bit;
-        state->RemoveKnown(conflicts[group[b]], SlotStd(o.slot, *state));
-      }
-    }
-    stats_->merge_combos += num_combos;
-
-    uint32_t best = static_cast<uint32_t>(TopDominating(combo_points));
-    for (int b = 0; b < k; ++b) add(b, (best >> b) & 1);
-    for (const GroupTables::Slot& sl : g.slots) slot_of_task_[sl.task] = -1;
-  }
-
-  // E[STD] of slot s's task with the group workers of its current on-mask:
-  // the base list plus those workers in ascending bit order, memoized.
-  double SlotStd(int s, const AssignmentState& state) {
-    GroupTables& g = group_tables_;
-    const GroupTables::Slot& sl = g.slots[s];
-    const uint32_t on = g.on[s];
-    double& value = g.memo[sl.memo_begin + on];
-    if (std::isnan(value)) {
-      const std::vector<Observation>& current =
-          state.TaskObservations(sl.task);
-      g.scratch.assign(current.begin(),
-                       current.begin() + static_cast<ptrdiff_t>(sl.base));
-      // Options are stored in ascending bit order within each slot.
-      for (const GroupTables::Option& o : g.options) {
-        if (o.slot == s && (on & o.bit)) g.scratch.push_back(o.obs);
-      }
-      value = ExpectedStd(instance_.task(sl.task), g.scratch);
-      ++stats_->merge_std_evals;
-    }
-    return value;
+    const std::vector<BiPoint>& points =
+        scorer_.Score(*state, group_workers_, group_side1_, group_side2_,
+                      merge_tasks, &stats_->merge_std_evals);
+    stats_->merge_combos += static_cast<int64_t>(points.size());
+    scorer_.Commit(*state, static_cast<uint32_t>(TopDominating(points)),
+                   &stats_->merge_std_evals);
   }
 
   // Deterministic total order on objectives used for tie-breaking.
@@ -515,6 +482,8 @@ class DcRunner {
   std::vector<Node> nodes_;
   std::vector<Leaf> leaves_;
 
+  // Partition's 2-means input, reused across splits.
+  std::vector<util::KmPoint> points_;
   // SA_Merge's evaluation state, one per solve (see Merge).
   AssignmentState merge_state_;
   // Per-task / per-worker scratch, all-clear between uses: Partition's
@@ -525,32 +494,139 @@ class DcRunner {
   std::vector<TaskId> task2_;
   std::vector<int> first_conflict_;
 
-  // ResolveGroup's per-group tables, reused across groups and merges.
-  struct GroupTables {
-    struct Slot {
-      TaskId task;
-      size_t base;        ///< observations on the task before the group
-      int width;          ///< group options landing on the task (d_t)
-      size_t memo_begin;  ///< into memo, 2^width entries
-    };
-    struct Option {
-      int slot;
-      uint32_t bit;
-      Observation obs;
-    };
-    std::vector<Slot> slots;
-    std::vector<Option> options;  ///< [2 * b + side]
-    std::vector<double> memo;  ///< NaN = not yet evaluated
-    std::vector<uint32_t> on;  ///< per-slot on-mask of the current combo
-    std::vector<Observation> scratch;
-    std::vector<BiPoint> combo_points;
-  };
-  GroupTables group_tables_;
-  // Task -> its slot in the group being resolved, -1 elsewhere.
-  std::vector<int> slot_of_task_;
+  // ResolveGroup's scorer and group columns, reused across groups.
+  internal::KeepComboScorer scorer_;
+  std::vector<WorkerId> group_workers_;
+  std::vector<TaskId> group_side1_;
+  std::vector<TaskId> group_side2_;
 };
 
 }  // namespace
+
+namespace internal {
+
+KeepComboScorer::KeepComboScorer(int num_tasks)
+    : slot_of_task_(static_cast<size_t>(num_tasks), -1) {}
+
+const std::vector<BiPoint>& KeepComboScorer::Score(
+    AssignmentState& state, std::span<const WorkerId> workers,
+    std::span<const TaskId> side1, std::span<const TaskId> side2,
+    std::span<const TaskId> merge_tasks, int64_t* std_evals) {
+  const int k = static_cast<int>(workers.size());
+  assert(k <= 31 && side1.size() == workers.size() &&
+         side2.size() == workers.size());
+  group_.assign(workers.begin(), workers.end());
+
+  // Slot s is the s-th distinct task the group touches; option (b, side)
+  // is worker b's copy on that side and owns bit `bit` of its slot's
+  // on-mask. Bits are handed out in (b, side) order, so ascending bits are
+  // ascending group order.
+  slots_.clear();
+  slot_task_.clear();
+  slot_r_.clear();
+  slot_std_.clear();
+  options_.resize(static_cast<size_t>(2 * k));
+  for (int b = 0; b < k; ++b) {
+    for (int side = 0; side < 2; ++side) {
+      const TaskId t = side == 0 ? side1[b] : side2[b];
+      int& slot = slot_of_task_[t];
+      if (slot < 0) {
+        slot = static_cast<int>(slots_.size());
+        slots_.push_back({state.TaskObservations(t).size(), 0, 0,
+                          static_cast<int>(state.WorkersOf(t).size()), 0});
+        slot_task_.push_back(t);
+        slot_r_.push_back(state.TaskReducedReliability(t));
+        slot_std_.push_back(state.TaskExpectedStd(t));
+      }
+      Slot& sl = slots_[slot];
+      options_[2 * b + side] = {slot, uint32_t{1} << sl.width,
+                                state.WorkerWeight(workers[b]),
+                                state.ObservationFor(t, workers[b])};
+      ++sl.width;
+    }
+  }
+  size_t memo_size = 0;
+  for (Slot& sl : slots_) {
+    sl.memo_begin = memo_size;
+    memo_size += size_t{1} << sl.width;
+  }
+  memo_.assign(memo_size, std::numeric_limits<double>::quiet_NaN());
+
+  // The min reduced reliability of the tasks the group cannot change.
+  double outside_min_r = std::numeric_limits<double>::infinity();
+  for (TaskId t : merge_tasks) {
+    if (slot_of_task_[t] < 0 && !state.WorkersOf(t).empty()) {
+      outside_min_r = std::min(outside_min_r, state.TaskReducedReliability(t));
+    }
+  }
+  for (TaskId t : slot_task_) slot_of_task_[t] = -1;
+
+  // Exhaustive 2^k enumeration (Lemma 6.2), replaying AddKnown and
+  // RemoveKnown's arithmetic step for step (see the class comment).
+  double total = state.TotalExpectedStd();
+  const size_t num_slots = slots_.size();
+  const uint32_t num_combos = uint32_t{1} << k;
+  points_.resize(num_combos);
+  for (uint32_t combo = 0; combo < num_combos; ++combo) {
+    for (int b = 0; b < k; ++b) {
+      const Option& o = options_[2 * b + ((combo >> b) & 1)];
+      Slot& sl = slots_[o.slot];
+      sl.on |= o.bit;
+      ++sl.count;
+      slot_r_[o.slot] += o.weight;
+      const double fresh = SlotStd(state, o.slot, sl.on, std_evals);
+      total += fresh - slot_std_[o.slot];
+      slot_std_[o.slot] = fresh;
+    }
+    // Some touched task holds a group worker now, so min_r is finite.
+    double min_r = outside_min_r;
+    for (size_t s = 0; s < num_slots; ++s) {
+      if (slots_[s].count > 0) min_r = std::min(min_r, slot_r_[s]);
+    }
+    points_[combo] = {util::ReducedToProbability(min_r), total};
+    for (int b = 0; b < k; ++b) {
+      const Option& o = options_[2 * b + ((combo >> b) & 1)];
+      Slot& sl = slots_[o.slot];
+      sl.on &= ~o.bit;
+      slot_r_[o.slot] -= o.weight;
+      if (--sl.count == 0) slot_r_[o.slot] = 0.0;  // as Detach does
+      const double fresh = SlotStd(state, o.slot, sl.on, std_evals);
+      total += fresh - slot_std_[o.slot];
+      slot_std_[o.slot] = fresh;
+    }
+  }
+  // The drift is carried, not undone: the next group starts from it.
+  state.WriteBackSums(slot_task_, slot_r_, slot_std_, total);
+  return points_;
+}
+
+void KeepComboScorer::Commit(AssignmentState& state, uint32_t combo,
+                             int64_t* std_evals) {
+  for (size_t b = 0; b < group_.size(); ++b) {
+    const Option& o = options_[2 * b + ((combo >> b) & 1)];
+    Slot& sl = slots_[o.slot];
+    sl.on |= o.bit;
+    state.AddKnown(slot_task_[o.slot], group_[b], o.obs,
+                   SlotStd(state, o.slot, sl.on, std_evals));
+  }
+}
+
+double KeepComboScorer::EvaluateSlot(const AssignmentState& state, int s,
+                                     uint32_t on, int64_t* std_evals) {
+  const std::vector<Observation>& current =
+      state.TaskObservations(slot_task_[s]);
+  scratch_.assign(current.begin(),
+                  current.begin() + static_cast<ptrdiff_t>(slots_[s].base));
+  // Options are stored in ascending bit order within each slot.
+  for (const Option& o : options_) {
+    if (o.slot == s && (on & o.bit)) scratch_.push_back(o.obs);
+  }
+  ++*std_evals;
+  return memo_[slots_[s].memo_begin + on] =
+             ExpectedStd(state.instance().task(slot_task_[s]), scratch_);
+}
+
+}  // namespace internal
 
 util::StatusOr<SolveResult> DivideConquerSolver::SolveImpl(
     const Instance& instance, const CandidateGraph& graph,

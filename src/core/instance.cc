@@ -151,6 +151,18 @@ CandidateGraph CandidateGraph::FromEdges(
   return FromRows(instance.num_tasks(), instance.num_workers(), rows.data());
 }
 
+CandidateGraph CandidateGraph::FromEdges(const Instance& instance,
+                                         std::span<const TaskId> edges,
+                                         std::span<const int64_t> offsets) {
+  assert(offsets.size() == static_cast<size_t>(instance.num_workers()) + 1);
+  std::vector<EdgeRow> rows(static_cast<size_t>(instance.num_workers()));
+  for (size_t j = 0; j < rows.size(); ++j) {
+    rows[j] = {edges.data() + offsets[j],
+               static_cast<int32_t>(offsets[j + 1] - offsets[j])};
+  }
+  return FromRows(instance.num_tasks(), instance.num_workers(), rows.data());
+}
+
 CandidateGraph CandidateGraph::FromRows(int num_tasks, int num_workers,
                                         const EdgeRow* rows) {
   CandidateGraph graph;

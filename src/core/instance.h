@@ -119,6 +119,13 @@ class CandidateGraph {
   static CandidateGraph FromEdges(const Instance& instance,
                                   std::vector<std::vector<TaskId>> edges);
 
+  /// The same from flat CSR rows: worker j's valid tasks are
+  /// edges[offsets[j], offsets[j + 1]), ascending. `offsets` has one entry
+  /// per worker of `instance` plus one.
+  static CandidateGraph FromEdges(const Instance& instance,
+                                  std::span<const TaskId> edges,
+                                  std::span<const int64_t> offsets);
+
   /// Valid tasks of worker `j` (the edges incident to the worker node),
   /// ascending.
   std::span<const TaskId> TasksOf(WorkerId j) const {

@@ -300,10 +300,10 @@ void EmitValid(const Worker& w, double now, ArrivalPolicy policy,
     // Debug builds cross-check every certain verdict against the oracle,
     // so the unit/sanitizer suites exercise the margins on every pair.
     assert(c == kPairUncertain ||
-           (c == kPairAccept) == IsValidPair(block.oracle[k], w, now, policy));
+           (c == kPairAccept) == IsValidPair(block.TaskAt(k), w, now, policy));
     if (c == kPairAccept ||
         (c == kPairUncertain &&
-         IsValidPair(block.oracle[k], w, now, policy))) {
+         IsValidPair(block.TaskAt(k), w, now, policy))) {
       out->push_back(block.id[k]);
     }
   }
@@ -396,7 +396,6 @@ void TaskBlock::Reserve(size_t n) {
   start.reserve(n);
   end.reserve(n);
   id.reserve(n);
-  oracle.reserve(n);
 }
 
 void TaskBlock::Add(TaskId task_id, const Task& t) {
@@ -406,7 +405,6 @@ void TaskBlock::Add(TaskId task_id, const Task& t) {
   start.push_back(t.start);
   end.push_back(t.end);
   id.push_back(task_id);
-  oracle.push_back(t);
   if (!(std::isfinite(t.location.x) && std::isfinite(t.location.y) &&
         std::isfinite(t.start) && std::isfinite(t.end))) {
     suspect.push_back(k);
@@ -471,7 +469,7 @@ size_t ValidPairsRow(const WorkerGeom& g, const Worker& w, double now,
   const size_t before = out->size();
   if (g.scalar_only) {
     for (size_t k = 0; k < n; ++k) {
-      if (IsValidPair(block.oracle[k], w, now, policy)) {
+      if (IsValidPair(block.TaskAt(k), w, now, policy)) {
         out->push_back(block.id[k]);
       }
     }
@@ -520,7 +518,7 @@ InstanceSoA InstanceSoA::Build(const Instance& instance) {
         y0 = std::min(y0, block.y[k]);
         y1 = std::max(y1, block.y[k]);
         end_max = std::max(end_max, block.end[k]);
-        degenerate = degenerate || DegenerateTask(block.oracle[k]);
+        degenerate = degenerate || DegenerateTask(block.TaskAt(k));
       }
       const double inf = std::numeric_limits<double>::infinity();
       const double cx = 0.5 * (x0 + x1), cy = 0.5 * (y0 + y1);
@@ -590,7 +588,7 @@ bool ValidPairsRows(const Instance& instance, int64_t begin, int64_t end,
 #ifndef NDEBUG
           const size_t stop = std::min(m, (b + 1) * kBlockTasks);
           for (size_t k = b * kBlockTasks; k < stop; ++k) {
-            assert(!IsValidPair(block.oracle[k], w, now, policy) &&
+            assert(!IsValidPair(block.TaskAt(k), w, now, policy) &&
                    "block test rejected a block holding a valid pair");
           }
 #endif

@@ -62,17 +62,27 @@ class Instance;
 /// re-sort.
 
 /// Struct-of-arrays view of a task set: the four columns the validity
-/// predicates read, plus index-aligned copies of the original tasks so the
-/// uncertain band can be rechecked exactly.
+/// predicates read. They are all IsValidPair reads of a task, so TaskAt
+/// rebuilds the task the uncertain band is rechecked on, bit for bit.
 struct TaskBlock {
   std::vector<double> x, y, start, end;
   std::vector<TaskId> id;       ///< external ids, block order
-  std::vector<Task> oracle;     ///< aligned originals for the exact recheck
   std::vector<int32_t> suspect; ///< block indices with non-finite fields
 
   void Reserve(size_t n);
   void Add(TaskId task_id, const Task& t);
   size_t size() const { return x.size(); }
+
+  /// The task at block index k as IsValidPair and the degenerate-task
+  /// checks see it: location, start and end from the columns (beta, which
+  /// they do not read, keeps its default).
+  Task TaskAt(size_t k) const {
+    Task t;
+    t.location = {x[k], y[k]};
+    t.start = start[k];
+    t.end = end[k];
+    return t;
+  }
 };
 
 /// Per-worker constants of the branch-free predicates, precomputed once
@@ -148,9 +158,9 @@ struct BlockSummary {
 /// summary columns, is what ValidPairsRows runs.
 bool BlockMayHoldPair(const WorkerGeom& g, const BlockSummary& s);
 
-/// Columnar companion of an Instance: the task block (with its oracle
-/// copies) plus per-worker geometry; the workers themselves are read from
-/// the instance. Built once per instance and cached on it
+/// Columnar companion of an Instance: the task block plus per-worker
+/// geometry; the workers themselves are read from the instance. Built
+/// once per instance and cached on it
 /// (Instance::soa()); immutable afterwards, so solver shards share it
 /// freely. With more than kMaxUnorderedTasks tasks the block is in
 /// Hilbert-curve order of task location (block.id maps back to task ids)

@@ -71,6 +71,14 @@ struct SolveStats {
   int64_t merge_std_evals = 0;
   /// Sample size used (sampling only).
   int sample_size = 0;
+  /// Where a D&C solve's time went (D&C only): BG_Partition's descent,
+  /// the leaf solves and SA_Merge. Their sum is at most wall_seconds; the
+  /// rest is setup and the final evaluation. Timing only, like
+  /// wall_seconds: no fingerprint or cache key reads them. float because
+  /// every EngineResult embeds these stats and callers keep many results.
+  float partition_seconds = 0.0f;
+  float leaf_seconds = 0.0f;
+  float merge_seconds = 0.0f;
   /// True when the solve was cut short by its wall-clock budget or
   /// cancellation token (set on the partial stats of a failed solve).
   bool budget_exhausted = false;

@@ -10,19 +10,6 @@ constexpr double kAngleTolerance = 1e-9;
 
 }  // namespace
 
-double NormalizeAngle(double radians) {
-  double a = std::fmod(radians, kTwoPi);
-  if (a < 0.0) a += kTwoPi;
-  // fmod can return exactly kTwoPi after the correction when radians is a
-  // tiny negative number; fold that back to 0.
-  if (a >= kTwoPi) a -= kTwoPi;
-  return a;
-}
-
-double CcwDelta(double from, double to) {
-  return NormalizeAngle(to - from);
-}
-
 AngularInterval::AngularInterval(double lo, double hi) {
   lo_ = NormalizeAngle(lo);
   width_ = CcwDelta(lo, hi);

@@ -1,6 +1,7 @@
 #ifndef RDBSC_GEO_ANGLE_H_
 #define RDBSC_GEO_ANGLE_H_
 
+#include <cmath>
 #include <numbers>
 
 #include "util/config.h"
@@ -10,11 +11,24 @@ namespace rdbsc::geo {
 /// Full turn in radians.
 inline constexpr double kTwoPi = 2.0 * std::numbers::pi;
 
-/// Normalizes any angle into [0, 2*pi).
-double NormalizeAngle(double radians);
+/// Normalizes any angle into [0, 2*pi). Inline: E[SD]'s layouts call it
+/// per observation.
+inline double NormalizeAngle(double radians) {
+  // fmod is exact and returns its argument unchanged when |radians| < 2*pi
+  // (signed zeros and subnormals included), so that case skips the call.
+  double a = std::fabs(radians) < kTwoPi ? radians
+                                         : std::fmod(radians, kTwoPi);
+  if (a < 0.0) a += kTwoPi;
+  // fmod can return exactly kTwoPi after the correction when radians is a
+  // tiny negative number; fold that back to 0.
+  if (a >= kTwoPi) a -= kTwoPi;
+  return a;
+}
 
 /// Counter-clockwise angular distance from `from` to `to`, in [0, 2*pi).
-double CcwDelta(double from, double to);
+inline double CcwDelta(double from, double to) {
+  return NormalizeAngle(to - from);
+}
 
 /// A directed angular interval [lo, hi] on the circle, stored as a start
 /// angle and a CCW width so that intervals crossing the 0/2*pi seam (for

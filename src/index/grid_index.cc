@@ -71,8 +71,14 @@ util::StatusOr<GridIndex> GridIndex::Build(const core::Instance& instance,
 }
 
 int GridIndex::CellOf(geo::Point p) const {
-  int cx = static_cast<int>(std::clamp(p.x, 0.0, 1.0) / eta_);
-  int cy = static_cast<int>(std::clamp(p.y, 0.0, 1.0) / eta_);
+  // Clamped into [0, 1]; NaN fails the > and lands in column/row 0, as a
+  // cast of NaN would be undefined. Its pairs are never valid, so any
+  // cell serves.
+  auto axis = [this](double v) {
+    return static_cast<int>((v > 0.0 ? std::min(v, 1.0) : 0.0) / eta_);
+  };
+  int cx = axis(p.x);
+  int cy = axis(p.y);
   cx = std::min(cx, cells_per_axis_ - 1);
   cy = std::min(cy, cells_per_axis_ - 1);
   return cy * cells_per_axis_ + cx;

@@ -43,23 +43,18 @@ TwoMeansResult TwoMeans(const std::vector<KmPoint>& points, Rng& rng,
 
   for (int iter = 0; iter < max_iters; ++iter) {
     bool changed = false;
-    for (size_t i = 0; i < points.size(); ++i) {
-      int nearest =
-          Dist2(points[i], result.centroid[0]) <= Dist2(points[i],
-                                                        result.centroid[1])
-              ? 0
-              : 1;
-      if (nearest != result.label[i]) {
-        result.label[i] = nearest;
-        changed = true;
-      }
-    }
+    // One pass: label each point with its nearest centroid and add it to
+    // that cluster's sums, which therefore add up in point order.
     KmPoint sum[2] = {{0, 0}, {0, 0}};
     size_t count[2] = {0, 0};
+    const KmPoint c0 = result.centroid[0], c1 = result.centroid[1];
     for (size_t i = 0; i < points.size(); ++i) {
-      sum[result.label[i]].x += points[i].x;
-      sum[result.label[i]].y += points[i].y;
-      ++count[result.label[i]];
+      const int nearest = Dist2(points[i], c0) <= Dist2(points[i], c1) ? 0 : 1;
+      changed = changed || nearest != result.label[i];
+      result.label[i] = nearest;
+      sum[nearest].x += points[i].x;
+      sum[nearest].y += points[i].y;
+      ++count[nearest];
     }
     for (int c = 0; c < 2; ++c) {
       if (count[c] > 0) {

@@ -1,7 +1,8 @@
 // Allocation guard for the E[STD] hot path: once warmed up, evaluating a
 // roster of up to 64 observations, previewing an add or a bound on an
 // AssignmentState or a BoundsLayout and replaying an assignment onto a
-// reused state must not touch the heap.
+// reused state must not touch the heap; a D&C solve allocates per node of
+// its partition tree, not per worker.
 // The binary replaces the global operator new with a counting one, so a
 // change that reintroduces a per-call vector fails here instead of showing
 // up only as a slower benchmark.
@@ -15,7 +16,9 @@
 #include "core/assignment.h"
 #include "core/bounds_layout.h"
 #include "core/diversity.h"
+#include "core/divide_conquer.h"
 #include "core/instance.h"
+#include "gen/workload.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -170,7 +173,45 @@ TEST(AllocFreeTest, StatePreviewsAndResetReplayAllocateNothingAfterWarmUp) {
               0)
         << "Reset replay";
   }
+  // The replay with supplied observations, as sampling runs it.
+  std::vector<Observation> observations(static_cast<size_t>(n));
+  for (const Assignment* replay : {&full, &spread, &partial, &full}) {
+    for (WorkerId j = 0; j < n; ++j) {
+      if (replay->TaskOf(j) != kNoTask) {
+        observations[j] = state.ObservationFor(replay->TaskOf(j), j);
+      }
+    }
+    EXPECT_EQ(AllocationsOf([&] {
+                state.Reset(*replay, observations);
+                sink += state.Objectives().total_std;
+              }),
+              0)
+        << "Reset replay, observations supplied";
+  }
   EXPECT_GT(sink, 0.0);
+}
+
+// A D&C solve allocates per node of its partition tree, not per worker
+// per node: CSR subproblems, leaves mapping ids without a hash map, one
+// observation per edge in the sampling leaves and merges on scalars. A
+// tree over m tasks has at most 2m - 1 nodes. The instance has ten
+// workers a task, so a solve that built one edge vector per worker at
+// each split (over 70 allocations a node here) fails the bound.
+TEST(AllocFreeTest, DivideConquerAllocatesPerTreeNode) {
+  gen::WorkloadConfig config;  // Table 2 defaults, scaled down
+  config.num_tasks = 300;
+  config.num_workers = 3000;
+  config.start_max = 4.0;
+  config.seed = 3;
+  const Instance instance = gen::GenerateInstance(config);
+  const CandidateGraph graph = CandidateGraph::Build(instance);
+  DivideConquerSolver solver;
+  ASSERT_TRUE(solver.Solve(instance, graph).ok());  // warm-up
+  const int64_t max_nodes = 2 * int64_t{config.num_tasks} - 1;
+  constexpr int64_t kAllocationsPerNode = 24;
+  const int64_t allocations = AllocationsOf(
+      [&] { ASSERT_TRUE(solver.Solve(instance, graph).ok()); });
+  EXPECT_LE(allocations, kAllocationsPerNode * max_nodes);
 }
 
 }  // namespace

@@ -1,7 +1,11 @@
 #include "geo/angle.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "util/rng.h"
@@ -15,6 +19,45 @@ TEST(NormalizeAngleTest, IdentityInRange) {
   EXPECT_DOUBLE_EQ(NormalizeAngle(0.0), 0.0);
   EXPECT_DOUBLE_EQ(NormalizeAngle(1.5), 1.5);
   EXPECT_DOUBLE_EQ(NormalizeAngle(kTwoPi - 1e-9), kTwoPi - 1e-9);
+}
+
+// The fmod-skipping NormalizeAngle against the plain fmod formula, bit
+// for bit, where the shortcut's edge lies and beyond it.
+TEST(NormalizeAngleTest, EqualsFmodFormulaBitForBit) {
+  auto formula = [](double radians) {
+    double a = std::fmod(radians, kTwoPi);
+    if (a < 0.0) a += kTwoPi;
+    if (a >= kTwoPi) a -= kTwoPi;
+    return a;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  std::vector<double> inputs = {0.0,   denorm,  1e-310, 1e-300, 1.0,
+                                kPi,   1e300,   1e-12,  inf,    nan,
+                                -nan,  7.0,     12.5,   1e15,   4.0 * kPi};
+  for (double edge : {kTwoPi, 2.0 * kTwoPi, kPi}) {
+    double below = edge, above = edge;
+    for (int step = 0; step < 4; ++step) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, inf);
+      inputs.push_back(below);
+      inputs.push_back(above);
+    }
+    inputs.push_back(edge);
+  }
+  util::Rng rng(3);
+  for (int k = 0; k < 2000; ++k) inputs.push_back(rng.Uniform(-20.0, 20.0));
+  for (double x : std::vector<double>(inputs)) inputs.push_back(-x);
+  for (double x : inputs) {
+    const double got = NormalizeAngle(x), want = formula(x);
+    if (std::isnan(want)) {
+      EXPECT_TRUE(std::isnan(got)) << x;
+    } else {
+      EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+          << x;
+    }
+  }
 }
 
 TEST(NormalizeAngleTest, WrapsPositive) {

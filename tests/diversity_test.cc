@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <numbers>
 #include <numeric>
 #include <string>
@@ -693,6 +694,37 @@ TEST(ScratchReuseTest, ConcurrentThreadsMatchSerial) {
       EXPECT_EQ(seen[t][k], serial[k])
           << "thread " << t << ", r=" << rosters[k].size();
     }
+  }
+}
+
+// ---------- Small-roster sort ----------
+
+// InsertionSortOrder against std::sort with the same comparator on index
+// arrays of every size up to kInsertionSortMax: keys drawn from a handful
+// of values (heavy ties), signed zeros and NaN, so any deviation from
+// std::sort's small-range insertion sort changes a permutation.
+TEST(InsertionSortOrderTest, PermutationEqualsStdSort) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double pool[] = {0.0, -0.0, 1.0, 2.0, 2.0, 3.5, nan, -1.0, 6.0};
+  util::Rng rng(17);
+  std::vector<double> keys;
+  std::vector<size_t> got, want;
+  for (int trial = 0; trial < 120000; ++trial) {
+    const auto r = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(internal::kInsertionSortMax)));
+    const int64_t distinct = rng.UniformInt(1, 9);
+    keys.resize(r);
+    for (double& key : keys) {
+      key = trial % 3 == 0 ? rng.Uniform(0.0, 6.0)
+                           : pool[rng.UniformInt(0, distinct - 1)];
+    }
+    auto less = [&keys](size_t a, size_t b) { return keys[a] < keys[b]; };
+    got.resize(r);
+    std::iota(got.begin(), got.end(), size_t{0});
+    want = got;
+    internal::InsertionSortOrder(got.data(), r, less);
+    std::sort(want.begin(), want.end(), less);
+    ASSERT_EQ(got, want) << "trial " << trial << ", r " << r;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
@@ -56,6 +57,37 @@ TEST(GridIndexTest, MatchesBruteForceAcrossCellSizes) {
   for (double eta : {0.02, 0.05, 0.1, 0.25, 0.5, 1.0}) {
     GridIndex index = GridIndex::Build(instance, eta);
     ExpectSameEdges(instance, index);
+  }
+}
+
+// Tasks and workers with a NaN coordinate (as unvalidated input may hold)
+// are filed in a fixed cell instead of a cell computed from an undefined
+// cast; they form no valid pair, and every other edge is retrieved as the
+// scan finds it.
+TEST(GridIndexTest, NanLocationsMatchBruteForce) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Instance generated = test::SmallInstance(9, 60, 90);
+  std::vector<core::Task> tasks = generated.tasks();
+  std::vector<core::Worker> workers = generated.workers();
+  for (size_t i = 0; i < tasks.size(); i += 7) {
+    tasks[i].location = i % 2 == 0 ? geo::Point{nan, 0.4}
+                                   : geo::Point{0.6, nan};
+  }
+  for (size_t j = 0; j < workers.size(); j += 9) {
+    workers[j].location = j % 2 == 0 ? geo::Point{nan, nan}
+                                     : geo::Point{0.3, nan};
+  }
+  for (core::ArrivalPolicy policy :
+       {core::ArrivalPolicy::kStrict, core::ArrivalPolicy::kAllowWait}) {
+    const Instance instance(tasks, workers, generated.now(), policy);
+    for (double eta : {0.05, 0.2, 1.0}) {
+      ExpectSameEdges(instance, GridIndex::Build(instance, eta));
+    }
+    const CandidateGraph brute = CandidateGraph::Build(instance);
+    EXPECT_GT(brute.NumEdges(), 0);
+    for (size_t j = 0; j < workers.size(); j += 9) {
+      EXPECT_EQ(brute.Degree(static_cast<WorkerId>(j)), 0) << "worker " << j;
+    }
   }
 }
 

@@ -129,7 +129,7 @@ double CertainFraction(const Instance& instance) {
       if (cls[k] == core::kPairUncertain) continue;
       ++certain;
       EXPECT_EQ(cls[k] == core::kPairAccept,
-                core::IsValidPair(block.oracle[k], instance.worker(j),
+                core::IsValidPair(block.TaskAt(k), instance.worker(j),
                                   instance.now(), instance.policy()))
           << "worker " << j << ", task " << k;
     }
@@ -339,7 +339,7 @@ TEST(KernelPropertyTest, SmallBlocksAndTailsMatchOracle) {
           for (size_t k = 0; k < n; ++k) {
             ASSERT_LE(cls[k], uint8_t{core::kPairUncertain});
             if (cls[k] == core::kPairUncertain) continue;
-            const bool valid = core::IsValidPair(block.oracle[k], w,
+            const bool valid = core::IsValidPair(block.TaskAt(k), w,
                                                  instance.now(), policy);
             ASSERT_EQ(cls[k] == core::kPairAccept, valid)
                 << "n=" << n << " worker " << j << " slot " << k;
@@ -349,7 +349,7 @@ TEST(KernelPropertyTest, SmallBlocksAndTailsMatchOracle) {
 
           std::vector<TaskId> want;
           for (size_t k = 0; k < n; ++k) {
-            if (core::IsValidPair(block.oracle[k], w, instance.now(),
+            if (core::IsValidPair(block.TaskAt(k), w, instance.now(),
                                   policy)) {
               want.push_back(block.id[k]);
             }
@@ -394,7 +394,7 @@ int64_t ExpectBlockRejectSound(const Instance& instance) {
       ++rejected;
       const size_t hi = std::min(block.size(), (b + 1) * core::kBlockTasks);
       for (size_t k = b * core::kBlockTasks; k < hi; ++k) {
-        EXPECT_FALSE(core::IsValidPair(block.oracle[k], instance.worker(j),
+        EXPECT_FALSE(core::IsValidPair(block.TaskAt(k), instance.worker(j),
                                        instance.now(), instance.policy()))
             << "worker " << j << " block " << b << " task " << block.id[k];
       }
@@ -604,8 +604,8 @@ TEST(KernelPropertyTest, BlockRejectNeverRejectsDegenerateBlocks) {
       const core::InstanceSoA& soa = instance.soa();
       const core::TaskBlock& block = soa.task_block();
       ExpectBlockRejectSound(instance);
-      // The grid index files tasks by cell and takes finite coordinates.
-      ExpectGraphMatchesOracle(instance);
+      // The grid index files a non-finite location in a fixed cell.
+      ExpectKernelMatchesOracle(instance);
 
       // The odd task's block never rejects; nor does the huge worker.
       bool found = false;

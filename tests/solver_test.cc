@@ -15,6 +15,7 @@
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "util/hash.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace rdbsc::core {
@@ -324,6 +325,39 @@ TEST(SamplingTest, BestSampleDominatesOrTiesSingleSample) {
   EXPECT_FALSE(Dominates(v1, v64));
 }
 
+// The winning sample's objectives come from a replay with observations
+// taken from the per-edge table (many samples on a sparse graph) or
+// computed as drawn (one sample on a dense one); either way they must be
+// the bits of a fresh evaluation, which computes every observation
+// itself.
+TEST(SamplingTest, ObjectivesEqualFreshEvaluationBitForBit) {
+  for (uint64_t seed : {4, 5, 6}) {
+    Instance instance = SmallInstance(seed, /*num_tasks=*/12,
+                                      /*num_workers=*/30);
+    CandidateGraph graph = CandidateGraph::Build(instance);
+    ASSERT_GT(graph.NumEdges(), instance.num_workers())
+        << "denser than one edge a worker";
+    ASSERT_LE(graph.NumEdges(), 64 * instance.num_workers() / 4)
+        << "sparser than 64 edges for each of a quarter of the workers";
+    for (int samples : {1, 64}) {
+      SolverOptions options;
+      options.seed = seed;
+      options.fixed_sample_size = samples;
+      options.min_sample_size = 1;
+      const SolveResult result =
+          SamplingSolver(options).Solve(instance, graph).value();
+      const ObjectiveValue fresh =
+          EvaluateAssignment(instance, result.assignment);
+      EXPECT_EQ(std::bit_cast<uint64_t>(result.objectives.total_std),
+                std::bit_cast<uint64_t>(fresh.total_std))
+          << "seed " << seed << ", " << samples << " samples";
+      EXPECT_EQ(std::bit_cast<uint64_t>(result.objectives.min_reliability),
+                std::bit_cast<uint64_t>(fresh.min_reliability))
+          << "seed " << seed << ", " << samples << " samples";
+    }
+  }
+}
+
 TEST(SamplingTest, ReportsSampleSize) {
   Instance instance = SmallInstance(7);
   CandidateGraph graph = CandidateGraph::Build(instance);
@@ -354,63 +388,124 @@ struct DivideConquerGolden {
   const char* instance;
   const char* mode;
   const char* digest;
+  /// SolveStats counters of the solve.
+  int64_t merge_groups;
+  int64_t merge_combos;
+  int64_t merge_std_evals;
+  int64_t exact_std_evals;
 };
 
-// Captured from the SA_Merge that scored every 2^k keep-side combination
-// with full Add/Remove calls and an O(m) Objectives() scan. gamma = 3 cuts
-// these instances into leaves of at most three tasks, so the merges see
-// DCW groups of four and more workers; "fallback" caps max_dcw_group at
-// one, which sends every group of two or more to the per-worker
-// PreviewAdd path.
+// The first 24 rows were captured from the SA_Merge that scored every 2^k
+// keep-side combination with full Add/Remove calls and an O(m)
+// Objectives() scan, and their counters and the rows after them from the
+// one that moved workers through the merge state's rosters with
+// AddKnown/RemoveKnown. gamma = 3 cuts these instances into leaves of at
+// most three tasks, so the merges see DCW groups of four and more
+// workers; "fallback" caps max_dcw_group at one, which sends every group
+// of two or more to the per-worker PreviewAdd path. A "-gN" mode sets
+// gamma = N: one- and two-task leaves on the dense instances give the
+// merges their largest groups, the rounding drift of thousands of combos
+// and decisions that rest on it.
 constexpr DivideConquerGolden kDivideConquerGolden[] = {
     {"table2-3", "sampling",
-     "bd91d41815ed1860 3fee4b636b339a37 4042c623fee1f2d9"},
+     "bd91d41815ed1860 3fee4b636b339a37 4042c623fee1f2d9",
+     24, 250, 258, 320},
     {"table2-3", "greedy",
-     "26cf258289338ce4 3fee4b636b339a37 40423c9a9967678a"},
+     "26cf258289338ce4 3fee4b636b339a37 40423c9a9967678a",
+     26, 310, 282, 0},
     {"table2-3", "gtruth",
-     "43836c0698eb6dd3 3fee4b636b339a37 4042cf5043f8ba65"},
+     "43836c0698eb6dd3 3fee4b636b339a37 4042cf5043f8ba65",
+     23, 252, 258, 780},
     {"table2-3", "fallback",
-     "772e7ca88fc0c25a 3fee4b636b339a37 4042ba084277babf"},
+     "772e7ca88fc0c25a 3fee4b636b339a37 4042ba084277babf",
+     25, 24, 177, 320},
     {"table2-4", "sampling",
-     "06545c8c0c29a00a 3fedc79afba7e683 40445da60b85238f"},
+     "06545c8c0c29a00a 3fedc79afba7e683 40445da60b85238f",
+     20, 1694, 400, 320},
     {"table2-4", "greedy",
-     "2685aa5853e851a3 3fedc79afba7e683 4043efe98d665449"},
+     "2685aa5853e851a3 3fedc79afba7e683 4043efe98d665449",
+     20, 1694, 406, 0},
     {"table2-4", "gtruth",
-     "06545c8c0c29a00a 3fedc79afba7e683 40445da60b85238f"},
+     "06545c8c0c29a00a 3fedc79afba7e683 40445da60b85238f",
+     20, 1694, 400, 700},
     {"table2-4", "fallback",
-     "1a39ca7048ad3422 3fedc79afba7e683 40444b52f2d2f7fe"},
+     "1a39ca7048ad3422 3fedc79afba7e683 40444b52f2d2f7fe",
+     20, 18, 180, 320},
     {"table2-5", "sampling",
-     "603b796e29c8aba9 3fede0ae77e94858 4041f4f1b60c3441"},
+     "603b796e29c8aba9 3fede0ae77e94858 4041f4f1b60c3441",
+     20, 278, 299, 320},
     {"table2-5", "greedy",
-     "1e25fc387f3d5523 3fede0ae77e94858 404165348d89ebd4"},
+     "1e25fc387f3d5523 3fede0ae77e94858 404165348d89ebd4",
+     22, 714, 490, 0},
     {"table2-5", "gtruth",
-     "603b796e29c8aba9 3fede0ae77e94858 4041f4f1b60c3441"},
+     "603b796e29c8aba9 3fede0ae77e94858 4041f4f1b60c3441",
+     21, 186, 299, 650},
     {"table2-5", "fallback",
-     "7e92444cb0fc0d31 3fede0ae77e94858 4041f652ac169ddb"},
+     "7e92444cb0fc0d31 3fede0ae77e94858 4041f652ac169ddb",
+     20, 18, 183, 320},
     {"sparse-41", "sampling",
-     "f101e4227c114040 3feeba1dc9428537 401f78249f39e2d3"},
+     "f101e4227c114040 3feeba1dc9428537 401f78249f39e2d3",
+     15, 3670, 484, 192},
     {"sparse-41", "greedy",
-     "475f4f95f892185e 3fed5d5a0696a20f 401fff0bc776c80b"},
+     "475f4f95f892185e 3fed5d5a0696a20f 401fff0bc776c80b",
+     14, 3686, 872, 0},
     {"sparse-41", "gtruth",
-     "6468e35351c7be21 3fee09eea46401ed 402131abe148dcdc"},
+     "6468e35351c7be21 3fee09eea46401ed 402131abe148dcdc",
+     18, 1620, 492, 640},
     {"sparse-41", "fallback",
-     "63b963dbd28a2a30 3fed450ec3eb2fa5 4020286a0164ae0d"},
+     "63b963dbd28a2a30 3fed450ec3eb2fa5 4020286a0164ae0d",
+     14, 0, 225, 192},
     {"sparse-43", "sampling",
-     "52d27b5fafd1bb39 3fededac7698986a 40233a314a968df7"},
+     "52d27b5fafd1bb39 3fededac7698986a 40233a314a968df7",
+     14, 5224, 718, 192},
     {"sparse-43", "greedy",
-     "cbc369a30294f55a 3fee3c0b4d44cf31 402311792317a37d"},
+     "cbc369a30294f55a 3fee3c0b4d44cf31 402311792317a37d",
+     14, 5226, 3652, 0},
     {"sparse-43", "gtruth",
-     "035bb5eed8dadff1 3fededac7698986a 40234d120ca65d4d"},
+     "035bb5eed8dadff1 3fededac7698986a 40234d120ca65d4d",
+     18, 4624, 702, 680},
     {"sparse-43", "fallback",
-     "d216d1ebfb59158f 3fededac7698986a 4023718696d6aab6"},
+     "d216d1ebfb59158f 3fededac7698986a 4023718696d6aab6",
+     14, 4, 200, 192},
     {"dense-42", "sampling",
-     "ae4095e3cc13a273 3fede3dc04260900 403014132c8bd10e"},
+     "ae4095e3cc13a273 3fede3dc04260900 403014132c8bd10e",
+     13, 10852, 2060, 192},
     {"dense-42", "greedy",
-     "fce570d51a486770 3fee48fc055dcc5d 402c3d89ca5b8de2"},
+     "fce570d51a486770 3fee48fc055dcc5d 402c3d89ca5b8de2",
+     11, 14752, 8672, 0},
     {"dense-42", "gtruth",
-     "672dddb9282dd09c 3fefc6c83da0a454 402fa857580bb1de"},
+     "672dddb9282dd09c 3fefc6c83da0a454 402fa857580bb1de",
+     13, 15110, 2158, 660},
     {"dense-42", "fallback",
-     "14d265e2cff6b11e 3fed692cd26939b5 402f0e46552fbbec"},
+     "14d265e2cff6b11e 3fed692cd26939b5 402f0e46552fbbec",
+     14, 4, 380, 192},
+    {"table2-5", "sampling-g2",
+     "e2b169cce30008d5 3fede0ae77e94858 4041ea1fdb53eb4b",
+     25, 4340, 628, 320},
+    {"sparse-43", "sampling-g2",
+     "8bdb6f16af7f8718 3fed8b2394c70759 4023ec482fad9f4f",
+     20, 6062, 1656, 192},
+    {"dense-42", "sampling-g1",
+     "aa5b1c849f88a365 3feece9d1eccd6a8 403061cffad841be",
+     28, 23250, 20761, 192},
+    {"dense-42", "sampling-g2",
+     "d6c6d615077cb8e7 3fefd8c8fa00b099 4030b48119adc36e",
+     19, 17930, 7687, 192},
+    {"dense-42", "gtruth-g2",
+     "7005f9e168183cf8 3feece9d1eccd6a8 402fcdcd6c2f3175",
+     19, 23900, 7702, 560},
+    {"dense-44", "sampling-g1",
+     "7599e5f21080e48a 3fee78972e67b39f 4031a2c460fbfdd6",
+     24, 1026, 3300, 192},
+    {"dense-46", "sampling-g1",
+     "fec5e839aa056d64 3fefd8c898b5908f 40311ad0920b7453",
+     25, 12466, 13128, 192},
+    {"dense-46", "greedy-g2",
+     "64bb53a40a9263b5 3fece39342eb8ae8 40300e59a636061a",
+     16, 8066, 8719, 0},
+    {"dense-46", "gtruth-g2",
+     "774d24cd5677d548 3fedce3871a9be4a 4030b100abf0ef0c",
+     19, 8418, 7782, 560},
 };
 
 // One golden row's instance, options and solve; `executor` null = serial.
@@ -437,6 +532,10 @@ SolveResult SolveGolden(const DivideConquerGolden& golden,
   SolverOptions options;
   options.gamma = 3;
   options.seed = 5;
+  if (const size_t dash = mode.find("-g"); dash != std::string::npos) {
+    options.gamma = std::stoi(mode.substr(dash + 2));
+    mode.resize(dash);
+  }
   options.leaf_use_greedy = mode == "greedy";
   if (mode == "fallback") options.max_dcw_group = 1;
   SolveRequest request;
@@ -450,7 +549,16 @@ SolveResult SolveGolden(const DivideConquerGolden& golden,
 
 TEST(DivideConquerGoldenTest, DecisionsMatchReferenceMerge) {
   for (const DivideConquerGolden& golden : kDivideConquerGolden) {
-    EXPECT_EQ(DecisionDigest(SolveGolden(golden, nullptr)), golden.digest)
+    const SolveResult result = SolveGolden(golden, nullptr);
+    EXPECT_EQ(DecisionDigest(result), golden.digest)
+        << golden.instance << " " << golden.mode;
+    EXPECT_EQ(result.stats.merge_groups, golden.merge_groups)
+        << golden.instance << " " << golden.mode;
+    EXPECT_EQ(result.stats.merge_combos, golden.merge_combos)
+        << golden.instance << " " << golden.mode;
+    EXPECT_EQ(result.stats.merge_std_evals, golden.merge_std_evals)
+        << golden.instance << " " << golden.mode;
+    EXPECT_EQ(result.stats.exact_std_evals, golden.exact_std_evals)
         << golden.instance << " " << golden.mode;
   }
 }
@@ -506,6 +614,169 @@ TEST(DivideConquerTest, MergeScoresEachComboFromMemoizedTaskStds) {
   EXPECT_EQ(result.stats.merge_combos, int64_t{1} << 5);
   EXPECT_GT(result.stats.merge_std_evals, 0);
   EXPECT_LE(result.stats.merge_std_evals, memo_entries);
+}
+
+// The roster-moving enumeration KeepComboScorer replays on scalars: each
+// combo's workers added to `state` with AddKnown in bit order, the state
+// scored, then removed with RemoveKnown in bit order, every E[STD]
+// computed fresh from the roster.
+std::vector<BiPoint> ReferenceKeepCombos(AssignmentState& state,
+                                         const std::vector<WorkerId>& workers,
+                                         const std::vector<TaskId>& side1,
+                                         const std::vector<TaskId>& side2) {
+  const Instance& instance = state.instance();
+  const int k = static_cast<int>(workers.size());
+  std::vector<BiPoint> points;
+  for (uint32_t combo = 0; combo < (uint32_t{1} << k); ++combo) {
+    for (int b = 0; b < k; ++b) {
+      const TaskId t = (combo >> b) & 1 ? side2[b] : side1[b];
+      const Observation obs = state.ObservationFor(t, workers[b]);
+      std::vector<Observation> grown = state.TaskObservations(t);
+      grown.push_back(obs);
+      state.AddKnown(t, workers[b], obs,
+                     ExpectedStd(instance.task(t), grown));
+    }
+    points.push_back({state.Objectives().min_reliability,
+                      state.TotalExpectedStd()});
+    for (int b = 0; b < k; ++b) {
+      const TaskId t = state.TaskOf(workers[b]);
+      std::vector<Observation> shrunk;
+      for (size_t a = 0; a < state.WorkersOf(t).size(); ++a) {
+        if (state.WorkersOf(t)[a] != workers[b]) {
+          shrunk.push_back(state.TaskObservations(t)[a]);
+        }
+      }
+      state.RemoveKnown(workers[b], ExpectedStd(instance.task(t), shrunk));
+    }
+  }
+  return points;
+}
+
+// Every running sum of `got` equals `want`'s bit for bit.
+void ExpectSameSums(const AssignmentState& got, const AssignmentState& want,
+                    const std::string& where) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.TotalExpectedStd()),
+            std::bit_cast<uint64_t>(want.TotalExpectedStd()))
+      << where;
+  for (TaskId t = 0; t < got.instance().num_tasks(); ++t) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.TaskReducedReliability(t)),
+              std::bit_cast<uint64_t>(want.TaskReducedReliability(t)))
+        << where << ", task " << t;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.TaskExpectedStd(t)),
+              std::bit_cast<uint64_t>(want.TaskExpectedStd(t)))
+        << where << ", task " << t;
+    EXPECT_EQ(got.WorkersOf(t), want.WorkersOf(t)) << where << ", task " << t;
+  }
+}
+
+// KeepComboScorer against ReferenceKeepCombos, bit for bit: every combo
+// point, the sums it leaves (the rounding drift of 2^k adds and removes,
+// carried, not undone), and the state after Commit. Three groups run in
+// turn on the drifted state. Tasks 8-11 start empty, and groups land
+// several workers on them, so emptied rosters reset their reliability
+// to 0.0 mid-enumeration.
+TEST(DivideConquerTest, KeepComboScorerReplaysRosterMovesBitForBit) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    util::Rng rng(seed);
+    std::vector<Task> tasks;
+    for (int i = 0; i < 12; ++i) {
+      Task t = test::MakeTask(rng.Uniform(0.2, 0.8), 0.0, 10.0);
+      t.location = {rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)};
+      tasks.push_back(t);
+    }
+    std::vector<Worker> workers(60);
+    for (Worker& w : workers) {
+      w.location = {rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)};
+      w.velocity = 1.0;
+      w.confidence = rng.Uniform(0.3, 0.97);
+    }
+    const Instance instance(std::move(tasks), std::move(workers));
+    AssignmentState scored(instance), reference(instance);
+    for (WorkerId j = 0; j < 20; ++j) {
+      const auto t = static_cast<TaskId>(rng.UniformInt(0, 7));
+      scored.Add(t, j);
+      reference.Add(t, j);
+    }
+    std::vector<TaskId> all_tasks(12);
+    for (TaskId t = 0; t < 12; ++t) all_tasks[t] = t;
+
+    internal::KeepComboScorer scorer(instance.num_tasks());
+    WorkerId next = 20;
+    for (int group = 0; group < 3; ++group) {
+      const std::string where = "seed " + std::to_string(seed) + ", group " +
+                                std::to_string(group);
+      std::vector<WorkerId> ids;
+      std::vector<TaskId> side1, side2;
+      for (int b = 0; b < 9 - group; ++b) {
+        ids.push_back(next++);
+        const auto t1 = static_cast<TaskId>(rng.UniformInt(0, 11));
+        const auto t2 = static_cast<TaskId>(
+            (t1 + 1 + rng.UniformInt(0, 10)) % 12);
+        side1.push_back(t1);
+        side2.push_back(t2);
+      }
+      int64_t evals = 0;
+      const std::vector<BiPoint> got =
+          scorer.Score(scored, ids, side1, side2, all_tasks, &evals);
+      const std::vector<BiPoint> want =
+          ReferenceKeepCombos(reference, ids, side1, side2);
+      ASSERT_EQ(got.size(), want.size()) << where;
+      for (size_t c = 0; c < got.size(); ++c) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(got[c].x),
+                  std::bit_cast<uint64_t>(want[c].x))
+            << where << ", combo " << c;
+        ASSERT_EQ(std::bit_cast<uint64_t>(got[c].y),
+                  std::bit_cast<uint64_t>(want[c].y))
+            << where << ", combo " << c;
+      }
+      ExpectSameSums(scored, reference, where + " after Score");
+      EXPECT_GT(evals, 0) << where;
+
+      const auto best = static_cast<uint32_t>(TopDominating(got));
+      scorer.Commit(scored, best, &evals);
+      for (size_t b = 0; b < ids.size(); ++b) {
+        const TaskId t = (best >> b) & 1 ? side2[b] : side1[b];
+        const Observation obs = reference.ObservationFor(t, ids[b]);
+        std::vector<Observation> grown = reference.TaskObservations(t);
+        grown.push_back(obs);
+        reference.AddKnown(t, ids[b], obs,
+                           ExpectedStd(instance.task(t), grown));
+      }
+      ExpectSameSums(scored, reference, where + " after Commit");
+    }
+  }
+}
+
+// The D&C phase times are filled, non-negative and within the wall time;
+// other solvers leave them 0.
+TEST(DivideConquerTest, PhaseTimesAddUpToAtMostWallTime) {
+  Instance instance = SmallInstance(42, /*num_tasks=*/24, /*num_workers=*/80);
+  CandidateGraph graph = CandidateGraph::Build(instance);
+  SolverOptions options;
+  options.gamma = 2;
+  for (bool gtruth : {false, true}) {
+    SolveRequest request;
+    request.instance = &instance;
+    request.graph = &graph;
+    const SolveStats stats =
+        (gtruth ? GroundTruthSolver(options).Solve(request)
+                : DivideConquerSolver(options).Solve(request))
+            .value()
+            .stats;
+    EXPECT_GE(stats.partition_seconds, 0.0f);
+    EXPECT_GE(stats.leaf_seconds, 0.0f);
+    EXPECT_GE(stats.merge_seconds, 0.0f);
+    EXPECT_GT(stats.merge_combos, 0);
+    EXPECT_LE(static_cast<double>(stats.partition_seconds) +
+                  static_cast<double>(stats.leaf_seconds) +
+                  static_cast<double>(stats.merge_seconds),
+              stats.wall_seconds);
+  }
+  const SolveStats sampling =
+      SamplingSolver(options).Solve(instance, graph).value().stats;
+  EXPECT_EQ(sampling.partition_seconds, 0.0f);
+  EXPECT_EQ(sampling.leaf_seconds, 0.0f);
+  EXPECT_EQ(sampling.merge_seconds, 0.0f);
 }
 
 class DivideConquerFeasibilityTest : public ::testing::TestWithParam<int> {};
