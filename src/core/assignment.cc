@@ -140,28 +140,14 @@ void AssignmentState::Clear(std::span<const TaskId> tasks) {
   total_std_ = 0.0;
 }
 
-void AssignmentState::Reset(const Assignment& assignment,
-                            std::span<const Observation> observations) {
+void AssignmentState::Reset(const Assignment& assignment) {
   assert(assignment.num_workers() == instance_->num_workers());
-  assert(observations.size() >= static_cast<size_t>(assignment.num_workers()));
   for (TaskId i = 0; i < instance_->num_tasks(); ++i) ClearTask(i);
   total_std_ = 0.0;
-  // Add(i, j), observation supplied.
   for (WorkerId j = 0; j < assignment.num_workers(); ++j) {
     TaskId i = assignment.TaskOf(j);
-    if (i == kNoTask) continue;
-    Attach(i, j, observations[j]);
-    SetTaskStd(i, ExpectedStd(instance_->task(i), task_obs_[i]));
+    if (i != kNoTask) Add(i, j);
   }
-}
-
-void AssignmentState::Reset(const Assignment& assignment) {
-  replay_obs_.resize(static_cast<size_t>(assignment.num_workers()));
-  for (WorkerId j = 0; j < assignment.num_workers(); ++j) {
-    TaskId i = assignment.TaskOf(j);
-    if (i != kNoTask) replay_obs_[j] = ObservationFor(i, j);
-  }
-  Reset(assignment, replay_obs_);
 }
 
 void AssignmentState::WriteBackSums(std::span<const TaskId> tasks,

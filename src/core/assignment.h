@@ -63,12 +63,14 @@ class Assignment {
 /// E[STD], plus the global aggregates, in O(r^2) for the touched task only.
 ///
 /// Reuse contract: a state emptied by Clear() or re-filled by Reset()
-/// behaves bit for bit like a freshly constructed one, so solvers keep one
-/// state per shard (sampling) or per solve (D&C's merge) instead of
-/// building one per evaluation. The per-worker reliability weights are
-/// computed once, at construction; after warm-up, Add, Remove, Reset,
-/// PreviewAdd and PreviewTaskStd allocate nothing once every task has held
-/// its largest roster.
+/// behaves bit for bit like a freshly constructed one, so a solver keeps
+/// one state per solve (D&C's merge) instead of building one per
+/// evaluation. Reset followed by Objectives() is also the oracle of
+/// sampling's scorer (internal::SampleScorer), which replays the same
+/// floating-point steps from a sample's picks alone. The per-worker
+/// reliability weights are computed once, at construction; after warm-up,
+/// Add, Remove, Reset, PreviewAdd and PreviewTaskStd allocate nothing once
+/// every task has held its largest roster.
 class AssignmentState {
  public:
   /// Starts from the empty assignment over `instance` (kept by reference;
@@ -92,16 +94,9 @@ class AssignmentState {
   /// shrunk observation list supplied (same contract as AddKnown).
   void RemoveKnown(WorkerId j, double task_std);
 
-  /// Replays a whole assignment (workers with kNoTask stay unassigned)
-  /// onto an emptied state: the result equals a fresh state's replay.
-  /// `observations[j]` must be ObservationFor(TaskOf(j), j) bit for bit for
-  /// every assigned worker j (other entries are not read): a caller that
-  /// replays many assignments over one candidate graph, as sampling does,
-  /// computes each edge's observation once.
-  void Reset(const Assignment& assignment,
-             std::span<const Observation> observations);
-
-  /// Reset with every observation computed here (ObservationFor).
+  /// Replays a whole assignment onto an emptied state: Add(TaskOf(j), j)
+  /// for every assigned worker j, in ascending worker order (workers with
+  /// kNoTask stay unassigned). The result equals a fresh state's replay.
   void Reset(const Assignment& assignment);
 
   /// Overwrites the running sums of a caller that replayed AddKnown and
@@ -198,8 +193,8 @@ class AssignmentState {
 
   /// Task i's BoundsLayout, built on first use. Layouts are lazy: the
   /// constructor, Reset and EvaluateAssignment never build one, so states
-  /// that are only replayed and scored (sampling builds one per sample)
-  /// pay nothing. Add() extends a built layout in
+  /// that are only replayed and scored (EvaluateAssignment, D&C's final
+  /// evaluation) pay nothing. Add() extends a built layout in
   /// O(r); Remove() and Reset() mark it stale for a rebuild on next use.
   const BoundsLayout& LayoutOf(TaskId i) const;
 
@@ -218,20 +213,17 @@ class AssignmentState {
   /// The roster-plus-one list the previews score.
   mutable std::vector<Observation> preview_;
 
-  /// Reset(assignment)'s per-worker observations, sized on first use.
-  std::vector<Observation> replay_obs_;
-
   /// Per-task bound layouts; both vectors stay empty until the first
   /// bound call, so states that never preview bounds allocate none.
   /// mutable + unsynchronized: AssignmentState is single-threaded by
-  /// design -- every solver owns its states per shard (D&C leaves,
-  /// sampling evaluations); nothing shares one across threads.
+  /// design -- every solver owns its states (a greedy leaf's, D&C's merge
+  /// state); nothing shares one across threads.
   mutable std::vector<BoundsLayout> layouts_;
   mutable std::vector<uint8_t> layout_ready_;
 };
 
 /// Evaluates an assignment's objectives from scratch (convenience wrapper
-/// over AssignmentState for one-shot scoring, e.g. of sampling candidates).
+/// over AssignmentState for one-shot scoring and as a test oracle).
 ObjectiveValue EvaluateAssignment(const Instance& instance,
                                   const Assignment& assignment);
 

@@ -59,7 +59,11 @@ struct SolverOptions {
 /// Counters and timings reported by a solve call.
 struct SolveStats {
   double wall_seconds = 0.0;
-  /// Number of exact E[STD] evaluations performed.
+  /// Number of exact E[STD] evaluations performed. Sampling counts the
+  /// ExpectedStd calls it makes: one per drawn edge (its one-worker memo)
+  /// plus one per roster prefix of two or more workers in each scored
+  /// sample, so the count is the same at every executor width. D&C sums
+  /// its leaves'.
   int64_t exact_std_evals = 0;
   /// Candidate pairs eliminated by the Lemma 4.3 pruning (greedy only).
   int64_t pruned_pairs = 0;

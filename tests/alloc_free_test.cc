@@ -1,7 +1,8 @@
 // Allocation guard for the E[STD] hot path: once warmed up, evaluating a
 // roster of up to 64 observations, previewing an add or a bound on an
-// AssignmentState or a BoundsLayout and replaying an assignment onto a
-// reused state must not touch the heap; a D&C solve allocates per node of
+// AssignmentState or a BoundsLayout, replaying an assignment onto a
+// reused state and scoring a sample on a warmed SampleScorer must not
+// touch the heap; a D&C solve allocates per node of
 // its partition tree, not per worker.
 // The binary replaces the global operator new with a counting one, so a
 // change that reintroduces a per-call vector fails here instead of showing
@@ -17,6 +18,7 @@
 #include "core/bounds_layout.h"
 #include "core/diversity.h"
 #include "core/divide_conquer.h"
+#include "core/sampling.h"
 #include "core/instance.h"
 #include "gen/workload.h"
 #include "gtest/gtest.h"
@@ -173,20 +175,37 @@ TEST(AllocFreeTest, StatePreviewsAndResetReplayAllocateNothingAfterWarmUp) {
               0)
         << "Reset replay";
   }
-  // The replay with supplied observations, as sampling runs it.
-  std::vector<Observation> observations(static_cast<size_t>(n));
-  for (const Assignment* replay : {&full, &spread, &partial, &full}) {
-    for (WorkerId j = 0; j < n; ++j) {
-      if (replay->TaskOf(j) != kNoTask) {
-        observations[j] = state.ObservationFor(replay->TaskOf(j), j);
-      }
-    }
+  EXPECT_GT(sink, 0.0);
+}
+
+// Sampling's scorer: once it has scored a sample with a shard's scratch,
+// scoring more samples over the same memos allocates nothing, at rosters
+// up to kMaxRoster (every worker can serve every task).
+TEST(AllocFreeTest, SampleScorerAllocatesNothingAfterWarmUp) {
+  const Instance instance = CrowdedInstance();
+  std::vector<std::vector<TaskId>> edges(
+      static_cast<size_t>(instance.num_workers()), {0, 1, 2, 3});
+  const CandidateGraph graph = CandidateGraph::FromEdges(instance, edges);
+  internal::SampleScorer scorer(instance, graph, 3);
+  const int drawing = scorer.num_drawing();
+  // `full` puts kMaxRoster workers on task 0 and the rest on task 1,
+  // `spread` deals them round-robin, `single` puts everyone on task 3.
+  std::vector<uint32_t> full, spread, single;
+  int64_t evals = 0;
+  for (int d = 0; d < drawing; ++d) {
+    full.push_back(scorer.MemoSlot(
+        d, d < static_cast<int>(kMaxRoster) ? 0 : 1, &evals));
+    spread.push_back(scorer.MemoSlot(d, static_cast<uint32_t>(d % 4), &evals));
+    single.push_back(scorer.MemoSlot(d, 3, &evals));
+  }
+  internal::SampleScorer::Scratch scratch(scorer);
+  double sink = scorer.Score(single, scratch, &evals).total_std;  // warm-up
+  for (const auto* slots : {&full, &spread, &single, &full}) {
     EXPECT_EQ(AllocationsOf([&] {
-                state.Reset(*replay, observations);
-                sink += state.Objectives().total_std;
+                sink += scorer.Score(*slots, scratch, &evals).total_std;
               }),
               0)
-        << "Reset replay, observations supplied";
+        << "SampleScorer::Score";
   }
   EXPECT_GT(sink, 0.0);
 }

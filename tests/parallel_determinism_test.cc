@@ -14,6 +14,7 @@
 #include "core/instance.h"
 #include "core/sampling.h"
 #include "core/solver.h"
+#include "gen/workload.h"
 #include "gtest/gtest.h"
 #include "index/grid_index.h"
 #include "test_util.h"
@@ -117,9 +118,9 @@ TEST(ParallelDeterminismTest, SamplingSolverMatchesSerial) {
   }
 }
 
-// Each shard replays its samples onto one reused AssignmentState, and
-// shards hold uneven sample counts (37 samples over 2, 3 and 4 shards):
-// the winner and its objectives must match the serial run and a fresh
+// Shards hold uneven sample counts (37 samples over 2, 3 and 4 shards),
+// each scoring with its own scratch over shared per-edge memos: the
+// winner and its objectives must match the serial run and a fresh
 // EvaluateAssignment bit for bit.
 TEST(ParallelDeterminismTest, SamplingReusedShardStatesMatchSerialBits) {
   for (uint64_t seed : {12, 14}) {
@@ -144,6 +145,50 @@ TEST(ParallelDeterminismTest, SamplingReusedShardStatesMatchSerialBits) {
                 std::bit_cast<uint64_t>(serial.objectives.total_std))
           << threads;
     }
+  }
+}
+
+// A streaming round's shape: over a thousand open tasks, most workers
+// with no valid task, and a sample count (37) that 2, 3 and 8 shards do
+// not divide. Every shard scores its samples from the per-edge memos the
+// serial draw filled; the winner, its objective bits, the sample count
+// and the ExpectedStd count must match the serial run.
+TEST(ParallelDeterminismTest, SamplingAtStreamRoundShapeMatchesSerial) {
+  gen::WorkloadConfig config;  // Table 2, slow workers
+  config.num_tasks = 1'100;
+  config.num_workers = 700;
+  config.v_min = 0.02;
+  config.v_max = 0.04;
+  config.seed = 21;
+  const Instance instance = gen::GenerateInstance(config);
+  const CandidateGraph graph = CandidateGraph::Build(instance);
+  int drawing = 0;
+  for (WorkerId j = 0; j < instance.num_workers(); ++j) {
+    drawing += graph.Degree(j) > 0;
+  }
+  ASSERT_GT(drawing, 0);
+  ASSERT_LT(2 * drawing, instance.num_workers()) << "mostly degree 0";
+
+  core::SolverOptions options;
+  options.seed = 21;
+  options.fixed_sample_size = 37;
+  core::SamplingSolver solver(options);
+  const SolveResult serial = SolveWith(solver, instance, graph, nullptr);
+  ASSERT_EQ(serial.stats.sample_size, 37);
+  for (int threads : {2, 3, 8}) {
+    util::ThreadPool pool(threads);
+    const SolveResult parallel = SolveWith(solver, instance, graph, &pool);
+    ExpectSameAssignment(instance, parallel, serial, "sampling");
+    EXPECT_EQ(std::bit_cast<uint64_t>(parallel.objectives.total_std),
+              std::bit_cast<uint64_t>(serial.objectives.total_std))
+        << threads;
+    EXPECT_EQ(std::bit_cast<uint64_t>(parallel.objectives.min_reliability),
+              std::bit_cast<uint64_t>(serial.objectives.min_reliability))
+        << threads;
+    EXPECT_EQ(parallel.stats.sample_size, serial.stats.sample_size)
+        << threads;
+    EXPECT_EQ(parallel.stats.exact_std_evals, serial.stats.exact_std_evals)
+        << threads;
   }
 }
 

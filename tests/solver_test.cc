@@ -325,10 +325,10 @@ TEST(SamplingTest, BestSampleDominatesOrTiesSingleSample) {
   EXPECT_FALSE(Dominates(v1, v64));
 }
 
-// The winning sample's objectives come from a replay with observations
-// taken from the per-edge table (many samples on a sparse graph) or
-// computed as drawn (one sample on a dense one); either way they must be
-// the bits of a fresh evaluation, which computes every observation
+// The winning sample's objectives come from the sample scorer, which
+// reads each drawn edge's observation and one-worker E[STD] from per-edge
+// memos; with one sample or 64, on graphs of a few edges a worker, they
+// must be the bits of a fresh evaluation, which computes everything
 // itself.
 TEST(SamplingTest, ObjectivesEqualFreshEvaluationBitForBit) {
   for (uint64_t seed : {4, 5, 6}) {
@@ -356,6 +356,170 @@ TEST(SamplingTest, ObjectivesEqualFreshEvaluationBitForBit) {
           << "seed " << seed << ", " << samples << " samples";
     }
   }
+}
+
+// ---------- SAMPLING's scorer against its oracle ----------
+
+// Draws `samples` random samples of `graph`, scores each with
+// internal::SampleScorer and with its oracle, AssignmentState::Reset
+// followed by Objectives(), and expects the same bits. Also checks the
+// drawing-worker list and the ExpectedStd count Score reports: one call
+// per worker beyond the first on each task. Returns the largest roster
+// seen.
+size_t ExpectScorerMatchesReplay(const Instance& instance,
+                                 const CandidateGraph& graph, uint64_t seed,
+                                 int samples) {
+  internal::SampleScorer scorer(instance, graph, samples);
+  std::vector<WorkerId> drawing;
+  for (WorkerId j = 0; j < instance.num_workers(); ++j) {
+    if (graph.Degree(j) > 0) drawing.push_back(j);
+  }
+  EXPECT_EQ(scorer.num_drawing(), static_cast<int>(drawing.size()));
+  if (scorer.num_drawing() != static_cast<int>(drawing.size())) return 0;
+  for (int d = 0; d < scorer.num_drawing(); ++d) {
+    EXPECT_EQ(scorer.DrawingWorker(d), drawing[d]);
+  }
+
+  // Each sample as an assignment (the oracle's input) and as memo slots
+  // (the scorer's), all memoized before the first score.
+  util::Rng rng(seed);
+  std::vector<Assignment> assignments;
+  std::vector<std::vector<uint32_t>> slots(static_cast<size_t>(samples));
+  int64_t memo_evals = 0;
+  for (std::vector<uint32_t>& sample : slots) {
+    Assignment& assignment = assignments.emplace_back(instance.num_workers());
+    for (int d = 0; d < scorer.num_drawing(); ++d) {
+      const auto pick = static_cast<uint32_t>(rng.UniformInt(
+          0, static_cast<int64_t>(scorer.TasksOf(d).size()) - 1));
+      assignment.Assign(drawing[d], scorer.TasksOf(d)[pick]);
+      sample.push_back(scorer.MemoSlot(d, pick, &memo_evals));
+      EXPECT_EQ(scorer.SlotTask(sample.back()), scorer.TasksOf(d)[pick]);
+    }
+  }
+  EXPECT_LE(memo_evals, graph.NumEdges());
+
+  internal::SampleScorer::Scratch scratch(scorer);
+  AssignmentState state(instance);
+  size_t largest_roster = 0;
+  for (size_t h = 0; h < slots.size(); ++h) {
+    state.Reset(assignments[h]);
+    const ObjectiveValue oracle = state.Objectives();
+    int64_t evals = 0;
+    const ObjectiveValue scored = scorer.Score(slots[h], scratch, &evals);
+    EXPECT_EQ(std::bit_cast<uint64_t>(scored.total_std),
+              std::bit_cast<uint64_t>(oracle.total_std))
+        << "seed " << seed << ", sample " << h;
+    EXPECT_EQ(std::bit_cast<uint64_t>(scored.min_reliability),
+              std::bit_cast<uint64_t>(oracle.min_reliability))
+        << "seed " << seed << ", sample " << h;
+    int64_t nonempty = 0;
+    for (TaskId i = 0; i < instance.num_tasks(); ++i) {
+      nonempty += !state.WorkersOf(i).empty();
+      largest_roster = std::max(largest_roster, state.WorkersOf(i).size());
+    }
+    EXPECT_EQ(evals, static_cast<int64_t>(drawing.size()) - nonempty)
+        << "seed " << seed << ", sample " << h;
+  }
+  return largest_roster;
+}
+
+// A graph over `instance` in which worker j has no edge when
+// j % zero_every == 1 (degree-0 workers between drawing ones), and
+// otherwise a random non-empty subset of the tasks. The state and the
+// scorer score any (task, worker) pair, so validity does not matter.
+CandidateGraph RandomGraph(const Instance& instance, util::Rng& rng,
+                           int zero_every) {
+  std::vector<std::vector<TaskId>> edges(
+      static_cast<size_t>(instance.num_workers()));
+  for (WorkerId j = 0; j < instance.num_workers(); ++j) {
+    if (j % zero_every == 1) continue;
+    for (TaskId i = 0; i < instance.num_tasks(); ++i) {
+      if (rng.Uniform(0.0, 1.0) < 0.5) edges[j].push_back(i);
+    }
+    if (edges[j].empty()) {
+      edges[j].push_back(static_cast<TaskId>(
+          rng.UniformInt(0, instance.num_tasks() - 1)));
+    }
+  }
+  return CandidateGraph::FromEdges(instance, std::move(edges));
+}
+
+TEST(SampleScorerTest, MatchesStateReplayOnRandomInstances) {
+  for (uint64_t seed : {1, 2, 3, 4, 5, 6}) {
+    const Instance sparse = SmallInstance(seed, /*num_tasks=*/12,
+                                          /*num_workers=*/40);
+    ExpectScorerMatchesReplay(sparse, CandidateGraph::Build(sparse), seed,
+                              40);
+    // Few tasks and many workers: rosters of a dozen and more.
+    const Instance dense = SmallInstance(seed + 100, /*num_tasks=*/5,
+                                         /*num_workers=*/70);
+    util::Rng rng(seed);
+    EXPECT_GT(ExpectScorerMatchesReplay(dense, RandomGraph(dense, rng, 1000),
+                                        seed, 40),
+              10u);
+  }
+}
+
+// Degree-0 workers between drawing ones are not drawing workers: the
+// scorer skips them, and the replay leaves them unassigned.
+TEST(SampleScorerTest, MatchesStateReplayWithDegreeZeroWorkersBetween) {
+  for (uint64_t seed : {7, 8, 9}) {
+    const Instance instance = SmallInstance(seed, /*num_tasks=*/6,
+                                            /*num_workers=*/50);
+    util::Rng rng(seed);
+    const CandidateGraph graph = RandomGraph(instance, rng, 3);
+    ASSERT_EQ(graph.Degree(1), 0);
+    ASSERT_GT(graph.Degree(2), 0);
+    ExpectScorerMatchesReplay(instance, graph, seed, 40);
+  }
+}
+
+// Workers at three shared sites with one velocity: on each task their
+// approach angles and arrivals tie, site by site, and rosters hold more
+// than 16 workers, where ExpectedStd's std::sort (introsort) orders the
+// ties by their position in the roster. The scorer must hand it the
+// roster in the replay's order.
+TEST(SampleScorerTest, MatchesStateReplayOnSharedSitesWithTies) {
+  util::Rng rng(17);
+  std::vector<Task> tasks;
+  for (int i = 0; i < 3; ++i) {
+    Task t = test::MakeTask(0.5, 0.0, 2.0 + i);
+    t.location = {0.3 + 0.2 * i, 0.5};
+    tasks.push_back(t);
+  }
+  const geo::Point sites[] = {{0.1, 0.1}, {0.9, 0.2}, {0.5, 0.9}};
+  std::vector<Worker> workers;
+  for (int j = 0; j < 90; ++j) {
+    Worker w;
+    w.location = sites[j % 3];
+    w.velocity = 0.5;
+    w.confidence = rng.Uniform(0.5, 0.99);
+    workers.push_back(w);
+  }
+  const Instance instance(std::move(tasks), std::move(workers));
+  const CandidateGraph graph = CandidateGraph::FromEdges(
+      instance, std::vector<std::vector<TaskId>>(90, {0, 1, 2}));
+  for (uint64_t seed : {1, 2, 3}) {
+    EXPECT_GT(ExpectScorerMatchesReplay(instance, graph, seed, 30),
+              internal::kInsertionSortMax);
+  }
+}
+
+// No worker draws: every sample is empty and scores 0 and 0, as the
+// replay of an empty assignment does.
+TEST(SampleScorerTest, MatchesStateReplayWhenNoWorkerDraws) {
+  const Instance instance = SmallInstance(3, /*num_tasks=*/5,
+                                          /*num_workers=*/8);
+  const CandidateGraph graph = CandidateGraph::FromEdges(
+      instance, std::vector<std::vector<TaskId>>(8));
+  ExpectScorerMatchesReplay(instance, graph, 1, 3);
+  internal::SampleScorer scorer(instance, graph, 1);
+  internal::SampleScorer::Scratch scratch(scorer);
+  int64_t evals = 0;
+  const ObjectiveValue value = scorer.Score({}, scratch, &evals);
+  EXPECT_EQ(value.total_std, 0.0);
+  EXPECT_EQ(value.min_reliability, 0.0);
+  EXPECT_EQ(evals, 0);
 }
 
 TEST(SamplingTest, ReportsSampleSize) {
@@ -405,107 +569,111 @@ struct DivideConquerGolden {
 // of two or more to the per-worker PreviewAdd path. A "-gN" mode sets
 // gamma = N: one- and two-task leaves on the dense instances give the
 // merges their largest groups, the rounding drift of thousands of combos
-// and decisions that rest on it.
+// and decisions that rest on it. The exact_std_evals column of the
+// sampling-leaf rows counts the ExpectedStd calls the leaves' sample
+// scorer makes (per-edge memo fills plus roster prefixes of two or more
+// workers); it was re-captured when that count replaced samples x tasks,
+// with every digest unchanged.
 constexpr DivideConquerGolden kDivideConquerGolden[] = {
     {"table2-3", "sampling",
      "bd91d41815ed1860 3fee4b636b339a37 4042c623fee1f2d9",
-     24, 250, 258, 320},
+     24, 250, 258, 1538},
     {"table2-3", "greedy",
      "26cf258289338ce4 3fee4b636b339a37 40423c9a9967678a",
      26, 310, 282, 0},
     {"table2-3", "gtruth",
      "43836c0698eb6dd3 3fee4b636b339a37 4042cf5043f8ba65",
-     23, 252, 258, 780},
+     23, 252, 258, 3696},
     {"table2-3", "fallback",
      "772e7ca88fc0c25a 3fee4b636b339a37 4042ba084277babf",
-     25, 24, 177, 320},
+     25, 24, 177, 1538},
     {"table2-4", "sampling",
      "06545c8c0c29a00a 3fedc79afba7e683 40445da60b85238f",
-     20, 1694, 400, 320},
+     20, 1694, 400, 1748},
     {"table2-4", "greedy",
      "2685aa5853e851a3 3fedc79afba7e683 4043efe98d665449",
      20, 1694, 406, 0},
     {"table2-4", "gtruth",
      "06545c8c0c29a00a 3fedc79afba7e683 40445da60b85238f",
-     20, 1694, 400, 700},
+     20, 1694, 400, 3725},
     {"table2-4", "fallback",
      "1a39ca7048ad3422 3fedc79afba7e683 40444b52f2d2f7fe",
-     20, 18, 180, 320},
+     20, 18, 180, 1748},
     {"table2-5", "sampling",
      "603b796e29c8aba9 3fede0ae77e94858 4041f4f1b60c3441",
-     20, 278, 299, 320},
+     20, 278, 299, 1498},
     {"table2-5", "greedy",
      "1e25fc387f3d5523 3fede0ae77e94858 404165348d89ebd4",
      22, 714, 490, 0},
     {"table2-5", "gtruth",
      "603b796e29c8aba9 3fede0ae77e94858 4041f4f1b60c3441",
-     21, 186, 299, 650},
+     21, 186, 299, 2819},
     {"table2-5", "fallback",
      "7e92444cb0fc0d31 3fede0ae77e94858 4041f652ac169ddb",
-     20, 18, 183, 320},
+     20, 18, 183, 1498},
     {"sparse-41", "sampling",
      "f101e4227c114040 3feeba1dc9428537 401f78249f39e2d3",
-     15, 3670, 484, 192},
+     15, 3670, 484, 777},
     {"sparse-41", "greedy",
      "475f4f95f892185e 3fed5d5a0696a20f 401fff0bc776c80b",
      14, 3686, 872, 0},
     {"sparse-41", "gtruth",
      "6468e35351c7be21 3fee09eea46401ed 402131abe148dcdc",
-     18, 1620, 492, 640},
+     18, 1620, 492, 2112},
     {"sparse-41", "fallback",
      "63b963dbd28a2a30 3fed450ec3eb2fa5 4020286a0164ae0d",
-     14, 0, 225, 192},
+     14, 0, 225, 777},
     {"sparse-43", "sampling",
      "52d27b5fafd1bb39 3fededac7698986a 40233a314a968df7",
-     14, 5224, 718, 192},
+     14, 5224, 718, 728},
     {"sparse-43", "greedy",
      "cbc369a30294f55a 3fee3c0b4d44cf31 402311792317a37d",
      14, 5226, 3652, 0},
     {"sparse-43", "gtruth",
      "035bb5eed8dadff1 3fededac7698986a 40234d120ca65d4d",
-     18, 4624, 702, 680},
+     18, 4624, 702, 2042},
     {"sparse-43", "fallback",
      "d216d1ebfb59158f 3fededac7698986a 4023718696d6aab6",
-     14, 4, 200, 192},
+     14, 4, 200, 728},
     {"dense-42", "sampling",
      "ae4095e3cc13a273 3fede3dc04260900 403014132c8bd10e",
-     13, 10852, 2060, 192},
+     13, 10852, 2060, 1594},
     {"dense-42", "greedy",
      "fce570d51a486770 3fee48fc055dcc5d 402c3d89ca5b8de2",
      11, 14752, 8672, 0},
     {"dense-42", "gtruth",
      "672dddb9282dd09c 3fefc6c83da0a454 402fa857580bb1de",
-     13, 15110, 2158, 660},
+     13, 15110, 2158, 4220},
     {"dense-42", "fallback",
      "14d265e2cff6b11e 3fed692cd26939b5 402f0e46552fbbec",
-     14, 4, 380, 192},
+     14, 4, 380, 1594},
     {"table2-5", "sampling-g2",
      "e2b169cce30008d5 3fede0ae77e94858 4041ea1fdb53eb4b",
-     25, 4340, 628, 320},
+     25, 4340, 628, 1564},
     {"sparse-43", "sampling-g2",
      "8bdb6f16af7f8718 3fed8b2394c70759 4023ec482fad9f4f",
-     20, 6062, 1656, 192},
+     20, 6062, 1656, 913},
     {"dense-42", "sampling-g1",
      "aa5b1c849f88a365 3feece9d1eccd6a8 403061cffad841be",
-     28, 23250, 20761, 192},
+     28, 23250, 20761, 2859},
     {"dense-42", "sampling-g2",
      "d6c6d615077cb8e7 3fefd8c8fa00b099 4030b48119adc36e",
-     19, 17930, 7687, 192},
+     19, 17930, 7687, 2091},
     {"dense-42", "gtruth-g2",
      "7005f9e168183cf8 3feece9d1eccd6a8 402fcdcd6c2f3175",
-     19, 23900, 7702, 560},
+     19, 23900, 7702, 4829},
     {"dense-44", "sampling-g1",
      "7599e5f21080e48a 3fee78972e67b39f 4031a2c460fbfdd6",
-     24, 1026, 3300, 192},
+     24, 1026, 3300, 4173},
     {"dense-46", "sampling-g1",
      "fec5e839aa056d64 3fefd8c898b5908f 40311ad0920b7453",
-     25, 12466, 13128, 192},
+     25, 12466, 13128, 2553},
     {"dense-46", "greedy-g2",
      "64bb53a40a9263b5 3fece39342eb8ae8 40300e59a636061a",
      16, 8066, 8719, 0},
     {"dense-46", "gtruth-g2",
      "774d24cd5677d548 3fedce3871a9be4a 4030b100abf0ef0c",
-     19, 8418, 7782, 560},
+     19, 8418, 7782, 4356},
 };
 
 // One golden row's instance, options and solve; `executor` null = serial.
@@ -563,9 +731,9 @@ TEST(DivideConquerGoldenTest, DecisionsMatchReferenceMerge) {
   }
 }
 
-// The leaves fan out over the executor, each sampling leaf reusing one
-// evaluation state per shard, while one merge state serves the whole
-// solve: every executor width must reproduce the serial digests.
+// The leaves fan out over the executor, each sampling leaf scoring its
+// samples from shared per-edge memos, while one merge state serves the
+// whole solve: every executor width must reproduce the serial digests.
 TEST(DivideConquerGoldenTest, ExecutorWidthsReproduceDigests) {
   for (int threads : {2, 3}) {
     util::ThreadPool pool(threads);
