@@ -76,7 +76,7 @@ ModeResult RunMode(const std::vector<core::Instance>& pool,
   config.overload_policy = engine::OverloadPolicy::kBlock;
   config.cache_mode = mode;
   if (mode == engine::CacheMode::kOff) {
-    config.cache_result_entries = 0;  // fully disable, incl. single-flight
+    config.cache_result_entries = 0;  // no cache at all
   }
   std::unique_ptr<engine::Server> server =
       std::move(engine::Server::Create(std::move(config)).value());
@@ -94,7 +94,7 @@ ModeResult RunMode(const std::vector<core::Instance>& pool,
   result.p50 = stats.latency_p50_seconds;
   result.hit_ratio =
       stats.admitted > 0
-          ? static_cast<double>(stats.cache_hits + stats.collapsed) /
+          ? static_cast<double>(stats.cache_hits) /
                 static_cast<double>(stats.admitted)
           : 0.0;
   return result;
@@ -159,13 +159,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::PrintTable("Hit+collapse ratio (kReadWrite)", "schedule",
-                    row_labels, column_labels, hit_ratio, 2);
+  bench::PrintTable("Hit ratio (kReadWrite)", "schedule", row_labels,
+                    column_labels, hit_ratio, 2);
   bench::PrintTable("p50 latency, cache on (s)", "schedule", row_labels,
                     column_labels, p50_cached, 6);
   bench::PrintTable("p50 latency, cache off (s)", "schedule", row_labels,
                     column_labels, p50_cold, 6);
-  report.AddTable("Hit+collapse ratio (kReadWrite)", "schedule", row_labels,
+  report.AddTable("Hit ratio (kReadWrite)", "schedule", row_labels,
                   column_labels, hit_ratio);
   report.AddTable("p50 latency, cache on (s)", "schedule", row_labels,
                   column_labels, p50_cached);

@@ -155,12 +155,11 @@ int RunDeclarativeWorkload(int argc, char** argv, const char* path) {
   std::printf("fingerprints: %s\n",
               wl::FingerprintDigest(report.value().fingerprints).c_str());
   std::printf("server: submitted=%lld completed=%lld cancelled=%lld "
-              "cache_hits=%lld collapsed=%lld generations=%d\n",
+              "cache_hits=%lld generations=%d\n",
               static_cast<long long>(report.value().server.submitted),
               static_cast<long long>(report.value().server.completed),
               static_cast<long long>(report.value().server.cancelled),
               static_cast<long long>(report.value().server.cache_hits),
-              static_cast<long long>(report.value().server.collapsed),
               report.value().server_generations);
 
   if (out_path != nullptr) {
@@ -379,11 +378,9 @@ int main(int argc, char** argv) {
         static_cast<long long>(stats.shed));
     if (cache_mode != engine::CacheMode::kOff) {
       std::printf(
-          "cache    : %lld hits, %lld misses, %lld collapsed, "
-          "%lld evictions\n",
+          "cache    : %lld hits, %lld misses, %lld evictions\n",
           static_cast<long long>(stats.cache_hits),
           static_cast<long long>(stats.cache_misses),
-          static_cast<long long>(stats.collapsed),
           static_cast<long long>(stats.cache_evictions));
     }
     std::printf("latency  : p50 %.4f s, p95 %.4f s, max %.4f s\n",

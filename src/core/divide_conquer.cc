@@ -632,13 +632,9 @@ util::StatusOr<SolveResult> DivideConquerSolver::SolveImpl(
     const Instance& instance, const CandidateGraph& graph,
     const util::Deadline& deadline, util::Executor& executor,
     SolveStats* partial_stats) {
-  auto t0 = std::chrono::steady_clock::now();
   SolveResult result;
   DcRunner runner(instance, options_, deadline, executor);
   util::StatusOr<std::vector<Pair>> pairs = runner.Run(graph, &result.stats);
-  result.stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
   if (!pairs.ok()) {
     return BudgetError(deadline, result.stats, partial_stats);
   }
@@ -648,9 +644,6 @@ util::StatusOr<SolveResult> DivideConquerSolver::SolveImpl(
     result.assignment.Assign(p.second, p.first);
   }
   result.objectives = runner.Evaluate(result.assignment);
-  result.stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
   return result;
 }
 

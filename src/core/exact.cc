@@ -1,7 +1,6 @@
 #include "core/exact.h"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -70,7 +69,6 @@ util::StatusOr<SolveResult> ExactSolver::SolveImpl(
     const Instance& instance, const CandidateGraph& graph,
     const util::Deadline& deadline, util::Executor& /*executor*/,
     SolveStats* partial_stats) {
-  auto t0 = std::chrono::steady_clock::now();
   int64_t population = Population(graph, max_enumeration_);
   if (population < 0) {
     return util::Status::InvalidArgument(
@@ -80,12 +78,6 @@ util::StatusOr<SolveResult> ExactSolver::SolveImpl(
   }
 
   SolveResult result;
-  auto bail = [&]() {
-    result.stats.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return BudgetError(deadline, result.stats, partial_stats);
-  };
 
   // Pass 1: objectives of every assignment.
   std::vector<BiPoint> points;
@@ -97,7 +89,7 @@ util::StatusOr<SolveResult> ExactSolver::SolveImpl(
                               {value.min_reliability, value.total_std});
                         });
   result.stats.exact_std_evals = static_cast<int64_t>(points.size());
-  if (!completed) return bail();
+  if (!completed) return BudgetError(deadline, result.stats, partial_stats);
 
   result.assignment = Assignment(instance.num_workers());
   if (points.empty()) {
@@ -115,13 +107,10 @@ util::StatusOr<SolveResult> ExactSolver::SolveImpl(
                                   }
                                   ++cursor;
                                 });
-  if (!completed) return bail();
+  if (!completed) return BudgetError(deadline, result.stats, partial_stats);
   // Fresh evaluation: the DFS's incremental adds/removes accumulate tiny
   // rounding drift that must not leak into the reported optimum.
   result.objectives = EvaluateAssignment(instance, result.assignment);
-  result.stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
   return result;
 }
 

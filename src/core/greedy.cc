@@ -3,7 +3,6 @@
 #include "core/dominance.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <memory>
 #include <span>
@@ -84,7 +83,6 @@ util::StatusOr<SolveResult> GreedySolver::SolveImpl(
     const Instance& instance, const CandidateGraph& graph,
     const util::Deadline& deadline, util::Executor& /*executor*/,
     SolveStats* partial_stats) {
-  auto t0 = std::chrono::steady_clock::now();
   SolveResult result;
   AssignmentState state(instance);
 
@@ -141,10 +139,6 @@ util::StatusOr<SolveResult> GreedySolver::SolveImpl(
 
   for (int64_t round = 0; !alive.empty(); ++round) {
     if (deadline.Exhausted()) {
-      result.stats.wall_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        t0)
-              .count();
       return BudgetError(deadline, result.stats, partial_stats);
     }
     MinPair mp = ComputeMins(state, num_tasks);
@@ -295,9 +289,6 @@ util::StatusOr<SolveResult> GreedySolver::SolveImpl(
 
   result.assignment = state.assignment();
   result.objectives = state.Objectives();
-  result.stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
   return result;
 }
 

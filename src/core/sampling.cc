@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -39,8 +38,6 @@ util::StatusOr<SolveResult> SamplingSolver::SolveImpl(
     const Instance& instance, const CandidateGraph& graph,
     const util::Deadline& deadline, util::Executor& executor,
     SolveStats* partial_stats) {
-  auto t0 = std::chrono::steady_clock::now();
-
   const int k = EffectiveSampleSize(graph);
   internal::SampleScorer scorer(instance, graph, k);
   const int drawing = scorer.num_drawing();
@@ -94,9 +91,6 @@ util::StatusOr<SolveResult> SamplingSolver::SolveImpl(
   result.stats.exact_std_evals = memo_evals + score_evals.load();
   if (interrupted.load(std::memory_order_relaxed)) {
     result.stats.sample_size = completed.load();
-    result.stats.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
     return BudgetError(deadline, result.stats, partial_stats);
   }
 
@@ -116,9 +110,6 @@ util::StatusOr<SolveResult> SamplingSolver::SolveImpl(
   }
   result.objectives = values[best];
   result.stats.sample_size = k;
-  result.stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
   return result;
 }
 

@@ -1,5 +1,7 @@
 #include "core/solver.h"
 
+#include <chrono>
+
 namespace rdbsc::core {
 
 util::StatusOr<SolveResult> Solver::Solve(const SolveRequest& request) {
@@ -13,13 +15,23 @@ util::StatusOr<SolveResult> Solver::Solve(const SolveRequest& request) {
         "candidate graph shape does not match the instance");
   }
   util::Executor& executor = util::OrSerial(request.executor);
-  if (request.deadline != nullptr) {
-    return SolveImpl(*request.instance, *request.graph, *request.deadline,
-                     executor, request.partial_stats);
+  const util::Deadline own_deadline(request.budget_seconds, request.cancel);
+  const util::Deadline& deadline =
+      request.deadline != nullptr ? *request.deadline : own_deadline;
+  // The one clock of every solve: SolveImpl does not time itself.
+  const auto start = std::chrono::steady_clock::now();
+  util::StatusOr<SolveResult> result =
+      SolveImpl(*request.instance, *request.graph, deadline, executor,
+                request.partial_stats);
+  const double wall_seconds = util::SecondsSince(start);
+  if (result.ok()) {
+    result.value().stats.wall_seconds = wall_seconds;
+  } else if (request.partial_stats != nullptr &&
+             (result.status().code() == util::StatusCode::kDeadlineExceeded ||
+              result.status().code() == util::StatusCode::kCancelled)) {
+    request.partial_stats->wall_seconds = wall_seconds;
   }
-  util::Deadline deadline(request.budget_seconds, request.cancel);
-  return SolveImpl(*request.instance, *request.graph, deadline, executor,
-                   request.partial_stats);
+  return result;
 }
 
 util::StatusOr<SolveResult> Solver::Solve(const Instance& instance,

@@ -58,6 +58,8 @@ struct SolverOptions {
 
 /// Counters and timings reported by a solve call.
 struct SolveStats {
+  /// SolveImpl's wall time, measured by Solver::Solve (also into the
+  /// partial stats of a budget failure).
   double wall_seconds = 0.0;
   /// Number of exact E[STD] evaluations performed. Sampling counts the
   /// ExpectedStd calls it makes: one per drawn edge (its one-worker memo)
@@ -147,6 +149,7 @@ class Solver {
   /// bail out via BudgetError() once it is exhausted. `executor` resolves
   /// the request's executor (SerialExec() when none was supplied);
   /// implementations without parallel structure simply ignore it.
+  /// Solve times the call and fills stats.wall_seconds.
   virtual util::StatusOr<SolveResult> SolveImpl(
       const Instance& instance, const CandidateGraph& graph,
       const util::Deadline& deadline, util::Executor& executor,

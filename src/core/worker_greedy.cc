@@ -3,7 +3,6 @@
 #include "core/dominance.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -17,16 +16,11 @@ util::StatusOr<SolveResult> WorkerGreedySolver::SolveImpl(
     const Instance& instance, const CandidateGraph& graph,
     const util::Deadline& deadline, util::Executor& /*executor*/,
     SolveStats* partial_stats) {
-  auto t0 = std::chrono::steady_clock::now();
   SolveResult result;
   AssignmentState state(instance);
 
   for (WorkerId j = 0; j < instance.num_workers(); ++j) {
     if (deadline.Exhausted()) {
-      result.stats.wall_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        t0)
-              .count();
       return BudgetError(deadline, result.stats, partial_stats);
     }
     const auto& tasks = graph.TasksOf(j);
@@ -74,9 +68,6 @@ util::StatusOr<SolveResult> WorkerGreedySolver::SolveImpl(
 
   result.assignment = state.assignment();
   result.objectives = state.Objectives();
-  result.stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
   return result;
 }
 

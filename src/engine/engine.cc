@@ -90,10 +90,6 @@ std::string_view Engine::solver_display_name() const {
   return solver_ == nullptr ? std::string_view{} : solver_->name();
 }
 
-util::Hash128 Engine::ResultCacheKey(const core::Instance& instance) const {
-  return engine::ResultCacheKey(instance, config_);
-}
-
 // --- Stages --------------------------------------------------------------
 
 util::Status Engine::StageValidate(engine::ExecutionContext& ctx) const {
@@ -159,15 +155,13 @@ util::StatusOr<EngineResult> Engine::RunPipeline(
   }
 
   const engine::CacheMode mode = ResolveCacheMode(ctx.cache, ctx.cache_mode);
-  util::Hash128 result_key{};
+  util::Hash128 cache_key{};
   if (CacheModeReads(mode) || CacheModeWrites(mode)) {
-    result_key = ctx.result_key != nullptr
-                     ? *ctx.result_key
-                     : engine::ResultCacheKey(*ctx.instance, config_);
+    cache_key = engine::ResultCacheKey(*ctx.instance, config_);
   }
   if (CacheModeReads(mode)) {
     if (std::shared_ptr<const EngineResult> hit =
-            ctx.cache->LookupResult(result_key)) {
+            ctx.cache->LookupResult(cache_key)) {
       // Bit-identical replay of the cold run that produced the entry
       // (values are immutable and shared); only the provenance flag and
       // -- implicitly -- wall-clock differ.
@@ -208,7 +202,7 @@ util::StatusOr<EngineResult> Engine::RunPipeline(
   result.solve = ctx.solve;
   result.plan = ctx.plan;
   if (CacheModeWrites(mode)) {
-    ctx.cache->InsertResult(result_key, result);
+    ctx.cache->InsertResult(cache_key, result);
   }
   return result;
 }
@@ -273,8 +267,7 @@ util::StatusOr<EngineResult> Engine::Run(const core::Instance& instance,
 
 util::StatusOr<EngineResult> Engine::RunIsolated(
     const core::Instance& instance, const util::Deadline& deadline,
-    engine::SolveCache* cache, engine::CacheMode mode,
-    const util::Hash128* result_key) const {
+    engine::SolveCache* cache, engine::CacheMode mode) const {
   if (util::Status status = CheckInitialized(); !status.ok()) return status;
   util::StatusOr<std::unique_ptr<core::Solver>> solver =
       core::SolverRegistry::Global().Create(config_.solver_name,
@@ -285,7 +278,6 @@ util::StatusOr<EngineResult> Engine::RunIsolated(
   ctx.deadline = deadline;
   ctx.cache = cache;
   ctx.cache_mode = mode;
-  ctx.result_key = result_key;
   return RunPipeline(ctx, *solver.value());
 }
 

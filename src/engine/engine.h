@@ -11,7 +11,6 @@
 #include "core/solver.h"
 #include "obs/registry.h"
 #include "util/deadline.h"
-#include "util/hash.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -71,8 +70,8 @@ struct EngineConfig {
   /// Default wall-clock budget in seconds; <= 0 unlimited. Run and
   /// SolveOn derive one deadline per call from it. RunIsolated (and
   /// therefore engine::Server, whose budgets come from ServerConfig's
-  /// default_budget_seconds / total_budget_seconds pool) ignores this
-  /// field entirely: the caller owns the deadline there.
+  /// default_budget_seconds or SubmitControls::budget_seconds) ignores
+  /// this field entirely: the caller owns the deadline there.
   double budget_seconds = 0.0;
   /// Run Instance::Validate before solving (admission control).
   bool validate_instances = true;
@@ -157,12 +156,6 @@ struct ExecutionContext {
   /// themselves never touch it.
   SolveCache* cache = nullptr;
   CacheMode cache_mode = CacheMode::kOff;
-  /// Optional precomputed result-cache key (unowned; must equal what
-  /// Engine::ResultCacheKey(*instance) would return). Callers that
-  /// already fingerprinted the instance -- engine::Server hashes it at
-  /// admission for single-flight -- pass it here so RunPipeline does not
-  /// hash the instance a second time.
-  const util::Hash128* result_key = nullptr;
 
   // --- stage products ---
   /// StageValidate passed (or validation is disabled).
@@ -242,15 +235,12 @@ class Engine {
   /// bit-identical no matter which thread runs it. `cache`/`mode` follow
   /// the RunControls semantics (kDefault with a cache means kReadWrite);
   /// a cache hit is bit-identical to the cold solve, so the determinism
-  /// contract holds with or without one. `result_key`, when non-null, is
-  /// the caller's precomputed ResultCacheKey(instance) (saves re-hashing
-  /// the instance on the dispatch hot path).
+  /// contract holds with or without one.
   util::StatusOr<EngineResult> RunIsolated(
       const core::Instance& instance,
       const util::Deadline& deadline = util::Deadline(),
       engine::SolveCache* cache = nullptr,
-      engine::CacheMode mode = engine::CacheMode::kDefault,
-      const util::Hash128* result_key = nullptr) const;
+      engine::CacheMode mode = engine::CacheMode::kDefault) const;
 
   // --- The pipeline stages (see engine::ExecutionContext) ---
 
@@ -276,12 +266,6 @@ class Engine {
   /// whose product is already present (validated / graph) are skipped.
   util::StatusOr<EngineResult> RunPipeline(engine::ExecutionContext& ctx,
                                            core::Solver& solver) const;
-
-  /// The result cache key / single-flight identity of `instance`
-  /// under this engine's configuration: a content hash over the instance
-  /// and the solver name + options (engine/fingerprint.h documents the
-  /// exact field order).
-  util::Hash128 ResultCacheKey(const core::Instance& instance) const;
 
   const EngineConfig& config() const { return config_; }
   /// Registry key, e.g. "dc".

@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <unordered_map>
-#include <vector>
 
 #include "core/instance.h"
 #include "engine/engine.h"
@@ -14,7 +12,6 @@
 #include "obs/histogram.h"
 #include "obs/registry.h"
 #include "util/deadline.h"
-#include "util/hash.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -53,10 +50,10 @@ struct ServerConfig {
   /// serially on a fresh registry-created solver (the determinism
   /// contract), and concurrency comes from `num_workers` requests in
   /// flight at once. `engine.budget_seconds` is also ignored -- request
-  /// budgets come from `default_budget_seconds` / SubmitControls and the
-  /// `total_budget_seconds` pool below. `engine.metrics`, when left
-  /// null, is pointed at the server-owned registry so per-stage timings
-  /// land next to the server.* metrics (Server::metrics()).
+  /// budgets come from `default_budget_seconds` / SubmitControls.
+  /// `engine.metrics`, when left null, is pointed at the server-owned
+  /// registry so per-stage timings land next to the server.* metrics
+  /// (Server::metrics()).
   EngineConfig engine;
 
   /// Dispatch threads, i.e. requests solved concurrently (clamped to 1).
@@ -69,18 +66,13 @@ struct ServerConfig {
   /// Per-request wall-clock budget applied when SubmitControls does not
   /// override it; <= 0 means unlimited.
   double default_budget_seconds = 0.0;
-  /// Server-wide budget pool in seconds; <= 0 means unlimited. Every
-  /// admission deducts the request's effective budget from the pool:
-  /// an unlimited request is capped at the remaining pool, and once the
-  /// pool hits zero further submissions fail with kResourceExhausted.
-  double total_budget_seconds = 0.0;
 
   /// Default cache policy applied when SubmitControls::cache is kDefault.
   /// kOff keeps every request cold unless a submission opts in.
   CacheMode cache_mode = CacheMode::kOff;
   /// Capacity of the server-owned SolveCache (entries). 0 disables the
-  /// cache entirely: every request solves cold and single-flight
-  /// collapsing is off, whatever the cache modes say.
+  /// cache entirely: every request solves cold, whatever the cache modes
+  /// say.
   size_t cache_result_entries = 4096;
 };
 
@@ -88,26 +80,22 @@ struct ServerConfig {
 struct SubmitControls {
   /// Higher-priority requests dispatch first; ties in submission order.
   int priority = 0;
-  /// < 0: use the server's default budget. 0: unlimited (still capped by
-  /// the server-wide pool when that is finite). The clock starts at
-  /// *dispatch*, not Submit: the budget bounds the solve itself, so a
+  /// < 0: use the server's default budget. 0: unlimited. The clock starts
+  /// at *dispatch*, not Submit: the budget bounds the solve itself, so a
   /// result stays independent of how long the ticket sat queued (time in
   /// queue is governed by the overload policy and queue depth instead).
   double budget_seconds = -1.0;
   /// What this request may do with the server's SolveCache; kDefault
-  /// falls back to ServerConfig::cache_mode. A read-enabled, unlimited-
-  /// budget request is also eligible for single-flight collapsing onto an
-  /// identical queued/in-flight request; a collapse never inverts
-  /// priority -- a follower more urgent than its still-queued leader
-  /// promotes the leader to its own priority.
+  /// falls back to ServerConfig::cache_mode. Every admitted request is
+  /// dispatched on its own: a duplicate of an earlier request is answered
+  /// from the cache once that request has finished.
   CacheMode cache = CacheMode::kDefault;
   /// When true the request is admitted and queued normally but completes
   /// with kCancelled at dispatch instead of solving. Cancellation is
   /// decided at admission, so -- unlike Ticket::Cancel, which races the
   /// dispatcher -- the outcome is the same on every replay whatever the
   /// worker count: scripted load harnesses (src/wl) compile their cancel
-  /// ops to this. Such a request never participates in single-flight
-  /// collapsing (its kCancelled outcome must not be shared).
+  /// ops to this.
   bool cancel_at_dispatch = false;
 };
 
@@ -119,8 +107,8 @@ struct SubmitControls {
 /// Server::RotateLatencyWindow for recent-traffic (windowed) latency.
 struct ServerStats {
   int64_t submitted = 0;   ///< Submit calls, including rejected ones.
-  int64_t admitted = 0;    ///< entered the queue (collapsed ones included)
-  int64_t rejected = 0;    ///< refused at admission (full / closed / pool)
+  int64_t admitted = 0;    ///< entered the queue
+  int64_t rejected = 0;    ///< refused at admission (full / closed)
   int64_t shed = 0;        ///< dropped from the queue by kShedOldest
   int64_t completed = 0;   ///< finished with an OK result
   int64_t deadline_exceeded = 0;  ///< finished with kDeadlineExceeded
@@ -131,13 +119,9 @@ struct ServerStats {
                              ///< result cache
   int64_t cache_misses = 0;  ///< cache-read-enabled requests that solved cold
   int64_t cache_evictions = 0;  ///< entries evicted from the result cache
-  int64_t collapsed = 0;     ///< submissions collapsed onto an identical
-                             ///< queued/in-flight request (single-flight)
 
   int queue_depth = 0;     ///< waiting right now
   int in_flight = 0;       ///< solving right now
-  /// Remaining server-wide budget pool; < 0 when the pool is unlimited.
-  double budget_remaining_seconds = -1.0;
 
   double latency_p50_seconds = 0.0;
   double latency_p95_seconds = 0.0;
@@ -152,23 +136,20 @@ namespace internal {
 ///
 /// Ownership discipline (not expressible as GUARDED_BY, because the
 /// guard is the *server's* mutex, an object this struct cannot name):
-/// `id`..`followers` are written only while the server holds its mu_ --
+/// `id`..`cache_mode` are written only while the server holds its mu_ --
 /// id/submit_time/instance/budget_seconds/cache_mode once at admission,
-/// dispatch_time/dispatched once by RunNext at pop,
-/// priority/fingerprint/single_flight/followers only by Submit /
-/// AbortTicketLocked / RunNext under mu_. Once RunNext pops the ticket
-/// off the queue it is the only dispatcher, so its unlocked reads of
-/// instance/budget_seconds/cache_mode/fingerprint are exclusive
-/// (publication ordered by the mu_ handoff). Only the completion slot
-/// below has a local guard.
+/// dispatch_time/dispatched once by RunNext at pop. Once RunNext pops the
+/// ticket off the queue it is the only dispatcher, so its unlocked reads
+/// of instance/budget_seconds/cache_mode are exclusive (publication
+/// ordered by the mu_ handoff). Only the completion slot below has a
+/// local guard.
 struct TicketState {
   uint64_t id = 0;
-  int priority = 0;
   std::chrono::steady_clock::time_point submit_time;
   /// Set (with `dispatched`) by RunNext under the server's mu_ when the
   /// ticket is popped for solving; splits the submit->finish latency into
   /// the queue and run phases. Never set for tickets that never run
-  /// (shed, shutdown-cancelled, collapsed followers).
+  /// (shed or cancelled).
   std::chrono::steady_clock::time_point dispatch_time;
   bool dispatched = false;
   core::Instance instance;
@@ -176,15 +157,6 @@ struct TicketState {
 
   /// Resolved cache policy of this request.
   CacheMode cache_mode = CacheMode::kOff;
-  /// Result-cache key; the single-flight identity. Only meaningful
-  /// when `single_flight` is set.
-  util::Hash128 fingerprint{};
-  /// Registered in the server's in-flight fingerprint map as a collapse
-  /// leader (erased on completion / shed / cancel).
-  bool single_flight = false;
-  /// Duplicate submissions collapsed onto this leader; completed with a
-  /// copy of the leader's outcome, never dispatched themselves.
-  std::vector<std::shared_ptr<TicketState>> followers;
 
   /// Per-request cancellation. `cancel_at_dispatch` is written once at
   /// admission under the server's mu_ (see the discipline note above);
@@ -226,9 +198,7 @@ class Ticket {
   /// kCancelled at its next deadline poll, and a finished one is
   /// unaffected. Which of the three applies races the dispatcher -- for a
   /// replay-deterministic cancel, decide at admission instead
-  /// (SubmitControls::cancel_at_dispatch). Cancelling a single-flight
-  /// leader cancels the followers riding it (they share the leader's
-  /// outcome by the collapse contract).
+  /// (SubmitControls::cancel_at_dispatch).
   void Cancel();
 
  private:
@@ -248,14 +218,14 @@ class Ticket {
 /// determinism contract, extended to the async layer and enforced by the
 /// workloads/*.wl replays in tests/workload_replay_test.cc).
 ///
-/// Repeated traffic is served through a content-addressed SolveCache:
-/// each request resolves a CacheMode (SubmitControls::cache, falling back
-/// to ServerConfig::cache_mode) and, when read-enabled with an unlimited
-/// budget, duplicate submissions of an identical instance are collapsed
-/// single-flight onto the queued/in-flight leader -- one solve, N tickets,
-/// all completed with the same (bit-identical) outcome. Cache hits are
-/// bit-identical to cold solves, so enabling the cache never changes an
-/// answer, only its latency (tests/cache_stress_test.cc and
+/// Submit is admission, then the overload policy, then the queue; every
+/// admitted request is dispatched exactly once. Repeated traffic is served
+/// through a content-addressed SolveCache: each request resolves a
+/// CacheMode (SubmitControls::cache, falling back to
+/// ServerConfig::cache_mode), and a read-enabled request counts exactly
+/// one cache hit or miss at dispatch. Cache hits are bit-identical to cold
+/// solves, so enabling the cache never changes an answer, only its latency
+/// (tests/cache_stress_test.cc and
 /// WorkloadReplayContract.CacheDoesNotChangeFingerprints).
 ///
 ///   auto server = engine::Server::Create({.engine = {.solver_name = "dc"}});
@@ -277,8 +247,7 @@ class Server {
 
   /// Admits `instance` (copied; the server owns it until completion) and
   /// returns its ticket. Fails with kResourceExhausted when the queue is
-  /// full under kReject or the budget pool is spent, and with
-  /// kFailedPrecondition after Shutdown.
+  /// full under kReject, and with kFailedPrecondition after Shutdown.
   util::StatusOr<Ticket> Submit(core::Instance instance,
                                 const SubmitControls& controls = {})
       EXCLUDES(mu_);
@@ -298,8 +267,8 @@ class Server {
   CacheStats GetCacheStats() const;
 
   /// The server-owned metrics registry. Always populated with the
-  /// server.* metrics (counters server.submitted/admitted/rejected/
-  /// collapsed, server.finished{outcome=ok|deadline|cancelled|shed|
+  /// server.* metrics (counters server.submitted/admitted/rejected,
+  /// server.finished{outcome=ok|deadline|cancelled|shed|
   /// failed}, server.cache{outcome=hit|miss}; histograms
   /// server.latency_seconds{phase=queue|run|total}); additionally holds
   /// the engine.* stage metrics unless ServerConfig::engine.metrics
@@ -338,14 +307,11 @@ class Server {
   /// Accounts one finished request (counters + latency) under mu_.
   void RecordFinishLocked(const internal::TicketState& state,
                           const util::Status& status) REQUIRES(mu_);
-  /// Drops `state` from the single-flight map (if registered), accounts
-  /// it and its followers as finished with `status`, and appends every
-  /// ticket to complete to `out`. Requires mu_; used by shed and cancel.
-  void AbortTicketLocked(
-      const std::shared_ptr<internal::TicketState>& state,
-      const util::Status& status,
-      std::vector<std::shared_ptr<internal::TicketState>>& out)
-      REQUIRES(mu_);
+  /// Retires a ticket that never ran: drops its instance copy and
+  /// accounts it as finished with `status`. The caller completes it once
+  /// mu_ is released. Used by shed and cancel.
+  void AbortTicketLocked(internal::TicketState& state,
+                         const util::Status& status) REQUIRES(mu_);
 
   // --- Immutable after Create (no guard): configuration and the solving
   // machinery. `pool_` is additionally reset by exactly one Shutdown
@@ -357,7 +323,6 @@ class Server {
   std::unique_ptr<util::ThreadPool> pool_;
   std::unique_ptr<SolveCache> cache_;
   util::CancelToken cancel_;
-  bool budget_limited_ = false;
 
   /// Server-owned metrics (see metrics()). Declared before the resolved
   /// handles below, which point into it. The registry and its metrics are
@@ -371,7 +336,6 @@ class Server {
   obs::Counter* c_submitted_ = nullptr;
   obs::Counter* c_admitted_ = nullptr;
   obs::Counter* c_rejected_ = nullptr;
-  obs::Counter* c_collapsed_ = nullptr;
   obs::Counter* c_finished_ok_ = nullptr;
   obs::Counter* c_finished_deadline_ = nullptr;
   obs::Counter* c_finished_cancelled_ = nullptr;
@@ -395,17 +359,10 @@ class Server {
   uint64_t next_seq_ GUARDED_BY(mu_) = 1;
   std::map<QueueKey, std::shared_ptr<internal::TicketState>> queue_
       GUARDED_BY(mu_);
-  /// Single-flight registry: result fingerprint -> queued/in-flight
-  /// leader. Entries are erased when their leader completes, is shed, or
-  /// is cancelled, so the map never outgrows queue depth + workers.
-  std::unordered_map<util::Hash128, std::shared_ptr<internal::TicketState>,
-                     util::Hash128Hasher>
-      inflight_ GUARDED_BY(mu_);
   int in_flight_ GUARDED_BY(mu_) = 0;
   /// Queued-but-unfinished pool tasks; every admission enqueues exactly
   /// one, so 0 here means queue_ is empty and nothing is in flight.
   int pending_pool_tasks_ GUARDED_BY(mu_) = 0;
-  double budget_remaining_ GUARDED_BY(mu_) = 0.0;
 };
 
 }  // namespace rdbsc::engine

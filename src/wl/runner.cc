@@ -71,7 +71,6 @@ void AccumulateStats(const engine::ServerStats& generation,
   sum.cache_hits += total.cache_hits;
   sum.cache_misses += total.cache_misses;
   sum.cache_evictions += total.cache_evictions;
-  sum.collapsed += total.collapsed;
   total = sum;
 }
 
@@ -417,7 +416,6 @@ std::string ResultsJson(const CompiledWorkload& compiled,
   w.String("completed");
   w.String("cancelled");
   w.String("cache_hits");
-  w.String("collapsed");
   w.String("generations");
   w.EndArray();
   w.Key("cells");
@@ -428,7 +426,6 @@ std::string ResultsJson(const CompiledWorkload& compiled,
   w.Int(report.server.completed);
   w.Int(report.server.cancelled);
   w.Int(report.server.cache_hits);
-  w.Int(report.server.collapsed);
   w.Int(report.server_generations);
   w.EndArray();
   w.EndArray();

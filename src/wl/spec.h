@@ -113,7 +113,7 @@ struct PhaseSpec {
   int64_t workers_min = 10, workers_max = 24;
   int64_t priority_min = 0, priority_max = 0;
   /// Instance seeds are drawn from [1, seed_pool]; a small pool yields
-  /// repeats (cache hits / single-flight collapses).
+  /// repeats (cache hits).
   int64_t seed_pool = 1'000'000;
   bool skewed = false;  ///< gen::SpatialDistribution of tasks and workers
   engine::CacheMode cache = engine::CacheMode::kDefault;

@@ -1,10 +1,11 @@
 // Correctness of the content-addressed caching layer: util::Hash128 /
 // Hasher primitives, core::InstanceFingerprint sensitivity, SolveCache
 // LRU mechanics, the staged-pipeline cache seam (every CacheMode), and the
-// engine::Server wiring (hit/miss counters, deterministic single-flight
-// collapse, eviction accounting). That a cache never changes a replay's
-// answers at 1, 2 and 8 dispatch workers is checked on the cache_storm
-// workload (WorkloadReplayContract.CacheDoesNotChangeFingerprints).
+// engine::Server wiring (hit/miss counters, a queued duplicate answered
+// from the cache, eviction accounting). That a cache never changes a
+// replay's answers at 1, 2 and 8 dispatch workers is checked on the
+// cache_storm workload
+// (WorkloadReplayContract.CacheDoesNotChangeFingerprints).
 
 #include <memory>
 #include <string>
@@ -298,139 +299,45 @@ TEST(ServerCacheTest, RepeatedSubmissionHitsAndCountersTrack) {
   engine::ServerStats stats = server->Stats();
   EXPECT_EQ(stats.cache_hits, 1);
   EXPECT_EQ(stats.cache_misses, 1);
-  EXPECT_EQ(stats.collapsed, 0);
   CacheStats cache_stats = server->GetCacheStats();
   EXPECT_EQ(cache_stats.result_hits, 1);
   EXPECT_EQ(cache_stats.result_insertions, 1);
 }
 
-TEST(ServerCacheTest, SingleFlightCollapsesQueuedDuplicates) {
-  // One dispatch worker, held by a gate (tests/gate_solver.h): the two
-  // identical requests behind it are both queued when the second arrives,
-  // so the collapse is deterministic, not a race.
+TEST(ServerCacheTest, QueuedDuplicateDispatchesAndHitsCache) {
+  // One dispatch worker, held by a gate (tests/gate_solver.h) that keeps
+  // out of the cache: both twins are queued before either runs, so the
+  // order is deterministic, not a race. The second twin dispatches on its
+  // own once the first has finished and is answered from the cache.
   auto server =
       std::move(engine::Server::Create(CachingServerConfig(1)).value());
   test::Gates gates;
   engine::SubmitControls gate_controls;
   gate_controls.priority = 10;
+  gate_controls.cache = CacheMode::kOff;
   engine::Ticket gate =
       server->Submit(test::GateInstance(), gate_controls).value();
 
   const core::Instance dup = SmallInstance(33);
-  engine::Ticket leader = server->Submit(dup).value();
-  engine::Ticket follower = server->Submit(dup).value();
+  engine::Ticket first = server->Submit(dup).value();
+  engine::Ticket second = server->Submit(dup).value();
 
   gates.Open(0);
   ASSERT_TRUE(gate.Wait().ok());
-  const util::StatusOr<EngineResult>& led = leader.Wait();
-  const util::StatusOr<EngineResult>& followed = follower.Wait();
-  ASSERT_TRUE(led.ok());
-  ASSERT_TRUE(followed.ok());
-  EXPECT_EQ(engine::ResultFingerprint(led),
-            engine::ResultFingerprint(followed));
+  const util::StatusOr<EngineResult>& cold = first.Wait();
+  const util::StatusOr<EngineResult>& warm = second.Wait();
+  ASSERT_TRUE(cold.ok());
+  ASSERT_TRUE(warm.ok());
+  EXPECT_FALSE(cold.value().from_cache);
+  EXPECT_TRUE(warm.value().from_cache);
+  EXPECT_EQ(engine::ResultFingerprint(warm), engine::ResultFingerprint(cold));
 
   server->Shutdown(engine::ShutdownMode::kDrain);
   engine::ServerStats stats = server->Stats();
   EXPECT_EQ(stats.admitted, 3);
-  EXPECT_EQ(stats.collapsed, 1);
-  // The follower never dispatched: the gate and the leader solved cold.
-  EXPECT_EQ(stats.cache_misses, 2);
-  EXPECT_EQ(stats.cache_hits, 0);
+  EXPECT_EQ(stats.cache_misses, 1);
+  EXPECT_EQ(stats.cache_hits, 1);
   EXPECT_EQ(stats.completed, 3);
-}
-
-TEST(ServerCacheTest, UrgentFollowerPromotesQueuedLeader) {
-  // No priority inversion through single-flight: a follower more urgent
-  // than its queued leader promotes the leader. Sequence (one worker):
-  //   gate 0 (p10) runs | queued: leader L(p0, instance X), gate 1 M(p5)
-  //   follower D(p9, X) collapses onto L and promotes it to p9
-  // so once gate 0 opens the worker must pop L (now p9) before M --
-  // without the promotion M(p5) would dispatch first and hold the worker
-  // until gate 1 opens, with L/D stuck behind the request they outrank.
-  auto server =
-      std::move(engine::Server::Create(CachingServerConfig(1)).value());
-  test::Gates gates;
-  engine::SubmitControls gate_controls;
-  gate_controls.priority = 10;
-  engine::Ticket gate =
-      server->Submit(test::GateInstance(0), gate_controls).value();
-
-  const core::Instance dup = SmallInstance(55);
-  engine::SubmitControls low;
-  low.priority = 0;
-  engine::Ticket leader = server->Submit(dup, low).value();
-
-  engine::SubmitControls mid;
-  mid.priority = 5;
-  engine::Ticket heavy = server->Submit(test::GateInstance(1), mid).value();
-
-  engine::SubmitControls urgent;
-  urgent.priority = 9;
-  engine::Ticket follower = server->Submit(dup, urgent).value();
-
-  gates.Open(0);
-  ASSERT_TRUE(leader.WaitFor(30.0)) << "leader stuck behind gate 1";
-  ASSERT_TRUE(leader.Wait().ok());
-  ASSERT_TRUE(follower.Wait().ok());
-  // The promoted leader (and its follower) finished while the mid-
-  // priority request is still pending.
-  EXPECT_EQ(heavy.TryGet(), nullptr);
-  gates.Open(1);
-  EXPECT_EQ(engine::ResultFingerprint(leader.Wait()),
-            engine::ResultFingerprint(follower.Wait()));
-
-  server->Shutdown(engine::ShutdownMode::kDrain);
-  EXPECT_EQ(server->Stats().collapsed, 1);
-}
-
-TEST(ServerCacheTest, WriteOnlyDuplicateDoesNotClobberSingleFlightRegistry) {
-  // Regression: write-only submissions skip the collapse check but are
-  // still single-flight eligible, so a duplicate's registration attempt
-  // no-ops -- it must NOT mark itself as the registry owner, or its
-  // completion erases the real leader's entry and later duplicates stop
-  // collapsing. Sequence (one worker, pops strictly by priority):
-  //   gate1(p10) runs | queued: W2(p5, wo dup) -> gate2(p1) -> W1(p0, wo dup)
-  // W2 completes while W1 is still queued (gate2 holds the worker); a
-  // read-write duplicate submitted then must still find W1 registered
-  // and collapse onto it.
-  auto server =
-      std::move(engine::Server::Create(CachingServerConfig(1)).value());
-  test::Gates gates;
-  // Two *distinct* gate instances: were they identical, gate2 would
-  // collapse onto gate1 instead of occupying the worker.
-  const core::Instance heavy1 = test::GateInstance(0);
-  const core::Instance heavy2 = test::GateInstance(1);
-  const core::Instance dup = SmallInstance(44);
-
-  engine::SubmitControls gate1_controls;
-  gate1_controls.priority = 10;
-  engine::Ticket gate1 = server->Submit(heavy1, gate1_controls).value();
-
-  engine::SubmitControls wo_low;
-  wo_low.cache = CacheMode::kWriteOnly;
-  wo_low.priority = 0;
-  engine::Ticket w1 = server->Submit(dup, wo_low).value();  // registers
-  engine::SubmitControls wo_high = wo_low;
-  wo_high.priority = 5;
-  engine::Ticket w2 = server->Submit(dup, wo_high).value();  // duplicate
-
-  engine::SubmitControls gate2_controls;
-  gate2_controls.priority = 1;
-  engine::Ticket gate2 = server->Submit(heavy2, gate2_controls).value();
-
-  gates.Open(0);
-  ASSERT_TRUE(w2.Wait().ok());  // W1 still queued behind gate2
-  engine::Ticket rider = server->Submit(dup).value();  // kReadWrite default
-  gates.Open(1);
-  ASSERT_TRUE(rider.Wait().ok());
-  ASSERT_TRUE(w1.Wait().ok());
-  ASSERT_TRUE(gate1.Wait().ok());
-  ASSERT_TRUE(gate2.Wait().ok());
-  EXPECT_EQ(engine::ResultFingerprint(rider.Wait()),
-            engine::ResultFingerprint(w1.Wait()));
-
-  server->Shutdown(engine::ShutdownMode::kDrain);
-  EXPECT_EQ(server->Stats().collapsed, 1);  // the rider rode W1
 }
 
 TEST(ServerCacheTest, EvictionCounterSurfacesCapacityPressure) {

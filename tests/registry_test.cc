@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -42,6 +43,31 @@ TEST(SolverRegistryTest, EveryNameRoundTripsToAWorkingSolver) {
     ASSERT_TRUE(result.ok())
         << name << ": " << result.status().ToString();
     ExpectFeasible(instance, graph, result.value().assignment);
+    EXPECT_GT(result.value().stats.wall_seconds, 0.0) << name;
+  }
+}
+
+// Solver::Solve times every solve, so a budget failure carries its wall
+// time into the caller's partial stats too.
+TEST(SolverRegistryTest, BudgetFailureReportsWallTimeInPartialStats) {
+  Instance instance = SmallInstance(5, /*num_tasks=*/4, /*num_workers=*/7);
+  CandidateGraph graph = CandidateGraph::Build(instance);
+  util::CancelToken cancelled;
+  cancelled.Cancel();
+  for (const std::string& name : SolverRegistry::Global().Names()) {
+    std::unique_ptr<Solver> solver =
+        std::move(SolverRegistry::Global().Create(name).value());
+    SolveStats partial;
+    SolveRequest request;
+    request.instance = &instance;
+    request.graph = &graph;
+    request.cancel = &cancelled;
+    request.partial_stats = &partial;
+    util::StatusOr<SolveResult> stopped = solver->Solve(request);
+    ASSERT_FALSE(stopped.ok()) << name;
+    EXPECT_EQ(stopped.status().code(), util::StatusCode::kCancelled) << name;
+    EXPECT_TRUE(partial.budget_exhausted) << name;
+    EXPECT_GT(partial.wall_seconds, 0.0) << name;
   }
 }
 

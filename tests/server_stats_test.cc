@@ -1,9 +1,8 @@
 // Snapshot-consistency contract of Server::Stats(): every counter
 // transition happens in one critical section under the server mutex, so a
 // concurrent Stats() reader must never observe a half-applied transition.
-// With cache off (no single-flight followers) and kReject (no shedding),
-// the partition invariants below hold for EVERY snapshot, not just
-// quiescent ones:
+// With kReject (no shedding), the partition invariants below hold for
+// EVERY snapshot, not just quiescent ones:
 //
 //   submitted == admitted + rejected
 //   admitted  == finished + queue_depth + in_flight
@@ -45,7 +44,6 @@ void ExpectSnapshotConsistent(const ServerStats& s, const ServerConfig& cfg) {
   EXPECT_GE(s.in_flight, 0);
   EXPECT_LE(s.in_flight, cfg.num_workers);
   EXPECT_EQ(s.shed, 0) << "kReject never sheds";
-  EXPECT_EQ(s.collapsed, 0) << "cache off disables single-flight";
 }
 
 void ExpectMonotone(const ServerStats& prev, const ServerStats& cur) {

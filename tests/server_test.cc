@@ -221,138 +221,6 @@ TEST(ServerTest, HighPriorityDispatchesBeforeEarlierLowPriority) {
   server->Shutdown(ShutdownMode::kDrain);
 }
 
-TEST(ServerTest, BudgetPoolDeductsAndExhausts) {
-  ServerConfig config = BaseConfig(1);
-  config.default_budget_seconds = 20.0;
-  config.total_budget_seconds = 30.0;
-  auto server = MakeServer(std::move(config));
-
-  // First admission deducts its 20 s budget; the second (unlimited
-  // request) is capped at the remaining 10 s; the third finds the pool
-  // empty.
-  Ticket first = server->Submit(QuickInstance(1)).value();
-  SubmitControls unlimited;
-  unlimited.budget_seconds = 0.0;
-  Ticket second = server->Submit(QuickInstance(2), unlimited).value();
-  auto third = server->Submit(QuickInstance(3));
-  ASSERT_FALSE(third.ok());
-  EXPECT_EQ(third.status().code(), util::StatusCode::kResourceExhausted);
-
-  EXPECT_TRUE(first.Wait().ok());
-  EXPECT_TRUE(second.Wait().ok());
-  server->Shutdown(ShutdownMode::kDrain);
-  ServerStats stats = server->Stats();
-  EXPECT_EQ(stats.rejected, 1);
-  EXPECT_EQ(stats.budget_remaining_seconds, 0.0);
-}
-
-TEST(ServerTest, ExhaustedPoolRejectsWithoutShedding) {
-  // Regression: with the budget pool spent, a Submit under kShedOldest
-  // must be rejected up front -- not evict an already-funded queued
-  // ticket and then get rejected anyway.
-  ServerConfig config = BaseConfig(1);
-  config.max_queue_depth = 2;
-  config.overload_policy = OverloadPolicy::kShedOldest;
-  config.default_budget_seconds = 10.0;
-  config.total_budget_seconds = 30.0;
-  auto server = MakeServer(std::move(config));
-  Gates gates;
-
-  Ticket gate = server->Submit(GateInstance()).value();
-  WaitUntil([&] { return server->Stats().in_flight == 1; });
-  Ticket q1 = server->Submit(QuickInstance(1)).value();
-  Ticket q2 = server->Submit(QuickInstance(2)).value();  // pool now empty
-
-  auto q3 = server->Submit(QuickInstance(3));
-  ASSERT_FALSE(q3.ok());
-  EXPECT_EQ(q3.status().code(), util::StatusCode::kResourceExhausted);
-
-  gates.Open(0);
-  EXPECT_TRUE(gate.Wait().ok());
-  EXPECT_TRUE(q1.Wait().ok());
-  EXPECT_TRUE(q2.Wait().ok());
-  server->Shutdown(ShutdownMode::kDrain);
-  ServerStats stats = server->Stats();
-  EXPECT_EQ(stats.shed, 0);
-  EXPECT_EQ(stats.rejected, 1);
-  EXPECT_EQ(stats.completed, 3);
-}
-
-TEST(ServerTest, BlockedSubmitterIsRejectedNotHungWhenPoolDrains) {
-  // Regression: a kBlock submitter woken by a queue pop but rejected for
-  // pool exhaustion must pass the wake-up on, so the next blocked
-  // submitter gets rejected too instead of hanging forever.
-  ServerConfig config = BaseConfig(1);
-  config.max_queue_depth = 1;
-  config.overload_policy = OverloadPolicy::kBlock;
-  config.default_budget_seconds = 10.0;
-  config.total_budget_seconds = 30.0;  // funds gate + queued + ONE more
-  auto server = MakeServer(std::move(config));
-  Gates gates;
-
-  Ticket gate = server->Submit(GateInstance()).value();
-  WaitUntil([&] { return server->Stats().in_flight == 1; });
-  Ticket queued = server->Submit(QuickInstance(1)).value();
-
-  // Two submitters block on the full queue; only one can still be funded.
-  util::Status results[2];
-  std::thread blocked[2];
-  for (int i = 0; i < 2; ++i) {
-    blocked[i] = std::thread([&, i] {
-      auto ticket = server->Submit(QuickInstance(10 + i));
-      results[i] = ticket.ok() ? util::Status::OK() : ticket.status();
-      if (ticket.ok()) ticket.value().Wait();
-    });
-  }
-  // Give both submitters time to block, then free the slot. (Had one not
-  // blocked yet, it would meet the drained pool and be rejected anyway.)
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  gates.Open(0);
-  // Without the baton-pass this join hangs (the second waiter is never
-  // woken once the first consumes the pop notification and is rejected).
-  blocked[0].join();
-  blocked[1].join();
-
-  int admitted = (results[0].ok() ? 1 : 0) + (results[1].ok() ? 1 : 0);
-  EXPECT_EQ(admitted, 1);
-  for (const util::Status& status : results) {
-    if (!status.ok()) {
-      EXPECT_EQ(status.code(), util::StatusCode::kResourceExhausted);
-    }
-  }
-  EXPECT_TRUE(gate.Wait().ok());
-  EXPECT_TRUE(queued.Wait().ok());
-  server->Shutdown(ShutdownMode::kDrain);
-}
-
-TEST(ServerTest, ShedRefundsVictimBudgetToPool) {
-  ServerConfig config = BaseConfig(1);
-  config.max_queue_depth = 1;
-  config.overload_policy = OverloadPolicy::kShedOldest;
-  config.default_budget_seconds = 10.0;
-  config.total_budget_seconds = 30.0;
-  auto server = MakeServer(std::move(config));
-  Gates gates;
-
-  Ticket gate = server->Submit(GateInstance()).value();  // pool: 20
-  WaitUntil([&] { return server->Stats().in_flight == 1; });
-  Ticket victim = server->Submit(QuickInstance(1)).value();  // pool: 10
-  // Sheds `victim` (refund -> 20), then funds itself (deduct -> 10).
-  Ticket replacement = server->Submit(QuickInstance(2)).value();
-
-  ASSERT_FALSE(victim.Wait().ok());
-  EXPECT_EQ(victim.Wait().status().code(),
-            util::StatusCode::kResourceExhausted);
-  gates.Open(0);
-  EXPECT_TRUE(gate.Wait().ok());
-  EXPECT_TRUE(replacement.Wait().ok());
-  server->Shutdown(ShutdownMode::kDrain);
-  ServerStats stats = server->Stats();
-  EXPECT_EQ(stats.shed, 1);
-  EXPECT_EQ(stats.rejected, 0);
-  EXPECT_DOUBLE_EQ(stats.budget_remaining_seconds, 10.0);
-}
-
 TEST(ServerTest, ShutdownDrainRunsEverythingThenRefuses) {
   auto server = MakeServer(BaseConfig(2));
   std::vector<Ticket> tickets;

@@ -335,7 +335,7 @@ STD_MUTEX_DECL_RE = re.compile(
     re.MULTILINE,
 )
 UTIL_MUTEX_DECL_RE = re.compile(
-    r"^\s*(?:mutable\s+)?(?:util::)?(?:Mutex|SharedMutex)\s+(\w+)\s*;",
+    r"^\s*(?:mutable\s+)?(?:util::)?Mutex\s+(\w+)\s*;",
     re.MULTILINE,
 )
 
