@@ -551,6 +551,11 @@ const std::vector<BiPoint>& KeepComboScorer::Score(
     memo_size += size_t{1} << sl.width;
   }
   memo_.assign(memo_size, std::numeric_limits<double>::quiet_NaN());
+  // No group option on is the task's roster as it stands: the state
+  // already holds its E[STD].
+  for (size_t s = 0; s < slots_.size(); ++s) {
+    memo_[slots_[s].memo_begin] = slot_std_[s];
+  }
 
   // The min reduced reliability of the tasks the group cannot change.
   double outside_min_r = std::numeric_limits<double>::infinity();

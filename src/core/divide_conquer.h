@@ -91,7 +91,9 @@ namespace internal {
 ///     total += fresh - cur;
 /// where `fresh` is the task's E[STD] after the step, computed once per
 /// (task, set of group workers on it) and memoized, and `cur` its E[STD]
-/// before. The drifted sums are written back to the state at the end
+/// before. The empty set's value is the state's TaskExpectedStd, which
+/// always equals a fresh evaluation of the task's roster. The drifted sums
+/// are written back to the state at the end
 /// (AssignmentState::WriteBackSums). Commit then adds the chosen combo's
 /// workers with AddKnown.
 class KeepComboScorer {

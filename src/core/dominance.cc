@@ -111,8 +111,11 @@ size_t TopDominating(const std::vector<BiPoint>& points) {
     const double group_max_y = points[order[g]].y;
     if (group_max_y > best_y_strictly_before) consider(order[g]);
     best_y_strictly_before = std::max(best_y_strictly_before, group_max_y);
+    // At least one step: a NaN x equals nothing, itself included.
     const double x = points[order[g]].x;
-    while (g < order.size() && points[order[g]].x == x) ++g;
+    do {
+      ++g;
+    } while (g < order.size() && points[order[g]].x == x);
   }
 
   // The min-x group joins if no larger-x point has a y at least as large.

@@ -61,6 +61,18 @@ struct EventBatch {
            moved.empty();
   }
 
+  /// Whether every group is already in strictly ascending id order.
+  bool IsCanonical() const {
+    auto ascending = [](const auto& group) {
+      return std::adjacent_find(group.begin(), group.end(),
+                                [](const auto& a, const auto& b) {
+                                  return !(a.id < b.id);
+                                }) == group.end();
+    };
+    return ascending(expired) && ascending(completed) && ascending(arrived) &&
+           ascending(moved);
+  }
+
   /// Sorts every group by id, establishing the canonical order. Ids must
   /// be unique within each group.
   void Canonicalize() {

@@ -1,9 +1,9 @@
 #ifndef RDBSC_SIM_INCREMENTAL_H_
 #define RDBSC_SIM_INCREMENTAL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -33,15 +33,21 @@ namespace rdbsc::sim {
 /// (tests/delta_index_test.cc checks it in every build type).
 ///
 /// External ids are caller-chosen and stable; the snapshot's local ids are
-/// ranks in the sorted global id lists.
+/// ranks in the ascending global id lists.
+///
+/// Storage: the open tasks, the workers and the ledger are columns kept in
+/// ascending id order, found by binary search. Callers' ids arrive nearly
+/// ascending, so a registration is usually an append; an out-of-order id
+/// is an insert. A round finds its expired tasks in one pass over the open
+/// tasks and its available workers in one pass over the `committed`
+/// column, and both snapshot lists come out already in id order. A
+/// round's removals are compacted in one pass. Every outcome, Objectives'
+/// float sums included, depends only on the registered contents, never on
+/// the order they were registered in.
 ///
 /// Thread safety: single-threaded by design -- one owner drives the
 /// AddTask/AddWorker/Update/Complete lifecycle (parallelism lives inside
-/// the solver, behind this facade). The unordered registries below are
-/// therefore unguarded; what *is* enforced (tools/lint_invariants.py) is
-/// that no result-feeding path iterates them in hash order --
-/// Update/Objectives walk sorted id vectors so every outcome is
-/// bit-identical however the registries were populated.
+/// the solver, behind this facade), so the registries are unguarded.
 class IncrementalAssigner {
  public:
   /// `solver` must outlive the assigner. `policy` is applied to every
@@ -55,7 +61,9 @@ class IncrementalAssigner {
   /// moved or completing worker is checked at its new position) and leave
   /// the assigner untouched.
 
-  /// Registers a new open task; fails on duplicate id.
+  /// Registers a new open task; fails on duplicate id, and with
+  /// kInvalidArgument on id kNoTask (-1), which CommittedTask returns for
+  /// a worker with no task.
   util::Status AddTask(core::TaskId id, const core::Task& task);
   /// Removes a task (completed or expired); its workers become available.
   util::Status RemoveTask(core::TaskId id);
@@ -89,10 +97,12 @@ class IncrementalAssigner {
   /// index::DeltaStats) and what the kernel's block test did as
   /// sim.build.blocks_tested / sim.build.blocks_skipped (the round
   /// graph's CandidateGraph::BlocksTested / BlocksSkipped), and every
-  /// round that builds a graph observes
-  /// sim.round_build_seconds (the build) and sim.round_solve_seconds (the
-  /// solve alone), labelled {solver=`solver_name`} -- the registry name
-  /// the owner resolved the solver by.
+  /// round observes sim.round_prepare_seconds (expiry and snapshot), and
+  /// every round that builds a graph also observes sim.round_build_seconds
+  /// (the build), sim.round_solve_seconds (the solve alone) and
+  /// sim.round_commit_seconds (recording the commitments), all labelled
+  /// {solver=`solver_name`} -- the registry name the owner resolved the
+  /// solver by.
   void set_metrics(obs::Registry* metrics, std::string solver_name);
 
   /// Cumulative per-round graph-build counters.
@@ -118,18 +128,10 @@ class IncrementalAssigner {
   /// all committed workers, pending and completed).
   core::ObjectiveValue Objectives() const;
 
-  int num_open_tasks() const { return static_cast<int>(tasks_.size()); }
-  int num_workers() const { return static_cast<int>(workers_.size()); }
+  int num_open_tasks() const { return static_cast<int>(task_ids_.size()); }
+  int num_workers() const { return static_cast<int>(worker_ids_.size()); }
 
  private:
-  struct WorkerRecord {
-    core::Worker worker;
-    core::TaskId committed = core::kNoTask;
-    bool busy = false;
-    /// Observation captured at commit time (for objective accounting).
-    core::Observation observation;
-  };
-
   /// A task's lifetime record: the task itself plus every committed
   /// contribution (kept after the task closes, for objective accounting).
   struct LedgerEntry {
@@ -143,6 +145,16 @@ class IncrementalAssigner {
   /// Rejects a non-finite clock or one earlier than now_.
   util::Status CheckClock(const char* field, double now) const;
 
+  /// Voids the pending commitments to open task `id`: its committed
+  /// workers become available and their contributions leave its ledger.
+  void VoidCommitments(core::TaskId id);
+  /// Drops the open tasks at the ascending, distinct column positions
+  /// `removed`, in one pass.
+  void EraseOpenTasks(const std::vector<size_t>& removed);
+  /// The ledger entry of a registered task (every task ever added has
+  /// one).
+  LedgerEntry& LedgerOf(core::TaskId id);
+
   core::Solver* solver_;
   core::ArrivalPolicy policy_;
   double now_ = 0.0;
@@ -151,11 +163,32 @@ class IncrementalAssigner {
   index::DeltaStats reported_delta_;
   obs::Registry* metrics_ = nullptr;
   /// The round timers, resolved by set_metrics; null without a registry.
+  obs::Histogram* round_prepare_ = nullptr;
   obs::Histogram* round_build_ = nullptr;
   obs::Histogram* round_solve_ = nullptr;
-  std::unordered_map<core::TaskId, core::Task> tasks_;
-  std::unordered_map<core::WorkerId, WorkerRecord> workers_;
-  std::unordered_map<core::TaskId, LedgerEntry> ledger_;
+  obs::Histogram* round_commit_ = nullptr;
+
+  /// The open tasks, in ascending id: ids and the tasks themselves.
+  std::vector<core::TaskId> task_ids_;
+  std::vector<core::Task> tasks_;
+  /// The registered workers, in ascending id: ids, current profiles and
+  /// the task each is committed to (kNoTask = available).
+  std::vector<core::WorkerId> worker_ids_;
+  std::vector<core::Worker> workers_;
+  std::vector<core::TaskId> committed_;
+  /// Every task ever added, in ascending id. A re-added id keeps its
+  /// first entry, task included.
+  std::vector<core::TaskId> ledger_ids_;
+  std::vector<LedgerEntry> ledger_;
+
+  /// Per-round scratch: open-task positions to drop, and the column
+  /// positions of the round's available workers (snapshot order).
+  std::vector<size_t> removed_;
+  std::vector<size_t> available_;
+  /// ApplyEvents' scratch: a non-canonical batch, sorted.
+  EventBatch canonical_;
+  /// VoidCommitments' scratch: the workers it freed.
+  std::vector<core::WorkerId> voided_;
 };
 
 }  // namespace rdbsc::sim

@@ -28,8 +28,8 @@ class StreamingSession {
  public:
   /// Resolves the solver through the global registry; fails with its
   /// kNotFound on unknown names. `config.metrics`, when set, receives the
-  /// per-round sim.delta.* build counters and the sim.round_build_seconds /
-  /// sim.round_solve_seconds histograms, labelled
+  /// per-round sim.delta.* build counters and the sim.round_{prepare,
+  /// build,solve,commit}_seconds histograms, labelled
   /// {solver=config.solver_name}.
   static util::StatusOr<std::unique_ptr<StreamingSession>> Create(
       const rdbsc::EngineConfig& config,

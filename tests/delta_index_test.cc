@@ -5,6 +5,7 @@
 // commitments equal a from-scratch round's.
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <optional>
@@ -168,25 +169,42 @@ class RecordingSolver : public core::Solver {
   std::optional<Rows> rows_;
 };
 
+/// How a script hands out ids: 0, 1, 2, ... in registration order, or
+/// out of order -- descending negative task ids interleaved with
+/// ascending positive ones, gapped and partly negative worker ids, and
+/// withdrawn task ids registered again.
+enum class Ids { kAscending, kScrambled };
+
 /// Drives one seeded event script through the assigner, checking every
 /// round's graph against Engine::BuildGraph of the same snapshot and its
 /// commitments against the from-scratch reference. `speed_scale` scales
 /// worker speeds: slow workers reach few tasks, so rounds keep more
 /// workers available and see sparser graphs.
-void RunEventScript(uint64_t seed, double speed_scale) {
+void RunEventScript(uint64_t seed, double speed_scale,
+                    Ids ids = Ids::kAscending) {
   RecordingSolver solver;
   sim::IncrementalAssigner assigner(&solver);
   const Engine engine = Engine::Create("greedy").value();
+  const bool scrambled = ids == Ids::kScrambled;
 
   util::Rng rng(seed);
   WorldMirror world;
   for (core::WorkerId j = 0; j < 12; ++j) {
+    // Scrambled: -20, 0, 20, -8, 12, ... (a permutation of -20..24 step 4).
+    const core::WorkerId id = scrambled ? (j * 5) % 12 * 4 - 20 : j;
     const core::Worker worker = RandomWorker(rng, speed_scale);
-    ASSERT_TRUE(assigner.AddWorker(j, worker).ok());
-    world.workers.emplace(j, worker);
+    ASSERT_TRUE(assigner.AddWorker(id, worker).ok());
+    world.workers.emplace(id, worker);
   }
 
-  core::TaskId next_task = 0;
+  // Scrambled: -7, 105, -13, 115, -19, ...
+  auto task_id = [scrambled](int n) -> core::TaskId {
+    if (!scrambled) return n;
+    return n % 2 == 0 ? -3 * n - 7 : 5 * n + 100;
+  };
+  int next_task = 0;
+  std::vector<core::TaskId> withdrawn;
+  int reused = 0;
   double now = 0.0;
   for (int round = 0; round < 30; ++round) {
     now += rng.Uniform(0.01, 0.08);
@@ -199,8 +217,10 @@ void RunEventScript(uint64_t seed, double speed_scale) {
       auto it = world.tasks.begin();
       std::advance(it, rng.UniformInt(
                            0, static_cast<int64_t>(world.tasks.size()) - 1));
-      batch.expired.push_back({it->first});
-      world.Expire(it->first);
+      const core::TaskId id = it->first;
+      batch.expired.push_back({id});
+      world.Expire(id);
+      withdrawn.push_back(id);
     }
     // Complete some busy workers at fresh positions.
     const std::map<core::WorkerId, core::TaskId> busy = world.busy;
@@ -211,13 +231,21 @@ void RunEventScript(uint64_t seed, double speed_scale) {
       world.workers[w].location = pos;
       world.busy.erase(w);
     }
-    // New tasks.
+    // New tasks; scrambled scripts sometimes register a withdrawn id
+    // again (also in the batch that withdrew it: expiries apply first).
     const int arrivals = static_cast<int>(rng.UniformInt(0, 2));
     for (int a = 0; a < arrivals; ++a) {
       core::Task t = RandomTask(rng, now);
-      batch.arrived.push_back({next_task, t});
-      world.tasks.emplace(next_task, t);
-      ++next_task;
+      core::TaskId id;
+      if (scrambled && !withdrawn.empty() && rng.Bernoulli(0.4)) {
+        id = withdrawn.back();
+        withdrawn.pop_back();
+        ++reused;
+      } else {
+        id = task_id(next_task++);
+      }
+      batch.arrived.push_back({id, t});
+      world.tasks.emplace(id, t);
     }
     // Move some free workers: occasionally a big cross-cell jump,
     // otherwise a same-cell jitter.
@@ -226,6 +254,11 @@ void RunEventScript(uint64_t seed, double speed_scale) {
       geo::Point to{rng.Uniform(0.1, 0.9), rng.Uniform(0.1, 0.9)};
       batch.moved.push_back({w, to});
       worker.location = to;
+    }
+    // Scrambled: producers need not append in id order.
+    if (scrambled && rng.Bernoulli(0.5)) {
+      std::reverse(batch.completed.begin(), batch.completed.end());
+      std::reverse(batch.moved.begin(), batch.moved.end());
     }
 
     util::Status applied = assigner.ApplyEvents(batch);
@@ -250,12 +283,24 @@ void RunEventScript(uint64_t seed, double speed_scale) {
     EXPECT_EQ((assigner.delta_stats() - before).edges_repaired, plan.edges)
         << "seed " << seed << " round " << round;
   }
+  if (scrambled) {
+    EXPECT_GT(reused, 0) << "seed " << seed;
+  }
 }
 
 TEST(DeltaIndexPropertyTest, DeltaEqualsRebuildOverEventScripts) {
   for (uint64_t seed : {11u, 23u, 42u}) {
     RunEventScript(seed, /*speed_scale=*/1.0);
     RunEventScript(seed, /*speed_scale=*/0.03);
+  }
+}
+
+// The registries keep their id order however ids arrive: out of order,
+// gapped, negative, and a withdrawn task id registered again.
+TEST(DeltaIndexPropertyTest, DeltaEqualsRebuildWithOutOfOrderIds) {
+  for (uint64_t seed : {11u, 23u, 42u}) {
+    RunEventScript(seed, /*speed_scale=*/1.0, Ids::kScrambled);
+    RunEventScript(seed, /*speed_scale=*/0.03, Ids::kScrambled);
   }
 }
 
@@ -403,14 +448,24 @@ TEST(StreamingSessionTest, EngineMetricsRecordRoundTimers) {
   task.location = {0.5, 0.5};
   task.end = 2.0;
   batch.arrived.push_back({1, task});
+  const auto start = std::chrono::steady_clock::now();
   ASSERT_EQ(session->Round(batch).value().size(), 1u);
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
 
+  // The round's four layers are disjoint spans inside it.
   const obs::Labels labels = {{"solver", "greedy"}};
+  double layers = 0.0;
   for (const char* name :
-       {"sim.round_build_seconds", "sim.round_solve_seconds"}) {
-    EXPECT_EQ(registry.GetHistogram(name, labels, 1e-9).Snapshot().count(), 1)
-        << name;
+       {"sim.round_prepare_seconds", "sim.round_build_seconds",
+        "sim.round_solve_seconds", "sim.round_commit_seconds"}) {
+    const auto snapshot = registry.GetHistogram(name, labels, 1e-9).Snapshot();
+    EXPECT_EQ(snapshot.count(), 1) << name;
+    layers += snapshot.sum();
   }
+  EXPECT_GT(layers, 0.0);
+  EXPECT_LE(layers, elapsed + 4e-9);  // each sum is rounded to 1 ns
   // Every round takes the one build path: nothing counts paths or grid
   // cells.
   for (const obs::MetricSnapshot& metric : registry.Snapshot().metrics) {

@@ -1,8 +1,11 @@
 #include "core/dominance.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "util/rng.h"
@@ -192,6 +195,73 @@ TEST(TopDominatingTest, SmallCasesMatchReference) {
   for (size_t k = 0; k < cases.size(); ++k) {
     EXPECT_EQ(TopDominating(cases[k]), ReferenceTopDominating(cases[k]))
         << "case " << k;
+  }
+}
+
+// Two points: the merge's usual group, one conflict with two combos.
+TEST(TopDominatingTest, TwoPointCasesMatchReference) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Case {
+    BiPoint a, b;
+    size_t pick;
+  };
+  const Case cases[] = {
+      {{1, 1}, {1, 2}, 1},          // equal x: the larger y dominates
+      {{1, 2}, {1, 1}, 0},
+      {{1, 1}, {2, 1}, 1},          // equal y: the larger x dominates
+      {{2, 1}, {1, 1}, 0},
+      {{1, 1}, {1, 1}, 0},          // identical: the smaller index
+      {{-0.0, 1}, {0.0, 1}, 0},     // signed zeros are identical
+      {{2, 2}, {1, 1}, 0},          // one dominating
+      {{1, 1}, {2, 2}, 1},
+      {{2, 1}, {1, 2}, 1},          // neither: the larger y
+      {{1, 2}, {2, 1}, 0},
+      {{kInf, 0}, {1, 1}, 1},       // +inf x, neither dominates
+      {{kInf, 1}, {kInf, 1}, 0},
+      {{-kInf, 0}, {0, 0}, 1},      // -inf x is dominated
+      {{0, kInf}, {1, 1}, 0},       // +inf y
+      {{0, kInf}, {1, kInf}, 1},
+      {{1, -kInf}, {0, 0}, 1},      // -inf y loses to any larger y
+      {{0, 0}, {1, -kInf}, 0},
+  };
+  for (size_t k = 0; k < std::size(cases); ++k) {
+    const std::vector<BiPoint> points = {cases[k].a, cases[k].b};
+    EXPECT_EQ(TopDominating(points), cases[k].pick) << "case " << k;
+    EXPECT_EQ(TopDominating(points), ReferenceTopDominating(points))
+        << "case " << k;
+  }
+}
+
+// Every pair of points over a grid of values with ties, signed zeros,
+// infinities and NaN. Without NaN the pick is the reference's, except that
+// two points with y = -inf leave an empty skyline and pick nothing. With a
+// NaN, which orders nothing, the call must still return: one of the two
+// points or nothing (a NaN x once made the sweep loop forever, since it
+// equals nothing, itself included).
+TEST(TopDominatingTest, TwoPointsOnEveryValuePairMatchReference) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double values[] = {-kInf, -1.0, -0.0, 0.0, 0.5, 1.0, kInf,
+                           std::numeric_limits<double>::quiet_NaN()};
+  for (double ax : values) {
+    for (double ay : values) {
+      for (double bx : values) {
+        for (double by : values) {
+          const std::vector<BiPoint> points = {{ax, ay}, {bx, by}};
+          const size_t pick = TopDominating(points);
+          const bool any_nan = std::isnan(ax) || std::isnan(ay) ||
+                               std::isnan(bx) || std::isnan(by);
+          if (any_nan) {
+            ASSERT_TRUE(pick < 2 || pick == std::numeric_limits<size_t>::max());
+          } else if (ay == -kInf && by == -kInf) {
+            ASSERT_EQ(pick, std::numeric_limits<size_t>::max());
+          } else {
+            ASSERT_EQ(pick, ReferenceTopDominating(points))
+                << "(" << ax << ", " << ay << ") (" << bx << ", " << by
+                << ")";
+          }
+        }
+      }
+    }
   }
 }
 

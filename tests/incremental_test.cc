@@ -53,6 +53,11 @@ TEST(IncrementalAssignerTest, RegistrationStatuses) {
             util::StatusCode::kAlreadyExists);
   EXPECT_EQ(assigner.RemoveTask(99).code(), util::StatusCode::kNotFound);
   EXPECT_EQ(assigner.RemoveWorker(99).code(), util::StatusCode::kNotFound);
+  // -1 is kNoTask: a worker committed to it would read as available.
+  EXPECT_EQ(assigner.AddTask(core::kNoTask, OpenTask({0.5, 0.5}, 0, 2)).code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(assigner.AddTask(-2, OpenTask({0.5, 0.5}, 0, 2)).ok());
+  EXPECT_TRUE(assigner.RemoveTask(-2).ok());
   EXPECT_EQ(assigner.num_open_tasks(), 1);
   EXPECT_EQ(assigner.num_workers(), 1);
 }

@@ -573,107 +573,110 @@ struct DivideConquerGolden {
 // sampling-leaf rows counts the ExpectedStd calls the leaves' sample
 // scorer makes (per-edge memo fills plus roster prefixes of two or more
 // workers); it was re-captured when that count replaced samples x tasks,
-// with every digest unchanged.
+// with every digest unchanged. The merge_std_evals column was re-captured
+// when KeepComboScorer started taking each slot's base-roster E[STD] from
+// the merge state instead of evaluating it, again with every digest,
+// merge_groups, merge_combos and exact_std_evals unchanged.
 constexpr DivideConquerGolden kDivideConquerGolden[] = {
     {"table2-3", "sampling",
      "bd91d41815ed1860 3fee4b636b339a37 4042c623fee1f2d9",
-     24, 250, 258, 1538},
+     24, 250, 188, 1538},
     {"table2-3", "greedy",
      "26cf258289338ce4 3fee4b636b339a37 40423c9a9967678a",
-     26, 310, 282, 0},
+     26, 310, 211, 0},
     {"table2-3", "gtruth",
      "43836c0698eb6dd3 3fee4b636b339a37 4042cf5043f8ba65",
-     23, 252, 258, 3696},
+     23, 252, 187, 3696},
     {"table2-3", "fallback",
      "772e7ca88fc0c25a 3fee4b636b339a37 4042ba084277babf",
-     25, 24, 177, 1538},
+     25, 24, 153, 1538},
     {"table2-4", "sampling",
      "06545c8c0c29a00a 3fedc79afba7e683 40445da60b85238f",
-     20, 1694, 400, 1748},
+     20, 1694, 336, 1748},
     {"table2-4", "greedy",
      "2685aa5853e851a3 3fedc79afba7e683 4043efe98d665449",
-     20, 1694, 406, 0},
+     20, 1694, 343, 0},
     {"table2-4", "gtruth",
      "06545c8c0c29a00a 3fedc79afba7e683 40445da60b85238f",
-     20, 1694, 400, 3725},
+     20, 1694, 336, 3725},
     {"table2-4", "fallback",
      "1a39ca7048ad3422 3fedc79afba7e683 40444b52f2d2f7fe",
-     20, 18, 180, 1748},
+     20, 18, 162, 1748},
     {"table2-5", "sampling",
      "603b796e29c8aba9 3fede0ae77e94858 4041f4f1b60c3441",
-     20, 278, 299, 1498},
+     20, 278, 245, 1498},
     {"table2-5", "greedy",
      "1e25fc387f3d5523 3fede0ae77e94858 404165348d89ebd4",
-     22, 714, 490, 0},
+     22, 714, 427, 0},
     {"table2-5", "gtruth",
      "603b796e29c8aba9 3fede0ae77e94858 4041f4f1b60c3441",
-     21, 186, 299, 2819},
+     21, 186, 245, 2819},
     {"table2-5", "fallback",
      "7e92444cb0fc0d31 3fede0ae77e94858 4041f652ac169ddb",
-     20, 18, 183, 1498},
+     20, 18, 165, 1498},
     {"sparse-41", "sampling",
      "f101e4227c114040 3feeba1dc9428537 401f78249f39e2d3",
-     15, 3670, 484, 777},
+     15, 3670, 418, 777},
     {"sparse-41", "greedy",
      "475f4f95f892185e 3fed5d5a0696a20f 401fff0bc776c80b",
-     14, 3686, 872, 0},
+     14, 3686, 812, 0},
     {"sparse-41", "gtruth",
      "6468e35351c7be21 3fee09eea46401ed 402131abe148dcdc",
-     18, 1620, 492, 2112},
+     18, 1620, 425, 2112},
     {"sparse-41", "fallback",
      "63b963dbd28a2a30 3fed450ec3eb2fa5 4020286a0164ae0d",
      14, 0, 225, 777},
     {"sparse-43", "sampling",
      "52d27b5fafd1bb39 3fededac7698986a 40233a314a968df7",
-     14, 5224, 718, 728},
+     14, 5224, 658, 728},
     {"sparse-43", "greedy",
      "cbc369a30294f55a 3fee3c0b4d44cf31 402311792317a37d",
-     14, 5226, 3652, 0},
+     14, 5226, 3599, 0},
     {"sparse-43", "gtruth",
      "035bb5eed8dadff1 3fededac7698986a 40234d120ca65d4d",
-     18, 4624, 702, 2042},
+     18, 4624, 640, 2042},
     {"sparse-43", "fallback",
      "d216d1ebfb59158f 3fededac7698986a 4023718696d6aab6",
-     14, 4, 200, 728},
+     14, 4, 196, 728},
     {"dense-42", "sampling",
      "ae4095e3cc13a273 3fede3dc04260900 403014132c8bd10e",
-     13, 10852, 2060, 1594},
+     13, 10852, 2007, 1594},
     {"dense-42", "greedy",
      "fce570d51a486770 3fee48fc055dcc5d 402c3d89ca5b8de2",
-     11, 14752, 8672, 0},
+     11, 14752, 8632, 0},
     {"dense-42", "gtruth",
      "672dddb9282dd09c 3fefc6c83da0a454 402fa857580bb1de",
-     13, 15110, 2158, 4220},
+     13, 15110, 2103, 4220},
     {"dense-42", "fallback",
      "14d265e2cff6b11e 3fed692cd26939b5 402f0e46552fbbec",
-     14, 4, 380, 1594},
+     14, 4, 376, 1594},
     {"table2-5", "sampling-g2",
      "e2b169cce30008d5 3fede0ae77e94858 4041ea1fdb53eb4b",
-     25, 4340, 628, 1564},
+     25, 4340, 556, 1564},
     {"sparse-43", "sampling-g2",
      "8bdb6f16af7f8718 3fed8b2394c70759 4023ec482fad9f4f",
-     20, 6062, 1656, 913},
+     20, 6062, 1584, 913},
     {"dense-42", "sampling-g1",
      "aa5b1c849f88a365 3feece9d1eccd6a8 403061cffad841be",
-     28, 23250, 20761, 2859},
+     28, 23250, 20689, 2859},
     {"dense-42", "sampling-g2",
      "d6c6d615077cb8e7 3fefd8c8fa00b099 4030b48119adc36e",
-     19, 17930, 7687, 2091},
+     19, 17930, 7624, 2091},
     {"dense-42", "gtruth-g2",
      "7005f9e168183cf8 3feece9d1eccd6a8 402fcdcd6c2f3175",
-     19, 23900, 7702, 4829},
+     19, 23900, 7628, 4829},
     {"dense-44", "sampling-g1",
      "7599e5f21080e48a 3fee78972e67b39f 4031a2c460fbfdd6",
-     24, 1026, 3300, 4173},
+     24, 1026, 3296, 4173},
     {"dense-46", "sampling-g1",
      "fec5e839aa056d64 3fefd8c898b5908f 40311ad0920b7453",
-     25, 12466, 13128, 2553},
+     25, 12466, 13075, 2553},
     {"dense-46", "greedy-g2",
      "64bb53a40a9263b5 3fece39342eb8ae8 40300e59a636061a",
-     16, 8066, 8719, 0},
+     16, 8066, 8684, 0},
     {"dense-46", "gtruth-g2",
      "774d24cd5677d548 3fedce3871a9be4a 4030b100abf0ef0c",
-     19, 8418, 7782, 4356},
+     19, 8418, 7726, 4356},
 };
 
 // One golden row's instance, options and solve; `executor` null = serial.
