@@ -85,8 +85,11 @@ int main() {
   }
 
   core::CandidateGraph graph = engines.front().BuildGraph(instance).value();
-  std::printf("landmark task: %d candidate photographers\n\n",
-              static_cast<int>(graph.WorkersOf(0).size()));
+  int candidates = 0;
+  for (core::WorkerId j = 0; j < instance.num_workers(); ++j) {
+    candidates += std::ranges::count(graph.TasksOf(j), core::TaskId{0});
+  }
+  std::printf("landmark task: %d candidate photographers\n\n", candidates);
   for (Engine& engine : engines) {
     core::SolveResult result =
         engine.SolveOn(instance, graph).value();

@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/greedy.h"
 #include "core/registry.h"
 #include "core/sampling.h"
 #include "util/kmeans.h"
@@ -191,55 +190,33 @@ class DcRunner {
     return Merge(s1.value(), s2.value());
   }
 
-  // Leaf: materialize a local Instance and run the embedded solver.
-  // Called from pool threads; must only touch the leaf's own state.
+  // Leaf: Figure 5 straight on the leaf's rows, in instance ids. Called
+  // from pool threads; must only touch the leaf's own state.
   util::StatusOr<std::vector<Pair>> SolveLeaf(const Sub& sub, uint64_t seed,
                                               SolveStats* leaf_stats) const {
-    std::vector<Task> tasks;
-    tasks.reserve(sub.tasks.size());
-    for (TaskId i : sub.tasks) tasks.push_back(instance_.task(i));
-    std::vector<Worker> workers;
-    workers.reserve(sub.workers.size());
-    for (WorkerId j : sub.workers) workers.push_back(instance_.worker(j));
-    // A task's local id is its position in the ascending sub.tasks; the
-    // local rows keep the CSR layout, so sub.offsets describe them too.
-    std::vector<TaskId> local_edges(sub.edges.size());
-    for (size_t e = 0; e < sub.edges.size(); ++e) {
-      local_edges[e] = static_cast<TaskId>(
-          std::lower_bound(sub.tasks.begin(), sub.tasks.end(), sub.edges[e]) -
-          sub.tasks.begin());
+    std::vector<internal::WorkerRow> rows(sub.workers.size());
+    for (size_t k = 0; k < rows.size(); ++k) {
+      rows[k] = {sub.workers[k],
+                 std::span<const TaskId>(sub.edges).subspan(
+                     static_cast<size_t>(sub.offsets[k]),
+                     static_cast<size_t>(sub.offsets[k + 1] -
+                                         sub.offsets[k]))};
     }
-    Instance local(std::move(tasks), std::move(workers), instance_.now(),
-                   instance_.policy());
-    CandidateGraph local_graph =
-        CandidateGraph::FromEdges(local, local_edges, sub.offsets);
-
     SolverOptions leaf_options = options_;
     leaf_options.seed = seed;
-    // The leaf solver shares this runner's deadline so a budget covers the
-    // whole divide-and-conquer tree, not each leaf separately. Leaves run
-    // serially inside: the fan-out happens at leaf granularity.
-    SolveRequest leaf_request;
-    leaf_request.instance = &local;
-    leaf_request.graph = &local_graph;
-    leaf_request.deadline = &deadline_;
-    util::StatusOr<SolveResult> solved =
-        options_.leaf_use_greedy
-            ? GreedySolver(leaf_options).Solve(leaf_request)
-            : SamplingSolver(leaf_options).Solve(leaf_request);
-    if (!solved.ok()) return solved.status();
-    const SolveResult& leaf = solved.value();
-    leaf_stats->exact_std_evals = leaf.stats.exact_std_evals;
-    leaf_stats->sample_size = leaf.stats.sample_size;
-
-    std::vector<Pair> pairs;
-    for (WorkerId lj = 0; lj < local.num_workers(); ++lj) {
-      TaskId li = leaf.assignment.TaskOf(lj);
-      if (li != kNoTask) {
-        pairs.emplace_back(sub.tasks[li], sub.workers[lj]);
-      }
+    // The leaf shares this runner's deadline so a budget covers the whole
+    // divide-and-conquer tree, not each leaf separately. It scores its
+    // samples serially: the fan-out happens at leaf granularity.
+    internal::RowSample sample;
+    if (util::Status s = internal::SampleRows(
+            instance_, std::move(rows), leaf_options, deadline_,
+            util::SerialExec(), &sample);
+        !s.ok()) {
+      return s;
     }
-    return pairs;
+    leaf_stats->exact_std_evals = sample.stats.exact_std_evals;
+    leaf_stats->sample_size = sample.stats.sample_size;
+    return std::move(sample.picks);
   }
 
   // BG_Partition (Fig. 7). Returns false when the split degenerates.

@@ -15,7 +15,7 @@ namespace rdbsc::core {
 
 /// RDB-SC_DC (Figures 6-9): recursively bisects the bipartite validity
 /// graph with BG_Partition (2-means on task locations, Fig. 7), solves
-/// leaf subproblems with SAMPLING (or GREEDY), and reconciles duplicated
+/// leaf subproblems with SAMPLING (Fig. 5), and reconciles duplicated
 /// ("conflicting") workers with SA_Merge (Fig. 9), classifying them into
 /// independent (ICW) and dependent (DCW) conflicting workers per Lemmas
 /// 6.1-6.2 and enumerating each DCW group's 2^k keep-side combinations.
@@ -26,10 +26,10 @@ namespace rdbsc::core {
 /// bit-identical to serial for a fixed options.seed.
 ///
 /// A subproblem is CSR: its ascending task list, its workers and one flat
-/// edge array with per-worker offsets. A split writes each worker's edge
-/// span straight into the two children's arrays, each sized once, and a
-/// leaf maps a global task id to its local one by binary search in the
-/// ascending task list, so neither allocates per worker.
+/// edge array with per-worker offsets, all in instance ids. A split writes
+/// each worker's edge span straight into the two children's arrays, each
+/// sized once, and a leaf hands its rows to internal::SampleRows on the
+/// solve's own instance, so neither allocates per worker.
 ///
 /// SA_Merge scores a group's combos on scalars (internal::KeepComboScorer)
 /// instead of moving workers between rosters: per touched task its reduced

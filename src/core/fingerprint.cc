@@ -36,7 +36,6 @@ void MixSolverOptions(util::Hasher& hasher, const SolverOptions& options) {
       .Mix(options.use_pruning)
       .Mix(static_cast<uint64_t>(options.greedy_increment))
       .Mix(options.gamma)
-      .Mix(options.leaf_use_greedy)
       .Mix(options.max_dcw_group);
 }
 

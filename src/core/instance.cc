@@ -151,21 +151,10 @@ CandidateGraph CandidateGraph::FromEdges(
   return FromRows(instance.num_tasks(), instance.num_workers(), rows.data());
 }
 
-CandidateGraph CandidateGraph::FromEdges(const Instance& instance,
-                                         std::span<const TaskId> edges,
-                                         std::span<const int64_t> offsets) {
-  assert(offsets.size() == static_cast<size_t>(instance.num_workers()) + 1);
-  std::vector<EdgeRow> rows(static_cast<size_t>(instance.num_workers()));
-  for (size_t j = 0; j < rows.size(); ++j) {
-    rows[j] = {edges.data() + offsets[j],
-               static_cast<int32_t>(offsets[j + 1] - offsets[j])};
-  }
-  return FromRows(instance.num_tasks(), instance.num_workers(), rows.data());
-}
-
 CandidateGraph CandidateGraph::FromRows(int num_tasks, int num_workers,
                                         const EdgeRow* rows) {
   CandidateGraph graph;
+  graph.num_tasks_ = num_tasks;
   graph.worker_offsets_.assign(static_cast<size_t>(num_workers) + 1, 0);
   for (int j = 0; j < num_workers; ++j) {
     graph.worker_offsets_[j + 1] = graph.worker_offsets_[j] + rows[j].count;
@@ -177,23 +166,6 @@ CandidateGraph CandidateGraph::FromRows(int num_tasks, int num_workers,
       std::memcpy(graph.worker_edges_.data() + graph.worker_offsets_[j],
                   rows[j].data,
                   static_cast<size_t>(rows[j].count) * sizeof(TaskId));
-    }
-  }
-
-  // Transpose: counting sort by task id; scanning workers in ascending
-  // order makes every WorkersOf row ascending.
-  graph.task_offsets_.assign(static_cast<size_t>(num_tasks) + 1, 0);
-  for (TaskId i : graph.worker_edges_) graph.task_offsets_[i + 1] += 1;
-  for (int i = 0; i < num_tasks; ++i) {
-    graph.task_offsets_[i + 1] += graph.task_offsets_[i];
-  }
-  graph.task_edges_.resize(static_cast<size_t>(graph.num_edges_));
-  std::vector<int64_t> cursor(graph.task_offsets_.begin(),
-                              graph.task_offsets_.end() - 1);
-  for (int j = 0; j < num_workers; ++j) {
-    for (int64_t e = graph.worker_offsets_[j]; e < graph.worker_offsets_[j + 1];
-         ++e) {
-      graph.task_edges_[cursor[graph.worker_edges_[e]]++] = j;
     }
   }
   return graph;

@@ -83,7 +83,7 @@ util::Status ValidateTask(TaskId id, const Task& task);
 util::Status ValidateWorker(WorkerId id, const Worker& worker);
 
 /// The bipartite validity graph of Figure 4: for every worker the list of
-/// tasks it can validly serve and the transpose. Built once per solve by
+/// tasks it can validly serve. Built once per solve by
 /// Build, the one builder every engine and streaming path uses. Build runs
 /// the batched pair kernel (core/kernels.h) over the instance's SoA view,
 /// which brings the grid index's cell pruning into the vector scan: each
@@ -93,10 +93,11 @@ util::Status ValidateWorker(WorkerId id, const Worker& worker);
 /// index's retrieval (src/index) yields the same edges but was measured
 /// slower on every shape the repo produces; only benches and tests use it.
 ///
-/// Storage is CSR (one flat id array plus offsets per side): rows come out
-/// of the build kernels as exact-size arena spans, so assembly is two flat
-/// copies instead of per-worker vector growth, and row accessors return
-/// std::span views into contiguous memory.
+/// Storage is CSR (one flat task-id array plus per-worker offsets): rows
+/// come out of the build kernels as exact-size arena spans, so assembly is
+/// one bulk copy per row instead of per-worker vector growth, and TasksOf
+/// returns a std::span into contiguous memory. No solver reads the task
+/// side, so the graph keeps no transpose.
 class CandidateGraph {
  public:
   /// Builds the graph by testing every (task, worker) pair; O(m*n).
@@ -119,25 +120,12 @@ class CandidateGraph {
   static CandidateGraph FromEdges(const Instance& instance,
                                   std::vector<std::vector<TaskId>> edges);
 
-  /// The same from flat CSR rows: worker j's valid tasks are
-  /// edges[offsets[j], offsets[j + 1]), ascending. `offsets` has one entry
-  /// per worker of `instance` plus one.
-  static CandidateGraph FromEdges(const Instance& instance,
-                                  std::span<const TaskId> edges,
-                                  std::span<const int64_t> offsets);
-
   /// Valid tasks of worker `j` (the edges incident to the worker node),
   /// ascending.
   std::span<const TaskId> TasksOf(WorkerId j) const {
     const auto a = static_cast<size_t>(worker_offsets_[j]);
     const auto b = static_cast<size_t>(worker_offsets_[j + 1]);
     return {worker_edges_.data() + a, b - a};
-  }
-  /// Valid workers of task `i`, ascending.
-  std::span<const WorkerId> WorkersOf(TaskId i) const {
-    const auto a = static_cast<size_t>(task_offsets_[i]);
-    const auto b = static_cast<size_t>(task_offsets_[i + 1]);
-    return {task_edges_.data() + a, b - a};
   }
 
   /// deg(w_j) in the paper's sampling analysis.
@@ -160,10 +148,7 @@ class CandidateGraph {
   /// Workers with no valid task contribute factor 1.
   double LogPopulation() const;
 
-  int num_tasks() const {
-    return task_offsets_.empty() ? 0
-                                 : static_cast<int>(task_offsets_.size()) - 1;
-  }
+  int num_tasks() const { return num_tasks_; }
   int num_workers() const {
     return worker_offsets_.empty()
                ? 0
@@ -172,15 +157,13 @@ class CandidateGraph {
 
  private:
   /// Flat assembly from per-worker rows (arena spans or vector views):
-  /// prefix-sum offsets, one bulk copy per row, then the transpose in
-  /// ascending worker order.
+  /// prefix-sum offsets, then one bulk copy per row.
   static CandidateGraph FromRows(int num_tasks, int num_workers,
                                  const EdgeRow* rows);
 
   std::vector<int64_t> worker_offsets_;  // n + 1 entries (empty when n == 0)
   std::vector<TaskId> worker_edges_;
-  std::vector<int64_t> task_offsets_;    // m + 1 entries (empty when m == 0)
-  std::vector<WorkerId> task_edges_;
+  int num_tasks_ = 0;
   int64_t num_edges_ = 0;
   int64_t blocks_tested_ = 0;
   int64_t blocks_skipped_ = 0;

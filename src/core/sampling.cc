@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/dominance.h"
@@ -17,29 +19,53 @@
 
 namespace rdbsc::core {
 
-int SamplingSolver::EffectiveSampleSize(const CandidateGraph& graph) const {
-  int64_t k;
-  if (options_.fixed_sample_size > 0) {
-    k = options_.fixed_sample_size;
-  } else {
-    SampleSizeParams params;
-    params.epsilon = options_.epsilon;
-    params.delta = options_.delta;
-    params.log_population = graph.LogPopulation();
-    k = DetermineSampleSize(params, options_.max_sample_size);
-  }
-  k *= std::max(1, options_.sample_multiplier);
-  k = std::max<int64_t>(k, options_.min_sample_size);
-  k = std::min<int64_t>(k, options_.max_sample_size);
-  return static_cast<int>(k);
-}
-
 util::StatusOr<SolveResult> SamplingSolver::SolveImpl(
     const Instance& instance, const CandidateGraph& graph,
     const util::Deadline& deadline, util::Executor& executor,
     SolveStats* partial_stats) {
-  const int k = EffectiveSampleSize(graph);
-  internal::SampleScorer scorer(instance, graph, k);
+  std::vector<internal::WorkerRow> rows;
+  for (WorkerId j = 0; j < instance.num_workers(); ++j) {
+    if (graph.Degree(j) > 0) rows.push_back({j, graph.TasksOf(j)});
+  }
+  internal::RowSample sample;
+  if (!internal::SampleRows(instance, std::move(rows), options_, deadline,
+                            executor, &sample)
+           .ok()) {
+    return BudgetError(deadline, sample.stats, partial_stats);
+  }
+  SolveResult result;
+  result.assignment = Assignment(instance.num_workers());
+  for (const auto& [task, worker] : sample.picks) {
+    result.assignment.Assign(worker, task);
+  }
+  result.objectives = sample.objectives;
+  result.stats = sample.stats;
+  return result;
+}
+
+namespace internal {
+
+util::Status SampleRows(const Instance& instance, std::vector<WorkerRow> rows,
+                        const SolverOptions& options,
+                        const util::Deadline& deadline,
+                        util::Executor& executor, RowSample* out) {
+  // K-hat of Section 5.2 on ln N, summed in row order as
+  // CandidateGraph::LogPopulation sums it, then multiplied and clamped.
+  int64_t samples = options.fixed_sample_size;
+  if (samples <= 0) {
+    SampleSizeParams params;
+    params.epsilon = options.epsilon;
+    params.delta = options.delta;
+    for (const WorkerRow& row : rows) {
+      params.log_population += std::log(static_cast<double>(row.tasks.size()));
+    }
+    samples = DetermineSampleSize(params, options.max_sample_size);
+  }
+  samples *= std::max(1, options.sample_multiplier);
+  samples = std::max<int64_t>(samples, options.min_sample_size);
+  const int k =
+      static_cast<int>(std::min<int64_t>(samples, options.max_sample_size));
+  SampleScorer scorer(instance, std::move(rows), k);
   const int drawing = scorer.num_drawing();
 
   // Lines 4-7 of Fig. 5: pick, for every worker, one incident edge
@@ -49,7 +75,7 @@ util::StatusOr<SolveResult> SamplingSolver::SolveImpl(
   // serial, so every memo is filled, and counted, before any shard scores;
   // a sample's score depends only on its row, so the scores are the same
   // on any executor width.
-  util::Rng rng(options_.seed);
+  util::Rng rng(options.seed);
   std::vector<uint32_t> slots(static_cast<size_t>(k) *
                               static_cast<size_t>(drawing));
   auto sample = [&](int64_t h) {
@@ -73,7 +99,7 @@ util::StatusOr<SolveResult> SamplingSolver::SolveImpl(
   std::atomic<int64_t> score_evals{0};
   std::atomic<bool> interrupted{false};
   executor.ShardedFor(k, [&](int /*shard*/, int64_t begin, int64_t end) {
-    internal::SampleScorer::Scratch scratch(scorer);
+    SampleScorer::Scratch scratch(scorer);
     int64_t evals = 0;
     for (int64_t h = begin; h < end; ++h) {
       if (interrupted.load(std::memory_order_relaxed) ||
@@ -87,11 +113,10 @@ util::StatusOr<SolveResult> SamplingSolver::SolveImpl(
     score_evals.fetch_add(evals, std::memory_order_relaxed);
   });
 
-  SolveResult result;
-  result.stats.exact_std_evals = memo_evals + score_evals.load();
+  out->stats.exact_std_evals = memo_evals + score_evals.load();
   if (interrupted.load(std::memory_order_relaxed)) {
-    result.stats.sample_size = completed.load();
-    return BudgetError(deadline, result.stats, partial_stats);
+    out->stats.sample_size = completed.load();
+    return util::InterruptedStatus(deadline, "sampling interrupted");
   }
 
   // Line 8: rank samples by how many other samples they dominate.
@@ -101,19 +126,16 @@ util::StatusOr<SolveResult> SamplingSolver::SolveImpl(
   }
   const size_t best = TopDominating(sample_points);
 
-  result.assignment = Assignment(instance.num_workers());
   const std::span<const uint32_t> winner =
       sample(static_cast<int64_t>(best));
+  out->picks.resize(static_cast<size_t>(drawing));
   for (int d = 0; d < drawing; ++d) {
-    result.assignment.Assign(scorer.DrawingWorker(d),
-                             scorer.SlotTask(winner[d]));
+    out->picks[d] = {scorer.SlotTask(winner[d]), scorer.DrawingWorker(d)};
   }
-  result.objectives = values[best];
-  result.stats.sample_size = k;
-  return result;
+  out->objectives = values[best];
+  out->stats.sample_size = k;
+  return util::Status::OK();
 }
-
-namespace internal {
 
 SampleScorer::Scratch::Scratch(const SampleScorer& scorer)
     : slot_of_task_(static_cast<size_t>(scorer.instance_->num_tasks()), -1),
@@ -126,16 +148,17 @@ SampleScorer::Scratch::Scratch(const SampleScorer& scorer)
 }
 
 SampleScorer::SampleScorer(const Instance& instance,
-                           const CandidateGraph& graph, int max_samples)
-    : instance_(&instance), single_(1) {
+                           std::vector<WorkerRow> rows, int max_samples)
+    : instance_(&instance), rows_(std::move(rows)), single_(1) {
+  weight_.reserve(rows_.size());
+  first_edge_.reserve(rows_.size());
   int64_t edges = 0;
-  for (WorkerId j = 0; j < instance.num_workers(); ++j) {
-    const std::span<const TaskId> tasks = graph.TasksOf(j);
-    if (tasks.empty()) continue;
-    rows_.push_back(Row{j,
-                        util::ReliabilityWeight(instance.worker(j).confidence),
-                        edges, tasks});
-    edges += static_cast<int64_t>(tasks.size());
+  for (const WorkerRow& row : rows_) {
+    assert(!row.tasks.empty());
+    weight_.push_back(
+        util::ReliabilityWeight(instance.worker(row.worker).confidence));
+    first_edge_.push_back(edges);
+    edges += static_cast<int64_t>(row.tasks.size());
   }
   edge_slot_.assign(static_cast<size_t>(edges), -1);
   memos_.reserve(static_cast<size_t>(std::min<int64_t>(
@@ -144,9 +167,9 @@ SampleScorer::SampleScorer(const Instance& instance,
 }
 
 uint32_t SampleScorer::MemoSlot(int d, uint32_t pick, int64_t* std_evals) {
-  const Row& row = rows_[d];
+  const WorkerRow& row = rows_[d];
   assert(pick < row.tasks.size());
-  int32_t& slot = edge_slot_[static_cast<size_t>(row.first_edge + pick)];
+  int32_t& slot = edge_slot_[static_cast<size_t>(first_edge_[d] + pick)];
   if (slot < 0) {
     slot = static_cast<int32_t>(memos_.size());
     const TaskId i = row.tasks[pick];
@@ -164,7 +187,7 @@ ObjectiveValue SampleScorer::Score(std::span<const uint32_t> slots,
                                    Scratch& scratch,
                                    int64_t* std_evals) const {
   assert(slots.size() == rows_.size());
-  // Group the picks by task, stably in worker order: one chain through
+  // Group the picks by task, stably in row order: one chain through
   // next_ per touched task.
   scratch.task_.clear();
   scratch.first_.clear();
@@ -189,7 +212,7 @@ ObjectiveValue SampleScorer::Score(std::span<const uint32_t> slots,
   if (scratch.task_.empty()) return value;  // no worker draws
   // Per task, Reset's steps for each of its workers in turn: Attach adds
   // the weight to R, SetTaskStd moves the total by fresh - previous. The
-  // moves are summed below in worker order, as the replay sums them.
+  // moves are summed below in row order, as the replay sums them.
   double min_r = std::numeric_limits<double>::infinity();
   for (size_t s = 0; s < scratch.task_.size(); ++s) {
     const TaskId i = scratch.task_[s];
@@ -207,7 +230,7 @@ ObjectiveValue SampleScorer::Score(std::span<const uint32_t> slots,
       }
       scratch.delta_[d] = fresh - previous;
       previous = fresh;
-      r += rows_[d].weight;
+      r += weight_[d];
     }
     min_r = std::min(min_r, r);
   }

@@ -15,9 +15,9 @@ util::StatusOr<SolveResult> Solver::Solve(const SolveRequest& request) {
         "candidate graph shape does not match the instance");
   }
   util::Executor& executor = util::OrSerial(request.executor);
-  const util::Deadline own_deadline(request.budget_seconds, request.cancel);
+  static const util::Deadline kUnlimited;
   const util::Deadline& deadline =
-      request.deadline != nullptr ? *request.deadline : own_deadline;
+      request.deadline != nullptr ? *request.deadline : kUnlimited;
   // The one clock of every solve: SolveImpl does not time itself.
   const auto start = std::chrono::steady_clock::now();
   util::StatusOr<SolveResult> result =

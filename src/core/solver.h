@@ -47,10 +47,8 @@ struct SolverOptions {
 
   // --- Divide-and-conquer (Section 6) ---
   /// Leaf threshold: subproblems with at most `gamma` tasks are solved
-  /// directly.
+  /// directly, by sampling with the knobs above.
   int gamma = 24;
-  /// When true the leaves use greedy instead of sampling.
-  bool leaf_use_greedy = false;
   /// Largest DCW group enumerated exhaustively (2^k combinations); larger
   /// groups fall back to per-worker greedy resolution.
   int max_dcw_group = 12;
@@ -98,18 +96,13 @@ struct SolveResult {
 };
 
 /// One solve call: the instance, its candidate graph, and the admission
-/// controls. Solvers poll the budget/token cooperatively and fail with
+/// controls. Solvers poll the deadline cooperatively and fail with
 /// kDeadlineExceeded / kCancelled instead of overrunning.
 struct SolveRequest {
   const Instance* instance = nullptr;
   const CandidateGraph* graph = nullptr;
-  /// Wall-clock budget in seconds; <= 0 means unlimited.
-  double budget_seconds = 0.0;
-  /// Optional cooperative cancellation token (unowned).
-  const util::CancelToken* cancel = nullptr;
-  /// Advanced: share a caller-owned deadline instead of deriving one from
-  /// `budget_seconds`/`cancel` (used by solvers that delegate to embedded
-  /// sub-solvers). When set it overrides both fields above.
+  /// The caller's budget and cancellation, as one deadline (unowned);
+  /// nullptr = unlimited.
   const util::Deadline* deadline = nullptr;
   /// When non-null, receives the counters accumulated up to the point a
   /// solve failed (budget_exhausted set on kDeadlineExceeded/kCancelled).
@@ -144,12 +137,12 @@ class Solver {
                                     const CandidateGraph& graph);
 
  protected:
-  /// Implementation hook. `deadline` is prebuilt from the request;
-  /// implementations poll it at their natural iteration granularity and
-  /// bail out via BudgetError() once it is exhausted. `executor` resolves
-  /// the request's executor (SerialExec() when none was supplied);
-  /// implementations without parallel structure simply ignore it.
-  /// Solve times the call and fills stats.wall_seconds.
+  /// Implementation hook. `deadline` is the request's (unlimited when it
+  /// has none); implementations poll it at their natural iteration
+  /// granularity and bail out via BudgetError() once it is exhausted.
+  /// `executor` resolves the request's executor (SerialExec() when none
+  /// was supplied); implementations without parallel structure simply
+  /// ignore it. Solve times the call and fills stats.wall_seconds.
   virtual util::StatusOr<SolveResult> SolveImpl(
       const Instance& instance, const CandidateGraph& graph,
       const util::Deadline& deadline, util::Executor& executor,

@@ -32,30 +32,6 @@ struct RetrievalStats {
   }
 };
 
-/// Per-round graph-build counters of the streaming engine
-/// (sim::IncrementalAssigner). Each round that builds a graph builds it
-/// from the round snapshot with CandidateGraph::Build, as Engine::Run does.
-/// Cumulative; callers diff consecutive snapshots for per-round metrics
-/// (sim.delta.*). The always-zero fields stay for the benchmark runner.
-struct DeltaStats {
-  int64_t cells_touched = 0;    ///< always 0 (no round retrieves from a grid)
-  int64_t edges_repaired = 0;   ///< candidate-graph edges built
-  int64_t rows_recomputed = 0;  ///< available workers of the built rounds
-  int64_t rows_reused = 0;      ///< always 0 (trace readers derive a ratio)
-  int64_t bulk_refills = 0;     ///< rounds that built a graph
-  /// (worker row, task block) tests the builds ran, and those that
-  /// skipped the block (CandidateGraph::BlocksTested/BlocksSkipped).
-  int64_t blocks_tested = 0;
-  int64_t blocks_skipped = 0;
-
-  DeltaStats operator-(const DeltaStats& o) const {
-    return {cells_touched - o.cells_touched, edges_repaired - o.edges_repaired,
-            rows_recomputed - o.rows_recomputed, rows_reused - o.rows_reused,
-            bulk_refills - o.bulk_refills, blocks_tested - o.blocks_tested,
-            blocks_skipped - o.blocks_skipped};
-  }
-};
-
 /// RDB-SC-Grid (Section 7): a uniform grid over [0,1]^2 with cell side eta.
 /// Each cell keeps its workers and tasks together with summary bounds
 /// (maximum speed, a covering direction interval, latest deadline),

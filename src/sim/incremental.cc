@@ -104,8 +104,9 @@ util::Status IncrementalAssigner::CheckClock(const char* field,
 
 IncrementalAssigner::LedgerEntry& IncrementalAssigner::LedgerOf(
     core::TaskId id) {
-  const size_t k = IndexOf(ledger_ids_, id);
+  size_t k = IndexOf(ledger_ids_, id);
   assert(k != kAbsent);
+  while (k + 1 < ledger_ids_.size() && ledger_ids_[k + 1] == id) ++k;
   return ledger_[k];
 }
 
@@ -121,11 +122,15 @@ util::Status IncrementalAssigner::AddTask(core::TaskId id,
   }
   InsertAt(task_ids_, k, id);
   InsertAt(tasks_, k, task);
-  const size_t l = InsertPosition(ledger_ids_, id);
-  if (l == ledger_ids_.size() || ledger_ids_[l] != id) {
-    InsertAt(ledger_ids_, l, id);
-    InsertAt(ledger_, l, LedgerEntry{task, {}});
-  }
+  // After any earlier entries of the id: this registration is the newest.
+  const size_t l =
+      ledger_ids_.empty() || ledger_ids_.back() <= id
+          ? ledger_ids_.size()
+          : static_cast<size_t>(std::upper_bound(ledger_ids_.begin(),
+                                                 ledger_ids_.end(), id) -
+                                ledger_ids_.begin());
+  InsertAt(ledger_ids_, l, id);
+  InsertAt(ledger_, l, LedgerEntry{task, {}});
   return util::Status::OK();
 }
 
@@ -395,9 +400,9 @@ core::ObjectiveValue IncrementalAssigner::Objectives() const {
   core::ObjectiveValue value;
   double min_r = std::numeric_limits<double>::infinity();
   bool any = false;
-  // Float addition is non-associative; the ledger is in ascending id
-  // order, so the sum is bit-identical for equal ledger contents however
-  // they were built.
+  // Float addition is non-associative; the ledger is in (id,
+  // registration) order, so the sum is bit-identical for equal ledger
+  // contents however the ids' registrations were interleaved.
   std::vector<core::Observation> observations;
   for (const LedgerEntry& entry : ledger_) {
     if (entry.contributions.empty()) continue;

@@ -11,10 +11,38 @@
 #include "core/diversity.h"
 #include "core/model.h"
 #include "core/solver.h"
-#include "index/grid_index.h"
 #include "obs/registry.h"
 #include "sim/events.h"
 #include "util/status.h"
+
+namespace rdbsc::index {
+
+/// Per-round graph-build counters of the streaming engine
+/// (sim::IncrementalAssigner). Each round that builds a graph builds it
+/// from the round snapshot with CandidateGraph::Build, as Engine::Run does.
+/// Cumulative; callers diff consecutive snapshots for per-round metrics
+/// (sim.delta.*). The always-zero fields, and the index:: namespace, stay
+/// for the benchmark runner, which names them.
+struct DeltaStats {
+  int64_t cells_touched = 0;    ///< always 0 (no round retrieves from a grid)
+  int64_t edges_repaired = 0;   ///< candidate-graph edges built
+  int64_t rows_recomputed = 0;  ///< available workers of the built rounds
+  int64_t rows_reused = 0;      ///< always 0 (trace readers derive a ratio)
+  int64_t bulk_refills = 0;     ///< rounds that built a graph
+  /// (worker row, task block) tests the builds ran, and those that
+  /// skipped the block (CandidateGraph::BlocksTested/BlocksSkipped).
+  int64_t blocks_tested = 0;
+  int64_t blocks_skipped = 0;
+
+  DeltaStats operator-(const DeltaStats& o) const {
+    return {cells_touched - o.cells_touched, edges_repaired - o.edges_repaired,
+            rows_recomputed - o.rows_recomputed, rows_reused - o.rows_reused,
+            bulk_refills - o.bulk_refills, blocks_tested - o.blocks_tested,
+            blocks_skipped - o.blocks_skipped};
+  }
+};
+
+}  // namespace rdbsc::index
 
 namespace rdbsc::sim {
 
@@ -151,8 +179,8 @@ class IncrementalAssigner {
   /// Drops the open tasks at the ascending, distinct column positions
   /// `removed`, in one pass.
   void EraseOpenTasks(const std::vector<size_t>& removed);
-  /// The ledger entry of a registered task (every task ever added has
-  /// one).
+  /// The newest ledger entry of a registered task id (every task ever
+  /// added has one): the open task's, when the id is open.
   LedgerEntry& LedgerOf(core::TaskId id);
 
   core::Solver* solver_;
@@ -176,8 +204,9 @@ class IncrementalAssigner {
   std::vector<core::WorkerId> worker_ids_;
   std::vector<core::Worker> workers_;
   std::vector<core::TaskId> committed_;
-  /// Every task ever added, in ascending id. A re-added id keeps its
-  /// first entry, task included.
+  /// Every task registration, in (id, registration) order: an id added
+  /// again after its task left gets an entry of its own after the old
+  /// one's. LedgerOf returns an id's newest entry.
   std::vector<core::TaskId> ledger_ids_;
   std::vector<LedgerEntry> ledger_;
 

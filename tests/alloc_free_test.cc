@@ -186,7 +186,7 @@ TEST(AllocFreeTest, SampleScorerAllocatesNothingAfterWarmUp) {
   std::vector<std::vector<TaskId>> edges(
       static_cast<size_t>(instance.num_workers()), {0, 1, 2, 3});
   const CandidateGraph graph = CandidateGraph::FromEdges(instance, edges);
-  internal::SampleScorer scorer(instance, graph, 3);
+  internal::SampleScorer scorer(instance, test::DrawingRows(graph), 3);
   const int drawing = scorer.num_drawing();
   // `full` puts kMaxRoster workers on task 0 and the rest on task 1,
   // `spread` deals them round-robin, `single` puts everyone on task 3.

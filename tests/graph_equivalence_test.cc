@@ -60,14 +60,6 @@ TEST(GraphEquivalenceTest, GridAndBruteForceAgreeOnRandomInstances) {
       ASSERT_EQ(SortedRows(grid_graph), brute_rows)
           << "seed " << seed << " eta " << eta;
     }
-
-    // The task-side adjacency must be consistent with the worker side.
-    int64_t task_side_edges = 0;
-    for (core::TaskId i = 0; i < instance.num_tasks(); ++i) {
-      task_side_edges +=
-          static_cast<int64_t>(brute_graph.WorkersOf(i).size());
-    }
-    ASSERT_EQ(task_side_edges, brute_graph.NumEdges()) << "seed " << seed;
   }
 }
 

@@ -13,6 +13,7 @@
 
 #include "core/diversity.h"
 #include "core/instance.h"
+#include "core/kernels.h"
 #include "core/model.h"
 #include "core/registry.h"
 #include "gtest/gtest.h"
@@ -240,6 +241,38 @@ TEST(IncrementalAssignerTest, ObjectivesIndependentOfInsertionOrder) {
   // Bit-identical, not just approximately equal.
   EXPECT_EQ(forward.total_std, backward.total_std);
   EXPECT_EQ(forward.min_reliability, backward.min_reliability);
+}
+
+// A task id registered again after its task left names a new task: the
+// new task's commitments are scored against it alone, exactly as if it
+// had taken a fresh id. Task 5 is committed, completed and withdrawn;
+// then a new task, at another site with another beta, registers as 5 (or
+// 6) and one more round commits both workers to it.
+TEST(IncrementalAssignerTest, ReRegisteredTaskIdScoresTheNewTask) {
+  auto run = [](core::TaskId new_id) {
+    auto solver = core::SolverRegistry::Global().Create("greedy").value();
+    IncrementalAssigner assigner(solver.get());
+    EXPECT_TRUE(assigner.AddTask(5, OpenTask({0.5, 0.5}, 0, 3, 0.2)).ok());
+    EXPECT_TRUE(assigner.AddWorker(7, FreeWorker({0.45, 0.5})).ok());
+    EXPECT_EQ(assigner.Update(0.0).value().size(), 1u);
+    EXPECT_TRUE(assigner.CompleteWorker(7, {0.5, 0.5}).ok());
+    EXPECT_TRUE(assigner.RemoveTask(5).ok());
+
+    EXPECT_TRUE(
+        assigner.AddTask(new_id, OpenTask({0.6, 0.6}, 0, 4, 0.8)).ok());
+    EXPECT_TRUE(assigner.AddWorker(8, FreeWorker({0.6, 0.65}, 0.5, 0.7)).ok());
+    const auto committed = assigner.Update(0.5).value();
+    EXPECT_EQ(committed.size(), 2u);
+    for (const auto& [tid, wid] : committed) {
+      EXPECT_EQ(tid, new_id) << "worker " << wid;
+    }
+    return assigner.Objectives();
+  };
+  const core::ObjectiveValue reused = run(5);
+  const core::ObjectiveValue fresh = run(6);
+  EXPECT_GT(fresh.total_std, 0.0);
+  EXPECT_EQ(reused.total_std, fresh.total_std);
+  EXPECT_EQ(reused.min_reliability, fresh.min_reliability);
 }
 
 // The sim.build.blocks_* counters report what the round's block test did:

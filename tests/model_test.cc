@@ -163,17 +163,6 @@ TEST(CandidateGraphTest, BuildMatchesPairwisePredicate) {
   EXPECT_EQ(graph.NumEdges(), edges);
 }
 
-TEST(CandidateGraphTest, TransposeIsConsistent) {
-  Instance instance = test::SmallInstance(3);
-  CandidateGraph graph = CandidateGraph::Build(instance);
-  for (TaskId i = 0; i < instance.num_tasks(); ++i) {
-    for (WorkerId j : graph.WorkersOf(i)) {
-      const auto& tasks = graph.TasksOf(j);
-      EXPECT_NE(std::find(tasks.begin(), tasks.end(), i), tasks.end());
-    }
-  }
-}
-
 TEST(CandidateGraphTest, LogPopulationSumsDegrees) {
   Instance instance = test::SmallInstance(4);
   CandidateGraph graph = CandidateGraph::Build(instance);

@@ -66,11 +66,6 @@ TEST(ParallelDeterminismTest, CandidateGraphBuildMatchesSerial) {
         ASSERT_TRUE(std::ranges::equal(parallel.TasksOf(j), serial.TasksOf(j)))
             << threads << " threads, worker " << j;
       }
-      for (TaskId i = 0; i < instance.num_tasks(); ++i) {
-        ASSERT_TRUE(
-            std::ranges::equal(parallel.WorkersOf(i), serial.WorkersOf(i)))
-            << threads << " threads, task " << i;
-      }
     }
   }
 }

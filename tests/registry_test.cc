@@ -61,7 +61,8 @@ TEST(SolverRegistryTest, BudgetFailureReportsWallTimeInPartialStats) {
     SolveRequest request;
     request.instance = &instance;
     request.graph = &graph;
-    request.cancel = &cancelled;
+    const util::Deadline deadline(/*budget_seconds=*/0.0, &cancelled);
+    request.deadline = &deadline;
     request.partial_stats = &partial;
     util::StatusOr<SolveResult> stopped = solver->Solve(request);
     ASSERT_FALSE(stopped.ok()) << name;

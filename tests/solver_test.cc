@@ -369,7 +369,8 @@ TEST(SamplingTest, ObjectivesEqualFreshEvaluationBitForBit) {
 size_t ExpectScorerMatchesReplay(const Instance& instance,
                                  const CandidateGraph& graph, uint64_t seed,
                                  int samples) {
-  internal::SampleScorer scorer(instance, graph, samples);
+  internal::SampleScorer scorer(instance, test::DrawingRows(graph),
+                                samples);
   std::vector<WorkerId> drawing;
   for (WorkerId j = 0; j < instance.num_workers(); ++j) {
     if (graph.Degree(j) > 0) drawing.push_back(j);
@@ -513,13 +514,186 @@ TEST(SampleScorerTest, MatchesStateReplayWhenNoWorkerDraws) {
   const CandidateGraph graph = CandidateGraph::FromEdges(
       instance, std::vector<std::vector<TaskId>>(8));
   ExpectScorerMatchesReplay(instance, graph, 1, 3);
-  internal::SampleScorer scorer(instance, graph, 1);
+  internal::SampleScorer scorer(instance, test::DrawingRows(graph), 1);
   internal::SampleScorer::Scratch scratch(scorer);
   int64_t evals = 0;
   const ObjectiveValue value = scorer.Score({}, scratch, &evals);
   EXPECT_EQ(value.total_std, 0.0);
   EXPECT_EQ(value.min_reliability, 0.0);
   EXPECT_EQ(evals, 0);
+}
+
+// ---------- D&C's leaf rows against SAMPLING on a local instance ----------
+
+// A D&C-shaped leaf of `instance`: an ascending task subset, the workers
+// with an edge into it (ascending) and each one's edges restricted to it,
+// in instance ids.
+struct LeafRows {
+  std::vector<TaskId> tasks;
+  std::vector<WorkerId> workers;
+  std::vector<std::vector<TaskId>> edges;
+};
+
+// The leaf of `graph` over `tasks`, keeping only its first `max_workers`
+// workers.
+LeafRows LeafOf(const CandidateGraph& graph, std::vector<TaskId> tasks,
+                size_t max_workers) {
+  LeafRows leaf;
+  leaf.tasks = std::move(tasks);
+  for (WorkerId j = 0; j < graph.num_workers(); ++j) {
+    std::vector<TaskId> row;
+    for (TaskId i : graph.TasksOf(j)) {
+      if (std::ranges::binary_search(leaf.tasks, i)) row.push_back(i);
+    }
+    if (row.empty() || leaf.workers.size() == max_workers) continue;
+    leaf.workers.push_back(j);
+    leaf.edges.push_back(std::move(row));
+  }
+  return leaf;
+}
+
+// internal::SampleRows on the leaf's rows, in instance ids, against the
+// path it replaced: SamplingSolver on a local instance of the leaf's tasks
+// and workers, whose local ids are ranks in the leaf's lists, and a graph
+// of the rows mapped into them. Expects the same picks (mapped back),
+// objective bits, exact_std_evals and sample_size -- or, when `deadline`
+// trips, the same status and partial counters.
+void ExpectRowsMatchLocalSolve(const Instance& instance, const LeafRows& leaf,
+                               const SolverOptions& options,
+                               const util::Deadline& deadline,
+                               util::Executor* executor,
+                               const std::string& where) {
+  std::vector<Task> tasks;
+  for (TaskId i : leaf.tasks) tasks.push_back(instance.task(i));
+  std::vector<Worker> workers;
+  for (WorkerId j : leaf.workers) workers.push_back(instance.worker(j));
+  const Instance local(std::move(tasks), std::move(workers), instance.now(),
+                       instance.policy());
+  std::vector<std::vector<TaskId>> local_edges;
+  for (const std::vector<TaskId>& row : leaf.edges) {
+    std::vector<TaskId>& local_row = local_edges.emplace_back();
+    for (TaskId i : row) {
+      local_row.push_back(static_cast<TaskId>(
+          std::ranges::lower_bound(leaf.tasks, i) - leaf.tasks.begin()));
+    }
+  }
+  const CandidateGraph local_graph =
+      CandidateGraph::FromEdges(local, local_edges);
+  SolveStats partial;
+  SolveRequest request;
+  request.instance = &local;
+  request.graph = &local_graph;
+  request.deadline = &deadline;
+  request.partial_stats = &partial;
+  request.executor = executor;
+  const util::StatusOr<SolveResult> want =
+      SamplingSolver(options).Solve(request);
+
+  std::vector<internal::WorkerRow> rows;
+  for (size_t k = 0; k < leaf.workers.size(); ++k) {
+    rows.push_back({leaf.workers[k], leaf.edges[k]});
+  }
+  internal::RowSample got;
+  const util::Status status =
+      internal::SampleRows(instance, std::move(rows), options, deadline,
+                           util::OrSerial(executor), &got);
+  ASSERT_EQ(status.code(), want.status().code()) << where;
+  if (!status.ok()) {
+    EXPECT_EQ(got.stats.exact_std_evals, partial.exact_std_evals) << where;
+    EXPECT_EQ(got.stats.sample_size, partial.sample_size) << where;
+    return;
+  }
+  const SolveResult& solved = want.value();
+  std::vector<std::pair<TaskId, WorkerId>> picks;
+  for (WorkerId lj = 0; lj < local.num_workers(); ++lj) {
+    const TaskId li = solved.assignment.TaskOf(lj);
+    if (li != kNoTask) picks.emplace_back(leaf.tasks[li], leaf.workers[lj]);
+  }
+  EXPECT_EQ(got.picks, picks) << where;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.objectives.total_std),
+            std::bit_cast<uint64_t>(solved.objectives.total_std))
+      << where;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.objectives.min_reliability),
+            std::bit_cast<uint64_t>(solved.objectives.min_reliability))
+      << where;
+  EXPECT_EQ(got.stats.exact_std_evals, solved.stats.exact_std_evals) << where;
+  EXPECT_EQ(got.stats.sample_size, solved.stats.sample_size) << where;
+}
+
+// Random leaves of random instances: task subsets of 1 to 8 of 30 tasks,
+// all their workers or just one, serially and on two threads.
+TEST(SampleRowsTest, MatchesSamplingOnTheLocalInstanceOnRandomLeaves) {
+  util::ThreadPool pool(2);
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    const Instance instance = SmallInstance(seed, /*num_tasks=*/30,
+                                            /*num_workers=*/90);
+    const CandidateGraph graph = CandidateGraph::Build(instance);
+    util::Rng rng(seed);
+    for (int leaf_index = 0; leaf_index < 6; ++leaf_index) {
+      std::vector<TaskId> tasks;
+      const int64_t size = rng.UniformInt(1, 8);
+      while (static_cast<int64_t>(tasks.size()) < size) {
+        const auto i = static_cast<TaskId>(rng.UniformInt(0, 29));
+        if (!std::ranges::binary_search(tasks, i)) {
+          tasks.insert(std::ranges::upper_bound(tasks, i), i);
+        }
+      }
+      const size_t max_workers = leaf_index % 3 == 2 ? 1 : SIZE_MAX;
+      const LeafRows leaf = LeafOf(graph, tasks, max_workers);
+      SolverOptions options;
+      options.seed = rng.NextU64();
+      const std::string where = "seed " + std::to_string(seed) + ", leaf " +
+                                std::to_string(leaf_index);
+      ExpectRowsMatchLocalSolve(instance, leaf, options, util::Deadline(),
+                                nullptr, where);
+      ExpectRowsMatchLocalSolve(instance, leaf, options, util::Deadline(),
+                                &pool, where + ", 2 threads");
+    }
+  }
+}
+
+// One task every worker reaches, and dense rows: 60 workers on every one
+// of 6 tasks, so rosters run long and every sample touches every task.
+TEST(SampleRowsTest, MatchesSamplingOnTheLocalInstanceOnOneTaskAndDenseRows) {
+  const Instance instance = SmallInstance(5, /*num_tasks=*/12,
+                                          /*num_workers=*/60);
+  const CandidateGraph full = CandidateGraph::FromEdges(
+      instance, std::vector<std::vector<TaskId>>(
+                    60, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}));
+  SolverOptions options;
+  options.fixed_sample_size = 40;
+  for (uint64_t seed : {1, 2, 3}) {
+    options.seed = seed;
+    ExpectRowsMatchLocalSolve(instance, LeafOf(full, {7}, SIZE_MAX), options,
+                              util::Deadline(), nullptr,
+                              "one task, seed " + std::to_string(seed));
+    ExpectRowsMatchLocalSolve(instance,
+                              LeafOf(full, {1, 3, 4, 8, 9, 11}, SIZE_MAX),
+                              options, util::Deadline(), nullptr,
+                              "dense, seed " + std::to_string(seed));
+  }
+}
+
+// A tripped deadline fails both the same way, with the same partial
+// counters: every drawn edge's memo, no sample scored.
+TEST(SampleRowsTest, MatchesSamplingOnTheLocalInstanceOnABudgetTrip) {
+  const Instance instance = SmallInstance(9, /*num_tasks=*/20,
+                                          /*num_workers=*/50);
+  const CandidateGraph graph = CandidateGraph::Build(instance);
+  util::CancelToken cancelled;
+  cancelled.Cancel();
+  const util::Deadline tripped(/*budget_seconds=*/0.0, &cancelled);
+  ExpectRowsMatchLocalSolve(instance, LeafOf(graph, {2, 5, 6, 11}, SIZE_MAX),
+                            SolverOptions{}, tripped, nullptr, "cancelled");
+  internal::RowSample sample;
+  EXPECT_EQ(internal::SampleRows(instance,
+                                 test::DrawingRows(graph), SolverOptions{},
+                                 tripped, util::SerialExec(), &sample)
+                .code(),
+            util::StatusCode::kCancelled);
+  EXPECT_GT(sample.stats.exact_std_evals, 0);
+  EXPECT_EQ(sample.stats.sample_size, 0);
+  EXPECT_TRUE(sample.picks.empty());
 }
 
 TEST(SamplingTest, ReportsSampleSize) {
@@ -530,7 +704,6 @@ TEST(SamplingTest, ReportsSampleSize) {
   SamplingSolver solver(options);
   SolveResult result = solver.Solve(instance, graph).value();
   EXPECT_EQ(result.stats.sample_size, 17);
-  EXPECT_EQ(solver.EffectiveSampleSize(graph), 17);
 }
 
 TEST(SamplingTest, MultiplierScalesSampleSize) {
@@ -540,8 +713,12 @@ TEST(SamplingTest, MultiplierScalesSampleSize) {
   base.fixed_sample_size = 10;
   SolverOptions boosted = base;
   boosted.sample_multiplier = 10;
-  EXPECT_EQ(SamplingSolver(base).EffectiveSampleSize(graph), 10);
-  EXPECT_EQ(SamplingSolver(boosted).EffectiveSampleSize(graph), 100);
+  EXPECT_EQ(
+      SamplingSolver(base).Solve(instance, graph).value().stats.sample_size,
+      10);
+  EXPECT_EQ(
+      SamplingSolver(boosted).Solve(instance, graph).value().stats.sample_size,
+      100);
 }
 
 // ---------- D&C and G-TRUTH ----------
@@ -559,7 +736,7 @@ struct DivideConquerGolden {
   int64_t exact_std_evals;
 };
 
-// The first 24 rows were captured from the SA_Merge that scored every 2^k
+// The first 18 rows were captured from the SA_Merge that scored every 2^k
 // keep-side combination with full Add/Remove calls and an O(m)
 // Objectives() scan, and their counters and the rows after them from the
 // one that moved workers through the merge state's rosters with
@@ -569,21 +746,19 @@ struct DivideConquerGolden {
 // of two or more to the per-worker PreviewAdd path. A "-gN" mode sets
 // gamma = N: one- and two-task leaves on the dense instances give the
 // merges their largest groups, the rounding drift of thousands of combos
-// and decisions that rest on it. The exact_std_evals column of the
-// sampling-leaf rows counts the ExpectedStd calls the leaves' sample
-// scorer makes (per-edge memo fills plus roster prefixes of two or more
-// workers); it was re-captured when that count replaced samples x tasks,
-// with every digest unchanged. The merge_std_evals column was re-captured
-// when KeepComboScorer started taking each slot's base-roster E[STD] from
-// the merge state instead of evaluating it, again with every digest,
-// merge_groups, merge_combos and exact_std_evals unchanged.
+// and decisions that rest on it. The exact_std_evals column counts the
+// ExpectedStd calls the leaves' sample scorer makes (per-edge memo fills
+// plus roster prefixes of two or more workers); it was re-captured when
+// that count replaced samples x tasks, with every digest unchanged. The
+// merge_std_evals column was re-captured when KeepComboScorer started
+// taking each slot's base-roster E[STD] from the merge state instead of
+// evaluating it, again with every digest, merge_groups, merge_combos and
+// exact_std_evals unchanged. Every row held unchanged when the leaves
+// began sampling on the solve's own instance instead of a local copy.
 constexpr DivideConquerGolden kDivideConquerGolden[] = {
     {"table2-3", "sampling",
      "bd91d41815ed1860 3fee4b636b339a37 4042c623fee1f2d9",
      24, 250, 188, 1538},
-    {"table2-3", "greedy",
-     "26cf258289338ce4 3fee4b636b339a37 40423c9a9967678a",
-     26, 310, 211, 0},
     {"table2-3", "gtruth",
      "43836c0698eb6dd3 3fee4b636b339a37 4042cf5043f8ba65",
      23, 252, 187, 3696},
@@ -593,9 +768,6 @@ constexpr DivideConquerGolden kDivideConquerGolden[] = {
     {"table2-4", "sampling",
      "06545c8c0c29a00a 3fedc79afba7e683 40445da60b85238f",
      20, 1694, 336, 1748},
-    {"table2-4", "greedy",
-     "2685aa5853e851a3 3fedc79afba7e683 4043efe98d665449",
-     20, 1694, 343, 0},
     {"table2-4", "gtruth",
      "06545c8c0c29a00a 3fedc79afba7e683 40445da60b85238f",
      20, 1694, 336, 3725},
@@ -605,9 +777,6 @@ constexpr DivideConquerGolden kDivideConquerGolden[] = {
     {"table2-5", "sampling",
      "603b796e29c8aba9 3fede0ae77e94858 4041f4f1b60c3441",
      20, 278, 245, 1498},
-    {"table2-5", "greedy",
-     "1e25fc387f3d5523 3fede0ae77e94858 404165348d89ebd4",
-     22, 714, 427, 0},
     {"table2-5", "gtruth",
      "603b796e29c8aba9 3fede0ae77e94858 4041f4f1b60c3441",
      21, 186, 245, 2819},
@@ -617,9 +786,6 @@ constexpr DivideConquerGolden kDivideConquerGolden[] = {
     {"sparse-41", "sampling",
      "f101e4227c114040 3feeba1dc9428537 401f78249f39e2d3",
      15, 3670, 418, 777},
-    {"sparse-41", "greedy",
-     "475f4f95f892185e 3fed5d5a0696a20f 401fff0bc776c80b",
-     14, 3686, 812, 0},
     {"sparse-41", "gtruth",
      "6468e35351c7be21 3fee09eea46401ed 402131abe148dcdc",
      18, 1620, 425, 2112},
@@ -629,9 +795,6 @@ constexpr DivideConquerGolden kDivideConquerGolden[] = {
     {"sparse-43", "sampling",
      "52d27b5fafd1bb39 3fededac7698986a 40233a314a968df7",
      14, 5224, 658, 728},
-    {"sparse-43", "greedy",
-     "cbc369a30294f55a 3fee3c0b4d44cf31 402311792317a37d",
-     14, 5226, 3599, 0},
     {"sparse-43", "gtruth",
      "035bb5eed8dadff1 3fededac7698986a 40234d120ca65d4d",
      18, 4624, 640, 2042},
@@ -641,9 +804,6 @@ constexpr DivideConquerGolden kDivideConquerGolden[] = {
     {"dense-42", "sampling",
      "ae4095e3cc13a273 3fede3dc04260900 403014132c8bd10e",
      13, 10852, 2007, 1594},
-    {"dense-42", "greedy",
-     "fce570d51a486770 3fee48fc055dcc5d 402c3d89ca5b8de2",
-     11, 14752, 8632, 0},
     {"dense-42", "gtruth",
      "672dddb9282dd09c 3fefc6c83da0a454 402fa857580bb1de",
      13, 15110, 2103, 4220},
@@ -671,9 +831,6 @@ constexpr DivideConquerGolden kDivideConquerGolden[] = {
     {"dense-46", "sampling-g1",
      "fec5e839aa056d64 3fefd8c898b5908f 40311ad0920b7453",
      25, 12466, 13075, 2553},
-    {"dense-46", "greedy-g2",
-     "64bb53a40a9263b5 3fece39342eb8ae8 40300e59a636061a",
-     16, 8066, 8684, 0},
     {"dense-46", "gtruth-g2",
      "774d24cd5677d548 3fedce3871a9be4a 4030b100abf0ef0c",
      19, 8418, 7726, 4356},
@@ -707,7 +864,6 @@ SolveResult SolveGolden(const DivideConquerGolden& golden,
     options.gamma = std::stoi(mode.substr(dash + 2));
     mode.resize(dash);
   }
-  options.leaf_use_greedy = mode == "greedy";
   if (mode == "fallback") options.max_dcw_group = 1;
   SolveRequest request;
   request.instance = &instance;
@@ -978,17 +1134,6 @@ TEST(DivideConquerTest, LeafOnlyEqualsEmbeddedSolver) {
   options.gamma = 1'000'000;  // never partition
   DivideConquerSolver dc(options);
   SolveResult result = dc.Solve(instance, graph).value();
-  ExpectFeasible(instance, graph, result.assignment);
-}
-
-TEST(DivideConquerTest, GreedyLeavesWork) {
-  Instance instance = SmallInstance(31, 16, 40);
-  CandidateGraph graph = CandidateGraph::Build(instance);
-  SolverOptions options;
-  options.gamma = 5;
-  options.leaf_use_greedy = true;
-  DivideConquerSolver solver(options);
-  SolveResult result = solver.Solve(instance, graph).value();
   ExpectFeasible(instance, graph, result.assignment);
 }
 

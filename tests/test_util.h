@@ -7,6 +7,7 @@
 
 #include "core/assignment.h"
 #include "core/instance.h"
+#include "core/sampling.h"
 #include "gen/workload.h"
 #include "gtest/gtest.h"
 
@@ -47,6 +48,17 @@ inline void ExpectFeasible(const core::Instance& instance,
     EXPECT_NE(std::find(tasks.begin(), tasks.end(), i), tasks.end())
         << "worker " << j << " assigned to invalid task " << i;
   }
+}
+
+/// The non-empty rows of `graph` in ascending worker id: the rows
+/// SamplingSolver hands internal::SampleRows.
+inline std::vector<core::internal::WorkerRow> DrawingRows(
+    const core::CandidateGraph& graph) {
+  std::vector<core::internal::WorkerRow> rows;
+  for (core::WorkerId j = 0; j < graph.num_workers(); ++j) {
+    if (graph.Degree(j) > 0) rows.push_back({j, graph.TasksOf(j)});
+  }
+  return rows;
 }
 
 /// Builds a task with the given diversity weight and period.

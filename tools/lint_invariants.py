@@ -13,11 +13,13 @@ the compiler nor clang-tidy can express:
                           with a LINT-ALLOW.
   missing-deadline-poll   Every solver SolveImpl body in src/core (plus the
                           batched kernel row driver ValidPairsRows in
-                          src/core/kernels.*) must poll its util::Deadline
-                          (Exhausted()/Check()) or forward it into a
-                          helper that does. A solver or kernel loop that
-                          ignores the deadline cannot be cancelled or
-                          budget-limited.
+                          src/core/kernels.* and the Figure-5 body
+                          SampleRows in src/core/sampling.*, which D&C
+                          leaves reach without a SolveImpl) must poll its
+                          util::Deadline (Exhausted()/Check()) or forward
+                          it into a helper that does. A solver or kernel
+                          loop that ignores the deadline cannot be
+                          cancelled or budget-limited.
   ambient-time            No wall-clock reads (time(), system_clock) in
                           src/core, src/index, src/engine, src/obs,
                           src/sim, or src/wl. Wall time is
@@ -259,7 +261,10 @@ def check_unordered_iter(src: SourceFile) -> list[Finding]:
 # SolveImpl: the solver entry points. ValidPairsRows: the batched kernel
 # row driver (core/kernels.cc) that owns the innermost O(m*n) loop -- it
 # must poll between row blocks or graph builds become uncancellable.
-SOLVEIMPL_RE = re.compile(r"\b(?:SolveImpl|ValidPairsRows)\s*\(")
+# SampleRows: sampling's body (core/sampling.cc), which every D&C leaf
+# calls directly -- it must poll between samples or a D&C budget stops
+# only between leaves.
+SOLVEIMPL_RE = re.compile(r"\b(?:SolveImpl|ValidPairsRows|SampleRows)\s*\(")
 DEADLINE_USE_RE = re.compile(r"\bdeadline\b")
 
 
@@ -286,7 +291,8 @@ def check_missing_deadline_poll(src: SourceFile) -> list[Finding]:
                 src.display,
                 line,
                 "missing-deadline-poll",
-                "SolveImpl/ValidPairsRows body never polls or forwards its "
+                "SolveImpl/ValidPairsRows/SampleRows body never polls or "
+                "forwards its "
                 "Deadline; the solver cannot be cancelled or budget-limited",
             )
         )
