@@ -97,7 +97,11 @@ void AssignmentState::SetTaskStd(TaskId i, double fresh) {
 }
 
 void AssignmentState::Add(TaskId i, WorkerId j) {
-  Attach(i, j, ObservationFor(i, j));
+  Add(i, j, ObservationFor(i, j));
+}
+
+void AssignmentState::Add(TaskId i, WorkerId j, const Observation& obs) {
+  Attach(i, j, obs);
   SetTaskStd(i, ExpectedStd(instance_->task(i), task_obs_[i]));
 }
 

@@ -80,6 +80,10 @@ class AssignmentState {
   /// Assigns unassigned worker j to task i.
   void Add(TaskId i, WorkerId j);
 
+  /// Add(i, j) for a caller that already holds ObservationFor(i, j), bit
+  /// for bit: the same steps without recomputing the observation.
+  void Add(TaskId i, WorkerId j, const Observation& obs);
+
   /// Removes worker j from its task (no-op when unassigned).
   void Remove(WorkerId j);
 

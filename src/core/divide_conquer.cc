@@ -39,8 +39,19 @@ struct Sub {
   std::vector<int64_t> offsets;
 };
 
-// One worker-task assignment pair in global id space.
-using Pair = std::pair<TaskId, WorkerId>;
+// One worker-task assignment pair in global id space, with the evidence
+// its leaf computed.
+using Pick = internal::DrawnPick;
+
+// Adds a pick to `state` as Add(task, worker) would, from its evidence:
+// the carried observation, and on an empty roster the carried E[STD].
+void LoadPick(AssignmentState& state, const Pick& p) {
+  if (state.WorkersOf(p.task).empty()) {
+    state.AddKnown(p.task, p.worker, p.obs, p.e1);
+  } else {
+    state.Add(p.task, p.worker, p.obs);
+  }
+}
 
 class DcRunner {
  public:
@@ -53,12 +64,12 @@ class DcRunner {
         rng_(options.seed),
         merge_state_(instance),
         in_left_(static_cast<size_t>(instance.num_tasks()), 0),
-        task1_(static_cast<size_t>(instance.num_workers()), kNoTask),
-        task2_(static_cast<size_t>(instance.num_workers()), kNoTask),
+        pick1_(static_cast<size_t>(instance.num_workers()), -1),
+        pick2_(static_cast<size_t>(instance.num_workers()), -1),
         first_conflict_(static_cast<size_t>(instance.num_tasks()), -1),
         scorer_(instance.num_tasks()) {}
 
-  util::StatusOr<std::vector<Pair>> Run(const CandidateGraph& graph,
+  util::StatusOr<std::vector<Pick>> Run(const CandidateGraph& graph,
                                         SolveStats* stats) {
     stats_ = stats;
     Clock::time_point t0 = Clock::now();
@@ -93,7 +104,7 @@ class DcRunner {
     // instance and the runner deadline.
     t0 = Clock::now();
     const int num_leaves = static_cast<int>(leaves_.size());
-    std::vector<std::vector<Pair>> leaf_pairs(num_leaves);
+    std::vector<std::vector<Pick>> leaf_picks(num_leaves);
     std::vector<util::Status> leaf_status(num_leaves);
     std::vector<SolveStats> leaf_stats(num_leaves);
     std::atomic<bool> failed{false};
@@ -101,10 +112,10 @@ class DcRunner {
         num_leaves, [&](int /*shard*/, int64_t begin, int64_t end) {
           for (int64_t leaf = begin; leaf < end; ++leaf) {
             if (failed.load(std::memory_order_relaxed)) return;
-            util::StatusOr<std::vector<Pair>> solved = SolveLeaf(
+            util::StatusOr<std::vector<Pick>> solved = SolveLeaf(
                 leaves_[leaf].sub, leaves_[leaf].seed, &leaf_stats[leaf]);
             if (solved.ok()) {
-              leaf_pairs[leaf] = std::move(solved).value();
+              leaf_picks[leaf] = std::move(solved).value();
             } else {
               leaf_status[leaf] = solved.status();
               failed.store(true, std::memory_order_relaxed);
@@ -122,16 +133,25 @@ class DcRunner {
     // Phase 3 (serial): SA_Merge bottom-up in tree order -- merge takes no
     // random draws, so this reproduces the recursive result exactly.
     t0 = Clock::now();
-    util::StatusOr<std::vector<Pair>> merged =
-        Combine(root_node.value(), &leaf_pairs);
+    util::StatusOr<std::vector<Pick>> merged =
+        Combine(root_node.value(), &leaf_picks);
     stats_->merge_seconds = SecondsSince(t0);
     return merged;
   }
 
-  // EvaluateAssignment on the merge state: a replay after Reset equals a
-  // fresh state's. Leaves the state loaded; call after the last Merge.
-  ObjectiveValue Evaluate(const Assignment& assignment) {
-    merge_state_.Reset(assignment);
+  // EvaluateAssignment of Run's picks on the merge state, which every
+  // Merge leaves empty: Reset's replay, Add in ascending worker order, made
+  // from the picks' evidence. Leaves the state loaded; call once, last.
+  ObjectiveValue Evaluate(const std::vector<Pick>& picks) {
+    for (size_t a = 0; a < picks.size(); ++a) {
+      pick1_[picks[a].worker] = static_cast<int>(a);
+    }
+    for (WorkerId j = 0; j < instance_.num_workers(); ++j) {
+      if (pick1_[j] >= 0) {
+        LoadPick(merge_state_, picks[pick1_[j]]);
+        pick1_[j] = -1;
+      }
+    }
     return merge_state_.Objectives();
   }
 
@@ -177,22 +197,22 @@ class DcRunner {
   }
 
   // Bottom-up SA_Merge over the materialized tree.
-  util::StatusOr<std::vector<Pair>> Combine(
-      int node_index, std::vector<std::vector<Pair>>* leaf_pairs) {
+  util::StatusOr<std::vector<Pick>> Combine(
+      int node_index, std::vector<std::vector<Pick>>* leaf_picks) {
     const Node& node = nodes_[node_index];
     if (node.leaf_index >= 0) {
-      return std::move((*leaf_pairs)[node.leaf_index]);
+      return std::move((*leaf_picks)[node.leaf_index]);
     }
-    util::StatusOr<std::vector<Pair>> s1 = Combine(node.left, leaf_pairs);
+    util::StatusOr<std::vector<Pick>> s1 = Combine(node.left, leaf_picks);
     if (!s1.ok()) return s1.status();
-    util::StatusOr<std::vector<Pair>> s2 = Combine(node.right, leaf_pairs);
+    util::StatusOr<std::vector<Pick>> s2 = Combine(node.right, leaf_picks);
     if (!s2.ok()) return s2.status();
     return Merge(s1.value(), s2.value());
   }
 
   // Leaf: Figure 5 straight on the leaf's rows, in instance ids. Called
   // from pool threads; must only touch the leaf's own state.
-  util::StatusOr<std::vector<Pair>> SolveLeaf(const Sub& sub, uint64_t seed,
+  util::StatusOr<std::vector<Pick>> SolveLeaf(const Sub& sub, uint64_t seed,
                                               SolveStats* leaf_stats) const {
     std::vector<internal::WorkerRow> rows(sub.workers.size());
     for (size_t k = 0; k < rows.size(); ++k) {
@@ -282,61 +302,69 @@ class DcRunner {
   }
 
   // SA_Merge (Fig. 9).
-  util::StatusOr<std::vector<Pair>> Merge(const std::vector<Pair>& s1,
-                                          const std::vector<Pair>& s2) {
-    // Conflicting workers: assigned in both halves (their copies disagree).
-    for (const Pair& p : s1) task1_[p.second] = p.first;
-    for (const Pair& p : s2) task2_[p.second] = p.first;
+  util::StatusOr<std::vector<Pick>> Merge(const std::vector<Pick>& s1,
+                                          const std::vector<Pick>& s2) {
+    // Each worker's pick in either half, by index; conflicting workers are
+    // those with a pick in both (their copies disagree).
+    for (size_t a = 0; a < s1.size(); ++a) {
+      pick1_[s1[a].worker] = static_cast<int>(a);
+    }
+    for (size_t a = 0; a < s2.size(); ++a) {
+      pick2_[s2[a].worker] = static_cast<int>(a);
+    }
+    // Only the halves' tasks can ever hold a worker in the merge state.
+    std::vector<TaskId> merge_tasks;
+    // The evaluation state over the full instance and the pick indexes are
+    // shared by every merge of the solve and emptied on every way out of
+    // this one, the budget error included, so each merge starts from a
+    // fresh state's bits.
+    struct ClearOnExit {
+      DcRunner& runner;
+      const std::vector<Pick>& s1;
+      const std::vector<Pick>& s2;
+      const std::vector<TaskId>& tasks;
+      ~ClearOnExit() {
+        runner.merge_state_.Clear(tasks);
+        for (const Pick& p : s1) runner.pick1_[p.worker] = -1;
+        for (const Pick& p : s2) runner.pick2_[p.worker] = -1;
+      }
+    } clear_on_exit{*this, s1, s2, merge_tasks};
+
     std::vector<WorkerId> conflicts;
-    for (const Pair& p : s1) {
-      if (task2_[p.second] != kNoTask) conflicts.push_back(p.second);
+    for (const Pick& p : s1) {
+      if (pick2_[p.worker] >= 0) conflicts.push_back(p.worker);
     }
     std::sort(conflicts.begin(), conflicts.end());
 
     if (conflicts.empty()) {
-      for (const Pair& p : s1) task1_[p.second] = kNoTask;
-      for (const Pair& p : s2) task2_[p.second] = kNoTask;
-      std::vector<Pair> merged = s1;
+      std::vector<Pick> merged = s1;
       merged.insert(merged.end(), s2.begin(), s2.end());
       return merged;
     }
 
-    // The two options of conflict c: its copy's task on each side.
-    std::vector<TaskId> side1(conflicts.size()), side2(conflicts.size());
+    // The two options of conflict c: its copy's pick on each side.
+    std::vector<Pick> side1(conflicts.size()), side2(conflicts.size());
     for (size_t c = 0; c < conflicts.size(); ++c) {
-      side1[c] = task1_[conflicts[c]];
-      side2[c] = task2_[conflicts[c]];
+      side1[c] = s1[pick1_[conflicts[c]]];
+      side2[c] = s2[pick2_[conflicts[c]]];
     }
 
-    // Only the halves' tasks can ever hold a worker in the merge state.
-    std::vector<TaskId> merge_tasks;
     merge_tasks.reserve(s1.size() + s2.size());
-    for (const Pair& p : s1) merge_tasks.push_back(p.first);
-    for (const Pair& p : s2) merge_tasks.push_back(p.first);
+    for (const Pick& p : s1) merge_tasks.push_back(p.task);
+    for (const Pick& p : s2) merge_tasks.push_back(p.task);
     std::sort(merge_tasks.begin(), merge_tasks.end());
     merge_tasks.erase(std::unique(merge_tasks.begin(), merge_tasks.end()),
                       merge_tasks.end());
-
-    // The evaluation state over the full instance is shared by every merge
-    // of the solve and emptied on every way out of this one, the budget
-    // error included, so each merge starts from a fresh state's bits.
-    struct ClearOnExit {
-      AssignmentState& state;
-      const std::vector<TaskId>& tasks;
-      ~ClearOnExit() { state.Clear(tasks); }
-    } clear_on_exit{merge_state_, merge_tasks};
     AssignmentState& state = merge_state_;
 
-    // Load every non-conflicting pair (Lemma 6.1: those assignments are
+    // Load every non-conflicting pick (Lemma 6.1: those assignments are
     // stable).
-    for (const Pair& p : s1) {
-      if (task2_[p.second] == kNoTask) state.Add(p.first, p.second);
+    for (const Pick& p : s1) {
+      if (pick2_[p.worker] < 0) LoadPick(state, p);
     }
-    for (const Pair& p : s2) {
-      if (task1_[p.second] == kNoTask) state.Add(p.first, p.second);
+    for (const Pick& p : s2) {
+      if (pick1_[p.worker] < 0) LoadPick(state, p);
     }
-    for (const Pair& p : s1) task1_[p.second] = kNoTask;
-    for (const Pair& p : s2) task2_[p.second] = kNoTask;
 
     // Dependency components: conflicting workers sharing a task option must
     // be resolved together (Lemma 6.2); singletons are ICWs. A union-find
@@ -353,7 +381,7 @@ class DcRunner {
       return c;
     };
     for (size_t c = 0; c < num_conflicts; ++c) {
-      for (TaskId t : {side1[c], side2[c]}) {
+      for (TaskId t : {side1[c].task, side2[c].task}) {
         int& first = first_conflict_[t];
         if (first < 0) {
           first = static_cast<int>(c);
@@ -363,8 +391,8 @@ class DcRunner {
       }
     }
     for (size_t c = 0; c < num_conflicts; ++c) {
-      first_conflict_[side1[c]] = -1;
-      first_conflict_[side2[c]] = -1;
+      first_conflict_[side1[c].task] = -1;
+      first_conflict_[side2[c].task] = -1;
     }
     // Groups as CSR: group g's conflicts are members[begin[g], begin[g+1]),
     // by a stable counting sort of the conflicts on their group number.
@@ -395,13 +423,17 @@ class DcRunner {
       ResolveGroup(std::span<const int>(members).subspan(
                        static_cast<size_t>(begin[g]),
                        static_cast<size_t>(begin[g + 1] - begin[g])),
-                   conflicts, side1, side2, merge_tasks, &state);
+                   side1, side2, merge_tasks, &state);
     }
 
-    std::vector<Pair> merged;
+    // Every worker in the state, in ascending order, as the pick it kept.
+    std::vector<Pick> merged;
+    merged.reserve(s1.size() + s2.size() - num_conflicts);
     for (WorkerId j = 0; j < instance_.num_workers(); ++j) {
-      TaskId i = state.TaskOf(j);
-      if (i != kNoTask) merged.emplace_back(i, j);
+      const TaskId i = state.TaskOf(j);
+      if (i == kNoTask) continue;
+      const int a = pick1_[j];
+      merged.push_back(a >= 0 && s1[a].task == i ? s1[a] : s2[pick2_[j]]);
     }
     return merged;
   }
@@ -411,34 +443,32 @@ class DcRunner {
   // scoring of internal::KeepComboScorer, or per worker for a group above
   // max_dcw_group.
   void ResolveGroup(std::span<const int> group,
-                    const std::vector<WorkerId>& conflicts,
-                    const std::vector<TaskId>& side1,
-                    const std::vector<TaskId>& side2,
+                    const std::vector<Pick>& side1,
+                    const std::vector<Pick>& side2,
                     const std::vector<TaskId>& merge_tasks,
                     AssignmentState* state) {
     ++stats_->merge_groups;
     if (static_cast<int>(group.size()) > options_.max_dcw_group) {
       // Oversized DCW group: greedy per-worker fallback.
       for (int c : group) {
-        WorkerId w = conflicts[c];
-        ObjectiveValue keep1 = state->PreviewAdd(side1[c], w);
-        ObjectiveValue keep2 = state->PreviewAdd(side2[c], w);
-        state->Add(Better(keep1, keep2) ? side1[c] : side2[c], w);
+        const WorkerId w = side1[c].worker;
+        ObjectiveValue keep1 = state->PreviewAdd(side1[c].task, w);
+        ObjectiveValue keep2 = state->PreviewAdd(side2[c].task, w);
+        const Pick& kept = Better(keep1, keep2) ? side1[c] : side2[c];
+        state->Add(kept.task, w, kept.obs);
         stats_->merge_std_evals += 3;  // two previews and the commit
       }
       return;
     }
-    group_workers_.clear();
     group_side1_.clear();
     group_side2_.clear();
     for (int c : group) {
-      group_workers_.push_back(conflicts[c]);
       group_side1_.push_back(side1[c]);
       group_side2_.push_back(side2[c]);
     }
     const std::vector<BiPoint>& points =
-        scorer_.Score(*state, group_workers_, group_side1_, group_side2_,
-                      merge_tasks, &stats_->merge_std_evals);
+        scorer_.Score(*state, group_side1_, group_side2_, merge_tasks,
+                      &stats_->merge_std_evals);
     stats_->merge_combos += static_cast<int64_t>(points.size());
     scorer_.Commit(*state, static_cast<uint32_t>(TopDominating(points)),
                    &stats_->merge_std_evals);
@@ -464,18 +494,18 @@ class DcRunner {
   // SA_Merge's evaluation state, one per solve (see Merge).
   AssignmentState merge_state_;
   // Per-task / per-worker scratch, all-clear between uses: Partition's
-  // left-side marks, Merge's task of each worker in either half (kNoTask
-  // elsewhere) and the first conflict seen on each task (-1 elsewhere).
+  // left-side marks, Merge's index of each worker's pick in either half
+  // (-1 elsewhere; Evaluate borrows pick1_) and the first conflict seen
+  // on each task (-1 elsewhere).
   std::vector<uint8_t> in_left_;
-  std::vector<TaskId> task1_;
-  std::vector<TaskId> task2_;
+  std::vector<int> pick1_;
+  std::vector<int> pick2_;
   std::vector<int> first_conflict_;
 
   // ResolveGroup's scorer and group columns, reused across groups.
   internal::KeepComboScorer scorer_;
-  std::vector<WorkerId> group_workers_;
-  std::vector<TaskId> group_side1_;
-  std::vector<TaskId> group_side2_;
+  std::vector<Pick> group_side1_;
+  std::vector<Pick> group_side2_;
 };
 
 }  // namespace
@@ -486,13 +516,12 @@ KeepComboScorer::KeepComboScorer(int num_tasks)
     : slot_of_task_(static_cast<size_t>(num_tasks), -1) {}
 
 const std::vector<BiPoint>& KeepComboScorer::Score(
-    AssignmentState& state, std::span<const WorkerId> workers,
-    std::span<const TaskId> side1, std::span<const TaskId> side2,
-    std::span<const TaskId> merge_tasks, int64_t* std_evals) {
-  const int k = static_cast<int>(workers.size());
-  assert(k <= 31 && side1.size() == workers.size() &&
-         side2.size() == workers.size());
-  group_.assign(workers.begin(), workers.end());
+    AssignmentState& state, std::span<const DrawnPick> side1,
+    std::span<const DrawnPick> side2, std::span<const TaskId> merge_tasks,
+    int64_t* std_evals) {
+  const int k = static_cast<int>(side1.size());
+  assert(k <= kMaxDcwGroup && side2.size() == side1.size());
+  group_.resize(static_cast<size_t>(k));
 
   // Slot s is the s-th distinct task the group touches; option (b, side)
   // is worker b's copy on that side and owns bit `bit` of its slot's
@@ -504,8 +533,11 @@ const std::vector<BiPoint>& KeepComboScorer::Score(
   slot_std_.clear();
   options_.resize(static_cast<size_t>(2 * k));
   for (int b = 0; b < k; ++b) {
+    assert(side1[b].worker == side2[b].worker);
+    group_[b] = side1[b].worker;
     for (int side = 0; side < 2; ++side) {
-      const TaskId t = side == 0 ? side1[b] : side2[b];
+      const DrawnPick& pick = side == 0 ? side1[b] : side2[b];
+      const TaskId t = pick.task;
       int& slot = slot_of_task_[t];
       if (slot < 0) {
         slot = static_cast<int>(slots_.size());
@@ -517,8 +549,7 @@ const std::vector<BiPoint>& KeepComboScorer::Score(
       }
       Slot& sl = slots_[slot];
       options_[2 * b + side] = {slot, uint32_t{1} << sl.width,
-                                state.WorkerWeight(workers[b]),
-                                state.ObservationFor(t, workers[b])};
+                                state.WorkerWeight(pick.worker), pick.obs};
       ++sl.width;
     }
   }
@@ -529,9 +560,19 @@ const std::vector<BiPoint>& KeepComboScorer::Score(
   }
   memo_.assign(memo_size, std::numeric_limits<double>::quiet_NaN());
   // No group option on is the task's roster as it stands: the state
-  // already holds its E[STD].
+  // already holds its E[STD]. One option on a task with an empty roster is
+  // that option's pick alone, which its leaf evaluated.
   for (size_t s = 0; s < slots_.size(); ++s) {
     memo_[slots_[s].memo_begin] = slot_std_[s];
+  }
+  for (int b = 0; b < k; ++b) {
+    for (int side = 0; side < 2; ++side) {
+      const Option& o = options_[2 * b + side];
+      const Slot& sl = slots_[o.slot];
+      if (sl.base == 0) {
+        memo_[sl.memo_begin + o.bit] = (side == 0 ? side1[b] : side2[b]).e1;
+      }
+    }
   }
 
   // The min reduced reliability of the tasks the group cannot change.
@@ -614,18 +655,26 @@ util::StatusOr<SolveResult> DivideConquerSolver::SolveImpl(
     const Instance& instance, const CandidateGraph& graph,
     const util::Deadline& deadline, util::Executor& executor,
     SolveStats* partial_stats) {
+  if (util::Status invalid = internal::ValidateSamplingOptions(options_);
+      !invalid.ok()) {
+    return invalid;
+  }
+  if (options_.max_dcw_group > internal::kMaxDcwGroup) {
+    return util::Status::InvalidArgument(
+        "SolverOptions::max_dcw_group must be at most 31");
+  }
   SolveResult result;
   DcRunner runner(instance, options_, deadline, executor);
-  util::StatusOr<std::vector<Pair>> pairs = runner.Run(graph, &result.stats);
-  if (!pairs.ok()) {
+  util::StatusOr<std::vector<Pick>> picks = runner.Run(graph, &result.stats);
+  if (!picks.ok()) {
     return BudgetError(deadline, result.stats, partial_stats);
   }
 
   result.assignment = Assignment(instance.num_workers());
-  for (const Pair& p : pairs.value()) {
-    result.assignment.Assign(p.second, p.first);
+  for (const Pick& p : picks.value()) {
+    result.assignment.Assign(p.worker, p.task);
   }
-  result.objectives = runner.Evaluate(result.assignment);
+  result.objectives = runner.Evaluate(picks.value());
   return result;
 }
 

@@ -4,11 +4,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/dominance.h"
+#include "core/sampling.h"
 #include "core/solver.h"
 
 namespace rdbsc::core {
@@ -30,6 +32,12 @@ namespace rdbsc::core {
 /// each worker's edge span straight into the two children's arrays, each
 /// sized once, and a leaf hands its rows to internal::SampleRows on the
 /// solve's own instance, so neither allocates per worker.
+///
+/// Every pick travels up the tree as the leaf drew it (internal::
+/// DrawnPick): with its observation and its one-worker E[STD]. The merges
+/// and the final evaluation load picks, and score conflicting copies, from
+/// that evidence, so outside the oversized-group fallback they compute no
+/// observation and no one-worker E[STD] again.
 ///
 /// SA_Merge scores a group's combos on scalars (internal::KeepComboScorer)
 /// instead of moving workers between rosters: per touched task its reduced
@@ -70,13 +78,24 @@ class GroundTruthSolver : public DivideConquerSolver {
 
  private:
   static SolverOptions Boost(SolverOptions options) {
-    options.sample_multiplier = std::max(1, options.sample_multiplier) * 10;
-    options.max_sample_size = options.max_sample_size * 10;
+    options.sample_multiplier = Times10(std::max(1, options.sample_multiplier));
+    options.max_sample_size = Times10(options.max_sample_size);
     return options;
+  }
+  /// 10 v, saturated to int's range.
+  static int Times10(int v) {
+    return static_cast<int>(std::clamp<int64_t>(
+        int64_t{v} * 10, std::numeric_limits<int>::min(),
+        std::numeric_limits<int>::max()));
   }
 };
 
 namespace internal {
+
+/// The largest SolverOptions::max_dcw_group: a group's combos are numbered
+/// by 32-bit masks. D&C and G-TRUTH solves fail with InvalidArgument
+/// above it.
+inline constexpr int kMaxDcwGroup = 31;
 
 /// SA_Merge's exhaustive scoring of one DCW group (Lemma 6.2), exposed so
 /// tests can hold it against the same steps run through AddKnown and
@@ -92,8 +111,10 @@ namespace internal {
 /// where `fresh` is the task's E[STD] after the step, computed once per
 /// (task, set of group workers on it) and memoized, and `cur` its E[STD]
 /// before. The empty set's value is the state's TaskExpectedStd, which
-/// always equals a fresh evaluation of the task's roster. The drifted sums
-/// are written back to the state at the end
+/// always equals a fresh evaluation of the task's roster; on a task with
+/// an empty roster, one group worker's value is its pick's e1, which the
+/// leaf already evaluated. The workers' observations are their picks'.
+/// The drifted sums are written back to the state at the end
 /// (AssignmentState::WriteBackSums). Commit then adds the chosen combo's
 /// workers with AddKnown.
 class KeepComboScorer {
@@ -101,18 +122,18 @@ class KeepComboScorer {
   /// Scratch sized for tasks of an instance of `num_tasks` tasks.
   explicit KeepComboScorer(int num_tasks);
 
-  /// Scores the 2^k keep-side combos of the k = workers.size() conflicting
-  /// workers (k <= 31): in combo c, worker b serves side2[b] when bit b is
-  /// set and side1[b] otherwise. The group must share no task with any
-  /// other unresolved conflict, and no worker of it may be in `state`.
+  /// Scores the 2^k keep-side combos of the k = side1.size() conflicting
+  /// workers (k <= kMaxDcwGroup): in combo c, worker b, the worker of
+  /// both side1[b] and side2[b], serves side2[b] when bit b is set and
+  /// side1[b] otherwise. The group must share no task with any other
+  /// unresolved conflict, and no worker of it may be in `state`.
   /// `merge_tasks` lists (a superset of) the tasks holding a worker.
   /// Returns point c = (min reliability over non-empty tasks, total
   /// E[STD]) of combo c, valid until the next call; adds the E[STD]
   /// evaluations made to *std_evals.
   const std::vector<BiPoint>& Score(AssignmentState& state,
-                                    std::span<const WorkerId> workers,
-                                    std::span<const TaskId> side1,
-                                    std::span<const TaskId> side2,
+                                    std::span<const DrawnPick> side1,
+                                    std::span<const DrawnPick> side2,
                                     std::span<const TaskId> merge_tasks,
                                     int64_t* std_evals);
 

@@ -1,6 +1,7 @@
 #include "core/dominance.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 namespace rdbsc::core {
@@ -64,6 +65,20 @@ std::vector<int64_t> DominanceScores(const std::vector<BiPoint>& points,
 // and s are small and the common round is three linear passes.
 size_t TopDominating(const std::vector<BiPoint>& points) {
   if (points.empty()) return std::numeric_limits<size_t>::max();
+  if (points.size() == 2) {
+    // SA_Merge's usual group, one conflict and two combos, in closed form:
+    // point 1 wins iff it dominates point 0 (at larger x, a y no lower)
+    // or, with neither dominating, has the larger y. NaN, and two y of
+    // -inf (an empty skyline, no pick), take the general path below.
+    const BiPoint& a = points[0];
+    const BiPoint& b = points[1];
+    const bool ordered = !std::isnan(a.x) && !std::isnan(a.y) &&
+                         !std::isnan(b.x) && !std::isnan(b.y);
+    if (ordered &&
+        std::max(a.y, b.y) > -std::numeric_limits<double>::infinity()) {
+      return (b.x > a.x ? b.y >= a.y : b.y > a.y) ? 1 : 0;
+    }
+  }
   double min_x = points[0].x;
   for (const BiPoint& p : points) min_x = std::min(min_x, p.x);
 

@@ -1,12 +1,14 @@
 #include "core/sampling.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <random>
 #include <span>
 #include <utility>
 #include <vector>
@@ -23,6 +25,10 @@ util::StatusOr<SolveResult> SamplingSolver::SolveImpl(
     const Instance& instance, const CandidateGraph& graph,
     const util::Deadline& deadline, util::Executor& executor,
     SolveStats* partial_stats) {
+  if (util::Status invalid = internal::ValidateSamplingOptions(options_);
+      !invalid.ok()) {
+    return invalid;
+  }
   std::vector<internal::WorkerRow> rows;
   for (WorkerId j = 0; j < instance.num_workers(); ++j) {
     if (graph.Degree(j) > 0) rows.push_back({j, graph.TasksOf(j)});
@@ -35,8 +41,8 @@ util::StatusOr<SolveResult> SamplingSolver::SolveImpl(
   }
   SolveResult result;
   result.assignment = Assignment(instance.num_workers());
-  for (const auto& [task, worker] : sample.picks) {
-    result.assignment.Assign(worker, task);
+  for (const internal::DrawnPick& pick : sample.picks) {
+    result.assignment.Assign(pick.worker, pick.task);
   }
   result.objectives = sample.objectives;
   result.stats = sample.stats;
@@ -44,6 +50,14 @@ util::StatusOr<SolveResult> SamplingSolver::SolveImpl(
 }
 
 namespace internal {
+
+util::Status ValidateSamplingOptions(const SolverOptions& options) {
+  if (options.max_sample_size < 1) {
+    return util::Status::InvalidArgument(
+        "SolverOptions::max_sample_size must be at least 1");
+  }
+  return util::Status::OK();
+}
 
 util::Status SampleRows(const Instance& instance, std::vector<WorkerRow> rows,
                         const SolverOptions& options,
@@ -63,18 +77,20 @@ util::Status SampleRows(const Instance& instance, std::vector<WorkerRow> rows,
   }
   samples *= std::max(1, options.sample_multiplier);
   samples = std::max<int64_t>(samples, options.min_sample_size);
+  assert(options.max_sample_size >= 1);
   const int k =
       static_cast<int>(std::min<int64_t>(samples, options.max_sample_size));
   SampleScorer scorer(instance, std::move(rows), k);
   const int drawing = scorer.num_drawing();
 
   // Lines 4-7 of Fig. 5: pick, for every worker, one incident edge
-  // uniformly at random. Sample h draws from its own stream, forked in
-  // sample order (the Rng(seed) construction is exactly what Fork() does),
-  // and row h of `slots` holds the memo slots of its picks. The draw is
-  // serial, so every memo is filled, and counted, before any shard scores;
-  // a sample's score depends only on its row, so the scores are the same
-  // on any executor width.
+  // uniformly at random. Sample h draws from its own stream, seeded by
+  // draw h of `rng` (as Rng::Fork would), and row h of `slots` holds the
+  // memo slots of its picks. The streams start a group of kStartLanes at
+  // a time, their seeding interleaved, and each group draws before the
+  // next starts. The draw is serial, so every memo is filled, and counted,
+  // before any shard scores; a sample's score depends only on its row, so
+  // the scores are the same on any executor width.
   util::Rng rng(options.seed);
   std::vector<uint32_t> slots(static_cast<size_t>(k) *
                               static_cast<size_t>(drawing));
@@ -83,14 +99,24 @@ util::Status SampleRows(const Instance& instance, std::vector<WorkerRow> rows,
                                static_cast<size_t>(drawing));
   };
   int64_t memo_evals = 0;
-  for (int h = 0; h < k; ++h) {
-    util::Rng sample_rng(rng.NextU64());
-    const std::span<uint32_t> row = sample(h);
-    for (int d = 0; d < drawing; ++d) {
-      const auto degree = static_cast<int64_t>(scorer.TasksOf(d).size());
-      const auto pick =
-          static_cast<uint32_t>(sample_rng.UniformInt(0, degree - 1));
-      row[d] = scorer.MemoSlot(d, pick, &memo_evals);
+  constexpr size_t kLanes = util::Mt19937_64::kStartLanes;
+  std::array<util::Mt19937_64, kLanes> engines;
+  std::array<uint64_t, kLanes> seeds;
+  for (int first = 0; first < k; first += static_cast<int>(kLanes)) {
+    const size_t lanes = std::min(kLanes, static_cast<size_t>(k - first));
+    for (size_t g = 0; g < lanes; ++g) seeds[g] = rng.NextU64();
+    util::Mt19937_64::StartTogether(std::span(engines).first(lanes),
+                                    std::span(seeds).first(lanes));
+    for (size_t g = 0; g < lanes; ++g) {
+      const std::span<uint32_t> row = sample(first + static_cast<int>(g));
+      for (int d = 0; d < drawing; ++d) {
+        // Rng::UniformInt's distribution, on the sample's engine.
+        const auto degree = static_cast<int64_t>(scorer.TasksOf(d).size());
+        const auto pick = static_cast<uint32_t>(
+            std::uniform_int_distribution<int64_t>(0, degree - 1)(
+                engines[g]));
+        row[d] = scorer.MemoSlot(d, pick, &memo_evals);
+      }
     }
   }
 
@@ -130,7 +156,7 @@ util::Status SampleRows(const Instance& instance, std::vector<WorkerRow> rows,
       sample(static_cast<int64_t>(best));
   out->picks.resize(static_cast<size_t>(drawing));
   for (int d = 0; d < drawing; ++d) {
-    out->picks[d] = {scorer.SlotTask(winner[d]), scorer.DrawingWorker(d)};
+    out->picks[d] = scorer.PickOf(d, winner[d]);
   }
   out->objectives = values[best];
   out->stats.sample_size = k;

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/assignment.h"
@@ -49,21 +48,41 @@ struct WorkerRow {
   std::span<const TaskId> tasks;
 };
 
-/// SampleRows' result: the winner's (task, worker) picks in row order, its
-/// objectives, and the exact_std_evals and sample_size stats.
+/// One drawn edge and the evidence sampling computed for it: `obs` is
+/// AssignmentState::ObservationFor(task, worker) and `e1` the ExpectedStd
+/// of the one-worker roster {obs}, both bit for bit. D&C's merge loads and
+/// scores its leaves' picks from them instead of recomputing either.
+struct DrawnPick {
+  TaskId task;
+  WorkerId worker;
+  Observation obs;
+  double e1;
+};
+
+/// SampleRows' result: the winner's picks in row order, its objectives,
+/// and the exact_std_evals and sample_size stats.
 struct RowSample {
-  std::vector<std::pair<TaskId, WorkerId>> picks;
+  std::vector<DrawnPick> picks;
   ObjectiveValue objectives;
   SolveStats stats;
 };
+
+/// The options SampleRows needs to draw at least one sample: OK, or
+/// InvalidArgument naming the offending field. Every solve that samples
+/// checks them before any work.
+util::Status ValidateSamplingOptions(const SolverOptions& options);
 
 /// Figure 5 over `rows` of `instance`: the body of SamplingSolver and of
 /// every D&C leaf. K is the options' K-hat with ln N = sum of ln(row size).
 /// All K samples are drawn first, serially, each drawn edge's observation
 /// and one-worker E[STD] memoized once; SampleScorer then scores them on
 /// `executor`, polling `deadline` between samples, so the result is the
-/// same at every executor width. When the deadline trips, fails with its
-/// status, `out->stats` holding the evaluations made and samples scored.
+/// same at every executor width. Sample h draws from its own
+/// std::mt19937_64 stream, seeded by draw h of Rng(options.seed); the
+/// streams start kStartLanes at a time (util::Mt19937_64::StartTogether),
+/// each group drawn before the next starts. When the deadline trips,
+/// fails with its status, `out->stats` holding the evaluations made and
+/// samples scored. `options` must pass ValidateSamplingOptions.
 util::Status SampleRows(const Instance& instance, std::vector<WorkerRow> rows,
                         const SolverOptions& options,
                         const util::Deadline& deadline,
@@ -126,8 +145,12 @@ class SampleScorer {
   /// before scoring any.
   uint32_t MemoSlot(int d, uint32_t pick, int64_t* std_evals);
 
-  /// The task of the edge in memo slot `slot`.
-  TaskId SlotTask(uint32_t slot) const { return memos_[slot].task; }
+  /// Row d's pick of the edge in memo slot `slot`, with the slot's
+  /// observation and E_1.
+  DrawnPick PickOf(int d, uint32_t slot) const {
+    const Memo& memo = memos_[slot];
+    return {memo.task, rows_[d].worker, memo.obs, memo.e1};
+  }
 
   /// The objectives of the sample whose row d picks the edge in slots[d]
   /// (num_drawing() entries). Adds the ExpectedStd calls made, one per

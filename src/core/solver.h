@@ -25,7 +25,8 @@ struct SolverOptions {
   double delta = 0.9;
   /// When positive, overrides the computed sample size K-hat.
   int fixed_sample_size = 0;
-  /// Floor/ceiling applied to the computed K-hat.
+  /// Floor/ceiling applied to the computed K-hat. A sampling, D&C or
+  /// G-TRUTH solve fails with InvalidArgument when max_sample_size < 1.
   int min_sample_size = 8;
   int max_sample_size = 512;
   /// Multiplies the sample size; the paper's G-TRUTH uses 10.
@@ -50,7 +51,8 @@ struct SolverOptions {
   /// directly, by sampling with the knobs above.
   int gamma = 24;
   /// Largest DCW group enumerated exhaustively (2^k combinations); larger
-  /// groups fall back to per-worker greedy resolution.
+  /// groups fall back to per-worker greedy resolution. At most 31: D&C and
+  /// G-TRUTH solves fail with InvalidArgument above it.
   int max_dcw_group = 12;
 };
 

@@ -1,6 +1,7 @@
 #include "util/rng.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace rdbsc::util {
 namespace {
@@ -41,6 +42,39 @@ void Mt19937_64::Seed(size_t end) {
     x_[k] = x_[k - (kN - kM)] ^ Mix(x_[k], x_[k + 1]);
   }
   if (k < end) x_[kN - 1] = x_[kM - 1] ^ Mix(x_[kN - 1], x_[0]);
+}
+
+void Mt19937_64::StartTogether(std::span<Mt19937_64> engines,
+                               std::span<const result_type> seeds) {
+  assert(engines.size() == seeds.size());
+  for (size_t first = 0; first < engines.size(); first += kStartLanes) {
+    // Lanes without an engine seed a throwaway block, so the loop below
+    // runs all kStartLanes chains with no per-lane branch.
+    const size_t lanes = std::min(kStartLanes, engines.size() - first);
+    uint64_t spare[kFirstSeeded];
+    uint64_t* words[kStartLanes];
+    uint64_t prev[kStartLanes];
+    for (size_t g = 0; g < kStartLanes; ++g) {
+      words[g] = g < lanes ? engines[first + g].x_ : spare;
+      prev[g] = g < lanes ? seeds[first + g] : 0;
+      words[g][0] = prev[g];
+    }
+    // Seed's recurrence, one step of every lane per word.
+    for (size_t i = 1; i < kFirstSeeded; ++i) {
+      for (size_t g = 0; g < kStartLanes; ++g) {
+        prev[g] = kSeedMul * (prev[g] ^ (prev[g] >> 62)) + i;
+        words[g][i] = prev[g];
+      }
+    }
+    // The rest of the first Refill: twist the first chunk.
+    for (size_t g = 0; g < lanes; ++g) {
+      Mt19937_64& engine = engines[first + g];
+      engine.seeded_ = kFirstSeeded;
+      engine.Twist(0, kChunk);
+      engine.ready_ = kChunk;
+      engine.next_ = 0;
+    }
+  }
 }
 
 void Mt19937_64::Refill() {

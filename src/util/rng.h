@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <random>
+#include <span>
 
 namespace rdbsc::util {
 
@@ -26,13 +27,29 @@ namespace rdbsc::util {
 /// max(), operator()), so every std:: distribution and std::shuffle sees
 /// the same numbers as with std::mt19937_64(seed). Copies carry the whole
 /// state, including a half-built first block, and continue identically.
+///
+/// Seeding is one serial recurrence, each word a multiply away from the
+/// one before, so a lone engine's first refill waits on a 163-step chain.
+/// StartTogether runs the first refills of several engines with their
+/// chains interleaved, so independent steps overlap in the pipeline.
 class Mt19937_64 {
  public:
   using result_type = uint64_t;
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~result_type{0}; }
+  /// Engines whose seeding StartTogether interleaves at once.
+  static constexpr size_t kStartLanes = 8;
 
+  /// std::mt19937_64's default seed.
+  Mt19937_64() : Mt19937_64(5489) {}
   explicit Mt19937_64(result_type seed) { x_[0] = seed; }
+
+  /// Restarts engines[g] as Mt19937_64(seeds[g]) with its first draws
+  /// made ready, for every g: each then yields std::mt19937_64(seeds[g])'s
+  /// stream, and so does a copy of it. The seeding recurrences of up to
+  /// kStartLanes engines run interleaved, word by word.
+  static void StartTogether(std::span<Mt19937_64> engines,
+                            std::span<const result_type> seeds);
 
   result_type operator()() {
     if (next_ >= ready_) Refill();
@@ -48,6 +65,8 @@ class Mt19937_64 {
   static constexpr size_t kN = 312;     // state words
   static constexpr size_t kM = 156;     // twist offset
   static constexpr size_t kChunk = 8;   // first-block words per refill
+  // Words the first refill seeds: those the first chunk's twist reads.
+  static constexpr size_t kFirstSeeded = kChunk + kM;
 
   /// Makes x_[next_] twisted: the next chunk of the first block, or the
   /// full twist of a new block once the first is complete.

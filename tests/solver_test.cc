@@ -2,6 +2,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <numbers>
 #include <string>
 #include <utility>
@@ -394,7 +395,9 @@ size_t ExpectScorerMatchesReplay(const Instance& instance,
           0, static_cast<int64_t>(scorer.TasksOf(d).size()) - 1));
       assignment.Assign(drawing[d], scorer.TasksOf(d)[pick]);
       sample.push_back(scorer.MemoSlot(d, pick, &memo_evals));
-      EXPECT_EQ(scorer.SlotTask(sample.back()), scorer.TasksOf(d)[pick]);
+      EXPECT_EQ(scorer.PickOf(d, sample.back()).task,
+                scorer.TasksOf(d)[pick]);
+      EXPECT_EQ(scorer.PickOf(d, sample.back()).worker, drawing[d]);
     }
   }
   EXPECT_LE(memo_evals, graph.NumEdges());
@@ -609,7 +612,32 @@ void ExpectRowsMatchLocalSolve(const Instance& instance, const LeafRows& leaf,
     const TaskId li = solved.assignment.TaskOf(lj);
     if (li != kNoTask) picks.emplace_back(leaf.tasks[li], leaf.workers[lj]);
   }
-  EXPECT_EQ(got.picks, picks) << where;
+  std::vector<std::pair<TaskId, WorkerId>> got_pairs;
+  for (const internal::DrawnPick& pick : got.picks) {
+    got_pairs.emplace_back(pick.task, pick.worker);
+  }
+  EXPECT_EQ(got_pairs, picks) << where;
+  // The evidence each pick carries up a D&C tree is what the merge state
+  // would compute for the pair, bit for bit.
+  const AssignmentState fresh(instance);
+  for (const internal::DrawnPick& pick : got.picks) {
+    const Observation obs = fresh.ObservationFor(pick.task, pick.worker);
+    const std::string edge = where + ", edge (" + std::to_string(pick.task) +
+                             ", " + std::to_string(pick.worker) + ")";
+    EXPECT_EQ(std::bit_cast<uint64_t>(pick.obs.angle),
+              std::bit_cast<uint64_t>(obs.angle))
+        << edge;
+    EXPECT_EQ(std::bit_cast<uint64_t>(pick.obs.arrival),
+              std::bit_cast<uint64_t>(obs.arrival))
+        << edge;
+    EXPECT_EQ(std::bit_cast<uint64_t>(pick.obs.confidence),
+              std::bit_cast<uint64_t>(obs.confidence))
+        << edge;
+    EXPECT_EQ(std::bit_cast<uint64_t>(pick.e1),
+              std::bit_cast<uint64_t>(
+                  ExpectedStd(instance.task(pick.task), {obs})))
+        << edge;
+  }
   EXPECT_EQ(std::bit_cast<uint64_t>(got.objectives.total_std),
             std::bit_cast<uint64_t>(solved.objectives.total_std))
       << where;
@@ -721,6 +749,87 @@ TEST(SamplingTest, MultiplierScalesSampleSize) {
       100);
 }
 
+// Options no sample can be drawn under fail the solve with
+// InvalidArgument naming the field, before any work: max_sample_size < 1
+// once made K = 0 and read the winner of an empty sample set.
+TEST(SamplingTest, RejectsMaxSampleSizeBelowOne) {
+  const Instance instance = SmallInstance(11, /*num_tasks=*/50,
+                                          /*num_workers=*/60);
+  const CandidateGraph graph = CandidateGraph::Build(instance);
+  for (int max_sample_size : {0, -1, std::numeric_limits<int>::min()}) {
+    SolverOptions options;
+    options.max_sample_size = max_sample_size;
+    const std::string where =
+        "max_sample_size " + std::to_string(max_sample_size);
+    for (const util::StatusOr<SolveResult>& solved :
+         {SamplingSolver(options).Solve(instance, graph),
+          DivideConquerSolver(options).Solve(instance, graph),
+          GroundTruthSolver(options).Solve(instance, graph)}) {
+      ASSERT_EQ(solved.status().code(), util::StatusCode::kInvalidArgument)
+          << where;
+      EXPECT_NE(solved.status().message().find("max_sample_size"),
+                std::string::npos)
+          << where << ": " << solved.status().ToString();
+    }
+  }
+  // One sample is a valid, if small, budget.
+  SolverOptions one;
+  one.max_sample_size = 1;
+  EXPECT_EQ(SamplingSolver(one).Solve(instance, graph).value()
+                .stats.sample_size,
+            1);
+}
+
+// A DCW group's combos are 32-bit masks: max_dcw_group above 31 is
+// rejected by D&C and G-TRUTH; 31 itself solves.
+TEST(DivideConquerTest, RejectsMaxDcwGroupAboveThirtyOne) {
+  const Instance instance = SmallInstance(12, /*num_tasks=*/24,
+                                          /*num_workers=*/80);
+  const CandidateGraph graph = CandidateGraph::Build(instance);
+  for (int max_dcw_group : {32, 64, std::numeric_limits<int>::max()}) {
+    SolverOptions options;
+    options.max_dcw_group = max_dcw_group;
+    const std::string where = "max_dcw_group " + std::to_string(max_dcw_group);
+    for (const util::StatusOr<SolveResult>& solved :
+         {DivideConquerSolver(options).Solve(instance, graph),
+          GroundTruthSolver(options).Solve(instance, graph)}) {
+      ASSERT_EQ(solved.status().code(), util::StatusCode::kInvalidArgument)
+          << where;
+      EXPECT_NE(solved.status().message().find("max_dcw_group"),
+                std::string::npos)
+          << where << ": " << solved.status().ToString();
+    }
+  }
+  SolverOptions widest;
+  widest.max_dcw_group = internal::kMaxDcwGroup;
+  EXPECT_TRUE(DivideConquerSolver(widest).Solve(instance, graph).ok());
+  EXPECT_TRUE(GroundTruthSolver(widest).Solve(instance, graph).ok());
+}
+
+// G-TRUTH's tenfold budget saturates instead of overflowing int, on
+// either knob: a saturated cap leaves K = 30 uncapped, and a saturated
+// multiplier is capped at K = 50, as unsaturated ones are.
+TEST(DivideConquerTest, GroundTruthBoostSaturates) {
+  const Instance instance = SmallInstance(13, /*num_tasks=*/24,
+                                          /*num_workers=*/80);
+  const CandidateGraph graph = CandidateGraph::Build(instance);
+  auto solve = [&](int max_sample_size, int sample_multiplier) {
+    SolverOptions options;
+    options.fixed_sample_size = 3;
+    options.max_sample_size = max_sample_size;
+    options.sample_multiplier = sample_multiplier;
+    return GroundTruthSolver(options).Solve(instance, graph).value();
+  };
+  const SolveResult huge_cap = solve(std::numeric_limits<int>::max(), 1);
+  EXPECT_EQ(huge_cap.stats.sample_size, 30);
+  EXPECT_EQ(DecisionDigest(huge_cap), DecisionDigest(solve(1 << 20, 1)));
+  const SolveResult huge_multiplier =
+      solve(5, std::numeric_limits<int>::max());
+  EXPECT_EQ(huge_multiplier.stats.sample_size, 50);
+  EXPECT_EQ(DecisionDigest(huge_multiplier),
+            DecisionDigest(solve(5, 1 << 20)));
+}
+
 // ---------- D&C and G-TRUTH ----------
 
 // ---------- D&C golden decisions ----------
@@ -754,86 +863,90 @@ struct DivideConquerGolden {
 // taking each slot's base-roster E[STD] from the merge state instead of
 // evaluating it, again with every digest, merge_groups, merge_combos and
 // exact_std_evals unchanged. Every row held unchanged when the leaves
-// began sampling on the solve's own instance instead of a local copy.
+// began sampling on the solve's own instance instead of a local copy. The
+// merge_std_evals column was re-captured once more when the leaves' picks
+// began carrying their one-worker E[STD] up the tree, so the scorer no
+// longer evaluates a lone group worker on a task with an empty roster;
+// every digest and the other three columns held.
 constexpr DivideConquerGolden kDivideConquerGolden[] = {
     {"table2-3", "sampling",
      "bd91d41815ed1860 3fee4b636b339a37 4042c623fee1f2d9",
-     24, 250, 188, 1538},
+     24, 250, 186, 1538},
     {"table2-3", "gtruth",
      "43836c0698eb6dd3 3fee4b636b339a37 4042cf5043f8ba65",
-     23, 252, 187, 3696},
+     23, 252, 185, 3696},
     {"table2-3", "fallback",
      "772e7ca88fc0c25a 3fee4b636b339a37 4042ba084277babf",
-     25, 24, 153, 1538},
+     25, 24, 151, 1538},
     {"table2-4", "sampling",
      "06545c8c0c29a00a 3fedc79afba7e683 40445da60b85238f",
-     20, 1694, 336, 1748},
+     20, 1694, 334, 1748},
     {"table2-4", "gtruth",
      "06545c8c0c29a00a 3fedc79afba7e683 40445da60b85238f",
-     20, 1694, 336, 3725},
+     20, 1694, 334, 3725},
     {"table2-4", "fallback",
      "1a39ca7048ad3422 3fedc79afba7e683 40444b52f2d2f7fe",
      20, 18, 162, 1748},
     {"table2-5", "sampling",
      "603b796e29c8aba9 3fede0ae77e94858 4041f4f1b60c3441",
-     20, 278, 245, 1498},
+     20, 278, 238, 1498},
     {"table2-5", "gtruth",
      "603b796e29c8aba9 3fede0ae77e94858 4041f4f1b60c3441",
-     21, 186, 245, 2819},
+     21, 186, 238, 2819},
     {"table2-5", "fallback",
      "7e92444cb0fc0d31 3fede0ae77e94858 4041f652ac169ddb",
-     20, 18, 165, 1498},
+     20, 18, 164, 1498},
     {"sparse-41", "sampling",
      "f101e4227c114040 3feeba1dc9428537 401f78249f39e2d3",
-     15, 3670, 418, 777},
+     15, 3670, 349, 777},
     {"sparse-41", "gtruth",
      "6468e35351c7be21 3fee09eea46401ed 402131abe148dcdc",
-     18, 1620, 425, 2112},
+     18, 1620, 361, 2112},
     {"sparse-41", "fallback",
      "63b963dbd28a2a30 3fed450ec3eb2fa5 4020286a0164ae0d",
      14, 0, 225, 777},
     {"sparse-43", "sampling",
      "52d27b5fafd1bb39 3fededac7698986a 40233a314a968df7",
-     14, 5224, 658, 728},
+     14, 5224, 581, 728},
     {"sparse-43", "gtruth",
      "035bb5eed8dadff1 3fededac7698986a 40234d120ca65d4d",
-     18, 4624, 640, 2042},
+     18, 4624, 568, 2042},
     {"sparse-43", "fallback",
      "d216d1ebfb59158f 3fededac7698986a 4023718696d6aab6",
-     14, 4, 196, 728},
+     14, 4, 193, 728},
     {"dense-42", "sampling",
      "ae4095e3cc13a273 3fede3dc04260900 403014132c8bd10e",
-     13, 10852, 2007, 1594},
+     13, 10852, 1982, 1594},
     {"dense-42", "gtruth",
      "672dddb9282dd09c 3fefc6c83da0a454 402fa857580bb1de",
-     13, 15110, 2103, 4220},
+     13, 15110, 2065, 4220},
     {"dense-42", "fallback",
      "14d265e2cff6b11e 3fed692cd26939b5 402f0e46552fbbec",
      14, 4, 376, 1594},
     {"table2-5", "sampling-g2",
      "e2b169cce30008d5 3fede0ae77e94858 4041ea1fdb53eb4b",
-     25, 4340, 556, 1564},
+     25, 4340, 549, 1564},
     {"sparse-43", "sampling-g2",
      "8bdb6f16af7f8718 3fed8b2394c70759 4023ec482fad9f4f",
-     20, 6062, 1584, 913},
+     20, 6062, 1501, 913},
     {"dense-42", "sampling-g1",
      "aa5b1c849f88a365 3feece9d1eccd6a8 403061cffad841be",
-     28, 23250, 20689, 2859},
+     28, 23250, 20610, 2859},
     {"dense-42", "sampling-g2",
      "d6c6d615077cb8e7 3fefd8c8fa00b099 4030b48119adc36e",
-     19, 17930, 7624, 2091},
+     19, 17930, 7571, 2091},
     {"dense-42", "gtruth-g2",
      "7005f9e168183cf8 3feece9d1eccd6a8 402fcdcd6c2f3175",
-     19, 23900, 7628, 4829},
+     19, 23900, 7554, 4829},
     {"dense-44", "sampling-g1",
      "7599e5f21080e48a 3fee78972e67b39f 4031a2c460fbfdd6",
      24, 1026, 3296, 4173},
     {"dense-46", "sampling-g1",
      "fec5e839aa056d64 3fefd8c898b5908f 40311ad0920b7453",
-     25, 12466, 13075, 2553},
+     25, 12466, 13060, 2553},
     {"dense-46", "gtruth-g2",
      "774d24cd5677d548 3fedce3871a9be4a 4030b100abf0ef0c",
-     19, 8418, 7726, 4356},
+     19, 8418, 7701, 4356},
 };
 
 // One golden row's instance, options and solve; `executor` null = serial.
@@ -1034,6 +1147,13 @@ TEST(DivideConquerTest, KeepComboScorerReplaysRosterMovesBitForBit) {
                                 std::to_string(group);
       std::vector<WorkerId> ids;
       std::vector<TaskId> side1, side2;
+      // The scorer's input: each copy as a leaf pick, with its evidence.
+      std::vector<internal::DrawnPick> picks1, picks2;
+      auto pick = [&](TaskId t, WorkerId j) {
+        const Observation obs = scored.ObservationFor(t, j);
+        return internal::DrawnPick{t, j, obs,
+                                   ExpectedStd(instance.task(t), {obs})};
+      };
       for (int b = 0; b < 9 - group; ++b) {
         ids.push_back(next++);
         const auto t1 = static_cast<TaskId>(rng.UniformInt(0, 11));
@@ -1041,10 +1161,12 @@ TEST(DivideConquerTest, KeepComboScorerReplaysRosterMovesBitForBit) {
             (t1 + 1 + rng.UniformInt(0, 10)) % 12);
         side1.push_back(t1);
         side2.push_back(t2);
+        picks1.push_back(pick(t1, ids.back()));
+        picks2.push_back(pick(t2, ids.back()));
       }
       int64_t evals = 0;
       const std::vector<BiPoint> got =
-          scorer.Score(scored, ids, side1, side2, all_tasks, &evals);
+          scorer.Score(scored, picks1, picks2, all_tasks, &evals);
       const std::vector<BiPoint> want =
           ReferenceKeepCombos(reference, ids, side1, side2);
       ASSERT_EQ(got.size(), want.size()) << where;

@@ -148,6 +148,40 @@ TEST(RngTest, CopyAtEveryDrawCountContinuesTheStream) {
   }
 }
 
+// Engines started together, in groups below, at and above the lane
+// count, each yield std::mt19937_64's stream on their own seed past the
+// first block's chunks and a full twist; so does a copy taken right after
+// the start.
+TEST(RngTest, StartedTogetherMatchesStdMt19937_64) {
+  const std::vector<uint64_t> all_seeds = EngineTestSeeds();
+  size_t next_seed = 0;
+  for (size_t count : {0, 1, 7, 8, 9, 17}) {
+    std::vector<uint64_t> seeds;
+    for (size_t g = 0; g < count; ++g) {
+      seeds.push_back(all_seeds[next_seed++ % all_seeds.size()]);
+    }
+    // Engines in every state: fresh, mid-stream and mid-first-block.
+    std::vector<Mt19937_64> engines;
+    for (size_t g = 0; g < count; ++g) {
+      Mt19937_64& engine = engines.emplace_back(g * 977);
+      for (size_t i = 0; i < g * 97; ++i) engine();
+    }
+    Mt19937_64::StartTogether(engines, seeds);
+    std::vector<Mt19937_64> copies = engines;
+    for (size_t g = 0; g < count; ++g) {
+      std::mt19937_64 want(seeds[g]);
+      for (int i = 0; i < 1000; ++i) {
+        const uint64_t next = want();
+        ASSERT_EQ(engines[g](), next)
+            << count << " engines, seed " << seeds[g] << ", draw " << i;
+        ASSERT_EQ(copies[g](), next)
+            << count << " engines, copy of seed " << seeds[g] << ", draw "
+            << i;
+      }
+    }
+  }
+}
+
 TEST(RngTest, DistributionsMatchStdMt19937_64) {
   std::vector<uint64_t> seeds = EngineTestSeeds();
   seeds.resize(24);
